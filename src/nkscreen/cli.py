@@ -597,7 +597,8 @@ def cmd_scopf_bench(args):
           f"conservativeness violations {summary['conservativeness_violations']}")
     print(f"runtime: full {summary['mean_runtime_full'] * 1e3:.1f}ms, "
           f"icnn {summary['mean_runtime_icnn'] * 1e3:.1f}ms "
-          f"(speedup {summary['speedup']:.2f}x)")
+          f"(speedup {summary['speedup']:.2f}x; icnn setup "
+          f"{summary['icnn_setup_s'] * 1e3:.1f}ms once)")
     return finish_run(manifest, run_dir,
                       ["scopf_instances.csv", "scopf_summary.json"])
 

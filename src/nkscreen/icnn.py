@@ -103,13 +103,6 @@ class IcnnGrads:
             b=[np.zeros_like(bb) for bb in params.b],
         )
 
-    def scaled(self, alpha):
-        return IcnnGrads(
-            W=[alpha * w for w in self.W],
-            D=[alpha * d for d in self.D],
-            b=[alpha * bb for bb in self.b],
-        )
-
     def add(self, other, alpha=1.0):
         for a, o in zip(self.W, other.W):
             a += alpha * o

@@ -12,6 +12,15 @@ problem/solution contract:
   sublevel-set sweeps re-solve the same polytope for thousands of objective
   rows, and dispatch sampling re-solves the same OPF for thousands of demand
   vectors.  With an unchanged basis a re-solve costs one pricing pass.
+  The engine refactorizes (inverts the basis matrix) only when its inverse
+  may differ from the exact one: ``B_inv`` counts as exact after a
+  refactorization or the slack-basis start, and stops being exact when a
+  pivot changes the basis or ``reload`` replaces the matrix (bound flips and
+  new right-hand sides or objectives keep it).  Inverting the same basis
+  columns again returns the same array, so skipping that inversion changes
+  no output bit.  ``snapshot``/``restore`` save and reinstate a basis with
+  its inverse, for callers that want every re-solve to start from one fixed
+  basis.
 * scipy's HiGHS (``backend="highs"``): used for large one-off instances
   (thousands of rows) where maintaining a dense basis inverse is wasteful.
 
@@ -121,6 +130,18 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
 
+@dataclass(frozen=True)
+class BasisSnapshot:
+    """A ``SimplexEngine`` basis, its inverse and its solve state."""
+
+    basis: np.ndarray
+    vstat: np.ndarray
+    B_inv: np.ndarray
+    inv_exact: bool
+    solved_once: bool
+    last_status: LpStatus | None
+
+
 class SimplexEngine:
     """Bounded-variable two-phase revised simplex over a fixed row structure.
 
@@ -150,6 +171,7 @@ class SimplexEngine:
         self._reset_nonbasic_status(np.arange(self.nt))
         self.vstat[self.basis] = _BASIC
         self.B_inv = np.eye(m)
+        self._inv_exact = True  # B_inv is inv(T[:, basis]) bit for bit
         self.x = np.zeros(self.nt)
         self._solved_once = False
         self._last_status: LpStatus | None = None
@@ -171,6 +193,8 @@ class SimplexEngine:
         return v
 
     def _refactor(self):
+        if self._inv_exact:
+            return True
         B = self.T[:, self.basis]
         try:
             self.B_inv = np.linalg.inv(B)
@@ -179,6 +203,7 @@ class SimplexEngine:
         # guard against a numerically singular basis that inv() let through
         if not np.all(np.isfinite(self.B_inv)):
             return False
+        self._inv_exact = True
         return True
 
     def _fall_back_to_slack_basis(self):
@@ -187,6 +212,7 @@ class SimplexEngine:
         self._reset_nonbasic_status(np.arange(self.n))
         self.vstat[self.basis] = _BASIC
         self.B_inv = np.eye(self.m)
+        self._inv_exact = True
 
     def _recompute_x(self):
         xn = self._nonbasic_values()
@@ -286,6 +312,7 @@ class SimplexEngine:
         if pos < 0:
             self.vstat[j] = kind  # bound flip, basis unchanged
             return
+        self._inv_exact = False
         leave = self.basis[pos]
         self.vstat[leave] = kind
         self.x[leave] = self.L[leave] if kind == _AT_LB else self.U[leave]
@@ -383,6 +410,7 @@ class SimplexEngine:
             if A.shape != (self.m, self.n):
                 raise ValueError("matrix shape mismatch")
             self.T[:, : self.n] = A
+            self._inv_exact = False
         if b is not None:
             self.b = np.asarray(b, dtype=float).copy()
         if c is not None:
@@ -393,6 +421,28 @@ class SimplexEngine:
             self._fall_back_to_slack_basis()
         self._recompute_x()
         return self._finish(restore_feasibility=True)
+
+    def snapshot(self) -> BasisSnapshot:
+        """The current basis and its inverse, to hand to ``restore`` later."""
+        return BasisSnapshot(self.basis.copy(), self.vstat.copy(),
+                             self.B_inv.copy(), self._inv_exact,
+                             self._solved_once, self._last_status)
+
+    def restore(self, snap: BasisSnapshot):
+        """Reinstate a snapshot's basis; the next solve starts from it.
+
+        The problem data (matrix, right-hand side, objective) stay as they
+        are now.  The snapshot is copied, so it can be restored again.
+        """
+        if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
+            raise ValueError("snapshot of an engine of another shape")
+        self.basis = snap.basis.copy()
+        self.vstat = snap.vstat.copy()
+        self.B_inv = snap.B_inv.copy()
+        self._inv_exact = snap.inv_exact
+        self._solved_once = snap.solved_once
+        self._last_status = snap.last_status
+        self._recompute_x()
 
     def _finish(self, restore_feasibility) -> LpSolution:
         budget = 2000 + 200 * self.m
@@ -485,10 +535,16 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
     )
 
 
+def pick_backend(backend: str, n_rows: int) -> str:
+    """The backend "auto" stands for at this many rows; others unchanged."""
+    if backend == "auto":
+        return "highs" if n_rows > 600 else "simplex"
+    return backend
+
+
 def solve(problem: LpProblem, backend: str = "auto") -> LpSolution:
     """One-shot solve. backend: "simplex", "highs", or "auto" (size-based)."""
-    if backend == "auto":
-        backend = "highs" if problem.n_rows > 600 else "simplex"
+    backend = pick_backend(backend, problem.n_rows)
     if backend == "simplex":
         return SimplexEngine(problem).solve()
     if backend == "highs":

@@ -113,9 +113,6 @@ class ContingencyRegion:
         """Boolean membership for points given in full original coordinates."""
         return self.margins(self.project(X_full)) <= tol
 
-    def membership_current(self, X_cur, tol=0.0):
-        return self.margins(X_cur) <= tol
-
 
 def enumerate_contingencies(net: Network, k: int):
     """All non-islanding outage sets of size 1..k, by size then lexicographic."""

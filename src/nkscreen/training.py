@@ -121,25 +121,6 @@ class Adam:
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-class BatchCycler:
-    """Deterministic mini-batch stream: seeded shuffle, reshuffle at the end."""
-
-    def __init__(self, n, size, rng):
-        self.n = n
-        self.size = min(size, n)
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
-
-    def take(self):
-        if self.pos + self.size > self.n:
-            self.order = self.rng.permutation(self.n)
-            self.pos = 0
-        idx = self.order[self.pos:self.pos + self.size]
-        self.pos += self.size
-        return idx
-
-
 @dataclass
 class EpochRecord:
     epoch: int

@@ -278,3 +278,93 @@ def test_degenerate_duplicated_rows():
         s = solve(pp, backend="simplex")
         ref = vertex_enumeration_max(p.c, p.A, p.b, p.lb, p.ub)
         assert s.objective == pytest.approx(ref, abs=1e-6)
+
+
+def counting_inv(monkeypatch):
+    """Patch np.linalg.inv to count its calls; returns the counter list."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+def same_bytes(a: LpSolution, b: LpSolution):
+    assert a.status is b.status
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.duals.tobytes() == b.duals.tobytes()
+    assert a.reduced_costs.tobytes() == b.reduced_costs.tobytes()
+    assert a.objective == b.objective
+
+
+def test_zero_pivot_resolves_skip_inversion(monkeypatch):
+    # two engines in the same state; reload(A=same A) forces the second one
+    # to invert the unchanged basis, and must give the same bytes
+    rng = np.random.default_rng(21)
+    p = random_bounded_lp(rng, n=4, m=6)
+    eng, forced = SimplexEngine(p), SimplexEngine(p)
+    assert eng.solve().iterations > 0
+    forced.solve()
+    calls = counting_inv(monkeypatch)
+    b_new = p.b + 1e-6
+    warm = eng.resolve_rhs(b_new)
+    assert warm.iterations == 0
+    assert calls == []
+    same_bytes(warm, forced.reload(A=p.A, b=b_new))
+    assert len(calls) == 1
+    c_new = p.c * (1 + 1e-6)
+    calls.clear()
+    warm = eng.resolve_objective(c_new)
+    assert warm.iterations == 0
+    assert calls == []
+    same_bytes(warm, forced.reload(A=p.A, c=c_new))
+    assert len(calls) == 1
+
+
+def test_cold_solve_inverts_only_after_pivots(monkeypatch):
+    calls = counting_inv(monkeypatch)
+    # optimal at the slack basis: x at its lower bounds, no pivot
+    p = LpProblem(c=[-1.0, -2.0], A=[[1.0, 1.0]], b=[1.0], lb=[0.0, 0.0],
+                  ub=[1.0, 1.0])
+    s = SimplexEngine(p).solve()
+    assert s.status is LpStatus.OPTIMAL and s.iterations == 0
+    assert calls == []
+    # one pivot makes the product-form inverse inexact: the final polish
+    # inverts once
+    p = LpProblem(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], lb=[0.0, 0.0],
+                  ub=[5.0, 5.0])
+    s = SimplexEngine(p).solve()
+    assert s.iterations == 1 and s.objective == pytest.approx(2.0)
+    assert len(calls) == 1
+
+
+def test_snapshot_restore_reproduces_solve():
+    rng = np.random.default_rng(22)
+    p = random_bounded_lp(rng, n=4, m=6)
+    eng = SimplexEngine(p)
+    first = eng.solve()
+    snap = eng.snapshot()
+    x0 = (p.lb + p.ub) / 2
+    moved = 0
+    for _ in range(10):
+        moved += eng.resolve_rhs(p.A @ x0 + rng.uniform(0.05, 2.0, size=6)).iterations
+    assert moved > 0, "the re-solves should leave the snapshot's basis"
+    for _ in range(2):  # restoring leaves the snapshot intact
+        eng.restore(snap)
+        again = eng.resolve_rhs(p.b)
+        assert again.iterations == 0
+        same_bytes(again, first)
+    eng.restore(snap)
+    same_bytes(eng.solve(), first)
+
+
+def test_restore_rejects_foreign_snapshot():
+    rng = np.random.default_rng(23)
+    eng = SimplexEngine(random_bounded_lp(rng, n=3, m=2))
+    other = SimplexEngine(random_bounded_lp(rng, n=3, m=4))
+    with pytest.raises(ValueError):
+        eng.restore(other.snapshot())

@@ -6,14 +6,16 @@ import json
 import numpy as np
 import pytest
 
+from nkscreen.cli import resolve_case
 from nkscreen.datagen import DemandSampler, sample_demands
-from nkscreen.grid import solve_dcopf
-from nkscreen.icnn import IcnnParams, ScaledClassifier, forward
+from nkscreen.grid import DcopfSolver, load_network, solve_dcopf
+from nkscreen.icnn import IcnnParams, ScaledClassifier, forward, init_params
 from nkscreen.lp import LpProblem, LpStatus, solve
 from nkscreen.oracle import scale_fast
 from nkscreen.region import build_region, drop_constant_dims, standardize, with_box
 from nkscreen.scopf import (
     benchmark_scopf,
+    icnn_dispatch_problem,
     region_inequalities,
     region_safe_for_dispatch,
     save_benchmark,
@@ -239,6 +241,117 @@ class TestIcnnScopf:
             solve_scopf_icnn(net, net.demand, clf)
 
 
+@pytest.fixture(scope="module")
+def case39_setup():
+    """case39 with a random depth-1 classifier over standardized injections.
+
+    Seeded DC-OPF injections fix the standardization and the box; the output
+    bias puts half of them inside the sublevel set, so the dispatch LPs are
+    feasible for some demands and infeasible for others.
+    """
+    net = load_network(resolve_case("case39"))
+    solver = DcopfSolver(net)
+    demands = sample_demands(DemandSampler(net.demand, rel_std=0.15, seed=7), 60)
+    results = [solver.solve(d) for d in demands]
+    demands = np.array([d for d, r in zip(demands, results) if r])
+    X = np.array([r.p for r in results if r]) - demands
+    keep = np.nonzero(X.std(axis=0) > 1e-9)[0]
+    mu, sigma = X[:, keep].mean(axis=0), X[:, keep].std(axis=0)
+    U = (X[:, keep] - mu) / sigma
+    params = init_params(len(keep), 1, 12, U.min(axis=0) - 1.0,
+                         U.max(axis=0) + 1.0, seed=3)
+    params.b[-1] -= np.median(forward(params, U))
+    return net, demands, params, mu, sigma, keep
+
+
+def cold_icnn(net, demand, clf):
+    """Status and cost of a cold simplex solve of the classifier LP."""
+    sol = solve(icnn_dispatch_problem(net, demand, clf), backend="simplex")
+    cost = float(net.cost @ sol.x[:net.n]) if sol else None
+    return sol.status, cost
+
+
+class TestIcnnWarmStart:
+    def test_call_order_does_not_matter(self, case39_setup):
+        net, demands, params, mu, sigma, keep = case39_setup
+        clf = ScaledClassifier(params=params, r=1.0, mu=mu, sigma=sigma,
+                               dim_map=keep)
+        d1, d2 = demands[0], demands[1]
+        first = solve_scopf_icnn(net, d1, clf)
+        other = solve_scopf_icnn(net, d2, clf)
+        again = solve_scopf_icnn(net, d1, clf)
+        assert first and other
+        assert not np.array_equal(first.p, other.p)
+        assert first.p.tobytes() == again.p.tobytes()
+        assert first.cost == again.cost
+
+    def test_warm_matches_cold_ring3(self):
+        net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
+        clf = ScaledClassifier(params=l1_ball_net3(radius=1.2))
+        sampler = DemandSampler(net.demand, rel_std=0.3, seed=8)
+        statuses = set()
+        for d in sample_demands(sampler, 30):
+            warm = solve_scopf_icnn(net, d, clf)
+            status, cost = cold_icnn(net, d, clf)
+            assert warm.status is status
+            if warm:
+                assert abs(warm.cost - cost) <= 1e-9
+            statuses.add(status)
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    def test_warm_matches_cold_case39(self, case39_setup, r):
+        # at r = 3 the nominal demand is infeasible too, so every solve
+        # starts from the slack basis
+        net, demands, params, mu, sigma, keep = case39_setup
+        clf = ScaledClassifier(params=params, r=r, mu=mu, sigma=sigma,
+                               dim_map=keep)
+        feasible = 0
+        for d in demands[:25]:
+            warm = solve_scopf_icnn(net, d, clf)
+            status, cost = cold_icnn(net, d, clf)
+            assert warm.status is status
+            if warm:
+                feasible += 1
+                assert abs(warm.cost - cost) <= 1e-9 * abs(cost)
+        assert feasible < 25
+        assert (feasible > 0) == (r < 3.0)
+
+    def test_content_change_invalidates_cache(self):
+        net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
+        params = l1_ball_net3(radius=1.2)
+        clf = ScaledClassifier(params=params)
+        d = net.demand
+        base = solve_scopf_icnn(net, d, clf)
+        assert abs(base.cost - 1.0) <= 1e-6
+        # loosen the set in place: radius 1.2 -> 1.3 lets p0 reach 0.65
+        params.b[-1][0] = -1.3
+        looser = solve_scopf_icnn(net, d, clf)
+        assert looser and abs(looser.cost - 0.95) <= 1e-6
+        # a larger scale shrinks the set again: p0 <= 1.3 / 1.05 - 0.6
+        clf.r = 1.05
+        scaled = solve_scopf_icnn(net, d, clf)
+        assert scaled and scaled.cost > looser.cost + 1e-3
+        assert clf.decision_values(looser.p - d)[0] > 1e-3
+        assert clf.decision_values(scaled.p - d)[0] <= 1e-7
+        # back to the first content: the first answer, bit for bit
+        params.b[-1][0] = -1.2
+        clf.r = 1.0
+        back = solve_scopf_icnn(net, d, clf)
+        assert back.p.tobytes() == base.p.tobytes()
+
+    def test_highs_backend_agrees(self, case39_setup):
+        net, demands, params, mu, sigma, keep = case39_setup
+        clf = ScaledClassifier(params=params, r=1.0, mu=mu, sigma=sigma,
+                               dim_map=keep)
+        for d in demands[:5]:
+            warm = solve_scopf_icnn(net, d, clf)
+            highs = solve_scopf_icnn(net, d, clf, backend="highs")
+            assert warm.status is highs.status
+            if warm:
+                assert abs(warm.cost - highs.cost) <= 1e-6 * abs(warm.cost)
+
+
 class TestBenchmark:
     def certified_setup(self):
         net = ring3(limits=(0.8, 0.8, 0.8), demand=(0.0, 0.5, 0.35))
@@ -294,6 +407,7 @@ class TestBenchmark:
         back = json.loads(json_path.read_text())
         assert back["instances"] == 4
         assert "runtime_note" in back
+        assert back["icnn_setup_s"] > 0.0
 
 
 def diamond4(demand=(0.0, 0.5, 0.0, 1.0), limits=1.4):

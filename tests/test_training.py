@@ -4,7 +4,7 @@ import pytest
 from nkscreen.icnn import forward, init_params
 from nkscreen.oracle import ScalingOracle, certify, scale_fast
 from nkscreen.training import (
-    Adam, BatchCycler, TrainingConfig, classification_rates,
+    Adam, TrainingConfig, classification_rates,
     scaled_batch_gradient, scaling_epoch, train, warm_epoch, weighted_bce,
     weighted_bce_grad,
 )
@@ -82,22 +82,6 @@ class TestAdam:
         opt.step(net, grads, lr=0.0)
         for a, c in zip(net.b, snapshot.b):
             np.testing.assert_array_equal(a, c)
-
-
-class TestCycler:
-    def test_covers_everything_and_reshuffles(self):
-        rng = np.random.default_rng(1)
-        cyc = BatchCycler(10, 4, rng)
-        seen = np.concatenate([cyc.take(), cyc.take()])
-        assert len(np.unique(seen)) == 8
-        third = cyc.take()  # triggers a reshuffle (only 2 left)
-        assert len(third) == 4
-
-    def test_deterministic_given_seed(self):
-        a = BatchCycler(20, 6, np.random.default_rng(3))
-        b = BatchCycler(20, 6, np.random.default_rng(3))
-        for _ in range(7):
-            np.testing.assert_array_equal(a.take(), b.take())
 
 
 class TestWarm:
