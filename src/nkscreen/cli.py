@@ -137,6 +137,15 @@ def load_region_file(path):
     return load_region(path)
 
 
+def require_same_transform(a, b, message):
+    """Raise ValidationError(message) unless two artifacts standardize
+    alike: the same mu, sigma and dim_map."""
+    import numpy as np
+    if not (np.allclose(a.mu, b.mu) and np.allclose(a.sigma, b.sigma)
+            and np.array_equal(a.dim_map, b.dim_map)):
+        raise ValidationError(message)
+
+
 # ---------------------------------------------------------------------------
 # prepare-region
 
@@ -319,8 +328,6 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    import numpy as np
-
     from .datagen import load_dataset
     from .icnn import save_checkpoint
     from .oracle import certify
@@ -350,10 +357,9 @@ def cmd_train(args):
     if ds.mu is None:
         raise ValidationError("dataset has no standardization transform; "
                               "regenerate it with gen-data")
-    if not (np.allclose(ds.mu, region.mu) and np.allclose(ds.sigma, region.sigma)
-            and np.array_equal(ds.dim_map, region.dim_map)):
-        raise ValidationError("dataset and region standardizations disagree; "
-                              "they must come from the same prepare-region run")
+    require_same_transform(ds, region,
+                           "dataset and region standardizations disagree; "
+                           "they must come from the same prepare-region run")
 
     Z = ds.standardized()
     y = ds.labels
@@ -423,19 +429,16 @@ def cmd_certify(args):
         print(f"run directory: {run_dir} (reused)")
         return 0 if stored.get("verdict") == "reliable" else 3
 
-    import numpy as np
-
     clf = load_checkpoint(args.checkpoint)
     region = load_region_file(args.region)
     if clf.params.n_inputs != region.dim:
         raise ValidationError(
             f"checkpoint takes {clf.params.n_inputs} inputs but the region "
             f"has {region.dim} columns")
-    if not (np.allclose(clf.mu, region.mu) and np.allclose(clf.sigma, region.sigma)
-            and np.array_equal(clf.dim_map, region.dim_map)):
-        raise ValidationError("checkpoint and region coordinates disagree; "
-                              "certify against the region the classifier was "
-                              "trained in")
+    require_same_transform(clf, region,
+                           "checkpoint and region coordinates disagree; "
+                           "certify against the region the classifier was "
+                           "trained in")
 
     t0 = time.perf_counter()
     report = certify(clf.params, region.A, region.b, r=clf.r, v=clf.v,
@@ -483,9 +486,8 @@ def cmd_screen(args):
     region_full = load_region_file(args.region_full)
     if ds.mu is None:
         raise ValidationError("dataset has no standardization transform")
-    if not (np.allclose(ds.mu, clf.mu) and np.allclose(ds.sigma, clf.sigma)
-            and np.array_equal(ds.dim_map, clf.dim_map)):
-        raise ValidationError("dataset and checkpoint standardizations disagree")
+    require_same_transform(ds, clf,
+                           "dataset and checkpoint standardizations disagree")
 
     X = ds.x[ds.test]
     y = ds.labels[ds.test].astype(bool)

@@ -18,9 +18,22 @@ problem/solution contract:
   pivot changes the basis or ``reload`` replaces the matrix (bound flips and
   new right-hand sides or objectives keep it).  Inverting the same basis
   columns again returns the same array, so skipping that inversion changes
-  no output bit.  ``snapshot``/``restore`` save and reinstate a basis with
-  its inverse, for callers that want every re-solve to start from one fixed
-  basis.
+  no output bit.  ``snapshot``/``restore`` save and reinstate a basis, with
+  its inverse or without it (then ``restore`` inverts it again), for callers
+  that want a re-solve to start from a basis of their choosing.
+
+  The pivot loop is the hot path of training, so it is written for few
+  numpy calls per pivot while keeping every floating-point operation of the
+  textbook form, in the same order: pricing is ``c_B B^-1`` then
+  ``c - y T``; the entering gain is ``rc`` times a sign looked up from the
+  variable's status (``|rc|`` for free variables, 0 for fixed ones) and the
+  entering column is its first maximum; the ratio test divides
+  ``(bound - x_B) +- tol`` by the rate only where a basic variable moves
+  toward a bound it can hit, all into one array whose first minimum blocks;
+  the inverse takes its rank-one update in place.  Masks that depend only on
+  the bounds (fixed and free columns) are computed once.  Counters of
+  pivots, refactorizations and slack-basis retries are updated outside the
+  per-pivot work.
 * scipy's HiGHS (``backend="highs"``): used for large one-off instances
   (thousands of rows) where maintaining a dense basis inverse is wasteful.
 
@@ -31,7 +44,8 @@ duals of "=" rows are free; complementary slackness holds up to ``TOL_COMP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,6 +61,8 @@ _STALL_LIMIT = 60     # degenerate pivots before switching to Bland's rule
 
 # nonbasic/basic status codes
 _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
+# entering gain = rc * sign of the variable's status (free ones: |rc|)
+_GAIN_SIGN = np.array([0.0, 1.0, -1.0, 1.0])
 
 
 class LpStatus(Enum):
@@ -132,11 +148,11 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class BasisSnapshot:
-    """A ``SimplexEngine`` basis, its inverse and its solve state."""
+    """A ``SimplexEngine`` basis, its inverse (or None) and its solve state."""
 
     basis: np.ndarray
     vstat: np.ndarray
-    B_inv: np.ndarray
+    B_inv: np.ndarray | None
     inv_exact: bool
     solved_once: bool
     last_status: LpStatus | None
@@ -149,6 +165,9 @@ class SimplexEngine:
     ``resolve_rhs`` / ``reload`` after small data changes typically finish in
     a handful of pivots (often zero).  All tie-breaking is by lowest index,
     so identical inputs produce identical outputs, iteration counts included.
+
+    ``n_pivots``, ``n_refactors`` (basis inversions) and ``n_slack_retries``
+    (restarts from the slack basis) count over the engine's lifetime.
     """
 
     def __init__(self, problem: LpProblem):
@@ -163,6 +182,15 @@ class SimplexEngine:
         self.b = problem.b.astype(float).copy()
         self.L = np.concatenate([problem.lb, np.zeros(m)])
         self.U = np.concatenate([problem.ub, np.where(self.rel_eq, 0.0, np.inf)])
+        # the bounds never change after construction
+        self._fin_L = np.isfinite(self.L)
+        self._fin_U = np.isfinite(self.U)
+        self._fixed = np.flatnonzero(self.L == self.U)
+        self._free = np.flatnonzero(~self._fin_L & ~self._fin_U)
+        self._span = self.U - self.L
+        self._outer = np.empty((m, m))  # rank-one update buffer
+        self._cand = np.empty(m)         # ratio-test buffer
+        self.n_pivots = self.n_refactors = self.n_slack_retries = 0
         self.c = np.zeros(self.nt)
         self.c[:n] = problem.c
         self._c_struct = problem.c.copy()
@@ -179,13 +207,8 @@ class SimplexEngine:
     # -- setup helpers -------------------------------------------------
 
     def _reset_nonbasic_status(self, cols):
-        for j in cols:
-            if np.isfinite(self.L[j]):
-                self.vstat[j] = _AT_LB
-            elif np.isfinite(self.U[j]):
-                self.vstat[j] = _AT_UB
-            else:
-                self.vstat[j] = _FREE
+        self.vstat[cols] = np.where(self._fin_L[cols], _AT_LB,
+                                    np.where(self._fin_U[cols], _AT_UB, _FREE))
 
     def _nonbasic_values(self):
         v = np.where(self.vstat == _AT_UB, self.U, np.where(self.vstat == _AT_LB, self.L, 0.0))
@@ -196,6 +219,7 @@ class SimplexEngine:
         if self._inv_exact:
             return True
         B = self.T[:, self.basis]
+        self.n_refactors += 1
         try:
             self.B_inv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
@@ -207,6 +231,7 @@ class SimplexEngine:
         return True
 
     def _fall_back_to_slack_basis(self):
+        self.n_slack_retries += 1
         self.basis = np.arange(self.n, self.nt)
         self.vstat[:] = _BASIC  # overwritten next line for nonbasis
         self._reset_nonbasic_status(np.arange(self.n))
@@ -238,24 +263,20 @@ class SimplexEngine:
 
     def _choose_entering(self, rc, bland):
         stat = self.vstat
-        gain = np.zeros(self.nt)
-        lb_mask = stat == _AT_LB
-        ub_mask = stat == _AT_UB
-        fr_mask = stat == _FREE
-        fixed = self.L == self.U
-        gain[lb_mask] = rc[lb_mask]
-        gain[ub_mask] = -rc[ub_mask]
-        gain[fr_mask] = np.abs(rc[fr_mask])
-        gain[fixed] = 0.0
-        eligible = gain > _RC_TOL
-        if not np.any(eligible):
-            return -1, 0
-        idx = np.nonzero(eligible)[0]
+        gain = rc * _GAIN_SIGN[stat]
+        if len(self._free):
+            gain[self._free] = np.abs(gain[self._free])
+        if len(self._fixed):
+            gain[self._fixed] = 0.0
         if bland:
-            j = int(idx[0])
+            eligible = np.flatnonzero(gain > _RC_TOL)
+            if not len(eligible):
+                return -1, 0
+            j = int(eligible[0])
         else:
-            g = gain[idx]
-            j = int(idx[np.argmax(g)])  # argmax returns first max: lowest index tie-break
+            j = int(gain.argmax())  # first max: lowest index tie-break
+            if not gain[j] > _RC_TOL:
+                return -1, 0
         if stat[j] == _AT_UB or (stat[j] == _FREE and rc[j] < 0):
             return j, -1
         return j, +1
@@ -263,52 +284,54 @@ class SimplexEngine:
     def _ratio_test(self, j, sigma, phase1):
         """Blocking step length along entering column j with direction sigma.
 
-        Returns (t, pos, kind) where pos is the blocking basic position
-        (-1 for the entering variable's own bound), kind is the bound hit
-        (_AT_LB/_AT_UB).  t may be inf.
+        Returns (t, pos, kind, d, xb): pos is the blocking basic position
+        (-1 for the entering variable's own bound), kind the bound hit
+        (_AT_LB/_AT_UB), d = B^-1 T[:, j] and xb the basic values.  t may
+        be inf.
         """
         d = self.B_inv @ self.T[:, j]
-        rate = -sigma * d  # d(x_basic)/dt
-        xb = self.x[self.basis]
-        lb = self.L[self.basis]
-        ub = self.U[self.basis]
+        rate = -d if sigma > 0 else d  # d(x_basic)/dt
+        basis = self.basis
+        xb = self.x[basis]
+        lb = self.L[basis]
+        ub = self.U[basis]
         up = rate > _PIVOT_TOL
         dn = rate < -_PIVOT_TOL
-        # which bound blocks a rising / falling basic variable
-        kind_up = np.full(self.m, _AT_UB, dtype=np.int8)
-        kind_dn = np.full(self.m, _AT_LB, dtype=np.int8)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if phase1:
-                below = xb < lb - TOL_FEAS
-                above = xb > ub + TOL_FEAS
-                feas = ~(below | above)
-                # feasible basics block at their bounds; infeasible basics
-                # block when they first reach the violated bound
-                cand_up = np.where(up & feas & np.isfinite(ub), (ub - xb + _RATIO_TOL) / rate, np.inf)
-                cand_up = np.where(up & below, (lb - xb + _RATIO_TOL) / rate, cand_up)
-                kind_up[below] = _AT_LB
-                cand_dn = np.where(dn & feas & np.isfinite(lb), (lb - xb - _RATIO_TOL) / rate, np.inf)
-                cand_dn = np.where(dn & above, (ub - xb - _RATIO_TOL) / rate, cand_dn)
-                kind_dn[above] = _AT_UB
-            else:
-                cand_up = np.where(up & np.isfinite(ub), (ub - xb + _RATIO_TOL) / rate, np.inf)
-                cand_dn = np.where(dn & np.isfinite(lb), (lb - xb - _RATIO_TOL) / rate, np.inf)
-        cand = np.maximum(np.minimum(cand_up, cand_dn), 0.0)
-        p = int(np.argmin(cand))
+        if phase1:
+            # feasible basics block at their bounds; infeasible basics block
+            # when they first reach the violated bound, and never when they
+            # move further away from it
+            below = xb < lb - TOL_FEAS
+            above = xb > ub + TOL_FEAS
+            at_lb = np.where(up, below, ~above)
+            moving = (up & ~above) | (dn & ~below)
+        else:
+            at_lb = dn
+            moving = up | dn
+        # an infinite bound gives an infinite ratio, the same as no bound
+        num = np.where(at_lb, lb, ub) - xb
+        num += np.where(up, _RATIO_TOL, -_RATIO_TOL)
+        cand = self._cand
+        cand.fill(np.inf)
+        np.divide(num, rate, out=cand, where=moving)
+        np.maximum(cand, 0.0, out=cand)
+        p = int(cand.argmin())
         t_best = float(cand[p])
         pos_best = p
-        kind_best = int(kind_up[p]) if cand_up[p] <= cand_dn[p] else int(kind_dn[p])
-        # entering variable's own opposite bound (bound flip)
-        span = self.U[j] - self.L[j]
-        if np.isfinite(span) and span < t_best:
+        kind_best = _AT_LB if at_lb[p] else _AT_UB
+        # entering variable's own opposite bound (bound flip); an infinite
+        # span never blocks
+        span = self._span[j]
+        if span < t_best:
             t_best = float(span)
             pos_best = -1
             kind_best = _AT_UB if sigma > 0 else _AT_LB
-        return t_best, pos_best, kind_best, d
+        return t_best, pos_best, kind_best, d, xb
 
-    def _apply_step(self, j, sigma, t, pos, kind, d):
-        self.x[self.basis] -= sigma * t * d
-        self.x[j] += sigma * t
+    def _apply_step(self, j, sigma, t, pos, kind, d, xb):
+        step = sigma * t
+        self.x[self.basis] = xb - step * d
+        self.x[j] += step
         if pos < 0:
             self.vstat[j] = kind  # bound flip, basis unchanged
             return
@@ -318,15 +341,16 @@ class SimplexEngine:
         self.x[leave] = self.L[leave] if kind == _AT_LB else self.U[leave]
         self.basis[pos] = j
         self.vstat[j] = _BASIC
-        # product-form update of B_inv
+        # product-form update of B_inv, in place
         piv = d[pos]
         if abs(piv) < _PIVOT_TOL:
             if not self._refactor():
                 raise NumericalFailure("singular basis after pivot")
             return
-        row = self.B_inv[pos, :] / piv
-        self.B_inv -= np.outer(d, row)
-        self.B_inv[pos, :] = row
+        row = self.B_inv[pos] / piv
+        np.multiply(d[:, None], row, out=self._outer)
+        self.B_inv -= self._outer
+        self.B_inv[pos] = row
 
     def _phase1_costs(self, below, above):
         ceff = np.zeros(self.nt)
@@ -341,36 +365,39 @@ class SimplexEngine:
         stall = 0
         bland = False
         since_refactor = 0
-        while True:
-            if phase1:
-                below, above, total = self._infeasibility()
-                if total <= TOL_FEAS:
-                    return "feasible", pivots
-                ceff = self._phase1_costs(below, above)
-            else:
-                ceff = self.c
-            _, rc = self._price(ceff)
-            j, sigma = self._choose_entering(rc, bland)
-            if j < 0:
-                return ("infeasible" if phase1 else "optimal"), pivots
-            t, pos, kind, d = self._ratio_test(j, sigma, phase1)
-            if not np.isfinite(t):
+        try:
+            while True:
                 if phase1:
-                    raise NumericalFailure("unbounded phase-1 direction")
-                return "unbounded", pivots
-            self._apply_step(j, sigma, t, pos, kind, d)
-            pivots += 1
-            since_refactor += 1
-            stall = stall + 1 if t <= 1e-12 else 0
-            if stall > _STALL_LIMIT:
-                bland = True
-            if since_refactor >= _REFACTOR_EVERY:
-                if not self._refactor():
-                    raise NumericalFailure("singular basis on refactor")
-                self._recompute_x()
-                since_refactor = 0
-            if pivots > iter_budget:
-                raise NumericalFailure(f"iteration limit {iter_budget} exceeded")
+                    below, above, total = self._infeasibility()
+                    if total <= TOL_FEAS:
+                        return "feasible", pivots
+                    ceff = self._phase1_costs(below, above)
+                else:
+                    ceff = self.c
+                _, rc = self._price(ceff)
+                j, sigma = self._choose_entering(rc, bland)
+                if j < 0:
+                    return ("infeasible" if phase1 else "optimal"), pivots
+                t, pos, kind, d, xb = self._ratio_test(j, sigma, phase1)
+                if not math.isfinite(t):
+                    if phase1:
+                        raise NumericalFailure("unbounded phase-1 direction")
+                    return "unbounded", pivots
+                self._apply_step(j, sigma, t, pos, kind, d, xb)
+                pivots += 1
+                since_refactor += 1
+                stall = stall + 1 if t <= 1e-12 else 0
+                if stall > _STALL_LIMIT:
+                    bland = True
+                if since_refactor >= _REFACTOR_EVERY:
+                    if not self._refactor():
+                        raise NumericalFailure("singular basis on refactor")
+                    self._recompute_x()
+                    since_refactor = 0
+                if pivots > iter_budget:
+                    raise NumericalFailure(f"iteration limit {iter_budget} exceeded")
+        finally:
+            self.n_pivots += pivots
 
     # -- public API ----------------------------------------------------
 
@@ -422,26 +449,42 @@ class SimplexEngine:
         self._recompute_x()
         return self._finish(restore_feasibility=True)
 
-    def snapshot(self) -> BasisSnapshot:
-        """The current basis and its inverse, to hand to ``restore`` later."""
-        return BasisSnapshot(self.basis.copy(), self.vstat.copy(),
-                             self.B_inv.copy(), self._inv_exact,
+    def snapshot(self, inverse=True) -> BasisSnapshot:
+        """The current basis, to hand to ``restore`` later.
+
+        With inverse=False the snapshot leaves out ``B_inv`` (m x m floats)
+        and ``restore`` inverts the basis again.
+        """
+        B_inv = self.B_inv.copy() if inverse else None
+        return BasisSnapshot(self.basis.copy(), self.vstat.copy(), B_inv,
+                             inverse and self._inv_exact,
                              self._solved_once, self._last_status)
 
     def restore(self, snap: BasisSnapshot):
         """Reinstate a snapshot's basis; the next solve starts from it.
 
         The problem data (matrix, right-hand side, objective) stay as they
-        are now.  The snapshot is copied, so it can be restored again.
+        are now.  The snapshot is copied, so it can be restored again.  A
+        snapshot without its inverse is refactorized, unless its basis is
+        the current one and the current inverse is exact (the same bytes
+        either way); if that basis is singular the next solve starts cold
+        from the slack basis.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
             raise ValueError("snapshot of an engine of another shape")
+        if snap.B_inv is None:
+            self._inv_exact = (self._inv_exact
+                               and np.array_equal(snap.basis, self.basis))
+        else:
+            self.B_inv = snap.B_inv.copy()
+            self._inv_exact = snap.inv_exact
         self.basis = snap.basis.copy()
         self.vstat = snap.vstat.copy()
-        self.B_inv = snap.B_inv.copy()
-        self._inv_exact = snap.inv_exact
         self._solved_once = snap.solved_once
         self._last_status = snap.last_status
+        if snap.B_inv is None and not self._refactor():
+            self._fall_back_to_slack_basis()
+            self._solved_once = False
         self._recompute_x()
 
     def _finish(self, restore_feasibility) -> LpSolution:

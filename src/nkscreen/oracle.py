@@ -11,7 +11,9 @@ predicted set are therefore exact LP optima.
 Built on top of that:
 
   * certify: the predicted set is a subset of {A x <= b} iff every row's
-    support stays below its offset, checked with one warm-started sweep.
+    support stays below its offset, checked with one warm-started sweep
+    (each row re-priced from its own optimal basis when the solver has
+    already solved it under the same weights).
   * scale_fast / scale_full: the smallest r (optionally with a shift v) such
     that the shrunken set (S - v) / r fits inside the region; the pinned-v
     optimum has the closed-form max_j support_j / b_j.
@@ -45,10 +47,6 @@ class DegenerateRatio(RuntimeError):
 
 class ScalingInfeasible(RuntimeError):
     """The full scaling LP is infeasible (cannot happen with b > 0)."""
-
-
-class UnstableGradient(RuntimeWarning):
-    """Envelope gradient disagreed with its finite-difference self-check."""
 
 
 def epigraph_constraints(params: IcnnParams):
@@ -85,7 +83,19 @@ class SupportResult:
 
 
 class SublevelSolver:
-    """Warm-started engine answering max c.x over the predicted set."""
+    """Warm-started engine answering max c.x over the predicted set.
+
+    On the simplex backend each support LP starts from the basis the one
+    before it left, except a direction already solved under the current
+    weights: that one starts from its own optimal basis, kept (basis and
+    status, not the inverse) under the direction's bytes, so it is
+    re-priced in zero pivots and gives the same bytes as before.  ``reload``
+    drops every kept basis, so a sweep of distinct rows after it starts
+    each LP exactly where it would without them.
+
+    ``counters()`` returns the LPs solved, bases reused and, on the simplex
+    backend, the engine's pivots, refactorizations and slack-basis retries.
+    """
 
     def __init__(self, params: IcnnParams, backend="simplex"):
         self.backend = backend
@@ -93,6 +103,8 @@ class SublevelSolver:
         self._arch = (params.depth, params.width, params.n_inputs)
         self.A, self.b, self.lb, self.ub = epigraph_constraints(params)
         self.n_lp = 0
+        self.n_reused = 0
+        self._bases = {}  # direction bytes -> BasisSnapshot without inverse
         self.engine = None
         if backend == "simplex":
             c0 = np.zeros(self.A.shape[1])
@@ -104,8 +116,25 @@ class SublevelSolver:
         if (params.depth, params.width, params.n_inputs) != self._arch:
             raise ValueError("architecture changed; build a new solver")
         self.A, self.b, _, _ = epigraph_constraints(params)
+        self._bases.clear()
         if self.engine is not None:
             self.engine.reload(A=self.A, b=self.b)
+
+    def holds(self, params: IcnnParams):
+        """Whether this solver's constraints are those of params."""
+        A, b, lb, ub = epigraph_constraints(params)
+        return all(np.array_equal(x, y) for x, y in
+                   ((self.A, A), (self.b, b), (self.lb, lb), (self.ub, ub)))
+
+    def counters(self):
+        eng = self.engine
+        return {
+            "n_lp": self.n_lp,
+            "pivots": eng.n_pivots if eng is not None else 0,
+            "refactorizations": eng.n_refactors if eng is not None else 0,
+            "slack_retries": eng.n_slack_retries if eng is not None else 0,
+            "bases_reused": self.n_reused,
+        }
 
     def support(self, direction) -> SupportResult:
         direction = np.asarray(direction, dtype=float)
@@ -114,7 +143,14 @@ class SublevelSolver:
         c = np.zeros(self.A.shape[1])
         c[:self.n] = direction
         if self.engine is not None:
+            key = direction.tobytes()
+            kept = self._bases.get(key)
+            if kept is not None:
+                self.engine.restore(kept)
+                self.n_reused += 1
             sol = self.engine.resolve_objective(c)
+            if sol:
+                self._bases[key] = self.engine.snapshot(inverse=False)
         else:
             sol = solve(LpProblem(c=c, A=self.A, b=self.b, lb=self.lb,
                                   ub=self.ub), backend=self.backend)
@@ -133,6 +169,16 @@ def sublevel_max(params: IcnnParams, direction, backend="simplex") -> SupportRes
     return SublevelSolver(params, backend=backend).support(direction)
 
 
+def _solver_for(params: IcnnParams, solver, backend):
+    """A new solver for params, or the passed one if it holds params."""
+    if solver is None:
+        return SublevelSolver(params, backend=backend)
+    if not solver.holds(params):
+        raise ValueError("the solver holds other weights or another box "
+                         "than params; reload it first")
+    return solver
+
+
 @dataclass
 class CertificationReport:
     verdict: str                # "reliable" | "violated" | "unknown"
@@ -142,6 +188,11 @@ class CertificationReport:
     n_lp: int
     violations: list            # (row, scaled support, offset) per bad row
     failed_rows: list           # rows whose support LP did not solve
+    # solver work of this certification (simplex backend; zero on HiGHS)
+    pivots: int = 0
+    refactorizations: int = 0
+    slack_retries: int = 0
+    bases_reused: int = 0
 
     @property
     def reliable(self):
@@ -160,6 +211,10 @@ class CertificationReport:
             "violations": [(int(j), float(z), float(bj))
                            for j, z, bj in self.violations],
             "failed_rows": [int(j) for j in self.failed_rows],
+            "pivots": self.pivots,
+            "refactorizations": self.refactorizations,
+            "slack_retries": self.slack_retries,
+            "bases_reused": self.bases_reused,
         }
 
 
@@ -170,14 +225,19 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     One support LP per row; the subset relation holds iff
     (support_j - a_j.v)/r <= b_j + tol for every row j.  A numerical failure
     on any row downgrades the verdict to "unknown", never to reliable.
+
+    A passed solver must hold params (ValueError otherwise).  Rows it has
+    already solved under these weights, such as those of a full rescale
+    just before, are re-priced from their own optimal bases in zero pivots.
+    The report counts the LPs, pivots, refactorizations, slack-basis
+    retries and reused bases of this call.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if r <= 0:
         raise ValueError("scaling factor must be positive")
-    if solver is None:
-        solver = SublevelSolver(params, backend=backend)
-    before = solver.n_lp
+    solver = _solver_for(params, solver, backend)
+    before = solver.counters()
     zeta = np.full(A.shape[0], np.nan)
     failed = []
     for j, row in enumerate(A):
@@ -197,14 +257,19 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     else:
         verdict = "reliable"
     finite = np.where(np.isnan(margins), np.inf, margins)
+    work = {k: after - before[k] for k, after in solver.counters().items()}
     return CertificationReport(
         verdict=verdict,
         supports=scaled,
         margins=margins,
         worst_row=int(np.argmin(finite)),
-        n_lp=solver.n_lp - before,
+        n_lp=work["n_lp"],
         violations=bad,
         failed_rows=failed,
+        pivots=work["pivots"],
+        refactorizations=work["refactorizations"],
+        slack_retries=work["slack_retries"],
+        bases_reused=work["bases_reused"],
     )
 
 
@@ -225,11 +290,11 @@ def scale_fast(params: IcnnParams, A, b, solver=None, backend="simplex") -> Scal
     Full sweep over all rows; ties resolve to the lowest row index.  Raises
     DegenerateRatio when the best ratio falls to R_MIN or below (the set
     reaches toward no constraint, which signals a pathological warm start).
+    A passed solver must hold params (ValueError otherwise).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if solver is None:
-        solver = SublevelSolver(params, backend=backend)
+    solver = _solver_for(params, solver, backend)
     before = solver.n_lp
     best_ratio = -np.inf
     best_j = -1
@@ -253,13 +318,13 @@ def scale_full(params: IcnnParams, A, b, pin_shift=False, solver=None,
 
     Free v shifts the shrink center; pin_shift fixes v = 0, in which case the
     optimum coincides with scale_fast (same LP solved anyway, not the closed
-    form, so the two routes stay independent).
+    form, so the two routes stay independent).  A passed solver must hold
+    params (ValueError otherwise).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
-    if solver is None:
-        solver = SublevelSolver(params)
+    solver = _solver_for(params, solver, "simplex")
     before = solver.n_lp
     zeta = np.array([solver.support(row).value for row in A])
     c = np.zeros(n + 1)
@@ -286,51 +351,20 @@ def scale_full(params: IcnnParams, A, b, pin_shift=False, solver=None,
                        output_dual=0.0, n_lp=solver.n_lp - before + 1)
 
 
-def r_gradient(params: IcnnParams, scale: ScaleResult, b, A=None,
-               debug=False) -> IcnnGrads:
+def r_gradient(params: IcnnParams, scale: ScaleResult, b) -> IcnnGrads:
     """Envelope derivative of the fast scaling factor w.r.t. the parameters.
 
     r = support_{j*} / b_{j*} and d support / d theta = -lambda * d raw /
     d theta at the maximizer, lambda the raw-row multiplier.  Zero when only
-    the box binds (the raw constraint is slack there).  With debug=True the
-    largest gradient entry is re-checked by central finite differences
-    (requires A) and a mismatch warns UnstableGradient: near a j* switch or
-    a basis change the one-sided envelope derivative is not the two-sided
+    the box binds (the raw constraint is slack there).  Near a j* switch or
+    a basis change this one-sided envelope derivative is not the two-sided
     slope, which is expected and harmless for subgradient training.
     """
     if scale.output_dual <= 0.0 or scale.x is None:
         return IcnnGrads.zeros_like(params)
     coeff = -scale.output_dual / float(np.asarray(b)[scale.row])
     grads, _ = backward(params, scale.x, np.array([coeff]), raw_only=True)
-    if debug:
-        if A is None:
-            raise ValueError("debug self-check needs the region rows A")
-        _fd_self_check(params, grads, A, b)
     return grads
-
-
-def _fd_self_check(params, grads, A, b, h=1e-5, rel_tol=1e-3):
-    flats = [(g, arr) for g, arr in zip(grads.W + grads.D + grads.b,
-                                        params.W + params.D + params.b)]
-    best = max(flats, key=lambda t: np.abs(t[0]).max())
-    g_arr, p_arr = best
-    idx = np.unravel_index(np.argmax(np.abs(g_arr)), g_arr.shape)
-    probe = params.copy()
-    target = dict(zip(map(id, params.W + params.D + params.b),
-                      probe.W + probe.D + probe.b))[id(p_arr)]
-    old = target[idx]
-    target[idx] = old + h
-    up = scale_fast(probe, A, b).r
-    target[idx] = old - h
-    dn = scale_fast(probe, A, b).r
-    target[idx] = old
-    fd = (up - dn) / (2 * h)
-    got = g_arr[idx]
-    if abs(fd - got) > rel_tol * max(1.0, abs(fd), abs(got)):
-        import warnings
-
-        warnings.warn(f"envelope gradient {got:.6g} vs finite difference "
-                      f"{fd:.6g}", UnstableGradient)
 
 
 def _box_support(params: IcnnParams, directions):

@@ -18,7 +18,9 @@ keeping the classifier convex throughout.  Each scaling epoch scores the
 weights its rescale was computed for (those from before its pass) at that
 exact r*; model selection picks the epoch with the lowest validation false
 positive rate among those with zero validation false negatives.  The winner
-is re-scaled with a full exact sweep and certified before being returned.
+is re-scaled with a full exact sweep and certified before being returned;
+the certification uses the rescale's solver, which re-prices each row from
+the optimal basis the sweep left for it, so it takes no pivots.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ src/nkscreen/: run directory names hash the flags and inputs but not the
 code, so a code change must not reuse artifacts built by other code.  Run
 directories are named by content hash and written deterministically, so
 reruns reuse them; a cold run trains the reference checkpoint from scratch
-(274 s on a 2-core machine) and records its wall time.  Everything else is
+(189 s on a 2-core machine) and records its wall time.  Everything else is
 synthetic and runs in seconds.
 
 Each criterion is a separate test so the verbose report reads as one

@@ -273,6 +273,10 @@ class TestCertify:
                                              "certify_report.json")))
         assert report["verdict"] == "reliable"
         assert min(report["margins"]) >= -1e-7
+        # solver counters of the certification sweep (fresh solver)
+        assert report["n_lp"] == len(report["margins"])
+        assert report["pivots"] > 0 and report["refactorizations"] > 0
+        assert report["slack_retries"] == 0 and report["bases_reused"] == 0
 
     def test_tampered_checkpoint_exits_three(self, work, tmp_path):
         clf = load_checkpoint(work["ckpt"])
@@ -312,6 +316,64 @@ class TestScreen:
         assert conf["missed_insecure"] == 0
         assert report["icnn_seconds"] > 0
         assert report["full_sweep_seconds"] > 0
+
+
+class TestTransformChecks:
+    """Every command that combines artifacts rejects ones standardized
+    differently, with exit code 2 and a message naming the pair."""
+
+    def shifted(self, load, save, path, out):
+        artifact = load(path)
+        artifact.mu = artifact.mu + 1.0
+        save(artifact, out)
+        return str(out)
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_train_rejects_mismatched_dataset(self, work, tmp_path, capsys):
+        from nkscreen.datagen import save_dataset
+        data = self.shifted(load_dataset, save_dataset, work["dataset"],
+                            tmp_path / "dataset.npz")
+        code, err = self.run(["train", "--dataset", data, "--region",
+                              os.path.join(work["prep"], "region.npz"),
+                              "--out", str(tmp_path)] + TRAIN_FLAGS, capsys)
+        assert code == 2
+        assert "dataset and region standardizations disagree" in err
+
+    def test_certify_rejects_mismatched_region(self, work, tmp_path, capsys):
+        from nkscreen.region import save_region
+        region = self.shifted(load_region, save_region,
+                              os.path.join(work["prep"], "region.npz"),
+                              tmp_path / "region.npz")
+        code, err = self.run(["certify", "--checkpoint", work["ckpt"],
+                              "--region", region, "--out", str(tmp_path)],
+                             capsys)
+        assert code == 2
+        assert "checkpoint and region coordinates disagree" in err
+
+    def test_screen_rejects_mismatched_checkpoint(self, work, tmp_path,
+                                                  capsys):
+        ckpt = self.shifted(load_checkpoint, save_checkpoint, work["ckpt"],
+                            tmp_path / "checkpoint.npz")
+        code, err = self.run(["screen", "--checkpoint", ckpt,
+                              "--dataset", work["dataset"], "--region-full",
+                              os.path.join(work["prep"], "region_full.npz"),
+                              "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "dataset and checkpoint standardizations disagree" in err
+
+    def test_screen_rejects_mismatched_dataset(self, work, tmp_path, capsys):
+        from nkscreen.datagen import save_dataset
+        data = self.shifted(load_dataset, save_dataset, work["dataset"],
+                            tmp_path / "dataset.npz")
+        code, err = self.run(["screen", "--checkpoint", work["ckpt"],
+                              "--dataset", data, "--region-full",
+                              os.path.join(work["prep"], "region_full.npz"),
+                              "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "dataset and checkpoint standardizations disagree" in err
 
 
 class TestScopfBench:

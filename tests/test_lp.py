@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -362,9 +363,159 @@ def test_snapshot_restore_reproduces_solve():
     same_bytes(eng.solve(), first)
 
 
+def test_snapshot_without_inverse_refactors_once(monkeypatch):
+    rng = np.random.default_rng(24)
+    p = random_bounded_lp(rng, n=4, m=6)
+    eng = SimplexEngine(p)
+    first = eng.solve()
+    snap = eng.snapshot(inverse=False)
+    assert snap.B_inv is None
+    x0 = (p.lb + p.ub) / 2
+    for _ in range(10):
+        eng.resolve_rhs(p.A @ x0 + rng.uniform(0.05, 2.0, size=6))
+    eng.resolve_rhs(p.b)
+    assert not np.array_equal(eng.basis, snap.basis)
+    calls = counting_inv(monkeypatch)
+    refactors = eng.n_refactors
+    eng.restore(snap)
+    again = eng.resolve_objective(p.c)
+    assert again.iterations == 0
+    same_bytes(again, first)
+    # the current basis with an exact inverse is not inverted again
+    eng.restore(eng.snapshot(inverse=False))
+    same_bytes(eng.resolve_objective(p.c), first)
+    assert len(calls) == eng.n_refactors - refactors == 1
+
+
+def test_counters_track_work(monkeypatch):
+    calls = counting_inv(monkeypatch)
+    rng = np.random.default_rng(25)
+    p = random_bounded_lp(rng, n=5, m=7)
+    eng = SimplexEngine(p)
+    total = eng.solve().iterations
+    for _ in range(5):
+        total += eng.resolve_objective(rng.normal(size=5)).iterations
+    assert eng.n_pivots == total > 0
+    assert eng.n_refactors == len(calls) > 0
+    assert eng.n_slack_retries == 0
+    # a singular basis restored without its inverse restarts from the slack
+    # basis, and the counter says so
+    snap = eng.snapshot(inverse=False)
+    eng.restore(dataclasses.replace(snap, basis=np.full(eng.m, eng.n)))
+    assert eng.n_slack_retries == 1
+    check_kkt(p, eng.resolve_objective(p.c))
+
+
 def test_restore_rejects_foreign_snapshot():
     rng = np.random.default_rng(23)
     eng = SimplexEngine(random_bounded_lp(rng, n=3, m=2))
     other = SimplexEngine(random_bounded_lp(rng, n=3, m=4))
     with pytest.raises(ValueError):
         eng.restore(other.snapshot())
+
+
+# -- byte-identity guard ------------------------------------------------------
+
+def _hash_solution(h, sol: LpSolution):
+    h.update(f"{sol.status.value}:{sol.iterations};".encode())
+    if sol:
+        h.update(sol.x.tobytes())
+        h.update(sol.duals.tobytes())
+
+
+def _support_sweep_digest(h):
+    """Support LPs over a classifier's epigraph rows, a weight reload between
+    two sweeps: the training hot path, with each row's objective re-solve."""
+    from nkscreen.icnn import init_params, project_convex
+    from nkscreen.oracle import epigraph_constraints
+
+    rng = np.random.default_rng(31)
+    params = init_params(6, 2, 10, -np.ones(6), np.ones(6), seed=5)
+    rows = rng.normal(size=(40, 6))
+    A, b, lb, ub = epigraph_constraints(params)
+    eng = SimplexEngine(LpProblem(c=np.zeros(A.shape[1]), A=A, b=b,
+                                  lb=lb, ub=ub))
+    for sweep in range(2):
+        if sweep:
+            for arr in params.W + params.D + params.b:
+                arr += 0.05 * rng.normal(size=arr.shape)
+            project_convex(params)
+            A, b, _, _ = epigraph_constraints(params)
+            _hash_solution(h, eng.reload(A=A, b=b))
+        for row in rows:
+            c = np.zeros(A.shape[1])
+            c[:6] = row
+            _hash_solution(h, eng.resolve_objective(c))
+
+
+def _mesh10():
+    """A 10-bus meshed network: its classifier SC-OPF has 67 rows, few
+    enough that no LAPACK call in the engine depends on the BLAS threads."""
+    from nkscreen.grid import Network
+
+    rng = np.random.default_rng(12)
+    lines = np.array([(i, (i + 1) % 10) for i in range(10)]
+                     + [(0, 4), (2, 7), (3, 8), (1, 6), (5, 9)])
+    limits = rng.uniform(0.8, 1.6, size=len(lines))
+    pmax = np.zeros(10)
+    pmax[[0, 3, 6, 8]] = [4.0, 2.0, 2.5, 1.5]
+    cost = np.zeros(10)
+    cost[[0, 3, 6, 8]] = [1.0, 1.7, 1.3, 2.2]
+    demand = np.zeros(10)
+    demand[[1, 2, 4, 5, 7, 9]] = rng.uniform(0.4, 1.0, size=6)
+    return Network(name="mesh10", n=10, lines=lines,
+                   susceptance=rng.uniform(0.5, 2.0, size=len(lines)),
+                   f_lower=-limits, f_upper=limits, pmin=np.zeros(10),
+                   pmax=pmax, cost=cost, demand=demand, slack=0).validate()
+
+
+def _dispatch_digest(h):
+    """DC-OPF right-hand-side re-solves on case39 and on a meshed 10-bus
+    network, then classifier SC-OPF re-solves on the latter, each from the
+    nominal optimal basis as solve_scopf_icnn does."""
+    from nkscreen.cli import resolve_case
+    from nkscreen.datagen import DemandSampler, sample_demands
+    from nkscreen.grid import DcopfSolver, load_network
+    from nkscreen.icnn import ScaledClassifier, forward, init_params
+    from nkscreen.scopf import icnn_dispatch_problem
+
+    for net in (load_network(resolve_case("case39")), _mesh10()):
+        dcopf = DcopfSolver(net)
+        demands = sample_demands(DemandSampler(net.demand, rel_std=0.15,
+                                               seed=9), 40)
+        X = []
+        for d in demands:
+            sol = dcopf.engine.resolve_rhs(dcopf._rhs(d))
+            _hash_solution(h, sol)
+            if sol:
+                X.append(sol.x - d)
+    X = np.array(X)
+    keep = np.nonzero(X.std(axis=0) > 1e-9)[0]
+    mu, sigma = X[:, keep].mean(axis=0), X[:, keep].std(axis=0)
+    U = (X[:, keep] - mu) / sigma
+    params = init_params(len(keep), 1, 16, U.min(axis=0) - 1.0,
+                         U.max(axis=0) + 1.0, seed=3)
+    params.b[-1] -= np.median(forward(params, U))
+    clf = ScaledClassifier(params=params, r=1.5, mu=mu, sigma=sigma,
+                           dim_map=keep)
+    eng = SimplexEngine(icnn_dispatch_problem(net, net.demand, clf))
+    _hash_solution(h, eng.solve())
+    start = eng.snapshot()
+    for d in demands:
+        eng.restore(start)
+        _hash_solution(h, eng.resolve_rhs(icnn_dispatch_problem(net, d, clf).b))
+
+
+# sha256 of the three runs above, recorded before the pivot loop was
+# rewritten; numpy 2.4 with OpenBLAS on x86-64.  Another BLAS may round the
+# matrix products differently and so give other bytes with no change here.
+GOLDEN_DIGEST = "f9ac72669f5695efeec0940d24aa5d504747af43c9313da942d48e6ff8a82d02"
+
+
+def test_pivot_sequences_and_bytes_unchanged():
+    import hashlib
+
+    h = hashlib.sha256()
+    _support_sweep_digest(h)
+    _dispatch_digest(h)
+    assert h.hexdigest() == GOLDEN_DIGEST

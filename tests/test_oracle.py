@@ -281,6 +281,17 @@ class TestScaling:
         assert report.reliable
 
 
+def random_instance(seed, m=40, n=3):
+    """A depth-2 classifier and m random region rows with positive offsets."""
+    net = init_params(n, depth=2, width=5, box_lower=-2 * np.ones(n),
+                      box_upper=2 * np.ones(n), seed=seed)
+    net.b[2] = net.b[2] - raw_forward(net, np.zeros(n)) - 0.5
+    rng = np.random.default_rng(seed + 99)
+    A = rng.normal(size=(m, n))
+    b = rng.uniform(0.4, 2.0, size=m)
+    return net, A, b
+
+
 class TestCertify:
     def test_subset_accepts(self):
         net = l1_ball_net()
@@ -333,6 +344,73 @@ class TestCertify:
             assert certify(net, A, b, r=res.r).reliable
 
 
+    def test_rejects_solver_of_other_weights(self):
+        net = l1_ball_net()
+        A, b = square_region(t=1.5)
+        for other in (l1_ball_net(radius=2.0), l1_ball_net(box=5.0)):
+            solver = SublevelSolver(other)
+            with pytest.raises(ValueError):
+                certify(net, A, b, solver=solver)
+            with pytest.raises(ValueError):
+                scale_fast(net, A, b, solver=solver)
+            with pytest.raises(ValueError):
+                scale_full(net, A, b, pin_shift=True, solver=solver)
+            solver.reload(net)
+            if other.box_upper[0] == net.box_upper[0]:
+                assert certify(net, A, b, solver=solver).reliable
+            else:  # reload keeps the box: the solver still holds another set
+                with pytest.raises(ValueError):
+                    certify(net, A, b, solver=solver)
+
+    def test_report_counts_solver_work(self):
+        net, A, b = random_instance(4, m=12)
+        report = certify(net, A, b)
+        d = report.to_dict()
+        assert d["n_lp"] == 12 and d["bases_reused"] == 0
+        assert d["pivots"] > 0 and d["refactorizations"] > 0
+        assert d["slack_retries"] == 0
+
+    def test_second_sweep_reprices_kept_bases(self):
+        net, A, b = random_instance(6, m=20)
+        solver = SublevelSolver(net)
+        values = np.array([solver.support(row).value for row in A])
+        assert solver.counters()["bases_reused"] == 0
+        again = certify(net, A, b, r=2.0, solver=solver)
+        assert again.n_lp == 20 and again.bases_reused == 20
+        assert again.pivots == 0
+        assert again.supports.tobytes() == (values / 2.0).tobytes()
+        # a fresh solver pivots, and agrees
+        cold = certify(net, A, b, r=2.0)
+        assert cold.pivots > 0 and cold.bases_reused == 0
+        np.testing.assert_allclose(cold.supports, again.supports, atol=1e-9)
+
+    def test_reload_drops_kept_bases(self):
+        net, A, b = random_instance(8, m=15)
+        solver = SublevelSolver(net)
+        for row in A:
+            solver.support(row)
+        moved = net.copy()
+        moved.b[0] += 0.05
+        solver.reload(moved)
+        got = [solver.support(row).value for row in A]
+        assert solver.counters()["bases_reused"] == 0
+        want = [sublevel_max(moved, row).value for row in A]
+        np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_final_certification_of_training_pivots_nowhere(self):
+        # the path of training.train: an exact rescale, then certification
+        # with the oracle's solver
+        net, A, b = random_instance(3)
+        oracle = ScalingOracle(net, A, b)
+        oracle.rescale(net)
+        scale = oracle.rescale(net, exact=True)
+        report = certify(net, A, b, r=scale.r, solver=oracle.solver)
+        assert report.reliable and report.pivots == 0
+        assert report.bases_reused == len(b)
+        assert report.refactorizations <= len(b)
+        assert report.supports.max() == pytest.approx(b[scale.row], abs=1e-12)
+
+
 class TestGradient:
     def test_closed_form_one_dim(self):
         slope, t = 2.0, 0.4
@@ -345,17 +423,6 @@ class TestGradient:
         assert g.W[0][0, 0] == pytest.approx(-1.0 / (slope**2 * t), abs=1e-8)
         assert g.b[1][0] == pytest.approx(-1.0 / (slope * t), abs=1e-8)
         assert g.D[0][0, 0] == pytest.approx(-1.0 / (slope * t), abs=1e-8)
-
-    def test_debug_self_check_quiet_when_stable(self):
-        import warnings
-
-        net = relu_line_net(slope=2.0)
-        A, b = np.array([[1.0]]), np.array([0.4])
-        res = scale_fast(net, A, b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            g = r_gradient(net, res, b, A=A, debug=True)
-        assert g.W[0][0, 0] == pytest.approx(-1.0 / (4 * 0.4), abs=1e-8)
 
     def test_zero_when_box_binds(self):
         net = relu_line_net(slope=2.0, box=0.1)  # box cuts before raw does
@@ -396,18 +463,9 @@ class TestGradient:
 
 
 class TestScalingOracle:
-    def _instance(self, seed, m=40, n=3):
-        net = init_params(n, depth=2, width=5, box_lower=-2 * np.ones(n),
-                          box_upper=2 * np.ones(n), seed=seed)
-        net.b[2] = net.b[2] - raw_forward(net, np.zeros(n)) - 0.5
-        rng = np.random.default_rng(seed + 99)
-        A = rng.normal(size=(m, n))
-        b = rng.uniform(0.4, 2.0, size=m)
-        return net, A, b
-
     def test_pruned_matches_exact(self):
         for seed in (1, 5, 9):
-            net, A, b = self._instance(seed)
+            net, A, b = random_instance(seed)
             pruned = ScalingOracle(net, A, b).rescale(net)
             full = ScalingOracle(net, A, b).rescale(net, exact=True)
             assert pruned.row == full.row
@@ -415,7 +473,7 @@ class TestScalingOracle:
             assert pruned.n_lp <= full.n_lp
 
     def test_repeated_rescale_tracks_parameter_drift(self):
-        net, A, b = self._instance(2)
+        net, A, b = random_instance(2)
         oracle = ScalingOracle(net, A, b)
         rng = np.random.default_rng(0)
         for step in range(6):
@@ -431,7 +489,7 @@ class TestScalingOracle:
         assert oracle.rescale(net).n_lp < len(b)
 
     def test_polluted_cache_is_harmless(self):
-        net, A, b = self._instance(7)
+        net, A, b = random_instance(7)
         oracle = ScalingOracle(net, A, b)
         oracle._cache = np.random.default_rng(1).uniform(-3, 3, size=(20, 3))
         got = oracle.rescale(net)
@@ -439,7 +497,7 @@ class TestScalingOracle:
         assert got.row == want.row and got.r == pytest.approx(want.r, abs=1e-9)
 
     def test_rejects_nonpositive_offsets(self):
-        net, A, b = self._instance(0)
+        net, A, b = random_instance(0)
         b[3] = 0.0
         with pytest.raises(ValueError):
             ScalingOracle(net, A, b)
