@@ -328,6 +328,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
+    from .artifacts import write_json
     from .datagen import load_dataset
     from .icnn import save_checkpoint
     from .oracle import certify
@@ -408,7 +409,14 @@ def cmd_train(args):
     })
     save_checkpoint(clf, os.path.join(run_dir, "checkpoint.npz"))
     record.to_csv(os.path.join(run_dir, "training_log.csv"))
-    return finish_run(manifest, run_dir, ["checkpoint.npz", "training_log.csv"])
+    # wall time lives here only, so checkpoint and log stay reproducible
+    write_json(os.path.join(run_dir, "train_report.json"), {
+        "manifest": manifest.hash,
+        "seconds": round(elapsed, 3),
+        "solver": record.solver,
+    })
+    return finish_run(manifest, run_dir, ["checkpoint.npz", "training_log.csv",
+                                          "train_report.json"])
 
 
 # ---------------------------------------------------------------------------

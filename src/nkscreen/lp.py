@@ -20,7 +20,9 @@ problem/solution contract:
   columns again returns the same array, so skipping that inversion changes
   no output bit.  ``snapshot``/``restore`` save and reinstate a basis, with
   its inverse or without it (then ``restore`` inverts it again), for callers
-  that want a re-solve to start from a basis of their choosing.
+  that want a re-solve to start from a basis of their choosing; the re-solve
+  after a ``restore`` checks primal feasibility first, because the basis
+  may come from other data.
 
   The pivot loop is the hot path of training, so it is written for few
   numpy calls per pivot while keeping every floating-point operation of the
@@ -32,8 +34,8 @@ problem/solution contract:
   toward a bound it can hit, all into one array whose first minimum blocks;
   the inverse takes its rank-one update in place.  Masks that depend only on
   the bounds (fixed and free columns) are computed once.  Counters of
-  pivots, refactorizations and slack-basis retries are updated outside the
-  per-pivot work.
+  pivots, refactorizations, slack-basis retries and switches to Bland's
+  rule are updated outside the per-pivot work.
 * scipy's HiGHS (``backend="highs"``): used for large one-off instances
   (thousands of rows) where maintaining a dense basis inverse is wasteful.
 
@@ -166,8 +168,10 @@ class SimplexEngine:
     a handful of pivots (often zero).  All tie-breaking is by lowest index,
     so identical inputs produce identical outputs, iteration counts included.
 
-    ``n_pivots``, ``n_refactors`` (basis inversions) and ``n_slack_retries``
-    (restarts from the slack basis) count over the engine's lifetime.
+    ``n_pivots``, ``n_refactors`` (basis inversions), ``n_slack_retries``
+    (restarts from the slack basis) and ``n_bland`` (pivot loops that
+    switched to Bland's rule after a stall) count over the engine's
+    lifetime.
     """
 
     def __init__(self, problem: LpProblem):
@@ -191,6 +195,7 @@ class SimplexEngine:
         self._outer = np.empty((m, m))  # rank-one update buffer
         self._cand = np.empty(m)         # ratio-test buffer
         self.n_pivots = self.n_refactors = self.n_slack_retries = 0
+        self.n_bland = 0
         self.c = np.zeros(self.nt)
         self.c[:n] = problem.c
         self._c_struct = problem.c.copy()
@@ -203,6 +208,7 @@ class SimplexEngine:
         self.x = np.zeros(self.nt)
         self._solved_once = False
         self._last_status: LpStatus | None = None
+        self._restored = False  # the next solve checks primal feasibility
 
     # -- setup helpers -------------------------------------------------
 
@@ -398,6 +404,7 @@ class SimplexEngine:
                     raise NumericalFailure(f"iteration limit {iter_budget} exceeded")
         finally:
             self.n_pivots += pivots
+            self.n_bland += bland
 
     # -- public API ----------------------------------------------------
 
@@ -468,7 +475,10 @@ class SimplexEngine:
         snapshot without its inverse is refactorized, unless its basis is
         the current one and the current inverse is exact (the same bytes
         either way); if that basis is singular the next solve starts cold
-        from the slack basis.
+        from the slack basis.  The basis may be primal infeasible under the
+        present data (a basis kept from another matrix), so the next solve,
+        ``resolve_objective`` included, runs phase 1 if it is; a feasible
+        one goes straight to phase 2, as it would without the check.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
             raise ValueError("snapshot of an engine of another shape")
@@ -482,12 +492,15 @@ class SimplexEngine:
         self.vstat = snap.vstat.copy()
         self._solved_once = snap.solved_once
         self._last_status = snap.last_status
+        self._restored = True
         if snap.B_inv is None and not self._refactor():
             self._fall_back_to_slack_basis()
             self._solved_once = False
         self._recompute_x()
 
     def _finish(self, restore_feasibility) -> LpSolution:
+        restore_feasibility = restore_feasibility or self._restored
+        self._restored = False
         budget = 2000 + 200 * self.m
         pivots = 0
         try:

@@ -10,18 +10,20 @@ predicted set are therefore exact LP optima.
 
 Built on top of that:
 
+  * SublevelSolver: the support LPs on one warm simplex engine.  Each
+    direction's optimal basis is kept, across weight reloads too, and a
+    direction seen before starts from it: re-priced in zero pivots under
+    the same weights, re-solved under new ones.
   * certify: the predicted set is a subset of {A x <= b} iff every row's
-    support stays below its offset, checked with one warm-started sweep
-    (each row re-priced from its own optimal basis when the solver has
-    already solved it under the same weights).
-  * scale_fast / scale_full: the smallest r (optionally with a shift v) such
-    that the shrunken set (S - v) / r fits inside the region; the pinned-v
-    optimum has the closed-form max_j support_j / b_j.
+    support stays below its offset, checked with one sweep over the rows.
+  * scale_fast / scale_full: the smallest r such that the shrunken set S / r
+    fits inside the region, max_j support_j / b_j, by its closed form or by
+    solving the scaling LP.
   * r_gradient: envelope derivative of the fast scaling factor with respect
     to the network parameters, used by the scaled training loss.
-  * ScalingOracle: repeated rescaling of one region during training, pruning
-    most rows with box-support upper bounds and cached feasible points while
-    returning the same answer as the full sweep.
+  * ScalingOracle: repeated exact rescaling of one region during training,
+    a full sweep each time, every row warm from its own basis of the sweep
+    before.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .icnn import IcnnGrads, IcnnParams, backward, forward
+from .icnn import IcnnGrads, IcnnParams, backward
 from .lp import TOL_FEAS, LpProblem, LpStatus, NumericalFailure, SimplexEngine, solve
 
 R_MIN = 1e-6
-_SAFETY = 1e-9  # float slack for the sweep-pruning bounds
 
 
 class EmptyPredictedSet(RuntimeError):
@@ -43,10 +44,6 @@ class EmptyPredictedSet(RuntimeError):
 
 class DegenerateRatio(RuntimeError):
     """Scaling factor fell to r_min: the set reaches toward no constraint."""
-
-
-class ScalingInfeasible(RuntimeError):
-    """The full scaling LP is infeasible (cannot happen with b > 0)."""
 
 
 def epigraph_constraints(params: IcnnParams):
@@ -85,16 +82,19 @@ class SupportResult:
 class SublevelSolver:
     """Warm-started engine answering max c.x over the predicted set.
 
-    On the simplex backend each support LP starts from the basis the one
-    before it left, except a direction already solved under the current
-    weights: that one starts from its own optimal basis, kept (basis and
-    status, not the inverse) under the direction's bytes, so it is
-    re-priced in zero pivots and gives the same bytes as before.  ``reload``
-    drops every kept basis, so a sweep of distinct rows after it starts
-    each LP exactly where it would without them.
+    On the simplex backend the optimal basis of each solved direction is
+    kept (basis and status, not the inverse) under the direction's bytes,
+    and ``reload`` keeps them all.  A direction seen before starts from its
+    own basis: under the weights it was solved for, the restored basis is
+    re-priced in zero pivots and gives the same bytes as before; under newer
+    weights the engine inverts it under the new matrix and re-solves,
+    running phase 1 first when the new weights made it primal infeasible.
+    A new direction starts from the basis the LP before it left.
 
-    ``counters()`` returns the LPs solved, bases reused and, on the simplex
-    backend, the engine's pivots, refactorizations and slack-basis retries.
+    ``reload`` takes weights of the same architecture and box (ValueError
+    otherwise).  ``counters()`` returns the LPs solved, bases reused and,
+    on the simplex backend, the engine's pivots, refactorizations,
+    slack-basis retries and switches to Bland's rule.
     """
 
     def __init__(self, params: IcnnParams, backend="simplex"):
@@ -112,11 +112,14 @@ class SublevelSolver:
                                                   lb=self.lb, ub=self.ub))
 
     def reload(self, params: IcnnParams):
-        """Swap in new weights of the same architecture, keeping the basis."""
+        """Swap in new weights of the same architecture and box, keeping
+        every basis."""
         if (params.depth, params.width, params.n_inputs) != self._arch:
             raise ValueError("architecture changed; build a new solver")
-        self.A, self.b, _, _ = epigraph_constraints(params)
-        self._bases.clear()
+        A, b, lb, ub = epigraph_constraints(params)
+        if not (np.array_equal(lb, self.lb) and np.array_equal(ub, self.ub)):
+            raise ValueError("box changed; build a new solver")
+        self.A, self.b = A, b
         if self.engine is not None:
             self.engine.reload(A=self.A, b=self.b)
 
@@ -133,6 +136,7 @@ class SublevelSolver:
             "pivots": eng.n_pivots if eng is not None else 0,
             "refactorizations": eng.n_refactors if eng is not None else 0,
             "slack_retries": eng.n_slack_retries if eng is not None else 0,
+            "bland_switches": eng.n_bland if eng is not None else 0,
             "bases_reused": self.n_reused,
         }
 
@@ -192,6 +196,7 @@ class CertificationReport:
     pivots: int = 0
     refactorizations: int = 0
     slack_retries: int = 0
+    bland_switches: int = 0
     bases_reused: int = 0
 
     @property
@@ -214,6 +219,7 @@ class CertificationReport:
             "pivots": self.pivots,
             "refactorizations": self.refactorizations,
             "slack_retries": self.slack_retries,
+            "bland_switches": self.bland_switches,
             "bases_reused": self.bases_reused,
         }
 
@@ -230,7 +236,7 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     already solved under these weights, such as those of a full rescale
     just before, are re-priced from their own optimal bases in zero pivots.
     The report counts the LPs, pivots, refactorizations, slack-basis
-    retries and reused bases of this call.
+    retries, switches to Bland's rule and reused bases of this call.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -263,13 +269,9 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
         supports=scaled,
         margins=margins,
         worst_row=int(np.argmin(finite)),
-        n_lp=work["n_lp"],
         violations=bad,
         failed_rows=failed,
-        pivots=work["pivots"],
-        refactorizations=work["refactorizations"],
-        slack_retries=work["slack_retries"],
-        bases_reused=work["bases_reused"],
+        **work,
     )
 
 
@@ -312,43 +314,30 @@ def scale_fast(params: IcnnParams, A, b, solver=None, backend="simplex") -> Scal
                        n_lp=solver.n_lp - before)
 
 
-def scale_full(params: IcnnParams, A, b, pin_shift=False, solver=None,
+def scale_full(params: IcnnParams, A, b, solver=None,
                backend="auto") -> ScaleResult:
-    """LP-optimal scaling min r s.t. support_j <= a_j.v + b_j r.
+    """LP-optimal scaling: min r s.t. support_j <= b_j r, r >= R_MIN.
 
-    Free v shifts the shrink center; pin_shift fixes v = 0, in which case the
-    optimum coincides with scale_fast (same LP solved anyway, not the closed
-    form, so the two routes stay independent).  A passed solver must hold
-    params (ValueError otherwise).
+    The optimum is scale_fast's max_j support_j / b_j; solving the LP in
+    place of the closed form keeps the two routes independent checks of
+    each other.  A passed solver must hold params (ValueError otherwise).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
     solver = _solver_for(params, solver, "simplex")
     before = solver.n_lp
     zeta = np.array([solver.support(row).value for row in A])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0  # maximize -r
-    rows = np.hstack([-A, -b[:, None]])
-    lb = np.full(n + 1, -np.inf)
-    ub = np.full(n + 1, np.inf)
-    lb[-1] = R_MIN
-    if pin_shift:
-        lb[:n] = 0.0
-        ub[:n] = 0.0
-    sol = solve(LpProblem(c=c, A=rows, b=-zeta, lb=lb, ub=ub), backend=backend)
-    if sol.status is LpStatus.INFEASIBLE:
-        raise ScalingInfeasible("scaling LP infeasible")
+    sol = solve(LpProblem(c=np.array([-1.0]), A=-b[:, None], b=-zeta,
+                          lb=np.array([R_MIN])), backend=backend)
     if sol.status is not LpStatus.OPTIMAL:
         raise NumericalFailure(f"scaling LP ended {sol.status}")
-    r = float(sol.x[-1])
+    r = float(sol.x[0])
     if r <= R_MIN:
         raise DegenerateRatio(f"scaling ratio {r:.3e} <= {R_MIN}")
-    v = sol.x[:n].copy()
-    scaled = (zeta - A @ v) / r
-    worst = int(np.argmin(b - scaled))
-    return ScaleResult(r=r, v=v, row=worst, support=float(zeta[worst]), x=None,
-                       output_dual=0.0, n_lp=solver.n_lp - before + 1)
+    worst = int(np.argmin(b - zeta / r))
+    return ScaleResult(r=r, v=np.zeros(A.shape[1]), row=worst,
+                       support=float(zeta[worst]), x=None, output_dual=0.0,
+                       n_lp=solver.n_lp - before + 1)
 
 
 def r_gradient(params: IcnnParams, scale: ScaleResult, b) -> IcnnGrads:
@@ -367,32 +356,22 @@ def r_gradient(params: IcnnParams, scale: ScaleResult, b) -> IcnnGrads:
     return grads
 
 
-def _box_support(params: IcnnParams, directions):
-    """Support of the classifier box along each direction (rowwise)."""
-    lo, hi = params.box_lower, params.box_upper
-    return np.maximum(directions * hi, directions * lo).sum(axis=1)
-
-
 @dataclass
 class ScalingOracle:
     """Repeated exact rescaling of a fixed region during training.
 
-    Most rows are pruned without an LP: with any exactly-solved anchor row i,
-    support_j <= support_i + h_box(a_j - a_i) since the predicted set lives
-    inside the box; cached maximizers that stay feasible under the current
-    weights give a lower bound on the final ratio.  Rows whose upper bound
-    cannot beat the running best are skipped, everything else is solved
-    exactly, so the result matches the full sweep (small float safety slack
-    keeps borderline rows on the solve side).
+    Each rescale is scale_fast's full sweep over every region row, on one
+    SublevelSolver kept for the whole training.  Row j starts from its own
+    optimal basis of the rescale before, so once the weights move little
+    between rescales a sweep takes few pivots.  The support values are
+    those of a fresh sweep up to rounding; a degenerate row may return
+    another optimal vertex.
     """
 
     params: IcnnParams
     A: np.ndarray
     b: np.ndarray
-    max_cache: int = 64
     solver: SublevelSolver = field(init=False)
-    _cache: np.ndarray | None = field(init=False, default=None)
-    _hint: int = field(init=False, default=0)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -401,59 +380,8 @@ class ScalingOracle:
             raise ValueError("region offsets must be positive")
         self.solver = SublevelSolver(self.params, backend="simplex")
 
-    def _finalize(self, solved, n_lp):
-        idx = np.array(sorted(solved))
-        ratios = np.array([solved[j].value for j in idx]) / self.b[idx]
-        pick = int(np.argmax(ratios))  # first max: lowest row index wins
-        j = int(idx[pick])
-        best = solved[j]
-        ratio = ratios[pick]
-        xs = np.array([solved[k].x for k in idx])
-        if self._cache is not None and len(self._cache):
-            xs = np.vstack([self._cache, xs])
-        self._cache = xs[-self.max_cache:]
-        self._hint = j
-        if ratio <= R_MIN:
-            raise DegenerateRatio(f"scaling ratio {ratio:.3e} <= {R_MIN}")
-        return ScaleResult(r=ratio, v=np.zeros(self.A.shape[1]),
-                           row=j, support=best.value, x=best.x,
-                           output_dual=best.output_dual, n_lp=n_lp)
-
-    def rescale(self, params: IcnnParams, exact=False) -> ScaleResult:
-        """Exact scaling of the current weights (pruned unless exact=True)."""
+    def rescale(self, params: IcnnParams) -> ScaleResult:
+        """Exact scaling of params against the region."""
         self.params = params
         self.solver.reload(params)
-        before = self.solver.n_lp
-        m = self.A.shape[0]
-        solved = {}
-        if exact:
-            for j in range(m):
-                solved[j] = self.solver.support(self.A[j])
-            return self._finalize(solved, self.solver.n_lp - before)
-
-        rho = -np.inf
-        if self._cache is not None and len(self._cache):
-            keep = forward(params, self._cache) <= 0.0
-            self._cache = self._cache[keep]
-            if len(self._cache):
-                lb = float(np.max((self.A @ self._cache.T) / self.b[:, None]))
-                rho = lb - _SAFETY * max(1.0, abs(lb))
-
-        anchor = self._hint if 0 <= self._hint < m else 0
-        solved[anchor] = self.solver.support(self.A[anchor])
-        rho = max(rho, solved[anchor].value / self.b[anchor])
-
-        diff = self.A - self.A[anchor]
-        ub_val = solved[anchor].value + _box_support(params, diff)
-        ub_val += _SAFETY * np.maximum(1.0, np.abs(ub_val))
-        ub_ratio = ub_val / self.b
-        order = np.argsort(-ub_ratio, kind="stable")
-        for j in order:
-            j = int(j)
-            if ub_ratio[j] < rho:
-                break
-            if j in solved:
-                continue
-            solved[j] = self.solver.support(self.A[j])
-            rho = max(rho, solved[j].value / self.b[j])
-        return self._finalize(solved, self.solver.n_lp - before)
+        return scale_fast(params, self.A, self.b, solver=self.solver)

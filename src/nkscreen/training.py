@@ -21,6 +21,14 @@ positive rate among those with zero validation false negatives.  The winner
 is re-scaled with a full exact sweep and certified before being returned;
 the certification uses the rescale's solver, which re-prices each row from
 the optimal basis the sweep left for it, so it takes no pivots.
+
+Every rescale sweeps all region rows on one solver that keeps each row's
+optimal basis from the rescale before.  The first rescale solves each row
+from the basis the row before left; later ones start each row from its own
+basis, so once the weights settle a rescale takes few pivots.  The solver's
+work (``SublevelSolver.counters()``) is recorded in ``TrainingRecord.solver``
+for the first rescale and for everything after it; it holds counts only,
+so a training's outputs stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -139,6 +147,10 @@ class EpochRecord:
 class TrainingRecord:
     epochs: list = field(default_factory=list)
     best_epoch: int | None = None
+    # support-LP solver counters: {"first_rescale": ..., "later": ...}, the
+    # later ones covering every rescale after the first and the final
+    # certification
+    solver: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -274,6 +286,8 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
             candidate = params.copy()
             loss, scale = scaling_epoch(params, X_train, y_train, oracle,
                                         config, opt, lr, rng)
+            if epoch == config.warm_epochs:
+                first = oracle.solver.counters()
             fpr, fnr = classification_rates(candidate, X_val, y_val,
                                             r=scale.r)
             rec = EpochRecord(epoch, "scale", lr, loss, scale.r, scale.row,
@@ -298,8 +312,11 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
 
     fpr, best_epoch, best_params, _ = best
     record.best_epoch = best_epoch
-    final_scale = oracle.rescale(best_params, exact=True)
+    final_scale = oracle.rescale(best_params)
     report = certify(best_params, A, b, r=final_scale.r, solver=oracle.solver)
+    total = oracle.solver.counters()
+    record.solver = {"first_rescale": first,
+                     "later": {k: total[k] - first[k] for k in total}}
     if not report.reliable:
         raise CertificationFailed(
             f"final certification failed: {report.verdict}")

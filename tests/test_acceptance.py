@@ -6,7 +6,7 @@ src/nkscreen/: run directory names hash the flags and inputs but not the
 code, so a code change must not reuse artifacts built by other code.  Run
 directories are named by content hash and written deterministically, so
 reruns reuse them; a cold run trains the reference checkpoint from scratch
-(189 s on a 2-core machine) and records its wall time.  Everything else is
+(92 s on a 2-core machine) and records its wall time.  Everything else is
 synthetic and runs in seconds.
 
 Each criterion is a separate test so the verbose report reads as one
@@ -360,7 +360,7 @@ def test_criterion_05_pinned_full_scaling_equals_fast():
         A, b = random_region(rng, params.n_inputs)
         try:
             r_sweep = scale_fast(params, A, b).r
-            r_lp = scale_full(params, A, b, pin_shift=True).r
+            r_lp = scale_full(params, A, b).r
         except DegenerateRatio:
             continue
         worst = max(worst, abs(r_sweep - r_lp))

@@ -242,6 +242,25 @@ class TestTrain:
             rows = fh.read().strip().splitlines()
         assert len(rows) == 1 + 30 + 40  # header + warm + scaling
 
+    def test_train_report_counts_solver_work(self, work):
+        manifest = json.load(open(os.path.join(work["train"], "manifest.json")))
+        assert "train_report.json" in manifest["outputs"]
+        report = json.load(open(os.path.join(work["train"],
+                                             "train_report.json")))
+        assert report["manifest"] == manifest["hash"]
+        assert report["seconds"] > 0
+        rows = load_region(os.path.join(work["prep"], "region.npz")).n_rows
+        first = report["solver"]["first_rescale"]
+        later = report["solver"]["later"]
+        assert first["n_lp"] == rows and first["bases_reused"] == 0
+        # 39 more rescales, the final one and the final certification
+        assert later["n_lp"] == later["bases_reused"] == 41 * rows
+        for work_done in (first, later):
+            assert set(work_done) == {"n_lp", "pivots", "refactorizations",
+                                      "slack_retries", "bland_switches",
+                                      "bases_reused"}
+            assert work_done["slack_retries"] == 0
+
     def test_rerun_is_byte_identical(self, work):
         sha = file_sha256(work["ckpt"])
         code = main(["train", "--dataset", work["dataset"],
@@ -277,6 +296,7 @@ class TestCertify:
         assert report["n_lp"] == len(report["margins"])
         assert report["pivots"] > 0 and report["refactorizations"] > 0
         assert report["slack_retries"] == 0 and report["bases_reused"] == 0
+        assert report["bland_switches"] == 0
 
     def test_tampered_checkpoint_exits_three(self, work, tmp_path):
         clf = load_checkpoint(work["ckpt"])

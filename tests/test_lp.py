@@ -397,13 +397,33 @@ def test_counters_track_work(monkeypatch):
         total += eng.resolve_objective(rng.normal(size=5)).iterations
     assert eng.n_pivots == total > 0
     assert eng.n_refactors == len(calls) > 0
-    assert eng.n_slack_retries == 0
+    assert eng.n_slack_retries == 0 and eng.n_bland == 0
     # a singular basis restored without its inverse restarts from the slack
     # basis, and the counter says so
     snap = eng.snapshot(inverse=False)
     eng.restore(dataclasses.replace(snap, basis=np.full(eng.m, eng.n)))
     assert eng.n_slack_retries == 1
     check_kkt(p, eng.resolve_objective(p.c))
+
+
+def test_bland_switch_counted(monkeypatch):
+    import nkscreen.lp as lp
+
+    # max x1 + x2 s.t. 1e4 x1 - x2 <= 0, x1 + x2 <= 2, x >= 0: the first
+    # pivot, x1 into the basis, is degenerate (the first row's slack is 0;
+    # the steep row keeps the ratio tolerance's step under the stall bound)
+    p = LpProblem(c=np.array([1.0, 1.0]), A=np.array([[1e4, -1.0],
+                                                      [1.0, 1.0]]),
+                  b=np.array([0.0, 2.0]), lb=np.zeros(2))
+    eng = SimplexEngine(p)
+    assert eng.solve().objective == pytest.approx(2.0)
+    assert eng.n_bland == 0
+    monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
+    eng = SimplexEngine(p)
+    sol = eng.solve()
+    assert sol.objective == pytest.approx(2.0)
+    assert eng.n_bland == 1
+    check_kkt(p, sol)
 
 
 def test_restore_rejects_foreign_snapshot():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nkscreen.icnn import IcnnParams, forward, init_params, raw_forward
+from nkscreen.lp import _AT_LB, _AT_UB, TOL_FEAS
 from nkscreen.oracle import (
     DegenerateRatio, EmptyPredictedSet, ScalingOracle, SublevelSolver,
     certify, epigraph_constraints, r_gradient, scale_fast, scale_full,
@@ -219,15 +220,6 @@ class TestScaling:
         assert res.r == pytest.approx(2.0, abs=1e-8)
         np.testing.assert_allclose(res.v, 0.0, atol=1e-8)
 
-    def test_shift_translates_offcenter_set(self):
-        net = chebyshev_net(radius=1.0)
-        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        b = np.array([0.5, 1.5, 1.0, 1.0])
-        res = scale_full(net, A, b)
-        assert res.r == pytest.approx(1.0, abs=1e-8)
-        np.testing.assert_allclose(res.v, [0.5, 0.0], atol=1e-8)
-        assert certify(net, A, b, r=res.r, v=res.v).reliable
-
     def test_contained_set_expands(self):
         net = chebyshev_net(radius=0.1)
         A, b = square_region(t=0.5)
@@ -258,18 +250,9 @@ class TestScaling:
             A = rng.normal(size=(7, 2))
             b = rng.uniform(0.5, 2.0, size=7)
             fast = scale_fast(net, A, b)
-            full = scale_full(net, A, b, pin_shift=True)
+            full = scale_full(net, A, b)
             assert full.r == pytest.approx(fast.r, abs=1e-8)
             np.testing.assert_allclose(full.v, 0.0, atol=1e-12)
-
-    def test_free_shift_only_helps(self):
-        net = l1_ball_net()
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(9, 2))
-        b = rng.uniform(0.5, 2.0, size=9)
-        pinned = scale_full(net, A, b, pin_shift=True)
-        free = scale_full(net, A, b)
-        assert free.r <= pinned.r + 1e-9
 
     def test_full_result_certifies(self):
         net = l1_ball_net()
@@ -354,13 +337,19 @@ class TestCertify:
             with pytest.raises(ValueError):
                 scale_fast(net, A, b, solver=solver)
             with pytest.raises(ValueError):
-                scale_full(net, A, b, pin_shift=True, solver=solver)
-            solver.reload(net)
+                scale_full(net, A, b, solver=solver)
             if other.box_upper[0] == net.box_upper[0]:
+                solver.reload(net)
                 assert certify(net, A, b, solver=solver).reliable
-            else:  # reload keeps the box: the solver still holds another set
-                with pytest.raises(ValueError):
-                    certify(net, A, b, solver=solver)
+                continue
+            # the engine's bounds are the box: weights of another box are
+            # refused, and the solver keeps answering for its own weights
+            with pytest.raises(ValueError, match="box"):
+                solver.reload(net)
+            assert solver.holds(other) and not solver.holds(net)
+            assert solver.support(A[0]).value == pytest.approx(1.0, abs=1e-9)
+            with pytest.raises(ValueError):
+                certify(net, A, b, solver=solver)
 
     def test_report_counts_solver_work(self):
         net, A, b = random_instance(4, m=12)
@@ -368,7 +357,7 @@ class TestCertify:
         d = report.to_dict()
         assert d["n_lp"] == 12 and d["bases_reused"] == 0
         assert d["pivots"] > 0 and d["refactorizations"] > 0
-        assert d["slack_retries"] == 0
+        assert d["slack_retries"] == 0 and d["bland_switches"] == 0
 
     def test_second_sweep_reprices_kept_bases(self):
         net, A, b = random_instance(6, m=20)
@@ -384,7 +373,7 @@ class TestCertify:
         assert cold.pivots > 0 and cold.bases_reused == 0
         np.testing.assert_allclose(cold.supports, again.supports, atol=1e-9)
 
-    def test_reload_drops_kept_bases(self):
+    def test_reload_keeps_bases(self):
         net, A, b = random_instance(8, m=15)
         solver = SublevelSolver(net)
         for row in A:
@@ -393,7 +382,7 @@ class TestCertify:
         moved.b[0] += 0.05
         solver.reload(moved)
         got = [solver.support(row).value for row in A]
-        assert solver.counters()["bases_reused"] == 0
+        assert solver.counters()["bases_reused"] == 15
         want = [sublevel_max(moved, row).value for row in A]
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -402,8 +391,7 @@ class TestCertify:
         # with the oracle's solver
         net, A, b = random_instance(3)
         oracle = ScalingOracle(net, A, b)
-        oracle.rescale(net)
-        scale = oracle.rescale(net, exact=True)
+        scale = oracle.rescale(net)
         report = certify(net, A, b, r=scale.r, solver=oracle.solver)
         assert report.reliable and report.pivots == 0
         assert report.bases_reused == len(b)
@@ -462,39 +450,80 @@ class TestGradient:
                                                           abs=1e-7)
 
 
+def kept_basis_values(solver, direction):
+    """Basic values and their bounds for a direction's kept basis under the
+    solver's present matrix, solved here with numpy, not by the engine."""
+    snap = solver._bases[np.asarray(direction, dtype=float).tobytes()]
+    m = len(solver.b)
+    T = np.hstack([solver.A, np.eye(m)])
+    L = np.concatenate([solver.lb, np.zeros(m)])
+    U = np.concatenate([solver.ub, np.full(m, np.inf)])
+    xn = np.where(snap.vstat == _AT_UB, U,
+                  np.where(snap.vstat == _AT_LB, L, 0.0))
+    xn[snap.basis] = 0.0
+    xb = np.linalg.solve(T[:, snap.basis], solver.b - T @ xn)
+    return xb, L[snap.basis], U[snap.basis]
+
+
+def drift(net, rng, step=0.02):
+    for arr in net.D + net.b:
+        arr += step * rng.normal(size=arr.shape)
+
+
 class TestScalingOracle:
-    def test_pruned_matches_exact(self):
+    def test_kept_bases_match_cold_solver_across_drift(self):
         for seed in (1, 5, 9):
             net, A, b = random_instance(seed)
-            pruned = ScalingOracle(net, A, b).rescale(net)
-            full = ScalingOracle(net, A, b).rescale(net, exact=True)
-            assert pruned.row == full.row
-            assert pruned.r == pytest.approx(full.r, abs=1e-9)
-            assert pruned.n_lp <= full.n_lp
+            oracle = ScalingOracle(net, A, b)
+            rng = np.random.default_rng(seed)
+            for step in range(5):
+                if step:
+                    drift(net, rng)
+                got = oracle.rescale(net)
+                # every row again from the basis the rescale kept for it
+                warm = certify(net, A, b, solver=oracle.solver)
+                assert warm.pivots == 0 and warm.bases_reused == len(b)
+                cold = certify(net, A, b)
+                np.testing.assert_allclose(warm.supports, cold.supports,
+                                           rtol=0, atol=1e-9)
+                want = scale_fast(net, A, b)
+                assert got.row == want.row
+                assert got.r == pytest.approx(want.r, abs=1e-9)
+                assert got.n_lp == len(b)
+
+    def test_infeasible_kept_basis_takes_phase_one(self):
+        # f(x) = slope relu(x) - 1 on [-5, 5]: the +x support is 1/slope
+        # with x and z basic; at slope 0.1 that basis puts x at 10, past
+        # the box
+        solver = SublevelSolver(relu_line_net(slope=2.0))
+        assert solver.support([1.0]).value == pytest.approx(0.5, abs=1e-12)
+        flat = relu_line_net(slope=0.1)
+        solver.reload(flat)
+        xb, lo, hi = kept_basis_values(solver, [1.0])
+        assert np.any(xb > hi + TOL_FEAS) or np.any(xb < lo - TOL_FEAS)
+        got = solver.support([1.0])
+        assert solver.counters()["bases_reused"] == 1
+        assert got.value == pytest.approx(5.0, abs=1e-12)
+        assert got.value == pytest.approx(sublevel_max(flat, [1.0]).value,
+                                          abs=1e-12)
 
     def test_repeated_rescale_tracks_parameter_drift(self):
         net, A, b = random_instance(2)
         oracle = ScalingOracle(net, A, b)
         rng = np.random.default_rng(0)
+        pivots = []
         for step in range(6):
-            for d in net.D:
-                d += 0.02 * rng.normal(size=d.shape)
-            for bb in net.b:
-                bb += 0.02 * rng.normal(size=bb.shape)
+            if step:
+                drift(net, rng)
+            before = oracle.solver.counters()["pivots"]
             got = oracle.rescale(net)
+            pivots.append(oracle.solver.counters()["pivots"] - before)
             want = scale_fast(net, A, b)
             assert got.row == want.row
             assert got.r == pytest.approx(want.r, abs=1e-9)
-        # cache should make later sweeps cheaper than the full one
-        assert oracle.rescale(net).n_lp < len(b)
-
-    def test_polluted_cache_is_harmless(self):
-        net, A, b = random_instance(7)
-        oracle = ScalingOracle(net, A, b)
-        oracle._cache = np.random.default_rng(1).uniform(-3, 3, size=(20, 3))
-        got = oracle.rescale(net)
-        want = scale_fast(net, A, b)
-        assert got.row == want.row and got.r == pytest.approx(want.r, abs=1e-9)
+        # later rescales start every row from its own basis
+        assert max(pivots[1:]) < pivots[0]
+        assert oracle.solver.counters()["bases_reused"] == 5 * len(b)
 
     def test_rejects_nonpositive_offsets(self):
         net, A, b = random_instance(0)

@@ -181,8 +181,18 @@ class TestTrain:
                                         r=clf.r)
         assert clf.meta["val_fpr"] == fpr
         assert fnr == 0.0
+        # solver work: the first rescale apart; after it every rescale
+        # (one per later scaling epoch, plus the final one) and the final
+        # certification solve every row from its kept basis
+        m = len(b)
+        first, later = record.solver["first_rescale"], record.solver["later"]
+        assert first["n_lp"] == m and first["bases_reused"] == 0
+        assert later["n_lp"] == later["bases_reused"] == \
+            (cfg.scaling_epochs + 1) * m
+        assert later["pivots"] < first["pivots"] * cfg.scaling_epochs
+        assert first["slack_retries"] == later["slack_retries"] == 0
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         _, _, _, (clf1, rec1) = self._run(seed=1)
         _, _, _, (clf2, rec2) = self._run(seed=1)
         assert clf1.r == clf2.r
@@ -190,6 +200,11 @@ class TestTrain:
                         clf2.params.W + clf2.params.D + clf2.params.b):
             np.testing.assert_array_equal(a, c)
         assert [r.loss for r in rec1.epochs] == [r.loss for r in rec2.epochs]
+        rec1.to_csv(tmp_path / "1.csv")
+        rec2.to_csv(tmp_path / "2.csv")
+        assert (tmp_path / "1.csv").read_bytes() == \
+            (tmp_path / "2.csv").read_bytes()
+        assert rec1.solver == rec2.solver
 
     def test_seed_changes_run(self):
         _, _, _, (clf1, _) = self._run(seed=1)
