@@ -189,8 +189,9 @@ def cmd_prepare_region(args):
 
     sampler = DemandSampler(nominal=net.demand, rel_std=args.rel_std,
                             seed=args.seed)
+    sampling = {}
     t0 = time.perf_counter()
-    X = sample_injections(net, sampler, sum(counts))
+    X = sample_injections(net, sampler, sum(counts), counters=sampling)
     stage_seconds["sample"] = time.perf_counter() - t0
     X_train = X[:counts[0]]
     print(f"sampled {len(X)} secure-dispatch injections "
@@ -256,6 +257,7 @@ def cmd_prepare_region(args):
         "rows": int(final.n_rows),
         "columns": int(final.dim),
         "stage_seconds": {k: round(v, 3) for k, v in stage_seconds.items()},
+        "sampling": sampling,
     }
     write_json(os.path.join(run_dir, "region_report.json"), report)
 

@@ -77,12 +77,15 @@ def sample_demands(sampler: DemandSampler, count, stream=0):
 
 
 def sample_injections(net: Network, sampler: DemandSampler, count,
-                      stream=0, max_oversample=10, return_demands=False):
+                      stream=0, max_oversample=10, return_demands=False,
+                      counters=None):
     """Net injections p - d from DC-OPF dispatch of sampled demands.
 
     Infeasible demand draws are skipped and replaced by further draws; gives
     up past max_oversample * count total draws.  stream picks the first
-    random stream, so disjoint calls can use disjoint stream ranges.
+    random stream, so disjoint calls can use disjoint stream ranges.  A dict
+    passed as counters receives the DC-OPF solver's ``counters()`` (draws,
+    pivots, refactorizations, inverses reused).
     """
     solver = DcopfSolver(net)
     X = np.empty((count, net.n))
@@ -107,6 +110,8 @@ def sample_injections(net: Network, sampler: DemandSampler, count,
             got += 1
             if got == count:
                 break
+    if counters is not None:
+        counters.update(solver.counters())
     return (X, D) if return_demands else X
 
 

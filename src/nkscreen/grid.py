@@ -202,6 +202,9 @@ class DcopfSolver:
     right-hand side, so repeated solves warm-start from the previous basis.
     min cost @ p  s.t.  1@(p - d) = 0,  f_lower <= H (p - d) <= f_upper,
     pmin <= p <= pmax (p fixed to 0 at buses without generators).
+
+    ``counters()`` returns the demands solved (draws) and the engine's
+    pivots, refactorizations and inverses reused over the solver's lifetime.
     """
 
     def __init__(self, net: Network):
@@ -214,6 +217,7 @@ class DcopfSolver:
         b = self._rhs(net.demand)
         problem = LpProblem(c=-net.cost, A=A, b=b, rel=rel, lb=net.pmin, ub=net.pmax)
         self.engine = SimplexEngine(problem)
+        self.n_draws = 0
 
     def _rhs(self, demand):
         Hd = self.H @ demand
@@ -223,11 +227,21 @@ class DcopfSolver:
     def solve(self, demand=None) -> DcopfResult:
         demand = self.net.demand if demand is None else np.asarray(demand, dtype=float)
         sol = self.engine.resolve_rhs(self._rhs(demand))
+        self.n_draws += 1
         if sol.status is not LpStatus.OPTIMAL:
             return DcopfResult(sol.status)
         p = sol.x
         flows = self.H @ (p - demand)
         return DcopfResult(LpStatus.OPTIMAL, p=p, flows=flows, cost=float(self.net.cost @ p))
+
+    def counters(self):
+        eng = self.engine
+        return {
+            "draws": self.n_draws,
+            "pivots": eng.n_pivots,
+            "refactorizations": eng.n_refactors,
+            "inverses_reused": eng.n_inverses_reused,
+        }
 
 
 def solve_dcopf(net: Network, demand=None) -> DcopfResult:

@@ -18,11 +18,18 @@ problem/solution contract:
   pivot changes the basis or ``reload`` replaces the matrix (bound flips and
   new right-hand sides or objectives keep it).  Inverting the same basis
   columns again returns the same array, so skipping that inversion changes
-  no output bit.  ``snapshot``/``restore`` save and reinstate a basis, with
-  its inverse or without it (then ``restore`` inverts it again), for callers
-  that want a re-solve to start from a basis of their choosing; the re-solve
-  after a ``restore`` checks primal feasibility first, because the basis
-  may come from other data.
+  no output bit.  For the same reason each engine keeps the inverses it
+  computed, keyed on the ordered basis, and a refactorization of a basis it
+  has inverted before takes a copy of the kept inverse instead of inverting
+  again.  Re-solves that return to a few optimal bases, as DC-OPF dispatch
+  of sampled demands does, so invert each basis once.  The engine keeps the
+  8 bases used last (at most 8 m^2 floats) and drops them all when
+  ``reload`` replaces the matrix.  ``snapshot``/``restore`` save and
+  reinstate a basis, with its inverse or without it (then ``restore``
+  takes the kept inverse or inverts it again), for callers that want a
+  re-solve to start from a basis of their choosing; the re-solve after a
+  ``restore`` checks primal feasibility first, because the basis may come
+  from other data.
 
   The pivot loop is the hot path of training, so it is written for few
   numpy calls per pivot while keeping every floating-point operation of the
@@ -47,6 +54,7 @@ duals of "=" rows are free; complementary slackness holds up to ``TOL_COMP``.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,6 +68,7 @@ _PIVOT_TOL = 1e-10    # smallest acceptable pivot element
 _RATIO_TOL = 1e-9     # slack allowed when computing blocking ratios
 _REFACTOR_EVERY = 100
 _STALL_LIMIT = 60     # degenerate pivots before switching to Bland's rule
+_INVERSES_KEPT = 8    # basis inverses an engine keeps for reuse
 
 # nonbasic/basic status codes
 _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
@@ -168,7 +177,13 @@ class SimplexEngine:
     a handful of pivots (often zero).  All tie-breaking is by lowest index,
     so identical inputs produce identical outputs, iteration counts included.
 
-    ``n_pivots``, ``n_refactors`` (basis inversions), ``n_slack_retries``
+    The engine keeps the inverses of the 8 bases it refactorized last, and
+    refactorizing one of them again copies its kept inverse: the array
+    ``np.linalg.inv`` would return again.  They take at most 8 m^2 floats
+    (2.4 MB at 192 rows); a new matrix from ``reload`` drops them.
+
+    ``n_pivots``, ``n_refactors`` (basis inversions), ``n_inverses_reused``
+    (refactorizations served from the kept inverses), ``n_slack_retries``
     (restarts from the slack basis) and ``n_bland`` (pivot loops that
     switched to Bland's rule after a stall) count over the engine's
     lifetime.
@@ -195,7 +210,9 @@ class SimplexEngine:
         self._outer = np.empty((m, m))  # rank-one update buffer
         self._cand = np.empty(m)         # ratio-test buffer
         self.n_pivots = self.n_refactors = self.n_slack_retries = 0
-        self.n_bland = 0
+        self.n_bland = self.n_inverses_reused = 0
+        # basis bytes -> inv(T[:, basis]), least recently used first
+        self._inverses: OrderedDict[bytes, np.ndarray] = OrderedDict()
         self.c = np.zeros(self.nt)
         self.c[:n] = problem.c
         self._c_struct = problem.c.copy()
@@ -224,15 +241,25 @@ class SimplexEngine:
     def _refactor(self):
         if self._inv_exact:
             return True
-        B = self.T[:, self.basis]
-        self.n_refactors += 1
-        try:
-            self.B_inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return False
-        # guard against a numerically singular basis that inv() let through
-        if not np.all(np.isfinite(self.B_inv)):
-            return False
+        key = self.basis.tobytes()
+        kept = self._inverses.get(key)
+        if kept is not None:
+            # a copy: the rank-one update works on B_inv in place
+            self._inverses.move_to_end(key)
+            self.B_inv = kept.copy()
+            self.n_inverses_reused += 1
+        else:
+            self.n_refactors += 1
+            try:
+                self.B_inv = np.linalg.inv(self.T[:, self.basis])
+            except np.linalg.LinAlgError:
+                return False
+            # guard against a numerically singular basis that inv() let through
+            if not np.all(np.isfinite(self.B_inv)):
+                return False
+            self._inverses[key] = self.B_inv.copy()
+            if len(self._inverses) > _INVERSES_KEPT:
+                self._inverses.popitem(last=False)
         self._inv_exact = True
         return True
 
@@ -445,6 +472,7 @@ class SimplexEngine:
                 raise ValueError("matrix shape mismatch")
             self.T[:, : self.n] = A
             self._inv_exact = False
+            self._inverses.clear()
         if b is not None:
             self.b = np.asarray(b, dtype=float).copy()
         if c is not None:
@@ -473,10 +501,12 @@ class SimplexEngine:
         The problem data (matrix, right-hand side, objective) stay as they
         are now.  The snapshot is copied, so it can be restored again.  A
         snapshot without its inverse is refactorized, unless its basis is
-        the current one and the current inverse is exact (the same bytes
-        either way); if that basis is singular the next solve starts cold
-        from the slack basis.  The basis may be primal infeasible under the
-        present data (a basis kept from another matrix), so the next solve,
+        the current one and the current inverse is exact; the
+        refactorization copies the engine's kept inverse of that basis when
+        it has one, and inverts only when not (the same bytes every way).
+        If the basis is singular the next solve starts cold from the slack
+        basis.  The basis may be primal infeasible under the present data (a
+        basis kept from another matrix), so the next solve,
         ``resolve_objective`` included, runs phase 1 if it is; a feasible
         one goes straight to phase 2, as it would without the check.
         """

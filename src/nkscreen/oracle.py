@@ -94,7 +94,7 @@ class SublevelSolver:
     ``reload`` takes weights of the same architecture and box (ValueError
     otherwise).  ``counters()`` returns the LPs solved, bases reused and,
     on the simplex backend, the engine's pivots, refactorizations,
-    slack-basis retries and switches to Bland's rule.
+    inverses reused, slack-basis retries and switches to Bland's rule.
     """
 
     def __init__(self, params: IcnnParams, backend="simplex"):
@@ -135,6 +135,7 @@ class SublevelSolver:
             "n_lp": self.n_lp,
             "pivots": eng.n_pivots if eng is not None else 0,
             "refactorizations": eng.n_refactors if eng is not None else 0,
+            "inverses_reused": eng.n_inverses_reused if eng is not None else 0,
             "slack_retries": eng.n_slack_retries if eng is not None else 0,
             "bland_switches": eng.n_bland if eng is not None else 0,
             "bases_reused": self.n_reused,
@@ -195,6 +196,7 @@ class CertificationReport:
     # solver work of this certification (simplex backend; zero on HiGHS)
     pivots: int = 0
     refactorizations: int = 0
+    inverses_reused: int = 0
     slack_retries: int = 0
     bland_switches: int = 0
     bases_reused: int = 0
@@ -218,6 +220,7 @@ class CertificationReport:
             "failed_rows": [int(j) for j in self.failed_rows],
             "pivots": self.pivots,
             "refactorizations": self.refactorizations,
+            "inverses_reused": self.inverses_reused,
             "slack_retries": self.slack_retries,
             "bland_switches": self.bland_switches,
             "bases_reused": self.bases_reused,
@@ -235,8 +238,9 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     A passed solver must hold params (ValueError otherwise).  Rows it has
     already solved under these weights, such as those of a full rescale
     just before, are re-priced from their own optimal bases in zero pivots.
-    The report counts the LPs, pivots, refactorizations, slack-basis
-    retries, switches to Bland's rule and reused bases of this call.
+    The report counts the LPs, pivots, refactorizations, inverses reused,
+    slack-basis retries, switches to Bland's rule and reused bases of this
+    call.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -152,6 +152,13 @@ class TestPrepareRegion:
         # 3 single-line outages on a 3-ring, 2 surviving lines each, 2 signs
         assert report["rows_enumerated"] == 12
         assert report["contingencies_enumerated"] == 3
+        # the DC-OPF work of the sampling stage
+        counts = [int(c) for c in COUNTS.split(",")]
+        sampling = report["sampling"]
+        assert set(sampling) == {"draws", "pivots", "refactorizations",
+                                 "inverses_reused"}
+        assert sampling["draws"] >= sum(counts)
+        assert sampling["refactorizations"] > 0
 
     def test_manifest_hash_names_run_dir(self, work):
         manifest = json.load(open(os.path.join(work["prep"], "manifest.json")))
@@ -257,8 +264,8 @@ class TestTrain:
         assert later["n_lp"] == later["bases_reused"] == 41 * rows
         for work_done in (first, later):
             assert set(work_done) == {"n_lp", "pivots", "refactorizations",
-                                      "slack_retries", "bland_switches",
-                                      "bases_reused"}
+                                      "inverses_reused", "slack_retries",
+                                      "bland_switches", "bases_reused"}
             assert work_done["slack_retries"] == 0
 
     def test_rerun_is_byte_identical(self, work):

@@ -146,9 +146,15 @@ class TestInjectionsAndLabels:
         # limit 120 makes a noticeable fraction of demand draws undispatchable
         net = two_bus(limit=120.0)
         s = DemandSampler(net.demand, seed=1)
-        X = sample_injections(net, s, 60)
+        counters = {}
+        X = sample_injections(net, s, 60, counters=counters)
         assert X.shape == (60, 2)
         assert np.all(X[:, 0] <= 120.0 + 1e-9)
+        # every draw is counted, the skipped ones too; counting changes
+        # no output
+        assert counters["draws"] > 60
+        assert counters["refactorizations"] + counters["inverses_reused"] > 0
+        assert np.array_equal(X, sample_injections(net, s, 60))
 
     def test_origin_labeled_feasible(self):
         net = tight_ring()

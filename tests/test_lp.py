@@ -434,6 +434,107 @@ def test_restore_rejects_foreign_snapshot():
         eng.restore(other.snapshot())
 
 
+# -- inverse cache ------------------------------------------------------------
+
+def assert_cache_exact(eng):
+    """Every kept inverse is, byte for byte, a fresh inverse of its basis
+    columns under the engine's present matrix."""
+    for key, kept in eng._inverses.items():
+        basis = np.frombuffer(key, dtype=eng.basis.dtype)
+        assert kept.tobytes() == np.linalg.inv(eng.T[:, basis]).tobytes()
+
+
+def _leave_optimal_basis(seed):
+    """An engine whose optimal basis was inverted, then left by pivoting
+    re-solves; returns the engine, its problem, the first solution, a
+    snapshot of that basis without its inverse and a right-hand side whose
+    optimal basis is another one."""
+    rng = np.random.default_rng(seed)
+    p = random_bounded_lp(rng, n=4, m=6)
+    eng = SimplexEngine(p)
+    first = eng.solve()
+    assert first.iterations > 0
+    snap = eng.snapshot(inverse=False)
+    x0 = (p.lb + p.ub) / 2
+    for _ in range(50):
+        b_away = p.A @ x0 + rng.uniform(0.05, 2.0, size=6)
+        if eng.resolve_rhs(b_away).iterations > 0:
+            break
+    assert not np.array_equal(eng.basis, snap.basis)
+    return eng, p, first, snap, b_away
+
+
+def test_cache_hit_equals_fresh_inverse(monkeypatch):
+    eng, p, first, snap, b_away = _leave_optimal_basis(26)
+    calls = counting_inv(monkeypatch)
+    refactors, reused = eng.n_refactors, eng.n_inverses_reused
+    eng.restore(snap)
+    assert calls == [] and eng.n_refactors == refactors
+    assert eng.n_inverses_reused == reused + 1
+    fresh = np.linalg.inv(eng.T[:, eng.basis])
+    assert eng.B_inv.tobytes() == fresh.tobytes()
+    same_bytes(eng.resolve_rhs(p.b), first)
+
+
+def test_pivot_after_hit_keeps_cached_inverse():
+    eng, p, first, snap, b_away = _leave_optimal_basis(27)
+    assert_cache_exact(eng)
+    for _ in range(3):
+        eng.restore(snap)  # a hit; the re-solve then pivots away from it
+        assert eng.resolve_rhs(b_away).iterations > 0
+        assert_cache_exact(eng)
+        eng.restore(snap)
+        same_bytes(eng.resolve_rhs(p.b), first)
+
+
+def test_reload_matrix_drops_cached_inverses():
+    rng = np.random.default_rng(28)
+    eng, p, first, snap, b_away = _leave_optimal_basis(28)
+    A_new = p.A + 0.05 * rng.normal(size=p.A.shape)
+    eng.reload(A=A_new)
+    assert len(eng._inverses) <= 1  # only what the reload itself inverted
+    assert_cache_exact(eng)
+    # the old optimal basis, restored under the new matrix, is inverted
+    # again: the same bytes as a fresh engine restoring it
+    fresh = SimplexEngine(LpProblem(c=p.c, A=A_new, b=p.b, rel=p.rel,
+                                    lb=p.lb, ub=p.ub))
+    fresh.restore(snap)
+    eng.restore(snap)
+    same_bytes(eng.resolve_rhs(p.b), fresh.resolve_rhs(p.b))
+
+
+def test_cache_holds_at_most_eight_inverses():
+    rng = np.random.default_rng(29)
+    p = random_bounded_lp(rng, n=8, m=10)
+    eng = SimplexEngine(p)
+    eng.solve()
+    largest = 0
+    for _ in range(60):
+        eng.resolve_objective(rng.normal(size=8))
+        largest = max(largest, len(eng._inverses))
+        assert len(eng._inverses) <= 8
+    assert largest == 8 and eng.n_refactors > 8
+    assert_cache_exact(eng)
+
+
+def test_dcopf_draws_invert_few_bases(monkeypatch):
+    from nkscreen.cli import resolve_case
+    from nkscreen.datagen import DemandSampler, sample_demands
+    from nkscreen.grid import DcopfSolver, load_network
+
+    net = load_network(resolve_case("case39"))
+    dcopf = DcopfSolver(net)
+    calls = counting_inv(monkeypatch)
+    for d in sample_demands(DemandSampler(net.demand, rel_std=0.15, seed=0),
+                            600):
+        dcopf.solve(d)
+    work = dcopf.counters()
+    assert work["draws"] == 600 and work["pivots"] > 100
+    # a handful of optimal bases covers the demand distribution
+    assert work["refactorizations"] == len(calls) <= 10
+    assert work["inverses_reused"] > 100
+
+
 # -- byte-identity guard ------------------------------------------------------
 
 def _hash_solution(h, sol: LpSolution):
