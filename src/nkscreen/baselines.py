@@ -22,6 +22,7 @@ from .training import (
     EpochRecord,
     TrainingConfig,
     TrainingRecord,
+    classification_rates,
     weighted_bce,
     weighted_bce_grad,
 )
@@ -133,19 +134,6 @@ def mlp_backward(params: MlpParams, X, upstream=None):
     return grads
 
 
-def mlp_rates(params: MlpParams, X, y):
-    """(fpr, fnr) of the plain network; empty classes count as zero."""
-    if len(X) == 0:
-        return 0.0, 0.0
-    pred_infeasible = mlp_forward(params, X) > 0.0
-    y = np.asarray(y).astype(bool)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    fp = int(np.sum(pred_infeasible & ~y))
-    fn = int(np.sum(~pred_infeasible & y))
-    return (fp / n_neg if n_neg else 0.0), (fn / n_pos if n_pos else 0.0)
-
-
 def mlp_epoch(params, X, y, config, opt, lr, rng):
     """One full pass of mini-batch steps; no projection, no scaling."""
     n = len(X)
@@ -191,7 +179,8 @@ def train_mlp(X_train, y_train, X_val, y_val, config: TrainingConfig,
     for epoch in range(config.warm_epochs + config.scaling_epochs):
         lr = config.lr_at(epoch)
         loss = mlp_epoch(params, X_train, y_train, config, opt, lr, rng)
-        fpr, fnr = mlp_rates(params, X_val, y_val)
+        fpr, fnr = classification_rates(mlp_forward(params, X_val) > 0.0,
+                                        y_val)
         rec = EpochRecord(epoch, "mlp", lr, loss, float("nan"), -1, fpr, fnr)
         record.epochs.append(rec)
         if callback is not None:

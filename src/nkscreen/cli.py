@@ -334,7 +334,7 @@ def cmd_train(args):
     from .datagen import load_dataset
     from .icnn import save_checkpoint
     from .oracle import certify
-    from .training import TrainingConfig, train
+    from .training import TrainingConfig, classification_rates, train
 
     config = {
         "depth": args.depth,
@@ -397,10 +397,9 @@ def cmd_train(args):
     clf.dim_map = region.dim_map
 
     pred_infeasible = ~clf.predict_feasible(Z[ds.test])
-    y_test = y[ds.test].astype(bool)
-    fpr = float(pred_infeasible[~y_test].mean()) if (~y_test).any() else 0.0
-    fnr = float((~pred_infeasible)[y_test].mean()) if y_test.any() else 0.0
-    print(f"test: fpr {fpr:.4f}, fnr {fnr:.4f} over {len(y_test)} samples")
+    fpr, fnr = classification_rates(pred_infeasible, y[ds.test])
+    print(f"test: fpr {fpr:.4f}, fnr {fnr:.4f} over "
+          f"{len(pred_infeasible)} samples")
 
     clf.meta.update({
         "manifest": manifest.hash,
@@ -482,6 +481,7 @@ def cmd_screen(args):
     from .baselines import screen_batch, time_screening
     from .datagen import load_dataset
     from .icnn import load_checkpoint
+    from .training import classification_rates
 
     manifest, run_dir = start_run(
         "screen", args.out, {"repeats": args.repeats}, 0,
@@ -512,8 +512,7 @@ def cmd_screen(args):
         times.append(time.perf_counter() - t0)
     icnn_seconds = float(np.median(times))
 
-    fpr = float(pred_infeasible[~y].mean()) if (~y).any() else 0.0
-    fnr = float((~pred_infeasible)[y].mean()) if y.any() else 0.0
+    fpr, fnr = classification_rates(pred_infeasible, y)
     confusion = {
         "true_insecure_flagged": int((pred_infeasible & y).sum()),
         "missed_insecure": int((~pred_infeasible & y).sum()),
@@ -566,7 +565,6 @@ def cmd_scopf_bench(args):
     config = {
         "case": os.path.basename(case_path),
         "limit": args.limit,
-        "backend": args.backend,
     }
     manifest, run_dir = start_run(
         "scopf-bench", args.out, config, 0,
@@ -594,8 +592,7 @@ def cmd_scopf_bench(args):
             "the region folds a dispatchable injection dimension; pass the "
             "full-dimension region (region_full.npz)")
 
-    records, summary = benchmark_scopf(net, demands, region_full, clf,
-                                       backend=args.backend)
+    records, summary = benchmark_scopf(net, demands, region_full, clf)
     summary["manifest"] = manifest.hash
     save_benchmark(records, summary,
                    os.path.join(run_dir, "scopf_instances.csv"),
@@ -723,8 +720,6 @@ def build_parser():
                         "non-dispatchable")
     p.add_argument("--limit", type=int, default=0,
                    help="cap the number of test demand instances (0 = all)")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "simplex", "highs"])
     add_run_flags(p)
     p.set_defaults(func=cmd_scopf_bench)
 

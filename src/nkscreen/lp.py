@@ -25,9 +25,10 @@ problem/solution contract:
   of sampled demands does, so invert each basis once.  The engine keeps the
   8 bases used last (at most 8 m^2 floats) and drops them all when
   ``reload`` replaces the matrix.  ``snapshot``/``restore`` save and
-  reinstate a basis, with its inverse or without it (then ``restore``
-  takes the kept inverse or inverts it again), for callers that want a
-  re-solve to start from a basis of their choosing; the re-solve after a
+  reinstate a basis (never its inverse: ``restore`` takes the current
+  inverse when the basis is the current one, else the kept inverse, else
+  inverts it under the present matrix), for callers that want a re-solve
+  to start from a basis of their choosing; the re-solve after a
   ``restore`` checks primal feasibility first, because the basis may come
   from other data.
 
@@ -43,8 +44,9 @@ problem/solution contract:
   the bounds (fixed and free columns) are computed once.  Counters of
   pivots, refactorizations, slack-basis retries and switches to Bland's
   rule are updated outside the per-pivot work.
-* scipy's HiGHS (``backend="highs"``): used for large one-off instances
-  (thousands of rows) where maintaining a dense basis inverse is wasteful.
+* scipy's HiGHS: ``solve`` picks it for one-off instances of more than
+  600 rows, where maintaining a dense basis inverse is wasteful, and
+  ``solve(problem, backend="highs")`` asks for it by name.
 
 Conventions: objective is MAXIMIZED; constraint relations are "<=" or "=";
 duals of "<=" rows are nonnegative at optimality (up to ``TOL_FEAS``),
@@ -159,12 +161,10 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class BasisSnapshot:
-    """A ``SimplexEngine`` basis, its inverse (or None) and its solve state."""
+    """A ``SimplexEngine`` basis, its variables' status and its solve state."""
 
     basis: np.ndarray
     vstat: np.ndarray
-    B_inv: np.ndarray | None
-    inv_exact: bool
     solved_once: bool
     last_status: LpStatus | None
 
@@ -484,46 +484,36 @@ class SimplexEngine:
         self._recompute_x()
         return self._finish(restore_feasibility=True)
 
-    def snapshot(self, inverse=True) -> BasisSnapshot:
-        """The current basis, to hand to ``restore`` later.
-
-        With inverse=False the snapshot leaves out ``B_inv`` (m x m floats)
-        and ``restore`` inverts the basis again.
-        """
-        B_inv = self.B_inv.copy() if inverse else None
-        return BasisSnapshot(self.basis.copy(), self.vstat.copy(), B_inv,
-                             inverse and self._inv_exact,
+    def snapshot(self) -> BasisSnapshot:
+        """The current basis, to hand to ``restore`` later."""
+        return BasisSnapshot(self.basis.copy(), self.vstat.copy(),
                              self._solved_once, self._last_status)
 
     def restore(self, snap: BasisSnapshot):
         """Reinstate a snapshot's basis; the next solve starts from it.
 
         The problem data (matrix, right-hand side, objective) stay as they
-        are now.  The snapshot is copied, so it can be restored again.  A
-        snapshot without its inverse is refactorized, unless its basis is
-        the current one and the current inverse is exact; the
-        refactorization copies the engine's kept inverse of that basis when
-        it has one, and inverts only when not (the same bytes every way).
-        If the basis is singular the next solve starts cold from the slack
-        basis.  The basis may be primal infeasible under the present data (a
-        basis kept from another matrix), so the next solve,
-        ``resolve_objective`` included, runs phase 1 if it is; a feasible
-        one goes straight to phase 2, as it would without the check.
+        are now.  The snapshot is copied, so it can be restored again.  The
+        basis is refactorized under the present matrix: not at all when it
+        is the current basis and the current inverse is exact, from the
+        engine's kept inverse of that basis when it has one, and by
+        inverting it otherwise (the same bytes every way).  If the basis is
+        singular the next solve starts cold from the slack basis.  The basis
+        may be primal infeasible under the present data (a basis kept from
+        another matrix), so the next solve, ``resolve_objective`` included,
+        runs phase 1 if it is; a feasible one goes straight to phase 2, as
+        it would without the check.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
             raise ValueError("snapshot of an engine of another shape")
-        if snap.B_inv is None:
-            self._inv_exact = (self._inv_exact
-                               and np.array_equal(snap.basis, self.basis))
-        else:
-            self.B_inv = snap.B_inv.copy()
-            self._inv_exact = snap.inv_exact
+        self._inv_exact = (self._inv_exact
+                           and np.array_equal(snap.basis, self.basis))
         self.basis = snap.basis.copy()
         self.vstat = snap.vstat.copy()
         self._solved_once = snap.solved_once
         self._last_status = snap.last_status
         self._restored = True
-        if snap.B_inv is None and not self._refactor():
+        if not self._refactor():
             self._fall_back_to_slack_basis()
             self._solved_once = False
         self._recompute_x()
@@ -621,16 +611,11 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
     )
 
 
-def pick_backend(backend: str, n_rows: int) -> str:
-    """The backend "auto" stands for at this many rows; others unchanged."""
-    if backend == "auto":
-        return "highs" if n_rows > 600 else "simplex"
-    return backend
-
-
 def solve(problem: LpProblem, backend: str = "auto") -> LpSolution:
-    """One-shot solve. backend: "simplex", "highs", or "auto" (size-based)."""
-    backend = pick_backend(backend, problem.n_rows)
+    """One-shot solve. backend: "simplex", "highs", or "auto" (HiGHS above
+    600 rows)."""
+    if backend == "auto":
+        backend = "highs" if problem.n_rows > 600 else "simplex"
     if backend == "simplex":
         return SimplexEngine(problem).solve()
     if backend == "highs":

@@ -82,34 +82,32 @@ class SupportResult:
 class SublevelSolver:
     """Warm-started engine answering max c.x over the predicted set.
 
-    On the simplex backend the optimal basis of each solved direction is
-    kept (basis and status, not the inverse) under the direction's bytes,
-    and ``reload`` keeps them all.  A direction seen before starts from its
-    own basis: under the weights it was solved for, the restored basis is
-    re-priced in zero pivots and gives the same bytes as before; under newer
-    weights the engine inverts it under the new matrix and re-solves,
-    running phase 1 first when the new weights made it primal infeasible.
-    A new direction starts from the basis the LP before it left.
+    The support LPs run on one simplex engine.  The optimal basis of each
+    solved direction is kept (a ``BasisSnapshot``) under the direction's
+    bytes, and ``reload`` keeps them all.  A direction seen before starts
+    from its own basis: under the weights it was solved for, the restored
+    basis is re-priced in zero pivots and gives the same bytes as before;
+    under newer weights the engine inverts it under the new matrix and
+    re-solves, running phase 1 first when the new weights made it primal
+    infeasible.  A new direction starts from the basis the LP before it
+    left.
 
     ``reload`` takes weights of the same architecture and box (ValueError
-    otherwise).  ``counters()`` returns the LPs solved, bases reused and,
-    on the simplex backend, the engine's pivots, refactorizations,
-    inverses reused, slack-basis retries and switches to Bland's rule.
+    otherwise).  ``counters()`` returns the LPs solved, bases reused and
+    the engine's pivots, refactorizations, inverses reused, slack-basis
+    retries and switches to Bland's rule.
     """
 
-    def __init__(self, params: IcnnParams, backend="simplex"):
-        self.backend = backend
+    def __init__(self, params: IcnnParams):
         self.n = params.n_inputs
         self._arch = (params.depth, params.width, params.n_inputs)
         self.A, self.b, self.lb, self.ub = epigraph_constraints(params)
         self.n_lp = 0
         self.n_reused = 0
-        self._bases = {}  # direction bytes -> BasisSnapshot without inverse
-        self.engine = None
-        if backend == "simplex":
-            c0 = np.zeros(self.A.shape[1])
-            self.engine = SimplexEngine(LpProblem(c=c0, A=self.A, b=self.b,
-                                                  lb=self.lb, ub=self.ub))
+        self._bases = {}  # direction bytes -> BasisSnapshot
+        c0 = np.zeros(self.A.shape[1])
+        self.engine = SimplexEngine(LpProblem(c=c0, A=self.A, b=self.b,
+                                              lb=self.lb, ub=self.ub))
 
     def reload(self, params: IcnnParams):
         """Swap in new weights of the same architecture and box, keeping
@@ -120,8 +118,7 @@ class SublevelSolver:
         if not (np.array_equal(lb, self.lb) and np.array_equal(ub, self.ub)):
             raise ValueError("box changed; build a new solver")
         self.A, self.b = A, b
-        if self.engine is not None:
-            self.engine.reload(A=self.A, b=self.b)
+        self.engine.reload(A=self.A, b=self.b)
 
     def holds(self, params: IcnnParams):
         """Whether this solver's constraints are those of params."""
@@ -133,11 +130,11 @@ class SublevelSolver:
         eng = self.engine
         return {
             "n_lp": self.n_lp,
-            "pivots": eng.n_pivots if eng is not None else 0,
-            "refactorizations": eng.n_refactors if eng is not None else 0,
-            "inverses_reused": eng.n_inverses_reused if eng is not None else 0,
-            "slack_retries": eng.n_slack_retries if eng is not None else 0,
-            "bland_switches": eng.n_bland if eng is not None else 0,
+            "pivots": eng.n_pivots,
+            "refactorizations": eng.n_refactors,
+            "inverses_reused": eng.n_inverses_reused,
+            "slack_retries": eng.n_slack_retries,
+            "bland_switches": eng.n_bland,
             "bases_reused": self.n_reused,
         }
 
@@ -147,18 +144,14 @@ class SublevelSolver:
             raise ValueError("support direction must be nonzero")
         c = np.zeros(self.A.shape[1])
         c[:self.n] = direction
-        if self.engine is not None:
-            key = direction.tobytes()
-            kept = self._bases.get(key)
-            if kept is not None:
-                self.engine.restore(kept)
-                self.n_reused += 1
-            sol = self.engine.resolve_objective(c)
-            if sol:
-                self._bases[key] = self.engine.snapshot(inverse=False)
-        else:
-            sol = solve(LpProblem(c=c, A=self.A, b=self.b, lb=self.lb,
-                                  ub=self.ub), backend=self.backend)
+        key = direction.tobytes()
+        kept = self._bases.get(key)
+        if kept is not None:
+            self.engine.restore(kept)
+            self.n_reused += 1
+        sol = self.engine.resolve_objective(c)
+        if sol:
+            self._bases[key] = self.engine.snapshot()
         self.n_lp += 1
         if sol.status is LpStatus.INFEASIBLE:
             raise EmptyPredictedSet("classifier sublevel set is empty")
@@ -169,15 +162,15 @@ class SublevelSolver:
                              output_dual=max(float(sol.duals[-1]), 0.0))
 
 
-def sublevel_max(params: IcnnParams, direction, backend="simplex") -> SupportResult:
+def sublevel_max(params: IcnnParams, direction) -> SupportResult:
     """One-shot support of the predicted set along a direction."""
-    return SublevelSolver(params, backend=backend).support(direction)
+    return SublevelSolver(params).support(direction)
 
 
-def _solver_for(params: IcnnParams, solver, backend):
+def _solver_for(params: IcnnParams, solver):
     """A new solver for params, or the passed one if it holds params."""
     if solver is None:
-        return SublevelSolver(params, backend=backend)
+        return SublevelSolver(params)
     if not solver.holds(params):
         raise ValueError("the solver holds other weights or another box "
                          "than params; reload it first")
@@ -193,7 +186,7 @@ class CertificationReport:
     n_lp: int
     violations: list            # (row, scaled support, offset) per bad row
     failed_rows: list           # rows whose support LP did not solve
-    # solver work of this certification (simplex backend; zero on HiGHS)
+    # simplex work of this certification
     pivots: int = 0
     refactorizations: int = 0
     inverses_reused: int = 0
@@ -228,7 +221,7 @@ class CertificationReport:
 
 
 def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
-            backend="simplex", tol=TOL_FEAS) -> CertificationReport:
+            tol=TOL_FEAS) -> CertificationReport:
     """Check (S - v)/r is a subset of {A x <= b}, S the predicted set.
 
     One support LP per row; the subset relation holds iff
@@ -246,7 +239,7 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     b = np.asarray(b, dtype=float)
     if r <= 0:
         raise ValueError("scaling factor must be positive")
-    solver = _solver_for(params, solver, backend)
+    solver = _solver_for(params, solver)
     before = solver.counters()
     zeta = np.full(A.shape[0], np.nan)
     failed = []
@@ -290,7 +283,7 @@ class ScaleResult:
     n_lp: int
 
 
-def scale_fast(params: IcnnParams, A, b, solver=None, backend="simplex") -> ScaleResult:
+def scale_fast(params: IcnnParams, A, b, solver=None) -> ScaleResult:
     """Smallest r with (1/r) S inside the region: max_j support_j / b_j.
 
     Full sweep over all rows; ties resolve to the lowest row index.  Raises
@@ -300,7 +293,7 @@ def scale_fast(params: IcnnParams, A, b, solver=None, backend="simplex") -> Scal
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    solver = _solver_for(params, solver, backend)
+    solver = _solver_for(params, solver)
     before = solver.n_lp
     best_ratio = -np.inf
     best_j = -1
@@ -318,8 +311,7 @@ def scale_fast(params: IcnnParams, A, b, solver=None, backend="simplex") -> Scal
                        n_lp=solver.n_lp - before)
 
 
-def scale_full(params: IcnnParams, A, b, solver=None,
-               backend="auto") -> ScaleResult:
+def scale_full(params: IcnnParams, A, b, solver=None) -> ScaleResult:
     """LP-optimal scaling: min r s.t. support_j <= b_j r, r >= R_MIN.
 
     The optimum is scale_fast's max_j support_j / b_j; solving the LP in
@@ -328,11 +320,11 @@ def scale_full(params: IcnnParams, A, b, solver=None,
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    solver = _solver_for(params, solver, "simplex")
+    solver = _solver_for(params, solver)
     before = solver.n_lp
     zeta = np.array([solver.support(row).value for row in A])
     sol = solve(LpProblem(c=np.array([-1.0]), A=-b[:, None], b=-zeta,
-                          lb=np.array([R_MIN])), backend=backend)
+                          lb=np.array([R_MIN])))
     if sol.status is not LpStatus.OPTIMAL:
         raise NumericalFailure(f"scaling LP ended {sol.status}")
     r = float(sol.x[0])
@@ -382,7 +374,7 @@ class ScalingOracle:
         self.b = np.asarray(self.b, dtype=float)
         if np.any(self.b <= 0):
             raise ValueError("region offsets must be positive")
-        self.solver = SublevelSolver(self.params, backend="simplex")
+        self.solver = SublevelSolver(self.params)
 
     def rescale(self, params: IcnnParams) -> ScaleResult:
         """Exact scaling of params against the region."""

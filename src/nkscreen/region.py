@@ -26,6 +26,7 @@ from .lp import LpProblem, LpStatus, solve
 
 TOL_RED = 1e-6     # slack used when declaring a row redundant
 TOL_CONST = 1e-7   # tolerance for detecting constant sample dimensions
+_MARGIN_BLOCK = 256  # points per block of row values in ``margins``
 
 ROW_META_DTYPE = np.dtype([("contingency", np.int32), ("line", np.int32), ("sign", np.int8)])
 
@@ -105,9 +106,27 @@ class ContingencyRegion:
         return (X_full[:, self.dim_map] - self.mu) / self.sigma
 
     def margins(self, X_cur):
-        """Largest row violation a @ x - b per point (negative = inside)."""
+        """Largest row violation a @ x - b per point (negative = inside).
+
+        The points go through in blocks of 256, so at most 256 x rows row
+        values are held at once (108 MB at 52,606 rows), however many
+        points there are.
+        """
         X_cur = np.atleast_2d(np.asarray(X_cur, dtype=float))
-        return (X_cur @ self.A.T - self.b).max(axis=1)
+        n = len(X_cur)
+        out = np.empty(n)
+        start = 0
+        while start < n:
+            # no block of a single point among several: numpy multiplies a
+            # single row as a matrix-vector product, which rounds other
+            # than a row of a matrix product
+            stop = n if n - start <= _MARGIN_BLOCK + 1 else start + _MARGIN_BLOCK
+            vals = X_cur[start:stop] @ self.A.T
+            vals -= self.b
+            out[start:stop] = vals.max(axis=1)
+            del vals  # before the next block is made
+            start = stop
+        return out
 
     def membership(self, X_full, tol=0.0):
         """Boolean membership for points given in full original coordinates."""

@@ -31,8 +31,7 @@ import numpy as np
 
 from .grid import Network, ptdf
 from .icnn import ScaledClassifier
-from .lp import (LpProblem, LpStatus, NumericalFailure, SimplexEngine,
-                 pick_backend, solve)
+from .lp import LpProblem, LpStatus, NumericalFailure, SimplexEngine, solve
 from .oracle import epigraph_constraints
 from .region import ContingencyRegion
 
@@ -72,19 +71,14 @@ def _result(sol, formulation, net, runtime):
                        cost=float(net.cost @ p), runtime=runtime)
 
 
-def _finish(problem, backend, formulation, net):
-    t0 = time.perf_counter()
-    sol = solve(problem, backend=backend)
-    return _result(sol, formulation, net, time.perf_counter() - t0)
-
-
-def solve_scopf_full(net: Network, demand, region: ContingencyRegion | None,
-                     backend="auto") -> ScopfResult:
+def solve_scopf_full(net: Network, demand,
+                     region: ContingencyRegion | None) -> ScopfResult:
     """Dispatch against base-case limits plus every region row.
 
     With region None the security rows are dropped and this reduces to plain
-    DC-OPF.  Reported runtime covers the LP solve only, so both formulations
-    are timed on the same footing.
+    DC-OPF.  The LP is solved once by ``lp.solve``, on HiGHS above 600 rows.
+    Reported runtime covers the LP solve only, so both formulations are
+    timed on the same footing.
     """
     demand = np.asarray(demand, dtype=float)
     _, H = ptdf(net)
@@ -102,7 +96,9 @@ def solve_scopf_full(net: Network, demand, region: ContingencyRegion | None,
     rel = ["<="] * (len(b) - 1) + ["="]
     problem = LpProblem(c=-net.cost, A=A, b=b, rel=rel, lb=net.pmin, ub=net.pmax)
     formulation = "dcopf" if region is None else "full"
-    return _finish(problem, backend, formulation, net)
+    t0 = time.perf_counter()
+    sol = solve(problem)
+    return _result(sol, formulation, net, time.perf_counter() - t0)
 
 
 class _IcnnDispatchLp:
@@ -110,11 +106,13 @@ class _IcnnDispatchLp:
 
     Only the right-hand side depends on the demand, so the constraint
     matrix (with the network's PTDF) is built once.  The simplex engine is
-    built on first use and solved once at the network's nominal demand; its
-    optimal basis, with that basis's inverse, is the start of every later
-    simplex solve.  Because every solve starts from this one basis, the
-    answer for a demand does not depend on which demands came before.  If
-    the nominal solve is not optimal, solves start from the slack basis.
+    built on first use and solved once at the network's nominal demand; a
+    snapshot of its optimal basis is the start of every later solve, which
+    the engine's ``restore`` refactorizes (re-inverting it only when its
+    kept inverse was dropped).  Because every solve starts from this one
+    basis, the answer for a demand does not depend on which demands came
+    before.  If the nominal solve is not optimal, solves start from the
+    slack basis.
     """
 
     def __init__(self, net: Network, clf: ScaledClassifier):
@@ -230,18 +228,13 @@ def _icnn_lp(net, clf) -> _IcnnDispatchLp:
 def icnn_dispatch_problem(net: Network, demand, clf: ScaledClassifier) -> LpProblem:
     """The classifier SC-OPF at one demand as a standalone LP.
 
-    The LP that ``solve_scopf_icnn`` solves, for cross-checks and one-shot
-    backends; its matrix comes from the same cache.
+    The LP that ``solve_scopf_icnn`` solves, for cross-checks with
+    ``lp.solve``; its matrix comes from the same cache.
     """
     return _icnn_lp(net, clf).problem(np.asarray(demand, dtype=float))
 
 
-def _warm(lp: _IcnnDispatchLp, backend):
-    return pick_backend(backend, len(lp.A)) == "simplex"
-
-
-def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier,
-                     backend="auto") -> ScopfResult:
+def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier) -> ScopfResult:
     """Dispatch with the security rows replaced by the classifier set.
 
     The constraint forward(r * standardize(p - d)) <= 0 enters through the
@@ -252,18 +245,14 @@ def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier,
     satisfies the full region.
 
     The LP of the last (network, classifier) pair is cached, keyed on their
-    content.  On the simplex backend each demand is a right-hand-side
-    re-solve from the optimal basis of the nominal demand, always that same
+    content.  Each demand is a right-hand-side re-solve on the simplex
+    engine from the optimal basis of the nominal demand, always that same
     basis, so the result depends on the demand alone and not on the order
     of calls; the reported runtime is that re-solve.  The one-off build and
     nominal solve are not part of it (``benchmark_scopf`` reports them as
-    ``icnn_setup_s``).  On HiGHS each demand is a one-shot solve.
+    ``icnn_setup_s``).
     """
-    demand = np.asarray(demand, dtype=float)
-    lp = _icnn_lp(net, clf)
-    if _warm(lp, backend):
-        return lp.solve(demand)
-    return _finish(lp.problem(demand), backend, "icnn", net)
+    return _icnn_lp(net, clf).solve(np.asarray(demand, dtype=float))
 
 
 def region_safe_for_dispatch(net: Network, region: ContingencyRegion, demands):
@@ -289,7 +278,7 @@ def region_safe_for_dispatch(net: Network, region: ContingencyRegion, demands):
 
 
 def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
-                    clf: ScaledClassifier, backend="auto"):
+                    clf: ScaledClassifier):
     """Run both formulations over demand instances and compare.
 
     Returns (records, summary).  records holds one row per instance and
@@ -309,15 +298,13 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     # the classifier LP's one-off build and nominal solve, timed apart
     _icnn_lps.clear()
     t0 = time.perf_counter()
-    lp = _icnn_lp(net, clf)
-    if _warm(lp, backend):
-        lp.engine()
+    _icnn_lp(net, clf).engine()
     icnn_setup = time.perf_counter() - t0
     records = []
     fulls, icnns = [], []
     for i, d in enumerate(demands):
-        rf = solve_scopf_full(net, d, region, backend=backend)
-        ri = solve_scopf_icnn(net, d, clf, backend=backend)
+        rf = solve_scopf_full(net, d, region)
+        ri = solve_scopf_icnn(net, d, clf)
         fulls.append(rf)
         icnns.append(ri)
         for res in (rf, ri):
@@ -361,10 +348,10 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
                     if both and np.mean(rt_icnn) > 0 else None),
         "icnn_setup_s": icnn_setup,
         "runtime_note": "runtime means cover instances feasible under both "
-                        "formulations only; on the simplex backend an icnn "
-                        "runtime is a warm right-hand-side re-solve from the "
-                        "cached nominal basis, and the one-off LP build and "
-                        "nominal solve are icnn_setup_s",
+                        "formulations only; an icnn runtime is a warm "
+                        "right-hand-side re-solve from the cached nominal "
+                        "basis, and the one-off LP build and nominal solve "
+                        "are icnn_setup_s",
     }
     return records, summary
 

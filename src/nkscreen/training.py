@@ -161,11 +161,9 @@ class TrainingRecord:
                 writer.writerow(asdict(rec))
 
 
-def classification_rates(params: IcnnParams, X, y, r=1.0):
-    """(fpr, fnr) of the scaled classifier; empty classes count as zero."""
-    if len(X) == 0:
-        return 0.0, 0.0
-    pred_infeasible = forward(params, r * np.asarray(X)) > 0.0
+def classification_rates(pred_infeasible, y):
+    """(fpr, fnr) of predictions against labels, both True = insecure;
+    empty classes count as zero."""
     y = np.asarray(y).astype(bool)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
@@ -277,7 +275,8 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
         lr = config.lr_at(epoch)
         if epoch < config.warm_epochs:
             loss = warm_epoch(params, X_train, y_train, config, opt, lr, rng)
-            fpr, fnr = classification_rates(params, X_val, y_val)
+            fpr, fnr = classification_rates(forward(params, X_val) > 0.0,
+                                            y_val)
             rec = EpochRecord(epoch, "warm", lr, loss, float("nan"), -1,
                               fpr, fnr)
         else:
@@ -288,8 +287,8 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
                                         config, opt, lr, rng)
             if epoch == config.warm_epochs:
                 first = oracle.solver.counters()
-            fpr, fnr = classification_rates(candidate, X_val, y_val,
-                                            r=scale.r)
+            fpr, fnr = classification_rates(
+                forward(candidate, scale.r * X_val) > 0.0, y_val)
             rec = EpochRecord(epoch, "scale", lr, loss, scale.r, scale.row,
                               fpr, fnr)
             if fnr == 0.0 and (best is None or fpr < best[0]):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from nkscreen.artifacts import write_json
-from nkscreen.baselines import mlp_rates, train_mlp
+from nkscreen.baselines import mlp_forward, train_mlp
 from nkscreen.cli import main, resolve_case
 from nkscreen.datagen import load_dataset
 from nkscreen.grid import load_network
@@ -35,7 +35,8 @@ from nkscreen.oracle import (DegenerateRatio, certify, r_gradient, scale_fast,
                              scale_full, sublevel_max)
 from nkscreen.region import load_region
 from nkscreen.scopf import solve_scopf_icnn
-from nkscreen.training import TrainingConfig, scaled_batch_gradient, weighted_bce
+from nkscreen.training import (TrainingConfig, classification_rates,
+                               scaled_batch_gradient, weighted_bce)
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 PKG = os.path.join(ROOT, "src", "nkscreen")
@@ -479,7 +480,8 @@ def test_criterion_11_mlp_baseline_misses_insecure(pipeline):
                                  decay_epochs=(225,), seed=0)
             params, _ = train_mlp(Z[ds.train], y[ds.train],
                                   Z[ds.val], y[ds.val], cfg)
-            _, fnr = mlp_rates(params, Z[ds.test], y[ds.test])
+            _, fnr = classification_rates(
+                mlp_forward(params, Z[ds.test]) > 0.0, y[ds.test])
             fnrs[(depth, w)] = fnr
     elapsed = time.perf_counter() - t0
     positive = sum(f > 0 for f in fnrs.values())

@@ -11,13 +11,13 @@ from nkscreen.baselines import (
     mlp_backward,
     mlp_epoch,
     mlp_forward,
-    mlp_rates,
     screen_batch,
     time_screening,
     train_mlp,
 )
 from nkscreen.datagen import DemandSampler, label_injections, sample_injections
 from nkscreen.region import build_region
+from nkscreen.training import classification_rates
 from nkscreen.training import Adam, TrainingConfig
 
 from helpers import ring3, square_toy
@@ -90,7 +90,7 @@ class TestMlpCore:
         net = abs_net(0.5)
         X = np.array([[0.1], [0.9], [-0.9], [0.2]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        fpr, fnr = mlp_rates(net, X, y)
+        fpr, fnr = classification_rates(mlp_forward(net, X) > 0.0, y)
         assert fpr == 0.5   # -0.9 is predicted infeasible but labeled 0
         assert fnr == 0.5   # 0.2 is predicted feasible but labeled 1
 
@@ -126,7 +126,8 @@ class TestTrainMlp:
                              scaling_epochs=40, batch_size=64,
                              decay_epochs=(60,), seed=0)
         net, record = train_mlp(X[:400], y[:400], X[400:], y[400:], cfg)
-        fpr, fnr = mlp_rates(net, X[400:], y[400:])
+        fpr, fnr = classification_rates(mlp_forward(net, X[400:]) > 0.0,
+                                        y[400:])
         assert fpr + fnr < 0.15
         assert len(record.epochs) == 80
         assert 0 <= record.best_epoch < 80

@@ -364,27 +364,80 @@ def test_snapshot_restore_reproduces_solve():
 
 
 def test_snapshot_without_inverse_refactors_once(monkeypatch):
+    # the restore contract: a snapshot holds no inverse; restoring another
+    # basis refactorizes it once (from a kept inverse or by inverting it),
+    # and restoring the current basis with its exact inverse does neither
     rng = np.random.default_rng(24)
     p = random_bounded_lp(rng, n=4, m=6)
     eng = SimplexEngine(p)
     first = eng.solve()
-    snap = eng.snapshot(inverse=False)
-    assert snap.B_inv is None
+    snap = eng.snapshot()
+    assert not hasattr(snap, "B_inv")
     x0 = (p.lb + p.ub) / 2
     for _ in range(10):
         eng.resolve_rhs(p.A @ x0 + rng.uniform(0.05, 2.0, size=6))
     eng.resolve_rhs(p.b)
     assert not np.array_equal(eng.basis, snap.basis)
+
+    def refactorizations():
+        return eng.n_refactors + eng.n_inverses_reused
+
     calls = counting_inv(monkeypatch)
-    refactors = eng.n_refactors
+    refactors, before = eng.n_refactors, refactorizations()
     eng.restore(snap)
     again = eng.resolve_objective(p.c)
     assert again.iterations == 0
     same_bytes(again, first)
-    # the current basis with an exact inverse is not inverted again
-    eng.restore(eng.snapshot(inverse=False))
+    assert refactorizations() == before + 1
+    assert len(calls) == eng.n_refactors - refactors
+    before = refactorizations()
+    eng.restore(eng.snapshot())
     same_bytes(eng.resolve_objective(p.c), first)
-    assert len(calls) == eng.n_refactors - refactors == 1
+    assert refactorizations() == before
+
+
+def test_restore_reinverts_an_evicted_basis(monkeypatch):
+    rng = np.random.default_rng(29)
+    p = random_bounded_lp(rng, n=8, m=10)
+    eng = SimplexEngine(p)
+    first = eng.solve()
+    nominal = eng.snapshot()
+    inverted = eng.n_refactors
+    for _ in range(60):
+        eng.resolve_objective(rng.normal(size=8))
+    assert eng.n_refactors - inverted >= 8
+    assert nominal.basis.tobytes() not in eng._inverses
+    calls = counting_inv(monkeypatch)
+    refactors, reused = eng.n_refactors, eng.n_inverses_reused
+    eng.restore(nominal)
+    assert len(calls) == 1 and eng.n_refactors == refactors + 1
+    assert eng.n_inverses_reused == reused
+    again = eng.resolve_objective(p.c)
+    assert again.iterations == 0
+    same_bytes(again, first)
+
+
+def test_restore_after_matrix_reload_solves_new_matrix():
+    # a basis kept from before reload(A=...) is refactorized under the new
+    # matrix: the re-solve agrees with a fresh engine on that matrix
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        p = random_bounded_lp(rng, n=4, m=6)
+        eng = SimplexEngine(p)
+        eng.solve()
+        snap = eng.snapshot()
+        A2 = p.A + 0.3 * rng.normal(size=p.A.shape)
+        b2 = p.b + rng.uniform(0.0, 0.5, size=p.b.shape)
+        eng.reload(A=A2, b=b2)
+        eng.restore(snap)
+        got = eng.resolve_rhs(b2)
+        p2 = LpProblem(c=p.c, A=A2, b=b2, lb=p.lb, ub=p.ub)
+        want = SimplexEngine(p2).solve()
+        assert got.status is want.status, seed
+        if want:
+            np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
+            assert abs(got.objective - want.objective) <= 1e-9, seed
+            check_kkt(p2, got)
 
 
 def test_counters_track_work(monkeypatch):
@@ -398,9 +451,9 @@ def test_counters_track_work(monkeypatch):
     assert eng.n_pivots == total > 0
     assert eng.n_refactors == len(calls) > 0
     assert eng.n_slack_retries == 0 and eng.n_bland == 0
-    # a singular basis restored without its inverse restarts from the slack
-    # basis, and the counter says so
-    snap = eng.snapshot(inverse=False)
+    # a singular basis restored restarts from the slack basis, and the
+    # counter says so
+    snap = eng.snapshot()
     eng.restore(dataclasses.replace(snap, basis=np.full(eng.m, eng.n)))
     assert eng.n_slack_retries == 1
     check_kkt(p, eng.resolve_objective(p.c))
@@ -447,14 +500,14 @@ def assert_cache_exact(eng):
 def _leave_optimal_basis(seed):
     """An engine whose optimal basis was inverted, then left by pivoting
     re-solves; returns the engine, its problem, the first solution, a
-    snapshot of that basis without its inverse and a right-hand side whose
+    snapshot of that basis and a right-hand side whose
     optimal basis is another one."""
     rng = np.random.default_rng(seed)
     p = random_bounded_lp(rng, n=4, m=6)
     eng = SimplexEngine(p)
     first = eng.solve()
     assert first.iterations > 0
-    snap = eng.snapshot(inverse=False)
+    snap = eng.snapshot()
     x0 = (p.lb + p.ub) / 2
     for _ in range(50):
         b_away = p.A @ x0 + rng.uniform(0.05, 2.0, size=6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nkscreen.icnn import IcnnParams, forward, init_params, raw_forward
-from nkscreen.lp import _AT_LB, _AT_UB, TOL_FEAS
+from nkscreen.lp import _AT_LB, _AT_UB, TOL_FEAS, LpProblem, solve
 from nkscreen.oracle import (
     DegenerateRatio, EmptyPredictedSet, ScalingOracle, SublevelSolver,
     certify, epigraph_constraints, r_gradient, scale_fast, scale_full,
@@ -145,9 +145,12 @@ class TestSublevelMax:
                               box_upper=1.5 * np.ones(3), seed=seed)
             net.b[2] = net.b[2] - raw_forward(net, np.zeros(3)) - 0.4
             c = np.random.default_rng(seed).normal(size=3)
-            a = sublevel_max(net, c, backend="simplex")
-            b = sublevel_max(net, c, backend="highs")
-            assert a.value == pytest.approx(b.value, rel=1e-8, abs=1e-8)
+            a = sublevel_max(net, c)
+            A, b, lb, ub = epigraph_constraints(net)
+            obj = np.concatenate([c, np.zeros(A.shape[1] - 3)])
+            h = solve(LpProblem(c=obj, A=A, b=b, lb=lb, ub=ub),
+                      backend="highs")
+            assert a.value == pytest.approx(h.objective, rel=1e-8, abs=1e-8)
 
     def test_empty_set_raises(self):
         net = l1_ball_net()

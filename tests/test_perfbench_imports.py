@@ -1,0 +1,98 @@
+"""The benchmark's modules against this tree.
+
+perfbench/ drives the program through names it imports from nkscreen and
+through the call shapes below.  A name removed or renamed here, or a
+changed call shape, fails these tests instead of a benchmark run.  Nothing
+is written under perfbench/: bytecode writing is off while its modules load.
+"""
+
+import ast
+import importlib
+import inspect
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+BENCH = os.path.join(ROOT, "perfbench")
+MODULES = ("common", "spans", "workload", "train_phase", "screen_phase",
+           "dispatch_phase")
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for var in BLAS_VARS:  # workload sets them when imported
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    yield
+    for name in (*MODULES, "build"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports(bench, name):
+    importlib.import_module(name)
+
+
+def _bench_trees():
+    for fname in sorted(os.listdir(BENCH)):
+        if fname.endswith(".py"):
+            with open(os.path.join(BENCH, fname)) as fh:
+                yield fname, ast.parse(fh.read(), fname)
+
+
+def test_every_nkscreen_name_resolves():
+    """Imports inside functions included, and attributes of imported
+    nkscreen modules, named directly or as a wrapped attribute's string."""
+    missing = []
+    for fname, tree in _bench_trees():
+        bound = {}  # local name -> nkscreen module or object
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nkscreen"):
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    if hasattr(mod, alias.name):
+                        bound[alias.asname or alias.name] = getattr(mod, alias.name)
+                    else:
+                        missing.append(f"{fname}: {node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("nkscreen"):
+                        bound[alias.asname or alias.name] = importlib.import_module(alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and inspect.ismodule(bound.get(node.value.id))
+                    and not hasattr(bound[node.value.id], node.attr)):
+                missing.append(f"{fname}: {node.value.id}.{node.attr}")
+            # tracer.wrap(owner, "attr", ...)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "wrap" and len(node.args) >= 2
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in bound
+                    and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)
+                    and not hasattr(bound[node.args[0].id], node.args[1].value)):
+                missing.append(f"{fname}: {node.args[0].id}.{node.args[1].value}")
+    assert missing == []
+
+
+def test_call_shapes():
+    from nkscreen.baselines import screen_batch
+    from nkscreen.grid import DcopfSolver
+    from nkscreen.oracle import ScalingOracle, SublevelSolver, certify
+    from nkscreen.scopf import solve_scopf_full, solve_scopf_icnn
+    from nkscreen.training import train
+
+    x = object()
+    inspect.signature(certify).bind(x, x, x, x, x, x)
+    inspect.signature(SublevelSolver).bind(x)
+    inspect.signature(DcopfSolver).bind(x)
+    inspect.signature(ScalingOracle.rescale).bind(x, x)
+    inspect.signature(solve_scopf_full).bind(x, x, x)
+    inspect.signature(solve_scopf_icnn).bind(x, x, x)
+    inspect.signature(screen_batch).bind(x, x, early_exit=False)
+    inspect.signature(train).bind(*[x] * 10)
+

@@ -65,6 +65,25 @@ def test_build_region_counts_and_rhs():
     assert region.dim == 3
 
 
+def test_membership_memory_bounded_by_blocks():
+    import tracemalloc
+
+    # 2,000 points x 2,000 rows: one full matrix of row values is 32 MB
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(2000, 6))
+    region = region_from_rows(A, np.abs(A).sum(axis=1))
+    X = rng.uniform(-1.2, 1.2, size=(2000, 6))
+    want = (X @ A.T <= region.b).all(axis=1)
+    tracemalloc.start()
+    try:
+        member = region.membership(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(member, want)
+    assert peak < 8e6, f"membership peaked at {peak / 1e6:.1f} MB"
+
+
 def test_region_membership_matches_flow_oracle():
     net = ring3(limits=(1.0, 1.0, 1.0))
     region = build_region(net, k=1)
