@@ -224,13 +224,16 @@ def exhaustive_screen(region: ContingencyRegion, x, block=256):
 
 
 def screen_batch(region: ContingencyRegion, X, early_exit=True):
-    """Row-sweep labels (1 = infeasible) for a batch of injections."""
+    """Row-sweep labels (1 = infeasible) for a batch of injections.
+
+    The full sweep is ``region.margins``, which holds the row values of a
+    block of points at a time, never of the whole batch.
+    """
     X = _check_width(region, X)
     if early_exit:
         return np.array([0 if exhaustive_screen(region, x) else 1 for x in X],
                         dtype=np.uint8)
-    U = region.project(X)
-    return ((U @ region.A.T - region.b).max(axis=1) > 0).astype(np.uint8)
+    return (region.margins(region.project(X)) > 0).astype(np.uint8)
 
 
 def time_screening(region: ContingencyRegion, X, repeats=3):

@@ -169,7 +169,6 @@ def cmd_prepare_region(args):
         "threshold": args.threshold,
         "inflate": args.inflate,
         "elimination": args.elimination,
-        "aim_samples": args.aim_samples,
     }
     manifest, run_dir = start_run("prepare-region", args.out, config,
                                   args.seed, {"case": case_path})
@@ -212,8 +211,7 @@ def cmd_prepare_region(args):
     boxed = with_box(reduced, X, inflate=args.inflate)
     t0 = time.perf_counter()
     if args.elimination == "exact":
-        aims = boxed.project(X[:args.aim_samples]) if args.aim_samples > 0 else None
-        pruned = eliminate_redundant(boxed, aim_points=aims)
+        pruned = eliminate_redundant(boxed)
     else:
         pruned = prune_by_box_support(boxed)
     stage_seconds["eliminate"] = time.perf_counter() - t0
@@ -253,7 +251,10 @@ def cmd_prepare_region(args):
         "rows_enumerated": int(region0.n_rows),
         "rows_filtered": int(filtered.n_rows),
         "rows_before_elimination": int(boxed.n_rows),
-        "elimination": args.elimination,
+        # exact elimination keeps its LP counts in the region's meta; the
+        # support screen solves no LP and adds none
+        "elimination": {"method": args.elimination,
+                        **pruned.meta.get("elimination", {})},
         "rows": int(final.n_rows),
         "columns": int(final.dim),
         "stage_seconds": {k: round(v, 3) for k, v in stage_seconds.items()},
@@ -652,9 +653,6 @@ def build_parser():
                    choices=["support", "exact"],
                    help="row reduction: per-row box-support screening "
                         "(reference pipeline) or LP-exact minimal form")
-    p.add_argument("--aim-samples", type=int, default=500,
-                   help="sample points used to aim facet-certification rays "
-                        "(exact elimination only)")
     p.add_argument("--seed", type=int, default=0)
     add_run_flags(p)
     p.set_defaults(func=cmd_prepare_region)

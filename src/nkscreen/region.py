@@ -3,13 +3,16 @@
 ``build_region`` stacks, for every non-islanding outage set of size <= k, the
 post-contingency flow limits as linear rows a @ x <= b over net bus
 injections x = p - d.  The raw stack is enormously redundant; the pipeline
-(filter_contingencies -> drop_constant_dims -> with_box -> eliminate_redundant
--> standardize) shrinks it to a minimal representation while preserving
-membership for every point inside the sampling box.
+(filter_contingencies -> drop_constant_dims -> with_box -> prune_by_box_support
+or eliminate_redundant -> standardize) shrinks it while preserving membership
+for every point inside the sampling box.  ``prune_by_box_support`` drops
+duplicate rows and rows the box cannot reach; ``eliminate_redundant`` then
+keeps only the facets, by Clarkson's search from a Chebyshev centre.
 
-Row right-hand sides must stay strictly positive (the origin is interior);
-transformations that would break that raise AssumptionViolated rather than
-emit a region other code would silently mis-certify against.
+Between folding and standardizing, the origin need not be interior (b may
+lose positivity); the standardized region has b > 0.  Transformations that
+would break an invariant raise AssumptionViolated rather than emit a region
+other code would silently mis-certify against.
 """
 
 from __future__ import annotations
@@ -313,155 +316,79 @@ def _dedup_rows(A_hat, b_hat):
     return np.array(sorted(kept))
 
 
-def _ray_certified(A_hat, slack, box_lo, box_hi, origin, directions):
-    """Rows that provably define facets, found by shooting rays from an
-    interior point: the first hyperplane a ray crosses (strictly before the
-    box boundary and strictly before every other row) is touched by a point
-    of the region, so that row cannot be redundant.
+def _chebyshev_centre(A_hat, b_hat, lo, hi):
+    """Centre of the largest ball inside the unit-normal rows, x in the box.
 
-    ``slack`` is b_hat - A_hat @ origin and must be strictly positive.
+    Raises AssumptionViolated when the radius is not positive: the rows
+    then leave no interior inside the box.
     """
-    n_rows = len(slack)
-    certified = np.zeros(n_rows, dtype=bool)
-    if directions is None or len(directions) == 0:
-        return certified
-    D = np.atleast_2d(directions)
-    norms = np.linalg.norm(D, axis=1)
-    D = D[norms > 1e-12] / norms[norms > 1e-12][:, None]
-    lo = box_lo - origin
-    hi = box_hi - origin
-    chunk = max(1, int(5e6 // max(1, n_rows)))
-    for s in range(0, len(D), chunk):
-        Dc = D[s : s + chunk]
-        nd = Dc.shape[0]
-        S = A_hat @ Dc.T                       # (rows, dirs)
-        with np.errstate(divide="ignore"):
-            T = np.where(S > 1e-12, slack[:, None] / S, np.inf)
-        # distance to the box along each ray
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_hi = np.where(Dc > 1e-12, hi / Dc, np.inf)
-            t_lo = np.where(Dc < -1e-12, lo / Dc, np.inf)
-        t_box = np.minimum(t_hi, t_lo).min(axis=1)
-        if n_rows == 1:
-            ok = (T[0] < t_box * (1 - 1e-9)) & np.isfinite(T[0])
-            certified[0] |= bool(np.any(ok))
-            continue
-        two = np.argpartition(T, 1, axis=0)[:2]
-        ta = T[two[0], np.arange(nd)]
-        tb = T[two[1], np.arange(nd)]
-        first = np.where(ta <= tb, two[0], two[1])
-        t1 = np.minimum(ta, tb)
-        t2 = np.maximum(ta, tb)
-        ok = (t1 < t_box * (1 - 1e-9)) & (t1 < t2 * (1 - 1e-9)) & np.isfinite(t1)
-        certified[first[ok]] = True
-    return certified
+    m, n = A_hat.shape
+    prob = LpProblem(c=np.append(np.zeros(n), 1.0),
+                     A=np.hstack([A_hat, np.ones((m, 1))]), b=b_hat,
+                     lb=np.append(lo, -np.inf), ub=np.append(hi, np.inf))
+    sol = solve(prob)
+    if sol.status is not LpStatus.OPTIMAL or sol.x[-1] <= 0.0:
+        raise AssumptionViolated("the region has no interior inside the box")
+    return sol.x[:-1], sol.iterations
 
 
-def _support_over_rows(A_rows, b_rows, lo, hi, obj):
-    """max obj @ x subject to the rows and the box, via LP."""
-    prob = LpProblem(c=obj, A=A_rows, b=b_rows, lb=lo, ub=hi)
-    backend = "highs" if len(b_rows) > 400 else "simplex"
-    sol = solve(prob, backend=backend)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise AssumptionViolated(f"support LP ended {sol.status}; region box should bound it")
-    return sol.objective
-
-
-def eliminate_redundant(region: ContingencyRegion, tol_red=TOL_RED, aim_points=None,
-                        origin=None):
+def eliminate_redundant(region: ContingencyRegion):
     """Remove rows implied by the rest of the region within the box.
 
-    Exactness only comes from LPs; everything else is sound screening that
-    avoids LPs where possible: exact-duplicate collapse, facet certification
-    by ray shooting from ``origin`` (default: coordinate origin) toward the
-    row normals and the optional ``aim_points``, and a box-support dominance
-    bound.  The result is minimal (re-running removes nothing) and defines
-    the same set as the input inside the box.
+    First the box-support screen, then Clarkson's output-sensitive search
+    (Clarkson, FOCS 1994) over the rows that survive it, in index order.
+    Row j is tested by maximizing its normal over the facets found so far
+    plus the box; if the maximum stays within b_j + TOL_RED the row is
+    implied.  Otherwise a ray from an interior point (the Chebyshev centre)
+    to the maximizer leaves the region through a facet, the first row it
+    crosses (lowest index on ties); that row joins the facets and j is
+    tested again unless it was j itself.  Only facets are ever added, so
+    the result is minimal and defines the same set as the input inside the
+    box.  ``meta["elimination"]`` counts the rows after the screen, the LPs
+    solved (the centre's included), their summed iterations and the facets.
     """
-    if region.box_lower is None:
-        raise ValueError("attach a box (with_box) before eliminating redundancy")
-    A, b = region.A, region.b
-    lo, hi = region.box_lower, region.box_upper
-    A_hat, b_hat = _normalized(A, b)
-
-    # 1. collapse duplicate directions, keeping the tightest rhs (lowest index on ties)
-    unique_rows = _dedup_rows(A_hat, b_hat)
-    A, b = A[unique_rows], b[unique_rows]
-    A_hat, b_hat = A_hat[unique_rows], b_hat[unique_rows]
-    meta_rows = region.row_meta[unique_rows]
-
-    # 2. rays certify facet rows without any LP
-    origin = np.zeros(region.dim) if origin is None else np.asarray(origin, dtype=float)
-    slack = b_hat - A_hat @ origin
-    in_box = np.all(origin >= lo) and np.all(origin <= hi)
-    if np.all(slack > 0) and in_box:
-        dir_stack = [A_hat]
-        if aim_points is not None and len(aim_points):
-            dir_stack.append(np.atleast_2d(aim_points) - origin)
-        certified = _ray_certified(A_hat, slack, lo, hi, origin, np.vstack(dir_stack))
-    else:
-        # no interior point supplied: skip certification, LPs decide everything
-        certified = np.zeros(len(b_hat), dtype=bool)
-
-    # 3. box-support dominance: row j is redundant if some certified row i
-    #    already implies it over the box: b_i + h_box(a_j - a_i) <= b_j
-    cand = np.nonzero(~certified)[0]
-    kept = np.nonzero(certified)[0]
-    if len(kept) and len(cand):
-        Ak, bk = A_hat[kept], b_hat[kept]
-        sim = A_hat[cand] @ Ak.T
-        nearest = np.argmax(sim, axis=1)
-        diff = A_hat[cand] - Ak[nearest]
-        gap = np.maximum(diff * hi, diff * lo).sum(axis=1)
-        ub = bk[nearest] + gap
-        drop_mask = ub <= b_hat[cand] + tol_red * 0.5
-        cand = cand[~drop_mask]
-
-    # 4. exact LP test for the survivors against the growing kept set
-    kept_list = sorted(int(i) for i in np.nonzero(certified)[0])
-    lp_added = []
-    for j in cand:
-        rows = kept_list + lp_added
-        if not rows:
-            lp_added.append(int(j))
-            continue
-        z = _support_over_rows(A_hat[rows], b_hat[rows], lo, hi, A_hat[j])
-        if z > b_hat[j] + tol_red:
-            lp_added.append(int(j))
-
-    # 5. cleanup to exact minimality: only LP-added rows can still be implied
-    final = sorted(kept_list + lp_added)
-    removable = set(lp_added)
-    changed = True
-    while changed:
-        changed = False
-        for j in list(final):
-            if j not in removable:
-                continue
-            others = [i for i in final if i != j]
-            if not others:
-                continue
-            z = _support_over_rows(A_hat[others], b_hat[others], lo, hi, A_hat[j])
-            if z <= b_hat[j] + tol_red:
-                final.remove(j)
-                removable.discard(j)
-                changed = True
-
-    idx = np.asarray(final, dtype=int)
+    pre = prune_by_box_support(region)
+    lo, hi = pre.box_lower, pre.box_upper
+    A_hat, b_hat = _normalized(pre.A, pre.b)
+    centre, iterations = _chebyshev_centre(A_hat, b_hat, lo, hi)
+    slack = b_hat - A_hat @ centre
+    lps = 1
+    facet = np.zeros(pre.n_rows, dtype=bool)
+    for j in range(pre.n_rows):
+        while not facet[j]:
+            if facet.any():
+                sol = solve(LpProblem(c=A_hat[j], A=A_hat[facet], b=b_hat[facet],
+                                      lb=lo, ub=hi))
+                if sol.status is not LpStatus.OPTIMAL:
+                    raise AssumptionViolated(f"support LP ended {sol.status}; "
+                                             "the box should bound it")
+                lps += 1
+                iterations += sol.iterations
+                x, z = sol.x, sol.objective
+            else:
+                x = np.where(A_hat[j] > 0, hi, lo)
+                z = A_hat[j] @ x
+            if z <= b_hat[j] + TOL_RED:
+                break
+            rate = A_hat @ (x - centre)
+            ratio = np.full(pre.n_rows, np.inf)
+            hit = (rate > 0) & ~facet
+            ratio[hit] = slack[hit] / rate[hit]
+            facet[np.argmin(ratio)] = True
+    idx = np.nonzero(facet)[0]
     out = replace(
-        region,
-        A=A[idx].copy(),
-        b=b[idx].copy(),
-        row_meta=meta_rows[idx].copy(),
-        meta={**region.meta, "rows_before_reduction": region.n_rows,
-              "rows_after_dedup": int(len(unique_rows)),
-              "rows_ray_certified": int(certified.sum()),
-              "rows_lp_tested": int(len(cand))},
+        pre,
+        A=pre.A[idx].copy(),
+        b=pre.b[idx].copy(),
+        row_meta=pre.row_meta[idx].copy(),
+        meta={**pre.meta, "elimination": {
+            "rows_after_box_screen": pre.n_rows, "lps": lps,
+            "lp_iterations": int(iterations), "facets": len(idx)}},
     )
     return out.validate(require_interior=False)
 
 
-def prune_by_box_support(region: ContingencyRegion, tol_red=TOL_RED):
+def prune_by_box_support(region: ContingencyRegion):
     """Drop duplicate rows and rows unreachable inside the box.
 
     Two cheap, sound screens: collapse parallel rows to the tightest bound,
@@ -480,7 +407,7 @@ def prune_by_box_support(region: ContingencyRegion, tol_red=TOL_RED):
     unique_rows = _dedup_rows(A_hat, b_hat)
     A, b = region.A[unique_rows], region.b[unique_rows]
     sup = A.clip(min=0.0) @ hi + A.clip(max=0.0) @ lo
-    keep = unique_rows[sup > b + tol_red]
+    keep = unique_rows[sup > b + TOL_RED]
     if len(keep) == 0:
         raise AssumptionViolated("every row is redundant over the box; the "
                                  "box cannot reach any constraint")

@@ -3,6 +3,7 @@
 import numpy as np
 
 from nkscreen.grid import Network
+from nkscreen.region import ROW_META_DTYPE, ContingencyRegion
 
 
 def ring3(limits=(5.0, 5.0, 5.0), pmax=(10.0, 10.0, 0.0), cost=(1.0, 2.0, 0.0),
@@ -47,3 +48,24 @@ def two_bus(limit=150.0):
         demand=np.array([0.0, 100.0]),
         slack=0,
     ).validate()
+
+
+def region_from_rows(A, b, box=None):
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    meta = np.zeros(len(b), dtype=ROW_META_DTYPE)
+    meta["line"] = np.arange(len(b))
+    r = ContingencyRegion(
+        A=A,
+        b=b,
+        row_meta=meta,
+        contingencies=[(0,)],
+        n_full=A.shape[1],
+        dim_map=np.arange(A.shape[1]),
+        dropped_values=np.full(A.shape[1], np.nan),
+        mu=np.zeros(A.shape[1]),
+        sigma=np.ones(A.shape[1]),
+        box_lower=None if box is None else np.asarray(box[0], dtype=float),
+        box_upper=None if box is None else np.asarray(box[1], dtype=float),
+    )
+    return r.validate(require_interior=False)

@@ -20,7 +20,7 @@ from nkscreen.region import build_region
 from nkscreen.training import classification_rates
 from nkscreen.training import Adam, TrainingConfig
 
-from helpers import ring3, square_toy
+from helpers import region_from_rows, ring3, square_toy
 
 
 def abs_net(threshold=0.5):
@@ -176,6 +176,24 @@ class TestExhaustiveScreen:
         got_full = screen_batch(self.region, X, early_exit=False)
         assert np.array_equal(got_early, want)
         assert np.array_equal(got_full, want)
+
+    def test_full_sweep_memory_bounded_by_blocks(self):
+        import tracemalloc
+
+        # 2,000 points x 2,000 rows: one full matrix of row values is 32 MB
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(2000, 6))
+        region = region_from_rows(A, np.abs(A).sum(axis=1))
+        X = rng.uniform(-1.2, 1.2, size=(2000, 6))
+        want = (X @ A.T > region.b).any(axis=1)
+        tracemalloc.start()
+        try:
+            got = screen_batch(region, X, early_exit=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 8e6, f"full sweep peaked at {peak / 1e6:.1f} MB"
 
     def test_small_blocks_same_answer(self):
         sampler = DemandSampler(self.net.demand, seed=13)

@@ -203,6 +203,47 @@ class TestPrepareRegion:
         assert len(dirs) == 2
 
 
+class TestExactElimination:
+    @pytest.fixture(scope="class")
+    def exact(self, work):
+        runs = str(work["root"] / "runs_exact")
+        args = ["prepare-region", "--case", work["case"], "--k", "1",
+                "--counts", COUNTS, "--seed", "0", "--elimination", "exact",
+                "--out", runs]
+        assert main(args) == 0
+        (run_dir,) = os.listdir(runs)
+        return {"args": args, "dir": os.path.join(runs, run_dir)}
+
+    def test_report_block_matches_artifact(self, exact):
+        report = json.load(open(os.path.join(exact["dir"],
+                                             "region_report.json")))
+        region = load_region(os.path.join(exact["dir"], "region.npz"))
+        counts = region.meta["elimination"]
+        assert report["elimination"] == {"method": "exact", **counts}
+        assert set(counts) == {"rows_after_box_screen", "lps",
+                               "lp_iterations", "facets"}
+        assert counts["facets"] == region.n_rows == report["rows"]
+        assert region.n_rows <= counts["rows_after_box_screen"] \
+            <= report["rows_before_elimination"]
+        assert counts["lps"] >= 1
+
+    def test_rerun_is_byte_identical(self, exact):
+        names = ("region.npz", "region_full.npz", "region_report.json")
+        before = {n: file_sha256(os.path.join(exact["dir"], n))
+                  for n in names[:2]}
+        report = json.load(open(os.path.join(exact["dir"], names[2])))
+        assert main(exact["args"]) == 0
+        for name, sha in before.items():
+            assert file_sha256(os.path.join(exact["dir"], name)) == sha
+        again = json.load(open(os.path.join(exact["dir"], names[2])))
+        assert again["elimination"] == report["elimination"]
+
+    def test_aim_samples_is_rejected(self, exact):
+        with pytest.raises(SystemExit) as e:
+            main(exact["args"] + ["--aim-samples", "500"])
+        assert e.value.code == 2
+
+
 class TestGenData:
     def test_labels_match_full_region(self, work):
         ds = load_dataset(work["dataset"])

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from nkscreen.grid import ptdf
 from nkscreen.region import (
+    TOL_RED,
     AssumptionViolated,
-    ContingencyRegion,
-    ROW_META_DTYPE,
     bounding_box,
     build_region,
     contingency_violation_fractions,
@@ -21,28 +20,7 @@ from nkscreen.region import (
     standardize,
     with_box,
 )
-from helpers import ring3
-
-
-def region_from_rows(A, b, box=None):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    meta = np.zeros(len(b), dtype=ROW_META_DTYPE)
-    meta["line"] = np.arange(len(b))
-    r = ContingencyRegion(
-        A=A,
-        b=b,
-        row_meta=meta,
-        contingencies=[(0,)],
-        n_full=A.shape[1],
-        dim_map=np.arange(A.shape[1]),
-        dropped_values=np.full(A.shape[1], np.nan),
-        mu=np.zeros(A.shape[1]),
-        sigma=np.ones(A.shape[1]),
-        box_lower=None if box is None else np.asarray(box[0], dtype=float),
-        box_upper=None if box is None else np.asarray(box[1], dtype=float),
-    )
-    return r.validate(require_interior=False)
+from helpers import region_from_rows, ring3
 
 
 def test_enumerate_ring_k1():
@@ -224,7 +202,7 @@ def test_eliminate_redundant_preserves_membership_in_box():
     rng = np.random.default_rng(6)
     X = rng.normal(scale=0.7, size=(400, 3))
     region = with_box(region, X)
-    reduced = eliminate_redundant(region, aim_points=X[:100])
+    reduced = eliminate_redundant(region)
     pts = rng.uniform(region.box_lower, region.box_upper, size=(1000, 3))
     m_before = region.margins(pts)
     m_after = reduced.margins(pts)
@@ -232,6 +210,122 @@ def test_eliminate_redundant_preserves_membership_in_box():
     clear = np.abs(m_before) > 1e-5
     assert np.array_equal(m_before[clear] <= 0, m_after[clear] <= 0)
     assert reduced.n_rows <= region.n_rows
+
+
+def _random_polytope(seed, dim):
+    """Rows of a random polytope around an interior point p, with exact
+    duplicates, parallel rows of looser rhs and rows implied by positive
+    combinations of two others mixed in.  Half the seeds put p far enough
+    from the origin that some row excludes the origin."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.full(dim, -2.0), np.full(dim, 2.0)
+    p = np.zeros(dim) if seed % 2 == 0 else rng.uniform(0.6, 1.0, size=dim)
+    A = rng.normal(size=(6 * dim, dim))
+    b = A @ p + rng.uniform(0.3, 1.2, size=len(A)) * np.linalg.norm(A, axis=1)
+    extra_A, extra_b = [], []
+    for _ in range(3 * dim):
+        i, k = rng.choice(len(A), size=2, replace=False)
+        kind = rng.integers(3)
+        if kind == 0:     # exact duplicate
+            extra_A.append(A[i])
+            extra_b.append(b[i])
+        elif kind == 1:   # parallel, scaled, with a looser rhs
+            s = rng.uniform(0.5, 3.0)
+            extra_A.append(s * A[i])
+            extra_b.append(s * b[i] + rng.uniform(0.05, 0.5))
+        else:             # implied by rows i and k, touching or not
+            lam = rng.uniform(0.2, 0.8)
+            extra_A.append(lam * A[i] + (1 - lam) * A[k])
+            extra_b.append(lam * b[i] + (1 - lam) * b[k]
+                           + rng.choice([0.0, 0.1]))
+    A = np.vstack([A, extra_A])
+    b = np.concatenate([b, extra_b])
+    order = rng.permutation(len(b))
+    return region_from_rows(A[order], b[order], box=(lo, hi))
+
+
+def _brute_force_minimal(region):
+    """Row indices of the minimal form, by HiGHS alone: drop row j when the
+    maximum of its unit normal over the other surviving rows plus the box
+    stays within b_j + TOL_RED.  Rows go from the last to the first, so of
+    two equal rows the first survives, as the de-duplication keeps it."""
+    from scipy.optimize import linprog
+
+    norms = np.linalg.norm(region.A, axis=1)
+    A_hat, b_hat = region.A / norms[:, None], region.b / norms
+    bounds = list(zip(region.box_lower, region.box_upper))
+    keep = list(range(region.n_rows))
+    for j in reversed(range(region.n_rows)):
+        others = [i for i in keep if i != j]
+        res = linprog(-A_hat[j], A_ub=A_hat[others], b_ub=b_hat[others],
+                      bounds=bounds, method="highs")
+        assert res.status == 0
+        if -res.fun <= b_hat[j] + TOL_RED:
+            keep.remove(j)
+    return keep
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_eliminate_redundant_matches_brute_force(seed):
+    region = _random_polytope(seed, dim=2 + seed % 3)
+    out = eliminate_redundant(region)
+    assert out.row_meta["line"].tolist() == _brute_force_minimal(region)
+    counts = out.meta["elimination"]
+    assert counts["facets"] == out.n_rows
+    assert counts["rows_after_box_screen"] >= out.n_rows
+    assert counts["lps"] >= 1 and counts["lp_iterations"] >= 0
+
+
+def test_eliminate_redundant_centre_when_origin_is_outside():
+    A = np.array([
+        [-1.0, 0.0],   # x >= 0.5: the origin violates it
+        [1.0, 0.0],    # x <= 1.5
+        [0.0, 1.0],    # y <= 1
+        [0.0, -1.0],   # y >= -1
+        [1.0, 1.0],    # x + y <= 4: implied by rows 1 and 2
+        [-1.0, 1.0],   # y - x <= 0.5: implied by rows 0 and 2
+        [1.0, -1.0],   # x - y <= 2: cuts the corner (1.5, -1), a facet
+    ])
+    b = np.array([-0.5, 1.5, 1.0, 1.0, 4.0, 0.5, 2.0])
+    region = region_from_rows(A, b, box=(np.full(2, -2.0), np.full(2, 2.0)))
+    out = eliminate_redundant(region)
+    assert out.row_meta["line"].tolist() == [0, 1, 2, 3, 6]
+    assert out.row_meta["line"].tolist() == _brute_force_minimal(region)
+
+
+@pytest.mark.parametrize("b", [[0.5, -0.5, 1.0, 1.0],    # the segment x = 0.5
+                               [-0.5, -0.5, 1.0, 1.0]])  # x <= -0.5, x >= 0.5
+def test_eliminate_redundant_rejects_empty_interior(b):
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    region = region_from_rows(A, np.array(b),
+                              box=(np.full(2, -2.0), np.full(2, 2.0)))
+    with pytest.raises(AssumptionViolated):
+        eliminate_redundant(region)
+
+
+# sha256 of A, b and row_meta of the exact case39 k=1 region below, recorded
+# before the elimination was rewritten as one pass; numpy 2.4 with OpenBLAS
+# on x86-64 (the same bytes with one BLAS thread and with two).
+CASE39_K1_DIGEST = "1c67be4adba3fd9d1638ccfb9c61f34f6ba0c24aa1ac8f70a22d58ed6a0ec95d"
+
+
+def test_exact_elimination_bytes_unchanged():
+    import hashlib
+
+    from nkscreen.cli import resolve_case
+    from nkscreen.datagen import DemandSampler, sample_injections
+    from nkscreen.grid import load_network
+
+    net = load_network(resolve_case("case39"))
+    X = sample_injections(net, DemandSampler(net.demand, rel_std=0.15, seed=0),
+                          2000)
+    region = filter_contingencies(build_region(net, k=1), X)
+    out = eliminate_redundant(with_box(drop_constant_dims(region, X), X))
+    h = hashlib.sha256()
+    for arr in (out.A, out.b, out.row_meta):
+        h.update(arr.tobytes())
+    assert out.n_rows == 29
+    assert h.hexdigest() == CASE39_K1_DIGEST
 
 
 def test_standardize_identity_roundtrip():
