@@ -180,7 +180,8 @@ def cmd_prepare_region(args):
     stage_seconds = {}
 
     t0 = time.perf_counter()
-    region0 = build_region(net, k=args.k)
+    construction = {}
+    region0 = build_region(net, k=args.k, counters=construction)
     stage_seconds["build"] = time.perf_counter() - t0
     print(f"case {net.name}: {net.n} buses, {len(net.lines)} lines, k={args.k}")
     print(f"enumerated {len(region0.contingencies)} contingency sets, "
@@ -197,7 +198,8 @@ def cmd_prepare_region(args):
           f"({stage_seconds['sample']:.1f}s)")
 
     t0 = time.perf_counter()
-    filtered = filter_contingencies(region0, X_train, threshold=args.threshold)
+    filtered = filter_contingencies(region0, X_train, threshold=args.threshold,
+                                    counters=construction)
     stage_seconds["filter"] = time.perf_counter() - t0
     print(f"filtered: kept {len(filtered.contingencies)}/"
           f"{len(region0.contingencies)} contingencies, {filtered.n_rows} rows")
@@ -211,9 +213,9 @@ def cmd_prepare_region(args):
     boxed = with_box(reduced, X, inflate=args.inflate)
     t0 = time.perf_counter()
     if args.elimination == "exact":
-        pruned = eliminate_redundant(boxed)
+        pruned = eliminate_redundant(boxed, counters=construction)
     else:
-        pruned = prune_by_box_support(boxed)
+        pruned = prune_by_box_support(boxed, counters=construction)
     stage_seconds["eliminate"] = time.perf_counter() - t0
     print(f"redundancy elimination ({args.elimination}): "
           f"{boxed.n_rows} -> {pruned.n_rows} rows "
@@ -251,6 +253,9 @@ def cmd_prepare_region(args):
         "rows_enumerated": int(region0.n_rows),
         "rows_filtered": int(filtered.n_rows),
         "rows_before_elimination": int(boxed.n_rows),
+        # counts of the construction stages; report only, like the times,
+        # so the region artifacts keep their bytes
+        "construction": construction,
         # exact elimination keeps its LP counts in the region's meta; the
         # support screen solves no LP and adds none
         "elimination": {"method": args.elimination,

@@ -125,63 +125,106 @@ def load_network(source) -> Network:
 
 
 def incidence_matrix(net: Network, line_idx=None) -> np.ndarray:
-    """Bus-by-line incidence C: C[f,l] = +1, C[t,l] = -1 for line l = (f,t)."""
+    """Bus-by-line incidence C: C[f,l] = +1, C[t,l] = -1 for line l = (f,t).
+
+    ``line_idx`` may carry leading batch axes, e.g. (B, nl) for B line
+    subsets; C then has shape (B, n, nl).
+    """
     if line_idx is None:
         line_idx = np.arange(net.m)
-    C = np.zeros((net.n, len(line_idx)))
-    for col, l in enumerate(line_idx):
-        f, t = net.lines[l]
-        C[f, col] = 1.0
-        C[t, col] = -1.0
+    line_idx = np.asarray(line_idx, dtype=np.intp)
+    C = np.zeros(line_idx.shape[:-1] + (net.n, line_idx.shape[-1]))
+    *batch, col = np.indices(line_idx.shape, sparse=True)
+    C[(*batch, net.lines[line_idx, 0], col)] = 1.0
+    C[(*batch, net.lines[line_idx, 1], col)] = -1.0
     return C
 
 
-def is_islanding(net: Network, outages) -> bool:
-    """True if removing the given line indices disconnects the bus graph."""
-    out = set(int(o) for o in outages)
-    adj = [[] for _ in range(net.n)]
-    for l, (f, t) in enumerate(net.lines):
-        if l not in out:
-            adj[f].append(t)
-            adj[t].append(f)
-    seen = np.zeros(net.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return not bool(seen.all())
+def _surviving(net: Network, outages):
+    """(B, m) mask of the lines each outage set leaves, for one set of line
+    indices (B = 1) or a (B, k) array of sets; and whether one set was given."""
+    sets = np.asarray(outages, dtype=np.intp)
+    alive = np.ones((1 if sets.ndim < 2 else len(sets), net.m), dtype=bool)
+    alive[np.arange(len(alive))[:, None], np.atleast_2d(sets)] = False
+    return alive, sets.ndim < 2
+
+
+def _islanding(net: Network, alive) -> np.ndarray:
+    """Per row of the surviving-line mask, True if the bus graph is split.
+
+    Label propagation over the line list: every bus starts labelled with
+    its own index, each surviving line lowers both endpoint labels to the
+    smaller of the two, and pointer jumping (label <- label[label]) shortens
+    the chains.  A label is always a bus of the same component and never
+    above its own bus, so at the fixed point every bus carries the lowest
+    bus of its component, and the graph is connected iff all labels are 0.
+    """
+    B, n = len(alive), net.n
+    f, t = net.lines[:, 0], net.lines[:, 1]
+    base = np.arange(B)[:, None] * n
+    at_f, at_t = (base + f).ravel(), (base + t).ravel()
+    label = np.tile(np.arange(n), (B, 1))
+    while True:
+        low = np.where(alive, np.minimum(label[:, f], label[:, t]), n).ravel()
+        new = label.copy()
+        np.minimum.at(new.ravel(), at_f, low)
+        np.minimum.at(new.ravel(), at_t, low)
+        new = np.take_along_axis(new, new, axis=1)
+        if np.array_equal(new, label):
+            return np.any(label != 0, axis=1)
+        label = new
+
+
+def is_islanding(net: Network, outages):
+    """True if removing the given line indices disconnects the bus graph.
+
+    ``outages`` is one set of line indices, or a (B, k) array of B sets
+    checked in one pass (then a (B,) boolean array is returned).
+    """
+    alive, single = _surviving(net, outages)
+    split = _islanding(net, alive)
+    return bool(split[0]) if single else split
 
 
 def ptdf(net: Network, outages=()) -> tuple[np.ndarray, np.ndarray]:
-    """PTDF of the surviving network.
+    """PTDF of the surviving network, for one outage set or a stack of them.
 
-    Returns (surviving_line_indices, H) where H[i] maps bus injections to the
-    flow on line surviving_line_indices[i].  H annihilates constants
-    (H @ 1 = 0), so only the balanced component of an injection matters.
-    Raises IslandingError if the surviving graph is disconnected.
+    For one set of line indices, returns (surviving_line_indices, H) where
+    H[i] maps bus injections to the flow on line surviving_line_indices[i].
+    H annihilates constants (H @ 1 = 0), so only the balanced component of
+    an injection matters.  For a (B, k) array of B sets, each removing the
+    same number of lines, returns the stacks (B, nl) and (B, nl, n), from
+    stacked solves and products.  A single set is computed as a stack of
+    one, so both go through the same arithmetic; each slice of a stack has
+    the bytes the set gets alone.  Raises IslandingError if a surviving
+    graph is disconnected.
     """
-    out = set(int(o) for o in outages)
-    keep = np.array([l for l in range(net.m) if l not in out], dtype=int)
-    if is_islanding(net, out):
-        raise IslandingError(f"outage set {sorted(out)} islands the network")
+    alive, single = _surviving(net, outages)
+    split = _islanding(net, alive)
+    if split.any():
+        out = np.nonzero(~alive[np.argmax(split)])[0].tolist()
+        raise IslandingError(f"outage set {out} islands the network")
+    nl = alive.sum(axis=1)
+    if np.any(nl != nl[0]):
+        raise ValueError("a stack of outage sets must remove equally many lines")
+    B = len(alive)
+    keep = np.nonzero(alive)[1].reshape(B, nl[0])
     C = incidence_matrix(net, keep)
     Bd = net.susceptance[keep]
-    L = (C * Bd) @ C.T
-    r = net.slack
-    idx = np.arange(net.n) != r
-    L_red = L[np.ix_(idx, idx)]
+    Ct = C.transpose(0, 2, 1)
+    L = (C * Bd[:, None, :]) @ Ct
+    n = net.n
+    idx = np.arange(n) != net.slack
+    L_red = L[:, idx][:, :, idx]
     # solve for sensitivities of angles at non-slack buses
-    rhs = np.zeros((net.n, net.n))
-    rhs[idx, :] = np.linalg.solve(L_red, np.eye(net.n)[idx][:, :])
+    rhs = np.zeros((B, n, n))
+    eye = np.broadcast_to(np.eye(n)[idx], (B, n - 1, n))
+    rhs[:, idx, :] = np.linalg.solve(L_red, eye)
     # rhs is the zero-embedded generalized inverse of L
-    H = (Bd[:, None] * C.T) @ rhs
+    H = (Bd[:, :, None] * Ct) @ rhs
     # project onto balanced injections so H @ 1 = 0 exactly (pseudo-inverse PTDF)
-    H -= np.mean(H, axis=1, keepdims=True)
-    return keep, H
+    H -= np.mean(H, axis=2, keepdims=True)
+    return (keep[0], H[0]) if single else (keep, H)
 
 
 @dataclass

@@ -9,6 +9,12 @@ for every point inside the sampling box.  ``prune_by_box_support`` drops
 duplicate rows and rows the box cannot reach; ``eliminate_redundant`` then
 keeps only the facets, by Clarkson's search from a Chebyshev centre.
 
+Every stage is array code, with no loop per contingency or per row: one
+islanding pass per outage-set size, PTDFs from stacked solves written
+straight into the preallocated rows, a filter that screens rows by their
+support over the samples' box before one product, and a sort-based
+duplicate search.
+
 Between folding and standardizing, the origin need not be interior (b may
 lose positivity); the standardized region has b > 0.  Transformations that
 would break an invariant raise AssumptionViolated rather than emit a region
@@ -17,6 +23,7 @@ other code would silently mis-certify against.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -29,9 +36,24 @@ from .lp import LpProblem, LpStatus, solve
 
 TOL_RED = 1e-6     # slack used when declaring a row redundant
 TOL_CONST = 1e-7   # tolerance for detecting constant sample dimensions
-_MARGIN_BLOCK = 256  # points per block of row values in ``margins``
+_MARGIN_BLOCK = 256  # points per block of row values (``_point_blocks``)
+_PTDF_CHUNK = 64     # outage sets per stacked ``ptdf`` call in ``build_region``
 
 ROW_META_DTYPE = np.dtype([("contingency", np.int32), ("line", np.int32), ("sign", np.int8)])
+
+
+def _point_blocks(n):
+    """(start, stop) of consecutive blocks of ``_MARGIN_BLOCK`` points.
+
+    Never a block of a single point among several: numpy multiplies a
+    single row as a matrix-vector product, which rounds other than a row of
+    a matrix product.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start <= _MARGIN_BLOCK + 1 else start + _MARGIN_BLOCK
+        yield start, stop
+        start = stop
 
 
 class AssumptionViolated(ValueError):
@@ -75,7 +97,7 @@ class ContingencyRegion:
             raise AssumptionViolated("b shape mismatch")
         if require_interior and np.any(self.b <= 0):
             raise AssumptionViolated("region requires b > 0 (origin interior)")
-        if np.any(np.abs(self.A).max(axis=1) == 0.0):
+        if not np.all(np.any(self.A, axis=1)):
             raise AssumptionViolated("zero row in region matrix")
         if self.row_meta.shape != (self.n_rows,):
             raise AssumptionViolated("row_meta shape mismatch")
@@ -116,19 +138,12 @@ class ContingencyRegion:
         points there are.
         """
         X_cur = np.atleast_2d(np.asarray(X_cur, dtype=float))
-        n = len(X_cur)
-        out = np.empty(n)
-        start = 0
-        while start < n:
-            # no block of a single point among several: numpy multiplies a
-            # single row as a matrix-vector product, which rounds other
-            # than a row of a matrix product
-            stop = n if n - start <= _MARGIN_BLOCK + 1 else start + _MARGIN_BLOCK
+        out = np.empty(len(X_cur))
+        for start, stop in _point_blocks(len(X_cur)):
             vals = X_cur[start:stop] @ self.A.T
             vals -= self.b
             out[start:stop] = vals.max(axis=1)
             del vals  # before the next block is made
-            start = stop
         return out
 
     def membership(self, X_full, tol=0.0):
@@ -136,49 +151,73 @@ class ContingencyRegion:
         return self.margins(self.project(X_full)) <= tol
 
 
-def enumerate_contingencies(net: Network, k: int):
-    """All non-islanding outage sets of size 1..k, by size then lexicographic."""
+def _outage_sets(net: Network, k: int, counters=None):
+    """Non-islanding outage sets of size 1..k: one (B, size) array per size.
+
+    Each size's sets are in lexicographic order and go through one
+    islanding pass together.
+    """
     if not (1 <= k <= net.m):
         raise ValueError("k must be between 1 and the line count")
-    import itertools
-
-    out = []
+    groups, enumerated = [], 0
     for size in range(1, k + 1):
-        for combo in itertools.combinations(range(net.m), size):
-            if not is_islanding(net, combo):
-                out.append(tuple(combo))
-    if not out:
+        sets = np.array(list(itertools.combinations(range(net.m), size)),
+                        dtype=np.intp).reshape(-1, size)
+        enumerated += len(sets)
+        groups.append(sets[~is_islanding(net, sets)])
+    kept = sum(len(g) for g in groups)
+    if not kept:
         raise AssumptionViolated("every contingency islands the network")
-    return out
+    if counters is not None:
+        counters.update(outage_sets_enumerated=enumerated,
+                        outage_sets_islanding=enumerated - kept,
+                        outage_sets_kept=kept)
+    return groups
 
 
-def build_region(net: Network, k: int = 2) -> ContingencyRegion:
-    """Stack post-contingency flow-limit rows for all surviving lines."""
-    conts = enumerate_contingencies(net, k)
-    blocks, rhs, metas = [], [], []
-    for ci, c in enumerate(conts):
-        keep, H = ptdf(net, c)
-        nl = len(keep)
-        rows = np.empty((2 * nl, net.n))
-        rows[0::2] = H
-        rows[1::2] = -H
-        bb = np.empty(2 * nl)
-        bb[0::2] = net.f_upper[keep]
-        bb[1::2] = -net.f_lower[keep]
-        mm = np.empty(2 * nl, dtype=ROW_META_DTYPE)
-        mm["contingency"] = ci
-        mm["line"][0::2] = keep
-        mm["line"][1::2] = keep
-        mm["sign"][0::2] = 1
-        mm["sign"][1::2] = -1
-        blocks.append(rows)
-        rhs.append(bb)
-        metas.append(mm)
+def enumerate_contingencies(net: Network, k: int):
+    """All non-islanding outage sets of size 1..k, by size then lexicographic."""
+    return [tuple(c) for g in _outage_sets(net, k) for c in g.tolist()]
+
+
+def build_region(net: Network, k: int = 2, counters=None) -> ContingencyRegion:
+    """Stack post-contingency flow-limit rows for all surviving lines.
+
+    Each contingency contributes, per surviving line, the row H and then
+    -H.  The PTDFs come from ``ptdf`` in stacks of ``_PTDF_CHUNK`` sets of
+    one size, written straight into the preallocated rows.  A dict passed
+    as counters receives the outage sets enumerated, islanding and kept,
+    and the rows built.
+    """
+    groups = _outage_sets(net, k, counters)
+    n_rows = sum(2 * len(g) * (net.m - g.shape[1]) for g in groups)
+    A = np.empty((n_rows, net.n))
+    b = np.empty(n_rows)
+    row_meta = np.empty(n_rows, dtype=ROW_META_DTYPE)
+    row = ci = 0
+    for sets in groups:
+        for lo in range(0, len(sets), _PTDF_CHUNK):
+            keep, H = ptdf(net, sets[lo:lo + _PTDF_CHUNK])
+            c, nl = keep.shape
+            stop = row + 2 * c * nl
+            rows = A[row:stop].reshape(c, nl, 2, net.n)
+            rows[:, :, 0] = H
+            np.negative(H, out=rows[:, :, 1])
+            bb = b[row:stop].reshape(c, nl, 2)
+            bb[:, :, 0] = net.f_upper[keep]
+            bb[:, :, 1] = -net.f_lower[keep]
+            mm = row_meta[row:stop].reshape(c, nl, 2)
+            mm["contingency"] = np.arange(ci, ci + c)[:, None, None]
+            mm["line"] = keep[:, :, None]
+            mm["sign"] = (1, -1)
+            row, ci = stop, ci + c
+    if counters is not None:
+        counters["rows_built"] = n_rows
     region = ContingencyRegion(
-        A=np.vstack(blocks),
-        b=np.concatenate(rhs),
-        row_meta=np.concatenate(metas),
-        contingencies=conts,
+        A=A,
+        b=b,
+        row_meta=row_meta,
+        contingencies=[tuple(c) for g in groups for c in g.tolist()],
         n_full=net.n,
         dim_map=np.arange(net.n),
         dropped_values=np.full(net.n, np.nan),
@@ -189,44 +228,64 @@ def build_region(net: Network, k: int = 2) -> ContingencyRegion:
     return region.validate()
 
 
-def contingency_violation_fractions(region: ContingencyRegion, X_full):
-    """Per-contingency fraction of samples violating any of its rows."""
+def contingency_violation_fractions(region: ContingencyRegion, X_full, counters=None):
+    """Per-contingency fraction of samples violating any of its rows.
+
+    Rows whose support over the samples' own bounding box stays at or
+    below b - TOL_RED cannot be violated by any sample (every sample lies
+    in that box, and TOL_RED is far above the rounding of a row product),
+    so only the other rows enter the product, taken in blocks of samples as
+    in ``margins``.  A dict passed as counters receives the rows evaluated
+    and the rows the screen skipped.
+    """
     Xc = region.project(X_full)
+    A, b = region.A, region.b
+    sup = A.clip(min=0.0) @ Xc.max(axis=0) + A.clip(max=0.0) @ Xc.min(axis=0)
+    rows = np.nonzero(sup > b - TOL_RED)[0]
+    if counters is not None:
+        counters.update(filter_rows_evaluated=len(rows),
+                        filter_rows_skipped=region.n_rows - len(rows))
     fracs = np.zeros(len(region.contingencies))
-    cid = region.row_meta["contingency"]
-    for ci in range(len(region.contingencies)):
-        rows = cid == ci
-        if not np.any(rows):
-            fracs[ci] = 0.0
-            continue
-        viol = (Xc @ region.A[rows].T > region.b[rows]).any(axis=1)
-        fracs[ci] = float(viol.mean())
+    if len(rows):
+        cid = region.row_meta["contingency"][rows]
+        order = np.argsort(cid, kind="stable")
+        rows, cid = rows[order], cid[order]
+        starts = np.flatnonzero(np.r_[True, cid[1:] != cid[:-1]])
+        A_rows, b_rows = A[rows].T, b[rows]
+        hits = np.zeros(len(starts), dtype=np.intp)
+        for start, stop in _point_blocks(len(Xc)):
+            viol = Xc[start:stop] @ A_rows > b_rows
+            hits += np.logical_or.reduceat(viol, starts, axis=1).sum(axis=0)
+        fracs[cid[starts]] = hits / len(Xc)
     return fracs
 
 
-def filter_contingencies(region: ContingencyRegion, X_full, threshold=0.9):
+def filter_contingencies(region: ContingencyRegion, X_full, threshold=0.9,
+                         counters=None):
     """Drop contingencies violated by more than ``threshold`` of the samples.
 
     Such contingencies are infeasible for essentially the whole operating
     distribution, so screening against them is pointless; they are excluded
     from the region (and recorded) rather than drowning the labels.
+    ``counters`` goes to ``contingency_violation_fractions``.
     """
-    fracs = contingency_violation_fractions(region, X_full)
-    keep_c = np.nonzero(fracs <= threshold)[0]
+    fracs = contingency_violation_fractions(region, X_full, counters)
+    kept = fracs <= threshold
+    keep_c = np.nonzero(kept)[0]
     if len(keep_c) == 0:
         raise AssumptionViolated("every contingency exceeded the filter threshold")
-    rows = np.isin(region.row_meta["contingency"], keep_c)
-    new_meta = region.row_meta[rows].copy()
+    rows = kept[region.row_meta["contingency"]]
+    new_meta = region.row_meta[rows]
     new_meta["contingency"] = np.searchsorted(keep_c, new_meta["contingency"])
-    keep_set = set(int(c) for c in keep_c)
-    dropped = [region.contingencies[int(c)] for c in range(len(fracs)) if int(c) not in keep_set]
     out = replace(
         region,
-        A=region.A[rows].copy(),
-        b=region.b[rows].copy(),
+        A=region.A[rows],
+        b=region.b[rows],
         row_meta=new_meta,
-        contingencies=[region.contingencies[int(c)] for c in keep_c],
-        meta={**region.meta, "filtered_contingencies": dropped,
+        contingencies=[region.contingencies[c] for c in keep_c],
+        meta={**region.meta,
+              "filtered_contingencies": [region.contingencies[c]
+                                         for c in np.nonzero(~kept)[0]],
               "filter_threshold": threshold},
     )
     return out.validate()
@@ -252,20 +311,20 @@ def drop_constant_dims(region: ContingencyRegion, X_full, tol=TOL_CONST):
     b_new = region.b - region.A[:, const] @ values[const]
     A_new = region.A[:, keep]
     # rows that lived entirely on dropped dims are now constants themselves
-    nz = np.abs(A_new).max(axis=1) > 0.0
+    nz = np.any(A_new, axis=1)
     if np.any(b_new[~nz] < 0):
         raise AssumptionViolated("constant slice lies outside a contingency limit")
     dropped_values = region.dropped_values.copy()
     dropped_values[region.dim_map[const]] = values[const]
     out = replace(
         region,
-        A=A_new[nz].copy(),
-        b=b_new[nz].copy(),
-        row_meta=region.row_meta[nz].copy(),
-        dim_map=region.dim_map[keep].copy(),
+        A=A_new[nz],
+        b=b_new[nz],
+        row_meta=region.row_meta[nz],
+        dim_map=region.dim_map[keep],
         dropped_values=dropped_values,
-        mu=region.mu[keep].copy(),
-        sigma=region.sigma[keep].copy(),
+        mu=region.mu[keep],
+        sigma=region.sigma[keep],
         meta={**region.meta, "n_dropped_dims": int(const.sum())},
     )
     return out.validate(require_interior=False)
@@ -300,20 +359,24 @@ def _normalized(A, b):
 def _dedup_rows(A_hat, b_hat):
     """Indices keeping one row per direction, the tightest rhs winning.
 
-    Parallel rows with a looser bound are dominated outright, so this also
-    removes them (ties break toward the lowest original index).
+    Rows whose normals agree after rounding to 9 decimals form a group.
+    With -0.0 turned into 0.0 (and no NaN), numerically equal rows have
+    equal bytes, so one sort of the rows as raw bytes puts each group's
+    rows next to each other.  Parallel rows with a looser bound are
+    dominated outright, so each group keeps only its smallest rhs (ties
+    break toward the lowest original index).
     """
     key = np.round(A_hat, 9)
-    _, inverse = np.unique(key, axis=0, return_inverse=True)
-    order = np.lexsort((np.arange(len(b_hat)), b_hat, inverse))
-    seen = set()
-    kept = []
-    for i in order:
-        g = int(inverse[i])
-        if g not in seen:
-            seen.add(g)
-            kept.append(int(i))
-    return np.array(sorted(kept))
+    key += 0.0  # -0.0 + 0.0 is +0.0
+    order = np.argsort(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0])
+    key = key[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first)
+    best = np.lexsort((np.arange(len(b_hat)), b_hat, group))
+    first[1:] = group[best[1:]] != group[best[:-1]]
+    return np.sort(best[first])
 
 
 def _chebyshev_centre(A_hat, b_hat, lo, hi):
@@ -332,7 +395,7 @@ def _chebyshev_centre(A_hat, b_hat, lo, hi):
     return sol.x[:-1], sol.iterations
 
 
-def eliminate_redundant(region: ContingencyRegion):
+def eliminate_redundant(region: ContingencyRegion, counters=None):
     """Remove rows implied by the rest of the region within the box.
 
     First the box-support screen, then Clarkson's output-sensitive search
@@ -346,8 +409,9 @@ def eliminate_redundant(region: ContingencyRegion):
     the result is minimal and defines the same set as the input inside the
     box.  ``meta["elimination"]`` counts the rows after the screen, the LPs
     solved (the centre's included), their summed iterations and the facets.
+    ``counters`` goes to ``prune_by_box_support``.
     """
-    pre = prune_by_box_support(region)
+    pre = prune_by_box_support(region, counters)
     lo, hi = pre.box_lower, pre.box_upper
     A_hat, b_hat = _normalized(pre.A, pre.b)
     centre, iterations = _chebyshev_centre(A_hat, b_hat, lo, hi)
@@ -378,9 +442,9 @@ def eliminate_redundant(region: ContingencyRegion):
     idx = np.nonzero(facet)[0]
     out = replace(
         pre,
-        A=pre.A[idx].copy(),
-        b=pre.b[idx].copy(),
-        row_meta=pre.row_meta[idx].copy(),
+        A=pre.A[idx],
+        b=pre.b[idx],
+        row_meta=pre.row_meta[idx],
         meta={**pre.meta, "elimination": {
             "rows_after_box_screen": pre.n_rows, "lps": lps,
             "lp_iterations": int(iterations), "facets": len(idx)}},
@@ -388,7 +452,7 @@ def eliminate_redundant(region: ContingencyRegion):
     return out.validate(require_interior=False)
 
 
-def prune_by_box_support(region: ContingencyRegion):
+def prune_by_box_support(region: ContingencyRegion, counters=None):
     """Drop duplicate rows and rows unreachable inside the box.
 
     Two cheap, sound screens: collapse parallel rows to the tightest bound,
@@ -398,13 +462,16 @@ def prune_by_box_support(region: ContingencyRegion):
     eliminate_redundant this never asks whether a COMBINATION of other rows
     implies a row, so it keeps every individually violable constraint; the
     reported reduced-matrix shape comes from this screening, while the
-    LP-exact variant removes far more.
+    LP-exact variant removes far more.  A dict passed as counters receives
+    the duplicate rows collapsed.
     """
     if region.box_lower is None:
         raise ValueError("attach a box (with_box) before box-support pruning")
     lo, hi = region.box_lower, region.box_upper
     A_hat, b_hat = _normalized(region.A, region.b)
     unique_rows = _dedup_rows(A_hat, b_hat)
+    if counters is not None:
+        counters["duplicate_rows_collapsed"] = region.n_rows - len(unique_rows)
     A, b = region.A[unique_rows], region.b[unique_rows]
     sup = A.clip(min=0.0) @ hi + A.clip(max=0.0) @ lo
     keep = unique_rows[sup > b + TOL_RED]
@@ -413,9 +480,9 @@ def prune_by_box_support(region: ContingencyRegion):
                                  "box cannot reach any constraint")
     out = replace(
         region,
-        A=region.A[keep].copy(),
-        b=region.b[keep].copy(),
-        row_meta=region.row_meta[keep].copy(),
+        A=region.A[keep],
+        b=region.b[keep],
+        row_meta=region.row_meta[keep],
         meta={**region.meta, "rows_before_reduction": region.n_rows},
     )
     return out.validate(require_interior=False)

@@ -69,3 +69,58 @@ def region_from_rows(A, b, box=None):
         box_upper=None if box is None else np.asarray(box[1], dtype=float),
     )
     return r.validate(require_interior=False)
+
+
+def is_islanding_bfs(net, outages):
+    """Reference islanding check: depth-first search from bus 0."""
+    out = set(int(o) for o in outages)
+    adj = [[] for _ in range(net.n)]
+    for l, (f, t) in enumerate(net.lines):
+        if l not in out:
+            adj[f].append(t)
+            adj[t].append(f)
+    seen = np.zeros(net.n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return not bool(seen.all())
+
+
+def dedup_rows_oracle(A_hat, b_hat):
+    """Reference duplicate search: np.unique over the rounded normals, then
+    one pass keeping the tightest rhs per group (lowest index on ties)."""
+    key = np.round(A_hat, 9)
+    _, inverse = np.unique(key, axis=0, return_inverse=True)
+    order = np.lexsort((np.arange(len(b_hat)), b_hat, inverse))
+    seen = set()
+    kept = []
+    for i in order:
+        g = int(inverse[i])
+        if g not in seen:
+            seen.add(g)
+            kept.append(int(i))
+    return np.array(sorted(kept))
+
+
+def mesh5():
+    """Five buses, seven lines: a ring with two chords, so some pairs and
+    triples of outages island it and others do not."""
+    lines = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2], [1, 3]])
+    return Network(
+        name="mesh5",
+        n=5,
+        lines=lines,
+        susceptance=np.array([1.0, 2.0, 0.5, 1.5, 1.0, 0.8, 1.2]),
+        f_lower=np.full(7, -4.0),
+        f_upper=np.full(7, 4.0),
+        pmin=np.zeros(5),
+        pmax=np.array([10.0, 0.0, 8.0, 0.0, 0.0]),
+        cost=np.array([1.0, 0.0, 2.0, 0.0, 0.0]),
+        demand=np.array([0.0, 3.0, 0.0, 2.0, 1.0]),
+        slack=0,
+    ).validate()

@@ -227,6 +227,27 @@ class TestExactElimination:
             <= report["rows_before_elimination"]
         assert counts["lps"] >= 1
 
+    def test_report_counts_construction(self, exact):
+        report = json.load(open(os.path.join(exact["dir"],
+                                             "region_report.json")))
+        c = report["construction"]
+        assert set(c) == {"outage_sets_enumerated", "outage_sets_islanding",
+                          "outage_sets_kept", "rows_built",
+                          "filter_rows_evaluated", "filter_rows_skipped",
+                          "duplicate_rows_collapsed"}
+        assert c["outage_sets_enumerated"] == 3  # ring3 at k = 1
+        assert c["outage_sets_kept"] == report["contingencies_enumerated"]
+        assert c["outage_sets_islanding"] + c["outage_sets_kept"] == 3
+        assert c["rows_built"] == report["rows_enumerated"]
+        assert (c["filter_rows_evaluated"] + c["filter_rows_skipped"]
+                == report["rows_enumerated"])
+        assert (report["rows_before_elimination"] - c["duplicate_rows_collapsed"]
+                >= report["elimination"]["rows_after_box_screen"])
+        # counts live in the report only, never in the artifacts' meta
+        for name in ("region.npz", "region_full.npz"):
+            meta = load_region(os.path.join(exact["dir"], name)).meta
+            assert not set(c) & set(meta)
+
     def test_rerun_is_byte_identical(self, exact):
         names = ("region.npz", "region_full.npz", "region_report.json")
         before = {n: file_sha256(os.path.join(exact["dir"], n))
@@ -237,6 +258,7 @@ class TestExactElimination:
             assert file_sha256(os.path.join(exact["dir"], name)) == sha
         again = json.load(open(os.path.join(exact["dir"], names[2])))
         assert again["elimination"] == report["elimination"]
+        assert again["construction"] == report["construction"]
 
     def test_aim_samples_is_rejected(self, exact):
         with pytest.raises(SystemExit) as e:

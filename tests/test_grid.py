@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from nkscreen.grid import (
 )
 from nkscreen.lp import LpStatus
 
-from helpers import ring3, two_bus
+from helpers import is_islanding_bfs, mesh5, ring3, two_bus
 
 CASE39 = Path(__file__).resolve().parent.parent / "src" / "nkscreen" / "cases" / "case39.json"
 
@@ -95,6 +96,67 @@ def test_is_islanding():
     assert not is_islanding(net, (1,))
     assert is_islanding(net, (0, 2))
     assert not is_islanding(net, ())
+
+
+def _all_sets(net, k):
+    return [np.array(list(itertools.combinations(range(net.m), size)),
+                     dtype=np.intp).reshape(-1, size)
+            for size in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("name,k", [("two_bus", 1), ("ring3", 3), ("mesh5", 3),
+                                    ("case39", 2)])
+def test_batched_islanding_matches_bfs(name, k):
+    net = load_network(CASE39) if name == "case39" else {
+        "two_bus": two_bus, "ring3": ring3, "mesh5": mesh5}[name]()
+    n_split = 0
+    for sets in _all_sets(net, k):
+        got = is_islanding(net, sets)
+        want = np.array([is_islanding_bfs(net, c) for c in sets])
+        assert got.dtype == bool and got.shape == (len(sets),)
+        assert np.array_equal(got, want)
+        assert [is_islanding(net, c) for c in sets[:5]] == list(want[:5])
+        n_split += int(want.sum())
+    # the networks have sets of both kinds
+    assert n_split > 0
+
+
+def test_islanding_of_every_line_out():
+    net = mesh5()
+    assert is_islanding(net, np.arange(net.m))
+    assert is_islanding(net, np.arange(net.m)[None, :]).tolist() == [True]
+
+
+@pytest.mark.parametrize("name", ["mesh5", "case39"])
+def test_single_ptdf_equals_its_slice_of_the_stack(name):
+    net = load_network(CASE39) if name == "case39" else mesh5()
+    for sets in _all_sets(net, 2):
+        sets = sets[~is_islanding(net, sets)]
+        keep, H = ptdf(net, sets)
+        assert keep.shape == (len(sets), net.m - sets.shape[1])
+        assert H.shape == keep.shape + (net.n,)
+        for c, kc, Hc in zip(sets.tolist(), keep, H):
+            k1, H1 = ptdf(net, tuple(c))
+            assert np.array_equal(k1, kc)
+            assert H1.tobytes() == Hc.tobytes()
+
+
+def test_ptdf_stack_checks_every_member():
+    net = mesh5()
+    with pytest.raises(IslandingError):
+        ptdf(net, [[0, 1], [3, 4]])   # lines 3 and 4 are bus 4's only ones
+    with pytest.raises(ValueError):
+        ptdf(net, [[0, 0], [0, 1]])   # removes one line, then two
+
+
+def test_incidence_matrix_batched():
+    net = mesh5()
+    subsets = np.array([[0, 2, 4], [1, 5, 6]])
+    C = incidence_matrix(net, subsets)
+    assert C.shape == (2, net.n, 3)
+    for Cs, s in zip(C, subsets):
+        assert np.array_equal(Cs, incidence_matrix(net, s))
+        assert np.array_equal(Cs, incidence_matrix(net)[:, s])
 
 
 def test_dcopf_two_bus():

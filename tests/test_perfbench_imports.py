@@ -96,3 +96,22 @@ def test_call_shapes():
     inspect.signature(screen_batch).bind(x, x, early_exit=False)
     inspect.signature(train).bind(*[x] * 10)
 
+
+
+def test_region_build_goes_through_region_ptdf(monkeypatch):
+    """dispatch_phase times grid.ptdf by wrapping nkscreen.region.ptdf; a
+    build that stopped calling that name would leave the metric empty."""
+    import nkscreen.region as region_mod
+    from helpers import mesh5
+
+    calls = []
+    original = region_mod.ptdf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(region_mod, "ptdf", counted)
+    region = region_mod.build_region(mesh5(), 2)
+    assert len(calls) >= 1
+    assert region.n_rows > 0

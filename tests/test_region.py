@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,11 @@ from hypothesis import strategies as st
 
 from nkscreen.grid import ptdf
 from nkscreen.region import (
+    ROW_META_DTYPE,
     TOL_RED,
     AssumptionViolated,
+    _dedup_rows,
+    _normalized,
     bounding_box,
     build_region,
     contingency_violation_fractions,
@@ -20,7 +26,8 @@ from nkscreen.region import (
     standardize,
     with_box,
 )
-from helpers import region_from_rows, ring3
+from helpers import (dedup_rows_oracle, is_islanding_bfs, mesh5, region_from_rows,
+                     ring3)
 
 
 def test_enumerate_ring_k1():
@@ -41,6 +48,38 @@ def test_build_region_counts_and_rhs():
     assert np.all(region.b == 5.0)
     assert len(region.contingencies) == 3
     assert region.dim == 3
+
+
+def test_build_region_counters():
+    net = mesh5()
+    counters = {}
+    region = build_region(net, k=3, counters=counters)
+    sets = [c for size in (1, 2, 3)
+            for c in itertools.combinations(range(net.m), size)]
+    kept = [c for c in sets if not is_islanding_bfs(net, c)]
+    assert region.contingencies == kept == enumerate_contingencies(net, 3)
+    assert counters == {"outage_sets_enumerated": len(sets),
+                        "outage_sets_islanding": len(sets) - len(kept),
+                        "outage_sets_kept": len(kept),
+                        "rows_built": region.n_rows}
+    assert region.n_rows == sum(2 * (net.m - len(c)) for c in kept)
+
+
+def test_build_region_rows_follow_ptdf_order():
+    # per contingency: surviving lines in order, each as H then -H
+    net = mesh5()
+    region = build_region(net, k=2)
+    row = 0
+    for ci, c in enumerate(region.contingencies):
+        keep, H = ptdf(net, c)
+        for line, h in zip(keep, H):
+            for sign in (1, -1):
+                assert region.A[row].tobytes() == (sign * h).tobytes()
+                limit = net.f_upper[line] if sign == 1 else -net.f_lower[line]
+                assert region.b[row] == limit
+                assert tuple(region.row_meta[row]) == (ci, line, sign)
+                row += 1
+    assert row == region.n_rows
 
 
 def test_membership_memory_bounded_by_blocks():
@@ -97,6 +136,76 @@ def test_violation_fractions_and_filter():
     assert filtered.meta["filtered_contingencies"] == [(0,)]
     # contingency ids in row_meta stay aligned with the contingency list
     assert filtered.row_meta["contingency"].max() == len(filtered.contingencies) - 1
+
+
+def _brute_force_fractions(region, X):
+    Xc = region.project(X)
+    fracs = np.zeros(len(region.contingencies))
+    cid = region.row_meta["contingency"]
+    for ci in range(len(region.contingencies)):
+        rows = cid == ci
+        if np.any(rows):
+            fracs[ci] = (Xc @ region.A[rows].T > region.b[rows]).any(axis=1).mean()
+    return fracs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_violation_fractions_match_brute_force_on_box_corners(seed):
+    # samples on the corners of their own box, and rows whose support over
+    # that box sits exactly on b, just inside and outside TOL_RED of it;
+    # multiples of 1/8 and integer corners keep every product exact
+    rng = np.random.default_rng(seed)
+    n, n_cont = 4, 7
+    lo = rng.integers(-6, 0, size=n).astype(float)
+    hi = rng.integers(1, 7, size=n).astype(float)
+    corners = rng.integers(0, 2, size=(600, n)).astype(bool)   # 3 blocks
+    corners[0], corners[1] = False, True   # both extreme corners present
+    X = np.where(corners, hi, lo)
+    A = rng.integers(-8, 9, size=(80, n)) / 8.0
+    A[np.abs(A).sum(axis=1) == 0.0, 0] = 1.0
+    sup = A.clip(min=0.0) @ hi + A.clip(max=0.0) @ lo
+    offset = rng.choice([0.0, -0.5 * TOL_RED, 0.5 * TOL_RED, 2 * TOL_RED,
+                         -3.0, 5.0], size=len(A))
+    b = sup + offset
+    meta = np.zeros(len(A), dtype=ROW_META_DTYPE)
+    meta["contingency"] = np.sort(rng.integers(0, n_cont - 1, size=len(A)))
+    meta["line"] = np.arange(len(A))
+    region = replace(region_from_rows(A, np.abs(b) + 1.0), b=b, row_meta=meta,
+                     contingencies=[(c,) for c in range(n_cont)])
+    counters = {}
+    got = contingency_violation_fractions(region, X, counters=counters)
+    assert np.array_equal(got, _brute_force_fractions(region, X))
+    assert got[-1] == 0.0   # the last contingency has no rows
+    assert counters["filter_rows_evaluated"] == int(np.sum(offset < TOL_RED))
+    assert counters["filter_rows_evaluated"] + counters["filter_rows_skipped"] == len(A)
+    # shuffled rows give the same fractions
+    perm = rng.permutation(len(A))
+    shuffled = replace(region, A=A[perm], b=b[perm], row_meta=meta[perm])
+    assert np.array_equal(contingency_violation_fractions(shuffled, X), got)
+
+
+def test_violation_fractions_memory_bounded_by_blocks():
+    import tracemalloc
+
+    # 2,000 samples x 2,000 rows the box screen keeps: one full matrix of
+    # row values is 32 MB
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(2000, 6))
+    X = rng.uniform(-1.2, 1.2, size=(2000, 6))
+    meta = np.zeros(len(A), dtype=ROW_META_DTYPE)
+    meta["contingency"] = np.arange(len(A)) // 10
+    region = replace(region_from_rows(A, 0.5 * np.abs(A).sum(axis=1)),
+                     row_meta=meta, contingencies=[(c,) for c in range(200)])
+    counters = {}
+    tracemalloc.start()
+    try:
+        fracs = contingency_violation_fractions(region, X, counters=counters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counters["filter_rows_evaluated"] == 2000
+    assert np.array_equal(fracs, _brute_force_fractions(region, X))
+    assert peak < 8e6, f"fractions peaked at {peak / 1e6:.1f} MB"
 
 
 def test_filter_keeps_everything_when_benign():
@@ -328,6 +437,46 @@ def test_exact_elimination_bytes_unchanged():
     assert h.hexdigest() == CASE39_K1_DIGEST
 
 
+# sha256 of the case39 k=2 region straight from build_region, of the
+# per-contingency violation fractions of a seeded 2,000-injection sample,
+# and of that region after the filter, the folding, the box and the
+# box-support screen; recorded before region construction became array
+# code (numpy 2.4 with OpenBLAS on x86-64, one BLAS thread and two).
+CASE39_K2_BUILD_DIGEST = "0fc38485592dfc8310dd88067477df245efafa020ef340cf640a518bab468256"
+CASE39_K2_FRACTIONS_DIGEST = "1e1d65e9c4d7dd29a71c2aec06a2baf059558f0a3a5afff04809f80729ef5a05"
+CASE39_K2_PRUNED_DIGEST = "d5a80161fef81f6e31f9b7c076e665502057a2220a3428cfa7a3a5ee2c2da710"
+
+
+def _rows_digest(region):
+    import hashlib
+
+    h = hashlib.sha256()
+    for arr in (region.A, region.b, region.row_meta):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_region_construction_bytes_unchanged():
+    import hashlib
+
+    from nkscreen.cli import resolve_case
+    from nkscreen.datagen import DemandSampler, sample_injections
+    from nkscreen.grid import load_network
+
+    net = load_network(resolve_case("case39"))
+    region = build_region(net, k=2)
+    assert (len(region.contingencies), region.n_rows) == (597, 52606)
+    assert _rows_digest(region) == CASE39_K2_BUILD_DIGEST
+    X = sample_injections(net, DemandSampler(net.demand, rel_std=0.15, seed=0),
+                          2000)
+    fracs = contingency_violation_fractions(region, X)
+    assert hashlib.sha256(fracs.tobytes()).hexdigest() == CASE39_K2_FRACTIONS_DIGEST
+    filtered = filter_contingencies(region, X)
+    pruned = prune_by_box_support(with_box(drop_constant_dims(filtered, X), X))
+    assert pruned.n_rows == 2040
+    assert _rows_digest(pruned) == CASE39_K2_PRUNED_DIGEST
+
+
 def test_standardize_identity_roundtrip():
     net = ring3()
     region = build_region(net, k=1)
@@ -431,6 +580,54 @@ def test_box_support_prune_idempotent_and_membership():
     m_after = once.margins(pts)
     clear = np.abs(m_before) > 1e-5
     assert np.array_equal(m_before[clear] <= 0, m_after[clear] <= 0)
+
+
+def _dedup_case(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(30, 5))
+    base[rng.random(base.shape) < 0.3] = 0.0
+    base[np.arange(30), rng.integers(0, 5, size=30)] = 1.0   # no zero row
+    base[0] = 0.0
+    base[0, 2] = 1.0
+    rows = [base, base[rng.integers(0, 30, size=20)],            # exact copies
+            base[rng.integers(0, 30, size=20)]
+            * rng.uniform(0.5, 3.0, size=(20, 1))]                # scaled copies
+    neg_zero = base[rng.integers(0, 30, size=15)].copy()
+    neg_zero[neg_zero == 0.0] = -0.0
+    tiny = base[rng.integers(0, 30, size=15)].copy()
+    tiny[tiny == 0.0] = -1e-13                                   # rounds to -0.0
+    A = np.vstack(rows + [neg_zero, tiny])
+    b = rng.choice([1.0, 2.0, 3.0], size=len(A)) * np.linalg.norm(A, axis=1)
+    return _normalized(A, b)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dedup_rows_matches_unique_oracle(seed):
+    A_hat, b_hat = _dedup_case(seed)
+    got = _dedup_rows(A_hat, b_hat)
+    assert np.array_equal(got, dedup_rows_oracle(A_hat, b_hat))
+    # every copy joins its base row's group
+    assert len(got) == len(np.unique(np.round(A_hat[:30], 9), axis=0)) == 30
+    assert np.all(np.diff(got) > 0)
+
+
+def test_dedup_rows_negative_zero_and_ties():
+    A = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, -1e-12], [0.0, 1.0], [0.0, 1.0]])
+    b = np.array([2.0, 1.0, 1.0, 3.0, 3.0])
+    # rows 0-2 are one direction: the tightest b wins, the lowest index on
+    # the tie; rows 3-4 tie outright
+    assert _dedup_rows(A, b).tolist() == [1, 3]
+    assert dedup_rows_oracle(A, b).tolist() == [1, 3]
+
+
+def test_box_support_prune_counts_duplicates():
+    A = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    b = np.array([1.0, 3.0, 1.0, 3.0, 2.5])
+    box = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    counters = {}
+    out = prune_by_box_support(region_from_rows(A, b, box=box), counters=counters)
+    assert counters == {"duplicate_rows_collapsed": 2}
+    assert out.row_meta["line"].tolist() == [0, 2, 4]
 
 
 def test_box_support_prune_requires_box():
