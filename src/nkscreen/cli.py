@@ -592,12 +592,6 @@ def cmd_scopf_bench(args):
     if args.limit > 0:
         demands = demands[:args.limit]
 
-    from .scopf import region_safe_for_dispatch
-    if not region_safe_for_dispatch(net, region_full, demands):
-        raise ValidationError(
-            "the region folds a dispatchable injection dimension; pass the "
-            "full-dimension region (region_full.npz)")
-
     records, summary = benchmark_scopf(net, demands, region_full, clf)
     summary["manifest"] = manifest.hash
     save_benchmark(records, summary,

@@ -116,7 +116,13 @@ def sample_injections(net: Network, sampler: DemandSampler, count,
 
 
 def label_injections(region: ContingencyRegion, X_full):
-    """1 = infeasible (violates some region row), 0 = feasible."""
+    """1 = infeasible (violates some region row), 0 = feasible.
+
+    numpy multiplies a single point as a matrix-vector product, which
+    rounds other than a row of a matrix product: a point labelled alone
+    can get margins that differ in the last bits from its margins inside a
+    batch, and so another label when a margin is within rounding of 0.
+    """
     return (~region.membership(X_full)).astype(np.uint8)
 
 

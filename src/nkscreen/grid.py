@@ -243,6 +243,8 @@ class DcopfSolver:
 
     The LP structure is fixed by the network; only the demand enters the
     right-hand side, so repeated solves warm-start from the previous basis.
+    Each ``resolve_rhs`` refactorizes only a basis that changed, from the
+    engine's kept inverse when it inverted that basis before.
     min cost @ p  s.t.  1@(p - d) = 0,  f_lower <= H (p - d) <= f_upper,
     pmin <= p <= pmax (p fixed to 0 at buses without generators).
 

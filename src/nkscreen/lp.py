@@ -7,30 +7,28 @@ problem/solution contract:
 * ``SimplexEngine``: a dense bounded-variable revised simplex written here.
   It is deterministic (Dantzig entering rule with lowest-index tie-breaking,
   lowest-index leaving rule, Bland fallback on stalls), returns dual
-  multipliers, and supports warm-started re-solves where only the objective
-  or only the right-hand side changes.  Those re-solves are the hot path:
-  sublevel-set sweeps re-solve the same polytope for thousands of objective
-  rows, and dispatch sampling re-solves the same OPF for thousands of demand
-  vectors.  With an unchanged basis a re-solve costs one pricing pass.
-  The engine refactorizes (inverts the basis matrix) only when its inverse
-  may differ from the exact one: ``B_inv`` counts as exact after a
-  refactorization or the slack-basis start, and stops being exact when a
-  pivot changes the basis or ``reload`` replaces the matrix (bound flips and
-  new right-hand sides or objectives keep it).  Inverting the same basis
-  columns again returns the same array, so skipping that inversion changes
-  no output bit.  For the same reason each engine keeps the inverses it
-  computed, keyed on the ordered basis, and a refactorization of a basis it
-  has inverted before takes a copy of the kept inverse instead of inverting
-  again.  Re-solves that return to a few optimal bases, as DC-OPF dispatch
-  of sampled demands does, so invert each basis once.  The engine keeps the
-  8 bases used last (at most 8 m^2 floats) and drops them all when
-  ``reload`` replaces the matrix.  ``snapshot``/``restore`` save and
-  reinstate a basis (never its inverse: ``restore`` takes the current
-  inverse when the basis is the current one, else the kept inverse, else
-  inverts it under the present matrix), for callers that want a re-solve
-  to start from a basis of their choosing; the re-solve after a
-  ``restore`` checks primal feasibility first, because the basis may come
-  from other data.
+  multipliers and keeps its basis between calls.  It has one solve path:
+  ``reload`` sets any of the matrix, right-hand side and objective
+  (``resolve_objective`` and ``resolve_rhs`` set one), and ``solve``
+  refactorizes the current basis, recomputes the basic values, runs phase 1
+  only when a bound is broken, then phase 2.  Warm re-solves are the hot
+  path: sublevel-set sweeps re-solve the same polytope for thousands of
+  objective rows, and dispatch sampling the same OPF for thousands of
+  demand vectors; with a basis that stays optimal, one costs a feasibility
+  check and a pricing pass.
+  A refactorization inverts the basis matrix only when ``B_inv`` may differ
+  from the exact inverse: it is exact after a refactorization or the
+  slack-basis start, and stops being so when a pivot changes the basis,
+  ``restore`` installs another one or ``reload`` replaces the matrix.
+  Inverting the same basis columns again returns the same array, so
+  skipping that inversion changes no output bit.  For the same reason the
+  engine keeps the inverses of the 8 bases used last (keyed on the ordered
+  basis, dropped when the matrix changes), and a refactorization of one of
+  them copies the kept inverse: re-solves that return to a few optimal
+  bases, as DC-OPF dispatch of sampled demands does, invert each basis
+  once.  ``snapshot``/``restore`` save and reinstate a basis and its
+  variables' statuses (never its inverse), for callers that want a
+  re-solve to start from a basis of their choosing.
 
   The pivot loop is the hot path of training, so it is written for few
   numpy calls per pivot while keeping every floating-point operation of the
@@ -161,12 +159,10 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class BasisSnapshot:
-    """A ``SimplexEngine`` basis, its variables' status and its solve state."""
+    """A ``SimplexEngine`` basis and the status of every variable."""
 
     basis: np.ndarray
     vstat: np.ndarray
-    solved_once: bool
-    last_status: LpStatus | None
 
 
 class SimplexEngine:
@@ -174,8 +170,9 @@ class SimplexEngine:
 
     The engine keeps its basis between calls, so ``resolve_objective`` /
     ``resolve_rhs`` / ``reload`` after small data changes typically finish in
-    a handful of pivots (often zero).  All tie-breaking is by lowest index,
-    so identical inputs produce identical outputs, iteration counts included.
+    a handful of pivots (often zero); each sets its data and calls
+    ``solve``.  All tie-breaking is by lowest index, so identical inputs
+    produce identical outputs, iteration counts included.
 
     The engine keeps the inverses of the 8 bases it refactorized last, and
     refactorizing one of them again copies its kept inverse: the array
@@ -186,7 +183,10 @@ class SimplexEngine:
     (refactorizations served from the kept inverses), ``n_slack_retries``
     (restarts from the slack basis) and ``n_bland`` (pivot loops that
     switched to Bland's rule after a stall) count over the engine's
-    lifetime.
+    lifetime.  A singular basis makes a solve restart from the slack basis,
+    and so does a numerical failure, once, unless the solve started there
+    (the first solve, or one after a slack restart and no ``restore``);
+    then it raises.
     """
 
     def __init__(self, problem: LpProblem):
@@ -215,7 +215,6 @@ class SimplexEngine:
         self._inverses: OrderedDict[bytes, np.ndarray] = OrderedDict()
         self.c = np.zeros(self.nt)
         self.c[:n] = problem.c
-        self._c_struct = problem.c.copy()
         self.basis = np.arange(n, n + m)  # all-slack start
         self.vstat = np.empty(self.nt, dtype=np.int8)
         self._reset_nonbasic_status(np.arange(self.nt))
@@ -223,9 +222,9 @@ class SimplexEngine:
         self.B_inv = np.eye(m)
         self._inv_exact = True  # B_inv is inv(T[:, basis]) bit for bit
         self.x = np.zeros(self.nt)
-        self._solved_once = False
-        self._last_status: LpStatus | None = None
-        self._restored = False  # the next solve checks primal feasibility
+        # set when a solve completes or a basis is restored, cleared by a
+        # slack restart
+        self._retry = False
 
     # -- setup helpers -------------------------------------------------
 
@@ -265,6 +264,7 @@ class SimplexEngine:
 
     def _fall_back_to_slack_basis(self):
         self.n_slack_retries += 1
+        self._retry = False
         self.basis = np.arange(self.n, self.nt)
         self.vstat[:] = _BASIC  # overwritten next line for nonbasis
         self._reset_nonbasic_status(np.arange(self.n))
@@ -436,119 +436,37 @@ class SimplexEngine:
     # -- public API ----------------------------------------------------
 
     def solve(self) -> LpSolution:
-        """Solve from the current basis (cold start on first call)."""
-        if not self._refactor():
-            self._fall_back_to_slack_basis()
-        self._recompute_x()
-        return self._finish(restore_feasibility=True)
+        """Solve from the current basis (the slack basis on the first call).
 
-    def resolve_objective(self, c_new) -> LpSolution:
-        """Re-solve after replacing the structural objective vector."""
-        c_new = np.asarray(c_new, dtype=float)
-        if c_new.shape != (self.n,):
-            raise ValueError("objective size mismatch")
-        self.c[: self.n] = c_new
-        self._c_struct = c_new.copy()
-        if not self._solved_once or self._last_status is LpStatus.INFEASIBLE:
-            return self.solve()
-        return self._finish(restore_feasibility=False)
-
-    def resolve_rhs(self, b_new) -> LpSolution:
-        """Re-solve after replacing the right-hand side vector."""
-        b_new = np.asarray(b_new, dtype=float)
-        if b_new.shape != (self.m,):
-            raise ValueError("rhs size mismatch")
-        self.b = b_new.copy()
-        if not self._solved_once:
-            return self.solve()
-        self._recompute_x()
-        return self._finish(restore_feasibility=True)
-
-    def reload(self, A=None, b=None, c=None) -> LpSolution:
-        """Re-solve after in-place data changes, keeping the basis as a warm start."""
-        if A is not None:
-            A = np.asarray(A, dtype=float)
-            if A.shape != (self.m, self.n):
-                raise ValueError("matrix shape mismatch")
-            self.T[:, : self.n] = A
-            self._inv_exact = False
-            self._inverses.clear()
-        if b is not None:
-            self.b = np.asarray(b, dtype=float).copy()
-        if c is not None:
-            c = np.asarray(c, dtype=float)
-            self.c[: self.n] = c
-            self._c_struct = c.copy()
-        if not self._refactor():
-            self._fall_back_to_slack_basis()
-        self._recompute_x()
-        return self._finish(restore_feasibility=True)
-
-    def snapshot(self) -> BasisSnapshot:
-        """The current basis, to hand to ``restore`` later."""
-        return BasisSnapshot(self.basis.copy(), self.vstat.copy(),
-                             self._solved_once, self._last_status)
-
-    def restore(self, snap: BasisSnapshot):
-        """Reinstate a snapshot's basis; the next solve starts from it.
-
-        The problem data (matrix, right-hand side, objective) stay as they
-        are now.  The snapshot is copied, so it can be restored again.  The
-        basis is refactorized under the present matrix: not at all when it
-        is the current basis and the current inverse is exact, from the
-        engine's kept inverse of that basis when it has one, and by
-        inverting it otherwise (the same bytes every way).  If the basis is
-        singular the next solve starts cold from the slack basis.  The basis
-        may be primal infeasible under the present data (a basis kept from
-        another matrix), so the next solve, ``resolve_objective`` included,
-        runs phase 1 if it is; a feasible one goes straight to phase 2, as
-        it would without the check.
+        Refactorizes the basis, recomputes the basic values from the present
+        data, runs phase 1 only when a bound is broken, then phase 2 and a
+        polish (a final refactorization and recompute).
         """
-        if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
-            raise ValueError("snapshot of an engine of another shape")
-        self._inv_exact = (self._inv_exact
-                           and np.array_equal(snap.basis, self.basis))
-        self.basis = snap.basis.copy()
-        self.vstat = snap.vstat.copy()
-        self._solved_once = snap.solved_once
-        self._last_status = snap.last_status
-        self._restored = True
         if not self._refactor():
             self._fall_back_to_slack_basis()
-            self._solved_once = False
         self._recompute_x()
-
-    def _finish(self, restore_feasibility) -> LpSolution:
-        restore_feasibility = restore_feasibility or self._restored
-        self._restored = False
         budget = 2000 + 200 * self.m
         pivots = 0
         try:
-            if restore_feasibility:
-                _, _, total = self._infeasibility()
-                if total > TOL_FEAS:
-                    outcome, p1 = self._iterate(phase1=True, iter_budget=budget)
-                    pivots += p1
-                    if outcome == "infeasible":
-                        self._solved_once = True
-                        self._last_status = LpStatus.INFEASIBLE
-                        return LpSolution(LpStatus.INFEASIBLE, iterations=pivots)
-                    if not self._refactor():
-                        raise NumericalFailure("singular basis after phase 1")
-                    self._recompute_x()
+            _, _, total = self._infeasibility()
+            if total > TOL_FEAS:
+                outcome, pivots = self._iterate(phase1=True, iter_budget=budget)
+                if outcome == "infeasible":
+                    self._retry = True
+                    return LpSolution(LpStatus.INFEASIBLE, iterations=pivots)
+                if not self._refactor():
+                    raise NumericalFailure("singular basis after phase 1")
+                self._recompute_x()
             outcome, p2 = self._iterate(phase1=False, iter_budget=budget)
             pivots += p2
         except NumericalFailure:
-            if self._solved_once:
-                # deterministic retry from scratch before giving up
-                self._solved_once = False
-                self._fall_back_to_slack_basis()
-                self._recompute_x()
-                return self._finish(restore_feasibility=True)
-            raise
-        self._solved_once = True
+            if not self._retry:
+                raise
+            # one deterministic retry from the slack basis before giving up
+            self._fall_back_to_slack_basis()
+            return self.solve()
+        self._retry = True
         if outcome == "unbounded":
-            self._last_status = LpStatus.UNBOUNDED
             return LpSolution(LpStatus.UNBOUNDED, iterations=pivots)
         # polish the arithmetic before reporting
         if not self._refactor():
@@ -556,15 +474,64 @@ class SimplexEngine:
         self._recompute_x()
         y, rc = self._price(self.c)
         x = self.x[: self.n].copy()
-        self._last_status = LpStatus.OPTIMAL
         return LpSolution(
             LpStatus.OPTIMAL,
             x=x,
-            objective=float(self._c_struct @ x),
+            objective=float(self.c[: self.n] @ x),
             duals=y.copy(),
             reduced_costs=rc[: self.n].copy(),
             iterations=pivots,
         )
+
+    def resolve_objective(self, c_new) -> LpSolution:
+        """Re-solve after replacing the structural objective vector."""
+        return self.reload(c=c_new)
+
+    def resolve_rhs(self, b_new) -> LpSolution:
+        """Re-solve after replacing the right-hand side vector."""
+        return self.reload(b=b_new)
+
+    def reload(self, A=None, b=None, c=None) -> LpSolution:
+        """Set any of the matrix, right-hand side and objective, then
+        ``solve``; shapes are checked before anything changes (ValueError)."""
+        A, b, c = (None if v is None else np.asarray(v, dtype=float)
+                   for v in (A, b, c))
+        for what, v, shape in (("matrix", A, (self.m, self.n)),
+                               ("rhs", b, (self.m,)),
+                               ("objective", c, (self.n,))):
+            if v is not None and v.shape != shape:
+                raise ValueError(f"{what} has shape {v.shape}, expected {shape}")
+        if A is not None:
+            self.T[:, : self.n] = A
+            self._inv_exact = False
+            self._inverses.clear()
+        if b is not None:
+            self.b = b.copy()
+        if c is not None:
+            self.c[: self.n] = c
+        return self.solve()
+
+    def snapshot(self) -> BasisSnapshot:
+        """The current basis, to hand to ``restore`` later."""
+        return BasisSnapshot(self.basis.copy(), self.vstat.copy())
+
+    def restore(self, snap: BasisSnapshot):
+        """Install a snapshot's basis and variable statuses; the next solve
+        starts from them.
+
+        The problem data stay as they are now, and the snapshot is copied,
+        so it can be restored again.  The next solve refactorizes the basis
+        under the present matrix, as it does every basis, and runs phase 1
+        first when the basis is primal infeasible under the present data (a
+        basis kept from another matrix).
+        """
+        if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
+            raise ValueError("snapshot of an engine of another shape")
+        self._inv_exact = (self._inv_exact
+                           and np.array_equal(snap.basis, self.basis))
+        self.basis = snap.basis.copy()
+        self.vstat = snap.vstat.copy()
+        self._retry = True
 
 
 def _solve_highs(problem: LpProblem) -> LpSolution:

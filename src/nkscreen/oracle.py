@@ -85,12 +85,13 @@ class SublevelSolver:
     The support LPs run on one simplex engine.  The optimal basis of each
     solved direction is kept (a ``BasisSnapshot``) under the direction's
     bytes, and ``reload`` keeps them all.  A direction seen before starts
-    from its own basis: under the weights it was solved for, the restored
-    basis is re-priced in zero pivots and gives the same bytes as before;
-    under newer weights the engine inverts it under the new matrix and
-    re-solves, running phase 1 first when the new weights made it primal
-    infeasible.  A new direction starts from the basis the LP before it
-    left.
+    from its own basis: ``restore`` installs it and the engine's solve
+    refactorizes it, from the engine's kept inverse when it has one.  Under
+    the weights it was solved for, the basis is re-priced in zero pivots
+    and gives the same bytes as before; under newer weights the solve
+    inverts it under the new matrix and runs phase 1 first when the new
+    weights made it primal infeasible.  A new direction starts from the
+    basis the LP before it left.
 
     ``reload`` takes weights of the same architecture and box (ValueError
     otherwise).  ``counters()`` returns the LPs solved, bases reused and

@@ -240,8 +240,8 @@ def contingency_violation_fractions(region: ContingencyRegion, X_full, counters=
     """
     Xc = region.project(X_full)
     A, b = region.A, region.b
-    sup = A.clip(min=0.0) @ Xc.max(axis=0) + A.clip(max=0.0) @ Xc.min(axis=0)
-    rows = np.nonzero(sup > b - TOL_RED)[0]
+    rows = np.nonzero(_box_support(A, Xc.min(axis=0), Xc.max(axis=0))
+                      > b - TOL_RED)[0]
     if counters is not None:
         counters.update(filter_rows_evaluated=len(rows),
                         filter_rows_skipped=region.n_rows - len(rows))
@@ -266,7 +266,8 @@ def filter_contingencies(region: ContingencyRegion, X_full, threshold=0.9,
 
     Such contingencies are infeasible for essentially the whole operating
     distribution, so screening against them is pointless; they are excluded
-    from the region (and recorded) rather than drowning the labels.
+    from the region (and recorded) rather than drowning the labels.  When
+    none is dropped the result shares the input's arrays.
     ``counters`` goes to ``contingency_violation_fractions``.
     """
     fracs = contingency_violation_fractions(region, X_full, counters)
@@ -274,15 +275,16 @@ def filter_contingencies(region: ContingencyRegion, X_full, threshold=0.9,
     keep_c = np.nonzero(kept)[0]
     if len(keep_c) == 0:
         raise AssumptionViolated("every contingency exceeded the filter threshold")
-    rows = kept[region.row_meta["contingency"]]
-    new_meta = region.row_meta[rows]
-    new_meta["contingency"] = np.searchsorted(keep_c, new_meta["contingency"])
+    changed = {}
+    if len(keep_c) < len(kept):
+        mask = kept[region.row_meta["contingency"]]
+        new_meta = region.row_meta[mask]
+        new_meta["contingency"] = np.searchsorted(keep_c, new_meta["contingency"])
+        changed = dict(A=region.A[mask], b=region.b[mask], row_meta=new_meta,
+                       contingencies=[region.contingencies[c] for c in keep_c])
     out = replace(
         region,
-        A=region.A[rows],
-        b=region.b[rows],
-        row_meta=new_meta,
-        contingencies=[region.contingencies[c] for c in keep_c],
+        **changed,
         meta={**region.meta,
               "filtered_contingencies": [region.contingencies[c]
                                          for c in np.nonzero(~kept)[0]],
@@ -356,17 +358,32 @@ def _normalized(A, b):
     return A / norms[:, None], b / norms
 
 
+def _box_support(A, lo, hi):
+    """Each row's supremum over the box lo <= x <= hi: positive
+    coefficients meet the upper corner, negative ones the lower.
+
+    Taken over the row blocks of ``_point_blocks``, so the clipped copies
+    stay small; a row's value has the bytes of one product over all rows.
+    """
+    sup = np.empty(len(A))
+    for start, stop in _point_blocks(len(A)):
+        rows = A[start:stop]
+        sup[start:stop] = rows.clip(min=0.0) @ hi + rows.clip(max=0.0) @ lo
+    return sup
+
+
 def _dedup_rows(A_hat, b_hat):
     """Indices keeping one row per direction, the tightest rhs winning.
 
-    Rows whose normals agree after rounding to 9 decimals form a group.
+    Rows whose normals agree after rounding to 9 decimals form a group
+    (A_hat is rounded in place, so it is a key afterwards, not a normal).
     With -0.0 turned into 0.0 (and no NaN), numerically equal rows have
     equal bytes, so one sort of the rows as raw bytes puts each group's
     rows next to each other.  Parallel rows with a looser bound are
     dominated outright, so each group keeps only its smallest rhs (ties
     break toward the lowest original index).
     """
-    key = np.round(A_hat, 9)
+    key = np.round(A_hat, 9, out=A_hat)
     key += 0.0  # -0.0 + 0.0 is +0.0
     order = np.argsort(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0])
     key = key[order]
@@ -467,14 +484,12 @@ def prune_by_box_support(region: ContingencyRegion, counters=None):
     """
     if region.box_lower is None:
         raise ValueError("attach a box (with_box) before box-support pruning")
-    lo, hi = region.box_lower, region.box_upper
-    A_hat, b_hat = _normalized(region.A, region.b)
-    unique_rows = _dedup_rows(A_hat, b_hat)
+    unique_rows = _dedup_rows(*_normalized(region.A, region.b))
     if counters is not None:
         counters["duplicate_rows_collapsed"] = region.n_rows - len(unique_rows)
-    A, b = region.A[unique_rows], region.b[unique_rows]
-    sup = A.clip(min=0.0) @ hi + A.clip(max=0.0) @ lo
-    keep = unique_rows[sup > b + TOL_RED]
+    sup = _box_support(region.A[unique_rows], region.box_lower,
+                       region.box_upper)
+    keep = unique_rows[sup > region.b[unique_rows] + TOL_RED]
     if len(keep) == 0:
         raise AssumptionViolated("every row is redundant over the box; the "
                                  "box cannot reach any constraint")

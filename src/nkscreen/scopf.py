@@ -107,9 +107,11 @@ class _IcnnDispatchLp:
     Only the right-hand side depends on the demand, so the constraint
     matrix (with the network's PTDF) is built once.  The simplex engine is
     built on first use and solved once at the network's nominal demand; a
-    snapshot of its optimal basis is the start of every later solve, which
-    the engine's ``restore`` refactorizes (re-inverting it only when its
-    kept inverse was dropped).  Because every solve starts from this one
+    snapshot of its optimal basis is the start of every later solve.
+    ``restore`` installs it, and the ``resolve_rhs`` after it refactorizes
+    it from the engine's kept inverse (inverting it again only when that
+    inverse was dropped) and computes the basic values once, under the
+    demand's right-hand side.  Because every solve starts from this one
     basis, the answer for a demand does not depend on which demands came
     before.  If the nominal solve is not optimal, solves start from the
     slack basis.
@@ -292,9 +294,11 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     """
     demands = np.atleast_2d(np.asarray(demands, dtype=float))
     if not region_safe_for_dispatch(net, region, demands):
+        folded = np.setdiff1d(np.arange(region.n_full), region.dim_map)
         raise ValueError(
-            "region folds an injection dimension the dispatch problem can "
-            "move; benchmark against the full-dimension region instead")
+            f"region folds injection dimension(s) {folded.tolist()}, which "
+            "the dispatch problem can move; benchmark against the "
+            "full-dimension region (region_full.npz) instead")
     # the classifier LP's one-off build and nominal solve, timed apart
     _icnn_lps.clear()
     t0 = time.perf_counter()

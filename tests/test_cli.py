@@ -487,6 +487,24 @@ class TestScopfBench:
             rows = fh.read().strip().splitlines()
         assert len(rows) == 1 + 12  # header + two formulations per instance
 
+    def test_folded_region_exits_two(self, work, tmp_path, capsys):
+        from nkscreen.region import drop_constant_dims, save_region
+
+        full = load_region(os.path.join(work["prep"], "region_full.npz"))
+        # bus 1 has a generator; folding its injection at 0.3 is exact only
+        # for dispatches that keep it there
+        X = np.array([[0.1, 0.3, -0.1], [0.2, 0.3, -0.3]])
+        folded = drop_constant_dims(full, X)
+        assert list(folded.dim_map) == [0, 2]
+        path = str(tmp_path / "region_folded.npz")
+        save_region(folded, path)
+        code = main(["scopf-bench", "--case", work["case"],
+                     "--checkpoint", work["ckpt"],
+                     "--dataset", work["dataset"], "--region-full", path,
+                     "--limit", "2", "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert "region folds injection dimension(s) [1]" in capsys.readouterr().err
+
 
 class TestReuse:
     def prep_args(self, work):

@@ -409,11 +409,12 @@ def test_restore_reinverts_an_evicted_basis(monkeypatch):
     assert nominal.basis.tobytes() not in eng._inverses
     calls = counting_inv(monkeypatch)
     refactors, reused = eng.n_refactors, eng.n_inverses_reused
+    # restore installs the basis; the solve after it inverts it once
     eng.restore(nominal)
-    assert len(calls) == 1 and eng.n_refactors == refactors + 1
-    assert eng.n_inverses_reused == reused
     again = eng.resolve_objective(p.c)
     assert again.iterations == 0
+    assert len(calls) == 1 and eng.n_refactors == refactors + 1
+    assert eng.n_inverses_reused == reused
     same_bytes(again, first)
 
 
@@ -451,12 +452,90 @@ def test_counters_track_work(monkeypatch):
     assert eng.n_pivots == total > 0
     assert eng.n_refactors == len(calls) > 0
     assert eng.n_slack_retries == 0 and eng.n_bland == 0
-    # a singular basis restored restarts from the slack basis, and the
-    # counter says so
+    # a singular basis restored makes the next solve restart from the
+    # slack basis, and the counter says so
     snap = eng.snapshot()
     eng.restore(dataclasses.replace(snap, basis=np.full(eng.m, eng.n)))
+    sol = eng.resolve_objective(p.c)
     assert eng.n_slack_retries == 1
-    check_kkt(p, eng.resolve_objective(p.c))
+    check_kkt(p, sol)
+
+
+def _fail_next_pivot_loops(monkeypatch, count):
+    """Make the next count pivot loops of every engine raise."""
+    import nkscreen.lp as lp
+
+    left = [count]
+    iterate = SimplexEngine._iterate
+
+    def failing(self, *args, **kwargs):
+        if left[0] > 0:
+            left[0] -= 1
+            raise lp.NumericalFailure("injected")
+        return iterate(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplexEngine, "_iterate", failing)
+
+
+def test_numerical_failure_retries_once_from_slack_basis(monkeypatch):
+    from nkscreen.lp import NumericalFailure
+
+    rng = np.random.default_rng(30)
+    p = random_bounded_lp(rng, n=4, m=6)
+    cold = SimplexEngine(p).solve()
+    # the first solve starts from the slack basis: nothing to retry
+    eng = SimplexEngine(p)
+    _fail_next_pivot_loops(monkeypatch, 1)
+    with pytest.raises(NumericalFailure):
+        eng.solve()
+    assert eng.n_slack_retries == 0
+    # a warm solve that fails restarts once from the slack basis
+    eng.solve()
+    _fail_next_pivot_loops(monkeypatch, 1)
+    same_bytes(eng.resolve_rhs(p.b), cold)
+    assert eng.n_slack_retries == 1
+    _fail_next_pivot_loops(monkeypatch, 2)
+    with pytest.raises(NumericalFailure):
+        eng.resolve_objective(p.c)
+    assert eng.n_slack_retries == 2
+    # a solved basis restored is a warm start, also on an engine that has
+    # not solved yet
+    eng.solve()
+    fresh = SimplexEngine(p)
+    fresh.restore(eng.snapshot())
+    _fail_next_pivot_loops(monkeypatch, 1)
+    same_bytes(fresh.resolve_rhs(p.b), cold)
+    assert fresh.n_slack_retries == 1
+    # a singular basis restarts from the slack basis; a failure there raises
+    eng.restore(dataclasses.replace(eng.snapshot(),
+                                    basis=np.full(eng.m, eng.n)))
+    _fail_next_pivot_loops(monkeypatch, 1)
+    with pytest.raises(NumericalFailure):
+        eng.resolve_rhs(p.b)
+    assert eng.n_slack_retries == 3
+
+
+def test_reload_checks_shapes_before_any_change():
+    rng = np.random.default_rng(31)
+    p = random_bounded_lp(rng, n=4, m=3)
+    eng = SimplexEngine(p)
+    first = eng.solve()
+    state = [eng.T.copy(), eng.b.copy(), eng.c.copy(), eng.basis.copy(),
+             eng.B_inv.copy(), list(eng._inverses)]
+    bad = [{"A": p.A[:2]}, {"A": p.A.T}, {"b": np.array([1.0])},
+           {"b": np.ones((3, 1))}, {"c": np.ones(3)},
+           {"b": p.b, "c": np.ones(5)}, {"A": p.A, "b": p.b[:2]}]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            eng.reload(**kwargs)
+        after = [eng.T, eng.b, eng.c, eng.basis, eng.B_inv, list(eng._inverses)]
+        for was, now in zip(state, after):
+            assert np.array_equal(was, now), kwargs
+    with pytest.raises(ValueError):
+        eng.resolve_rhs(np.ones(4))
+    with pytest.raises(ValueError):
+        eng.resolve_objective(np.ones(3))
+    same_bytes(eng.solve(), first)
 
 
 def test_bland_switch_counted(monkeypatch):
@@ -521,12 +600,15 @@ def test_cache_hit_equals_fresh_inverse(monkeypatch):
     eng, p, first, snap, b_away = _leave_optimal_basis(26)
     calls = counting_inv(monkeypatch)
     refactors, reused = eng.n_refactors, eng.n_inverses_reused
+    # restore installs the basis; the solve after it takes the kept inverse
     eng.restore(snap)
+    again = eng.resolve_rhs(p.b)
+    assert again.iterations == 0
     assert calls == [] and eng.n_refactors == refactors
     assert eng.n_inverses_reused == reused + 1
     fresh = np.linalg.inv(eng.T[:, eng.basis])
     assert eng.B_inv.tobytes() == fresh.tobytes()
-    same_bytes(eng.resolve_rhs(p.b), first)
+    same_bytes(again, first)
 
 
 def test_pivot_after_hit_keeps_cached_inverse():

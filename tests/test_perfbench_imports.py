@@ -115,3 +115,71 @@ def test_region_build_goes_through_region_ptdf(monkeypatch):
     region = region_mod.build_region(mesh5(), 2)
     assert len(calls) >= 1
     assert region.n_rows > 0
+
+
+def test_simplex_spans_feed_every_lp_layer(bench):
+    """The lp.* means of train_phase._layers and dispatch_phase._layers are
+    taken over the outermost simplex spans below their roots; an empty set
+    gives a NaN mean and a result line that is not JSON.  A tiny pipeline
+    on mesh5 must leave every one of those sets non-empty, each span with
+    its pivot count."""
+    import copy
+
+    import numpy as np
+    from helpers import mesh5
+
+    from nkscreen import scopf
+    from nkscreen.datagen import DemandSampler, sample_demands
+    from nkscreen.grid import DcopfSolver
+    from nkscreen.icnn import ScaledClassifier, forward, init_params
+    from nkscreen.oracle import ScalingOracle, certify
+    from nkscreen.region import build_region
+
+    spans = importlib.import_module("spans")
+    net = mesh5()
+    region = build_region(net, 1)
+    params = init_params(net.n, 1, 8, np.full(net.n, -6.0),
+                         np.full(net.n, 6.0), seed=0)
+    params.b[-1] -= forward(params, np.zeros((1, net.n)))[0] + 1.0
+    demands = sample_demands(DemandSampler(net.demand, rel_std=0.1, seed=0), 4)
+    tracer = spans.Tracer("test")
+    spans.wrap_simplex(tracer)
+    try:
+        with tracer.span("training.train"):
+            oracle = ScalingOracle(params, region.A, region.b)
+            for shift in (0.0, 0.1):
+                params = copy.deepcopy(params)
+                params.b[-1] -= shift
+                with tracer.span("oracle.rescale"):
+                    scale = oracle.rescale(params)
+        with tracer.span("oracle.certify"):
+            certify(params, region.A, region.b, scale.r, None, oracle.solver)
+        with tracer.span("dispatch.draws"):
+            dcopf = DcopfSolver(net)
+            for d in demands:
+                dcopf.solve(d)
+        scopf._icnn_lps.clear()
+        clf = ScaledClassifier(params=params, r=scale.r)
+        for d in demands[:2]:
+            with tracer.span("scopf.solve_scopf_icnn"):
+                scopf.solve_scopf_icnn(net, d, clf)
+    finally:
+        tracer.unwrap_all()
+        scopf._icnn_lps.clear()
+
+    lp_spans = [s for s in tracer.spans if s[0].startswith("lp.")]
+    assert lp_spans and all("pivots" in s[4] for s in lp_spans)
+
+    def outermost_under(name, root):
+        return [i for r in tracer.named(root)
+                for i in tracer.outermost(tracer.within(name, r), "lp.")]
+
+    for name, root in (("lp.resolve_objective", "oracle.rescale"),
+                       ("lp.resolve_objective", "oracle.certify"),
+                       ("lp.reload", "oracle.rescale"),
+                       ("lp.resolve_rhs", "dispatch.draws"),
+                       ("lp.solve", "scopf.solve_scopf_icnn")):
+        found = outermost_under(name, root)
+        assert found, (name, root)
+        assert np.isfinite(tracer.mean_duration(found))
+        assert np.isfinite(np.mean(tracer.attr_values(found, "pivots")))
