@@ -121,7 +121,6 @@ def run():
                     "test_fpr": meta.get("test_fpr", screen["fpr"]),
                     "test_fnr": screen["fnr"],
                     "speedup_vs_full_sweep": screen["speedup_vs_full_sweep"],
-                    "speedup_vs_early_exit": screen["speedup_vs_early_exit"],
                 }
                 if depth == 1:
                     bench_dir = step(

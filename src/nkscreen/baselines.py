@@ -1,20 +1,20 @@
 """Comparison baselines for the convex screening classifier.
 
 Two reference points: a standard (sign-unconstrained) ReLU network trained
-with the same optimizer, schedule, and selection protocol, and the
-exhaustive ground-truth screen that sweeps every region row.  The standard
-network shows what certification buys (it can and does produce false
-negatives); the exhaustive sweep anchors both accuracy and runtime claims.
+with the same optimizer, schedule, and selection protocol, and the row
+sweep that checks every region row.  The standard network shows what
+certification buys (it can and does produce false negatives).  The sweep,
+``screen_batch``, is the one that labels the dataset, so it is both the
+ground truth and the runtime baseline of ``nkscreen screen``.
 """
 
 from __future__ import annotations
-
-import time
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import label_injections
 from .icnn import IcnnGrads
 from .region import ContingencyRegion
 from .training import (
@@ -199,52 +199,18 @@ def train_mlp(X_train, y_train, X_val, y_val, config: TrainingConfig,
     return chosen, record
 
 
-def _check_width(region: ContingencyRegion, X):
+def screen_batch(region: ContingencyRegion, X, early_exit=False):
+    """Row-sweep labels (1 = infeasible) for a batch of injections.
+
+    The width check, then ``label_injections``: one sweep of every region
+    row through ``region.margins``, a block of points at a time.  A point
+    with a NaN coordinate is infeasible.  ``early_exit`` is kept for the
+    benchmark's call shape and must be False.
+    """
+    if early_exit:
+        raise ValueError("the early-exit sweep is gone; use early_exit=False")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != region.n_full:
         raise DimensionMismatch(
             f"injections have {X.shape[1]} dims, region expects {region.n_full}")
-    return X
-
-
-def exhaustive_screen(region: ContingencyRegion, x, block=256):
-    """Ground-truth screen of one injection; True means feasible.
-
-    Sweeps the region rows in blocks and stops at the first violation.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch("exhaustive_screen takes a single injection")
-    u = region.project(_check_width(region, x))[0]
-    for start in range(0, len(region.b), block):
-        stop = start + block
-        if np.any(region.A[start:stop] @ u > region.b[start:stop]):
-            return False
-    return True
-
-
-def screen_batch(region: ContingencyRegion, X, early_exit=True):
-    """Row-sweep labels (1 = infeasible) for a batch of injections.
-
-    The full sweep is ``region.margins``, which holds the row values of a
-    block of points at a time, never of the whole batch.
-    """
-    X = _check_width(region, X)
-    if early_exit:
-        return np.array([0 if exhaustive_screen(region, x) else 1 for x in X],
-                        dtype=np.uint8)
-    return (region.margins(region.project(X)) > 0).astype(np.uint8)
-
-
-def time_screening(region: ContingencyRegion, X, repeats=3):
-    """Median wall-clock of the row sweep, with and without early exit."""
-    out = {}
-    for key, early in (("early_exit_seconds", True),
-                       ("full_sweep_seconds", False)):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            screen_batch(region, X, early_exit=early)
-            times.append(time.perf_counter() - t0)
-        out[key] = float(np.median(times))
-    return out
+    return label_injections(region, X)

@@ -84,8 +84,8 @@ def sample_injections(net: Network, sampler: DemandSampler, count,
     Infeasible demand draws are skipped and replaced by further draws; gives
     up past max_oversample * count total draws.  stream picks the first
     random stream, so disjoint calls can use disjoint stream ranges.  A dict
-    passed as counters receives the DC-OPF solver's ``counters()`` (draws,
-    pivots, refactorizations, inverses reused).
+    passed as counters receives the DC-OPF solver's ``counters()``: the
+    draws and the simplex engine's five counters.
     """
     solver = DcopfSolver(net)
     X = np.empty((count, net.n))
@@ -117,6 +117,10 @@ def sample_injections(net: Network, sampler: DemandSampler, count,
 
 def label_injections(region: ContingencyRegion, X_full):
     """1 = infeasible (violates some region row), 0 = feasible.
+
+    The one definition of "secure": a sweep of every row, a block of points
+    at a time (``region.margins``).  A point with a NaN coordinate has a NaN
+    margin and is labelled 1.
 
     numpy multiplies a single point as a matrix-vector product, which
     rounds other than a row of a matrix product: a point labelled alone

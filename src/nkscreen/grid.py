@@ -249,7 +249,7 @@ class DcopfSolver:
     pmin <= p <= pmax (p fixed to 0 at buses without generators).
 
     ``counters()`` returns the demands solved (draws) and the engine's
-    pivots, refactorizations and inverses reused over the solver's lifetime.
+    ``counters()`` over the solver's lifetime.
     """
 
     def __init__(self, net: Network):
@@ -280,13 +280,7 @@ class DcopfSolver:
         return DcopfResult(LpStatus.OPTIMAL, p=p, flows=flows, cost=float(self.net.cost @ p))
 
     def counters(self):
-        eng = self.engine
-        return {
-            "draws": self.n_draws,
-            "pivots": eng.n_pivots,
-            "refactorizations": eng.n_refactors,
-            "inverses_reused": eng.n_inverses_reused,
-        }
+        return {"draws": self.n_draws, **self.engine.counters()}
 
 
 def solve_dcopf(net: Network, demand=None) -> DcopfResult:

@@ -179,14 +179,14 @@ class SimplexEngine:
     ``np.linalg.inv`` would return again.  They take at most 8 m^2 floats
     (2.4 MB at 192 rows); a new matrix from ``reload`` drops them.
 
-    ``n_pivots``, ``n_refactors`` (basis inversions), ``n_inverses_reused``
-    (refactorizations served from the kept inverses), ``n_slack_retries``
-    (restarts from the slack basis) and ``n_bland`` (pivot loops that
-    switched to Bland's rule after a stall) count over the engine's
-    lifetime.  A singular basis makes a solve restart from the slack basis,
-    and so does a numerical failure, once, unless the solve started there
-    (the first solve, or one after a slack restart and no ``restore``);
-    then it raises.
+    ``counters()`` returns five counts over the engine's lifetime: pivots,
+    refactorizations (basis inversions), inverses reused (refactorizations
+    served from the kept inverses), slack retries (restarts from the slack
+    basis) and Bland switches (pivot loops that switched to Bland's rule
+    after a stall).  A singular basis makes a solve restart from the slack
+    basis, and so does a numerical failure, once, unless the solve started
+    there (the first solve, or one after a slack restart and no
+    ``restore``); then it raises.
     """
 
     def __init__(self, problem: LpProblem):
@@ -510,6 +510,16 @@ class SimplexEngine:
         if c is not None:
             self.c[: self.n] = c
         return self.solve()
+
+    def counters(self):
+        """The five lifetime counts, under the names the reports use."""
+        return {
+            "pivots": self.n_pivots,
+            "refactorizations": self.n_refactors,
+            "inverses_reused": self.n_inverses_reused,
+            "slack_retries": self.n_slack_retries,
+            "bland_switches": self.n_bland,
+        }
 
     def snapshot(self) -> BasisSnapshot:
         """The current basis, to hand to ``restore`` later."""

@@ -95,8 +95,7 @@ class SublevelSolver:
 
     ``reload`` takes weights of the same architecture and box (ValueError
     otherwise).  ``counters()`` returns the LPs solved, bases reused and
-    the engine's pivots, refactorizations, inverses reused, slack-basis
-    retries and switches to Bland's rule.
+    the engine's ``counters()``.
     """
 
     def __init__(self, params: IcnnParams):
@@ -128,16 +127,8 @@ class SublevelSolver:
                    ((self.A, A), (self.b, b), (self.lb, lb), (self.ub, ub)))
 
     def counters(self):
-        eng = self.engine
-        return {
-            "n_lp": self.n_lp,
-            "pivots": eng.n_pivots,
-            "refactorizations": eng.n_refactors,
-            "inverses_reused": eng.n_inverses_reused,
-            "slack_retries": eng.n_slack_retries,
-            "bland_switches": eng.n_bland,
-            "bases_reused": self.n_reused,
-        }
+        return {"n_lp": self.n_lp, **self.engine.counters(),
+                "bases_reused": self.n_reused}
 
     def support(self, direction) -> SupportResult:
         direction = np.asarray(direction, dtype=float)

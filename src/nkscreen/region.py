@@ -146,9 +146,9 @@ class ContingencyRegion:
             del vals  # before the next block is made
         return out
 
-    def membership(self, X_full, tol=0.0):
+    def membership(self, X_full):
         """Boolean membership for points given in full original coordinates."""
-        return self.margins(self.project(X_full)) <= tol
+        return self.margins(self.project(X_full)) <= 0.0
 
 
 def _outage_sets(net: Network, k: int, counters=None):

@@ -326,11 +326,12 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     n_icnn = sum(1 for r in icnns if r)
     nonconservative = sum(1 for i in range(n) if icnns[i] and not fulls[i])
 
+    # every feasible classifier dispatch in one batch, as the labels are
+    solved = [i for i in range(n) if icnns[i]]
     worst_violation = 0.0
-    for i in range(n):
-        if icnns[i]:
-            margins = region.margins(region.project(icnns[i].p - demands[i]))
-            worst_violation = max(worst_violation, float(margins.max()))
+    if solved:
+        X = np.array([icnns[i].p for i in solved]) - demands[solved]
+        worst_violation = max(0.0, float(region.margins(region.project(X)).max()))
 
     excess = [(icnns[i].cost - fulls[i].cost) / max(abs(fulls[i].cost), 1e-12)
               for i in both]

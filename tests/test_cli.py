@@ -156,7 +156,8 @@ class TestPrepareRegion:
         counts = [int(c) for c in COUNTS.split(",")]
         sampling = report["sampling"]
         assert set(sampling) == {"draws", "pivots", "refactorizations",
-                                 "inverses_reused"}
+                                 "inverses_reused", "slack_retries",
+                                 "bland_switches"}
         assert sampling["draws"] >= sum(counts)
         assert sampling["refactorizations"] > 0
 
@@ -397,9 +398,12 @@ class TestScreen:
         (d,) = [d for d in os.listdir(work["runs"]) if d.startswith("screen-")]
         report = json.load(open(os.path.join(work["runs"], d,
                                              "screen_report.json")))
+        assert set(report) == {
+            "manifest", "checkpoint_manifest", "n_test", "fpr", "fnr",
+            "confusion", "icnn_seconds", "full_sweep_seconds",
+            "speedup_vs_full_sweep", "exhaustive_agreement_full"}
         assert report["fnr"] == 0.0
         assert report["n_test"] == 200
-        assert report["exhaustive_agreement_early"] == 1.0
         assert report["exhaustive_agreement_full"] == 1.0
         conf = report["confusion"]
         assert sum(conf.values()) == 200
@@ -416,6 +420,14 @@ class TestTransformChecks:
         artifact = load(path)
         artifact.mu = artifact.mu + 1.0
         save(artifact, out)
+        return str(out)
+
+    def narrowed(self, path, out):
+        """The dataset with its first reduced coordinate dropped."""
+        from nkscreen.datagen import save_dataset
+        ds = load_dataset(path)
+        ds.mu, ds.sigma, ds.dim_map = ds.mu[1:], ds.sigma[1:], ds.dim_map[1:]
+        save_dataset(ds, out)
         return str(out)
 
     def run(self, argv, capsys):
@@ -449,6 +461,23 @@ class TestTransformChecks:
                             tmp_path / "checkpoint.npz")
         code, err = self.run(["screen", "--checkpoint", ckpt,
                               "--dataset", work["dataset"], "--region-full",
+                              os.path.join(work["prep"], "region_full.npz"),
+                              "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "dataset and checkpoint standardizations disagree" in err
+
+    def test_train_rejects_narrower_dataset(self, work, tmp_path, capsys):
+        data = self.narrowed(work["dataset"], tmp_path / "dataset.npz")
+        code, err = self.run(["train", "--dataset", data, "--region",
+                              os.path.join(work["prep"], "region.npz"),
+                              "--out", str(tmp_path)] + TRAIN_FLAGS, capsys)
+        assert code == 2
+        assert "dataset and region standardizations disagree" in err
+
+    def test_screen_rejects_narrower_dataset(self, work, tmp_path, capsys):
+        data = self.narrowed(work["dataset"], tmp_path / "dataset.npz")
+        code, err = self.run(["screen", "--checkpoint", work["ckpt"],
+                              "--dataset", data, "--region-full",
                               os.path.join(work["prep"], "region_full.npz"),
                               "--out", str(tmp_path)], capsys)
         assert code == 2
