@@ -147,6 +147,38 @@ def require_same_transform(a, b, message):
         raise ValidationError(message)
 
 
+# rows named one per line in a certification message; the report has all
+_ROWS_SHOWN = 10
+
+
+def name_rows(report, region):
+    """The worst row and each violated or failed row of a certification,
+    each with its outage set, monitored line and sign."""
+    return {
+        "worst": region.describe_row(report.worst_row),
+        "violated": [region.describe_row(j) for j, _, _ in report.violations],
+        "failed": [region.describe_row(j) for j in report.failed_rows],
+    }
+
+
+def row_text(row):
+    sign = "+" if row["sign"] > 0 else "-"
+    return (f"row {row['row']} (outage {tuple(row['outage'])}, "
+            f"line {row['line']}, {sign})")
+
+
+def print_bad_rows(named):
+    """One line per violated or failed row, the first ``_ROWS_SHOWN`` of
+    each kind."""
+    for kind in ("violated", "failed"):
+        rows = named[kind]
+        for row in rows[:_ROWS_SHOWN]:
+            print(f"  {kind}: {row_text(row)}", file=sys.stderr)
+        if len(rows) > _ROWS_SHOWN:
+            print(f"  ... and {len(rows) - _ROWS_SHOWN} more {kind} rows",
+                  file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # prepare-region
 
@@ -393,9 +425,12 @@ def cmd_train(args):
     # independent gate before anything is written: never persist an
     # uncertified checkpoint
     report = certify(clf.params, region.A, region.b, r=clf.r, v=clf.v)
+    named = name_rows(report, region)
     print(f"certification: {report.verdict} "
-          f"(worst margin {report.margins.min():.3e}, {report.n_lp} LPs)")
+          f"(worst margin {report.margins.min():.3e} at "
+          f"{row_text(named['worst'])}, {report.n_lp} LPs)")
     if not report.reliable:
+        print_bad_rows(named)
         print("refusing to write checkpoint", file=sys.stderr)
         return 3
 
@@ -461,6 +496,7 @@ def cmd_certify(args):
                      tol=args.tol)
     elapsed = time.perf_counter() - t0
 
+    named = name_rows(report, region)
     out = {
         "manifest": manifest.hash,
         "checkpoint_manifest": clf.meta.get("manifest", ""),
@@ -468,11 +504,13 @@ def cmd_certify(args):
         "tol": args.tol,
         "seconds": round(elapsed, 3),
         **report.to_dict(),
+        "named_rows": named,
     }
     write_json(os.path.join(run_dir, "certify_report.json"), out)
     print(f"certification: {report.verdict} over {region.n_rows} rows, "
-          f"worst margin {report.margins.min():.3e} at row {report.worst_row} "
-          f"({report.n_lp} LPs, {elapsed:.1f}s)")
+          f"worst margin {report.margins.min():.3e} at "
+          f"{row_text(named['worst'])} ({report.n_lp} LPs, {elapsed:.1f}s)")
+    print_bad_rows(named)
     finish_run(manifest, run_dir, ["certify_report.json"])
     return 0 if report.reliable else 3
 

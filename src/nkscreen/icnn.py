@@ -259,6 +259,12 @@ class ScaledClassifier:
     set becomes (S - v) / r where S = {f <= 0}; with r >= 1 this shrinks S
     toward v / r, and the certified (r, v) make the shrunken set a subset of
     the reference region.
+
+    The reference region is exact only inside the box, and with r < 1 the
+    set (S - v) / r reaches past it, so x itself must lie in the box too.
+    ``input_box`` folds that into the one box penalty: the box on u = r x + v
+    becomes the network's box intersected with r * box + v.  Its screening
+    network is built once per change of params, r or v, not once per call.
     """
 
     params: IcnnParams
@@ -268,13 +274,36 @@ class ScaledClassifier:
     sigma: np.ndarray | None = None
     dim_map: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    _screen: IcnnParams | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in ("params", "r", "v"):
+            super().__setattr__("_screen", None)
 
     def _shift(self):
         return np.zeros(self.params.n_inputs) if self.v is None else self.v
 
+    def input_box(self):
+        """(lower, upper) on the network input u = r x + v: u lies inside
+        iff u is in the network's box and x is in the box."""
+        p, v = self.params, self._shift()
+        return (np.maximum(p.box_lower, self.r * p.box_lower + v),
+                np.minimum(p.box_upper, self.r * p.box_upper + v))
+
+    def _screening_params(self):
+        if self._screen is None:
+            p = self.params
+            lo, hi = self.input_box()
+            # shares the weight lists, so weights changed in place carry over
+            self._screen = IcnnParams(W=p.W, D=p.D, b=p.b, box_lower=lo,
+                                      box_upper=hi, box_gain=p.box_gain)
+        return self._screen
+
     def decision_values(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return forward(self.params, self.r * X + self._shift())
+        return forward(self._screening_params(), self.r * X + self._shift())
 
     def predict_feasible(self, X):
         return self.decision_values(X) <= 0.0

@@ -116,6 +116,15 @@ class ContingencyRegion:
                 raise AssumptionViolated("box must be finite")
         return self
 
+    def describe_row(self, j):
+        """Row j's outage set, monitored line and sign (+1 for the flow's
+        upper limit, -1 for its lower limit), for reports."""
+        meta = self.row_meta[j]
+        return {"row": int(j),
+                "outage": [int(line) for line in
+                           self.contingencies[meta["contingency"]]],
+                "line": int(meta["line"]), "sign": int(meta["sign"])}
+
     def is_identity_transform(self):
         return (
             len(self.dim_map) == self.n_full

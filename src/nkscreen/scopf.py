@@ -127,7 +127,7 @@ class _IcnnDispatchLp:
         if len(dim_map) != n_in:
             raise ValueError("classifier transform does not match its input width")
 
-        A_e, b_e, lb_e, ub_e = epigraph_constraints(params)
+        A_e, b_e, _, _ = epigraph_constraints(params)
         nz = A_e.shape[1] - n_in
         A_u, A_z = A_e[:, :n_in], A_e[:, n_in:]
 
@@ -144,9 +144,11 @@ class _IcnnDispatchLp:
             out[:, :net.n] = block
             return out
 
-        # the certified set is the sublevel set intersected with the input box
-        hi_ok = np.isfinite(ub_e[:n_in])
-        lo_ok = np.isfinite(lb_e[:n_in])
+        # the certified set is the sublevel set intersected with the box,
+        # which bounds both u and the standardized p - d (``input_box``)
+        lo, hi = clf.input_box()
+        hi_ok = np.isfinite(hi)
+        lo_ok = np.isfinite(lo)
         balance = np.zeros((1, nv))
         balance[0, :net.n] = 1.0
         self.A = np.vstack([pad(H), pad(-H), np.hstack([A_u @ S, A_z]),
@@ -154,7 +156,7 @@ class _IcnnDispatchLp:
         # every row constrains p - d, so the rhs is b0 + A[:, :n] @ d
         self.b0 = np.concatenate([
             net.f_upper, -net.f_lower, b_e - A_u @ s0,
-            ub_e[:n_in][hi_ok] - s0[hi_ok], s0[lo_ok] - lb_e[:n_in][lo_ok],
+            hi[hi_ok] - s0[hi_ok], s0[lo_ok] - lo[lo_ok],
             [0.0]])
         self.rel = ["<="] * (len(self.A) - 1) + ["="]
         self.lb = np.concatenate([net.pmin, np.zeros(nz)])
@@ -243,6 +245,8 @@ def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier) -> ScopfResult
     exact epigraph rows over auxiliary unit variables z (exact because the
     hidden-to-hidden weights are nonnegative); the standardization and the
     certified scale fold into the affine map from p to the network input.
+    The box rows keep both the network input and standardize(p - d) in the
+    box (``ScaledClassifier.input_box``), as screening does.
     Only valid for certified classifiers: then any dispatch returned here
     satisfies the full region.
 

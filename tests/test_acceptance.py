@@ -10,7 +10,9 @@ reruns reuse them; a cold run trains the reference checkpoint from scratch
 synthetic and runs in seconds.
 
 Each criterion is a separate test so the verbose report reads as one
-pass/fail line per guarantee.
+pass/fail line per guarantee.  Two checks on the 2,386-row support region
+follow them: the nearest-first certification's pivots, and the screening
+of points that the scaled set reaches outside the box.
 """
 
 import contextlib
@@ -31,8 +33,9 @@ from nkscreen.datagen import load_dataset
 from nkscreen.grid import load_network
 from nkscreen.icnn import (box_violation, forward, init_params,
                            load_checkpoint, raw_forward)
-from nkscreen.oracle import (DegenerateRatio, certify, r_gradient, scale_fast,
-                             scale_full, sublevel_max)
+from nkscreen.lp import TOL_FEAS
+from nkscreen.oracle import (DegenerateRatio, SublevelSolver, certify,
+                             r_gradient, scale_fast, scale_full, sublevel_max)
 from nkscreen.region import load_region
 from nkscreen.scopf import solve_scopf_icnn
 from nkscreen.training import (TrainingConfig, classification_rates,
@@ -500,3 +503,57 @@ def test_criterion_12_scopf_quality_and_speed(pipeline):
     print(f"{s['instances']} instances: excess cost "
           f"{s['mean_excess_cost']:.4%}, extra infeasible "
           f"{s['extra_infeasible_fraction']:.2%}, speedup {s['speedup']:.1f}x")
+
+
+# ---------------------------------------------------------------------------
+# the reference checkpoint against the 2,386-row support region
+
+
+def test_support_region_certifies_nearest_first(pipeline):
+    # a fresh certification takes at most a fifth of the pivots of the
+    # same rows solved in index order, with the same verdict and worst row
+    clf, region = pipeline["clf"], pipeline["region_std"]
+    report = certify(clf.params, region.A, region.b, r=clf.r, v=clf.v)
+    solver = SublevelSolver(clf.params)
+    zeta = np.array([solver.support(row).value for row in region.A])
+    scaled = (zeta - region.A @ clf.v) / clf.r
+    index_pivots = solver.counters()["pivots"]
+    index_verdict = ("violated" if np.any(scaled > region.b + TOL_FEAS)
+                     else "reliable")
+    assert report.verdict == index_verdict
+    assert report.worst_row == int(np.argmin(region.b - scaled))
+    np.testing.assert_allclose(report.supports, scaled, atol=1e-9)
+    assert 5 * report.pivots <= index_pivots, \
+        f"{report.pivots} pivots nearest-first, {index_pivots} in index order"
+    print(f"{region.n_rows} rows: {report.pivots} pivots nearest-first, "
+          f"{index_pivots} in index order; verdict {report.verdict}")
+
+
+def test_points_outside_the_box_are_screened_insecure(pipeline):
+    # The certificate covers the scaled set only inside the box.  Pull the
+    # maximizer of the worst support row 5% toward a test point predicted
+    # secure: the witness lies outside the box, region_full labels it
+    # insecure, and screening must not pass it.
+    clf, std, full, ds = (pipeline["clf"], pipeline["region_std"],
+                          pipeline["region_full"], pipeline["ds"])
+    report = certify(clf.params, std.A, std.b, r=clf.r, v=clf.v)
+    u = sublevel_max(clf.params, std.A[report.worst_row]).x
+    x = (u - clf.v) / clf.r
+    test = ds.standardized(ds.x[ds.test])
+    secure = test[clf.predict_feasible(test)][0]
+    witness = x + 0.05 * (secure - x)
+    lo, hi = clf.params.box_lower, clf.params.box_upper
+    outside = max(np.max(lo - witness), np.max(witness - hi))
+    assert outside > 0, "the witness lies inside the box"
+    x_full = np.where(np.isnan(std.dropped_values), 0.0, std.dropped_values)
+    x_full[std.dim_map] = witness * std.sigma + std.mu
+    assert full.margins(full.project(x_full))[0] > 0
+    assert not clf.predict_feasible(witness)[0]
+    # points inside the box keep their predictions
+    inside = np.all((test >= lo) & (test <= hi), axis=1)
+    assert inside.all()
+    np.testing.assert_array_equal(
+        clf.predict_feasible(test),
+        forward(clf.params, clf.r * test + clf.v) <= 0.0)
+    print(f"witness {outside:.2f} standardized units outside the box: "
+          "screened insecure")

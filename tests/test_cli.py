@@ -368,16 +368,39 @@ class TestCertify:
         assert report["pivots"] > 0 and report["refactorizations"] > 0
         assert report["slack_retries"] == 0 and report["bases_reused"] == 0
         assert report["bland_switches"] == 0
+        worst = report["named_rows"]["worst"]
+        assert worst["row"] == report["worst_row"]
+        assert worst["sign"] in (-1, 1) and worst["outage"]
+        assert report["named_rows"]["violated"] == []
 
-    def test_tampered_checkpoint_exits_three(self, work, tmp_path):
+    def test_tampered_checkpoint_exits_three(self, work, tmp_path, capsys):
         clf = load_checkpoint(work["ckpt"])
         clf.r = clf.r * 0.2  # grows the predicted set past the region
         bad = tmp_path / "tampered.npz"
         save_checkpoint(clf, bad)
+        region_path = os.path.join(work["prep"], "region.npz")
         code = main(["certify", "--checkpoint", str(bad),
-                     "--region", os.path.join(work["prep"], "region.npz"),
-                     "--out", str(tmp_path)])
+                     "--region", region_path, "--out", str(tmp_path)])
         assert code == 3
+        # the report and the message name every violated row's outage set,
+        # monitored line and sign
+        (d,) = [d for d in os.listdir(tmp_path) if d.startswith("certify-")]
+        report = json.load(open(tmp_path / d / "certify_report.json"))
+        region = load_region(region_path)
+        named = report["named_rows"]
+        assert [row["row"] for row in named["violated"]] == \
+            [j for j, _, _ in report["violations"]]
+        assert named["failed"] == []
+        assert named["worst"]["row"] == report["worst_row"]
+        for row in [named["worst"], *named["violated"]]:
+            meta = region.row_meta[row["row"]]
+            assert row["line"] == meta["line"] and row["sign"] == meta["sign"]
+            assert tuple(row["outage"]) == \
+                region.contingencies[meta["contingency"]]
+        err = capsys.readouterr().err
+        first = named["violated"][0]
+        assert (f"violated: row {first['row']} (outage "
+                f"{tuple(first['outage'])}, line {first['line']}") in err
 
     def test_dimension_mismatch_rejected(self, work, tmp_path):
         code = main(["certify", "--checkpoint", work["ckpt"],

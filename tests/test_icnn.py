@@ -241,3 +241,50 @@ class TestCheckpoint:
         clf = ScaledClassifier(params=net)
         X = np.random.default_rng(4).normal(size=(6, 2))
         np.testing.assert_allclose(clf.decision_values(X), forward(net, X))
+
+
+class TestScreeningBox:
+    """With r < 1 the set (S - v) / r reaches past the box, where the
+    certificate says nothing; screening must say insecure there."""
+
+    def test_point_outside_box_but_inside_scaled_set_is_insecure(self):
+        # S: |u1| + |u2| <= 1 in the box [-10, 10]^2; with r = 0.05 the set
+        # S / r is the L1 ball of radius 20, beyond the x box [-10, 10]^2
+        clf = ScaledClassifier(params=l1_ball_net(radius=1.0, box=10.0),
+                               r=0.05, v=np.zeros(2))
+        outside = np.array([[15.0, 0.0], [0.0, -12.0], [10.5, 9.0]])
+        assert np.all(forward(clf.params, clf.r * outside) <= 0.0)
+        assert not clf.predict_feasible(outside).any()
+        assert clf.predict_feasible(np.array([[9.0, 0.0], [-5.0, 5.0]])).all()
+
+    def test_input_box_is_the_intersection(self):
+        net = l1_ball_net(radius=1.0, box=2.0)
+        clf = ScaledClassifier(params=net, r=0.5, v=np.array([0.5, -1.5]))
+        lo, hi = clf.input_box()
+        # r * [-2, 2] + v = [-0.5, 1.5] and [-2.5, -0.5]
+        np.testing.assert_array_equal(lo, [-0.5, -2.0])
+        np.testing.assert_array_equal(hi, [1.5, -0.5])
+
+    def test_box_follows_changes_of_r_and_v(self):
+        clf = ScaledClassifier(params=l1_ball_net(radius=1.0, box=10.0),
+                               r=0.05)
+        x = np.array([[15.0, 0.0]])
+        assert not clf.predict_feasible(x)[0]
+        clf.r = 0.08  # u = 1.2: outside S as well
+        assert not clf.predict_feasible(x)[0]
+        clf.r = 0.05
+        # the x box now maps to u1 in [-1.5, -0.5]; x1 = 12 gives u1 = -0.4,
+        # inside S and inside the box of v = 0, but x1 is outside the box
+        clf.v = np.array([-1.0, 0.0])
+        assert not clf.predict_feasible(np.array([[12.0, 0.0]]))[0]
+        assert clf.predict_feasible(np.array([[4.0, 0.0]]))[0]
+
+    def test_inside_box_predictions_unchanged(self):
+        net = init_params(3, depth=2, width=5, box_lower=-np.ones(3),
+                          box_upper=np.ones(3), seed=2)
+        X = np.random.default_rng(8).uniform(-1, 1, size=(50, 3))
+        for r, v in ((0.3, np.full(3, 0.1)), (1.0, None), (2.5, np.zeros(3))):
+            clf = ScaledClassifier(params=net, r=r, v=v)
+            shift = 0.0 if v is None else v
+            np.testing.assert_array_equal(clf.predict_feasible(X),
+                                          forward(net, r * X + shift) <= 0.0)

@@ -7,9 +7,10 @@ from nkscreen.icnn import IcnnParams, forward, init_params, raw_forward
 from nkscreen.lp import _AT_LB, _AT_UB, TOL_FEAS, LpProblem, solve
 from nkscreen.oracle import (
     DegenerateRatio, EmptyPredictedSet, ScalingOracle, SublevelSolver,
-    certify, epigraph_constraints, r_gradient, scale_fast, scale_full,
-    sublevel_max,
+    certify, epigraph_constraints, nearest_first, r_gradient, scale_fast,
+    scale_full, sublevel_max,
 )
+from nkscreen.lp import NumericalFailure
 from test_lp import vertex_enumeration_max
 
 
@@ -395,11 +396,96 @@ class TestCertify:
         net, A, b = random_instance(3)
         oracle = ScalingOracle(net, A, b)
         scale = oracle.rescale(net)
+        # certification visits the rows in another order than the rescale,
+        # and each row still starts from its own kept basis
+        assert nearest_first(A).tolist() != list(range(len(b)))
         report = certify(net, A, b, r=scale.r, solver=oracle.solver)
         assert report.reliable and report.pivots == 0
         assert report.bases_reused == len(b)
         assert report.refactorizations <= len(b)
         assert report.supports.max() == pytest.approx(b[scale.row], abs=1e-12)
+
+
+def index_order_sweep(net, A, b):
+    """Supports, verdict and pivots of one fresh solver in row order."""
+    solver = SublevelSolver(net)
+    zeta = np.array([solver.support(row).value for row in A])
+    verdict = "violated" if np.any(zeta > b + TOL_FEAS) else "reliable"
+    return zeta, verdict, solver.counters()["pivots"]
+
+
+class TestNearestFirst:
+    def test_order_is_a_permutation_from_row_zero(self):
+        A = np.random.default_rng(5).normal(size=(30, 4))
+        order = nearest_first(A)
+        assert order[0] == 0
+        assert sorted(order.tolist()) == list(range(30))
+        assert nearest_first(A[:1]).tolist() == [0]
+
+    def test_parallel_rows_follow_each_other(self):
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=(5, 3))
+        # row k + 5 is row k scaled: each pair is exactly parallel
+        A = np.vstack([base, base * rng.uniform(0.5, 3.0, size=(5, 1))])
+        order = nearest_first(A).tolist()
+        for k in range(5):
+            assert abs(order.index(k) - order.index(k + 5)) == 1
+
+    def test_each_step_takes_the_nearest_unvisited_row(self):
+        A = np.random.default_rng(7).normal(size=(12, 3))
+        U = A / np.linalg.norm(A, axis=1)[:, None]
+        order = nearest_first(A)
+        for k in range(1, len(A)):
+            left = order[k:]
+            dots = U[left] @ U[order[k - 1]]
+            assert order[k] == left[np.argmax(dots)]
+
+    def test_ties_go_to_the_lowest_index(self):
+        # from row 0, rows 1 and 2 tie at 0; from row 1, row 3 (0) beats
+        # row 2 (-1)
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1.0, 0.0]])
+        assert nearest_first(A).tolist() == [0, 1, 3, 2]
+
+    def test_supports_and_verdict_match_index_order(self):
+        for seed in (1, 4, 9):
+            net, A, b = random_instance(seed, m=60)
+            b = b * 0.6  # some rows fail
+            report = certify(net, A, b)
+            zeta, verdict, _ = index_order_sweep(net, A, b)
+            assert report.verdict == verdict
+            np.testing.assert_allclose(report.supports, zeta, atol=1e-9)
+            for j in range(0, 60, 7):
+                assert report.supports[j] == pytest.approx(
+                    sublevel_max(net, A[j]).value, abs=1e-9)
+
+    def test_violations_and_failed_rows_ascend(self, monkeypatch):
+        net, A, b = random_instance(2, m=40)
+        assert nearest_first(A).tolist() != list(range(40))
+        report = certify(net, A, b * 0.3)
+        rows = [j for j, _, _ in report.violations]
+        assert len(rows) > 5 and rows == sorted(rows)
+        # rows whose support LP fails are listed in row order too
+        broken = {A[j].tobytes() for j in (3, 17, 25, 38)}
+        support = SublevelSolver.support
+
+        def failing(self, direction):
+            if np.asarray(direction, dtype=float).tobytes() in broken:
+                raise NumericalFailure("injected")
+            return support(self, direction)
+
+        monkeypatch.setattr(SublevelSolver, "support", failing)
+        report = certify(net, A, b * 100.0)
+        assert report.verdict == "unknown"
+        assert report.failed_rows == [3, 17, 25, 38]
+        assert report.to_dict()["failed_rows"] == [3, 17, 25, 38]
+
+    def test_fewer_pivots_than_index_order(self):
+        net, A, b = random_instance(11, m=200, n=4)
+        report = certify(net, A, b)
+        _, _, index_pivots = index_order_sweep(net, A, b)
+        assert report.pivots < index_pivots
+        # pivot counts are deterministic
+        assert certify(net, A, b).pivots == report.pivots
 
 
 class TestGradient:

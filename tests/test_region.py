@@ -82,6 +82,17 @@ def test_build_region_rows_follow_ptdf_order():
     assert row == region.n_rows
 
 
+def test_describe_row_names_outage_line_and_sign():
+    net = mesh5()
+    region = build_region(net, k=2)
+    for j in (0, 1, region.n_rows // 2, region.n_rows - 1):
+        ci, line, sign = region.row_meta[j]
+        assert region.describe_row(j) == {
+            "row": j, "outage": list(region.contingencies[ci]),
+            "line": int(line), "sign": int(sign)}
+    assert region.describe_row(1)["sign"] == -1
+
+
 def test_membership_memory_bounded_by_blocks():
     import tracemalloc
 

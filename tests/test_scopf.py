@@ -197,6 +197,20 @@ class TestIcnnScopf:
         # |x2| = 0.6 exceeds the 0.5 box no matter the dispatch
         assert res.status is LpStatus.INFEASIBLE
 
+    def test_dispatch_stays_in_box_when_scaled_set_reaches_past_it(self):
+        # box 0.7 and r = 0.5: the scaled set (S - v) / r reaches to
+        # x0 = 1.4, but the certificate covers only the box, so the cheap
+        # bus stops at x0 = p0 = 0.7 instead of covering all 0.8 of demand
+        net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
+        clf = ScaledClassifier(params=l1_ball_net3(radius=1.2, box=0.7),
+                               r=0.5)
+        res = solve_scopf_icnn(net, net.demand, clf)
+        assert res
+        x = res.p - net.demand
+        assert np.all(np.abs(x) <= 0.7 + 1e-9)
+        assert np.allclose(res.p, [0.7, 0.1, 0.0], atol=1e-9)
+        assert clf.decision_values(x)[0] <= 1e-7
+
     def test_affine_transform_matches_sign_enumeration(self):
         # fold of mu/sigma/dim_map/r/v checked against an explicit LP that
         # enumerates the four linearizations of |u0| + |u1| <= radius
