@@ -49,6 +49,9 @@ problem/solution contract:
 Conventions: objective is MAXIMIZED; constraint relations are "<=" or "=";
 duals of "<=" rows are nonnegative at optimality (up to ``TOL_FEAS``),
 duals of "=" rows are free; complementary slackness holds up to ``TOL_COMP``.
+A "<=" row may be ranged: with width w it states b - w <= a x <= b as one
+row, whose slack b - a x has the upper bound w.  Its dual is nonnegative
+when the upper side binds and nonpositive when the lower side binds.
 """
 
 from __future__ import annotations
@@ -91,8 +94,12 @@ class LpProblem:
     """max c @ x  s.t.  A x (<=|=) b,  lb <= x <= ub.
 
     ``rel`` holds one relation string per row ("<=" or "=").  Bounds may be
-    +-inf.  Rows of all zeros are rejected: they are either vacuous or
-    infeasible and always indicate a modelling bug upstream.
+    +-inf.  ``ranges`` holds one width per row, +inf by default: a "<="
+    row of finite width w is ranged, b - w <= A x <= b, and its dual is
+    >= 0 when the upper side binds and <= 0 when the lower side binds.
+    Widths must be >= 0, and +inf on "=" rows.  Rows of all zeros are
+    rejected: they are either vacuous or infeasible and always indicate a
+    modelling bug upstream.
     """
 
     c: np.ndarray
@@ -101,6 +108,7 @@ class LpProblem:
     rel: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
+    ranges: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -124,6 +132,14 @@ class LpProblem:
         self.ub = np.full(n, +np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if self.lb.shape != (n,) or self.ub.shape != (n,):
             raise ValueError("bounds must have one entry per variable")
+        self.ranges = (np.full(m, np.inf) if self.ranges is None
+                       else np.asarray(self.ranges, dtype=float))
+        if self.ranges.shape != (m,):
+            raise ValueError("ranges must have one entry per row")
+        if not np.all(self.ranges >= 0.0):  # NaN fails too
+            raise ValueError("range widths must be nonnegative")
+        if np.any(np.isfinite(self.ranges[self.rel == "="])):
+            raise ValueError("'=' rows cannot be ranged")
         if np.any(self.lb > self.ub + TOL_FEAS):
             raise ValueError("lb > ub for some variable")
         if not (np.all(np.isfinite(self.b)) and np.all(np.isfinite(self.c))):
@@ -177,7 +193,11 @@ class SimplexEngine:
     The engine keeps the inverses of the 8 bases it refactorized last, and
     refactorizing one of them again copies its kept inverse: the array
     ``np.linalg.inv`` would return again.  They take at most 8 m^2 floats
-    (2.4 MB at 192 rows); a new matrix from ``reload`` drops them.
+    (0.95 MB at the 122 rows of the classifier SC-OPF on case39); a new
+    matrix from ``reload`` drops them.
+
+    A ranged row's width is the upper bound of its slack, fixed at
+    construction, so ``resolve_rhs`` moves both sides of the row together.
 
     ``counters()`` returns five counts over the engine's lifetime: pivots,
     refactorizations (basis inversions), inverses reused (refactorizations
@@ -200,7 +220,10 @@ class SimplexEngine:
         self.T[:, n:] = np.eye(m)
         self.b = problem.b.astype(float).copy()
         self.L = np.concatenate([problem.lb, np.zeros(m)])
-        self.U = np.concatenate([problem.ub, np.where(self.rel_eq, 0.0, np.inf)])
+        # a row's slack b - a x lies in [0, width]: +inf for a one-sided
+        # row, finite for a ranged one, 0 for an equality
+        self.U = np.concatenate([problem.ub,
+                                 np.where(self.rel_eq, 0.0, problem.ranges)])
         # the bounds never change after construction
         self._fin_L = np.isfinite(self.L)
         self._fin_U = np.isfinite(self.U)
@@ -549,13 +572,18 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
 
     ineq = ~np.asarray([r == "=" for r in problem.rel])
     eq = ~ineq
+    # the lower side of each ranged row, -a x <= w - b, as a row of its own
+    ranged = np.flatnonzero(np.isfinite(problem.ranges))
+    A_ub = np.vstack([problem.A[ineq], -problem.A[ranged]])
+    b_ub = np.concatenate([problem.b[ineq],
+                           problem.ranges[ranged] - problem.b[ranged]])
     bounds = list(zip(problem.lb, problem.ub))
     bounds = [(None if not np.isfinite(lo) else lo, None if not np.isfinite(hi) else hi)
               for lo, hi in bounds]
     res = linprog(
         -problem.c,
-        A_ub=problem.A[ineq] if np.any(ineq) else None,
-        b_ub=problem.b[ineq] if np.any(ineq) else None,
+        A_ub=A_ub if len(A_ub) else None,
+        b_ub=b_ub if len(A_ub) else None,
         A_eq=problem.A[eq] if np.any(eq) else None,
         b_eq=problem.b[eq] if np.any(eq) else None,
         bounds=bounds,
@@ -568,8 +596,11 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
     if res.status != 0:
         raise NumericalFailure(f"highs terminated with status {res.status}: {res.message}")
     duals = np.zeros(problem.n_rows)
-    if np.any(ineq):
-        duals[ineq] = -res.ineqlin.marginals
+    if len(A_ub):
+        y = -res.ineqlin.marginals
+        duals[ineq] = y[:np.count_nonzero(ineq)]
+        # a ranged row's dual: that of its upper side minus its lower side's
+        duals[ranged] -= y[np.count_nonzero(ineq):]
     if np.any(eq):
         duals[eq] = -res.eqlin.marginals
     # scipy reports marginals for the minimized problem; negate back to maximize
@@ -590,7 +621,7 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
 
 def solve(problem: LpProblem, backend: str = "auto") -> LpSolution:
     """One-shot solve. backend: "simplex", "highs", or "auto" (HiGHS above
-    600 rows)."""
+    600 rows, counted as the engine counts them: a ranged row is one)."""
     if backend == "auto":
         backend = "highs" if problem.n_rows > 600 else "simplex"
     if backend == "simplex":

@@ -3,6 +3,7 @@
 import numpy as np
 
 from nkscreen.grid import Network
+from nkscreen.lp import LpProblem
 from nkscreen.region import ROW_META_DTYPE, ContingencyRegion
 
 
@@ -124,3 +125,13 @@ def mesh5():
         demand=np.array([0.0, 3.0, 0.0, 2.0, 1.0]),
         slack=0,
     ).validate()
+
+
+def paired_rows(p: LpProblem):
+    """The same LP with each ranged row stated as two one-sided rows: the
+    upper sides in place, then the lower sides, -a x <= w - b."""
+    ranged = np.isfinite(p.ranges)
+    return LpProblem(c=p.c, A=np.vstack([p.A, -p.A[ranged]]),
+                     b=np.concatenate([p.b, p.ranges[ranged] - p.b[ranged]]),
+                     rel=np.concatenate([p.rel, np.full(ranged.sum(), "<=")]),
+                     lb=p.lb, ub=p.ub)

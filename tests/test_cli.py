@@ -535,6 +535,12 @@ class TestScopfBench:
         assert summary["conservativeness_violations"] == 0
         assert summary["max_region_violation"] <= 1e-6
         assert "manifest" in summary
+        lp = summary["icnn_lp"]
+        assert set(lp) == {"rows", "ranged_rows", "pivots", "refactorizations",
+                           "inverses_reused", "slack_retries",
+                           "bland_switches"}
+        assert all(type(v) is int and v >= 0 for v in lp.values())
+        assert 0 < lp["ranged_rows"] < lp["rows"]
         with open(os.path.join(run, "scopf_instances.csv")) as fh:
             rows = fh.read().strip().splitlines()
         assert len(rows) == 1 + 12  # header + two formulations per instance

@@ -14,6 +14,8 @@ from nkscreen.lp import (
     solve,
 )
 
+from helpers import paired_rows
+
 
 def vertex_enumeration_max(c, A, b, lb, ub):
     """Brute-force LP oracle: enumerate basic points of {Ax<=b, lb<=x<=ub}.
@@ -279,6 +281,103 @@ def test_degenerate_duplicated_rows():
         s = solve(pp, backend="simplex")
         ref = vertex_enumeration_max(p.c, p.A, p.b, p.lb, p.ub)
         assert s.objective == pytest.approx(ref, abs=1e-6)
+
+
+# -- ranged rows ---------------------------------------------------------------
+
+def ranged_lp(rng, side):
+    """A feasible LP whose first row is ranged and binds on ``side``.
+
+    x0 lies strictly inside every row, and the objective pushes a0 x
+    toward the bound on ``side`` (up for "upper", down for "lower"); a
+    one-sided last row checks that the two kinds mix.
+    """
+    n, m = 3, 4
+    A = rng.normal(size=(m, n))
+    A[np.all(np.abs(A) < 0.3, axis=1), 0] += 1.0
+    x0 = rng.uniform(-1, 1, size=n)
+    b = A @ x0 + rng.uniform(0.1, 1.0, size=m)
+    ranges = b - A @ x0 + rng.uniform(0.1, 1.0, size=m)
+    ranges[-1] = np.inf
+    c = A[0] if side == "upper" else -A[0]
+    return LpProblem(c=c + 0.05 * rng.normal(size=n), A=A, b=b,
+                     lb=x0 - 3.0, ub=x0 + 3.0, ranges=ranges)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_ranged_rows_agree_across_backends(side):
+    rng = np.random.default_rng(61)
+    binding = 0
+    for _ in range(30):
+        p = ranged_lp(rng, side)
+        a = solve(p, backend="simplex")
+        h = solve(p, backend="highs")
+        ref = solve(paired_rows(p), backend="simplex")
+        assert a.status is h.status is ref.status is LpStatus.OPTIMAL
+        for s in (a, h):
+            assert abs(s.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+            assert np.all(p.A @ s.x <= p.b + 1e-9)
+            assert np.all(p.A @ s.x >= p.b - p.ranges - 1e-9)
+            # stationarity: the duals of both backends price the objective
+            assert np.allclose(s.reduced_costs, p.c - p.A.T @ s.duals, atol=1e-7)
+        bound = p.b[0] if side == "upper" else p.b[0] - p.ranges[0]
+        if abs(p.A[0] @ a.x - bound) <= 1e-9:
+            binding += 1
+            for s in (a, h):
+                if side == "upper":
+                    assert s.duals[0] >= -TOL_FEAS
+                else:
+                    assert s.duals[0] <= TOL_FEAS
+    assert binding >= 10
+
+
+def test_ranged_row_duals_by_hand():
+    # 1 <= x + y <= 3, -3 <= x - y <= 1, 0 <= x, y <= 5
+    A = [[1.0, 1.0], [1.0, -1.0]]
+    for c, dual0, obj in (([2.0, 1.0], 1.5, 5.0), ([-2.0, -1.0], -1.0, -1.0)):
+        p = LpProblem(c=c, A=A, b=[3.0, 1.0], lb=[0, 0], ub=[5, 5],
+                      ranges=[2.0, 4.0])
+        for backend in ("simplex", "highs"):
+            s = solve(p, backend=backend)
+            assert s.objective == pytest.approx(obj, abs=1e-9)
+            assert s.duals[0] == pytest.approx(dual0, abs=1e-9)
+
+
+def test_ranged_row_infeasible_on_every_backend():
+    # 1 <= x + y <= 2 cannot hold with x, y <= 0.4
+    p = LpProblem(c=[1.0, 0.0], A=[[1.0, 1.0]], b=[2.0], lb=[0, 0],
+                  ub=[0.4, 0.4], ranges=[1.0])
+    for q in (p, paired_rows(p)):
+        for backend in ("simplex", "highs"):
+            assert solve(q, backend=backend).status is LpStatus.INFEASIBLE
+
+
+def test_ranged_rhs_resolve_moves_both_sides():
+    rng = np.random.default_rng(62)
+    for side in ("upper", "lower"):
+        p = ranged_lp(rng, side)
+        eng = SimplexEngine(p)
+        assert eng.solve()
+        for _ in range(5):
+            b = p.b + rng.normal(scale=0.3, size=p.n_rows)
+            warm = eng.resolve_rhs(b)
+            cold = solve(paired_rows(dataclasses.replace(p, b=b)))
+            assert warm.status is cold.status
+            if warm:
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("width", [-1.0, np.nan])
+def test_rejects_bad_range_width(width):
+    with pytest.raises(ValueError, match="nonnegative"):
+        LpProblem(c=[1.0], A=[[1.0], [2.0]], b=[1.0, 3.0],
+                  ranges=[np.inf, width])
+
+
+def test_rejects_ranged_equality_row():
+    with pytest.raises(ValueError, match="ranged"):
+        LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0], [1.0, -1.0]], b=[1.0, 0.0],
+                  rel=["<=", "="], ranges=[1.0, 2.0])
 
 
 def counting_inv(monkeypatch):
@@ -705,8 +804,9 @@ def _support_sweep_digest(h):
 
 
 def _mesh10():
-    """A 10-bus meshed network: its classifier SC-OPF has 67 rows, few
-    enough that no LAPACK call in the engine depends on the BLAS threads."""
+    """A 10-bus meshed network: its classifier SC-OPF has 42 rows (66 when
+    each two-sided limit took two rows), few enough that no LAPACK call in
+    the engine depends on the BLAS threads."""
     from nkscreen.grid import Network
 
     rng = np.random.default_rng(12)
@@ -725,15 +825,12 @@ def _mesh10():
                    pmax=pmax, cost=cost, demand=demand, slack=0).validate()
 
 
-def _dispatch_digest(h):
+def _dcopf_digest(h):
     """DC-OPF right-hand-side re-solves on case39 and on a meshed 10-bus
-    network, then classifier SC-OPF re-solves on the latter, each from the
-    nominal optimal basis as solve_scopf_icnn does."""
+    network; returns the latter with its demands and feasible injections."""
     from nkscreen.cli import resolve_case
     from nkscreen.datagen import DemandSampler, sample_demands
     from nkscreen.grid import DcopfSolver, load_network
-    from nkscreen.icnn import ScaledClassifier, forward, init_params
-    from nkscreen.scopf import icnn_dispatch_problem
 
     for net in (load_network(resolve_case("case39")), _mesh10()):
         dcopf = DcopfSolver(net)
@@ -745,7 +842,15 @@ def _dispatch_digest(h):
             _hash_solution(h, sol)
             if sol:
                 X.append(sol.x - d)
-    X = np.array(X)
+    return net, demands, np.array(X)
+
+
+def _scopf_digest(h, net, demands, X):
+    """Classifier SC-OPF re-solves on the 10-bus network, each from the
+    nominal optimal basis as solve_scopf_icnn does."""
+    from nkscreen.icnn import ScaledClassifier, forward, init_params
+    from nkscreen.scopf import icnn_dispatch_problem
+
     keep = np.nonzero(X.std(axis=0) > 1e-9)[0]
     mu, sigma = X[:, keep].mean(axis=0), X[:, keep].std(axis=0)
     U = (X[:, keep] - mu) / sigma
@@ -762,10 +867,14 @@ def _dispatch_digest(h):
         _hash_solution(h, eng.resolve_rhs(icnn_dispatch_problem(net, d, clf).b))
 
 
-# sha256 of the three runs above, recorded before the pivot loop was
-# rewritten; numpy 2.4 with OpenBLAS on x86-64.  Another BLAS may round the
-# matrix products differently and so give other bytes with no change here.
-GOLDEN_DIGEST = "f9ac72669f5695efeec0940d24aa5d504747af43c9313da942d48e6ff8a82d02"
+# sha256 of the support sweeps and DC-OPF re-solves above, whose LPs have
+# not changed since the pivot loop was rewritten; numpy 2.4 with OpenBLAS
+# on x86-64.  Another BLAS may round the matrix products differently and so
+# give other bytes with no change here.
+GOLDEN_DIGEST = "5d64f94c78d272e47c8778131a7d7e14381bfaa6f4c9ae3f81d2ebe0356ea80f"
+# sha256 of the classifier SC-OPF re-solves, recorded when each two-sided
+# limit of that LP became one ranged row (same BLAS caveat)
+GOLDEN_SCOPF_DIGEST = "359b3149cd3b2e4ce757f9dad4a13c82e8015584579ba4c714ee99b1095c863b"
 
 
 def test_pivot_sequences_and_bytes_unchanged():
@@ -773,5 +882,8 @@ def test_pivot_sequences_and_bytes_unchanged():
 
     h = hashlib.sha256()
     _support_sweep_digest(h)
-    _dispatch_digest(h)
+    mesh = _dcopf_digest(h)
     assert h.hexdigest() == GOLDEN_DIGEST
+    h = hashlib.sha256()
+    _scopf_digest(h, *mesh)
+    assert h.hexdigest() == GOLDEN_SCOPF_DIGEST

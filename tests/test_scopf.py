@@ -23,7 +23,7 @@ from nkscreen.scopf import (
     solve_scopf_icnn,
 )
 
-from helpers import ring3
+from helpers import paired_rows, ring3
 
 
 def l1_ball_net3(radius=1.0, box=5.0):
@@ -285,6 +285,39 @@ def cold_icnn(net, demand, clf):
     return sol.status, cost
 
 
+def paired_row_icnn_problem(net, demand, clf):
+    """The classifier SC-OPF stated with one-sided rows only: each line
+    limit and each box coordinate (all bounds finite) takes an upper and a
+    lower row.
+
+    Built here from the same ingredients as ``solve_scopf_icnn``, as an
+    oracle that shares no row assembly with it.
+    """
+    from nkscreen.grid import ptdf
+    from nkscreen.oracle import epigraph_constraints
+
+    A_e, b_e, _, _ = epigraph_constraints(clf.params)
+    n_in = clf.params.n_inputs
+    nz = A_e.shape[1] - n_in
+    S = np.zeros((n_in, net.n))
+    S[np.arange(n_in), clf.dim_map] = clf.r / clf.sigma
+    s0 = (0.0 if clf.v is None else clf.v) - clf.r * clf.mu / clf.sigma
+    _, H = ptdf(net)
+    lo, hi = clf.input_box()
+    rows = np.vstack([H, -H, A_e[:, :n_in] @ S, S, -S])
+    rhs = np.concatenate([net.f_upper, -net.f_lower, b_e - A_e[:, :n_in] @ s0,
+                          hi - s0, s0 - lo])
+    A = np.zeros((len(rows) + 1, net.n + nz))
+    A[:len(rows), :net.n] = rows
+    A[len(net.lines) * 2:len(net.lines) * 2 + len(b_e), net.n:] = A_e[:, n_in:]
+    A[-1, :net.n] = 1.0
+    b = np.append(rhs + rows @ demand, demand.sum())
+    return LpProblem(c=np.concatenate([-net.cost, np.zeros(nz)]), A=A, b=b,
+                     rel=["<="] * len(rows) + ["="],
+                     lb=np.concatenate([net.pmin, np.zeros(nz)]),
+                     ub=np.concatenate([net.pmax, np.full(nz, np.inf)]))
+
+
 class TestIcnnWarmStart:
     def test_call_order_does_not_matter(self, case39_setup):
         net, demands, params, mu, sigma, keep = case39_setup
@@ -330,6 +363,47 @@ class TestIcnnWarmStart:
                 assert abs(warm.cost - cost) <= 1e-9 * abs(cost)
         assert feasible < 25
         assert (feasible > 0) == (r < 3.0)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    def test_ranged_rows_match_paired_rows_case39(self, case39_setup, r):
+        # the one-row-per-limit LP has the optimum of the LP that states
+        # each two-sided limit as two rows
+        net, demands, params, mu, sigma, keep = case39_setup
+        clf = ScaledClassifier(params=params, r=r, mu=mu, sigma=sigma,
+                               dim_map=keep)
+        # both sides of every ranged row are rows of the paired LP, and
+        # nothing else is
+        split = paired_rows(icnn_dispatch_problem(net, demands[0], clf))
+        ref = paired_row_icnn_problem(net, demands[0], clf)
+        assert split.n_rows == ref.n_rows
+        for a, b, rel in zip(ref.A, ref.b, ref.rel):
+            same = (np.all(np.isclose(split.A, a, rtol=0, atol=1e-12), axis=1)
+                    & np.isclose(split.b, b, rtol=1e-12) & (split.rel == rel))
+            assert same.any()
+        statuses = set()
+        for d in demands[:25]:
+            got = solve_scopf_icnn(net, d, clf)
+            paired = solve(paired_row_icnn_problem(net, d, clf),
+                           backend="simplex")
+            assert got.status is paired.status
+            statuses.add(got.status)
+            if got:
+                cost = float(net.cost @ paired.x[:net.n])
+                assert abs(got.cost - cost) <= 1e-9 * abs(cost)
+        assert (LpStatus.OPTIMAL in statuses) == (r < 3.0)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    def test_one_row_per_two_sided_limit_case39(self, case39_setup, r):
+        net, demands, params, mu, sigma, keep = case39_setup
+        clf = ScaledClassifier(params=params, r=r, mu=mu, sigma=sigma,
+                               dim_map=keep)
+        p = icnn_dispatch_problem(net, demands[0], clf)
+        lo, hi = clf.input_box()
+        boxed = np.count_nonzero(np.isfinite(lo) | np.isfinite(hi))
+        epigraph = params.depth * params.width + 1
+        assert p.n_rows == len(net.lines) + epigraph + boxed + 1
+        assert p.n_rows < paired_row_icnn_problem(net, demands[0], clf).n_rows
+        assert np.count_nonzero(np.isfinite(p.ranges)) == len(net.lines) + boxed
 
     def test_content_change_invalidates_cache(self):
         net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
