@@ -634,12 +634,18 @@ def cmd_scopf_bench(args):
     print(f"solved {summary['instances']} instances: "
           f"{summary['feasible_full']} feasible (full), "
           f"{summary['feasible_icnn']} feasible (icnn)")
-    print(f"mean excess cost {summary['mean_excess_cost'] * 100:.3f}%, "
-          f"extra infeasible {summary['extra_infeasible_fraction'] * 100:.2f}%, "
+
+    def fmt(key, scale, spec):
+        # the comparisons are None when no instance is feasible under both
+        v = summary[key]
+        return "n/a" if v is None else format(v * scale, spec)
+
+    print(f"mean excess cost {fmt('mean_excess_cost', 100, '.3f')}%, "
+          f"extra infeasible {fmt('extra_infeasible_fraction', 100, '.2f')}%, "
           f"conservativeness violations {summary['conservativeness_violations']}")
-    print(f"runtime: full {summary['mean_runtime_full'] * 1e3:.1f}ms, "
-          f"icnn {summary['mean_runtime_icnn'] * 1e3:.1f}ms "
-          f"(speedup {summary['speedup']:.2f}x; icnn setup "
+    print(f"runtime: full {fmt('mean_runtime_full', 1e3, '.1f')}ms, "
+          f"icnn {fmt('mean_runtime_icnn', 1e3, '.1f')}ms "
+          f"(speedup {fmt('speedup', 1, '.2f')}x; icnn setup "
           f"{summary['icnn_setup_s'] * 1e3:.1f}ms once)")
     return finish_run(manifest, run_dir,
                       ["scopf_instances.csv", "scopf_summary.json"])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import LpProblem, LpSolution, LpStatus, SimplexEngine
+from .lp import LpProblem, LpStatus, SimplexEngine
 
 
 class IslandingError(ValueError):
@@ -238,40 +238,73 @@ class DcopfResult:
         return self.status is LpStatus.OPTIMAL
 
 
-class DcopfSolver:
-    """Minimum-cost dispatch under nominal-topology flow limits.
+class DispatchLp:
+    """The dispatch LP every formulation shares: min cost @ p.
 
-    The LP structure is fixed by the network; only the demand enters the
-    right-hand side, so repeated solves warm-start from the previous basis.
-    Each ``resolve_rhs`` refactorizes only a basis that changed, from the
-    engine's kept inverse when it inverted that basis before.
-    min cost @ p  s.t.  1@(p - d) = 0,  f_lower <= H (p - d) <= f_upper,
-    pmin <= p <= pmax (p fixed to 0 at buses without generators).
+    Columns are the bus dispatch p, pmin <= p <= pmax (p fixed to 0 at
+    buses without generators), then ``n_aux`` costless auxiliary columns in
+    [0, inf).  Rows are one ranged row per line, f_lower <= H (p - d) <=
+    f_upper (width f_upper - f_lower), then the caller's ``rows`` over
+    [p, aux] with right-hand side ``rhs0`` at d = 0 and widths ``ranges``
+    (+inf by default: one-sided), then the power balance 1 @ p = sum(d).
+    Every row but the balance constrains p - d, so only the right-hand side
+    depends on the demand: b0 + A[:, :n] @ d, and ``np.sum(d)`` for the
+    balance.  The datasets' dispatches were computed with that sum; the
+    product of d with the balance row rounds differently and moves the
+    last bits of 1,796 of 5,957 warm ``case39`` dispatches.
+    """
+
+    def __init__(self, net: Network, rows=None, rhs0=(), ranges=None,
+                 n_aux=0):
+        self.net = net
+        keep, self.H = ptdf(net)
+        assert len(keep) == net.m
+        n, m = net.n, net.m
+        rows = np.zeros((0, n + n_aux)) if rows is None else rows
+        self.A = np.zeros((m + len(rows) + 1, n + n_aux))
+        self.A[:m, :n] = self.H
+        self.A[m:-1] = rows
+        self.A[-1, :n] = 1.0
+        self.b0 = np.concatenate([net.f_upper, rhs0, [0.0]])
+        if ranges is None:
+            ranges = np.full(len(rows), np.inf)
+        self.ranges = np.concatenate([net.f_upper - net.f_lower, ranges, [np.inf]])
+        self.rel = ["<="] * (len(self.A) - 1) + ["="]
+        self.lb = np.concatenate([net.pmin, np.zeros(n_aux)])
+        self.ub = np.concatenate([net.pmax, np.full(n_aux, np.inf)])
+        self.c = np.concatenate([-net.cost, np.zeros(n_aux)])
+
+    def rhs(self, demand):
+        b = self.b0 + self.A[:, :self.net.n] @ demand
+        b[-1] = np.sum(demand)
+        return b
+
+    def problem(self, demand) -> LpProblem:
+        return LpProblem(c=self.c, A=self.A, b=self.rhs(demand), rel=self.rel,
+                         lb=self.lb, ub=self.ub, ranges=self.ranges)
+
+
+class DcopfSolver(DispatchLp):
+    """Minimum-cost dispatch under nominal-topology flow limits: the
+    ``DispatchLp`` with no extra rows, on a warm simplex engine.
+
+    Only the demand enters the right-hand side, so repeated solves
+    warm-start from the previous basis.  Each ``resolve_rhs`` refactorizes
+    only a basis that changed, from the engine's kept inverse when it
+    inverted that basis before.
 
     ``counters()`` returns the demands solved (draws) and the engine's
     ``counters()`` over the solver's lifetime.
     """
 
     def __init__(self, net: Network):
-        self.net = net
-        keep, H = ptdf(net)
-        assert len(keep) == net.m
-        self.H = H
-        A = np.vstack([H, -H, np.ones((1, net.n))])
-        rel = ["<="] * (2 * net.m) + ["="]
-        b = self._rhs(net.demand)
-        problem = LpProblem(c=-net.cost, A=A, b=b, rel=rel, lb=net.pmin, ub=net.pmax)
-        self.engine = SimplexEngine(problem)
+        super().__init__(net)
+        self.engine = SimplexEngine(self.problem(net.demand))
         self.n_draws = 0
-
-    def _rhs(self, demand):
-        Hd = self.H @ demand
-        return np.concatenate([self.net.f_upper + Hd, -self.net.f_lower - Hd,
-                               [float(np.sum(demand))]])
 
     def solve(self, demand=None) -> DcopfResult:
         demand = self.net.demand if demand is None else np.asarray(demand, dtype=float)
-        sol = self.engine.resolve_rhs(self._rhs(demand))
+        sol = self.engine.resolve_rhs(self.rhs(demand))
         self.n_draws += 1
         if sol.status is not LpStatus.OPTIMAL:
             return DcopfResult(sol.status)
@@ -281,8 +314,3 @@ class DcopfSolver:
 
     def counters(self):
         return {"draws": self.n_draws, **self.engine.counters()}
-
-
-def solve_dcopf(net: Network, demand=None) -> DcopfResult:
-    """One-shot minimum-cost DC dispatch for a demand vector."""
-    return DcopfSolver(net).solve(demand)

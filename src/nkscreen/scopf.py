@@ -9,16 +9,17 @@ inner approximation of the region, every classifier dispatch is secure; the
 price is occasional extra infeasibility and a small cost premium, which the
 benchmark runner quantifies.
 
-Each two-sided limit, a line's flow or a box coordinate of the classifier
-input, is one ranged row (``LpProblem.ranges``), not an upper and a lower
-row: on ``case39`` the classifier LP has 122 rows instead of 192, with the
-same optimum and the same pivots.  Only the right-hand side of the
-classifier LP depends on the demand.  Its matrix is built once per
-(network, classifier) pair, cached under a digest of their content, and
-solved once at the nominal demand.  Every demand is then a right-hand-side
-re-solve that starts from that fixed nominal basis, never from the
-previous demand's basis, so the answer for a demand is the same whatever
-was solved before it.
+Both formulations are ``grid.DispatchLp``, the DC-OPF's LP, with their
+security rows as its extra rows.  Each two-sided limit, a line's flow or a
+box coordinate of the classifier input, is one ranged row
+(``LpProblem.ranges``), not an upper and a lower row: on ``case39`` the
+classifier LP has 122 rows instead of 192, with the same optimum and the
+same pivots.  Only the right-hand side of the classifier LP depends on the
+demand.  Its matrix is built once per (network, classifier) pair, cached
+under a digest of their content, and solved once at the nominal demand.
+Every demand is then a right-hand-side re-solve that starts from that fixed
+nominal basis, never from the previous demand's basis, so the answer for a
+demand is the same whatever was solved before it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Network, ptdf
+from .grid import DispatchLp, Network
 from .icnn import ScaledClassifier
 from .lp import LpProblem, LpStatus, NumericalFailure, SimplexEngine, solve
 from .oracle import epigraph_constraints
@@ -79,44 +80,26 @@ def solve_scopf_full(net: Network, demand,
                      region: ContingencyRegion | None) -> ScopfResult:
     """Dispatch against base-case limits plus every region row.
 
-    Each line limit is one ranged row, as in the classifier LP; the region
-    rows are one-sided.
-
+    The ``DispatchLp`` with the region rows (one-sided) as its extra rows.
     With region None the security rows are dropped and this reduces to plain
     DC-OPF.  The LP is solved once by ``lp.solve``, on HiGHS above 600 rows.
     Reported runtime covers the LP solve only, so both formulations are
     timed on the same footing.
     """
-    demand = np.asarray(demand, dtype=float)
-    _, H = ptdf(net)
-    blocks = [H]
-    rhs = [net.f_upper + H @ demand]
-    ranges = [net.f_upper - net.f_lower]
-    if region is not None:
-        G, h = region_inequalities(region)
-        blocks.append(G)
-        rhs.append(h + G @ demand)
-        ranges.append(np.full(len(h), np.inf))
-    blocks.append(np.ones((1, net.n)))
-    rhs.append(np.array([demand.sum()]))
-    ranges.append([np.inf])
-    A = np.vstack(blocks)
-    b = np.concatenate(rhs)
-    rel = ["<="] * (len(b) - 1) + ["="]
-    problem = LpProblem(c=-net.cost, A=A, b=b, rel=rel, lb=net.pmin,
-                        ub=net.pmax, ranges=np.concatenate(ranges))
+    rows = () if region is None else region_inequalities(region)
+    problem = DispatchLp(net, *rows).problem(np.asarray(demand, dtype=float))
     formulation = "dcopf" if region is None else "full"
     t0 = time.perf_counter()
     sol = solve(problem)
     return _result(sol, formulation, net, time.perf_counter() - t0)
 
 
-class _IcnnDispatchLp:
+class _IcnnDispatchLp(DispatchLp):
     """The classifier SC-OPF of one (network, classifier) pair.
 
-    Rows: one ranged row per line (width f_upper - f_lower), the epigraph
-    rows, one row per bounded box coordinate (ranged, width hi - lo, when
-    both bounds are finite), and the power balance.  Only the right-hand
+    The ``DispatchLp`` whose extra rows are the epigraph rows over the
+    auxiliary unit columns z, then one row per bounded box coordinate
+    (ranged, width hi - lo, when both bounds are finite).  Only the right-hand
     side depends on the demand, and a ranged row's width does not, so the
     constraint matrix (with the network's PTDF) is built once.  The simplex
     engine is built on first use and solved once at the network's nominal
@@ -149,13 +132,6 @@ class _IcnnDispatchLp:
         S = np.zeros((n_in, net.n))
         S[np.arange(n_in), dim_map] = clf.r / sigma
         s0 = shift - clf.r * mu / sigma
-        _, H = ptdf(net)
-        nv = net.n + nz
-
-        def pad(block):
-            out = np.zeros((len(block), nv))
-            out[:, :net.n] = block
-            return out
 
         # the certified set is the sublevel set intersected with the box,
         # which bounds both u and the standardized p - d (``input_box``);
@@ -165,32 +141,17 @@ class _IcnnDispatchLp:
         hi_ok = np.isfinite(hi)
         both = hi_ok & np.isfinite(lo) & (lo <= hi)
         lo_only = np.isfinite(lo) & ~both
-        balance = np.zeros((1, nv))
-        balance[0, :net.n] = 1.0
-        self.A = np.vstack([pad(H), np.hstack([A_u @ S, A_z]),
-                            pad(S[hi_ok]), pad(-S[lo_only]), balance])
-        # every row constrains p - d, so the rhs is b0 + A[:, :n] @ d
-        self.b0 = np.concatenate([
-            net.f_upper, b_e - A_u @ s0, hi[hi_ok] - s0[hi_ok],
-            s0[lo_only] - lo[lo_only], [0.0]])
-        self.ranges = np.concatenate([
-            net.f_upper - net.f_lower, np.full(len(b_e), np.inf),
-            np.where(both, hi - lo, np.inf)[hi_ok],
-            np.full(np.count_nonzero(lo_only) + 1, np.inf)])
-        self.rel = ["<="] * (len(self.A) - 1) + ["="]
-        self.lb = np.concatenate([net.pmin, np.zeros(nz)])
-        self.ub = np.concatenate([net.pmax, np.full(nz, np.inf)])
-        self.c = np.concatenate([-net.cost, np.zeros(nz)])
+        box = np.vstack([S[hi_ok], -S[lo_only]])
+        rows = np.vstack([np.hstack([A_u @ S, A_z]),
+                          np.hstack([box, np.zeros((len(box), nz))])])
+        rhs0 = np.concatenate([b_e - A_u @ s0, hi[hi_ok] - s0[hi_ok],
+                               s0[lo_only] - lo[lo_only]])
+        ranges = np.concatenate([np.full(len(b_e), np.inf),
+                                 np.where(both, hi - lo, np.inf)[hi_ok],
+                                 np.full(np.count_nonzero(lo_only), np.inf)])
         # a private copy: the cache key describes the network at build time
-        self.net = copy.deepcopy(net)
+        super().__init__(copy.deepcopy(net), rows, rhs0, ranges, n_aux=nz)
         self._engine = self._start = None
-
-    def rhs(self, demand):
-        return self.b0 + self.A[:, :self.net.n] @ demand
-
-    def problem(self, demand) -> LpProblem:
-        return LpProblem(c=self.c, A=self.A, b=self.rhs(demand), rel=self.rel,
-                         lb=self.lb, ub=self.ub, ranges=self.ranges)
 
     def engine(self):
         """The simplex engine and its start basis, built on first use."""

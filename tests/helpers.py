@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from nkscreen.grid import Network
-from nkscreen.lp import LpProblem
+from nkscreen.grid import Network, ptdf
+from nkscreen.lp import LpProblem, SimplexEngine
 from nkscreen.region import ROW_META_DTYPE, ContingencyRegion
 
 
@@ -135,3 +135,28 @@ def paired_rows(p: LpProblem):
                      b=np.concatenate([p.b, p.ranges[ranged] - p.b[ranged]]),
                      rel=np.concatenate([p.rel, np.full(ranged.sum(), "<=")]),
                      lb=p.lb, ub=p.ub)
+
+
+class PairedRowsDcopf:
+    """The DC-OPF with each line limit as two one-sided rows, H (p - d) <=
+    f_upper and -H (p - d) <= -f_lower, then the balance 1 @ p = sum(d):
+    2 m + 1 rows, re-solved warm from the previous basis.  Its dispatches
+    are the bytes of the datasets built before ``DcopfSolver`` took one
+    ranged row per line."""
+
+    def __init__(self, net: Network):
+        self.net = net
+        _, self.H = ptdf(net)
+        A = np.vstack([self.H, -self.H, np.ones((1, net.n))])
+        rel = ["<="] * (2 * net.m) + ["="]
+        self.engine = SimplexEngine(LpProblem(
+            c=-net.cost, A=A, b=self.rhs(net.demand), rel=rel, lb=net.pmin,
+            ub=net.pmax))
+
+    def rhs(self, demand):
+        Hd = self.H @ demand
+        return np.concatenate([self.net.f_upper + Hd, -self.net.f_lower - Hd,
+                               [float(np.sum(demand))]])
+
+    def solve(self, demand):
+        return self.engine.resolve_rhs(self.rhs(demand))

@@ -545,6 +545,32 @@ class TestScopfBench:
             rows = fh.read().strip().splitlines()
         assert len(rows) == 1 + 12  # header + two formulations per instance
 
+    def test_no_instance_feasible_under_both(self, work, tmp_path, capsys,
+                                             monkeypatch):
+        """With no instance feasible under both formulations the comparisons
+        are null; the summary line says n/a and the run still completes."""
+        from nkscreen import scopf
+        from nkscreen.lp import LpStatus
+
+        monkeypatch.setattr(scopf, "solve_scopf_icnn", lambda net, d, clf:
+                            scopf.ScopfResult(LpStatus.INFEASIBLE, "icnn"))
+        out = tmp_path / "runs"
+        code = main(["scopf-bench", "--case", work["case"],
+                     "--checkpoint", work["ckpt"],
+                     "--dataset", work["dataset"],
+                     "--region-full",
+                     os.path.join(work["prep"], "region_full.npz"),
+                     "--limit", "2", "--out", str(out)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "mean excess cost n/a%" in printed
+        assert "(speedup n/a" in printed
+        (run,) = os.listdir(out)
+        summary = json.load(open(out / run / "scopf_summary.json"))
+        assert summary["feasible_icnn"] == 0
+        assert summary["speedup"] is None
+        assert os.path.isfile(out / run / "manifest.json")
+
     def test_folded_region_exits_two(self, work, tmp_path, capsys):
         from nkscreen.region import drop_constant_dims, save_region
 

@@ -217,12 +217,12 @@ class TestDataset:
             ScreeningDataset(np.zeros((5, 2)), np.zeros(5), counts=(2, 2, 2))
 
     def test_demands_pair_with_injections(self):
-        from nkscreen.grid import solve_dcopf
+        from nkscreen.grid import DcopfSolver
 
         net, _, ds = self.make(counts=(20, 5, 5))
         assert ds.d.shape == ds.x.shape
         for x, d in zip(ds.x[:10], ds.d[:10]):
-            res = solve_dcopf(net, d)
+            res = DcopfSolver(net).solve(d)
             assert np.allclose(res.p - d, x, atol=1e-9)
 
     def test_meta_records_provenance(self):

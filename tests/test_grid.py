@@ -13,11 +13,10 @@ from nkscreen.grid import (
     is_islanding,
     load_network,
     ptdf,
-    solve_dcopf,
 )
 from nkscreen.lp import LpStatus
 
-from helpers import is_islanding_bfs, mesh5, ring3, two_bus
+from helpers import PairedRowsDcopf, is_islanding_bfs, mesh5, ring3, two_bus
 
 CASE39 = Path(__file__).resolve().parent.parent / "src" / "nkscreen" / "cases" / "case39.json"
 
@@ -160,7 +159,7 @@ def test_incidence_matrix_batched():
 
 
 def test_dcopf_two_bus():
-    r = solve_dcopf(two_bus())
+    r = DcopfSolver(two_bus()).solve()
     assert r.status is LpStatus.OPTIMAL
     assert r.p[0] == pytest.approx(100.0)
     assert r.p[1] == pytest.approx(0.0)
@@ -170,20 +169,20 @@ def test_dcopf_two_bus():
 
 def test_dcopf_zero_demand():
     net = two_bus()
-    r = solve_dcopf(net, demand=np.zeros(2))
+    r = DcopfSolver(net).solve(np.zeros(2))
     assert r.cost == pytest.approx(0.0)
     assert np.abs(r.p).max() == pytest.approx(0.0)
 
 
 def test_dcopf_infeasible_when_line_too_small():
     net = two_bus(limit=50.0)
-    r = solve_dcopf(net)
+    r = DcopfSolver(net).solve()
     assert r.status is LpStatus.INFEASIBLE
 
 
 def test_dcopf_prefers_cheap_generator():
     net = ring3(demand=(0.0, 0.0, 3.0))
-    r = solve_dcopf(net)
+    r = DcopfSolver(net).solve()
     assert r.p[0] == pytest.approx(3.0)  # bus 0 is cheaper
     assert r.cost == pytest.approx(3.0)
 
@@ -214,10 +213,28 @@ def test_dcopf_warm_solver_matches_one_shot():
     for _ in range(30):
         d = np.abs(rng.normal(scale=1.5, size=3))
         a = solver.solve(d)
-        b = solve_dcopf(net, d)
+        b = DcopfSolver(net).solve(d)
         assert a.status is b.status
         if a.status is LpStatus.OPTIMAL:
             assert a.cost == pytest.approx(b.cost, abs=1e-7)
+
+
+@pytest.mark.parametrize("rel_std", [0.15, 0.3])
+def test_dcopf_dispatch_bytes_equal_two_row_formulation(rel_std):
+    """One ranged row per line gives the dispatches of the 93-row LP, the
+    dataset's bytes, bit for bit on 2,000 warm case39 draws."""
+    from nkscreen.datagen import DemandSampler, sample_demands
+
+    net = load_network(CASE39)
+    ranged, paired = DcopfSolver(net), PairedRowsDcopf(net)
+    assert (ranged.engine.m, paired.engine.m) == (47, 93)
+    demands = sample_demands(DemandSampler(net.demand, rel_std=rel_std,
+                                           seed=0), 2000)
+    for d in demands:
+        a, b = ranged.solve(d), paired.solve(d)
+        assert a.status is b.status
+        if a:
+            assert a.p.tobytes() == b.x.tobytes()
 
 
 def test_load_case39():
@@ -232,7 +249,7 @@ def test_load_case39():
     assert np.all(net.cost[net.gen_buses] >= 10.0)
     assert np.all(net.cost[net.gen_buses] <= 50.0)
     # nominal case is feasible
-    assert solve_dcopf(net).status is LpStatus.OPTIMAL
+    assert DcopfSolver(net).solve().status is LpStatus.OPTIMAL
 
 
 def test_load_network_validation_errors():

@@ -838,7 +838,7 @@ def _dcopf_digest(h):
                                                seed=9), 40)
         X = []
         for d in demands:
-            sol = dcopf.engine.resolve_rhs(dcopf._rhs(d))
+            sol = dcopf.engine.resolve_rhs(dcopf.rhs(d))
             _hash_solution(h, sol)
             if sol:
                 X.append(sol.x - d)
@@ -867,14 +867,17 @@ def _scopf_digest(h, net, demands, X):
         _hash_solution(h, eng.resolve_rhs(icnn_dispatch_problem(net, d, clf).b))
 
 
-# sha256 of the support sweeps and DC-OPF re-solves above, whose LPs have
-# not changed since the pivot loop was rewritten; numpy 2.4 with OpenBLAS
-# on x86-64.  Another BLAS may round the matrix products differently and so
-# give other bytes with no change here.
-GOLDEN_DIGEST = "5d64f94c78d272e47c8778131a7d7e14381bfaa6f4c9ae3f81d2ebe0356ea80f"
-# sha256 of the classifier SC-OPF re-solves, recorded when each two-sided
-# limit of that LP became one ranged row (same BLAS caveat)
-GOLDEN_SCOPF_DIGEST = "359b3149cd3b2e4ce757f9dad4a13c82e8015584579ba4c714ee99b1095c863b"
+# sha256 of the support sweeps above, whose LPs have not changed since the
+# pivot loop was rewritten; numpy 2.4 with OpenBLAS on x86-64.  Another BLAS
+# may round the matrix products differently and so give other bytes with no
+# change here.
+GOLDEN_SWEEP_DIGEST = "4cc4134ae671defa6c05123a7bfcd071881e412508db0b035efeb5e7dc5da98a"
+# sha256 of the DC-OPF re-solves, recorded when each line limit of that LP
+# became one ranged row (same BLAS caveat)
+GOLDEN_DCOPF_DIGEST = "3251240ed76c35a1cda211e662b733981702f017b8655d4e245c2bee385fe49e"
+# sha256 of the classifier SC-OPF re-solves, recorded when its balance row's
+# right-hand side became np.sum(d), as the DC-OPF's is (same BLAS caveat)
+GOLDEN_SCOPF_DIGEST = "f5cb1213b5653fa7922ea7093db55c8e1dd1f63cc6df11af507b051b5d25a59f"
 
 
 def test_pivot_sequences_and_bytes_unchanged():
@@ -882,8 +885,10 @@ def test_pivot_sequences_and_bytes_unchanged():
 
     h = hashlib.sha256()
     _support_sweep_digest(h)
+    assert h.hexdigest() == GOLDEN_SWEEP_DIGEST
+    h = hashlib.sha256()
     mesh = _dcopf_digest(h)
-    assert h.hexdigest() == GOLDEN_DIGEST
+    assert h.hexdigest() == GOLDEN_DCOPF_DIGEST
     h = hashlib.sha256()
     _scopf_digest(h, *mesh)
     assert h.hexdigest() == GOLDEN_SCOPF_DIGEST

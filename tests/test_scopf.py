@@ -8,7 +8,7 @@ import pytest
 
 from nkscreen.cli import resolve_case
 from nkscreen.datagen import DemandSampler, sample_demands
-from nkscreen.grid import DcopfSolver, load_network, solve_dcopf
+from nkscreen.grid import DcopfSolver, load_network
 from nkscreen.icnn import IcnnParams, ScaledClassifier, forward, init_params
 from nkscreen.lp import LpProblem, LpStatus, solve
 from nkscreen.oracle import scale_fast
@@ -64,17 +64,38 @@ class TestFullScopf:
     def test_no_region_reduces_to_dcopf(self):
         net = redispatch_net()
         res = solve_scopf_full(net, net.demand, None)
-        base = solve_dcopf(net)
+        base = DcopfSolver(net).solve()
         assert res.formulation == "dcopf"
         assert res
         assert abs(res.cost - base.cost) <= 1e-9
+
+    def test_no_region_builds_the_dcopf_lp(self, monkeypatch):
+        """Without a region the full formulation is DcopfSolver's LP: the
+        same matrix, right-hand side and ranged rows, one per line."""
+        import nkscreen.scopf as scopf_mod
+
+        net = load_network(resolve_case("case39"))
+        dcopf = DcopfSolver(net)
+        assert dcopf.engine.m == net.m + 1
+        built = []
+        monkeypatch.setattr(scopf_mod, "solve",
+                            lambda p: built.append(p) or solve(p))
+        d = 1.02 * net.demand
+        dcopf.solve(d)
+        solve_scopf_full(net, d, None)
+        (p,) = built
+        eng = dcopf.engine
+        assert np.array_equal(eng.T[:, :eng.n], p.A)
+        assert np.array_equal(eng.b, p.b)
+        assert np.array_equal(eng.U[eng.n:],
+                              np.where(p.rel == "=", 0.0, p.ranges))
 
     def test_slack_region_keeps_dcopf_cost(self):
         net = redispatch_net()
         region = build_region(net, k=1)
         loose = type(region)(**{**region.__dict__, "b": region.b + 100.0})
         res = solve_scopf_full(net, net.demand, loose)
-        assert abs(res.cost - solve_dcopf(net).cost) <= 1e-9
+        assert abs(res.cost - DcopfSolver(net).solve().cost) <= 1e-9
 
     def test_small_demand_keeps_dcopf_cost(self):
         # shrinking demand toward zero leaves the security rows slack
@@ -82,7 +103,7 @@ class TestFullScopf:
         region = build_region(net, k=1)
         demand = 0.3 * net.demand
         res = solve_scopf_full(net, demand, region)
-        base = solve_dcopf(net, demand)
+        base = DcopfSolver(net).solve(demand)
         assert res
         assert abs(res.cost - base.cost) <= 1e-9
 
@@ -100,7 +121,7 @@ class TestFullScopf:
         sampler = DemandSampler(net.demand, rel_std=0.05, seed=1)
         for d in sample_demands(sampler, 8):
             full = solve_scopf_full(net, d, region)
-            base = solve_dcopf(net, d)
+            base = DcopfSolver(net).solve(d)
             if full:
                 assert full.cost >= base.cost - 1e-9
 
@@ -112,7 +133,7 @@ class TestFullScopf:
         assert not res
         assert res.status is LpStatus.INFEASIBLE
         assert res.p is None and res.cost is None
-        assert solve_dcopf(net, np.array([0.0, 0.0, 1.3]))
+        assert DcopfSolver(net).solve(np.array([0.0, 0.0, 1.3]))
 
     def test_standardized_region_same_optimum(self):
         # standardization is an exact affine row rewrite, so when no
@@ -121,7 +142,7 @@ class TestFullScopf:
         region = build_region(net, k=1)
         sampler = DemandSampler(net.demand, rel_std=0.1, seed=3)
         demands = sample_demands(sampler, 40)
-        X = np.array([solve_dcopf(net, d).p - d for d in demands])
+        X = np.array([DcopfSolver(net).solve(d).p - d for d in demands])
         reduced = with_box(drop_constant_dims(region, X), X)
         assert reduced.dim == region.dim
         Xr = reduced.project(X)
@@ -144,7 +165,7 @@ class TestFullScopf:
         region = build_region(net, k=1)
         sampler = DemandSampler(net.demand, rel_std=0.1, seed=3)
         demands = sample_demands(sampler, 40)
-        X = np.array([solve_dcopf(net, d).p - d for d in demands])
+        X = np.array([DcopfSolver(net).solve(d).p - d for d in demands])
         reduced = with_box(drop_constant_dims(region, X), X)
         assert reduced.dim < region.dim
         Xr = reduced.project(X)
@@ -172,7 +193,7 @@ class TestIcnnScopf:
         assert res
         assert abs(res.cost - 1.0) <= 1e-6
         assert np.allclose(res.p, [0.6, 0.2, 0.0], atol=1e-6)
-        base = solve_dcopf(net)
+        base = DcopfSolver(net).solve()
         assert res.cost >= base.cost + 0.1
 
     def test_dispatch_inside_predicted_set(self):
@@ -527,7 +548,7 @@ class TestDispatchSafety:
         region = build_region(net, k=1)
         sampler = DemandSampler(net.demand, rel_std=rel_std, seed=seed)
         demands = sample_demands(sampler, count)
-        X = np.array([solve_dcopf(net, d).p - d for d in demands])
+        X = np.array([DcopfSolver(net).solve(d).p - d for d in demands])
         reduced = with_box(drop_constant_dims(region, X), X)
         return region, reduced, demands
 
