@@ -85,7 +85,8 @@ def sample_injections(net: Network, sampler: DemandSampler, count,
     up past max_oversample * count total draws.  stream picks the first
     random stream, so disjoint calls can use disjoint stream ranges.  A dict
     passed as counters receives the DC-OPF solver's ``counters()``: the
-    draws and the simplex engine's five counters.
+    draws, the hits and misses of its table of optimal bases, and the
+    simplex engine's four counters (of the misses' re-solves).
     """
     solver = DcopfSolver(net)
     X = np.empty((count, net.n))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import LpProblem, LpStatus, SimplexEngine
+from .lp import LpProblem, LpStatus, OptimalBases, SimplexEngine
 
 
 class IslandingError(ValueError):
@@ -286,31 +286,41 @@ class DispatchLp:
 
 class DcopfSolver(DispatchLp):
     """Minimum-cost dispatch under nominal-topology flow limits: the
-    ``DispatchLp`` with no extra rows, on a warm simplex engine.
+    ``DispatchLp`` with no extra rows, answered from a table of its optimal
+    bases (``lp.OptimalBases``).
 
-    Only the demand enters the right-hand side, so repeated solves
-    warm-start from the previous basis.  Each ``resolve_rhs`` refactorizes
-    only a basis that changed, from the engine's kept inverse when it
-    inverted that basis before.
+    Only the demand enters the right-hand side, so a draw whose right-hand
+    side one of the kept optimal bases keeps feasible is answered by one
+    product and a bound check, with the bytes a warm re-solve from that
+    basis returns.  A miss re-solves on the simplex engine from the basis of
+    the most recent answer, and keeps the basis it ends at when optimal.
+    The constructor solves nothing.
 
-    ``counters()`` returns the demands solved (draws) and the engine's
-    ``counters()`` over the solver's lifetime.
+    ``counters()`` returns the demands solved (draws), the table's hits and
+    misses and the engine's ``counters()`` over the solver's lifetime.
     """
 
     def __init__(self, net: Network):
         super().__init__(net)
         self.engine = SimplexEngine(self.problem(net.demand))
+        self.bases = OptimalBases(self.engine)
         self.n_draws = 0
 
     def solve(self, demand=None) -> DcopfResult:
         demand = self.net.demand if demand is None else np.asarray(demand, dtype=float)
-        sol = self.engine.resolve_rhs(self.rhs(demand))
+        b = self.rhs(demand)
         self.n_draws += 1
-        if sol.status is not LpStatus.OPTIMAL:
-            return DcopfResult(sol.status)
-        p = sol.x
+        p = self.bases.lookup(b)
+        if p is None:
+            self.bases.install()
+            sol = self.engine.resolve_rhs(b)
+            if sol.status is not LpStatus.OPTIMAL:
+                return DcopfResult(sol.status)
+            self.bases.add()
+            p = sol.x
         flows = self.H @ (p - demand)
         return DcopfResult(LpStatus.OPTIMAL, p=p, flows=flows, cost=float(self.net.cost @ p))
 
     def counters(self):
-        return {"draws": self.n_draws, **self.engine.counters()}
+        return {"draws": self.n_draws, **self.bases.counters(),
+                **self.engine.counters()}

@@ -181,12 +181,6 @@ def forward(params: IcnnParams, X):
     return out[0] if single else out
 
 
-def classify(params: IcnnParams, X):
-    """True = predicted feasible (forward <= 0)."""
-    out = forward(params, X)
-    return out <= 0.0
-
-
 def backward(params: IcnnParams, X, upstream=None, raw_only=False):
     """Gradients of sum_i upstream_i * forward(params, x_i).
 

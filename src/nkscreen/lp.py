@@ -21,14 +21,16 @@ problem/solution contract:
   slack-basis start, and stops being so when a pivot changes the basis,
   ``restore`` installs another one or ``reload`` replaces the matrix.
   Inverting the same basis columns again returns the same array, so
-  skipping that inversion changes no output bit.  For the same reason the
-  engine keeps the inverses of the 8 bases used last (keyed on the ordered
-  basis, dropped when the matrix changes), and a refactorization of one of
-  them copies the kept inverse: re-solves that return to a few optimal
-  bases, as DC-OPF dispatch of sampled demands does, invert each basis
-  once.  ``snapshot``/``restore`` save and reinstate a basis and its
-  variables' statuses (never its inverse), for callers that want a
-  re-solve to start from a basis of their choosing.
+  skipping that inversion changes no output bit.  ``snapshot``/``restore``
+  save and reinstate a basis and its variables' statuses, for callers that
+  want a re-solve to start from a basis of their choosing; ``restore``
+  takes the basis' exact inverse too when the caller kept it.
+* ``OptimalBases``: a table of up to 8 optimal bases of one engine whose
+  right-hand side alone changes, each with its exact inverse.  A right-hand
+  side that one of them keeps primal feasible is answered by one product
+  and a bound check, with the bytes a zero-pivot ``resolve_rhs`` from that
+  basis returns; DC-OPF dispatch of sampled demands, whose draws end at a
+  handful of bases, runs the engine only on a miss.
 
   The pivot loop is the hot path of training, so it is written for few
   numpy calls per pivot while keeping every floating-point operation of the
@@ -57,7 +59,6 @@ when the upper side binds and nonpositive when the lower side binds.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,7 +72,7 @@ _PIVOT_TOL = 1e-10    # smallest acceptable pivot element
 _RATIO_TOL = 1e-9     # slack allowed when computing blocking ratios
 _REFACTOR_EVERY = 100
 _STALL_LIMIT = 60     # degenerate pivots before switching to Bland's rule
-_INVERSES_KEPT = 8    # basis inverses an engine keeps for reuse
+_BASES_KEPT = 8       # entries of an OptimalBases table
 
 # nonbasic/basic status codes
 _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
@@ -190,20 +191,15 @@ class SimplexEngine:
     ``solve``.  All tie-breaking is by lowest index, so identical inputs
     produce identical outputs, iteration counts included.
 
-    The engine keeps the inverses of the 8 bases it refactorized last, and
-    refactorizing one of them again copies its kept inverse: the array
-    ``np.linalg.inv`` would return again.  They take at most 8 m^2 floats
-    (0.95 MB at the 122 rows of the classifier SC-OPF on case39); a new
-    matrix from ``reload`` drops them.
-
     A ranged row's width is the upper bound of its slack, fixed at
     construction, so ``resolve_rhs`` moves both sides of the row together.
+    ``data_version`` counts the ``reload`` calls that replaced the matrix
+    or the objective: a basis optimal before such a call may not be after.
 
-    ``counters()`` returns five counts over the engine's lifetime: pivots,
-    refactorizations (basis inversions), inverses reused (refactorizations
-    served from the kept inverses), slack retries (restarts from the slack
-    basis) and Bland switches (pivot loops that switched to Bland's rule
-    after a stall).  A singular basis makes a solve restart from the slack
+    ``counters()`` returns four counts over the engine's lifetime: pivots,
+    refactorizations (basis inversions), slack retries (restarts from the
+    slack basis) and Bland switches (pivot loops that switched to Bland's
+    rule after a stall).  A singular basis makes a solve restart from the slack
     basis, and so does a numerical failure, once, unless the solve started
     there (the first solve, or one after a slack restart and no
     ``restore``); then it raises.
@@ -233,9 +229,7 @@ class SimplexEngine:
         self._outer = np.empty((m, m))  # rank-one update buffer
         self._cand = np.empty(m)         # ratio-test buffer
         self.n_pivots = self.n_refactors = self.n_slack_retries = 0
-        self.n_bland = self.n_inverses_reused = 0
-        # basis bytes -> inv(T[:, basis]), least recently used first
-        self._inverses: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self.n_bland = self.data_version = 0
         self.c = np.zeros(self.nt)
         self.c[:n] = problem.c
         self.basis = np.arange(n, n + m)  # all-slack start
@@ -263,25 +257,14 @@ class SimplexEngine:
     def _refactor(self):
         if self._inv_exact:
             return True
-        key = self.basis.tobytes()
-        kept = self._inverses.get(key)
-        if kept is not None:
-            # a copy: the rank-one update works on B_inv in place
-            self._inverses.move_to_end(key)
-            self.B_inv = kept.copy()
-            self.n_inverses_reused += 1
-        else:
-            self.n_refactors += 1
-            try:
-                self.B_inv = np.linalg.inv(self.T[:, self.basis])
-            except np.linalg.LinAlgError:
-                return False
-            # guard against a numerically singular basis that inv() let through
-            if not np.all(np.isfinite(self.B_inv)):
-                return False
-            self._inverses[key] = self.B_inv.copy()
-            if len(self._inverses) > _INVERSES_KEPT:
-                self._inverses.popitem(last=False)
+        self.n_refactors += 1
+        try:
+            self.B_inv = np.linalg.inv(self.T[:, self.basis])
+        except np.linalg.LinAlgError:
+            return False
+        # guard against a numerically singular basis that inv() let through
+        if not np.all(np.isfinite(self.B_inv)):
+            return False
         self._inv_exact = True
         return True
 
@@ -527,19 +510,18 @@ class SimplexEngine:
         if A is not None:
             self.T[:, : self.n] = A
             self._inv_exact = False
-            self._inverses.clear()
         if b is not None:
             self.b = b.copy()
         if c is not None:
             self.c[: self.n] = c
+        self.data_version += A is not None or c is not None
         return self.solve()
 
     def counters(self):
-        """The five lifetime counts, under the names the reports use."""
+        """The four lifetime counts, under the names the reports use."""
         return {
             "pivots": self.n_pivots,
             "refactorizations": self.n_refactors,
-            "inverses_reused": self.n_inverses_reused,
             "slack_retries": self.n_slack_retries,
             "bland_switches": self.n_bland,
         }
@@ -548,7 +530,7 @@ class SimplexEngine:
         """The current basis, to hand to ``restore`` later."""
         return BasisSnapshot(self.basis.copy(), self.vstat.copy())
 
-    def restore(self, snap: BasisSnapshot):
+    def restore(self, snap: BasisSnapshot, B_inv=None):
         """Install a snapshot's basis and variable statuses; the next solve
         starts from them.
 
@@ -556,15 +538,121 @@ class SimplexEngine:
         so it can be restored again.  The next solve refactorizes the basis
         under the present matrix, as it does every basis, and runs phase 1
         first when the basis is primal infeasible under the present data (a
-        basis kept from another matrix).
+        basis kept from another matrix).  ``B_inv``, when given, must be the
+        exact inverse of the snapshot's basis under the present matrix, as
+        an ``OptimalBases`` entry keeps it; it is copied and the next solve
+        inverts nothing.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
             raise ValueError("snapshot of an engine of another shape")
-        self._inv_exact = (self._inv_exact
-                           and np.array_equal(snap.basis, self.basis))
+        if B_inv is None:
+            self._inv_exact = (self._inv_exact
+                               and np.array_equal(snap.basis, self.basis))
+        else:
+            # a copy: the rank-one update works on B_inv in place
+            self.B_inv = B_inv.copy()
+            self._inv_exact = True
         self.basis = snap.basis.copy()
         self.vstat = snap.vstat.copy()
         self._retry = True
+
+
+@dataclass(frozen=True)
+class _Optimum:
+    """One ``OptimalBases`` entry: what a zero-pivot re-solve from the basis
+    computes anew for every right-hand side, computed once."""
+
+    snap: BasisSnapshot
+    B_inv: np.ndarray   # inv(T[:, basis]), the engine's exact inverse
+    x_N: np.ndarray     # nonbasic variables at their bounds, basic ones 0
+    T_xN: np.ndarray    # T @ x_N
+    L_B: np.ndarray     # bounds of the basic variables
+    U_B: np.ndarray
+
+
+class OptimalBases:
+    """Optimal bases of one ``SimplexEngine`` whose right-hand side alone
+    changes, most recent first, at most 8 of them.
+
+    With c, A and the bounds fixed, an optimal basis stays dual feasible for
+    every right-hand side b, so it is optimal for b whenever its basic values
+    x_B = B^-1 (b - T x_N) pass the engine's own primal check: the bound
+    violations beyond ``TOL_FEAS`` sum to at most ``TOL_FEAS``.  ``lookup``
+    tries the entries in turn and answers from the first that passes, with
+    the bytes a zero-pivot ``resolve_rhs`` from that basis returns (the
+    products are the engine's, from its exact inverse); this is the
+    optimal-active-set view of Misra, Roald & Ng (arXiv:1802.09639).  On a
+    miss the caller runs the engine, from the most recent entry's basis and
+    inverse (``install``), and ``add``s the basis it ends at when that is
+    optimal; the least recently used entry then drops out.  Nothing is
+    solved at construction.  A ``reload`` of the engine's matrix or
+    objective empties the table.
+
+    ``counters()`` returns the lookups answered (hits) and not (misses).
+    """
+
+    def __init__(self, engine: SimplexEngine):
+        self.engine = engine
+        self.entries: list[_Optimum] = []
+        self.n_hits = self.n_misses = 0
+        self._start = engine.snapshot()
+        self._version = engine.data_version
+
+    def _current(self):
+        if self._version != self.engine.data_version:
+            self.entries.clear()
+            self._version = self.engine.data_version
+        return self.entries
+
+    def add(self):
+        """Keep the engine's present basis, optimal after its last solve and
+        held with its exact inverse, as the most recent entry."""
+        eng = self.engine
+        if not eng._inv_exact:
+            raise ValueError("the engine's basis inverse is not exact")
+        basis, x_N = eng.basis, eng._nonbasic_values()
+        entries = self._current()
+        entries.insert(0, _Optimum(eng.snapshot(), eng.B_inv.copy(), x_N,
+                                   eng.T @ x_N, eng.L[basis], eng.U[basis]))
+        del entries[_BASES_KEPT:]
+
+    def lookup(self, b):
+        """The structural x of the first entry optimal for right-hand side
+        b, which becomes the most recent; None when no entry is."""
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.engine.m,):
+            raise ValueError(f"rhs has shape {b.shape}, expected ({self.engine.m},)")
+        entries = self._current()
+        for i, e in enumerate(entries):
+            x_B = e.B_inv @ (b - e.T_xN)
+            lo = e.L_B - x_B
+            hi = x_B - e.U_B
+            # the engine's check, with its sums skipped when no bound is
+            # broken by more than TOL_FEAS
+            if (max(lo.max(), hi.max()) <= TOL_FEAS
+                    or float(np.sum(lo[lo > TOL_FEAS])
+                             + np.sum(hi[hi > TOL_FEAS])) <= TOL_FEAS):
+                if i:
+                    entries.insert(0, entries.pop(i))
+                self.n_hits += 1
+                x = e.x_N.copy()
+                x[e.snap.basis] = x_B
+                return x[: self.engine.n]
+        self.n_misses += 1
+        return None
+
+    def install(self):
+        """Start the engine's next solve from the most recent entry, its
+        inverse included; with no entry, from the basis the engine had when
+        the table was made."""
+        entries = self._current()
+        if entries:
+            self.engine.restore(entries[0].snap, entries[0].B_inv)
+        else:
+            self.engine.restore(self._start)
+
+    def counters(self):
+        return {"table_hits": self.n_hits, "table_misses": self.n_misses}
 
 
 def _solve_highs(problem: LpProblem) -> LpSolution:

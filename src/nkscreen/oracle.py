@@ -94,7 +94,7 @@ class SublevelSolver:
     solved direction is kept (a ``BasisSnapshot``) under the direction's
     bytes, and ``reload`` keeps them all.  A direction seen before starts
     from its own basis: ``restore`` installs it and the engine's solve
-    refactorizes it, from the engine's kept inverse when it has one.  Under
+    inverts it, unless it is already the current basis.  Under
     the weights it was solved for, the basis is re-priced in zero pivots
     and gives the same bytes as before; under newer weights the solve
     inverts it under the new matrix and runs phase 1 first when the new
@@ -162,11 +162,6 @@ class SublevelSolver:
                              output_dual=max(float(sol.duals[-1]), 0.0))
 
 
-def sublevel_max(params: IcnnParams, direction) -> SupportResult:
-    """One-shot support of the predicted set along a direction."""
-    return SublevelSolver(params).support(direction)
-
-
 def _solver_for(params: IcnnParams, solver):
     """A new solver for params, or the passed one if it holds params."""
     if solver is None:
@@ -189,7 +184,6 @@ class CertificationReport:
     # simplex work of this certification
     pivots: int = 0
     refactorizations: int = 0
-    inverses_reused: int = 0
     slack_retries: int = 0
     bland_switches: int = 0
     bases_reused: int = 0
@@ -213,7 +207,6 @@ class CertificationReport:
             "failed_rows": [int(j) for j in self.failed_rows],
             "pivots": self.pivots,
             "refactorizations": self.refactorizations,
-            "inverses_reused": self.inverses_reused,
             "slack_retries": self.slack_retries,
             "bland_switches": self.bland_switches,
             "bases_reused": self.bases_reused,
@@ -259,8 +252,8 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     already solved under these weights, such as those of a full rescale
     just before, are re-priced from their own optimal bases in zero pivots,
     whatever the order.  The report counts the LPs, pivots,
-    refactorizations, inverses reused, slack-basis retries, switches to
-    Bland's rule and reused bases of this call.
+    refactorizations, slack-basis retries, switches to Bland's rule and
+    reused bases of this call.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -184,11 +184,6 @@ def _outage_sets(net: Network, k: int, counters=None):
     return groups
 
 
-def enumerate_contingencies(net: Network, k: int):
-    """All non-islanding outage sets of size 1..k, by size then lexicographic."""
-    return [tuple(c) for g in _outage_sets(net, k) for c in g.tolist()]
-
-
 def build_region(net: Network, k: int = 2, counters=None) -> ContingencyRegion:
     """Stack post-contingency flow-limit rows for all surviving lines.
 

@@ -3,8 +3,25 @@
 import numpy as np
 
 from nkscreen.grid import Network, ptdf
+from nkscreen.icnn import IcnnParams, forward
 from nkscreen.lp import LpProblem, SimplexEngine
-from nkscreen.region import ROW_META_DTYPE, ContingencyRegion
+from nkscreen.oracle import SublevelSolver, SupportResult
+from nkscreen.region import ROW_META_DTYPE, ContingencyRegion, _outage_sets
+
+
+def classify(params: IcnnParams, X):
+    """True = predicted feasible (forward <= 0)."""
+    return forward(params, X) <= 0.0
+
+
+def enumerate_contingencies(net: Network, k: int):
+    """All non-islanding outage sets of size 1..k, by size then lexicographic."""
+    return [tuple(c) for g in _outage_sets(net, k) for c in g.tolist()]
+
+
+def sublevel_max(params: IcnnParams, direction) -> SupportResult:
+    """One-shot support of the predicted set along a direction."""
+    return SublevelSolver(params).support(direction)
 
 
 def ring3(limits=(5.0, 5.0, 5.0), pmax=(10.0, 10.0, 0.0), cost=(1.0, 2.0, 0.0),

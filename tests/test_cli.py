@@ -155,10 +155,12 @@ class TestPrepareRegion:
         # the DC-OPF work of the sampling stage
         counts = [int(c) for c in COUNTS.split(",")]
         sampling = report["sampling"]
-        assert set(sampling) == {"draws", "pivots", "refactorizations",
-                                 "inverses_reused", "slack_retries",
-                                 "bland_switches"}
+        assert set(sampling) == {"draws", "table_hits", "table_misses",
+                                 "pivots", "refactorizations",
+                                 "slack_retries", "bland_switches"}
         assert sampling["draws"] >= sum(counts)
+        assert sampling["table_hits"] + sampling["table_misses"] == \
+            sampling["draws"]
         assert sampling["refactorizations"] > 0
 
     def test_manifest_hash_names_run_dir(self, work):
@@ -328,8 +330,8 @@ class TestTrain:
         assert later["n_lp"] == later["bases_reused"] == 41 * rows
         for work_done in (first, later):
             assert set(work_done) == {"n_lp", "pivots", "refactorizations",
-                                      "inverses_reused", "slack_retries",
-                                      "bland_switches", "bases_reused"}
+                                      "slack_retries", "bland_switches",
+                                      "bases_reused"}
             assert work_done["slack_retries"] == 0
 
     def test_rerun_is_byte_identical(self, work):
@@ -536,14 +538,27 @@ class TestScopfBench:
         assert summary["max_region_violation"] <= 1e-6
         assert "manifest" in summary
         lp = summary["icnn_lp"]
-        assert set(lp) == {"rows", "ranged_rows", "pivots", "refactorizations",
-                           "inverses_reused", "slack_retries",
+        assert set(lp) == {"rows", "ranged_rows", "pivots",
+                           "refactorizations", "slack_retries",
                            "bland_switches"}
         assert all(type(v) is int and v >= 0 for v in lp.values())
         assert 0 < lp["ranged_rows"] < lp["rows"]
-        with open(os.path.join(run, "scopf_instances.csv")) as fh:
-            rows = fh.read().strip().splitlines()
+        with open(os.path.join(run, "scopf_instances.csv"), "rb") as fh:
+            csv_bytes = fh.read()
+        rows = csv_bytes.decode().strip().splitlines()
         assert len(rows) == 1 + 12  # header + two formulations per instance
+        assert rows[0].split(",") == ["instance", "formulation", "status",
+                                      "cost"]
+        # a second run of the same manifest writes the same CSV bytes: the
+        # times live in the summary JSON only
+        assert main(["scopf-bench", "--case", work["case"],
+                     "--checkpoint", work["ckpt"],
+                     "--dataset", work["dataset"],
+                     "--region-full",
+                     os.path.join(work["prep"], "region_full.npz"),
+                     "--limit", "6", "--out", work["runs"]]) == 0
+        with open(os.path.join(run, "scopf_instances.csv"), "rb") as fh:
+            assert fh.read() == csv_bytes
 
     def test_no_instance_feasible_under_both(self, work, tmp_path, capsys,
                                              monkeypatch):

@@ -153,7 +153,9 @@ class TestInjectionsAndLabels:
         # every draw is counted, the skipped ones too; counting changes
         # no output
         assert counters["draws"] > 60
-        assert counters["refactorizations"] + counters["inverses_reused"] > 0
+        assert counters["table_hits"] + counters["table_misses"] == \
+            counters["draws"]
+        assert counters["table_misses"] > 0 and counters["refactorizations"] > 0
         assert np.array_equal(X, sample_injections(net, s, 60))
 
     def test_origin_labeled_feasible(self):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nkscreen.icnn import (
-    IcnnParams, ScaledClassifier, backward, box_violation, classify, forward,
+    IcnnParams, ScaledClassifier, backward, box_violation, forward,
     init_params, load_checkpoint, project_convex, raw_forward, save_checkpoint,
 )
+
+from helpers import classify
 
 
 def l1_ball_net(radius=1.0, box=10.0):

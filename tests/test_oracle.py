@@ -8,9 +8,10 @@ from nkscreen.lp import _AT_LB, _AT_UB, TOL_FEAS, LpProblem, solve
 from nkscreen.oracle import (
     DegenerateRatio, EmptyPredictedSet, ScalingOracle, SublevelSolver,
     certify, epigraph_constraints, nearest_first, r_gradient, scale_fast,
-    scale_full, sublevel_max,
+    scale_full,
 )
 from nkscreen.lp import NumericalFailure
+from helpers import sublevel_max
 from test_lp import vertex_enumeration_max
 
 

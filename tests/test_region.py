@@ -19,15 +19,14 @@ from nkscreen.region import (
     drop_constant_dims,
     eliminate_redundant,
     prune_by_box_support,
-    enumerate_contingencies,
     filter_contingencies,
     load_region,
     save_region,
     standardize,
     with_box,
 )
-from helpers import (dedup_rows_oracle, is_islanding_bfs, mesh5, region_from_rows,
-                     ring3)
+from helpers import (dedup_rows_oracle, enumerate_contingencies,
+                     is_islanding_bfs, mesh5, region_from_rows, ring3)
 
 
 def test_enumerate_ring_k1():
