@@ -121,6 +121,7 @@ def run():
                     "test_fpr": meta.get("test_fpr", screen["fpr"]),
                     "test_fnr": screen["fnr"],
                     "speedup_vs_full_sweep": screen["speedup_vs_full_sweep"],
+                    "icnn_single_us_p50": screen["icnn_single_us_p50"],
                 }
                 if depth == 1:
                     bench_dir = step(
@@ -146,6 +147,8 @@ def run():
                 "fnr_max": float(fnrs.max()),
                 "speedup_vs_full_sweep": float(np.mean(
                     [r["speedup_vs_full_sweep"] for r in rows])),
+                "icnn_single_us_p50": float(np.mean(
+                    [r["icnn_single_us_p50"] for r in rows])),
             }
     summary["runs"] = grid
     summary["wall_seconds"] = round(time.time() - t_start, 1)
@@ -158,7 +161,8 @@ def run():
     for name, cfg in sorted(summary["configs"].items()):
         print(f"{name}: fpr {cfg['fpr_mean']:.4f} +- {cfg['fpr_std']:.4f}, "
               f"fnr max {cfg['fnr_max']:.4f}, "
-              f"screen speedup {cfg['speedup_vs_full_sweep']:.0f}x")
+              f"screen speedup {cfg['speedup_vs_full_sweep']:.0f}x, "
+              f"one injection {cfg['icnn_single_us_p50']:.1f}us")
     best = min(summary["configs"].values(), key=lambda c: c["fpr_mean"])
     print(f"best mean fpr: {best['fpr_mean']:.4f}")
 

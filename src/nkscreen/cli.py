@@ -8,7 +8,7 @@ byte-identical files.  Artifact metadata carries the manifest hash so any
 file can be traced back to the run that made it.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input, 3 certification
-failure.
+failure, 4 a trained model that screens nothing.
 """
 
 import argparse
@@ -433,6 +433,12 @@ def cmd_train(args):
         print_bad_rows(named)
         print("refusing to write checkpoint", file=sys.stderr)
         return 3
+    # sound but useless: it flags every secure validation point
+    if clf.meta["val_fpr"] >= 1.0:
+        print(f"selected model screens nothing (val fpr "
+              f"{clf.meta['val_fpr']:.4f}); refusing to write checkpoint",
+              file=sys.stderr)
+        return 4
 
     clf.mu = region.mu
     clf.sigma = region.sigma
@@ -456,6 +462,7 @@ def cmd_train(args):
     write_json(os.path.join(run_dir, "train_report.json"), {
         "manifest": manifest.hash,
         "seconds": round(elapsed, 3),
+        "val_fpr": clf.meta["val_fpr"],
         "solver": record.solver,
     })
     return finish_run(manifest, run_dir, ["checkpoint.npz", "training_log.csv",
@@ -559,6 +566,11 @@ def cmd_screen(args):
     pred_infeasible, icnn_seconds = timed(
         lambda: ~clf.predict_feasible(ds.standardized(X)))
     fpr, fnr = classification_rates(pred_infeasible, y)
+    single_seconds = []
+    for x in X:
+        t0 = time.perf_counter()
+        clf.predict_feasible(ds.standardized(x))
+        single_seconds.append(time.perf_counter() - t0)
     confusion = {
         "true_insecure_flagged": int((pred_infeasible & y).sum()),
         "missed_insecure": int((~pred_infeasible & y).sum()),
@@ -576,6 +588,7 @@ def cmd_screen(args):
         "fnr": fnr,
         "confusion": confusion,
         "icnn_seconds": icnn_seconds,
+        "icnn_single_us_p50": float(np.median(single_seconds)) * 1e6,
         "full_sweep_seconds": full_sweep_seconds,
         "speedup_vs_full_sweep": full_sweep_seconds / icnn_seconds,
         "exhaustive_agreement_full": float((full == ds.labels[ds.test]).mean()),
@@ -585,7 +598,8 @@ def cmd_screen(args):
     print(f"screened {len(y)} samples: fnr {fnr:.4f}, fpr {fpr:.4f}")
     print(f"icnn {icnn_seconds * 1e3:.1f}ms vs full sweep "
           f"{full_sweep_seconds * 1e3:.1f}ms: "
-          f"speedup {report['speedup_vs_full_sweep']:.1f}x")
+          f"speedup {report['speedup_vs_full_sweep']:.1f}x; one injection "
+          f"{report['icnn_single_us_p50']:.1f}us")
     return finish_run(manifest, run_dir, ["screen_report.json"])
 
 

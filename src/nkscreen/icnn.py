@@ -245,6 +245,85 @@ def project_convex(params: IcnnParams) -> IcnnParams:
     return params
 
 
+_SIGN = np.int64(-2**63)
+
+
+def _flip(keys):
+    """float64 bit patterns, read as int64, to keys in the floats' order,
+    and back: the map is its own inverse, and both zeros get key 0."""
+    return np.where(keys < 0, _SIGN - keys, keys)
+
+
+def _lower_face(lo, r, v):
+    """Least float x with r * x + v >= lo in float arithmetic, per entry.
+
+    x -> r * x + v is nondecreasing over the floats for r > 0, so the floats
+    that pass form an upper set, and bisection over their ordered keys finds
+    its least element.  The bracket starts one key below -inf (a NaN, which
+    never passes) and at +inf (which always passes); 64 halvings bring it
+    down to adjacent keys.
+    """
+    shape = np.shape(lo)
+    below = _flip(np.full(shape, -np.inf).view(np.int64)) - 1
+    above = _flip(np.full(shape, np.inf).view(np.int64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            mid = (below >> 1) + (above >> 1) + (below & above & 1)
+            passes = r * _flip(mid).view(np.float64) + v >= lo
+            above = np.where(passes, mid, above)
+            below = np.where(passes, below, mid)
+    return _flip(above).view(np.float64)
+
+
+@dataclass(frozen=True)
+class _ScreeningNetwork:
+    """The classifier in x coordinates: r and v folded into the weights,
+    every input term in one matrix, the box moved onto x."""
+
+    D: np.ndarray          # (n, depth * width + 1): all r * D_i, transposed
+    b: np.ndarray          # (depth * width + 1,): all b_i + D_i v
+    W: list                # W_i transposed; the output row flattened
+    width: int
+    lower: np.ndarray      # the box on x
+    upper: np.ndarray
+    box_gain: float
+
+    @staticmethod
+    def build(clf):
+        p, r, v = clf.params, clf.r, clf._shift()
+        if not r > 0:
+            raise ValueError("screening needs a positive scale r")
+        D = np.vstack(p.D)
+        lo, hi = clf.input_box()
+        # r * x + v is monotone in x, so lo <= r * x + v <= hi, as screening
+        # rounds it, holds exactly on [lower, upper]: the extreme passing
+        # floats.  The upper face is the lower face of the mirrored problem,
+        # since rounding to nearest is symmetric in sign.
+        return _ScreeningNetwork(
+            D=np.ascontiguousarray((r * D).T),
+            b=np.concatenate(p.b) + D @ v,
+            W=[np.ascontiguousarray(w.T) for w in p.W[:-1]]
+              + [p.W[-1][0].copy()],
+            width=p.width,
+            lower=_lower_face(lo, r, v),
+            upper=-_lower_face(-hi, r, -v),
+            box_gain=p.box_gain,
+        )
+
+    def __call__(self, X):
+        w = self.width
+        P = X @ self.D
+        P += self.b
+        z = np.maximum(P[:, :w], 0.0)
+        for i, Wi in enumerate(self.W[:-1], start=1):
+            h = P[:, i * w:(i + 1) * w] + z @ Wi
+            z = np.maximum(h, 0.0, out=h)
+        out = P[:, -1] + z @ self.W[-1]
+        pen = np.maximum(self.lower - X, X - self.upper).max(axis=1)
+        pen *= self.box_gain
+        return np.maximum(out, pen, out=out)
+
+
 @dataclass
 class ScaledClassifier:
     """A trained classifier with its certification scaling baked in.
@@ -257,8 +336,15 @@ class ScaledClassifier:
     The reference region is exact only inside the box, and with r < 1 the
     set (S - v) / r reaches past it, so x itself must lie in the box too.
     ``input_box`` folds that into the one box penalty: the box on u = r x + v
-    becomes the network's box intersected with r * box + v.  Its screening
-    network is built once per change of params, r or v, not once per call.
+    becomes the network's box intersected with r * box + v.
+
+    Screening runs a network built from params, r and v at the first call
+    after any of them is assigned.  r and v are folded into the input
+    weights, so the network's value differs from the definition's by
+    rounding only.  The box moves onto x, with faces at the extreme floats
+    where r * x + v still passes, so its verdict equals the definition's on
+    every float.  The network copies the weights: after an in-place edit of
+    them, assign ``clf.params = clf.params``.
     """
 
     params: IcnnParams
@@ -268,13 +354,13 @@ class ScaledClassifier:
     sigma: np.ndarray | None = None
     dim_map: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-    _screen: IcnnParams | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    _net: _ScreeningNetwork | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         if name in ("params", "r", "v"):
-            super().__setattr__("_screen", None)
+            super().__setattr__("_net", None)
 
     def _shift(self):
         return np.zeros(self.params.n_inputs) if self.v is None else self.v
@@ -286,18 +372,13 @@ class ScaledClassifier:
         return (np.maximum(p.box_lower, self.r * p.box_lower + v),
                 np.minimum(p.box_upper, self.r * p.box_upper + v))
 
-    def _screening_params(self):
-        if self._screen is None:
-            p = self.params
-            lo, hi = self.input_box()
-            # shares the weight lists, so weights changed in place carry over
-            self._screen = IcnnParams(W=p.W, D=p.D, b=p.b, box_lower=lo,
-                                      box_upper=hi, box_gain=p.box_gain)
-        return self._screen
-
     def decision_values(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return forward(self._screening_params(), self.r * X + self._shift())
+        """Screening values: the sign of forward(params with ``input_box``,
+        r x + v), up to rounding of the network; the box term is measured
+        in x."""
+        if self._net is None:
+            super().__setattr__("_net", _ScreeningNetwork.build(self))
+        return self._net(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def predict_feasible(self, X):
         return self.decision_values(X) <= 0.0

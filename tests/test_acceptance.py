@@ -12,7 +12,8 @@ synthetic and runs in seconds.
 Each criterion is a separate test so the verbose report reads as one
 pass/fail line per guarantee.  Two checks on the 2,386-row support region
 follow them: the nearest-first certification's pivots, and the screening
-of points that the scaled set reaches outside the box.
+of points that the scaled set reaches outside the box.  The last check
+holds screening's labels to their definition on the whole dataset.
 """
 
 import contextlib
@@ -31,7 +32,7 @@ from nkscreen.baselines import mlp_forward, train_mlp
 from nkscreen.cli import main, resolve_case
 from nkscreen.datagen import load_dataset
 from nkscreen.grid import load_network
-from nkscreen.icnn import (box_violation, forward, init_params,
+from nkscreen.icnn import (IcnnParams, box_violation, forward, init_params,
                            load_checkpoint, raw_forward)
 from nkscreen.lp import TOL_FEAS
 from nkscreen.oracle import (DegenerateRatio, SublevelSolver, certify,
@@ -559,3 +560,18 @@ def test_points_outside_the_box_are_screened_insecure(pipeline):
         forward(clf.params, clf.r * test + clf.v) <= 0.0)
     print(f"witness {outside:.2f} standardized units outside the box: "
           "screened insecure")
+
+
+def test_screening_labels_equal_the_definition(pipeline):
+    # screening folds r and v into the weights and moves the box onto x;
+    # on all 6,000 dataset points its labels equal the network with the
+    # input box, evaluated at r x + v
+    clf, ds = pipeline["clf"], pipeline["ds"]
+    Z = ds.standardized()
+    assert len(Z) == 6000
+    p = clf.params
+    lo, hi = clf.input_box()
+    boxed = IcnnParams(W=p.W, D=p.D, b=p.b, box_lower=lo, box_upper=hi,
+                       box_gain=p.box_gain)
+    np.testing.assert_array_equal(clf.predict_feasible(Z),
+                                  forward(boxed, clf.r * Z + clf.v) <= 0.0)

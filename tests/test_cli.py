@@ -2,7 +2,7 @@
 
 A small 3-bus ring runs through every subcommand, exercising run-directory
 hashing, artifact reproducibility, and the exit-code contract (0 ok, 2 bad
-input, 3 certification failure).
+input, 3 certification failure, 4 a model that screens nothing).
 """
 
 import json
@@ -322,6 +322,8 @@ class TestTrain:
                                              "train_report.json")))
         assert report["manifest"] == manifest["hash"]
         assert report["seconds"] > 0
+        assert report["val_fpr"] == load_checkpoint(work["ckpt"]).meta["val_fpr"]
+        assert report["val_fpr"] < 1.0
         rows = load_region(os.path.join(work["prep"], "region.npz")).n_rows
         first = report["solver"]["first_rescale"]
         later = report["solver"]["later"]
@@ -352,6 +354,28 @@ class TestTrain:
                      "--region", str(other), "--out", str(tmp_path)]
                     + TRAIN_FLAGS)
         assert code == 2
+
+
+    def test_model_that_screens_nothing_exits_four(self, work, tmp_path,
+                                                   capsys, monkeypatch):
+        """A certified model that flags every secure validation point is
+        sound but useless: train refuses it and writes no checkpoint."""
+        from nkscreen import training
+
+        def useless(*args, **kwargs):
+            clf = load_checkpoint(work["ckpt"])
+            clf.meta = {"val_fpr": 1.0}
+            return clf, training.TrainingRecord(best_epoch=0)
+
+        monkeypatch.setattr(training, "train", useless)
+        out = tmp_path / "runs"
+        code = main(["train", "--dataset", work["dataset"],
+                     "--region", os.path.join(work["prep"], "region.npz"),
+                     "--out", str(out)] + TRAIN_FLAGS)
+        assert code == 4
+        assert "screens nothing" in capsys.readouterr().err
+        assert not any("checkpoint.npz" in files
+                       for _, _, files in os.walk(out))
 
 
 class TestCertify:
@@ -425,8 +449,9 @@ class TestScreen:
                                              "screen_report.json")))
         assert set(report) == {
             "manifest", "checkpoint_manifest", "n_test", "fpr", "fnr",
-            "confusion", "icnn_seconds", "full_sweep_seconds",
-            "speedup_vs_full_sweep", "exhaustive_agreement_full"}
+            "confusion", "icnn_seconds", "icnn_single_us_p50",
+            "full_sweep_seconds", "speedup_vs_full_sweep",
+            "exhaustive_agreement_full"}
         assert report["fnr"] == 0.0
         assert report["n_test"] == 200
         assert report["exhaustive_agreement_full"] == 1.0
@@ -434,6 +459,7 @@ class TestScreen:
         assert sum(conf.values()) == 200
         assert conf["missed_insecure"] == 0
         assert report["icnn_seconds"] > 0
+        assert report["icnn_single_us_p50"] > 0
         assert report["full_sweep_seconds"] > 0
 
 

@@ -290,3 +290,150 @@ class TestScreeningBox:
             shift = 0.0 if v is None else v
             np.testing.assert_array_equal(clf.predict_feasible(X),
                                           forward(net, r * X + shift) <= 0.0)
+
+
+def reference_feasible(clf, X):
+    """The definition screening reproduces: the network with the input box,
+    evaluated at r x + v."""
+    p = clf.params
+    lo, hi = clf.input_box()
+    boxed = IcnnParams(W=p.W, D=p.D, b=p.b, box_lower=lo, box_upper=hi,
+                       box_gain=p.box_gain)
+    shift = 0.0 if clf.v is None else clf.v
+    return forward(boxed, clf.r * np.atleast_2d(X) + shift) <= 0.0
+
+
+def extreme_passing(face, r, v, upper, inner):
+    """The extreme float x with r * x + v on the inner side of face, by
+    bisection over values from a passing point inner: near x = 0 the
+    floats that pass reach many steps of np.nextafter past the quotient."""
+    inside = (lambda x: r * x + v <= face) if upper else \
+        (lambda x: r * x + v >= face)
+    a = inner
+    b = (face - v) / r
+    while inside(b):
+        b += (b - a) + (1.0 if upper else -1.0)
+    while True:
+        m = a + (b - a) / 2
+        if m in (a, b):
+            return a
+        a, b = (m, b) if inside(m) else (a, m)
+
+
+class TestScreeningNetwork:
+    """Screening folds r and v into the weights and moves the box onto x;
+    every label must equal the definition's."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("r", [0.05, 1.0, 2.5])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_random_points_match_definition(self, depth, r, shifted):
+        net = init_params(4, depth=depth, width=6, box_lower=-np.ones(4),
+                          box_upper=np.ones(4), seed=depth)
+        v = np.array([0.1, -0.2, 0.05, 0.0]) if shifted else np.zeros(4)
+        clf = ScaledClassifier(params=net, r=r, v=v)
+        # u = r x + v uniform over 1.3 times the input box, and an output
+        # bias that splits the box in half, taken from other points so that
+        # no test point sits on the boundary to within rounding
+        lo, hi = clf.input_box()
+        pad = 0.15 * (hi - lo)
+        rng = np.random.default_rng(10 * depth)
+        net.b[-1] -= np.median(raw_forward(net, rng.uniform(lo, hi,
+                                                            size=(501, 4))))
+        clf.params = net
+        U = rng.uniform(lo - pad, hi + pad, size=(5000, 4))
+        X = (U - v) / r
+        got = clf.predict_feasible(X)
+        np.testing.assert_array_equal(got, reference_feasible(clf, X))
+        assert 0.1 < got.mean() < 0.5
+
+    @pytest.mark.parametrize("r, v", [(0.05, (0.0, 0.0)), (1.0, (0.3, -0.1)),
+                                      (2.5, (0.0, 0.7)), (0.1, (0.2, 0.2))])
+    def test_box_faces_and_their_neighbours(self, r, v):
+        # a large ball: inside the box, the box alone decides
+        net = IcnnParams(W=[np.ones((1, 4))],
+                         D=[np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                      [0.0, -1.0]]), np.zeros((1, 2))],
+                         b=[np.zeros(4), np.array([-10.0])],
+                         box_lower=np.array([-1.0, -1.0]),
+                         box_upper=np.array([0.3, 0.3])).validate()
+        v = np.array(v)
+        clf = ScaledClassifier(params=net, r=r, v=v)
+        lo, hi = clf.input_box()
+        for j in range(2):
+            inner = np.array([(lo[k] - v[k]) / r + (hi[k] - lo[k]) / (2 * r)
+                              for k in range(2)])
+            for face, upper in ((lo[j], False), (hi[j], True)):
+                x_face = extreme_passing(face, r, v[j], upper, inner[j])
+                out = np.inf if upper else -np.inf
+                xs = [np.nextafter(x_face, -out), x_face,
+                      np.nextafter(x_face, out)]
+                X = np.tile(inner, (3, 1))
+                X[:, j] = xs
+                want = reference_feasible(clf, X)
+                np.testing.assert_array_equal(want, [True, True, False])
+                np.testing.assert_array_equal(clf.predict_feasible(X), want)
+
+    def test_face_one_float_past_the_plain_quotient(self):
+        # r = 0.1, v = 0.2 and an x box face at 0.3: the input box face is
+        # 0.1 * 0.3 + 0.2 = 0.23, whose plain quotient (0.23 - 0.2) / 0.1 is
+        # 0.3, but one float above it r * x + v still rounds to 0.23
+        net = IcnnParams(W=[np.ones((1, 2))],
+                         D=[np.eye(2), np.zeros((1, 2))],
+                         b=[np.zeros(2), np.array([-10.0])],
+                         box_lower=np.array([-1.0, -1.0]),
+                         box_upper=np.array([0.3, 0.3])).validate()
+        clf = ScaledClassifier(params=net, r=0.1, v=np.array([0.2, 0.2]))
+        hi = clf.input_box()[1][0]
+        quotient = (hi - 0.2) / 0.1
+        past = np.nextafter(quotient, np.inf)
+        X = np.array([[quotient, 0.0], [past, 0.0],
+                      [np.nextafter(past, np.inf), 0.0]])
+        np.testing.assert_array_equal(reference_feasible(clf, X),
+                                      [True, True, False])
+        np.testing.assert_array_equal(clf.predict_feasible(X),
+                                      [True, True, False])
+
+    def test_nan_and_infinite_coordinates_are_insecure(self):
+        clf = ScaledClassifier(params=l1_ball_net(radius=1.0, box=10.0),
+                               r=0.5, v=np.array([0.1, 0.0]))
+        inner = np.array([0.2, -0.1])
+        assert clf.predict_feasible(inner)[0]
+        X = np.tile(inner, (6, 1))
+        X[[0, 1, 2], 0] = [np.nan, np.inf, -np.inf]
+        X[[3, 4, 5], 1] = [np.nan, np.inf, -np.inf]
+        with np.errstate(invalid="ignore"):
+            assert not clf.predict_feasible(X).any()
+            assert not reference_feasible(clf, X).any()
+
+    def test_nonpositive_scale_rejected(self):
+        # the faces on x rely on r * x + v rising with x
+        clf = ScaledClassifier(params=l1_ball_net(), r=0.0)
+        with pytest.raises(ValueError):
+            clf.predict_feasible(np.zeros(2))
+
+    def test_single_input_returns_one_label(self):
+        clf = ScaledClassifier(params=l1_ball_net(), r=2.0)
+        assert clf.predict_feasible(np.array([0.1, 0.2])).shape == (1,)
+        assert clf.decision_values(np.array([0.1, 0.2])).shape == (1,)
+        assert clf.predict_feasible(np.zeros((3, 2))).shape == (3,)
+
+    def test_rebuilt_after_params_r_or_v_is_assigned(self):
+        net = l1_ball_net(radius=1.0, box=10.0)
+        clf = ScaledClassifier(params=net, r=1.0, v=np.zeros(2))
+        x = np.array([[0.8, 0.0]])
+        assert clf.predict_feasible(x)[0]
+        clf.r = 2.0                               # u = 1.6
+        assert not clf.predict_feasible(x)[0]
+        clf.v = np.array([-1.0, 0.0])             # u = 0.6
+        assert clf.predict_feasible(x)[0]
+        clf.params = l1_ball_net(radius=0.5, box=10.0)
+        assert not clf.predict_feasible(x)[0]
+        # the network copies the weights: an in-place edit counts only
+        # once params is assigned again
+        clf.params.b[-1][0] = -1.0
+        assert not clf.predict_feasible(x)[0]
+        clf.params = clf.params
+        assert clf.predict_feasible(x)[0]
+        np.testing.assert_array_equal(clf.predict_feasible(x),
+                                      reference_feasible(clf, x))
