@@ -7,30 +7,49 @@ problem/solution contract:
 * ``SimplexEngine``: a dense bounded-variable revised simplex written here.
   It is deterministic (Dantzig entering rule with lowest-index tie-breaking,
   lowest-index leaving rule, Bland fallback on stalls), returns dual
-  multipliers and keeps its basis between calls.  It has one solve path:
-  ``reload`` sets any of the matrix, right-hand side and objective
-  (``resolve_objective`` and ``resolve_rhs`` set one), and ``solve``
-  refactorizes the current basis, recomputes the basic values, runs phase 1
-  only when a bound is broken, then phase 2.  Warm re-solves are the hot
-  path: sublevel-set sweeps re-solve the same polytope for thousands of
-  objective rows, and dispatch sampling the same OPF for thousands of
-  demand vectors; with a basis that stays optimal, one costs a feasibility
-  check and a pricing pass.
+  multipliers and keeps its basis between calls.  ``reload`` sets any of
+  the matrix, right-hand side and objective (``resolve_objective`` and
+  ``resolve_rhs`` set one), and ``solve`` refactorizes the current basis,
+  recomputes the basic values, runs phase 1 only when a bound is broken,
+  then phase 2.  Warm re-solves are the hot path: sublevel-set sweeps
+  re-solve the same polytope for thousands of objective rows, and dispatch
+  sampling the same OPF for thousands of demand vectors; with a basis that
+  stays optimal, one costs a feasibility check and a pricing pass.
+  A right-hand-side re-solve (``resolve_rhs``, a ``reload`` of b alone)
+  keeps c and A, so a basis that was optimal stays dual feasible.  From a
+  dual feasible basis it runs the bounded dual simplex instead of the
+  primal phases (Koberstein, "The dual simplex method, techniques for a
+  fast and stable implementation", PhD thesis, Paderborn 2005): the most
+  infeasible basic variable leaves, the entering column has the smallest
+  |rc| / |alpha| among the columns that can repair it, reduced costs are
+  updated by the pivot row, and no such column means infeasible, with the
+  variable that could not be repaired in ``LpSolution.blocking``.  Its
+  refactorizations invert only the k x k block of the structural basic
+  columns on the rows whose slack is nonbasic and fill in the rest of B^-1
+  exactly (k = 9-15 against 122 rows at the optimal bases of the
+  ``case39`` classifier SC-OPF).
+  Every other solve takes the primal path, whose refactorizations invert
+  the whole basis: the block inverse rounds differently, and moving those
+  solves to it would move the bytes of the checkpoints and regions that
+  training, certification and region construction write.
   A refactorization inverts the basis matrix only when ``B_inv`` may differ
-  from the exact inverse: it is exact after a refactorization or the
-  slack-basis start, and stops being so when a pivot changes the basis,
-  ``restore`` installs another one or ``reload`` replaces the matrix.
-  Inverting the same basis columns again returns the same array, so
-  skipping that inversion changes no output bit.  ``snapshot``/``restore``
-  save and reinstate a basis and its variables' statuses, for callers that
-  want a re-solve to start from a basis of their choosing; ``restore``
-  takes the basis' exact inverse too when the caller kept it.
+  from a refactorization of the present basis: it is one after a
+  refactorization or the slack-basis start (the identity, under either
+  method), and stops being one when a pivot changes the basis, ``restore``
+  installs another one or ``reload`` replaces the matrix.  Inverting the
+  same basis columns by the same method again returns the same array, so
+  skipping that inversion changes no output bit; a kept inverse serves
+  both paths, so a warm re-solve's last bits can depend on which path last
+  inverted its start basis.  ``snapshot``/``restore`` save and reinstate a
+  basis and its variables' statuses, for callers that want a re-solve to
+  start from a basis of their choosing; ``restore`` takes the basis'
+  inverse too when the caller kept it.
 * ``OptimalBases``: a table of up to 8 optimal bases of one engine whose
-  right-hand side alone changes, each with its exact inverse.  A right-hand
-  side that one of them keeps primal feasible is answered by one product
-  and a bound check, with the bytes a zero-pivot ``resolve_rhs`` from that
-  basis returns; DC-OPF dispatch of sampled demands, whose draws end at a
-  handful of bases, runs the engine only on a miss.
+  right-hand side alone changes, each with its block refactorization.  A
+  right-hand side that one of them keeps primal feasible is answered by one
+  product and a bound check, with the bytes a zero-pivot ``resolve_rhs``
+  from that basis returns; DC-OPF dispatch of sampled demands, whose draws
+  end at a handful of bases, runs the engine only on a miss.
 
   The pivot loop is the hot path of training, so it is written for few
   numpy calls per pivot while keeping every floating-point operation of the
@@ -169,6 +188,9 @@ class LpSolution:
     duals: np.ndarray | None = None          # one multiplier per constraint row
     reduced_costs: np.ndarray | None = None  # one per structural variable
     iterations: int = 0
+    # infeasible by the dual simplex: the variable it could not bring within
+    # its bounds, structural j < n or n + i for row i's slack
+    blocking: int | None = None
 
     def __bool__(self):
         return self.status is LpStatus.OPTIMAL
@@ -183,18 +205,26 @@ class BasisSnapshot:
 
 
 class SimplexEngine:
-    """Bounded-variable two-phase revised simplex over a fixed row structure.
+    """Bounded-variable two-phase revised simplex over a fixed row structure,
+    with a dual simplex for right-hand-side re-solves.
 
     The engine keeps its basis between calls, so ``resolve_objective`` /
     ``resolve_rhs`` / ``reload`` after small data changes typically finish in
-    a handful of pivots (often zero); each sets its data and calls
-    ``solve``.  All tie-breaking is by lowest index, so identical inputs
-    produce identical outputs, iteration counts included.
+    a handful of pivots (often zero); each sets its data and solves.  All
+    tie-breaking is by lowest index, so identical inputs produce identical
+    outputs, iteration counts included.
 
     A ranged row's width is the upper bound of its slack, fixed at
     construction, so ``resolve_rhs`` moves both sides of the row together.
     ``data_version`` counts the ``reload`` calls that replaced the matrix
     or the objective: a basis optimal before such a call may not be after.
+
+    A right-hand-side re-solve runs the dual simplex when its start basis is
+    dual feasible and the primal phases otherwise; see the module docstring.
+    The dual simplex shares the primal loop's safeguards: the iteration
+    budget, the retry from the slack basis, and Bland's rule (here: the
+    lowest-index infeasible basic variable leaves) after a run of
+    dual-degenerate pivots, whose entering column has |rc| <= 1e-9.
 
     ``counters()`` returns four counts over the engine's lifetime: pivots,
     refactorizations (basis inversions), slack retries (restarts from the
@@ -228,6 +258,7 @@ class SimplexEngine:
         self._span = self.U - self.L
         self._outer = np.empty((m, m))  # rank-one update buffer
         self._cand = np.empty(m)         # ratio-test buffer
+        self._ratio = np.empty(self.nt)  # dual ratio-test buffer
         self.n_pivots = self.n_refactors = self.n_slack_retries = 0
         self.n_bland = self.data_version = 0
         self.c = np.zeros(self.nt)
@@ -237,7 +268,11 @@ class SimplexEngine:
         self._reset_nonbasic_status(np.arange(self.nt))
         self.vstat[self.basis] = _BASIC
         self.B_inv = np.eye(m)
-        self._inv_exact = True  # B_inv is inv(T[:, basis]) bit for bit
+        # B_inv is a refactorization of the basis, bit for bit: the block
+        # one (which gives the identity for the slack basis too) or the full
+        # one; _block says which the next refactorization computes
+        self._inv_exact = self._inv_block = True
+        self._block = False
         self.x = np.zeros(self.nt)
         # set when a solve completes or a basis is restored, cleared by a
         # slack restart
@@ -259,14 +294,37 @@ class SimplexEngine:
             return True
         self.n_refactors += 1
         try:
-            self.B_inv = np.linalg.inv(self.T[:, self.basis])
+            self.B_inv = (self._block_inverse(self.basis) if self._block
+                          else np.linalg.inv(self.T[:, self.basis]))
         except np.linalg.LinAlgError:
             return False
         # guard against a numerically singular basis that inv() let through
         if not np.all(np.isfinite(self.B_inv)):
             return False
         self._inv_exact = True
+        self._inv_block = self._block
         return True
+
+    def _block_inverse(self, basis):
+        """B^-1 from the k x k block A_RK of the k structural basic columns K
+        on the rows R whose slack is nonbasic.  A basic slack's row of B^-1
+        is its unit row, less A_SK A_RK^-1 on the columns R; a structural
+        column's row is its row of A_RK^-1, zero elsewhere."""
+        m, n = self.m, self.n
+        struct = basis < n
+        pos_k, pos_s = np.flatnonzero(struct), np.flatnonzero(~struct)
+        K, S = basis[pos_k], basis[pos_s] - n
+        slack_nonbasic = np.ones(m, dtype=bool)
+        slack_nonbasic[S] = False
+        R = np.flatnonzero(slack_nonbasic)
+        if len(R) != len(K):  # a slack column taken twice
+            raise np.linalg.LinAlgError("singular basis")
+        inv_RK = np.linalg.inv(self.T[np.ix_(R, K)])
+        B_inv = np.zeros((m, m))
+        B_inv[np.ix_(pos_k, R)] = inv_RK
+        B_inv[pos_s, S] = 1.0
+        B_inv[np.ix_(pos_s, R)] = -(self.T[np.ix_(S, K)] @ inv_RK)
+        return B_inv
 
     def _fall_back_to_slack_basis(self):
         self.n_slack_retries += 1
@@ -276,7 +334,7 @@ class SimplexEngine:
         self._reset_nonbasic_status(np.arange(self.n))
         self.vstat[self.basis] = _BASIC
         self.B_inv = np.eye(self.m)
-        self._inv_exact = True
+        self._inv_exact = self._inv_block = True
 
     def _recompute_x(self):
         xn = self._nonbasic_values()
@@ -391,6 +449,73 @@ class SimplexEngine:
         self.B_inv -= self._outer
         self.B_inv[pos] = row
 
+    def _dual_iterate(self, rc, iter_budget):
+        """Bounded dual simplex from a dual feasible basis with reduced
+        costs rc; returns (outcome, pivots, blocking variable or None)."""
+        pivots = 0
+        stall = 0
+        bland = False
+        since_refactor = 0
+        stat, L, U = self.vstat, self.L, self.U
+        try:
+            while True:
+                basis = self.basis
+                xb = self.x[basis]
+                viol = np.maximum(L[basis] - xb, xb - U[basis])
+                if bland:
+                    bad = np.flatnonzero(viol > TOL_FEAS)
+                    if not len(bad):
+                        return "optimal", pivots, None
+                    r = int(bad[basis[bad].argmin()])
+                else:
+                    r = int(viol.argmax())  # first max: lowest index
+                    if not viol[r] > TOL_FEAS:
+                        return "optimal", pivots, None
+                leave = int(basis[r])
+                below = xb[r] < L[leave]
+                # the pivot row; raising x_j moves x_r by -alpha_j, and
+                # `move` is how fast j can push x_r toward its broken bound
+                alpha = self.B_inv[r] @ self.T
+                move = (-alpha if below else alpha) * _GAIN_SIGN[stat]
+                if len(self._free):
+                    move[self._free] = np.abs(move[self._free])
+                if len(self._fixed):
+                    move[self._fixed] = 0.0
+                eligible = move > _PIVOT_TOL
+                if not eligible.any():
+                    return "infeasible", pivots, leave
+                ratio = self._ratio
+                ratio.fill(np.inf)
+                np.divide(np.abs(rc), move, out=ratio, where=eligible)
+                j = int(ratio.argmin())  # first min: lowest index
+                d = self.B_inv @ self.T[:, j]
+                step = (xb[r] - (L[leave] if below else U[leave])) / d[r]
+                self._apply_step(j, 1.0, step, r, _AT_LB if below else _AT_UB,
+                                 d, xb)
+                # reduced costs by the pivot row, not re-priced
+                rc_j = rc[j]
+                theta = rc_j / alpha[j]
+                rc -= theta * alpha
+                rc[j] = 0.0
+                rc[leave] = -theta
+                pivots += 1
+                since_refactor += 1
+                # a dual-degenerate pivot leaves the objective where it was
+                stall = stall + 1 if abs(rc_j) <= _RC_TOL else 0
+                if stall > _STALL_LIMIT:
+                    bland = True
+                if since_refactor >= _REFACTOR_EVERY:
+                    if not self._refactor():
+                        raise NumericalFailure("singular basis on refactor")
+                    self._recompute_x()
+                    rc = self._price(self.c)[1]
+                    since_refactor = 0
+                if pivots > iter_budget:
+                    raise NumericalFailure(f"iteration limit {iter_budget} exceeded")
+        finally:
+            self.n_pivots += pivots
+            self.n_bland += bland
+
     def _phase1_costs(self, below, above):
         ceff = np.zeros(self.nt)
         bi = self.basis[below]
@@ -448,29 +573,48 @@ class SimplexEngine:
         data, runs phase 1 only when a bound is broken, then phase 2 and a
         polish (a final refactorization and recompute).
         """
+        return self._solve(rhs=False)
+
+    def _solve(self, rhs):
+        """``solve``; with rhs (only b changed since the last solve), the
+        dual simplex and block refactorizations when the basis is dual
+        feasible after its refactorization."""
+        self._block = rhs
         if not self._refactor():
             self._fall_back_to_slack_basis()
         self._recompute_x()
         budget = 2000 + 200 * self.m
         pivots = 0
         try:
-            _, _, total = self._infeasibility()
-            if total > TOL_FEAS:
-                outcome, pivots = self._iterate(phase1=True, iter_budget=budget)
+            if rhs:
+                rc = self._price(self.c)[1]
+                self._block = self._choose_entering(rc, False)[0] < 0
+            if self._block:
+                outcome, pivots, blocking = self._dual_iterate(rc, budget)
                 if outcome == "infeasible":
                     self._retry = True
-                    return LpSolution(LpStatus.INFEASIBLE, iterations=pivots)
-                if not self._refactor():
-                    raise NumericalFailure("singular basis after phase 1")
-                self._recompute_x()
-            outcome, p2 = self._iterate(phase1=False, iter_budget=budget)
-            pivots += p2
+                    return LpSolution(LpStatus.INFEASIBLE, iterations=pivots,
+                                      blocking=blocking)
+            else:
+                _, _, total = self._infeasibility()
+                if total > TOL_FEAS:
+                    outcome, pivots = self._iterate(phase1=True,
+                                                    iter_budget=budget)
+                    if outcome == "infeasible":
+                        self._retry = True
+                        return LpSolution(LpStatus.INFEASIBLE,
+                                          iterations=pivots)
+                    if not self._refactor():
+                        raise NumericalFailure("singular basis after phase 1")
+                    self._recompute_x()
+                outcome, p2 = self._iterate(phase1=False, iter_budget=budget)
+                pivots += p2
         except NumericalFailure:
             if not self._retry:
                 raise
             # one deterministic retry from the slack basis before giving up
             self._fall_back_to_slack_basis()
-            return self.solve()
+            return self._solve(rhs)
         self._retry = True
         if outcome == "unbounded":
             return LpSolution(LpStatus.UNBOUNDED, iterations=pivots)
@@ -515,6 +659,8 @@ class SimplexEngine:
         if c is not None:
             self.c[: self.n] = c
         self.data_version += A is not None or c is not None
+        if A is None and c is None and b is not None:
+            return self._solve(rhs=True)
         return self.solve()
 
     def counters(self):
@@ -539,9 +685,9 @@ class SimplexEngine:
         under the present matrix, as it does every basis, and runs phase 1
         first when the basis is primal infeasible under the present data (a
         basis kept from another matrix).  ``B_inv``, when given, must be the
-        exact inverse of the snapshot's basis under the present matrix, as
-        an ``OptimalBases`` entry keeps it; it is copied and the next solve
-        inverts nothing.
+        block refactorization of the snapshot's basis under the present
+        matrix, as an ``OptimalBases`` entry keeps it; it is copied and the
+        next solve inverts nothing.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
             raise ValueError("snapshot of an engine of another shape")
@@ -551,7 +697,7 @@ class SimplexEngine:
         else:
             # a copy: the rank-one update works on B_inv in place
             self.B_inv = B_inv.copy()
-            self._inv_exact = True
+            self._inv_exact = self._inv_block = True
         self.basis = snap.basis.copy()
         self.vstat = snap.vstat.copy()
         self._retry = True
@@ -563,7 +709,7 @@ class _Optimum:
     computes anew for every right-hand side, computed once."""
 
     snap: BasisSnapshot
-    B_inv: np.ndarray   # inv(T[:, basis]), the engine's exact inverse
+    B_inv: np.ndarray   # the engine's block refactorization of the basis
     x_N: np.ndarray     # nonbasic variables at their bounds, basic ones 0
     T_xN: np.ndarray    # T @ x_N
     L_B: np.ndarray     # bounds of the basic variables
@@ -580,7 +726,8 @@ class OptimalBases:
     violations beyond ``TOL_FEAS`` sum to at most ``TOL_FEAS``.  ``lookup``
     tries the entries in turn and answers from the first that passes, with
     the bytes a zero-pivot ``resolve_rhs`` from that basis returns (the
-    products are the engine's, from its exact inverse); this is the
+    products are the engine's, from the block refactorization that re-solve
+    computes for the basis); this is the
     optimal-active-set view of Misra, Roald & Ng (arXiv:1802.09639).  On a
     miss the caller runs the engine, from the most recent entry's basis and
     inverse (``install``), and ``add``s the basis it ends at when that is
@@ -606,13 +753,16 @@ class OptimalBases:
 
     def add(self):
         """Keep the engine's present basis, optimal after its last solve and
-        held with its exact inverse, as the most recent entry."""
+        held with a refactorization, as the most recent entry; a full
+        inversion from the primal path is redone as the block one."""
         eng = self.engine
         if not eng._inv_exact:
             raise ValueError("the engine's basis inverse is not exact")
         basis, x_N = eng.basis, eng._nonbasic_values()
+        B_inv = (eng.B_inv.copy() if eng._inv_block
+                 else eng._block_inverse(basis))
         entries = self._current()
-        entries.insert(0, _Optimum(eng.snapshot(), eng.B_inv.copy(), x_N,
+        entries.insert(0, _Optimum(eng.snapshot(), B_inv, x_N,
                                    eng.T @ x_N, eng.L[basis], eng.U[basis]))
         del entries[_BASES_KEPT:]
 

@@ -51,6 +51,11 @@ class ScopfResult:
     p: np.ndarray | None = None
     cost: float | None = None
     runtime: float = 0.0
+    # an infeasible classifier dispatch: the constraint the dual simplex
+    # could not repair ("line i", "epigraph j", "box k", "balance", "bound
+    # p_j" or "bound z_j"), empty when the verdict came from the primal
+    # phases
+    blocking: str = ""
 
     def __bool__(self):
         return self.status is LpStatus.OPTIMAL
@@ -69,9 +74,10 @@ def region_inequalities(region: ContingencyRegion):
     return G, h
 
 
-def _result(sol, formulation, net, runtime):
+def _result(sol, formulation, net, runtime, blocking=""):
     if sol.status is not LpStatus.OPTIMAL:
-        return ScopfResult(sol.status, formulation, runtime=runtime)
+        return ScopfResult(sol.status, formulation, runtime=runtime,
+                           blocking=blocking)
     p = sol.x[:net.n].copy()
     return ScopfResult(LpStatus.OPTIMAL, formulation, p=p,
                        cost=float(net.cost @ p), runtime=runtime)
@@ -104,14 +110,18 @@ class _IcnnDispatchLp(DispatchLp):
     side depends on the demand, and a ranged row's width does not, so the
     constraint matrix (with the network's PTDF) is built once.  The simplex
     engine is built on first use and solved once at the network's nominal
-    demand; its optimal basis, with its exact inverse, is the one entry of
-    an ``lp.OptimalBases`` table and the start of every later solve:
-    ``install`` puts basis and inverse into the engine, so the
-    ``resolve_rhs`` after it inverts nothing and computes the basic values
-    once, under the demand's right-hand side.  The table never takes
-    another entry, so every solve starts from this one basis and the answer
-    for a demand does not depend on which demands came before.  Demands are
-    not looked up in the table first: with the benchmark's checkpoint the
+    demand; its optimal basis, with its block refactorization, is the one
+    entry of an ``lp.OptimalBases`` table and the start of every later
+    solve: ``install`` puts basis and inverse into the engine, and the
+    ``resolve_rhs`` after it runs the dual simplex from that basis, which
+    stays dual feasible for every demand (c and A do not change).  On
+    ``case39`` that is about 10 pivots, and a refactorization inverts the
+    block of the basis's structural columns, 9-15 wide, not all 122 rows.
+    An infeasible verdict of the dual simplex names the constraint it could
+    not repair (``ScopfResult.blocking``).  The table never takes another
+    entry, so every solve starts from this one basis and the answer for a
+    demand does not depend on which demands came before.  Demands are not
+    looked up in the table first: with the benchmark's checkpoint the
     nominal basis stays optimal for none of 300 sampled demands, so a
     lookup would only add a product per solve.  If the nominal solve is not
     optimal, the table stays empty and solves start from the slack basis.
@@ -156,6 +166,26 @@ class _IcnnDispatchLp(DispatchLp):
         # a private copy: the cache key describes the network at build time
         super().__init__(copy.deepcopy(net), rows, rhs0, ranges, n_aux=nz)
         self._engine = self._nominal = None
+        self._n_epi = len(b_e)
+        self._box_coords = np.concatenate([np.flatnonzero(hi_ok),
+                                           np.flatnonzero(lo_only)])
+
+    def _blocking(self, j):
+        """Name of the engine's variable j: a column's bound or a row."""
+        if j is None:
+            return ""
+        n, n_cols = self.net.n, self.A.shape[1]
+        if j < n_cols:
+            return f"bound p_{j}" if j < n else f"bound z_{j - n}"
+        i = j - n_cols
+        epi = i - self.net.m
+        if epi < 0:
+            return f"line {i}"
+        if epi < self._n_epi:
+            return f"epigraph {epi}"
+        if i < len(self.A) - 1:
+            return f"box {self._box_coords[epi - self._n_epi]}"
+        return "balance"
 
     def engine(self):
         """The simplex engine and the table of its nominal optimal basis,
@@ -177,7 +207,8 @@ class _IcnnDispatchLp(DispatchLp):
         t0 = time.perf_counter()
         nominal.install()
         sol = engine.resolve_rhs(b)
-        return _result(sol, "icnn", self.net, time.perf_counter() - t0)
+        return _result(sol, "icnn", self.net, time.perf_counter() - t0,
+                       self._blocking(sol.blocking))
 
 
 # at most one entry: content key -> _IcnnDispatchLp
@@ -237,11 +268,13 @@ def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier) -> ScopfResult
 
     The LP of the last (network, classifier) pair is cached, keyed on their
     content.  Each demand is a right-hand-side re-solve on the simplex
-    engine from the optimal basis of the nominal demand, always that same
-    basis, so the result depends on the demand alone and not on the order
-    of calls; the reported runtime is that re-solve.  The one-off build and
-    nominal solve are not part of it (``benchmark_scopf`` reports them as
-    ``icnn_setup_s``).
+    engine, by the dual simplex, from the optimal basis of the nominal
+    demand, always that same basis, so the result depends on the demand
+    alone and not on the order of calls; the reported runtime is that
+    re-solve.  An infeasible result names in ``blocking`` the line, epigraph
+    row, box coordinate, balance or generator bound the dual simplex could
+    not repair.  The one-off build and nominal solve are not part of the
+    runtime (``benchmark_scopf`` reports them as ``icnn_setup_s``).
     """
     return _icnn_lp(net, clf).solve(np.asarray(demand, dtype=float))
 
@@ -309,6 +342,7 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
                 "formulation": res.formulation,
                 "status": res.status.name,
                 "cost": "" if res.cost is None else repr(res.cost),
+                "blocking": res.blocking,
             })
 
     n = len(demands)
@@ -361,7 +395,8 @@ def save_benchmark(records, summary, csv_path, json_path):
     the two with times in it)."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(
-            fh, fieldnames=["instance", "formulation", "status", "cost"])
+            fh, fieldnames=["instance", "formulation", "status", "cost",
+                            "blocking"])
         writer.writeheader()
         writer.writerows(records)
     with open(json_path, "w") as fh:

@@ -574,7 +574,7 @@ class TestScopfBench:
         rows = csv_bytes.decode().strip().splitlines()
         assert len(rows) == 1 + 12  # header + two formulations per instance
         assert rows[0].split(",") == ["instance", "formulation", "status",
-                                      "cost"]
+                                      "cost", "blocking"]
         # a second run of the same manifest writes the same CSV bytes: the
         # times live in the summary JSON only
         assert main(["scopf-bench", "--case", work["case"],

@@ -76,8 +76,15 @@ def check_kkt(p: LpProblem, s: LpSolution):
     for i, r in enumerate(p.rel):
         if r == "=":
             assert abs(resid[i]) <= 1e-6
+            continue
+        assert resid[i] <= TOL_FEAS * max(1.0, abs(p.b[i]))
+        # a ranged row's lower side, a x >= b - w, and its dual <= 0 when
+        # that side binds
+        low = resid[i] + p.ranges[i]
+        assert low >= -TOL_FEAS * max(1.0, abs(p.b[i]))
+        if y[i] < 0 and np.isfinite(p.ranges[i]):
+            assert abs(y[i] * low) <= TOL_COMP * max(1.0, abs(y[i]))
         else:
-            assert resid[i] <= TOL_FEAS * max(1.0, abs(p.b[i]))
             assert y[i] >= -TOL_FEAS
             assert abs(y[i] * resid[i]) <= TOL_COMP * max(1.0, abs(y[i]))
     assert np.all(x >= p.lb - 1e-6)
@@ -497,9 +504,37 @@ def test_snapshot_without_inverse_refactors_once(monkeypatch):
     assert calls == []
 
 
-def test_restore_after_matrix_reload_solves_new_matrix():
+def dual_feasible(eng):
+    """Whether the engine's basis prices every nonbasic column the way an
+    optimum must, computed apart from the engine's own pricing."""
+    from nkscreen.lp import _AT_LB, _AT_UB, _FREE
+
+    y = np.linalg.solve(eng.T[:, eng.basis].T, eng.c[eng.basis])
+    rc = eng.c - y @ eng.T
+    stat, fixed = eng.vstat, eng.L == eng.U
+    return not np.any(~fixed & (((stat == _AT_LB) & (rc > 1e-9))
+                                | ((stat == _AT_UB) & (rc < -1e-9))
+                                | ((stat == _FREE) & (np.abs(rc) > 1e-9))))
+
+
+def loops_run(monkeypatch):
+    """Patch both pivot loops to record their names as they run."""
+    ran = []
+    for name in ("_iterate", "_dual_iterate"):
+        def recorded(self, *args, _loop=getattr(SimplexEngine, name),
+                     _name=name, **kwargs):
+            ran.append(_name)
+            return _loop(self, *args, **kwargs)
+        monkeypatch.setattr(SimplexEngine, name, recorded)
+    return ran
+
+
+def test_restore_after_matrix_reload_solves_new_matrix(monkeypatch):
     # a basis kept from before reload(A=...) is refactorized under the new
-    # matrix: the re-solve agrees with a fresh engine on that matrix
+    # matrix: the re-solve agrees with a fresh engine on that matrix, and
+    # runs the dual simplex only when that basis is dual feasible there
+    ran = loops_run(monkeypatch)
+    primal = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         p = random_bounded_lp(rng, n=4, m=6)
@@ -510,7 +545,12 @@ def test_restore_after_matrix_reload_solves_new_matrix():
         b2 = p.b + rng.uniform(0.0, 0.5, size=p.b.shape)
         eng.reload(A=A2, b=b2)
         eng.restore(snap)
+        start_dual = dual_feasible(eng)
+        ran.clear()
         got = eng.resolve_rhs(b2)
+        assert ("_dual_iterate" in ran) == start_dual, seed
+        assert ("_iterate" in ran) != start_dual, seed
+        primal += not start_dual
         p2 = LpProblem(c=p.c, A=A2, b=b2, lb=p.lb, ub=p.ub)
         want = SimplexEngine(p2).solve()
         assert got.status is want.status, seed
@@ -518,6 +558,7 @@ def test_restore_after_matrix_reload_solves_new_matrix():
             np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
             assert abs(got.objective - want.objective) <= 1e-9, seed
             check_kkt(p2, got)
+    assert 0 < primal < 40
 
 
 def test_counters_track_work(monkeypatch):
@@ -541,19 +582,23 @@ def test_counters_track_work(monkeypatch):
 
 
 def _fail_next_pivot_loops(monkeypatch, count):
-    """Make the next count pivot loops of every engine raise."""
+    """Make the next count pivot loops of every engine raise, primal and
+    dual loops alike."""
     import nkscreen.lp as lp
 
     left = [count]
-    iterate = SimplexEngine._iterate
 
-    def failing(self, *args, **kwargs):
-        if left[0] > 0:
-            left[0] -= 1
-            raise lp.NumericalFailure("injected")
-        return iterate(self, *args, **kwargs)
+    def failing(loop):
+        def run(self, *args, **kwargs):
+            if left[0] > 0:
+                left[0] -= 1
+                raise lp.NumericalFailure("injected")
+            return loop(self, *args, **kwargs)
+        return run
 
-    monkeypatch.setattr(SimplexEngine, "_iterate", failing)
+    for name in ("_iterate", "_dual_iterate"):
+        monkeypatch.setattr(SimplexEngine, name,
+                            failing(getattr(SimplexEngine, name)))
 
 
 def test_numerical_failure_retries_once_from_slack_basis(monkeypatch):
@@ -637,6 +682,94 @@ def test_bland_switch_counted(monkeypatch):
     check_kkt(p, sol)
 
 
+def test_bland_switch_counted_on_rhs_path(monkeypatch):
+    import nkscreen.lp as lp
+
+    # max x1 + x2 s.t. x1 + x2 <= b, 0 <= x <= 2: at b = 3 the optimum has
+    # x2 basic and x1 at its upper bound with reduced cost 0, so the dual
+    # pivot that lowers b to 1 takes x1 in without moving the objective
+    p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[3.0], lb=[0.0, 0.0],
+                  ub=[2.0, 2.0])
+    b = np.array([1.0])
+    want = SimplexEngine(dataclasses.replace(p, b=b)).solve()
+    for limit, switches in ((lp._STALL_LIMIT, 0), (0, 1)):
+        monkeypatch.setattr(lp, "_STALL_LIMIT", limit)
+        eng = SimplexEngine(p)
+        eng.solve()
+        before = eng.n_bland
+        sol = eng.resolve_rhs(b)
+        assert sol.iterations > 0
+        assert eng.n_bland - before == switches
+        assert sol.objective == want.objective == 1.0
+        check_kkt(dataclasses.replace(p, b=b), sol)
+
+
+def test_infeasible_rhs_names_the_blocking_row():
+    # max x + y, 0 <= x, y <= 1, x + y <= 5 and -x <= b1: at b1 = -2 row 1
+    # asks for x >= 2, and neither column can lift its slack
+    p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0], [-1.0, 0.0]], b=[5.0, 0.0],
+                  lb=[0.0, 0.0], ub=[1.0, 1.0])
+    eng = SimplexEngine(p)
+    assert eng.solve().blocking is None
+    sol = eng.resolve_rhs(np.array([5.0, -2.0]))
+    assert sol.status is LpStatus.INFEASIBLE
+    assert sol.blocking == p.n_vars + 1
+    # a cold solve's verdict comes from phase 1, which names nothing
+    cold = solve(dataclasses.replace(p, b=np.array([5.0, -2.0])))
+    assert cold.status is LpStatus.INFEASIBLE and cold.blocking is None
+
+
+def mixed_lp(rng):
+    """A feasible bounded LP with every kind of row and column: one-sided,
+    ranged and "=" rows; boxed, fixed, half-bounded and free columns (the
+    free one pinned down by the "=" row)."""
+    n, m = 6, 7
+    A = rng.normal(size=(m, n))
+    A[np.all(np.abs(A) < 0.3, axis=1), 0] += 1.0
+    A[5, 1] = 1.0 + abs(A[5, 1])
+    x0 = rng.uniform(-1, 1, size=n)
+    b = A @ x0 + rng.uniform(0.1, 1.0, size=m)
+    b[5] = A[5] @ x0
+    ranges = np.full(m, np.inf)
+    ranges[[2, 3]] = b[[2, 3]] - A[[2, 3]] @ x0 + rng.uniform(0.1, 1.0, size=2)
+    lb, ub = x0 - rng.uniform(0.5, 2.0, size=n), x0 + rng.uniform(0.5, 2.0, size=n)
+    lb[0] = ub[0] = x0[0]       # fixed
+    lb[1], ub[1] = -np.inf, np.inf  # free
+    ub[2] = np.inf              # bounded below only
+    lb[3] = -np.inf             # bounded above only
+    rel = ["<="] * m
+    rel[5] = "="
+    return LpProblem(c=rng.normal(size=n), A=A, b=b, rel=rel, lb=lb, ub=ub,
+                     ranges=ranges)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rhs_path_matches_cold_primal(seed, monkeypatch):
+    # right-hand sides walked ever further from a feasible one, until some
+    # are infeasible: the warm re-solves (dual simplex) agree with a cold
+    # primal solve of each, status for status
+    ran = loops_run(monkeypatch)
+    rng = np.random.default_rng(300 + seed)
+    p = mixed_lp(rng)
+    eng = SimplexEngine(p)
+    assert eng.solve()
+    statuses = []
+    for k in range(30):
+        q = dataclasses.replace(p, b=p.b + 0.1 * k * rng.normal(size=p.n_rows))
+        ran.clear()
+        warm = eng.resolve_rhs(q.b)
+        assert ran == ["_dual_iterate"]
+        cold = SimplexEngine(q).solve()
+        assert warm.status is cold.status, k
+        statuses.append(warm.status)
+        if warm:
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+            check_kkt(q, warm)
+        else:
+            assert 0 <= warm.blocking < eng.nt
+    assert LpStatus.INFEASIBLE in statuses and LpStatus.OPTIMAL in statuses
+
+
 def test_restore_rejects_foreign_snapshot():
     rng = np.random.default_rng(23)
     eng = SimplexEngine(random_bounded_lp(rng, n=3, m=2))
@@ -648,11 +781,12 @@ def test_restore_rejects_foreign_snapshot():
 # -- table of optimal bases ---------------------------------------------------
 
 def assert_table_exact(table):
-    """Every entry holds, byte for byte, a fresh inverse of its basis columns
-    under the engine's present matrix, and T x_N of its nonbasic values."""
+    """Every entry holds, byte for byte, the refactorization a right-hand-side
+    re-solve computes afresh for its basis under the engine's present matrix,
+    and T x_N of its nonbasic values."""
     eng = table.engine
     for e in table.entries:
-        fresh = np.linalg.inv(eng.T[:, e.snap.basis])
+        fresh = eng._block_inverse(e.snap.basis)
         assert e.B_inv.tobytes() == fresh.tobytes()
         assert e.T_xN.tobytes() == (eng.T @ e.x_N).tobytes()
 
@@ -684,8 +818,11 @@ def test_cache_hit_equals_fresh_inverse(monkeypatch):
     # and inverts nothing
     table, p, first, snap, b_away = _leave_optimal_basis(26)
     eng = table.engine
+    eng.restore(snap)
+    again = eng.resolve_rhs(p.b)
+    assert again.iterations == 0
     calls = counting_inv(monkeypatch)
-    assert table.lookup(p.b).tobytes() == first.x.tobytes()
+    assert table.lookup(p.b).tobytes() == again.x.tobytes()
     assert calls == [] and table.counters() == {"table_hits": 1,
                                                 "table_misses": 0}
     rng = np.random.default_rng(26)
@@ -909,11 +1046,10 @@ def _dcopf_solver_digest(h):
     return statuses
 
 
-def _scopf_digest(h, net, demands, X):
-    """Classifier SC-OPF re-solves on the 10-bus network, each from the
-    nominal optimal basis as solve_scopf_icnn does."""
+def _mesh10_classifier(X):
+    """A classifier over the injections X of the 10-bus network, cut at the
+    median of its values on them."""
     from nkscreen.icnn import ScaledClassifier, forward, init_params
-    from nkscreen.scopf import icnn_dispatch_problem
 
     keep = np.nonzero(X.std(axis=0) > 1e-9)[0]
     mu, sigma = X[:, keep].mean(axis=0), X[:, keep].std(axis=0)
@@ -921,8 +1057,16 @@ def _scopf_digest(h, net, demands, X):
     params = init_params(len(keep), 1, 16, U.min(axis=0) - 1.0,
                          U.max(axis=0) + 1.0, seed=3)
     params.b[-1] -= np.median(forward(params, U))
-    clf = ScaledClassifier(params=params, r=1.5, mu=mu, sigma=sigma,
-                           dim_map=keep)
+    return ScaledClassifier(params=params, r=1.5, mu=mu, sigma=sigma,
+                            dim_map=keep)
+
+
+def _scopf_digest(h, net, demands, X):
+    """Classifier SC-OPF re-solves on the 10-bus network, each from the
+    nominal optimal basis as solve_scopf_icnn does."""
+    from nkscreen.scopf import icnn_dispatch_problem
+
+    clf = _mesh10_classifier(X)
     eng = SimplexEngine(icnn_dispatch_problem(net, net.demand, clf))
     _hash_solution(h, eng.solve())
     start = eng.snapshot()
@@ -936,12 +1080,14 @@ def _scopf_digest(h, net, demands, X):
 # may round the matrix products differently and so give other bytes with no
 # change here.
 GOLDEN_SWEEP_DIGEST = "4cc4134ae671defa6c05123a7bfcd071881e412508db0b035efeb5e7dc5da98a"
-# sha256 of the DC-OPF re-solves, recorded when each line limit of that LP
-# became one ranged row (same BLAS caveat)
-GOLDEN_DCOPF_DIGEST = "3251240ed76c35a1cda211e662b733981702f017b8655d4e245c2bee385fe49e"
-# sha256 of the classifier SC-OPF re-solves, recorded when its balance row's
-# right-hand side became np.sum(d), as the DC-OPF's is (same BLAS caveat)
-GOLDEN_SCOPF_DIGEST = "f5cb1213b5653fa7922ea7093db55c8e1dd1f63cc6df11af507b051b5d25a59f"
+# sha256 of the DC-OPF re-solves, recorded when right-hand-side re-solves
+# became dual simplex pivots with refactorizations through the basis's
+# structural block: other pivot sequences and other last bits (same BLAS
+# caveat)
+GOLDEN_DCOPF_DIGEST = "937be3602a8f494683fd4a6a7ad100706956af992c7419d1b595a703aa9bdf8d"
+# sha256 of the classifier SC-OPF re-solves, recorded at the same change and
+# for the same reason (same BLAS caveat)
+GOLDEN_SCOPF_DIGEST = "ced841a1f232f09b39f70e9120f5134f7c14a62ea03fd06d39e12d94cd8e6a1b"
 # sha256 of what DcopfSolver.solve returns on case39, recorded while every
 # draw was still a warm engine re-solve, before draws were answered from a
 # table of optimal bases (same BLAS caveat)
@@ -960,6 +1106,33 @@ def test_pivot_sequences_and_bytes_unchanged():
     h = hashlib.sha256()
     _scopf_digest(h, *mesh)
     assert h.hexdigest() == GOLDEN_SCOPF_DIGEST
+
+
+def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
+    # every inversion of the classifier SC-OPF's re-solves is k x k, k the
+    # structural columns of the basis inverted, far below the row count
+    import hashlib
+
+    from nkscreen import scopf
+
+    net, demands, X = _dcopf_digest(hashlib.sha256())
+    clf = _mesh10_classifier(X)
+    scopf._icnn_lps.clear()
+    eng, _ = scopf._icnn_lp(net, clf).engine()
+    inv, shapes = np.linalg.inv, []
+
+    def recorded(a):
+        shapes.append((a.shape, int(np.count_nonzero(eng.basis < eng.n))))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    try:
+        solved = [scopf.solve_scopf_icnn(net, d, clf) for d in demands]
+    finally:
+        scopf._icnn_lps.clear()
+    assert any(solved) and eng.n_pivots > 0 and len(shapes) > 10
+    assert all(shape == (k, k) and k < eng.m for shape, k in shapes)
+    assert max(k for _, k in shapes) <= eng.m // 2
 
 
 def test_dcopf_solver_bytes_unchanged():

@@ -379,6 +379,33 @@ class TestIcnnWarmStart:
         assert sum(np.array_equal(a, B) for a in inverted) == 1
         assert sum(map(bool, results)) > 50
 
+    def test_infeasible_dispatch_names_what_blocks_it(self, case39_setup):
+        # an infeasible re-solve names the row or bound the dual simplex
+        # could not repair, in the classifier LP's row order
+        import re
+
+        from nkscreen import scopf
+
+        net, demands, params, mu, sigma, keep = case39_setup
+        clf = ScaledClassifier(params=params, r=2.0, mu=mu, sigma=sigma,
+                               dim_map=keep)
+        results = [solve_scopf_icnn(net, d, clf) for d in demands[:25]]
+        named = [r.blocking for r in results if not r]
+        assert named and all(
+            re.fullmatch(r"line \d+|epigraph \d+|box \d+|balance|bound [pz]_\d+",
+                         name) for name in named)
+        assert all(r.blocking == "" for r in results if r)
+        lp = scopf._icnn_lp(net, clf)
+        n_cols, epi = lp.A.shape[1], lp.A.shape[1] + net.m
+        n_epi = len(params.b[0]) + 1
+        assert [lp._blocking(j) for j in (
+            None, 0, net.n, n_cols, n_cols + net.m - 1, epi, epi + n_epi - 1,
+            epi + n_epi, n_cols + len(lp.A) - 1)] == [
+            "", "bound p_0", "bound z_0", "line 0", f"line {net.m - 1}",
+            "epigraph 0", f"epigraph {n_epi - 1}",
+            f"box {np.flatnonzero(np.isfinite(clf.input_box()[1]))[0]}",
+            "balance"]
+
     def test_warm_matches_cold_ring3(self):
         net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
         clf = ScaledClassifier(params=l1_ball_net3(radius=1.2))
@@ -537,7 +564,10 @@ class TestBenchmark:
         with open(csv_path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
-        assert set(rows[0]) == {"instance", "formulation", "status", "cost"}
+        assert set(rows[0]) == {"instance", "formulation", "status", "cost",
+                                "blocking"}
+        assert all(row["blocking"] == "" for row in rows
+                   if row["formulation"] == "full" or row["status"] == "OPTIMAL")
         assert {row["formulation"] for row in rows} == {"full", "icnn"}
         back = json.loads(json_path.read_text())
         assert back["instances"] == 4
