@@ -294,7 +294,9 @@ class DcopfSolver(DispatchLp):
     product and a bound check, with the bytes a warm re-solve from that
     basis returns.  A miss re-solves on the simplex engine from the basis of
     the most recent answer, and keeps the basis it ends at when optimal.
-    The constructor solves nothing.
+    A dispatch's bytes depend on its demand and the basis that answers it,
+    not on the column order in which the simplex reached that basis.  The
+    constructor solves nothing.
 
     ``counters()`` returns the demands solved (draws), the table's hits and
     misses and the engine's ``counters()`` over the solver's lifetime.

@@ -10,42 +10,33 @@ problem/solution contract:
   multipliers and keeps its basis between calls.  ``reload`` sets any of
   the matrix, right-hand side and objective (``resolve_objective`` and
   ``resolve_rhs`` set one), and ``solve`` refactorizes the current basis,
-  recomputes the basic values, runs phase 1 only when a bound is broken,
-  then phase 2.  Warm re-solves are the hot path: sublevel-set sweeps
-  re-solve the same polytope for thousands of objective rows, and dispatch
-  sampling the same OPF for thousands of demand vectors; with a basis that
-  stays optimal, one costs a feasibility check and a pricing pass.
-  A right-hand-side re-solve (``resolve_rhs``, a ``reload`` of b alone)
-  keeps c and A, so a basis that was optimal stays dual feasible.  From a
-  dual feasible basis it runs the bounded dual simplex instead of the
-  primal phases (Koberstein, "The dual simplex method, techniques for a
-  fast and stable implementation", PhD thesis, Paderborn 2005): the most
+  recomputes the basic values and prices it; the loop is chosen by that
+  start basis alone, not by which data changed.  A dual feasible start,
+  such as a basis optimal before a right-hand-side change, runs the bounded
+  dual simplex (Koberstein, "The dual simplex method, techniques for a fast
+  and stable implementation", PhD thesis, Paderborn 2005): the most
   infeasible basic variable leaves, the entering column has the smallest
   |rc| / |alpha| among the columns that can repair it, reduced costs are
   updated by the pivot row, and no such column means infeasible, with the
-  variable that could not be repaired in ``LpSolution.blocking``.  Its
-  refactorizations invert only the k x k block of the structural basic
-  columns on the rows whose slack is nonbasic and fill in the rest of B^-1
-  exactly (k = 9-15 against 122 rows at the optimal bases of the
-  ``case39`` classifier SC-OPF).
-  Every other solve takes the primal path, whose refactorizations invert
-  the whole basis: the block inverse rounds differently, and moving those
-  solves to it would move the bytes of the checkpoints and regions that
-  training, certification and region construction write.
-  A refactorization inverts the basis matrix only when ``B_inv`` may differ
-  from a refactorization of the present basis: it is one after a
-  refactorization or the slack-basis start (the identity, under either
-  method), and stops being one when a pivot changes the basis, ``restore``
-  installs another one or ``reload`` replaces the matrix.  Inverting the
-  same basis columns by the same method again returns the same array, so
-  skipping that inversion changes no output bit; a kept inverse serves
-  both paths, so a warm re-solve's last bits can depend on which path last
-  inverted its start basis.  ``snapshot``/``restore`` save and reinstate a
-  basis and its variables' statuses, for callers that want a re-solve to
-  start from a basis of their choosing; ``restore`` takes the basis'
-  inverse too when the caller kept it.
+  variable that could not be repaired in ``LpSolution.blocking``.  Any
+  other start runs phase 1 only when a bound is broken, then phase 2.
+  Warm re-solves are the hot path: sublevel-set sweeps re-solve the same
+  polytope for thousands of objective rows, and dispatch sampling the same
+  OPF for thousands of demand vectors.
+  A refactorization inverts only the k x k block of the structural basic
+  columns on the rows whose slack is nonbasic and fills in the rest of B^-1
+  exactly (k = 4-22, median 11-13, against 122 rows at the optimal bases
+  of the ``case39`` classifier SC-OPF).  The block takes the structural columns in ascending
+  order, so each basic column's row of B^-1, and so x, depends on the set
+  of basic columns, not on the order in which the simplex reached them.
+  A basis whose ``B_inv`` is exact (refactorized, the slack-basis start, or
+  restored with its inverse) is not inverted again; a pivot, ``restore`` of
+  another basis or ``reload`` of the matrix makes it inexact.
+  ``snapshot``/``restore`` save and reinstate a basis and its variables'
+  statuses, for callers that want a re-solve to start from a basis of
+  their choosing.
 * ``OptimalBases``: a table of up to 8 optimal bases of one engine whose
-  right-hand side alone changes, each with its block refactorization.  A
+  right-hand side alone changes, each with its refactorization.  A
   right-hand side that one of them keeps primal feasible is answered by one
   product and a bound check, with the bytes a zero-pivot ``resolve_rhs``
   from that basis returns; DC-OPF dispatch of sampled demands, whose draws
@@ -205,8 +196,8 @@ class BasisSnapshot:
 
 
 class SimplexEngine:
-    """Bounded-variable two-phase revised simplex over a fixed row structure,
-    with a dual simplex for right-hand-side re-solves.
+    """Bounded-variable revised simplex over a fixed row structure: the dual
+    simplex from a dual feasible basis, the two primal phases otherwise.
 
     The engine keeps its basis between calls, so ``resolve_objective`` /
     ``resolve_rhs`` / ``reload`` after small data changes typically finish in
@@ -219,12 +210,12 @@ class SimplexEngine:
     ``data_version`` counts the ``reload`` calls that replaced the matrix
     or the objective: a basis optimal before such a call may not be after.
 
-    A right-hand-side re-solve runs the dual simplex when its start basis is
-    dual feasible and the primal phases otherwise; see the module docstring.
     The dual simplex shares the primal loop's safeguards: the iteration
     budget, the retry from the slack basis, and Bland's rule (here: the
-    lowest-index infeasible basic variable leaves) after a run of
-    dual-degenerate pivots, whose entering column has |rc| <= 1e-9.
+    lowest-index infeasible basic variable leaves) after a run of stalls.
+    A primal pivot stalls when no variable moves beyond the ratio tolerance
+    (t * max(1, max|d|) <= 1e-9), a dual one when its entering column has
+    |rc| <= 1e-9.
 
     ``counters()`` returns four counts over the engine's lifetime: pivots,
     refactorizations (basis inversions), slack retries (restarts from the
@@ -268,11 +259,7 @@ class SimplexEngine:
         self._reset_nonbasic_status(np.arange(self.nt))
         self.vstat[self.basis] = _BASIC
         self.B_inv = np.eye(m)
-        # B_inv is a refactorization of the basis, bit for bit: the block
-        # one (which gives the identity for the slack basis too) or the full
-        # one; _block says which the next refactorization computes
-        self._inv_exact = self._inv_block = True
-        self._block = False
+        self._inv_exact = True  # B_inv is the basis' refactorization, bitwise
         self.x = np.zeros(self.nt)
         # set when a solve completes or a basis is restored, cleared by a
         # slack restart
@@ -294,36 +281,35 @@ class SimplexEngine:
             return True
         self.n_refactors += 1
         try:
-            self.B_inv = (self._block_inverse(self.basis) if self._block
-                          else np.linalg.inv(self.T[:, self.basis]))
+            self.B_inv = self._block_inverse(self.basis)
         except np.linalg.LinAlgError:
             return False
         # guard against a numerically singular basis that inv() let through
-        if not np.all(np.isfinite(self.B_inv)):
-            return False
-        self._inv_exact = True
-        self._inv_block = self._block
-        return True
+        self._inv_exact = bool(np.all(np.isfinite(self.B_inv)))
+        return self._inv_exact
 
     def _block_inverse(self, basis):
         """B^-1 from the k x k block A_RK of the k structural basic columns K
         on the rows R whose slack is nonbasic.  A basic slack's row of B^-1
         is its unit row, less A_SK A_RK^-1 on the columns R; a structural
-        column's row is its row of A_RK^-1, zero elsewhere."""
+        column's row is its row of A_RK^-1, zero elsewhere.  K is taken in
+        ascending column order, so each column's row of B^-1 depends on the
+        set of basic columns, not on their positions in the basis."""
         m, n = self.m, self.n
         struct = basis < n
         pos_k, pos_s = np.flatnonzero(struct), np.flatnonzero(~struct)
+        pos_k = pos_k[np.argsort(basis[pos_k], kind="stable")]
         K, S = basis[pos_k], basis[pos_s] - n
         slack_nonbasic = np.ones(m, dtype=bool)
         slack_nonbasic[S] = False
         R = np.flatnonzero(slack_nonbasic)
         if len(R) != len(K):  # a slack column taken twice
             raise np.linalg.LinAlgError("singular basis")
-        inv_RK = np.linalg.inv(self.T[np.ix_(R, K)])
+        inv_RK = np.linalg.inv(self.T[R[:, None], K])
         B_inv = np.zeros((m, m))
-        B_inv[np.ix_(pos_k, R)] = inv_RK
+        B_inv[pos_k[:, None], R] = inv_RK
         B_inv[pos_s, S] = 1.0
-        B_inv[np.ix_(pos_s, R)] = -(self.T[np.ix_(S, K)] @ inv_RK)
+        B_inv[pos_s[:, None], R] = -(self.T[S[:, None], K] @ inv_RK)
         return B_inv
 
     def _fall_back_to_slack_basis(self):
@@ -334,7 +320,7 @@ class SimplexEngine:
         self._reset_nonbasic_status(np.arange(self.n))
         self.vstat[self.basis] = _BASIC
         self.B_inv = np.eye(self.m)
-        self._inv_exact = self._inv_block = True
+        self._inv_exact = True
 
     def _recompute_x(self):
         xn = self._nonbasic_values()
@@ -550,7 +536,9 @@ class SimplexEngine:
                 self._apply_step(j, sigma, t, pos, kind, d, xb)
                 pivots += 1
                 since_refactor += 1
-                stall = stall + 1 if t <= 1e-12 else 0
+                # a stall: no variable moved beyond the ratio tolerance
+                stuck = t <= _RATIO_TOL and t * np.abs(d).max() <= _RATIO_TOL
+                stall = stall + 1 if stuck else 0
                 if stall > _STALL_LIMIT:
                     bland = True
                 if since_refactor >= _REFACTOR_EVERY:
@@ -570,26 +558,18 @@ class SimplexEngine:
         """Solve from the current basis (the slack basis on the first call).
 
         Refactorizes the basis, recomputes the basic values from the present
-        data, runs phase 1 only when a bound is broken, then phase 2 and a
-        polish (a final refactorization and recompute).
+        data and prices it.  A dual feasible start runs the dual simplex;
+        any other runs phase 1 only when a bound is broken, then phase 2.
+        Both end in a polish (a final refactorization and recompute).
         """
-        return self._solve(rhs=False)
-
-    def _solve(self, rhs):
-        """``solve``; with rhs (only b changed since the last solve), the
-        dual simplex and block refactorizations when the basis is dual
-        feasible after its refactorization."""
-        self._block = rhs
         if not self._refactor():
             self._fall_back_to_slack_basis()
         self._recompute_x()
         budget = 2000 + 200 * self.m
         pivots = 0
         try:
-            if rhs:
-                rc = self._price(self.c)[1]
-                self._block = self._choose_entering(rc, False)[0] < 0
-            if self._block:
+            rc = self._price(self.c)[1]
+            if self._choose_entering(rc, False)[0] < 0:
                 outcome, pivots, blocking = self._dual_iterate(rc, budget)
                 if outcome == "infeasible":
                     self._retry = True
@@ -614,7 +594,7 @@ class SimplexEngine:
                 raise
             # one deterministic retry from the slack basis before giving up
             self._fall_back_to_slack_basis()
-            return self._solve(rhs)
+            return self.solve()
         self._retry = True
         if outcome == "unbounded":
             return LpSolution(LpStatus.UNBOUNDED, iterations=pivots)
@@ -659,8 +639,6 @@ class SimplexEngine:
         if c is not None:
             self.c[: self.n] = c
         self.data_version += A is not None or c is not None
-        if A is None and c is None and b is not None:
-            return self._solve(rhs=True)
         return self.solve()
 
     def counters(self):
@@ -682,12 +660,13 @@ class SimplexEngine:
 
         The problem data stay as they are now, and the snapshot is copied,
         so it can be restored again.  The next solve refactorizes the basis
-        under the present matrix, as it does every basis, and runs phase 1
-        first when the basis is primal infeasible under the present data (a
-        basis kept from another matrix).  ``B_inv``, when given, must be the
-        block refactorization of the snapshot's basis under the present
-        matrix, as an ``OptimalBases`` entry keeps it; it is copied and the
-        next solve inverts nothing.
+        under the present data, as it does every basis, and picks its loop
+        by it: the dual simplex when it is dual feasible there, else phase 1
+        first when it is primal infeasible (a basis kept from another
+        matrix).  ``B_inv``, when given, must be the engine's refactorization
+        of the snapshot's basis under the present matrix
+        (``_block_inverse``), as an ``OptimalBases`` entry keeps it; it is
+        copied and the next solve inverts nothing.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
             raise ValueError("snapshot of an engine of another shape")
@@ -697,7 +676,7 @@ class SimplexEngine:
         else:
             # a copy: the rank-one update works on B_inv in place
             self.B_inv = B_inv.copy()
-            self._inv_exact = self._inv_block = True
+            self._inv_exact = True
         self.basis = snap.basis.copy()
         self.vstat = snap.vstat.copy()
         self._retry = True
@@ -709,7 +688,7 @@ class _Optimum:
     computes anew for every right-hand side, computed once."""
 
     snap: BasisSnapshot
-    B_inv: np.ndarray   # the engine's block refactorization of the basis
+    B_inv: np.ndarray   # the engine's refactorization of the basis
     x_N: np.ndarray     # nonbasic variables at their bounds, basic ones 0
     T_xN: np.ndarray    # T @ x_N
     L_B: np.ndarray     # bounds of the basic variables
@@ -726,9 +705,9 @@ class OptimalBases:
     violations beyond ``TOL_FEAS`` sum to at most ``TOL_FEAS``.  ``lookup``
     tries the entries in turn and answers from the first that passes, with
     the bytes a zero-pivot ``resolve_rhs`` from that basis returns (the
-    products are the engine's, from the block refactorization that re-solve
-    computes for the basis); this is the
-    optimal-active-set view of Misra, Roald & Ng (arXiv:1802.09639).  On a
+    products are the engine's, from the refactorization that re-solve
+    computes for the basis); this is the optimal-active-set view of Misra,
+    Roald & Ng (arXiv:1802.09639).  On a
     miss the caller runs the engine, from the most recent entry's basis and
     inverse (``install``), and ``add``s the basis it ends at when that is
     optimal; the least recently used entry then drops out.  Nothing is
@@ -753,16 +732,13 @@ class OptimalBases:
 
     def add(self):
         """Keep the engine's present basis, optimal after its last solve and
-        held with a refactorization, as the most recent entry; a full
-        inversion from the primal path is redone as the block one."""
+        held with its refactorization, as the most recent entry."""
         eng = self.engine
         if not eng._inv_exact:
             raise ValueError("the engine's basis inverse is not exact")
         basis, x_N = eng.basis, eng._nonbasic_values()
-        B_inv = (eng.B_inv.copy() if eng._inv_block
-                 else eng._block_inverse(basis))
         entries = self._current()
-        entries.insert(0, _Optimum(eng.snapshot(), B_inv, x_N,
+        entries.insert(0, _Optimum(eng.snapshot(), eng.B_inv.copy(), x_N,
                                    eng.T @ x_N, eng.L[basis], eng.U[basis]))
         del entries[_BASES_KEPT:]
 

@@ -20,7 +20,7 @@ Built on top of that:
     one whose unit normal is closest in direction to the row just solved,
     so every support LP starts from the basis of a nearly parallel row.
     On the 2,386-row support region of the reference checkpoint that takes
-    8,720 pivots where index order takes 87,712.
+    8,937 pivots where index order takes 95,810.
   * scale_fast / scale_full: the smallest r such that the shrunken set S / r
     fits inside the region, max_j support_j / b_j, by its closed form or by
     solving the scaling LP.
@@ -97,9 +97,10 @@ class SublevelSolver:
     inverts it, unless it is already the current basis.  Under
     the weights it was solved for, the basis is re-priced in zero pivots
     and gives the same bytes as before; under newer weights the solve
-    inverts it under the new matrix and runs phase 1 first when the new
-    weights made it primal infeasible.  A new direction starts from the
-    basis the LP before it left.
+    inverts it under the new matrix and runs the dual simplex when it
+    stays dual feasible there, else phase 1 first when the new weights
+    made it primal infeasible.  A new direction starts from the basis the
+    LP before it left.
 
     ``reload`` takes weights of the same architecture and box (ValueError
     otherwise).  ``counters()`` returns the LPs solved, bases reused and

@@ -110,13 +110,13 @@ class _IcnnDispatchLp(DispatchLp):
     side depends on the demand, and a ranged row's width does not, so the
     constraint matrix (with the network's PTDF) is built once.  The simplex
     engine is built on first use and solved once at the network's nominal
-    demand; its optimal basis, with its block refactorization, is the one
-    entry of an ``lp.OptimalBases`` table and the start of every later
-    solve: ``install`` puts basis and inverse into the engine, and the
+    demand; its optimal basis, with its refactorization, is the one entry
+    of an ``lp.OptimalBases`` table and the start of every later solve:
+    ``install`` puts basis and inverse into the engine, and the
     ``resolve_rhs`` after it runs the dual simplex from that basis, which
     stays dual feasible for every demand (c and A do not change).  On
-    ``case39`` that is about 10 pivots, and a refactorization inverts the
-    block of the basis's structural columns, 9-15 wide, not all 122 rows.
+    ``case39`` that is about 11 pivots, and a refactorization inverts the
+    block of the basis's structural columns, 4-22 wide, not all 122 rows.
     An infeasible verdict of the dual simplex names the constraint it could
     not repair (``ScopfResult.blocking``).  The table never takes another
     entry, so every solve starts from this one basis and the answer for a

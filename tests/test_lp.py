@@ -498,7 +498,7 @@ def test_snapshot_without_inverse_refactors_once(monkeypatch):
     assert eng.n_refactors == before + 1 and len(calls) == 1
     # with the inverse kept beside it, restoring inverts nothing
     eng.resolve_objective(-p.c)
-    eng.restore(snap, np.linalg.inv(eng.T[:, snap.basis]))
+    eng.restore(snap, eng._block_inverse(snap.basis))
     calls.clear()
     same_bytes(eng.resolve_objective(p.c), first)
     assert calls == []
@@ -530,11 +530,12 @@ def loops_run(monkeypatch):
 
 
 def test_restore_after_matrix_reload_solves_new_matrix(monkeypatch):
-    # a basis kept from before reload(A=...) is refactorized under the new
-    # matrix: the re-solve agrees with a fresh engine on that matrix, and
-    # runs the dual simplex only when that basis is dual feasible there
+    # a basis kept from before a change of data is refactorized under the
+    # new data: the re-solve agrees with a fresh engine on them, and runs
+    # the dual simplex exactly when that basis is dual feasible there,
+    # whichever data changed
     ran = loops_run(monkeypatch)
-    primal = 0
+    primal = {"A": 0, "b": 0, "c": 0}
     for seed in range(40):
         rng = np.random.default_rng(seed)
         p = random_bounded_lp(rng, n=4, m=6)
@@ -543,22 +544,29 @@ def test_restore_after_matrix_reload_solves_new_matrix(monkeypatch):
         snap = eng.snapshot()
         A2 = p.A + 0.3 * rng.normal(size=p.A.shape)
         b2 = p.b + rng.uniform(0.0, 0.5, size=p.b.shape)
-        eng.reload(A=A2, b=b2)
-        eng.restore(snap)
-        start_dual = dual_feasible(eng)
-        ran.clear()
-        got = eng.resolve_rhs(b2)
-        assert ("_dual_iterate" in ran) == start_dual, seed
-        assert ("_iterate" in ran) != start_dual, seed
-        primal += not start_dual
+        c2 = p.c + 0.5 * rng.normal(size=p.c.shape)
         p2 = LpProblem(c=p.c, A=A2, b=b2, lb=p.lb, ub=p.ub)
-        want = SimplexEngine(p2).solve()
-        assert got.status is want.status, seed
-        if want:
-            np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
-            assert abs(got.objective - want.objective) <= 1e-9, seed
-            check_kkt(p2, got)
-    assert 0 < primal < 40
+        starts = (("A", p2, lambda: eng.reload(A=A2, b=b2)),
+                  ("b", p2, lambda: eng.resolve_rhs(b2)),
+                  ("c", dataclasses.replace(p2, c=c2),
+                   lambda: eng.resolve_objective(c2)))
+        for changed, q, resolve in starts:
+            eng.restore(snap)
+            probe = SimplexEngine(q)
+            probe.restore(snap)
+            start_dual = dual_feasible(probe)
+            ran.clear()
+            got = resolve()
+            assert ("_dual_iterate" in ran) == start_dual, (seed, changed)
+            assert ("_iterate" in ran) != start_dual, (seed, changed)
+            primal[changed] += not start_dual
+            want = SimplexEngine(q).solve()
+            assert got.status is want.status, (seed, changed)
+            if want:
+                np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
+                assert abs(got.objective - want.objective) <= 1e-9, seed
+                check_kkt(q, got)
+    assert all(0 < k < 40 for k in primal.values()), primal
 
 
 def test_counters_track_work(monkeypatch):
@@ -665,21 +673,28 @@ def test_reload_checks_shapes_before_any_change():
 def test_bland_switch_counted(monkeypatch):
     import nkscreen.lp as lp
 
-    # max x1 + x2 s.t. 1e4 x1 - x2 <= 0, x1 + x2 <= 2, x >= 0: the first
-    # pivot, x1 into the basis, is degenerate (the first row's slack is 0;
-    # the steep row keeps the ratio tolerance's step under the stall bound)
-    p = LpProblem(c=np.array([1.0, 1.0]), A=np.array([[1e4, -1.0],
-                                                      [1.0, 1.0]]),
-                  b=np.array([0.0, 2.0]), lb=np.zeros(2))
-    eng = SimplexEngine(p)
-    assert eng.solve().objective == pytest.approx(2.0)
-    assert eng.n_bland == 0
-    monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
-    eng = SimplexEngine(p)
-    sol = eng.solve()
-    assert sol.objective == pytest.approx(2.0)
-    assert eng.n_bland == 1
-    check_kkt(p, sol)
+    # max x1 + x2 s.t. a x1 - x2 <= 0, x1 + x2 <= 2, x >= 0: the first
+    # pivot, x1 into the basis, is degenerate (the first row's slack is 0).
+    # It steps only the ratio tolerance over the rate, so no variable moves
+    # beyond the tolerance, with a steep row (a = 1e4) as with O(1)
+    # coefficients (a = 1)
+    for a in (1e4, 1.0):
+        p = LpProblem(c=np.array([1.0, 1.0]), A=np.array([[a, -1.0],
+                                                          [1.0, 1.0]]),
+                      b=np.array([0.0, 2.0]), lb=np.zeros(2))
+        monkeypatch.setattr(lp, "_STALL_LIMIT", 60)
+        eng = SimplexEngine(p)
+        assert eng.solve().objective == pytest.approx(2.0)
+        assert eng.n_bland == 0
+        monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
+        eng = SimplexEngine(p)
+        sol = eng.solve()
+        assert sol.objective == pytest.approx(2.0)
+        assert eng.n_bland == 1, a
+        check_kkt(p, sol)
+    # a pivot that moves a variable by a unit is no stall
+    eng = SimplexEngine(LpProblem(c=[1.0], A=[[1.0]], b=[1.0], lb=[0.0]))
+    assert eng.solve().iterations == 1 and eng.n_bland == 0
 
 
 def test_bland_switch_counted_on_rhs_path(monkeypatch):
@@ -746,8 +761,9 @@ def mixed_lp(rng):
 @pytest.mark.parametrize("seed", range(12))
 def test_rhs_path_matches_cold_primal(seed, monkeypatch):
     # right-hand sides walked ever further from a feasible one, until some
-    # are infeasible: the warm re-solves (dual simplex) agree with a cold
-    # primal solve of each, status for status
+    # are infeasible: the warm re-solves (dual simplex) agree with HiGHS,
+    # status for status (a cold engine solve from a dual feasible slack
+    # basis runs the same dual loop, so it is no independent reference)
     ran = loops_run(monkeypatch)
     rng = np.random.default_rng(300 + seed)
     p = mixed_lp(rng)
@@ -759,15 +775,36 @@ def test_rhs_path_matches_cold_primal(seed, monkeypatch):
         ran.clear()
         warm = eng.resolve_rhs(q.b)
         assert ran == ["_dual_iterate"]
-        cold = SimplexEngine(q).solve()
-        assert warm.status is cold.status, k
+        ref = solve(q, backend="highs")
+        assert warm.status is ref.status, k
         statuses.append(warm.status)
         if warm:
-            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+            assert abs(warm.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
             check_kkt(q, warm)
         else:
             assert 0 <= warm.blocking < eng.nt
     assert LpStatus.INFEASIBLE in statuses and LpStatus.OPTIMAL in statuses
+
+
+def test_permuted_basis_gives_the_same_x_bytes():
+    # each basic column's row of the refactorization, and so x, depends on
+    # the set of basic columns, not on the positions the simplex put them
+    # in; the duals c_B B^-1 sum over the positions in order, so they agree
+    # to rounding only
+    for seed in range(20):
+        rng = np.random.default_rng(400 + seed)
+        p = mixed_lp(rng)
+        eng = SimplexEngine(p)
+        first = eng.solve()
+        assert first
+        snap = eng.snapshot()
+        eng.restore(dataclasses.replace(
+            snap, basis=snap.basis[rng.permutation(eng.m)]))
+        again = eng.solve()
+        assert again.iterations == 0
+        assert again.x.tobytes() == first.x.tobytes()
+        assert again.objective == first.objective
+        np.testing.assert_allclose(again.duals, first.duals, rtol=0, atol=1e-12)
 
 
 def test_restore_rejects_foreign_snapshot():
@@ -1075,19 +1112,20 @@ def _scopf_digest(h, net, demands, X):
         _hash_solution(h, eng.resolve_rhs(icnn_dispatch_problem(net, d, clf).b))
 
 
-# sha256 of the support sweeps above, whose LPs have not changed since the
-# pivot loop was rewritten; numpy 2.4 with OpenBLAS on x86-64.  Another BLAS
-# may round the matrix products differently and so give other bytes with no
-# change here.
-GOLDEN_SWEEP_DIGEST = "4cc4134ae671defa6c05123a7bfcd071881e412508db0b035efeb5e7dc5da98a"
-# sha256 of the DC-OPF re-solves, recorded when right-hand-side re-solves
-# became dual simplex pivots with refactorizations through the basis's
-# structural block: other pivot sequences and other last bits (same BLAS
-# caveat)
-GOLDEN_DCOPF_DIGEST = "937be3602a8f494683fd4a6a7ad100706956af992c7419d1b595a703aa9bdf8d"
+# sha256 of the support sweeps above, recorded when the structural-block
+# refactorization became the engine's only one and every solve from a dual
+# feasible basis ran the dual simplex: other last bits and, from such
+# starts, other pivot sequences.  numpy 2.4 with OpenBLAS on x86-64; another
+# BLAS may round the matrix products differently and so give other bytes
+# with no change here.
+GOLDEN_SWEEP_DIGEST = "ab19765662e0422507406278388604fb8c87f4da21d5d087f9b99c63a19237c6"
+# sha256 of the DC-OPF re-solves, recorded at the same change: the block
+# takes the structural columns in ascending order, which moves last bits
+# (same BLAS caveat)
+GOLDEN_DCOPF_DIGEST = "b3b1113f4edb50e0b1b5359a5c8f9ee3a6336fed1a95fdc5ad3a0bed6b162d11"
 # sha256 of the classifier SC-OPF re-solves, recorded at the same change and
-# for the same reason (same BLAS caveat)
-GOLDEN_SCOPF_DIGEST = "ced841a1f232f09b39f70e9120f5134f7c14a62ea03fd06d39e12d94cd8e6a1b"
+# for the same reasons (same BLAS caveat)
+GOLDEN_SCOPF_DIGEST = "a1f9881b2d4d3bfd23bb0c849e62c7f1467210c0a3bf140de1a9a6f79f5dd864"
 # sha256 of what DcopfSolver.solve returns on case39, recorded while every
 # draw was still a warm engine re-solve, before draws were answered from a
 # table of optimal bases (same BLAS caveat)
@@ -1108,6 +1146,46 @@ def test_pivot_sequences_and_bytes_unchanged():
     assert h.hexdigest() == GOLDEN_SCOPF_DIGEST
 
 
+def recorded_inversions(monkeypatch, engines):
+    """Patch np.linalg.inv to record each call's shape with the number of
+    structural columns in the basis of the last engine in ``engines``."""
+    inv, seen = np.linalg.inv, []
+
+    def recorded(a):
+        eng = engines[-1]
+        seen.append((a.shape, int(np.count_nonzero(eng.basis < eng.n))))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    return seen
+
+
+def test_no_row_sized_inversion_while_a_slack_is_basic(monkeypatch):
+    # every refactorization inverts k x k, k the structural columns of the
+    # basis: a cold solve, then a support sweep with a weight reload
+    from nkscreen.icnn import init_params, project_convex
+    from nkscreen.oracle import SublevelSolver
+
+    rng = np.random.default_rng(41)
+    p = random_bounded_lp(rng, n=8, m=12)
+    engines = [SimplexEngine(p)]
+    seen = recorded_inversions(monkeypatch, engines)
+    assert engines[0].solve().iterations > 0
+    params = init_params(6, 2, 10, -np.ones(6), np.ones(6), seed=5)
+    solver = SublevelSolver(params)
+    engines.append(solver.engine)
+    for sweep in range(2):
+        if sweep:
+            for arr in params.W + params.D + params.b:
+                arr += 0.05 * rng.normal(size=arr.shape)
+            project_convex(params)
+            solver.reload(params)
+        for row in rng.normal(size=(20, 6)):
+            solver.support(row)
+    assert len(seen) > 20
+    assert all(shape == (k, k) for shape, k in seen)
+
+
 def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
     # every inversion of the classifier SC-OPF's re-solves is k x k, k the
     # structural columns of the basis inverted, far below the row count
@@ -1119,13 +1197,7 @@ def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
     clf = _mesh10_classifier(X)
     scopf._icnn_lps.clear()
     eng, _ = scopf._icnn_lp(net, clf).engine()
-    inv, shapes = np.linalg.inv, []
-
-    def recorded(a):
-        shapes.append((a.shape, int(np.count_nonzero(eng.basis < eng.n))))
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", recorded)
+    shapes = recorded_inversions(monkeypatch, [eng])
     try:
         solved = [scopf.solve_scopf_icnn(net, d, clf) for d in demands]
     finally:
@@ -1145,11 +1217,10 @@ def test_dcopf_solver_bytes_unchanged():
 
 
 def test_dcopf_solver_matches_warm_engine_mesh10():
-    """On the 10-bus network the table's answers are the warm engine's to
-    within rounding, not bit for bit: the engine reaches some optimal bases
-    with their columns in another order than the kept entry, and a
-    column-permuted basis inverts with other rounding (580 of these 800
-    dispatches differ, by at most 1.8e-15)."""
+    """On the 10-bus network the table's answers are the warm engine's, byte
+    for byte: the engine reaches some optimal bases with their columns in
+    another order than the kept entry, and the refactorization takes the
+    structural columns in ascending order, so the order does not show."""
     from nkscreen.grid import DcopfSolver
 
     net = _mesh10()
@@ -1161,7 +1232,7 @@ def test_dcopf_solver_matches_warm_engine_mesh10():
         assert got.status is want.status
         statuses.add(got.status)
         if want:
-            np.testing.assert_allclose(got.p, want.x, rtol=0, atol=1e-12)
-            assert abs(got.cost - float(net.cost @ want.x)) <= 1e-12
+            assert got.p.tobytes() == want.x.tobytes()
+            assert got.cost == float(net.cost @ want.x)
     assert statuses == {LpStatus.OPTIMAL}
     assert dcopf.counters()["table_misses"] < 40
