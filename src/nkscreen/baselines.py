@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import label_injections
-from .icnn import IcnnGrads
+from .icnn import FlatParams, IcnnGrads
 from .region import ContingencyRegion
 from .training import (
     Adam,
@@ -23,8 +23,7 @@ from .training import (
     TrainingConfig,
     TrainingRecord,
     classification_rates,
-    weighted_bce,
-    weighted_bce_grad,
+    bce_with_grad,
 )
 
 
@@ -33,12 +32,12 @@ class DimensionMismatch(ValueError):
 
 
 @dataclass
-class MlpParams:
+class MlpParams(FlatParams):
     """Standard feed-forward ReLU network weights.
 
     Same depth and width budget as the convex classifier but with
     unconstrained signs and no input passthrough blocks; the empty D
-    property lets the shared optimizer iterate the same attribute triple.
+    property gives the shared optimizer the same layout of one vector.
     """
 
     W: list   # [(w, n), (w, w) ..., (1, w)]
@@ -138,15 +137,15 @@ def mlp_epoch(params, X, y, config, opt, lr, rng):
     """One full pass of mini-batch steps; no projection, no scaling."""
     n = len(X)
     order = rng.permutation(n)
+    wy, omy = config.positive_class_weight * y, 1.0 - y
     total = 0.0
     for start in range(0, n, config.batch_size):
         idx = order[start:start + config.batch_size]
-        Xb, yb = X[idx], y[idx]
+        Xb = X[idx]
         f = mlp_forward(params, Xb)
-        losses = weighted_bce(f, yb, config.positive_class_weight)
+        losses, dloss = bce_with_grad(f, wy[idx], omy[idx])
         total += float(losses.sum())
-        up = weighted_bce_grad(f, yb, config.positive_class_weight) / len(idx)
-        grads = mlp_backward(params, Xb, upstream=up)
+        grads = mlp_backward(params, Xb, upstream=dloss / len(idx))
         opt.step(params, grads, lr)
     return total / n
 

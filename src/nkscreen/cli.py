@@ -8,7 +8,8 @@ byte-identical files.  Artifact metadata carries the manifest hash so any
 file can be traced back to the run that made it.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input, 3 certification
-failure, 4 a trained model that screens nothing.
+failure, 4 a trained model that screens nothing or a training whose
+predicted set became empty before any epoch could be selected.
 """
 
 import argparse
@@ -373,7 +374,8 @@ def cmd_train(args):
     from .datagen import load_dataset
     from .icnn import save_checkpoint
     from .oracle import certify
-    from .training import TrainingConfig, classification_rates, train
+    from .training import (TrainingCollapsed, TrainingConfig,
+                           classification_rates, train)
 
     config = {
         "depth": args.depth,
@@ -414,10 +416,19 @@ def cmd_train(args):
     )
 
     t0 = time.perf_counter()
-    clf, record = train(region.A, region.b,
-                        Z[ds.train], y[ds.train], Z[ds.val], y[ds.val], cfg,
-                        box_lower=region.box_lower, box_upper=region.box_upper)
+    try:
+        clf, record = train(region.A, region.b, Z[ds.train], y[ds.train],
+                            Z[ds.val], y[ds.val], cfg,
+                            box_lower=region.box_lower,
+                            box_upper=region.box_upper)
+    except TrainingCollapsed as e:
+        print(f"training collapsed: {e}; refusing to write checkpoint",
+              file=sys.stderr)
+        return 4
     elapsed = time.perf_counter() - t0
+    if record.stopped_epoch is not None:
+        print(f"stopped at epoch {record.stopped_epoch}: its rescale found "
+              f"the predicted set empty")
     print(f"trained {args.warm_epochs}+{args.scaling_epochs} epochs in "
           f"{elapsed:.1f}s; selected epoch {record.best_epoch} "
           f"(val fpr {clf.meta['val_fpr']:.4f}), r = {clf.r:.6f}")

@@ -17,12 +17,22 @@ so the predicted-feasible set {forward <= 0} is exactly
 {raw <= 0} intersect box: a compact convex set whose support can be
 maximized exactly by linear programming.  A point is classified feasible
 iff forward(x) <= 0.
+
+Training works on one parameter vector.  The W, D and b lists of
+IcnnParams are views of one float64 vector, ``flat`` (W, then D, then b,
+each array row-major), and IcnnGrads lays out its vector the same way.  An
+optimizer step or the convexity projection is then one numpy call over the
+vector instead of one per array, with the same arithmetic on every entry.
+``forward(..., want_cache=True)`` returns the pass (a ``ForwardPass``)
+that ``backward`` takes in place of the batch, so a mini-batch step
+evaluates the network and its box term once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +41,50 @@ from .artifacts import savez_deterministic
 BOX_GAIN = 10.0
 
 
+def _views(vec, params):
+    """Views of vec shaped like params' W, D and b, back to back in that
+    order, as three lists."""
+    lists, at = [], 0
+    for group in (params.W, params.D, params.b):
+        views = []
+        for a in group:
+            views.append(vec[at:at + a.size].reshape(a.shape))
+            at += a.size
+        lists.append(views)
+    return lists
+
+
+class FlatParams:
+    """Weight lists W, D and b that are views of one float64 vector.
+
+    ``flat`` is that vector, laid out as ``_views`` lays it out.  It is
+    packed at its first use, and packed anew (a copy) once an entry of the
+    lists has been assigned since, so assigning an entry stays a way to
+    change the weights.  Copies, deep copies and pickles do not share it.
+    """
+
+    _packed = None      # (the vector, the list entries that view it)
+
+    @property
+    def flat(self):
+        arrays = self.W + self.D + self.b
+        packed = self._packed
+        if (packed is None or len(arrays) != len(packed[1])
+                or any(a is not v for a, v in zip(arrays, packed[1]))):
+            vec = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+            W, D, b = _views(vec, self)
+            self.W[:], self.D[:], self.b[:] = W, D, b
+            packed = self._packed = (vec, W + D + b)
+        return packed[0]
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_packed", None)
+        return state
+
+
 @dataclass
-class IcnnParams:
+class IcnnParams(FlatParams):
     W: list          # W[i]: (w, w) for i < depth-1, (1, w) for the output
     D: list          # D[i]: (w, n) for i < depth, (1, n) for the output
     b: list          # b[i]: (w,) for i < depth, (1,) for the output
@@ -91,26 +143,18 @@ class IcnnParams:
 
 @dataclass
 class IcnnGrads:
+    """Gradients shaped like W, D and b: views of one vector ``vec``, laid
+    out as the parameters' ``flat``."""
+
+    vec: np.ndarray
     W: list
     D: list
     b: list
 
     @staticmethod
-    def zeros_like(params: IcnnParams):
-        return IcnnGrads(
-            W=[np.zeros_like(w) for w in params.W],
-            D=[np.zeros_like(d) for d in params.D],
-            b=[np.zeros_like(bb) for bb in params.b],
-        )
-
-    def add(self, other, alpha=1.0):
-        for a, o in zip(self.W, other.W):
-            a += alpha * o
-        for a, o in zip(self.D, other.D):
-            a += alpha * o
-        for a, o in zip(self.b, other.b):
-            a += alpha * o
-        return self
+    def zeros_like(params):
+        vec = np.zeros(sum(a.size for a in params.W + params.D + params.b))
+        return IcnnGrads(vec, *_views(vec, params))
 
 
 def init_params(n_inputs, depth, width, box_lower, box_upper, seed=0,
@@ -141,9 +185,18 @@ def _as_batch(X, n):
     return X, single
 
 
-def raw_forward(params: IcnnParams, X, want_cache=False):
-    """Network value before the box penalty; optionally with activations."""
-    X, single = _as_batch(X, params.n_inputs)
+class ForwardPass(NamedTuple):
+    """One forward pass over a batch, as ``backward`` reuses it."""
+
+    X: np.ndarray           # the batch, (B, n)
+    pre: list               # hidden pre-activations, (B, w) each
+    acts: list              # hidden activations
+    raw: np.ndarray         # (B,)
+    V: np.ndarray | None    # per-dimension box violation; None for raw only
+    pen: np.ndarray | None  # box_gain * box violation, (B,)
+
+
+def _pass(params: IcnnParams, X, box=True):
     k = params.depth
     pre = []
     acts = []
@@ -151,15 +204,24 @@ def raw_forward(params: IcnnParams, X, want_cache=False):
     for i in range(k):
         p = X @ params.D[i].T + params.b[i]
         if i > 0:
-            p = p + z @ params.W[i - 1].T
+            p += z @ params.W[i - 1].T
         z = np.maximum(p, 0.0)
         pre.append(p)
         acts.append(z)
-    out = X @ params.D[k].T + params.b[k] + z @ params.W[k - 1].T
-    out = out[:, 0]
+    raw = (X @ params.D[k].T + params.b[k] + z @ params.W[k - 1].T)[:, 0]
+    if not box:
+        return ForwardPass(X, pre, acts, raw, None, None)
+    V = np.maximum(params.box_lower - X, X - params.box_upper)
+    return ForwardPass(X, pre, acts, raw, V, params.box_gain * V.max(axis=1))
+
+
+def raw_forward(params: IcnnParams, X, want_cache=False):
+    """Network value before the box penalty; optionally with activations."""
+    X, single = _as_batch(X, params.n_inputs)
+    fp = _pass(params, X, box=False)
     if want_cache:
-        return out, (X, pre, acts)
-    return out[0] if single else out
+        return fp.raw, (X, fp.pre, fp.acts)
+    return fp.raw[0] if single else fp.raw
 
 
 def box_violation(params: IcnnParams, X):
@@ -170,53 +232,64 @@ def box_violation(params: IcnnParams, X):
     return v[0] if single else v
 
 
-def forward(params: IcnnParams, X):
-    """Classifier output max(raw, box_gain * box_violation)."""
+def forward(params: IcnnParams, X, want_cache=False):
+    """Classifier output max(raw, box_gain * box_violation).
+
+    With ``want_cache``, returns (output, ForwardPass) for a batch: the
+    pass that ``backward`` takes in place of X.
+    """
     X, single = _as_batch(X, params.n_inputs)
-    raw = raw_forward(params, X)
-    raw = np.atleast_1d(raw)
-    pen = params.box_gain * box_violation(params, X)
-    pen = np.atleast_1d(pen)
-    out = np.maximum(raw, pen)
+    fp = _pass(params, X)
+    out = np.maximum(fp.raw, fp.pen)
+    if want_cache:
+        return out, fp
     return out[0] if single else out
 
 
-def backward(params: IcnnParams, X, upstream=None, raw_only=False):
+def backward(params: IcnnParams, X, upstream=None, raw_only=False, out=None):
     """Gradients of sum_i upstream_i * forward(params, x_i).
 
-    Returns (grads, dx).  Subgradient conventions: relu'(0) = 0; when the box
-    penalty ties the raw value exactly, the raw branch is used; the box branch
-    routes through the lowest-index maximizing dimension.  ``raw_only``
-    differentiates raw() instead of forward() (no box branch).
+    Returns (grads, dx).  X is the inputs, or the ForwardPass that
+    ``forward(params, X, want_cache=True)`` returned for them, which spares
+    the forward pass.  ``out`` is an IcnnGrads to overwrite and return, such
+    as the optimizer's; without one the gradients are new arrays.
+    Subgradient conventions: relu'(0) = 0; when the box penalty ties the raw
+    value exactly, the raw branch is used; the box branch routes through the
+    lowest-index maximizing dimension.  ``raw_only`` differentiates raw()
+    instead of forward() (no box branch).
     """
-    X, single = _as_batch(X, params.n_inputs)
-    B = X.shape[0]
+    if isinstance(X, ForwardPass):
+        fp, single = X, False
+    else:
+        X, single = _as_batch(X, params.n_inputs)
+        fp = _pass(params, X, box=not raw_only)
+    Xb, pre, acts = fp.X, fp.pre, fp.acts
+    B = Xb.shape[0]
     if upstream is None:
         upstream = np.ones(B)
     upstream = np.atleast_1d(np.asarray(upstream, dtype=float))
     if upstream.shape != (B,):
         raise ValueError("upstream must have one entry per sample")
-    raw, (Xb, pre, acts) = raw_forward(params, X, want_cache=True)
     k = params.depth
-    grads = IcnnGrads.zeros_like(params)
+    if out is None:
+        grads = IcnnGrads.zeros_like(params)
+    else:
+        grads = out
+        grads.vec.fill(0.0)
     dx = np.zeros_like(Xb)
 
     if raw_only:
         u_raw = upstream
-        u_box = np.zeros(B)
     else:
-        V = np.maximum(params.box_lower - Xb, Xb - params.box_upper)
-        viol = V.max(axis=1)
-        box_active = params.box_gain * viol > raw
+        box_active = fp.pen > fp.raw
         u_raw = upstream * (~box_active)
-        u_box = upstream * box_active
-        if np.any(box_active):
-            dstar = np.argmax(V, axis=1)
-            rows = np.nonzero(box_active)[0]
-            for i in rows:
-                d = dstar[i]
-                sign = 1.0 if Xb[i, d] - params.box_upper[d] >= params.box_lower[d] - Xb[i, d] else -1.0
-                dx[i, d] += u_box[i] * params.box_gain * sign
+        rows = np.flatnonzero(box_active)
+        if len(rows):
+            d = fp.V[rows].argmax(axis=1)
+            x = Xb[rows, d]
+            sign = np.where(x - params.box_upper[d] >= params.box_lower[d] - x,
+                            1.0, -1.0)
+            dx[rows, d] += upstream[rows] * params.box_gain * sign
 
     # raw branch: standard backprop through the relu stack
     g_out = u_raw[:, None]                      # (B, 1)
@@ -239,9 +312,10 @@ def backward(params: IcnnParams, X, upstream=None, raw_only=False):
 
 
 def project_convex(params: IcnnParams) -> IcnnParams:
-    """Clip all W entries to be nonnegative (in place); returns params."""
-    for w in params.W:
-        np.maximum(w, 0.0, out=w)
+    """Clip all W entries to be nonnegative (in place), one np.maximum over
+    the W part of ``params.flat``; returns params."""
+    W = params.flat[:sum(w.size for w in params.W)]
+    np.maximum(W, 0.0, out=W)
     return params
 
 

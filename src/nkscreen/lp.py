@@ -510,7 +510,10 @@ class SimplexEngine:
         ceff[ai] = -1.0  # wants to decrease toward ub
         return ceff
 
-    def _iterate(self, phase1, iter_budget):
+    def _iterate(self, phase1, iter_budget, rc=None):
+        """Primal simplex, phase 1 or 2; returns (outcome, pivots).  ``rc``
+        holds the reduced costs of the start basis under c when the caller
+        priced it already (phase 2 only), so it is not priced twice."""
         pivots = 0
         stall = 0
         bland = False
@@ -522,9 +525,9 @@ class SimplexEngine:
                     if total <= TOL_FEAS:
                         return "feasible", pivots
                     ceff = self._phase1_costs(below, above)
-                else:
-                    ceff = self.c
-                _, rc = self._price(ceff)
+                    _, rc = self._price(ceff)
+                elif rc is None:
+                    _, rc = self._price(self.c)
                 j, sigma = self._choose_entering(rc, bland)
                 if j < 0:
                     return ("infeasible" if phase1 else "optimal"), pivots
@@ -534,6 +537,7 @@ class SimplexEngine:
                         raise NumericalFailure("unbounded phase-1 direction")
                     return "unbounded", pivots
                 self._apply_step(j, sigma, t, pos, kind, d, xb)
+                rc = None
                 pivots += 1
                 since_refactor += 1
                 # a stall: no variable moved beyond the ratio tolerance
@@ -559,7 +563,8 @@ class SimplexEngine:
 
         Refactorizes the basis, recomputes the basic values from the present
         data and prices it.  A dual feasible start runs the dual simplex;
-        any other runs phase 1 only when a bound is broken, then phase 2.
+        any other runs phase 1 only when a bound is broken, then phase 2,
+        which starts from that pricing when phase 1 did not run.
         Both end in a polish (a final refactorization and recompute).
         """
         if not self._refactor():
@@ -578,6 +583,7 @@ class SimplexEngine:
             else:
                 _, _, total = self._infeasibility()
                 if total > TOL_FEAS:
+                    rc = None  # phase 1 moves the basis
                     outcome, pivots = self._iterate(phase1=True,
                                                     iter_budget=budget)
                     if outcome == "infeasible":
@@ -587,7 +593,8 @@ class SimplexEngine:
                     if not self._refactor():
                         raise NumericalFailure("singular basis after phase 1")
                     self._recompute_x()
-                outcome, p2 = self._iterate(phase1=False, iter_budget=budget)
+                outcome, p2 = self._iterate(phase1=False, iter_budget=budget,
+                                            rc=rc)
                 pivots += p2
         except NumericalFailure:
             if not self._retry:

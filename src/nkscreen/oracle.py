@@ -358,19 +358,25 @@ def scale_full(params: IcnnParams, A, b, solver=None) -> ScaleResult:
                        n_lp=solver.n_lp - before + 1)
 
 
-def r_gradient(params: IcnnParams, scale: ScaleResult, b) -> IcnnGrads:
+def r_gradient(params: IcnnParams, scale: ScaleResult, b,
+               out=None) -> IcnnGrads:
     """Envelope derivative of the fast scaling factor w.r.t. the parameters.
 
     r = support_{j*} / b_{j*} and d support / d theta = -lambda * d raw /
     d theta at the maximizer, lambda the raw-row multiplier.  Zero when only
     the box binds (the raw constraint is slack there).  Near a j* switch or
     a basis change this one-sided envelope derivative is not the two-sided
-    slope, which is expected and harmless for subgradient training.
+    slope, which is expected and harmless for subgradient training.  ``out``
+    is an IcnnGrads to overwrite and return; without one it is new.
     """
     if scale.output_dual <= 0.0 or scale.x is None:
-        return IcnnGrads.zeros_like(params)
+        if out is None:
+            return IcnnGrads.zeros_like(params)
+        out.vec.fill(0.0)
+        return out
     coeff = -scale.output_dual / float(np.asarray(b)[scale.row])
-    grads, _ = backward(params, scale.x, np.array([coeff]), raw_only=True)
+    grads, _ = backward(params, scale.x, np.array([coeff]), raw_only=True,
+                        out=out)
     return grads
 
 

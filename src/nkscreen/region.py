@@ -383,16 +383,19 @@ def _dedup_rows(A_hat, b_hat):
     (A_hat is rounded in place, so it is a key afterwards, not a normal).
     With -0.0 turned into 0.0 (and no NaN), numerically equal rows have
     equal bytes, so one sort of the rows as raw bytes puts each group's
-    rows next to each other.  Parallel rows with a looser bound are
-    dominated outright, so each group keeps only its smallest rhs (ties
-    break toward the lowest original index).
+    rows next to each other.  Each row is compared with the one before it
+    in that order through ``order``, over the blocks of ``_point_blocks``,
+    so no sorted copy of the key is made.  Parallel rows with a looser
+    bound are dominated outright, so each group keeps only its smallest rhs
+    (ties break toward the lowest original index).
     """
     key = np.round(A_hat, 9, out=A_hat)
     key += 0.0  # -0.0 + 0.0 is +0.0
     order = np.argsort(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0])
-    key = key[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    for start, stop in _point_blocks(len(order) - 1):
+        first[start + 1:stop + 1] = np.any(
+            key[order[start + 1:stop + 1]] != key[order[start:stop]], axis=1)
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.cumsum(first)
     best = np.lexsort((np.arange(len(b_hat)), b_hat, group))

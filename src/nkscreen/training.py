@@ -29,6 +29,15 @@ basis, so once the weights settle a rescale takes few pivots.  The solver's
 work (``SublevelSolver.counters()``) is recorded in ``TrainingRecord.solver``
 for the first rescale and for everything after it; it holds counts only,
 so a training's outputs stay byte-reproducible.
+
+A mini-batch step does each piece of numpy work once.  It evaluates the
+network and its box term in one ``forward(..., want_cache=True)``, hands
+that pass to ``backward``, which writes into the views of the optimizer's
+one gradient vector, and adds the r-gradient scaled by its coefficient
+into that vector.  Adam and the convexity projection then act on the one
+parameter vector (``IcnnParams.flat``).  Every floating-point operation
+and its order are those of a step taken array by array, so the trained
+bytes do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -40,14 +49,19 @@ import numpy as np
 from scipy.special import expit
 
 from .icnn import (
-    IcnnGrads, IcnnParams, ScaledClassifier, backward, forward, init_params,
+    IcnnGrads, ScaledClassifier, backward, forward, init_params,
     project_convex,
 )
-from .oracle import ScalingOracle, certify, r_gradient
+from .oracle import EmptyPredictedSet, ScalingOracle, certify, r_gradient
 
 
 class CertificationFailed(RuntimeError):
     """The scaled classifier could not be proven a subset of the region."""
+
+
+class TrainingCollapsed(RuntimeError):
+    """A rescale found the predicted set empty before any scaling epoch
+    could be selected."""
 
 
 @dataclass
@@ -87,48 +101,59 @@ class TrainingConfig:
         return lr
 
 
-def weighted_bce(f, y, pos_weight=1.0):
-    """Per-sample stable binary cross entropy on logits, label 1 weighted.
+def bce_with_grad(f, wy, omy):
+    """Per-sample weighted binary cross entropy on logits, and its
+    derivative in f, from the label factors wy = w y and omy = 1 - y.
 
     loss = -[w y log sigma(f) + (1 - y) log(1 - sigma(f))]; positive labels
-    mark infeasible points, so pos_weight > 1 punishes missed violations.
+    mark infeasible points, so w > 1 punishes missed violations.  A training
+    pass computes the factors once and gathers them per batch.
     """
-    f = np.asarray(f, dtype=float)
+    nf = -f
+    loss = wy * np.logaddexp(0.0, nf) + omy * np.logaddexp(0.0, f)
+    return loss, omy * expit(f) - wy * expit(nf)
+
+
+def weighted_bce(f, y, pos_weight=1.0):
+    """Per-sample stable binary cross entropy on logits, label 1 weighted."""
     y = np.asarray(y, dtype=float)
-    softplus_neg = np.logaddexp(0.0, -f)   # -log sigma(f)
-    softplus_pos = np.logaddexp(0.0, f)    # -log(1 - sigma(f))
-    return pos_weight * y * softplus_neg + (1.0 - y) * softplus_pos
+    return bce_with_grad(np.asarray(f, dtype=float), pos_weight * y,
+                         1.0 - y)[0]
 
 
 def weighted_bce_grad(f, y, pos_weight=1.0):
     """d loss / d f, same shape as f."""
-    f = np.asarray(f, dtype=float)
     y = np.asarray(y, dtype=float)
-    return (1.0 - y) * expit(f) - pos_weight * y * expit(-f)
+    return bce_with_grad(np.asarray(f, dtype=float), pos_weight * y,
+                         1.0 - y)[1]
 
 
 class Adam:
-    """Bias-corrected Adam on the classifier parameter lists."""
+    """Bias-corrected Adam (Kingma & Ba, ICLR 2015) on ``params.flat``.
 
-    def __init__(self, params: IcnnParams, beta1=0.9, beta2=0.999, eps=1e-8):
+    m, v and the gradient ``grads`` are one vector each, laid out like the
+    parameters, so a step is the same elementwise operations on every
+    entry, applied once to the whole vector.  Training steps fill ``grads``
+    in place and pass it to ``step``.
+    """
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = IcnnGrads.zeros_like(params)
-        self.v = IcnnGrads.zeros_like(params)
+        self.grads = IcnnGrads.zeros_like(params)
+        self.m = np.zeros_like(self.grads.vec)
+        self.v = np.zeros_like(self.grads.vec)
 
-    def step(self, params: IcnnParams, grads: IcnnGrads, lr):
+    def step(self, params, grads: IcnnGrads, lr):
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params.W + params.D + params.b,
-                              grads.W + grads.D + grads.b,
-                              self.m.W + self.m.D + self.m.b,
-                              self.v.W + self.v.D + self.v.b):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        p, g, m, v = params.flat, grads.vec, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 @dataclass
@@ -151,6 +176,9 @@ class TrainingRecord:
     # later ones covering every rescale after the first and the final
     # certification
     solver: dict = field(default_factory=dict)
+    # the scaling epoch whose rescale found the predicted set empty, which
+    # ended training early; None when every epoch ran
+    stopped_epoch: int | None = None
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -174,36 +202,50 @@ def classification_rates(pred_infeasible, y):
     return fpr, fnr
 
 
-def _minibatch_pass(params, X, y, config, opt, lr, rng, batch_grad):
+def _minibatch_pass(params, X, y, config, opt, lr, rng, batch_loss):
     """Mini-batch steps over all of (X, y), shuffled by rng if one is given.
 
-    batch_grad(Xb, yb) returns (summed loss, gradient of the mean loss);
-    every step is followed by the convexity projection.  Returns the mean
-    loss over the pass.
+    The label factors w y and 1 - y of the loss are computed once for the
+    pass and gathered per batch.  batch_loss(Xb, wy, omy, grads) fills
+    grads (the optimizer's) with the gradient of the batch's mean loss and
+    returns its summed loss; every step is followed by the convexity
+    projection.  Returns the mean loss over the pass.
     """
     n = len(X)
     order = rng.permutation(n) if rng is not None else np.arange(n)
+    y = np.asarray(y, dtype=float)
+    wy, omy = config.positive_class_weight * y, 1.0 - y
     total = 0.0
     for start in range(0, n, config.batch_size):
         idx = order[start:start + config.batch_size]
-        loss, grads = batch_grad(X[idx], y[idx])
-        total += loss
-        opt.step(params, grads, lr)
+        total += batch_loss(X[idx], wy[idx], omy[idx], opt.grads)
+        opt.step(params, opt.grads, lr)
         project_convex(params)
     return total / n
 
 
 def warm_epoch(params, X, y, config, opt, lr, rng):
     """One full pass of mini-batch steps on the unscaled classifier."""
-    w = config.positive_class_weight
 
-    def batch_grad(Xb, yb):
-        f = forward(params, Xb)
-        up = weighted_bce_grad(f, yb, w) / len(Xb)
-        grads, _ = backward(params, Xb, upstream=up)
-        return float(weighted_bce(f, yb, w).sum()), grads
+    def batch_loss(Xb, wy, omy, grads):
+        f, fp = forward(params, Xb, want_cache=True)
+        loss, dloss = bce_with_grad(f, wy, omy)
+        backward(params, fp, upstream=dloss / len(Xb), out=grads)
+        return float(loss.sum())
 
-    return _minibatch_pass(params, X, y, config, opt, lr, rng, batch_grad)
+    return _minibatch_pass(params, X, y, config, opt, lr, rng, batch_loss)
+
+
+def _scaled_step(params, Xb, wy, omy, scale, b, grads, r_grads):
+    """Mean loss of the scaled model on one mini-batch, and its total
+    gradient into grads; r_grads is room for the r-gradient."""
+    Xs = scale.r * Xb
+    f, fp = forward(params, Xs, want_cache=True)
+    loss, dloss = bce_with_grad(f, wy, omy)
+    _, dx = backward(params, fp, upstream=dloss / len(Xb), out=grads)
+    coeff = float(np.sum(dx * Xb))
+    grads.vec += coeff * r_gradient(params, scale, b, out=r_grads).vec
+    return float(loss.mean())
 
 
 def scaled_batch_gradient(params, Xb, yb, scale, b, pos_weight):
@@ -213,13 +255,10 @@ def scaled_batch_gradient(params, Xb, yb, scale, b, pos_weight):
     dependence through r itself, whose envelope derivative is weighted by
     sum_i dL_i * (grad_x f(r x_i) . x_i).
     """
-    Xs = scale.r * Xb
-    f = forward(params, Xs)
-    loss = float(weighted_bce(f, yb, pos_weight).mean())
-    up = weighted_bce_grad(f, yb, pos_weight) / len(Xb)
-    grads, dx = backward(params, Xs, upstream=up)
-    coeff = float(np.sum(dx * Xb))
-    grads.add(r_gradient(params, scale, b), alpha=coeff)
+    yb = np.asarray(yb, dtype=float)
+    grads = IcnnGrads.zeros_like(params)
+    loss = _scaled_step(params, Xb, pos_weight * yb, 1.0 - yb, scale, b,
+                        grads, IcnnGrads.zeros_like(params))
     return loss, grads
 
 
@@ -233,13 +272,13 @@ def scaling_epoch(params, X, y, oracle: ScalingOracle, config, opt, lr,
     before it.
     """
     scale = oracle.rescale(params)
+    r_grads = IcnnGrads.zeros_like(params)
 
-    def batch_grad(Xb, yb):
-        loss, grads = scaled_batch_gradient(params, Xb, yb, scale, oracle.b,
-                                            config.positive_class_weight)
-        return loss * len(Xb), grads
+    def batch_loss(Xb, wy, omy, grads):
+        return _scaled_step(params, Xb, wy, omy, scale, oracle.b, grads,
+                            r_grads) * len(Xb)
 
-    loss = _minibatch_pass(params, X, y, config, opt, lr, rng, batch_grad)
+    loss = _minibatch_pass(params, X, y, config, opt, lr, rng, batch_loss)
     return loss, scale
 
 
@@ -250,6 +289,11 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
     The returned classifier carries the exact full-sweep scaling of the
     selected epoch's parameters and has been certified against (A, b);
     standardization metadata is the caller's to attach.
+
+    A rescale that finds the predicted set empty ends training at that
+    epoch (``record.stopped_epoch``): the best scaling epoch before it is
+    selected, rescaled and certified as usual.  With none selectable,
+    TrainingCollapsed is raised.
     """
     config.validate()
     A = np.asarray(A, dtype=float)
@@ -283,8 +327,13 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
             # the candidate is the model the rescale measured: the weights
             # from before the pass, at their exact r
             candidate = params.copy()
-            loss, scale = scaling_epoch(params, X_train, y_train, oracle,
-                                        config, opt, lr, rng)
+            try:
+                loss, scale = scaling_epoch(params, X_train, y_train, oracle,
+                                            config, opt, lr, rng)
+            except EmptyPredictedSet:
+                # no r scales an empty set, so no later epoch can run
+                record.stopped_epoch = epoch
+                break
             if epoch == config.warm_epochs:
                 first = oracle.solver.counters()
             fpr, fnr = classification_rates(
@@ -297,6 +346,10 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
         if callback is not None:
             callback(rec)
 
+    if best is None and record.stopped_epoch is not None:
+        raise TrainingCollapsed(
+            f"the predicted set is empty at epoch {record.stopped_epoch}, "
+            "and no scaling epoch before it had zero validation misses")
     if best is None:
         # no scaling epoch reached zero validation misses (possible only if
         # validation labels disagree with the region); fall back to the least

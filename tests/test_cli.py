@@ -377,6 +377,27 @@ class TestTrain:
         assert not any("checkpoint.npz" in files
                        for _, _, files in os.walk(out))
 
+    def test_collapsed_training_exits_four(self, work, tmp_path, capsys,
+                                           monkeypatch):
+        """A training whose predicted set empties before any epoch can be
+        selected ends with exit 4 and a message, not a traceback."""
+        from nkscreen import training
+
+        def collapsed(*args, **kwargs):
+            raise training.TrainingCollapsed("the predicted set is empty "
+                                             "at epoch 30")
+
+        monkeypatch.setattr(training, "train", collapsed)
+        out = tmp_path / "runs"
+        code = main(["train", "--dataset", work["dataset"],
+                     "--region", os.path.join(work["prep"], "region.npz"),
+                     "--out", str(out)] + TRAIN_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "training collapsed" in err and "Traceback" not in err
+        assert not any("checkpoint.npz" in files
+                       for _, _, files in os.walk(out))
+
 
 class TestCertify:
     def test_good_checkpoint_exits_zero(self, work):

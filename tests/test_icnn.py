@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nkscreen.icnn import (
-    IcnnParams, ScaledClassifier, backward, box_violation, forward,
+    IcnnGrads, IcnnParams, ScaledClassifier, backward, box_violation, forward,
     init_params, load_checkpoint, project_convex, raw_forward, save_checkpoint,
 )
 
@@ -206,6 +206,68 @@ class TestBackward:
         np.testing.assert_allclose(dx2, 2.0 * dx1, rtol=1e-12)
         for a, b in zip(g1.D, g2.D):
             np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
+
+    def test_reused_pass_and_out_give_the_same_bytes(self):
+        net = init_params(3, depth=2, width=5, box_lower=-np.ones(3),
+                          box_upper=np.ones(3), seed=4)
+        rng = np.random.default_rng(4)
+        X = rng.normal(scale=1.5, size=(40, 3))    # some rows outside the box
+        upstream = rng.normal(size=40)
+        g1, dx1 = backward(net, X, upstream)
+        f, fp = forward(net, X, want_cache=True)
+        assert np.any(fp.pen > fp.raw)
+        out = IcnnGrads.zeros_like(net)
+        out.vec[:] = 7.0                            # stale values are overwritten
+        g2, dx2 = backward(net, fp, upstream, out=out)
+        assert g2 is out
+        assert g2.vec.tobytes() == g1.vec.tobytes()
+        assert dx2.tobytes() == dx1.tobytes()
+        assert f.tobytes() == forward(net, X).tobytes()
+
+
+class TestFlatLayout:
+    def _net(self):
+        return init_params(3, depth=2, width=4, box_lower=-np.ones(3),
+                           box_upper=np.ones(3), seed=2)
+
+    def test_lists_are_views_of_one_vector(self):
+        net = self._net()
+        arrays = [a.copy() for a in net.W + net.D + net.b]
+        vec = net.flat
+        assert vec.size == sum(a.size for a in arrays)
+        assert all(a.base is vec for a in net.W + net.D + net.b)
+        assert np.array_equal(vec, np.concatenate([a.ravel() for a in arrays]))
+        assert net.flat is vec
+        vec[:] = -1.0
+        project_convex(net)
+        assert all(np.all(w == 0.0) for w in net.W)
+        assert all(np.all(a == -1.0) for a in net.D + net.b)
+
+    def test_copies_do_not_share_the_vector(self):
+        import copy
+
+        net = self._net()
+        before = net.flat.copy()
+        for other in (net.copy(), copy.deepcopy(net)):
+            other.flat[:] += 1.0
+            assert np.array_equal(other.flat, before + 1.0)
+            assert all(a.base is other.flat
+                       for a in other.W + other.D + other.b)
+            assert np.array_equal(net.flat, before)
+
+    def test_an_assigned_entry_is_packed_anew(self):
+        net = self._net()
+        old = net.flat
+        net.b[2] = np.array([5.0])
+        net.D = [d * 2.0 for d in net.D]
+        vec = net.flat
+        assert vec is not old
+        assert vec[-1] == 5.0
+        assert all(a.base is vec for a in net.W + net.D + net.b)
+        grads = IcnnGrads.zeros_like(net)
+        assert grads.vec.shape == vec.shape
+        assert [g.shape for g in grads.W + grads.D + grads.b] == \
+            [a.shape for a in net.W + net.D + net.b]
 
 
 class TestCheckpoint:

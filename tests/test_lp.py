@@ -450,6 +450,26 @@ def test_cold_solve_inverts_only_after_pivots(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cold_phase2_prices_the_start_basis_once(monkeypatch):
+    """The slack basis is primal feasible and not optimal, so phase 2 runs
+    without phase 1 from the pricing that chose the loop: one pricing for
+    the start, one after each pivot and one for the polish."""
+    calls = []
+    original = SimplexEngine._price
+
+    def counted(self, ceff):
+        calls.append(1)
+        return original(self, ceff)
+
+    monkeypatch.setattr(SimplexEngine, "_price", counted)
+    p = LpProblem(c=[1.0, 2.0, 1.5], A=[[1.0, 1.0, 1.0], [1.0, 0.0, 2.0]],
+                  b=[2.0, 3.0], lb=[0.0, 0.0, 0.0], ub=[5.0, 5.0, 5.0])
+    s = SimplexEngine(p).solve()
+    assert s.status is LpStatus.OPTIMAL and s.iterations >= 1
+    assert s.objective == pytest.approx(4.0)
+    assert len(calls) == s.iterations + 2
+
+
 def test_snapshot_restore_reproduces_solve():
     rng = np.random.default_rng(22)
     p = random_bounded_lp(rng, n=4, m=6)

@@ -185,3 +185,45 @@ def test_simplex_spans_feed_every_lp_layer(bench):
         assert found, (name, root)
         assert np.isfinite(tracer.mean_duration(found))
         assert np.isfinite(np.mean(tracer.attr_values(found, "pivots")))
+
+
+def test_training_spans_feed_every_training_layer(bench):
+    """train_phase._layers reads the training, oracle and icnn.backward
+    spans of the first training.  A tiny training under its wrappers must
+    give one icnn.backward span per warm mini-batch step, one or two per
+    scaled step (the r-gradient's), and a finite value for every layer."""
+    import math
+
+    import numpy as np
+    from helpers import square_toy
+
+    from nkscreen.oracle import certify
+    from nkscreen.training import TrainingConfig, train
+
+    spans = importlib.import_module("spans")
+    train_phase = importlib.import_module("train_phase")
+    # the start of test_training's TestTrain run
+    A, b, X, y = square_toy(500, lim=1.2, seed=6)
+    cfg = TrainingConfig(depth=1, width=8, warm_epochs=15, scaling_epochs=2,
+                         batch_size=64, seed=0)
+    tracer = spans.Tracer("test")
+    train_phase._install(tracer)
+    try:
+        with tracer.span("training.train"):
+            clf, record = train(A, b, X[:350], y[:350], X[350:], y[350:],
+                                cfg, box_lower=np.full(2, -2.4),
+                                box_upper=np.full(2, 2.4))
+        with tracer.span("oracle.certify"):
+            report = certify(clf.params, A, b, clf.r)
+    finally:
+        tracer.unwrap_all()
+
+    steps = math.ceil(350 / cfg.batch_size)
+    for epoch, (lo, hi) in (("training.warm_epoch", (1, 1)),
+                            ("training.scaling_epoch", (1, 2))):
+        for i in tracer.named(epoch):
+            n = len(tracer.within("icnn.backward", i))
+            assert lo * steps <= n <= hi * steps, (epoch, n)
+    layers = train_phase._layers(tracer, len(b), report.n_lp,
+                                 [(clf.r, record.best_epoch)])
+    assert all(np.isfinite(value) for value, _ in layers.values()), layers

@@ -630,6 +630,31 @@ def test_dedup_rows_negative_zero_and_ties():
     assert dedup_rows_oracle(A, b).tolist() == [1, 3]
 
 
+def test_box_support_prune_memory_below_one_and_a_half_matrices():
+    """The unit normals, rounded in place into the dedup key, are the one
+    copy of A the screen needs: sorted rows are compared through the sort
+    order a block at a time, never as a sorted copy of the key.  24
+    columns, as case39's k = 3 region has after folding."""
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    base = rng.normal(size=(10000, 24))
+    A = np.vstack([base, 2.0 * base[:5000]])       # 5,000 parallel copies
+    b = np.abs(A).sum(axis=1) * rng.uniform(0.2, 0.9, size=len(A))
+    region = region_from_rows(A, b, box=(np.full(24, -1.0), np.full(24, 1.0)))
+    counters = {}
+    tracemalloc.start()
+    try:
+        out = prune_by_box_support(region, counters=counters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counters["duplicate_rows_collapsed"] == 5000
+    assert out.n_rows == 10000
+    assert peak < 1.5 * A.nbytes, \
+        f"prune peaked at {peak / A.nbytes:.2f} x A.nbytes"
+
+
 def test_box_support_prune_counts_duplicates():
     A = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 3.0, 1.0, 3.0, 2.5])

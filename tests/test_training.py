@@ -1,10 +1,13 @@
+import hashlib
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from nkscreen.icnn import forward, init_params
 from nkscreen.oracle import ScalingOracle, certify, scale_fast
 from nkscreen.training import (
-    Adam, TrainingConfig, classification_rates,
+    Adam, TrainingCollapsed, TrainingConfig, classification_rates,
     scaled_batch_gradient, scaling_epoch, train, warm_epoch, weighted_bce,
     weighted_bce_grad,
 )
@@ -219,9 +222,121 @@ class TestTrain:
         assert len(lines) == 1 + cfg.warm_epochs + cfg.scaling_epochs
         assert lines[0].startswith("epoch,phase,lr,loss,r,row")
 
+    def test_empty_set_stops_at_the_best_epoch_so_far(self):
+        """A small reproduction of the default schedule's crash: the scaled
+        loss shrinks the set until the rescale of epoch 10 finds it empty.
+        Training stops there and returns epoch 9, certified."""
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(8, 4))
+        b = rng.uniform(2.0, 3.0, size=8)
+        X = rng.uniform(-3.0, 3.0, size=(600, 4))
+        y = (X @ A.T > b).any(axis=1).astype(float)
+        cfg = TrainingConfig(depth=2, width=8, warm_epochs=8,
+                             scaling_epochs=8, batch_size=32,
+                             positive_class_weight=1.5, decay_epochs=(10,),
+                             seed=3).validate()
+        clf, record = train(A, b, X[:400], y[:400], X[400:], y[400:], cfg,
+                            box_lower=np.full(4, -2.4),
+                            box_upper=np.full(4, 2.4))
+        assert record.stopped_epoch == 10
+        assert [r.epoch for r in record.epochs] == list(range(10))
+        assert record.best_epoch == clf.meta["best_epoch"] == 9
+        assert record.epochs[9].val_fnr == 0.0
+        assert certify(clf.params, A, b, r=clf.r).reliable
+
+    def test_empty_set_with_no_selectable_epoch_is_named(self):
+        """The warm epochs leave the set empty, so the first rescale fails
+        and there is no epoch to fall back to."""
+        A, b, X, y = square_toy(400, lim=2.0, seed=8)
+        cfg = TrainingConfig(depth=1, width=6, warm_epochs=10,
+                             scaling_epochs=10, batch_size=32,
+                             positive_class_weight=1.5, decay_epochs=(14,),
+                             seed=3).validate()
+        with pytest.raises(TrainingCollapsed, match="epoch 10"):
+            train(A, b, X[:300], y[:300], X[300:], y[300:], cfg,
+                  box_lower=np.full(2, -1.6), box_upper=np.full(2, 1.6))
+
     def test_requires_box_or_params(self):
         A, b, X, y = square_toy(50, seed=7)
         cfg = TrainingConfig(depth=1, width=4, warm_epochs=0,
                              scaling_epochs=1).validate()
         with pytest.raises(ValueError):
             train(A, b, X, y, X, y, cfg)
+
+
+def _training_digest(box, depth, width):
+    """sha256 over the weights, r, best epoch and epoch log of a short seeded
+    training on the square toy."""
+    A, b, X, y = square_toy(400, lim=2.0, seed=8)
+    cfg = TrainingConfig(depth=depth, width=width, warm_epochs=10,
+                         scaling_epochs=10, batch_size=32,
+                         positive_class_weight=1.5, learning_rate=1e-2,
+                         decay_epochs=(14,), seed=3).validate()
+    clf, record = train(A, b, X[:300], y[:300], X[300:], y[300:], cfg,
+                        box_lower=np.full(2, -box), box_upper=np.full(2, box))
+    h = hashlib.sha256()
+    p = clf.params
+    for a in p.W + p.D + p.b:
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(np.float64(clf.r).tobytes())
+    h.update(str(record.best_epoch).encode())
+    for rec in record.epochs:
+        h.update(repr(astuple(rec)).encode())
+    return h.hexdigest()
+
+
+# Recorded before the one-vector training step: that change keeps every
+# floating-point operation and its order, so these bytes must not move.
+# Keyed by (box, depth, width).  Under the box of 1.6 the raw constraint
+# binds in every rescale, so every scaled step has a nonzero r-gradient,
+# and training points lie outside the box.  Under the box of 1.1 the box
+# alone binds in 9 of 10 rescales, so most r-gradients are zero.
+GOLDEN_TRAINING_DIGESTS = {
+    (1.6, 2, 6): "6464254b19ea7745ef7a946c43d410e5225368aa14530970d0daa8ea078cbfaf",
+    (1.1, 2, 6): "d7146515aedc65814ffa5c6d384e507b9b4323f9c4ff3eb2f1f18c75d67e7eab",
+    (1.6, 1, 10): "c454a19b3f7a9dfbb34e4d303dd8b24729d4d669bd7efad481d7a25f0789d8f0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_TRAINING_DIGESTS))
+def test_golden_training_digest(key):
+    assert _training_digest(*key) == GOLDEN_TRAINING_DIGESTS[key]
+
+
+def test_backward_runs_once_per_step_through_the_module_global(monkeypatch):
+    """perfbench times icnn.backward by wrapping ``training.backward`` and
+    ``oracle.backward``: each mini-batch step must call the first once, and
+    a scaled step with a nonzero r-gradient the second once."""
+    import nkscreen.oracle as oracle_mod
+    import nkscreen.training as training_mod
+
+    calls = {"training": 0, "oracle": 0}
+
+    def counting(module, name):
+        original = module.backward
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "backward", counted)
+
+    counting(training_mod, "training")
+    counting(oracle_mod, "oracle")
+    # the start of the (1.6, 1, 10) golden training
+    A, b, X, y = square_toy(400, lim=2.0, seed=8)
+    X, y = X[:300], y[:300]
+    net = init_params(2, 1, 10, np.full(2, -1.6), np.full(2, 1.6), seed=3)
+    cfg = TrainingConfig(depth=1, width=10, batch_size=32,
+                         positive_class_weight=1.5).validate()
+    opt = Adam(net)
+    rng = np.random.default_rng(3)
+    steps = -(-len(X) // cfg.batch_size)
+    for _ in range(10):
+        warm_epoch(net, X, y, cfg, opt, 1e-2, rng)
+    assert calls == {"training": 10 * steps, "oracle": 0}
+    calls.update(training=0)
+    _, scale = scaling_epoch(net, X, y, ScalingOracle(net, A, b), cfg, opt,
+                             1e-2, rng)
+    assert scale.output_dual > 0.0
+    assert calls == {"training": steps, "oracle": steps}
