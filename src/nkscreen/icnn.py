@@ -246,12 +246,14 @@ def forward(params: IcnnParams, X, want_cache=False):
     return out[0] if single else out
 
 
-def backward(params: IcnnParams, X, upstream=None, raw_only=False, out=None):
+def backward(params: IcnnParams, X, upstream=None, raw_only=False, out=None,
+             want_dx=True):
     """Gradients of sum_i upstream_i * forward(params, x_i).
 
-    Returns (grads, dx).  X is the inputs, or the ForwardPass that
-    ``forward(params, X, want_cache=True)`` returned for them, which spares
-    the forward pass.  ``out`` is an IcnnGrads to overwrite and return, such
+    Returns (grads, dx); dx is None without ``want_dx``, for callers that
+    need the parameter gradients only.  X is the inputs, or the
+    ForwardPass that ``forward(params, X, want_cache=True)`` returned for
+    them, which spares the forward pass.  ``out`` is an IcnnGrads to overwrite and return, such
     as the optimizer's; without one the gradients are new arrays.
     Subgradient conventions: relu'(0) = 0; when the box penalty ties the raw
     value exactly, the raw branch is used; the box branch routes through the
@@ -276,7 +278,7 @@ def backward(params: IcnnParams, X, upstream=None, raw_only=False, out=None):
     else:
         grads = out
         grads.vec.fill(0.0)
-    dx = np.zeros_like(Xb)
+    dx = np.zeros_like(Xb) if want_dx else None
 
     if raw_only:
         u_raw = upstream
@@ -284,7 +286,7 @@ def backward(params: IcnnParams, X, upstream=None, raw_only=False, out=None):
         box_active = fp.pen > fp.raw
         u_raw = upstream * (~box_active)
         rows = np.flatnonzero(box_active)
-        if len(rows):
+        if want_dx and len(rows):
             d = fp.V[rows].argmax(axis=1)
             x = Xb[rows, d]
             sign = np.where(x - params.box_upper[d] >= params.box_lower[d] - x,
@@ -296,17 +298,19 @@ def backward(params: IcnnParams, X, upstream=None, raw_only=False, out=None):
     grads.D[k] += g_out.T @ Xb
     grads.b[k] += g_out.sum(axis=0)
     grads.W[k - 1] += g_out.T @ acts[k - 1]
-    dx += g_out @ params.D[k]
+    if want_dx:
+        dx += g_out @ params.D[k]
     gz = g_out @ params.W[k - 1]                # (B, w)
     for i in range(k - 1, -1, -1):
         gp = gz * (pre[i] > 0)
         grads.D[i] += gp.T @ Xb
         grads.b[i] += gp.sum(axis=0)
-        dx += gp @ params.D[i]
+        if want_dx:
+            dx += gp @ params.D[i]
         if i > 0:
             grads.W[i - 1] += gp.T @ acts[i - 1]
             gz = gp @ params.W[i - 1]
-    if single:
+    if single and want_dx:
         dx = dx[0]
     return grads, dx
 

@@ -35,6 +35,14 @@ problem/solution contract:
   ``snapshot``/``restore`` save and reinstate a basis and its variables'
   statuses, for callers that want a re-solve to start from a basis of
   their choosing.
+  ``solve_each`` solves many objectives, each from its own snapshot, as
+  that many ``restore`` and ``resolve_objective`` calls would, byte for
+  byte, but in batches of up to 128 over a leading member axis: since no
+  member starts from the basis another left, their refactorizations,
+  pricing and pivots can run stacked.  numpy's stacked ``@`` and
+  ``linalg.inv`` give each member the bytes of the 2-D calls (``einsum``
+  and one GEMM over the stacked rows do not).  A chain of re-solves, each
+  from the basis the one before left, stays on ``solve``.
 * ``OptimalBases``: a table of up to 8 optimal bases of one engine whose
   right-hand side alone changes, each with its refactorization.  A
   right-hand side that one of them keeps primal feasible is answered by one
@@ -83,6 +91,15 @@ _RATIO_TOL = 1e-9     # slack allowed when computing blocking ratios
 _REFACTOR_EVERY = 100
 _STALL_LIMIT = 60     # degenerate pivots before switching to Bland's rule
 _BASES_KEPT = 8       # entries of an OptimalBases table
+
+_BATCH_MAX = 128      # members of one stacked batch: (128, m, m) inverses
+                      # are 2.7 MB at m = 51
+
+
+def _pivot_budget(m):
+    """Pivots a solve of m rows may take before NumericalFailure."""
+    return 2000 + 200 * m
+
 
 # nonbasic/basic status codes
 _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
@@ -252,6 +269,8 @@ class SimplexEngine:
         self._ratio = np.empty(self.nt)  # dual ratio-test buffer
         self.n_pivots = self.n_refactors = self.n_slack_retries = 0
         self.n_bland = self.data_version = 0
+        # solves answered by solve_each's batches, and their pivot rounds
+        self.n_batched = self.n_rounds = 0
         self.c = np.zeros(self.nt)
         self.c[:n] = problem.c
         self.basis = np.arange(n, n + m)  # all-slack start
@@ -311,6 +330,62 @@ class SimplexEngine:
         B_inv[pos_s, S] = 1.0
         B_inv[pos_s[:, None], R] = -(self.T[S[:, None], K] @ inv_RK)
         return B_inv
+
+    def _block_inverses(self, basis):
+        """``_block_inverse`` of each row of ``basis`` (q, m), stacked, and
+        a mask of the rows it inverted to finite values.  The bases with k
+        structural columns are inverted as one (g, k, k) stack, whose
+        stacked products give the bytes of the 2-D ones; a stack with a
+        singular block leaves all its rows unmasked, and so does a basis
+        that holds a column twice."""
+        q, m, n, nt = len(basis), self.m, self.n, self.nt
+        rows = np.arange(q)[:, None]
+        basic = np.zeros((q, nt), dtype=bool)
+        basic[rows, basis] = True
+        ks = np.count_nonzero(basic[:, :n], axis=1)
+        valid = np.count_nonzero(basic, axis=1) == m
+        # members by k; per member, K and R ascending and the basic slacks'
+        # S, as flat runs
+        perm = np.argsort(np.where(valid, ks, m + 1), kind="stable")
+        perm = perm[valid[perm]]
+        ks = ks[perm]
+        position = np.empty((q, nt), dtype=np.intp)  # column -> basis slot
+        position[rows, basis] = np.arange(m)
+        mem_k, K = np.nonzero(basic[perm, :n])
+        R = np.nonzero(~basic[perm, n:])[1]
+        # the basic slacks in basis order, as A_SK's rows are: a product's
+        # row may round differently in another place of the matrix
+        mem_s, pos_s = np.nonzero(basis[perm] >= n)
+        S = basis[perm[mem_s], pos_s] - n
+        # flat offsets of the B^-1 rows of the structural and slack columns
+        row_k = perm[mem_k] * (m * m) + position[perm[mem_k], K] * m
+        row_s = perm[mem_s] * (m * m) + pos_s * m
+        B_inv = np.zeros((q, m, m))
+        flat = B_inv.reshape(-1)
+        flat[row_s + S] = 1.0
+        ok = np.zeros(q, dtype=bool)
+        cut = np.flatnonzero(np.diff(ks)) + 1
+        end_k = np.concatenate([[0], np.cumsum(ks)])
+        end_s = np.concatenate([[0], np.cumsum(m - ks)])
+        T, R_off, S_off = self.T, R * nt, S * nt
+        for a, b in zip(np.concatenate([[0], cut]),
+                        np.concatenate([cut, [len(perm)]])):
+            g, k = b - a, int(ks[a])
+            k0, k1, s0, s1 = end_k[a], end_k[b], end_s[a], end_s[b]
+            K_g = K[k0:k1].reshape(g, 1, k)
+            R_g = R[k0:k1].reshape(g, 1, k)
+            try:
+                inv_RK = np.linalg.inv(
+                    T.take(R_off[k0:k1].reshape(g, k, 1) + K_g))
+            except np.linalg.LinAlgError:
+                continue
+            A_SK_inv = T.take(S_off[s0:s1].reshape(g, m - k, 1) + K_g) @ inv_RK
+            flat[row_k[k0:k1].reshape(g, k, 1) + R_g] = inv_RK
+            flat[row_s[s0:s1].reshape(g, m - k, 1) + R_g] = -A_SK_inv
+            ok[perm[a:b]] = True
+        ok &= np.isfinite(B_inv).all(axis=(1, 2))
+        B_inv[~ok] = 0.0
+        return B_inv, ok
 
     def _fall_back_to_slack_basis(self):
         self.n_slack_retries += 1
@@ -565,15 +640,17 @@ class SimplexEngine:
         data and prices it.  A dual feasible start runs the dual simplex;
         any other runs phase 1 only when a bound is broken, then phase 2,
         which starts from that pricing when phase 1 did not run.
-        Both end in a polish (a final refactorization and recompute).
+        Both end in a polish (a final refactorization and recompute) when
+        they pivoted; a solve that took no pivot reports the start's x,
+        duals and reduced costs, which a polish would compute again.
         """
         if not self._refactor():
             self._fall_back_to_slack_basis()
         self._recompute_x()
-        budget = 2000 + 200 * self.m
+        budget = _pivot_budget(self.m)
         pivots = 0
         try:
-            rc = self._price(self.c)[1]
+            y, rc = self._price(self.c)
             if self._choose_entering(rc, False)[0] < 0:
                 outcome, pivots, blocking = self._dual_iterate(rc, budget)
                 if outcome == "infeasible":
@@ -605,11 +682,13 @@ class SimplexEngine:
         self._retry = True
         if outcome == "unbounded":
             return LpSolution(LpStatus.UNBOUNDED, iterations=pivots)
-        # polish the arithmetic before reporting
-        if not self._refactor():
-            raise NumericalFailure("singular basis at optimum")
-        self._recompute_x()
-        y, rc = self._price(self.c)
+        if pivots:
+            # polish the arithmetic before reporting; with no pivot the
+            # start's exact inverse, x and pricing are what it would give
+            if not self._refactor():
+                raise NumericalFailure("singular basis at optimum")
+            self._recompute_x()
+            y, rc = self._price(self.c)
         x = self.x[: self.n].copy()
         return LpSolution(
             LpStatus.OPTIMAL,
@@ -647,6 +726,52 @@ class SimplexEngine:
             self.c[: self.n] = c
         self.data_version += A is not None or c is not None
         return self.solve()
+
+    def solve_each(self, C, snaps):
+        """``restore(snap)`` then ``resolve_objective(c)`` for each row c of
+        C with its snapshot, in turn, byte for byte: the same solutions, and
+        the engine left as the last of them leaves it.
+
+        The members are independent, each starting from its own basis, so
+        they are solved in batches of up to 128 over a leading member axis.
+        A batch refactorizes every basis with the ``_block_inverse``
+        arithmetic, computes x_B, the duals and the reduced costs, answers
+        the members that are optimal there at zero pivots, and pivots the
+        others in lockstep under the dual simplex or primal phase 2 rules.
+        Stacked ``@`` over the member axis gives the bytes of the 2-D
+        products, and the rest is elementwise.  A member that needs phase 1,
+        Bland's rule, the refactorization every 100 pivots, a slack retry or
+        more pivots than the budget, that is unbounded or infeasible, or
+        whose pivot element is too small, is solved again here from its
+        kept basis and the batch's inverse of it.
+
+        Returns one (solution or NumericalFailure, snapshot of the optimal
+        basis or None) per member, up to the first that is not optimal.
+        Counters are those of the solves one by one, except that every
+        batched basis is inverted, also one that the engine's last basis
+        would have spared; ``n_batched`` counts the members a batch
+        answered, ``n_rounds`` its lockstep pivot rounds.
+        """
+        C = np.asarray(C, dtype=float)
+        if C.ndim != 2 or C.shape[1] != self.n or len(C) != len(snaps):
+            raise ValueError("need one objective of the engine's width "
+                             "per snapshot")
+        for s in snaps:
+            if s.basis.shape != (self.m,) or s.vstat.shape != (self.nt,):
+                raise ValueError("snapshot of an engine of another shape")
+        out = []
+        for lo in range(0, len(C), _BATCH_MAX):
+            batch = _Batch(self, C[lo:lo + _BATCH_MAX],
+                           snaps[lo:lo + _BATCH_MAX])
+            self.n_rounds += batch.rounds
+            for i in range(len(batch.snaps)):
+                out.append(batch.commit(i))
+                if out[-1][1] is None:  # not optimal: the run ends here
+                    break
+            batch.leave_engine(i)
+            if out[-1][1] is None:
+                break
+        return out
 
     def counters(self):
         """The four lifetime counts, under the names the reports use."""
@@ -687,6 +812,311 @@ class SimplexEngine:
         self.basis = snap.basis.copy()
         self.vstat = snap.vstat.copy()
         self._retry = True
+
+
+def _rowwise(M, cols):
+    """M[i, cols[i]] for every row i."""
+    return M[np.arange(len(M))[:, None], cols]
+
+
+class _Lanes:
+    """The members of a batch that pivot, compacted: row i of every array
+    is member ``ids[i]``'s."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def keep(self, mask):
+        self.__dict__.update({k: v[mask] for k, v in self.__dict__.items()})
+
+
+class _Batch:
+    """One batch of ``SimplexEngine.solve_each``, solved at construction.
+
+    Each step is the engine's, over a leading member axis.  Member i's
+    basis, statuses, inverse, x, duals and reduced costs are its final ones
+    when ``done[i]``; a member not done is solved on the engine by
+    ``commit``, from its kept snapshot and, when ``inverted[i]``, the
+    batch's exact inverse of it, still in ``B[i]``.
+    """
+
+    def __init__(self, eng, C, snaps):
+        self.eng, self.snaps = eng, snaps
+        q = len(C)
+        self.C = np.zeros((q, eng.nt))
+        self.C[:, :eng.n] = C
+        self.basis = np.stack([s.basis for s in snaps])
+        self.vstat = np.stack([s.vstat for s in snaps])
+        self.B, ok = eng._block_inverses(self.basis)
+        self.inverted = ok.astype(int)  # refactorizations of each member
+        self.pivots = np.zeros(q, dtype=int)
+        self.moved = np.zeros(q, dtype=bool)  # a pivot changed the basis
+        self.rounds = 0
+        self.X = self._values(self.basis, self.vstat, self.B)
+        self.Y, self.RC = self._price(self.C, self.basis, self.B)
+        gain = self._gain(self.RC, self.vstat)
+        primal = gain[np.arange(q), gain.argmax(axis=1)] > _RC_TOL
+        xb = _rowwise(self.X, self.basis)
+        viol = np.maximum(eng.L[self.basis] - xb, xb - eng.U[self.basis])
+        # the dual simplex's optimality test, and the members that take it
+        self.done = ok & ~primal & ~(viol.max(axis=1) > TOL_FEAS)
+        dual = np.flatnonzero(ok & ~primal & ~self.done)
+        # the engine's phase-1 test: its sum of the bound violations beyond
+        # TOL_FEAS exceeds TOL_FEAS exactly when one of them does; phase 1
+        # is left to the engine
+        phase2 = np.flatnonzero(ok & primal
+                                & ~np.any(viol > TOL_FEAS, axis=1))
+        if len(dual):
+            self._dual(self._lanes(dual))
+        if len(phase2):
+            self._primal(self._lanes(phase2))
+        self._polish()
+
+    # -- the engine's arithmetic, stacked ------------------------------
+
+    def _values(self, basis, vstat, B):
+        """``_recompute_x`` of each member."""
+        eng = self.eng
+        X = np.where(vstat == _AT_UB, eng.U,
+                     np.where(vstat == _AT_LB, eng.L, 0.0))
+        X[vstat == _BASIC] = 0.0
+        rhs = eng.b - (eng.T @ X[:, :, None])[:, :, 0]
+        X[np.arange(len(X))[:, None], basis] = (B @ rhs[:, :, None])[:, :, 0]
+        return X
+
+    def _price(self, C, basis, B):
+        """``_price`` of each member: its duals and reduced costs."""
+        Y = (_rowwise(C, basis)[:, None, :] @ B)[:, 0]
+        return Y, C - (Y[:, None, :] @ self.eng.T)[:, 0]
+
+    def _gain(self, rc, vstat):
+        """The entering gain of ``_choose_entering`` for each member."""
+        eng = self.eng
+        gain = rc * _GAIN_SIGN[vstat]
+        if len(eng._free):
+            gain[:, eng._free] = np.abs(gain[:, eng._free])
+        if len(eng._fixed):
+            gain[:, eng._fixed] = 0.0
+        return gain
+
+    def _column(self, B, j):
+        """d = B^-1 T[:, j] of each member."""
+        return (B @ self.eng.T.T[j][:, :, None])[:, :, 0]
+
+    def _step(self, s, j, step, pos, kind, d, xb):
+        """``_apply_step`` of each lane, with ``step`` = sigma t; returns
+        the lanes whose pivot element is below the tolerance, which take no
+        rank-one update (the engine would refactorize there)."""
+        eng = self.eng
+        lanes = np.arange(len(j))
+        s.X[lanes[:, None], s.basis] = xb - step[:, None] * d
+        s.X[lanes, j] += step
+        flip = pos < 0
+        if flip.any():  # a bound flip keeps the basis
+            s.vstat[lanes[flip], j[flip]] = kind[flip]
+            change = ~flip
+            lanes, j, pos, kind, d = (lanes[change], j[change], pos[change],
+                                      kind[change], d[change])
+        leave = s.basis[lanes, pos]
+        s.vstat[lanes, leave] = kind
+        s.X[lanes, leave] = np.where(kind == _AT_LB, eng.L[leave],
+                                     eng.U[leave])
+        s.basis[lanes, pos] = j
+        s.vstat[lanes, j] = _BASIC
+        s.moved[lanes] = True
+        piv = d[np.arange(len(lanes)), pos]
+        tiny = np.zeros(len(s), dtype=bool)
+        small = np.abs(piv) < _PIVOT_TOL
+        if small.any():
+            tiny[lanes[small]] = True
+            fine = ~small
+            lanes, pos, piv, d = lanes[fine], pos[fine], piv[fine], d[fine]
+        row = s.B[lanes, pos] / piv[:, None]
+        outer = d[:, :, None] * row[:, None, :]
+        if len(lanes) == len(s):
+            s.B -= outer
+        else:
+            s.B[lanes] -= outer
+        s.B[lanes, pos] = row
+        return tiny
+
+    # -- lockstep pivoting ---------------------------------------------
+
+    def _lanes(self, ids):
+        zero = np.zeros(len(ids), dtype=int)
+        return _Lanes(ids=ids, basis=self.basis[ids], vstat=self.vstat[ids],
+                      X=self.X[ids], B=self.B[ids], C=self.C[ids],
+                      rc=self.RC[ids], piv=zero, stall=zero.copy(),
+                      moved=np.zeros(len(ids), dtype=bool))
+
+    def _finish(self, s, mask):
+        """Lanes ``mask`` are optimal: their state back into the batch."""
+        ids = s.ids[mask]
+        for name in ("basis", "vstat", "X", "B", "moved"):
+            getattr(self, name)[ids] = getattr(s, name)[mask]
+        self.pivots[ids] = s.piv[mask]
+        self.done[ids] = True
+        s.keep(~mask)
+
+    def _next_round(self, s, tiny):
+        """Count the round's pivot; lanes that would take Bland's rule, the
+        refactorization every 100 pivots or the budget's failure leave, for
+        the engine."""
+        self.rounds += 1
+        s.piv += 1
+        out = (tiny | (s.stall > _STALL_LIMIT) | (s.piv >= _REFACTOR_EVERY)
+               | (s.piv > _pivot_budget(self.eng.m)))
+        if out.any():
+            s.keep(~out)
+
+    def _dual(self, s):
+        """``_dual_iterate`` on every lane, without Bland's rule."""
+        L, U, T = self.eng.L, self.eng.U, self.eng.T
+        while len(s):
+            ar = np.arange(len(s))
+            xb = _rowwise(s.X, s.basis)
+            viol = np.maximum(L[s.basis] - xb, xb - U[s.basis])
+            r = viol.argmax(axis=1)  # first max: lowest index
+            optimal = ~(viol[ar, r] > TOL_FEAS)
+            if optimal.any():
+                self._finish(s, optimal)
+                continue
+            leave = s.basis[ar, r]
+            below = xb[ar, r] < L[leave]
+            alpha = (s.B[ar, r][:, None, :] @ T)[:, 0]
+            move = self._gain(np.where(below[:, None], -alpha, alpha), s.vstat)
+            eligible = move > _PIVOT_TOL
+            infeasible = ~eligible.any(axis=1)
+            if infeasible.any():
+                s.keep(~infeasible)  # the engine reports it
+                continue
+            ratio = np.full(move.shape, np.inf)
+            np.divide(np.abs(s.rc), move, out=ratio, where=eligible)
+            j = ratio.argmin(axis=1)  # first min: lowest index
+            d = self._column(s.B, j)
+            step = (xb[ar, r] - np.where(below, L[leave], U[leave])) / d[ar, r]
+            tiny = self._step(s, j, step, r, np.where(below, _AT_LB, _AT_UB),
+                              d, xb)
+            # reduced costs by the pivot row
+            rc_j = s.rc[ar, j]
+            theta = rc_j / alpha[ar, j]
+            s.rc -= theta[:, None] * alpha
+            s.rc[ar, j] = 0.0
+            s.rc[ar, leave] = -theta
+            s.stall = np.where(np.abs(rc_j) <= _RC_TOL, s.stall + 1, 0)
+            self._next_round(s, tiny)
+
+    def _primal(self, s):
+        """Phase 2 of ``_iterate`` on every lane, without Bland's rule,
+        from the start's reduced costs."""
+        eng = self.eng
+        L, U = eng.L, eng.U
+        fresh = True  # s.rc holds the lanes' reduced costs
+        while len(s):
+            ar = np.arange(len(s))
+            if not fresh:
+                s.rc = self._price(s.C, s.basis, s.B)[1]
+                fresh = True
+            gain = self._gain(s.rc, s.vstat)
+            j = gain.argmax(axis=1)  # first max: lowest index
+            optimal = ~(gain[ar, j] > _RC_TOL)
+            if optimal.any():
+                self._finish(s, optimal)
+                continue
+            stat_j = s.vstat[ar, j]
+            sigma = np.where((stat_j == _AT_UB)
+                             | ((stat_j == _FREE) & (s.rc[ar, j] < 0)),
+                             -1.0, 1.0)
+            # the ratio test of _ratio_test, phase 2
+            d = self._column(s.B, j)
+            rate = np.where(sigma[:, None] > 0, -d, d)
+            xb = _rowwise(s.X, s.basis)
+            up = rate > _PIVOT_TOL
+            dn = rate < -_PIVOT_TOL
+            num = np.where(dn, L[s.basis], U[s.basis]) - xb
+            num += np.where(up, _RATIO_TOL, -_RATIO_TOL)
+            cand = np.full(rate.shape, np.inf)
+            np.divide(num, rate, out=cand, where=up | dn)
+            np.maximum(cand, 0.0, out=cand)
+            pos = cand.argmin(axis=1)
+            t = cand[ar, pos]
+            kind = np.where(dn[ar, pos], _AT_LB, _AT_UB)
+            span = eng._span[j]
+            flip = span < t
+            t = np.where(flip, span, t)
+            pos = np.where(flip, -1, pos)
+            kind = np.where(flip, np.where(sigma > 0, _AT_UB, _AT_LB), kind)
+            unbounded = ~np.isfinite(t)
+            if unbounded.any():
+                s.keep(~unbounded)  # the engine reports it
+                continue
+            tiny = self._step(s, j, sigma * t, pos, kind, d, xb)
+            fresh = False
+            stuck = (t <= _RATIO_TOL) & (t * np.abs(d).max(axis=1)
+                                         <= _RATIO_TOL)
+            s.stall = np.where(stuck, s.stall + 1, 0)
+            self._next_round(s, tiny)
+
+    def _polish(self):
+        """The engine's polish of the members that pivoted: refactorize a
+        basis a pivot changed, recompute x and price."""
+        P = np.flatnonzero(self.done & (self.pivots > 0))
+        moved = P[self.moved[P]]
+        if len(moved):
+            B, ok = self.eng._block_inverses(self.basis[moved])
+            self.B[moved[ok]] = B[ok]
+            self.inverted[moved[ok]] += 1
+            # the engine solves the others again, and inverts their kept
+            # bases itself
+            self.done[moved[~ok]] = False
+            self.inverted[moved[~ok]] = 0
+            P = P[self.done[P]]
+        if len(P):
+            self.X[P] = self._values(self.basis[P], self.vstat[P], self.B[P])
+            self.Y[P], self.RC[P] = self._price(self.C[P], self.basis[P],
+                                                self.B[P])
+
+    # -- results -------------------------------------------------------
+
+    def commit(self, i):
+        """Member i's (solution or NumericalFailure, snapshot of its optimal
+        basis or None), with its work added to the engine's counters."""
+        eng, n = self.eng, self.eng.n
+        eng.n_refactors += int(self.inverted[i])
+        if not self.done[i]:
+            eng.restore(self.snaps[i], self.B[i] if self.inverted[i] else None)
+            try:
+                sol = eng.resolve_objective(self.C[i, :n])
+            except NumericalFailure as exc:
+                return exc, None
+            return sol, (eng.snapshot() if sol else None)
+        eng.n_pivots += int(self.pivots[i])
+        eng.n_batched += 1
+        eng.data_version += 1
+        x = self.X[i, :n].copy()
+        sol = LpSolution(LpStatus.OPTIMAL, x=x,
+                         objective=float(self.C[i, :n] @ x),
+                         duals=self.Y[i].copy(),
+                         reduced_costs=self.RC[i, :n].copy(),
+                         iterations=int(self.pivots[i]))
+        return sol, BasisSnapshot(self.basis[i].copy(), self.vstat[i].copy())
+
+    def leave_engine(self, i):
+        """Leave the engine as member i's solve leaves it, the last
+        committed; a member solved on the engine already has."""
+        if not self.done[i]:
+            return
+        eng = self.eng
+        eng.basis = self.basis[i].copy()
+        eng.vstat = self.vstat[i].copy()
+        eng.B_inv = self.B[i].copy()
+        eng._inv_exact = True
+        eng.x = self.X[i].copy()
+        eng.c[:eng.n] = self.C[i, :eng.n]
+        eng._retry = True
 
 
 @dataclass(frozen=True)

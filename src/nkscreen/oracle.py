@@ -13,7 +13,10 @@ Built on top of that:
   * SublevelSolver: the support LPs on one warm simplex engine.  Each
     direction's optimal basis is kept, across weight reloads too, and a
     direction seen before starts from it: re-priced in zero pivots under
-    the same weights, re-solved under new ones.
+    the same weights, re-solved under new ones.  ``sweep`` solves a list
+    of directions; when each has a kept basis, the LPs do not depend on
+    one another and the engine solves them as stacked batches
+    (``SimplexEngine.solve_each``), with the bytes of the LPs one by one.
   * certify: the predicted set is a subset of {A x <= b} iff every row's
     support stays below its offset, checked with one sweep over the rows.
     The sweep visits the rows nearest-first: each next row is the unvisited
@@ -31,7 +34,11 @@ Built on top of that:
     before.  The rescale keeps index order: its first sweep chains bases
     from row to row, degenerate rows end at bases that depend on that
     chain, and those bases decide the trained weights, so another order
-    would change the checkpoint.
+    would change the checkpoint.  That first sweep runs one LP at a time,
+    each waiting for the basis of the one before; every later sweep, and
+    the certification on the oracle's solver, starts each row from its
+    own kept basis and runs as a batch.  A certification with a fresh
+    solver chains, as the first rescale does.
 """
 
 from __future__ import annotations
@@ -100,11 +107,14 @@ class SublevelSolver:
     inverts it under the new matrix and runs the dual simplex when it
     stays dual feasible there, else phase 1 first when the new weights
     made it primal infeasible.  A new direction starts from the basis the
-    LP before it left.
+    LP before it left.  ``sweep`` runs a list of directions, as a batch
+    when every one has a kept basis.
 
     ``reload`` takes weights of the same architecture and box (ValueError
-    otherwise).  ``counters()`` returns the LPs solved, bases reused and
-    the engine's ``counters()``.
+    otherwise).  ``counters()`` returns the LPs solved, bases reused, the
+    engine's ``counters()``, the LPs a batch answered (``batched``; the
+    others of a batched sweep went back to the engine one by one) and the
+    batches' lockstep pivot rounds.
     """
 
     def __init__(self, params: IcnnParams):
@@ -136,8 +146,10 @@ class SublevelSolver:
                    ((self.A, A), (self.b, b), (self.lb, lb), (self.ub, ub)))
 
     def counters(self):
-        return {"n_lp": self.n_lp, **self.engine.counters(),
-                "bases_reused": self.n_reused}
+        eng = self.engine
+        return {"n_lp": self.n_lp, **eng.counters(),
+                "bases_reused": self.n_reused, "batched": eng.n_batched,
+                "lockstep_rounds": eng.n_rounds}
 
     def support(self, direction) -> SupportResult:
         direction = np.asarray(direction, dtype=float)
@@ -153,6 +165,51 @@ class SublevelSolver:
         sol = self.engine.resolve_objective(c)
         if sol:
             self._bases[key] = self.engine.snapshot()
+        return self._result(sol)
+
+    def sweep(self, directions, keep_going=False):
+        """``support`` of each row of ``directions`` in turn, byte for byte,
+        the solver and its engine left as those calls leave them.
+
+        When every direction is new to this sweep and has a kept basis, the
+        engine solves them as batches (``SimplexEngine.solve_each``): each
+        LP starts from its own basis, so none waits for the one before.  A
+        sweep with a direction that has no basis yet chains each LP to the
+        basis the one before left, and runs them one by one.
+
+        Returns one SupportResult per direction.  EmptyPredictedSet is
+        raised at the first empty LP, and a NumericalFailure at the first
+        failed one, unless ``keep_going``: then the failure takes the
+        direction's place in the list and the sweep goes on.
+        """
+        D = np.asarray(directions, dtype=float)
+        keys = [d.tobytes() for d in D]
+        kept = [self._bases.get(k) for k in keys]
+        batched = None not in kept and len(set(keys)) == len(keys)
+        C = np.zeros((len(D), self.A.shape[1]))
+        C[:, :self.n] = D
+        out = []
+        while len(out) < len(D):
+            i = len(out)
+            try:
+                if not batched:
+                    out.append(self.support(D[i]))
+                    continue
+                # the run ends at the first LP that is not optimal
+                for sol, snap in self.engine.solve_each(C[i:], kept[i:]):
+                    self.n_reused += 1
+                    if isinstance(sol, NumericalFailure):
+                        raise sol
+                    if snap is not None:
+                        self._bases[keys[len(out)]] = snap
+                    out.append(self._result(sol))
+            except NumericalFailure as exc:
+                if not keep_going:
+                    raise
+                out.append(exc)
+        return out
+
+    def _result(self, sol):
         self.n_lp += 1
         if sol.status is LpStatus.INFEASIBLE:
             raise EmptyPredictedSet("classifier sublevel set is empty")
@@ -252,7 +309,8 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     A passed solver must hold params (ValueError otherwise).  Rows it has
     already solved under these weights, such as those of a full rescale
     just before, are re-priced from their own optimal bases in zero pivots,
-    whatever the order.  The report counts the LPs, pivots,
+    whatever the order; when every row has a kept basis, the sweep runs as
+    a batch (``SublevelSolver.sweep``).  The report counts the LPs, pivots,
     refactorizations, slack-basis retries, switches to Bland's rule and
     reused bases of this call.
     """
@@ -264,11 +322,12 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     before = solver.counters()
     zeta = np.full(A.shape[0], np.nan)
     failed = []
-    for j in nearest_first(A):
-        try:
-            zeta[j] = solver.support(A[j]).value
-        except NumericalFailure:
+    order = nearest_first(A)
+    for j, res in zip(order, solver.sweep(A[order], keep_going=True)):
+        if isinstance(res, NumericalFailure):
             failed.append(int(j))
+        else:
+            zeta[j] = res.value
     failed.sort()
     shift = A @ v if v is not None else 0.0
     scaled = (zeta - shift) / r
@@ -282,7 +341,8 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     else:
         verdict = "reliable"
     finite = np.where(np.isnan(margins), np.inf, margins)
-    work = {k: after - before[k] for k, after in solver.counters().items()}
+    work = {k: after - before[k] for k, after in solver.counters().items()
+            if k in CertificationReport.__dataclass_fields__}
     return CertificationReport(
         verdict=verdict,
         supports=scaled,
@@ -320,8 +380,7 @@ def scale_fast(params: IcnnParams, A, b, solver=None) -> ScaleResult:
     best_ratio = -np.inf
     best_j = -1
     best = None
-    for j in range(A.shape[0]):
-        res = solver.support(A[j])
+    for j, res in enumerate(solver.sweep(A)):
         ratio = res.value / b[j]
         if ratio > best_ratio:
             best_ratio, best_j, best = ratio, j, res
@@ -344,7 +403,7 @@ def scale_full(params: IcnnParams, A, b, solver=None) -> ScaleResult:
     b = np.asarray(b, dtype=float)
     solver = _solver_for(params, solver)
     before = solver.n_lp
-    zeta = np.array([solver.support(row).value for row in A])
+    zeta = np.array([res.value for res in solver.sweep(A)])
     sol = solve(LpProblem(c=np.array([-1.0]), A=-b[:, None], b=-zeta,
                           lb=np.array([R_MIN])))
     if sol.status is not LpStatus.OPTIMAL:
@@ -376,7 +435,7 @@ def r_gradient(params: IcnnParams, scale: ScaleResult, b,
         return out
     coeff = -scale.output_dual / float(np.asarray(b)[scale.row])
     grads, _ = backward(params, scale.x, np.array([coeff]), raw_only=True,
-                        out=out)
+                        out=out, want_dx=False)
     return grads
 
 
@@ -387,9 +446,9 @@ class ScalingOracle:
     Each rescale is scale_fast's full sweep over every region row, on one
     SublevelSolver kept for the whole training.  Row j starts from its own
     optimal basis of the rescale before, so once the weights move little
-    between rescales a sweep takes few pivots.  The support values are
-    those of a fresh sweep up to rounding; a degenerate row may return
-    another optimal vertex.
+    between rescales a sweep takes few pivots, and every rescale after the
+    first runs as a batch.  The support values are those of a fresh sweep
+    up to rounding; a degenerate row may return another optimal vertex.
     """
 
     params: IcnnParams

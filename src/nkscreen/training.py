@@ -25,10 +25,11 @@ the optimal basis the sweep left for it, so it takes no pivots.
 Every rescale sweeps all region rows on one solver that keeps each row's
 optimal basis from the rescale before.  The first rescale solves each row
 from the basis the row before left; later ones start each row from its own
-basis, so once the weights settle a rescale takes few pivots.  The solver's
-work (``SublevelSolver.counters()``) is recorded in ``TrainingRecord.solver``
-for the first rescale and for everything after it; it holds counts only,
-so a training's outputs stay byte-reproducible.
+basis, so once the weights settle a rescale takes few pivots, and their
+rows, like the final certification's, are solved as stacked batches.  The
+solver's work (``SublevelSolver.counters()``) is recorded in
+``TrainingRecord.solver`` for the first rescale and for everything after
+it; it holds counts only, so a training's outputs stay byte-reproducible.
 
 A mini-batch step does each piece of numpy work once.  It evaluates the
 network and its box term in one ``forward(..., want_cache=True)``, hands
@@ -230,7 +231,8 @@ def warm_epoch(params, X, y, config, opt, lr, rng):
     def batch_loss(Xb, wy, omy, grads):
         f, fp = forward(params, Xb, want_cache=True)
         loss, dloss = bce_with_grad(f, wy, omy)
-        backward(params, fp, upstream=dloss / len(Xb), out=grads)
+        backward(params, fp, upstream=dloss / len(Xb), out=grads,
+                 want_dx=False)
         return float(loss.sum())
 
     return _minibatch_pass(params, X, y, config, opt, lr, rng, batch_loss)

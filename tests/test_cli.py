@@ -333,8 +333,12 @@ class TestTrain:
         for work_done in (first, later):
             assert set(work_done) == {"n_lp", "pivots", "refactorizations",
                                       "slack_retries", "bland_switches",
-                                      "bases_reused"}
+                                      "bases_reused", "batched",
+                                      "lockstep_rounds"}
             assert work_done["slack_retries"] == 0
+        # the first rescale chains its rows; every later sweep is batched
+        assert first["batched"] == first["lockstep_rounds"] == 0
+        assert 0 < later["batched"] <= later["n_lp"]
 
     def test_rerun_is_byte_identical(self, work):
         sha = file_sha256(work["ckpt"])

@@ -224,6 +224,19 @@ class TestBackward:
         assert dx2.tobytes() == dx1.tobytes()
         assert f.tobytes() == forward(net, X).tobytes()
 
+    def test_without_dx_the_same_parameter_gradients(self):
+        net = init_params(3, depth=2, width=5, box_lower=-np.ones(3),
+                          box_upper=np.ones(3), seed=6)
+        rng = np.random.default_rng(6)
+        X = rng.normal(scale=1.5, size=(40, 3))    # some rows outside the box
+        upstream = rng.normal(size=40)
+        for X_, up, raw_only in ((X, upstream, False), (X, upstream, True),
+                                 (X[0], upstream[:1], False)):
+            g1, dx = backward(net, X_, up, raw_only=raw_only)
+            g2, none = backward(net, X_, up, raw_only=raw_only, want_dx=False)
+            assert dx is not None and none is None
+            assert g2.vec.tobytes() == g1.vec.tobytes()
+
 
 class TestFlatLayout:
     def _net(self):

@@ -1206,6 +1206,74 @@ def test_no_row_sized_inversion_while_a_slack_is_basic(monkeypatch):
     assert all(shape == (k, k) for shape, k in seen)
 
 
+def test_batched_sweep_inverts_only_structural_blocks(monkeypatch):
+    # a batched sweep inverts one (g, k, k) stack per structural count k
+    # of its members' kept bases, g the members with that k; later stacks
+    # are the bases that pivots reached, and an engine solve of a member it
+    # hands back inverts k x k as ever
+    from collections import Counter
+
+    from nkscreen.icnn import init_params, project_convex, raw_forward
+    from nkscreen.oracle import SublevelSolver
+
+    rng = np.random.default_rng(43)
+    params = init_params(6, 2, 10, -np.ones(6), np.ones(6), seed=6)
+    params.b[-1] = params.b[-1] - raw_forward(params, np.zeros(6)) - 0.5
+    solver = SublevelSolver(params)
+    eng = solver.engine
+    D = rng.normal(size=(30, 6))
+    solver.sweep(D)
+    for arr in params.W + params.D + params.b:
+        arr += 0.05 * rng.normal(size=arr.shape)
+    project_convex(params)
+    solver.reload(params)
+    ks = Counter(int(np.count_nonzero(solver._bases[d.tobytes()].basis
+                                      < eng.n)) for d in D)
+    inv, seen = np.linalg.inv, []
+
+    def recorded(a):
+        seen.append((a.shape, int(np.count_nonzero(eng.basis < eng.n))))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    solver.sweep(D)
+    assert solver.counters()["batched"] > 0 and eng.n_pivots > 0
+    shapes = [shape for shape, _ in seen]
+    assert shapes[:len(ks)] == [(g, k, k) for k, g in sorted(ks.items())]
+    for shape, k in seen:
+        if len(shape) == 3:
+            assert shape[1] == shape[2] < eng.m
+        else:
+            assert shape == (k, k)
+
+
+def test_zero_pivot_solve_reports_its_start(monkeypatch):
+    # a solve that takes no pivot from an exact inverse prices once and
+    # computes x once, and reports what a polish would give
+    from collections import Counter
+
+    rng = np.random.default_rng(7)
+    eng = SimplexEngine(random_bounded_lp(rng, n=8, m=12))
+    first = eng.solve()
+    assert first.status is LpStatus.OPTIMAL and first.iterations > 0
+    calls = Counter()
+    for name in ("_price", "_recompute_x", "_refactor"):
+        original = getattr(SimplexEngine, name)
+
+        def counted(self, *args, _f=original, _name=name):
+            calls[_name] += 1
+            return _f(self, *args)
+
+        monkeypatch.setattr(SimplexEngine, name, counted)
+    again = eng.solve()
+    assert again.iterations == 0
+    assert calls == {"_price": 1, "_recompute_x": 1, "_refactor": 1}
+    for field in ("x", "duals", "reduced_costs"):
+        assert getattr(again, field).tobytes() == \
+            getattr(first, field).tobytes()
+    assert again.objective == first.objective
+
+
 def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
     # every inversion of the classifier SC-OPF's re-solves is k x k, k the
     # structural columns of the basis inverted, far below the row count

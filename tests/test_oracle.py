@@ -1,10 +1,15 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
-from nkscreen.icnn import IcnnParams, forward, init_params, raw_forward
-from nkscreen.lp import _AT_LB, _AT_UB, TOL_FEAS, LpProblem, solve
+from nkscreen.icnn import (
+    IcnnParams, forward, init_params, project_convex, raw_forward,
+)
+from nkscreen.lp import (
+    _AT_LB, _AT_UB, TOL_FEAS, LpProblem, SimplexEngine, solve,
+)
 from nkscreen.oracle import (
     DegenerateRatio, EmptyPredictedSet, ScalingOracle, SublevelSolver,
     certify, epigraph_constraints, nearest_first, r_gradient, scale_fast,
@@ -620,3 +625,203 @@ class TestScalingOracle:
         b[3] = 0.0
         with pytest.raises(ValueError):
             ScalingOracle(net, A, b)
+
+
+def row_by_row(solver, D, keep_going=False):
+    """``support`` of each row of D on solver, one by one, as a sweep with
+    ``keep_going`` lists them: a failed row's NumericalFailure in its place."""
+    out = []
+    for d in D:
+        try:
+            out.append(solver.support(d))
+        except NumericalFailure as exc:
+            if not keep_going:
+                raise
+            out.append(exc)
+    return out
+
+
+def sweep_outcome(fn):
+    """(results, None), or (None, name of the exception fn raised)."""
+    try:
+        return fn(), None
+    except (EmptyPredictedSet, NumericalFailure) as exc:
+        return None, type(exc).__name__
+
+
+def solver_bytes(solver):
+    """The bytes a sweep leaves behind: every kept snapshot and the
+    engine's basis, statuses, inverse, x and objective."""
+    eng = solver.engine
+    kept = sorted((k, s.basis.tobytes(), s.vstat.tobytes())
+                  for k, s in solver._bases.items())
+    return (kept, eng.basis.tobytes(), eng.vstat.tobytes(),
+            eng.B_inv.tobytes(), eng.x.tobytes(), eng.c.tobytes(),
+            eng.data_version)
+
+
+def result_bytes(results):
+    return [type(r).__name__ if isinstance(r, Exception)
+            else (np.float64(r.value).tobytes(), r.x.tobytes(),
+                  np.float64(r.output_dual).tobytes())
+            for r in results]
+
+
+# counters that a batch keeps equal to the solves one by one
+SAME_WORK = ("n_lp", "pivots", "slack_retries", "bland_switches",
+             "bases_reused")
+
+
+class TestBatchedSweep:
+    """A sweep whose every row has a kept basis runs as stacked batches,
+    and gives what the rows solved one by one give, byte for byte."""
+
+    @staticmethod
+    def compare(solver, D, keep_going=False):
+        """Sweep D batched on a copy of solver and row by row on another;
+        assert they agree and return the batched copy, its results and the
+        exception name (or None)."""
+        ref, got = copy.deepcopy(solver), copy.deepcopy(solver)
+        want, want_exc = sweep_outcome(lambda: row_by_row(ref, D, keep_going))
+        res, exc = sweep_outcome(lambda: got.sweep(D, keep_going=keep_going))
+        assert exc == want_exc
+        if want is not None:
+            assert result_bytes(res) == result_bytes(want)
+        assert solver_bytes(got) == solver_bytes(ref)
+        c_ref, c_got = ref.counters(), got.counters()
+        assert {k: c_got[k] for k in SAME_WORK} == \
+            {k: c_ref[k] for k in SAME_WORK}
+        return got, res, exc
+
+    @staticmethod
+    def instance(seed, depth, m=40):
+        n = 3 + seed % 3
+        net = init_params(n, depth=depth, width=6 + seed % 4,
+                          box_lower=-np.ones(n), box_upper=np.ones(n),
+                          seed=seed)
+        net.b[-1] = net.b[-1] - raw_forward(net, np.zeros(n)) - 0.5
+        D = np.random.default_rng(seed + 7).normal(size=(m, n))
+        return net, D
+
+    @staticmethod
+    def moved(net, rng, step):
+        net = net.copy()
+        for arr in net.W + net.D + net.b:
+            arr += step * rng.normal(size=arr.shape)
+        return project_convex(net)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_equals_row_by_row_across_weight_changes(self, depth,
+                                                      monkeypatch):
+        # record which loop each row takes in the solves one by one
+        seen = {"zero": 0, "dual": 0, "primal": 0, "phase1": 0}
+        iterate, dual_iterate = SimplexEngine._iterate, \
+            SimplexEngine._dual_iterate
+
+        def spy_iterate(self, phase1, iter_budget, rc=None):
+            out = iterate(self, phase1, iter_budget, rc)
+            if getattr(self, "spied", False):
+                seen["phase1" if phase1 else "primal"] += 1
+            return out
+
+        def spy_dual(self, rc, iter_budget):
+            out = dual_iterate(self, rc, iter_budget)
+            if getattr(self, "spied", False):
+                seen["dual" if out[1] else "zero"] += 1
+            return out
+
+        monkeypatch.setattr(SimplexEngine, "_iterate", spy_iterate)
+        monkeypatch.setattr(SimplexEngine, "_dual_iterate", spy_dual)
+        batched = rounds = 0
+        for seed in range(4):
+            net, D = self.instance(seed, depth)
+            solver = SublevelSolver(net)
+            solver.sweep(D)  # the first sweep chains, one row by one
+            assert solver.counters()["batched"] == 0
+            rng = np.random.default_rng(seed)
+            for step in (0.02, 0.1, 0.3, 0.02):
+                net = self.moved(net, rng, step)
+                solver.reload(net)
+                solver.engine.spied = True
+                got, _, exc = self.compare(solver, D)
+                solver.engine.spied = False
+                if exc is not None:
+                    break
+                batched += got.counters()["batched"] \
+                    - solver.counters()["batched"]
+                rounds += got.counters()["lockstep_rounds"] \
+                    - solver.counters()["lockstep_rounds"]
+                solver = got
+        assert batched > 0 and rounds > 0
+        # every kind of member met, as the rows solved one by one count
+        # them: no pivot, dual pivots, primal pivots, phase 1 first
+        assert min(seen.values()) > 0, seen
+
+    def test_bland_members_match(self, monkeypatch):
+        # every pivot counts as a stall: each pivoting member switches to
+        # Bland's rule, which the engine runs
+        import nkscreen.lp as lp
+
+        net, D = self.instance(3, 2)
+        solver = SublevelSolver(net)
+        solver.sweep(D)
+        monkeypatch.setattr(lp, "_STALL_LIMIT", -1)
+        net = self.moved(net, np.random.default_rng(3), 0.1)
+        solver.reload(net)
+        before = solver.counters()["bland_switches"]
+        got, _, exc = self.compare(solver, D)
+        assert exc is None
+        assert got.counters()["bland_switches"] > before
+
+    def test_empty_set_raises_at_the_same_row(self):
+        net, D = self.instance(5, 1)
+        solver = SublevelSolver(net)
+        solver.sweep(D)
+        empty = net.copy()
+        empty.b[-1] = empty.b[-1] + 1e3  # raw > 0 everywhere in the box
+        solver.reload(empty)
+        before = solver.counters()["n_lp"]
+        got, _, exc = self.compare(solver, D)
+        assert exc == "EmptyPredictedSet"
+        assert got.counters()["n_lp"] == before + 1
+
+    def test_failed_rows_end_in_certify(self, monkeypatch):
+        # a pivot budget of 2 fails every row that needs more: the batch
+        # hands those rows to the engine, which raises, and certify lists
+        # them as failed while the sweep goes on
+        import nkscreen.lp as lp
+
+        net, A, b = random_instance(4, m=40)
+        solver = SublevelSolver(net)
+        certify(net, A, b, solver=solver)
+        moved = self.moved(net, np.random.default_rng(4), 0.1)
+        solver.reload(moved)
+        monkeypatch.setattr(lp, "_pivot_budget", lambda m: 2)
+        order = nearest_first(A)
+        got, res, exc = self.compare(solver, A[order], keep_going=True)
+        assert exc is None
+        failed = sorted(int(j) for j, r in zip(order, res)
+                        if isinstance(r, NumericalFailure))
+        assert 0 < len(failed) < len(b)
+        report = certify(moved, A, 100.0 * b, solver=solver)
+        assert report.verdict == "unknown"
+        assert report.failed_rows == failed
+        assert report.bases_reused == len(b)
+        ok = [j for j in range(len(b)) if j not in failed]
+        want = {int(j): r.value for j, r in zip(order, res)
+                if not isinstance(r, NumericalFailure)}
+        assert [report.supports[j] for j in ok] == [want[j] for j in ok]
+
+    def test_training_counts_batched_rows(self):
+        # the final certification reprices the rows the final rescale left
+        # in one batch, with no pivot and no lockstep round
+        net, A, b = random_instance(3)
+        oracle = ScalingOracle(net, A, b)
+        oracle.rescale(net)
+        assert oracle.solver.counters()["batched"] == 0
+        before = oracle.solver.counters()
+        report = certify(net, A, b, solver=oracle.solver)
+        after = oracle.solver.counters()
+        assert after["batched"] - before["batched"] == len(b)
+        assert after["lockstep_rounds"] == before["lockstep_rounds"]
+        assert report.pivots == 0 and report.n_lp == len(b)

@@ -122,7 +122,9 @@ def test_simplex_spans_feed_every_lp_layer(bench):
     taken over the outermost simplex spans below their roots; an empty set
     gives a NaN mean and a result line that is not JSON.  A tiny pipeline
     on mesh5 must leave every one of those sets non-empty, each span with
-    its pivot count."""
+    its pivot count.  Like train_phase, the certification runs on a fresh
+    solver: on the rescale's solver every row has a kept basis, so its
+    sweep runs as a batch and passes through no ``resolve_objective``."""
     import copy
 
     import numpy as np
@@ -132,7 +134,7 @@ def test_simplex_spans_feed_every_lp_layer(bench):
     from nkscreen.datagen import DemandSampler, sample_demands
     from nkscreen.grid import DcopfSolver
     from nkscreen.icnn import ScaledClassifier, forward, init_params
-    from nkscreen.oracle import ScalingOracle, certify
+    from nkscreen.oracle import ScalingOracle, SublevelSolver, certify
     from nkscreen.region import build_region
 
     spans = importlib.import_module("spans")
@@ -153,7 +155,8 @@ def test_simplex_spans_feed_every_lp_layer(bench):
                 with tracer.span("oracle.rescale"):
                     scale = oracle.rescale(params)
         with tracer.span("oracle.certify"):
-            certify(params, region.A, region.b, scale.r, None, oracle.solver)
+            certify(params, region.A, region.b, scale.r, None,
+                    SublevelSolver(params))
         with tracer.span("dispatch.draws"):
             dcopf = DcopfSolver(net)
             for d in demands:

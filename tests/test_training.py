@@ -340,3 +340,39 @@ def test_backward_runs_once_per_step_through_the_module_global(monkeypatch):
                              1e-2, rng)
     assert scale.output_dual > 0.0
     assert calls == {"training": steps, "oracle": steps}
+
+
+def test_only_the_scaled_step_asks_for_input_gradients(monkeypatch):
+    """dx feeds the r-path of a scaled step only: warm steps and the
+    r-gradient ask backward for the parameter gradients alone."""
+    import nkscreen.oracle as oracle_mod
+    import nkscreen.training as training_mod
+
+    asked = []
+
+    def recording(module, name):
+        original = module.backward
+
+        def recorded(*args, want_dx=True, **kwargs):
+            asked.append((name, want_dx))
+            return original(*args, want_dx=want_dx, **kwargs)
+
+        monkeypatch.setattr(module, "backward", recorded)
+
+    recording(training_mod, "training")
+    recording(oracle_mod, "oracle")
+    A, b, X, y = square_toy(400, lim=2.0, seed=8)
+    X, y = X[:300], y[:300]
+    net = init_params(2, 1, 10, np.full(2, -1.6), np.full(2, 1.6), seed=3)
+    cfg = TrainingConfig(depth=1, width=10, batch_size=32,
+                         positive_class_weight=1.5).validate()
+    opt = Adam(net)
+    rng = np.random.default_rng(3)
+    warm_epoch(net, X, y, cfg, opt, 1e-2, rng)
+    assert asked and set(asked) == {("training", False)}
+    asked.clear()
+    for _ in range(10):
+        warm_epoch(net, X, y, cfg, opt, 1e-2, rng)
+    asked.clear()
+    scaling_epoch(net, X, y, ScalingOracle(net, A, b), cfg, opt, 1e-2, rng)
+    assert set(asked) == {("training", True), ("oracle", False)}
