@@ -453,6 +453,24 @@ class TestCertify:
         assert (f"violated: row {first['row']} (outage "
                 f"{tuple(first['outage'])}, line {first['line']}") in err
 
+    @pytest.mark.parametrize("field", ["r", "v"])
+    def test_non_finite_scaling_exits_two(self, work, tmp_path, capsys,
+                                          field):
+        # screening refuses such a checkpoint; certification must not pass
+        # it as reliable
+        clf = load_checkpoint(work["ckpt"])
+        if field == "r":
+            clf.r = float("nan")
+        else:
+            clf.v = np.full(clf.params.n_inputs, np.nan)
+        bad = tmp_path / "nan.npz"
+        save_checkpoint(clf, bad)
+        code = main(["certify", "--checkpoint", str(bad),
+                     "--region", os.path.join(work["prep"], "region.npz"),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_dimension_mismatch_rejected(self, work, tmp_path):
         code = main(["certify", "--checkpoint", work["ckpt"],
                      "--region",

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from nkscreen.icnn import (
     IcnnParams, forward, init_params, project_convex, raw_forward,
 )
 from nkscreen.lp import (
-    _AT_LB, _AT_UB, TOL_FEAS, LpProblem, SimplexEngine, solve,
+    _AT_LB, _AT_UB, TOL_FEAS, LpProblem, LpSolution, SimplexEngine, solve,
 )
 from nkscreen.oracle import (
     DegenerateRatio, EmptyPredictedSet, ScalingOracle, SublevelSolver,
@@ -470,16 +471,9 @@ class TestNearestFirst:
         report = certify(net, A, b * 0.3)
         rows = [j for j, _, _ in report.violations]
         assert len(rows) > 5 and rows == sorted(rows)
-        # rows whose support LP fails are listed in row order too
-        broken = {A[j].tobytes() for j in (3, 17, 25, 38)}
-        support = SublevelSolver.support
-
-        def failing(self, direction):
-            if np.asarray(direction, dtype=float).tobytes() in broken:
-                raise NumericalFailure("injected")
-            return support(self, direction)
-
-        monkeypatch.setattr(SublevelSolver, "support", failing)
+        # rows whose support LP fails are listed in row order too: their
+        # solves, chained or batched, end optimal at a NaN objective
+        spoil_engine(monkeypatch, net, A[[3, 17, 25, 38]], "objective")
         report = certify(net, A, b * 100.0)
         assert report.verdict == "unknown"
         assert report.failed_rows == [3, 17, 25, 38]
@@ -825,3 +819,198 @@ class TestBatchedSweep:
         assert after["batched"] - before["batched"] == len(b)
         assert after["lockstep_rounds"] == before["lockstep_rounds"]
         assert report.pivots == 0 and report.n_lp == len(b)
+
+
+def chained_certification(net, A, b):
+    """Supports, verdict, worst row and violations of one fresh solver
+    chaining every row in nearest-first order, one LP at a time."""
+    solver = SublevelSolver(net)
+    zeta = np.full(len(A), np.nan)
+    for j in nearest_first(A):
+        zeta[j] = solver.support(A[j]).value
+    bad = [(int(j), float(zeta[j]), float(b[j]))
+           for j in np.flatnonzero(zeta > b + TOL_FEAS)]
+    return zeta, ("violated" if bad else "reliable"), \
+        int(np.argmin(b - zeta)), bad
+
+
+def spoil_engine(monkeypatch, net, directions, field="x"):
+    """The engine answers the support LPs of ``directions`` optimal at a
+    NaN point (``field`` "x") or with a NaN objective, whether it solves
+    them chained or in a batch."""
+    width = epigraph_constraints(net)[0].shape[1]
+    broken = set()
+    for d in np.atleast_2d(np.asarray(directions, dtype=float)):
+        c = np.zeros(width)
+        c[:len(d)] = d
+        broken.add(c.tobytes())
+
+    def spoil(sol, c):
+        if not isinstance(sol, LpSolution) or not sol \
+                or np.asarray(c, dtype=float).tobytes() not in broken:
+            return sol
+        if field == "x":
+            return dataclasses.replace(sol, x=np.full_like(sol.x, np.nan))
+        return dataclasses.replace(sol, objective=np.nan)
+
+    resolve, solve_each = SimplexEngine.resolve_objective, \
+        SimplexEngine.solve_each
+    monkeypatch.setattr(SimplexEngine, "resolve_objective",
+                        lambda self, c: spoil(resolve(self, c), c))
+    monkeypatch.setattr(
+        SimplexEngine, "solve_each",
+        lambda self, C, snaps: [(spoil(sol, c), snap) for c, (sol, snap)
+                                in zip(C, solve_each(self, C, snaps))])
+
+
+class TestWaves:
+    """A fresh certification chains every 64th row of the nearest-first
+    order and solves the others in batched waves from solved neighbours,
+    with the supports of the chain."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_waves_equal_the_chain(self, depth):
+        waves_met = 0
+        for seed in range(4):
+            net, A = TestBatchedSweep.instance(seed, depth, m=60)
+            b = np.random.default_rng(seed).uniform(0.3, 1.5, size=60)
+            report = certify(net, A, b)
+            zeta, verdict, worst, bad = chained_certification(net, A, b)
+            np.testing.assert_allclose(report.supports, zeta, rtol=0,
+                                       atol=1e-9)
+            assert report.verdict == verdict
+            assert report.worst_row == worst
+            assert [j for j, _, _ in report.violations] == \
+                [j for j, _, _ in bad]
+            assert report.failed_rows == [] and report.n_lp == 60
+            waves_met += report.verdict == "violated"
+            # row 0 alone is a seed: every other row came from a batch,
+            # unless the batch handed it back to the engine
+            assert 0 < report.batched <= 59
+            assert report.batched + report.bases_reused <= 60
+        assert waves_met > 0  # some rows violated
+
+    def test_fresh_certification_is_batched(self):
+        net, A, b = random_instance(4, m=40)
+        report = certify(net, A, b)
+        assert report.batched > 0 and report.lockstep_rounds >= 0
+        d = report.to_dict()
+        assert d["batched"] == report.batched
+        assert d["lockstep_rounds"] == report.lockstep_rounds
+        # the first rescale still chains its rows in index order, as one
+        # fresh solver solving them one by one does, byte for byte
+        oracle = ScalingOracle(net, A, b)
+        oracle.rescale(net)
+        assert oracle.solver.counters()["batched"] == 0
+        ref = SublevelSolver(net)
+        ref.reload(net)  # as the rescale does
+        for row in A:
+            ref.support(row)
+        assert solver_bytes(oracle.solver) == solver_bytes(ref)
+
+    def test_kept_rows_start_from_their_own_bases(self):
+        net, A, b = random_instance(7, m=80)
+        solver = SublevelSolver(net)
+        values = {j: solver.support(A[j]).value for j in range(0, 80, 2)}
+        before = solver.counters()["pivots"]
+        report = certify(net, A, b, solver=solver)
+        # the 40 kept rows are re-priced in one batch, in zero pivots, to
+        # their own bytes; the 40 others are seeded and waved
+        assert report.bases_reused == 40 and report.n_lp == 80
+        assert report.batched > 40
+        assert [report.supports[j] for j in values] == list(values.values())
+        assert solver.counters()["pivots"] - before == report.pivots > 0
+        np.testing.assert_allclose(report.supports,
+                                   certify(net, A, b).supports,
+                                   rtol=0, atol=1e-9)
+
+    def test_pivot_budget_failures_leave_the_rest_solved(self, monkeypatch):
+        import nkscreen.lp as lp
+
+        net, A = TestBatchedSweep.instance(0, 1, m=150)
+        b = 100.0 * np.random.default_rng(0).uniform(0.5, 2.0, size=150)
+        clean = certify(net, A, b)
+        monkeypatch.setattr(lp, "_pivot_budget", lambda m: 2)
+        report = certify(net, A, b)
+        failed = report.failed_rows
+        assert report.verdict == "unknown"
+        assert failed == sorted(failed) and 0 < len(failed) < 150
+        assert report.to_dict()["failed_rows"] == failed
+        # the first seed starts from the slack basis and fails; rows of its
+        # block, solved from other parents, still solve
+        order = nearest_first(A)
+        assert order[0] in failed
+        assert any(order[p] not in failed for p in range(1, 64))
+        ok = np.setdiff1d(np.arange(150), failed)
+        assert np.isnan(report.supports[failed]).all()
+        np.testing.assert_allclose(report.supports[ok], clean.supports[ok],
+                                   rtol=0, atol=1e-9)
+
+    def test_failed_seed_is_no_parent(self, monkeypatch):
+        net, A = TestBatchedSweep.instance(1, 2, m=150)
+        b = 100.0 * np.random.default_rng(1).uniform(0.5, 2.0, size=150)
+        clean = certify(net, A, b)
+        assert clean.verdict == "reliable"
+        seed = nearest_first(A)[64]
+        spoil_engine(monkeypatch, net, A[seed])
+        report = certify(net, A, b)
+        assert report.verdict == "unknown"
+        assert report.failed_rows == [int(seed)]
+        assert report.violations == []
+        ok = np.arange(150) != seed
+        np.testing.assert_allclose(report.supports[ok], clean.supports[ok],
+                                   rtol=0, atol=1e-9)
+
+    def test_empty_set_raises_at_the_first_lp(self):
+        net, A, b = random_instance(5, m=100)
+        net.b[-1] = net.b[-1] + 1e3  # raw > 0 everywhere in the box
+        solver = SublevelSolver(net)
+        with pytest.raises(EmptyPredictedSet):
+            certify(net, A, b, solver=solver)
+        assert solver.counters()["n_lp"] == 1
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_scaling_factor_must_be_finite_and_positive(self, r):
+        net, A, b = random_instance(4, m=10)
+        with pytest.raises(ValueError, match="scaling factor"):
+            certify(net, A, b, r=r)
+
+    def test_shift_must_be_finite(self):
+        net, A, b = random_instance(4, m=10)
+        v = np.zeros(A.shape[1])
+        v[1] = np.nan
+        with pytest.raises(ValueError, match="shift"):
+            certify(net, A, b, v=v)
+
+    def test_zero_row_is_rejected_in_any_wave(self):
+        net, A, b = random_instance(4, m=10)
+        A[5] = 0.0
+        assert nearest_first(A)[0] != 5  # not the first seed
+        with pytest.raises(ValueError, match="nonzero"):
+            certify(net, A, b)
+
+    def test_nan_offset_is_never_reliable(self):
+        net, A, b = random_instance(4, m=10)
+        assert certify(net, A, 100.0 * b).reliable
+        b = 100.0 * b
+        b[3] = np.nan
+        report = certify(net, A, b)
+        assert report.verdict == "unknown" and report.failed_rows == []
+
+    @pytest.mark.parametrize("field", ["x", "objective"])
+    def test_optimal_at_a_non_finite_point_fails(self, monkeypatch, field):
+        net, A, b = random_instance(6, m=20)
+        spoil_engine(monkeypatch, net, A[[2, 11]], field)
+        solver = SublevelSolver(net)
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solver.support(A[2])
+        assert not solver.kept(A[[2]])[0]
+        # the rescale's chained sweep raises instead of skipping the row
+        with pytest.raises(NumericalFailure):
+            scale_fast(net, A, b)
+        # certify lists the rows, chained or batched, as failed
+        report = certify(net, A, 100.0 * b)
+        assert report.failed_rows == [2, 11]
+        assert report.verdict == "unknown"
