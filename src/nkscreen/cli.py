@@ -527,7 +527,9 @@ def cmd_certify(args):
     write_json(os.path.join(run_dir, "certify_report.json"), out)
     print(f"certification: {report.verdict} over {region.n_rows} rows, "
           f"worst margin {report.margins.min():.3e} at "
-          f"{row_text(named['worst'])} ({report.n_lp} LPs, {elapsed:.1f}s)")
+          f"{row_text(named['worst'])} ({report.n_lp} LPs, {report.pivots} "
+          f"pivots, {report.lockstep_rounds} lockstep rounds, "
+          f"{elapsed:.1f}s)")
     print_bad_rows(named)
     finish_run(manifest, run_dir, ["certify_report.json"])
     return 0 if report.reliable else 3

@@ -37,9 +37,10 @@ problem/solution contract:
   their choosing.
   ``solve_each`` solves many objectives, each from its own snapshot, as
   that many ``restore`` and ``resolve_objective`` calls would, byte for
-  byte, but in batches of up to 128 over a leading member axis: since no
+  byte, but in batches of up to 88 over a leading member axis: since no
   member starts from the basis another left, their refactorizations,
-  pricing and pivots can run stacked.  numpy's stacked ``@`` and
+  pricing and pivots can run stacked, and members that share one snapshot
+  share its refactorization.  numpy's stacked ``@`` and
   ``linalg.inv`` give each member the bytes of the 2-D calls (``einsum``
   and one GEMM over the stacked rows do not).  A chain of re-solves, each
   from the basis the one before left, stays on ``solve``.
@@ -92,8 +93,11 @@ _REFACTOR_EVERY = 100
 _STALL_LIMIT = 60     # degenerate pivots before switching to Bland's rule
 _BASES_KEPT = 8       # entries of an OptimalBases table
 
-_BATCH_MAX = 128      # members of one stacked batch: (128, m, m) inverses
-                      # are 2.7 MB at m = 51
+# members of one stacked batch: (88, m, m) inverses are 1.8 MB at m = 51,
+# no larger than a training rescale's stacks (88 rows); freeing a larger
+# mmapped stack raises glibc's mmap threshold and with it the peak RSS of
+# whatever runs after
+_BATCH_MAX = 88
 
 
 def _pivot_budget(m):
@@ -733,9 +737,10 @@ class SimplexEngine:
         the engine left as the last of them leaves it.
 
         The members are independent, each starting from its own basis, so
-        they are solved in batches of up to 128 over a leading member axis.
+        they are solved in batches of up to 88 over a leading member axis.
         A batch refactorizes every basis with the ``_block_inverse``
-        arithmetic, computes x_B, the duals and the reduced costs, answers
+        arithmetic and computes x_B, once for the members that share one
+        snapshot object, then the duals and the reduced costs, answers
         the members that are optimal there at zero pivots, and pivots the
         others in lockstep under the dual simplex or primal phase 2 rules.
         Stacked ``@`` over the member axis gives the bytes of the 2-D
@@ -747,9 +752,10 @@ class SimplexEngine:
 
         Returns one (solution or NumericalFailure, snapshot of the optimal
         basis or None) per member, up to the first that is not optimal.
-        Counters are those of the solves one by one, except that every
-        batched basis is inverted, also one that the engine's last basis
-        would have spared; ``n_batched`` counts the members a batch
+        Counters are those of the solves one by one, except
+        ``n_refactors``, which counts the inversions performed: a start
+        that several members share counts once, and the engine's last
+        basis spares none; ``n_batched`` counts the members a batch
         answered, ``n_rounds`` its lockstep pivot rounds.
         """
         C = np.asarray(C, dtype=float)
@@ -839,8 +845,8 @@ class _Batch:
     Each step is the engine's, over a leading member axis.  Member i's
     basis, statuses, inverse, x, duals and reduced costs are its final ones
     when ``done[i]``; a member not done is solved on the engine by
-    ``commit``, from its kept snapshot and, when ``inverted[i]``, the
-    batch's exact inverse of it, still in ``B[i]``.
+    ``commit``, from its kept snapshot and, when ``exact[i]``, the batch's
+    exact inverse of it, still in ``B[i]``.
     """
 
     def __init__(self, eng, C, snaps):
@@ -848,14 +854,29 @@ class _Batch:
         q = len(C)
         self.C = np.zeros((q, eng.nt))
         self.C[:, :eng.n] = C
-        self.basis = np.stack([s.basis for s in snaps])
-        self.vstat = np.stack([s.vstat for s in snaps])
-        self.B, ok = eng._block_inverses(self.basis)
-        self.inverted = ok.astype(int)  # refactorizations of each member
+        # members that share a snapshot object share its start: it is
+        # inverted and its x computed once, then copied to each of them
+        first = {}
+        group = np.array([first.setdefault(id(s), i)
+                          for i, s in enumerate(snaps)])
+        lead = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+        basis = np.stack([snaps[i].basis for i in lead])
+        vstat = np.stack([snaps[i].vstat for i in lead])
+        B, ok = eng._block_inverses(basis)
+        X = self._values(basis, vstat, B)
+        # inversions performed for each member, a shared start counted at
+        # its first member
+        self.inverted = np.zeros(q, dtype=int)
+        self.inverted[lead] = ok
+        if len(lead) < q:
+            where = np.searchsorted(lead, group)
+            basis, vstat, B, ok, X = (basis[where], vstat[where], B[where],
+                                      ok[where], X[where])
+        self.basis, self.vstat, self.B, self.X = basis, vstat, B, X
+        self.exact = ok  # B[i] inverts member i's kept basis
         self.pivots = np.zeros(q, dtype=int)
         self.moved = np.zeros(q, dtype=bool)  # a pivot changed the basis
         self.rounds = 0
-        self.X = self._values(self.basis, self.vstat, self.B)
         self.Y, self.RC = self._price(self.C, self.basis, self.B)
         gain = self._gain(self.RC, self.vstat)
         primal = gain[np.arange(q), gain.argmax(axis=1)] > _RC_TOL
@@ -1072,7 +1093,7 @@ class _Batch:
             # the engine solves the others again, and inverts their kept
             # bases itself
             self.done[moved[~ok]] = False
-            self.inverted[moved[~ok]] = 0
+            self.exact[moved[~ok]] = False
             P = P[self.done[P]]
         if len(P):
             self.X[P] = self._values(self.basis[P], self.vstat[P], self.B[P])
@@ -1087,7 +1108,7 @@ class _Batch:
         eng, n = self.eng, self.eng.n
         eng.n_refactors += int(self.inverted[i])
         if not self.done[i]:
-            eng.restore(self.snaps[i], self.B[i] if self.inverted[i] else None)
+            eng.restore(self.snaps[i], self.B[i] if self.exact[i] else None)
             try:
                 sol = eng.resolve_objective(self.C[i, :n])
             except NumericalFailure as exc:

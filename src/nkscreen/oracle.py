@@ -24,11 +24,11 @@ Built on top of that:
     normal is closest in direction to the row just visited.  On a fresh
     solver every 64th row of that order is a seed, chained one LP at a
     time; the others follow in three batched waves, each row from the
-    optimal basis of the solved row nearest to it in direction.  On the
-    2,386-row support region of the reference checkpoint that takes 10,357
-    pivots, where a chain over every row takes 8,937 and index order
-    95,810, and about a fifth less time than the chain, with the same
-    supports bit for bit.
+    optimal basis of the solved row whose optimal vertex scores highest
+    along the row's normal.  On the 2,386-row support region of the
+    reference checkpoint that takes 8,402 pivots, where parents nearest in
+    normal direction took 10,357, a chain over every row takes 8,937 and
+    index order 95,810, with the same supports bit for bit.
   * scale_fast / scale_full: the smallest r such that the shrunken set S / r
     fits inside the region, max_j support_j / b_j, by its closed form or by
     solving the scaling LP.
@@ -191,7 +191,8 @@ class SublevelSolver:
         ``parents`` names one direction per row, each with a kept basis
         (KeyError otherwise).  A row with no kept basis of its own starts
         from its parent's, so every row has a start and the sweep runs as
-        batches, each row from the bases kept when the call began.  A
+        batches, each row from the bases kept when the call began; rows of
+        one parent share its snapshot, and a batch inverts it once.  A
         parent solved under the present weights hands over a basis optimal
         for another objective over the same constraints, so the row starts
         primal feasible, in phase 2.
@@ -270,6 +271,13 @@ def _solver_for(params: IcnnParams, solver):
 
 @dataclass
 class CertificationReport:
+    """The outcome of ``certify`` and the simplex work it took.
+
+    ``refactorizations`` counts the basis inversions performed: a start
+    basis that several rows of one batch share is inverted, and counted,
+    once.
+    """
+
     verdict: str                # "reliable" | "violated" | "unknown"
     supports: np.ndarray        # per-row support of the scaled predicted set
     margins: np.ndarray         # b - supports (negative rows break the cert)
@@ -313,11 +321,6 @@ class CertificationReport:
         }
 
 
-def _unit_rows(A):
-    norms = np.linalg.norm(A, axis=1)
-    return A / np.where(norms > 0, norms, 1.0)[:, None]
-
-
 def nearest_first(A):
     """Greedy nearest-direction order of the rows of A.
 
@@ -325,7 +328,9 @@ def nearest_first(A):
     has the largest dot product with the row just visited, the lowest index
     on ties.  One matrix-vector product per row, no rows x rows matrix.
     """
-    U = _unit_rows(np.asarray(A, dtype=float))
+    A = np.asarray(A, dtype=float)
+    norms = np.linalg.norm(A, axis=1)
+    U = A / np.where(norms > 0, norms, 1.0)[:, None]
     order = np.zeros(len(U), dtype=np.intp)
     visited = np.zeros(len(U), dtype=bool)
     for k in range(1, len(U)):
@@ -342,12 +347,12 @@ SEED_STRIDE = 64
 WAVE_STRIDES = (16, 4, 1)
 
 
-def _nearest(U, rows, cands, chunk=256):
-    """For each of rows, the row of cands (ascending) whose unit normal has
-    the largest dot product with its own, the lowest index on ties; in
-    chunks, so no rows x cands matrix."""
-    Uc = U[cands].T
-    return np.concatenate([cands[np.argmax(U[rows[i:i + chunk]] @ Uc, axis=1)]
+def _best_vertex(A, rows, X, cands, chunk=256):
+    """For each row j of rows, the row p of cands (ascending) whose optimal
+    vertex X[p] maximizes a_j.x_p, the lowest index on ties; in chunks, so
+    no rows x cands matrix."""
+    Xc = X[cands].T
+    return np.concatenate([cands[np.argmax(A[rows[i:i + chunk]] @ Xc, axis=1)]
                            for i in range(0, len(rows), chunk)])
 
 
@@ -366,12 +371,15 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     row of it is a seed, solved one LP at a time, each from the basis the
     one before left.  The rest are solved in waves: the rows at every 16th,
     then every 4th position, then all others.  Each wave is one batched
-    sweep (``SublevelSolver.sweep`` with parents), every row starting from
-    the optimal basis of the solved row whose unit normal is nearest to its
-    own: the optimal basis of a similar instance, as in Misra, Roald & Ng
-    (arXiv:1802.09639), and independent LPs solved side by side, as in
-    Gurung & Ray (ICPE 2019).  A row that failed is no parent; a wave with
-    no solved row to start from chains, as the seeds do.  The report is
+    sweep (``SublevelSolver.sweep`` with parents), row j starting from the
+    optimal basis of the solved row p whose optimal vertex x_p maximizes
+    a_j.x_p, the lowest row index on ties.  x_p is feasible for row j's LP,
+    so that start is primal feasible, and of all solved rows' vertices it
+    starts highest: the optimal basis of a similar instance, as in Misra,
+    Roald & Ng (arXiv:1802.09639), and independent LPs solved side by side,
+    as in Gurung & Ray (ICPE 2019); the rows that share a parent share its
+    refactorization.  A row that failed is no parent; a wave with no
+    solved row to start from chains, as the seeds do.  The report is
     indexed by row all the same, and lists violations and failed rows in
     ascending row order.  ``scale_fast`` keeps index order (see the module
     docstring).
@@ -381,12 +389,14 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     go first, in one batched sweep, each from its own basis; under the
     same weights that re-prices them in zero pivots.  The seeds and waves
     take the other rows, with those as parents too.  The report counts
-    the LPs, pivots, refactorizations, slack-basis retries, switches to
-    Bland's rule, reused bases, batched LPs and lockstep rounds of this
-    call.
+    the LPs, pivots, refactorizations (a shared start once), slack-basis
+    retries, switches to Bland's rule, reused bases, batched LPs and
+    lockstep rounds of this call.  An empty row set is a ValueError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not len(A):
+        raise ValueError("the region is empty: no rows to certify")
     if not (np.isfinite(r) and r > 0):
         raise ValueError(f"scaling factor must be finite and positive, "
                          f"not {r}")
@@ -395,13 +405,13 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     solver = _solver_for(params, solver)
     before = solver.counters()
     zeta = np.full(A.shape[0], np.nan)
+    vertex = np.zeros(A.shape)  # each solved row's optimal x
     solved = np.zeros(A.shape[0], dtype=bool)
-    U = _unit_rows(A)
     order = nearest_first(A)
     pos = np.arange(len(order))
     kept = solver.kept(A[order])
     # rows with a kept basis first, as one batch; then the others: the
-    # seeds, chained, and the waves, each row from a solved neighbour
+    # seeds, chained, and the waves, each row from a solved row's vertex
     waves = [kept] + [(pos % stride == 0) & ~kept
                       for stride in (SEED_STRIDE, *WAVE_STRIDES)]
     swept = np.zeros(len(order), dtype=bool)
@@ -412,11 +422,13 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
             continue
         parents = None
         if k > 1 and solved.any():
-            parents = A[_nearest(U, rows, np.flatnonzero(solved))]
+            parents = A[_best_vertex(A, rows, vertex,
+                                     np.flatnonzero(solved))]
         results = solver.sweep(A[rows], keep_going=True, parents=parents)
         for j, res in zip(rows, results):
             if not isinstance(res, NumericalFailure):
                 zeta[j] = res.value
+                vertex[j] = res.x
                 solved[j] = True
     failed = np.flatnonzero(~solved).tolist()
     shift = A @ v if v is not None else 0.0
@@ -549,6 +561,8 @@ class ScalingOracle:
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
+        if not len(self.b):
+            raise ValueError("the region is empty: no rows to scale against")
         if np.any(self.b <= 0):
             raise ValueError("region offsets must be positive")
         self.solver = SublevelSolver(self.params)

@@ -5,6 +5,7 @@ hashing, artifact reproducibility, and the exit-code contract (0 ok, 2 bad
 input, 3 certification failure, 4 a model that screens nothing).
 """
 
+import dataclasses
 import json
 import os
 
@@ -404,7 +405,7 @@ class TestTrain:
 
 
 class TestCertify:
-    def test_good_checkpoint_exits_zero(self, work):
+    def test_good_checkpoint_exits_zero(self, work, capsys):
         code = main(["certify", "--checkpoint", work["ckpt"],
                      "--region", os.path.join(work["prep"], "region.npz"),
                      "--out", work["runs"]])
@@ -413,6 +414,10 @@ class TestCertify:
         report = json.load(open(os.path.join(work["runs"], d,
                                              "certify_report.json")))
         assert report["verdict"] == "reliable"
+        # the summary line gives the simplex work the report holds
+        assert (f"({report['n_lp']} LPs, {report['pivots']} pivots, "
+                f"{report['lockstep_rounds']} lockstep rounds, ") \
+            in capsys.readouterr().out
         assert min(report["margins"]) >= -1e-7
         # solver counters of the certification sweep (fresh solver)
         assert report["n_lp"] == len(report["margins"])
@@ -470,6 +475,26 @@ class TestCertify:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    def test_empty_region_exits_two(self, work, tmp_path, capsys):
+        # the region's own validation stops both before any LP, naming the
+        # empty region, with no traceback
+        from nkscreen.region import save_region
+        region = load_region(os.path.join(work["prep"], "region.npz"))
+        empty = tmp_path / "empty.npz"
+        save_region(dataclasses.replace(region, A=region.A[:0],
+                                        b=region.b[:0],
+                                        row_meta=region.row_meta[:0]), empty)
+        code = main(["certify", "--checkpoint", work["ckpt"],
+                     "--region", str(empty), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "at least one row" in err
+        code = main(["train", "--dataset", work["dataset"],
+                     "--region", str(empty), "--out", str(tmp_path)]
+                    + TRAIN_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 2 and "at least one row" in err
+        assert "Traceback" not in err
 
     def test_dimension_mismatch_rejected(self, work, tmp_path):
         code = main(["certify", "--checkpoint", work["ckpt"],

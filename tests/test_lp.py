@@ -1324,3 +1324,72 @@ def test_dcopf_solver_matches_warm_engine_mesh10():
             assert got.cost == float(net.cost @ want.x)
     assert statuses == {LpStatus.OPTIMAL}
     assert dcopf.counters()["table_misses"] < 40
+
+
+def _one_start(seed=11, q=8):
+    """An engine at an optimal basis, its snapshot, and q objectives:
+    the first the engine's own, the others random."""
+    rng = np.random.default_rng(seed)
+    p = random_bounded_lp(rng, n=8, m=12)
+    eng = SimplexEngine(p)
+    assert eng.solve()
+    C = rng.normal(size=(q, 8))
+    C[0] = p.c
+    return eng, eng.snapshot(), C
+
+
+def test_shared_start_is_inverted_once(monkeypatch):
+    # members that share one snapshot object share its refactorization and
+    # x, then pivot on inverses of their own: each gives the bytes of its
+    # solve one by one, and refactorizations count the inversions done
+    import copy
+
+    from nkscreen.lp import _Batch
+
+    eng, snap, C = _one_start()
+    ref = copy.deepcopy(eng)
+    want = []
+    for c in C:
+        ref.restore(snap)
+        want.append(ref.resolve_objective(c))
+    shapes = recorded_inversions(monkeypatch, [eng])
+    before = eng.n_refactors
+    got = eng.solve_each(C, [snap] * len(C))
+    stacks = [shape for shape, _ in shapes]
+    k = int(np.count_nonzero(snap.basis < eng.n))
+    assert stacks[0] == (1, k, k)
+    assert eng.n_batched == len(C)
+    assert eng.n_refactors - before == sum(s[0] for s in stacks)
+    for (sol, _), w in zip(got, want):
+        for field in ("x", "duals", "reduced_costs"):
+            assert getattr(sol, field).tobytes() == getattr(w, field).tobytes()
+        assert sol.objective == w.objective
+        assert sol.iterations == w.iterations
+    assert got[0][0].iterations == 0 and max(s.iterations for s, _ in got) > 0
+    # a pivot in one member leaves the others' inverses as they were: the
+    # member that takes none keeps the exact inverse of the start
+    batch = _Batch(eng, C, [snap] * len(C))
+    assert batch.moved[1:].any() and not batch.moved[0]
+    assert batch.B[0].tobytes() == eng._block_inverse(snap.basis).tobytes()
+
+
+def test_distinct_starts_are_inverted_as_they_come(monkeypatch):
+    # snapshots are grouped by object, not by content: equal copies are
+    # inverted each, as one stack, into the batch's own array
+    from nkscreen.lp import BasisSnapshot, _Batch
+
+    eng, snap, C = _one_start()
+    snaps = [BasisSnapshot(snap.basis.copy(), snap.vstat.copy()) for _ in C]
+    seen, block_inverses = [], SimplexEngine._block_inverses
+
+    def spy(self, basis):
+        out = block_inverses(self, basis)
+        seen.append((len(basis), out[0]))
+        return out
+
+    monkeypatch.setattr(SimplexEngine, "_block_inverses", spy)
+    batch = _Batch(eng, C, snaps)
+    assert seen[0][0] == len(C) and batch.B is seen[0][1]
+    first = len(seen)
+    shared = _Batch(eng, C, [snap] * len(C))
+    assert seen[first][0] == 1 and shared.B is not seen[first][1]

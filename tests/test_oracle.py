@@ -890,6 +890,40 @@ class TestWaves:
             assert report.batched + report.bases_reused <= 60
         assert waves_met > 0  # some rows violated
 
+    def test_parents_are_the_best_solved_vertices(self, monkeypatch):
+        # every wave row starts from the solved row p whose optimal vertex
+        # maximizes a_j.x_p, the lowest index on ties; 400 rows make the
+        # last wave 300 rows, more than one chunk of the scoring
+        net, A = TestBatchedSweep.instance(2, 2, m=400)
+        A[300] = 2.0 * A[5]  # the same LP: a planted tie with row 5
+        calls, sweep = [], SublevelSolver.sweep
+
+        def spy(self, directions, keep_going=False, parents=None):
+            out = sweep(self, directions, keep_going, parents)
+            calls.append((np.array(directions), parents, out))
+            return out
+
+        monkeypatch.setattr(SublevelSolver, "sweep", spy)
+        certify(net, A, np.ones(400))
+        index = {a.tobytes(): j for j, a in enumerate(A)}
+        vertex, waved, ties = {}, 0, 0
+        for D, P, out in calls:
+            rows = [index[d.tobytes()] for d in D]
+            if P is not None:
+                cands = sorted(vertex)
+                for j, p in zip(rows, P):
+                    scores = [A[j] @ vertex[c] for c in cands]
+                    best = [c for c, s in zip(cands, scores)
+                            if s == max(scores)]
+                    assert index[np.asarray(p).tobytes()] == best[0]
+                    waved += 1
+                    ties += len(best) > 1
+            for j, res in zip(rows, out):
+                vertex[j] = res.x
+        assert waved == 400 - 7  # all but the seeds, every 64th row
+        assert max(len(D) for D, P, _ in calls if P is not None) > 256
+        assert vertex[5].tobytes() == vertex[300].tobytes() and ties > 0
+
     def test_fresh_certification_is_batched(self):
         net, A, b = random_instance(4, m=40)
         report = certify(net, A, b)
@@ -971,6 +1005,13 @@ class TestWaves:
 
 
 class TestNonFinite:
+    def test_empty_region_is_rejected(self):
+        net, A, b = random_instance(4, m=10)
+        with pytest.raises(ValueError, match="region is empty"):
+            certify(net, A[:0], b[:0])
+        with pytest.raises(ValueError, match="region is empty"):
+            ScalingOracle(net, A[:0], b[:0])
+
     @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_scaling_factor_must_be_finite_and_positive(self, r):
         net, A, b = random_instance(4, m=10)
