@@ -7,7 +7,6 @@ identity: same inputs plus same seed gives the same file, bit for bit.
 """
 
 import hashlib
-import io
 import json
 import zipfile
 
@@ -15,23 +14,59 @@ import numpy as np
 from numpy.lib import format as npformat
 
 ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+ZIP_SLICE = 1 << 20   # bytes handed to the compressor at a time
+
+
+class _Member:
+    """Writable zip member for ``write_array``, opened at the first write.
+
+    ``write_array`` writes the .npy header in one call before the data, so
+    at that write the member's size is known: the header plus the array's
+    bytes.  ``ZipFile.writestr`` sets the same size before it writes
+    through ``open(info, "w")``; the size decides the member's zip64
+    fields, and deflate's output does not depend on how its input is cut,
+    so streaming gives writestr's bytes.  Each write goes to the compressor
+    in slices of ``ZIP_SLICE`` bytes, so its output stays about that size
+    however badly the data compresses.
+    """
+
+    def __init__(self, zf, info, nbytes):
+        self._zf, self._info, self._nbytes = zf, info, nbytes
+        self._fp = None
+
+    def write(self, data):
+        if self._fp is None:
+            self._info.file_size = len(data) + self._nbytes
+            self._fp = self._zf.open(self._info, "w")
+        data = memoryview(data).cast("B")
+        for start in range(0, len(data), ZIP_SLICE):
+            self._fp.write(data[start:start + ZIP_SLICE])
+        return len(data)
+
+    def close(self):
+        if self._fp is not None:
+            self._fp.close()
 
 
 def savez_deterministic(path, **arrays):
     """Write an .npz readable by np.load, with fixed zip metadata.
 
     Members are written in sorted name order with a constant timestamp and
-    mode, so the output depends only on the array contents.
+    mode, so the output depends only on the array contents.  Each array
+    streams into its member in ``write_array``'s chunks of 16 MB, never as
+    a whole copy of its .npy bytes (``_Member``).
     """
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
         for name in sorted(arrays):
-            buf = io.BytesIO()
-            npformat.write_array(buf, np.asarray(arrays[name]),
-                                 allow_pickle=False)
+            array = np.asarray(arrays[name])
             info = zipfile.ZipInfo(name + ".npy", date_time=ZIP_EPOCH)
             info.compress_type = zipfile.ZIP_DEFLATED
             info.external_attr = 0o644 << 16
-            zf.writestr(info, buf.getvalue())
+            member = _Member(zf, info, array.nbytes)
+            try:
+                npformat.write_array(member, array, allow_pickle=False)
+            finally:
+                member.close()
 
 
 def file_sha256(path):

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 
@@ -180,6 +180,13 @@ def print_bad_rows(named):
                   file=sys.stderr)
 
 
+def peak_rss_mb():
+    """The process's peak resident memory so far, in MB (``ru_maxrss`` is
+    in KiB on Linux)."""
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 # ---------------------------------------------------------------------------
 # prepare-region
 
@@ -211,55 +218,6 @@ def cmd_prepare_region(args):
         return 0
 
     net = load_network(case_path)
-    stage_seconds = {}
-
-    t0 = time.perf_counter()
-    construction = {}
-    region0 = build_region(net, k=args.k, counters=construction)
-    stage_seconds["build"] = time.perf_counter() - t0
-    print(f"case {net.name}: {net.n} buses, {len(net.lines)} lines, k={args.k}")
-    print(f"enumerated {len(region0.contingencies)} contingency sets, "
-          f"{region0.n_rows} rows ({stage_seconds['build']:.1f}s)")
-
-    sampler = DemandSampler(nominal=net.demand, rel_std=args.rel_std,
-                            seed=args.seed)
-    sampling = {}
-    t0 = time.perf_counter()
-    X = sample_injections(net, sampler, sum(counts), counters=sampling)
-    stage_seconds["sample"] = time.perf_counter() - t0
-    X_train = X[:counts[0]]
-    print(f"sampled {len(X)} secure-dispatch injections "
-          f"({stage_seconds['sample']:.1f}s)")
-
-    t0 = time.perf_counter()
-    filtered = filter_contingencies(region0, X_train, threshold=args.threshold,
-                                    counters=construction)
-    stage_seconds["filter"] = time.perf_counter() - t0
-    print(f"filtered: kept {len(filtered.contingencies)}/"
-          f"{len(region0.contingencies)} contingencies, {filtered.n_rows} rows")
-
-    t0 = time.perf_counter()
-    reduced = drop_constant_dims(filtered, X)
-    stage_seconds["drop_dims"] = time.perf_counter() - t0
-    print(f"constant dims dropped: {net.n - reduced.dim} "
-          f"({reduced.dim} columns remain), {reduced.n_rows} rows")
-
-    boxed = with_box(reduced, X, inflate=args.inflate)
-    t0 = time.perf_counter()
-    if args.elimination == "exact":
-        pruned = eliminate_redundant(boxed, counters=construction)
-    else:
-        pruned = prune_by_box_support(boxed, counters=construction)
-    stage_seconds["eliminate"] = time.perf_counter() - t0
-    print(f"redundancy elimination ({args.elimination}): "
-          f"{boxed.n_rows} -> {pruned.n_rows} rows "
-          f"({stage_seconds['eliminate']:.1f}s)")
-
-    Xr = pruned.project(X_train)
-    mu = Xr.mean(axis=0)
-    sigma = Xr.std(axis=0)
-    final = standardize(pruned, mu, sigma)
-
     stamp = {
         "manifest": manifest.hash,
         "case": net.name,
@@ -269,12 +227,69 @@ def cmd_prepare_region(args):
         "counts": list(counts),
         "threshold": args.threshold,
     }
-    # timings go in the report, never in the artifacts: artifact bytes must
-    # depend only on inputs and seed
-    filtered.meta.update(stamp)
-    final.meta.update(stamp)
+    # timings and memory go in the report, never in the artifacts: artifact
+    # bytes must depend only on inputs and seed
+    stage_seconds, stage_peak_rss_mb = {}, {}
 
-    save_region(filtered, os.path.join(run_dir, "region_full.npz"))
+    def stage_done(name, t0):
+        stage_seconds[name] = time.perf_counter() - t0
+        stage_peak_rss_mb[name] = peak_rss_mb()
+
+    t0 = time.perf_counter()
+    construction = {}
+    region0 = build_region(net, k=args.k, counters=construction)
+    stage_done("build", t0)
+    print(f"case {net.name}: {net.n} buses, {len(net.lines)} lines, k={args.k}")
+    print(f"enumerated {len(region0.contingencies)} contingency sets, "
+          f"{region0.n_rows} rows ({stage_seconds['build']:.1f}s)")
+
+    sampler = DemandSampler(nominal=net.demand, rel_std=args.rel_std,
+                            seed=args.seed)
+    sampling = {}
+    t0 = time.perf_counter()
+    X = sample_injections(net, sampler, sum(counts), counters=sampling)
+    stage_done("sample", t0)
+    X_train = X[:counts[0]]
+    print(f"sampled {len(X)} secure-dispatch injections "
+          f"({stage_seconds['sample']:.1f}s)")
+
+    t0 = time.perf_counter()
+    filtered = filter_contingencies(region0, X_train, threshold=args.threshold,
+                                    counters=construction)
+    stage_done("filter", t0)
+    full_sizes = {"contingencies_enumerated": len(region0.contingencies),
+                  "rows_enumerated": int(region0.n_rows),
+                  "rows_filtered": int(filtered.n_rows)}
+    print(f"filtered: kept {len(filtered.contingencies)}/"
+          f"{len(region0.contingencies)} contingencies, {filtered.n_rows} rows")
+    # the stamp goes on a copy of the meta, so the later stages never see it
+    save_region(replace(filtered, meta={**filtered.meta, **stamp}),
+                os.path.join(run_dir, "region_full.npz"))
+
+    t0 = time.perf_counter()
+    reduced = drop_constant_dims(filtered, X)
+    # the full-coordinate matrices are saved; the later stages need neither
+    del region0, filtered
+    stage_done("drop_dims", t0)
+    print(f"constant dims dropped: {net.n - reduced.dim} "
+          f"({reduced.dim} columns remain), {reduced.n_rows} rows")
+
+    boxed = with_box(reduced, X, inflate=args.inflate)
+    t0 = time.perf_counter()
+    if args.elimination == "exact":
+        pruned = eliminate_redundant(boxed, counters=construction)
+    else:
+        pruned = prune_by_box_support(boxed, counters=construction)
+    stage_done("eliminate", t0)
+    print(f"redundancy elimination ({args.elimination}): "
+          f"{boxed.n_rows} -> {pruned.n_rows} rows "
+          f"({stage_seconds['eliminate']:.1f}s)")
+
+    Xr = pruned.project(X_train)
+    mu = Xr.mean(axis=0)
+    sigma = Xr.std(axis=0)
+    final = standardize(pruned, mu, sigma)
+    final.meta.update(stamp)
     save_region(final, os.path.join(run_dir, "region.npz"))
 
     from .artifacts import write_json
@@ -282,10 +297,8 @@ def cmd_prepare_region(args):
         "manifest": manifest.hash,
         "case": net.name,
         "k": args.k,
-        "contingencies_enumerated": len(region0.contingencies),
+        **full_sizes,
         "contingencies_kept": len(final.contingencies),
-        "rows_enumerated": int(region0.n_rows),
-        "rows_filtered": int(filtered.n_rows),
         "rows_before_elimination": int(boxed.n_rows),
         # counts of the construction stages; report only, like the times,
         # so the region artifacts keep their bytes
@@ -297,6 +310,10 @@ def cmd_prepare_region(args):
         "rows": int(final.n_rows),
         "columns": int(final.dim),
         "stage_seconds": {k: round(v, 3) for k, v in stage_seconds.items()},
+        # the process's peak resident memory after each stage; drop_dims
+        # includes the write of region_full.npz
+        "stage_peak_rss_mb": {k: round(v, 1)
+                              for k, v in stage_peak_rss_mb.items()},
         "sampling": sampling,
     }
     write_json(os.path.join(run_dir, "region_report.json"), report)

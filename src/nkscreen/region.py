@@ -303,6 +303,9 @@ def drop_constant_dims(region: ContingencyRegion, X_full, tol=TOL_CONST):
     The folded region describes the slice at the recorded constants; its
     right-hand side may lose strict positivity (the retained-coordinate
     origin is not necessarily interior), which later stages tolerate.
+    The kept columns are gathered once, into a C-ordered matrix (the
+    dedup key and the saved bytes need that order), and its rows are
+    gathered again only when some row folded to zero.
     """
     if np.any(region.mu != 0.0) or np.any(region.sigma != 1.0):
         raise ValueError("drop dimensions before standardizing")
@@ -315,18 +318,21 @@ def drop_constant_dims(region: ContingencyRegion, X_full, tol=TOL_CONST):
     values = Xc.mean(axis=0)
     keep = ~const
     b_new = region.b - region.A[:, const] @ values[const]
-    A_new = region.A[:, keep]
+    A_new = region.A.take(np.flatnonzero(keep), axis=1)
+    row_meta = region.row_meta
     # rows that lived entirely on dropped dims are now constants themselves
     nz = np.any(A_new, axis=1)
-    if np.any(b_new[~nz] < 0):
-        raise AssumptionViolated("constant slice lies outside a contingency limit")
+    if not nz.all():
+        if np.any(b_new[~nz] < 0):
+            raise AssumptionViolated("constant slice lies outside a contingency limit")
+        A_new, b_new, row_meta = A_new[nz], b_new[nz], row_meta[nz]
     dropped_values = region.dropped_values.copy()
     dropped_values[region.dim_map[const]] = values[const]
     out = replace(
         region,
-        A=A_new[nz],
-        b=b_new[nz],
-        row_meta=region.row_meta[nz],
+        A=A_new,
+        b=b_new,
+        row_meta=row_meta,
         dim_map=region.dim_map[keep],
         dropped_values=dropped_values,
         mu=region.mu[keep],
@@ -362,17 +368,20 @@ def _normalized(A, b):
     return A / norms[:, None], b / norms
 
 
-def _box_support(A, lo, hi):
+def _box_support(A, lo, hi, rows=None):
     """Each row's supremum over the box lo <= x <= hi: positive
     coefficients meet the upper corner, negative ones the lower.
 
-    Taken over the row blocks of ``_point_blocks``, so the clipped copies
-    stay small; a row's value has the bytes of one product over all rows.
+    Only the rows of A indexed by ``rows`` when it is given, read one block
+    at a time.  Taken over the row blocks of ``_point_blocks``, so the
+    clipped copies stay small; a row's value has the bytes of one product
+    over all rows.
     """
-    sup = np.empty(len(A))
-    for start, stop in _point_blocks(len(A)):
-        rows = A[start:stop]
-        sup[start:stop] = rows.clip(min=0.0) @ hi + rows.clip(max=0.0) @ lo
+    n = len(A) if rows is None else len(rows)
+    sup = np.empty(n)
+    for start, stop in _point_blocks(n):
+        block = A[start:stop] if rows is None else A[rows[start:stop]]
+        sup[start:stop] = block.clip(min=0.0) @ hi + block.clip(max=0.0) @ lo
     return sup
 
 
@@ -387,20 +396,23 @@ def _dedup_rows(A_hat, b_hat):
     in that order through ``order``, over the blocks of ``_point_blocks``,
     so no sorted copy of the key is made.  Parallel rows with a looser
     bound are dominated outright, so each group keeps only its smallest rhs
-    (ties break toward the lowest original index).
+    (ties break toward the lowest original index): two minima over each
+    group's run of the sort order, the rhs first and then the index of the
+    rows that reach it.
     """
     key = np.round(A_hat, 9, out=A_hat)
     key += 0.0  # -0.0 + 0.0 is +0.0
     order = np.argsort(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0])
     first = np.ones(len(order), dtype=bool)
     for start, stop in _point_blocks(len(order) - 1):
-        first[start + 1:stop + 1] = np.any(
-            key[order[start + 1:stop + 1]] != key[order[start:stop]], axis=1)
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(first)
-    best = np.lexsort((np.arange(len(b_hat)), b_hat, group))
-    first[1:] = group[best[1:]] != group[best[:-1]]
-    return np.sort(best[first])
+        rows = key[order[start:stop + 1]]
+        first[start + 1:stop + 1] = np.any(rows[1:] != rows[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    b_sorted = b_hat[order]
+    least = np.minimum.reduceat(b_sorted, starts)
+    tight = b_sorted == np.repeat(least, np.diff(np.append(starts, len(order))))
+    return np.sort(np.minimum.reduceat(np.where(tight, order, len(order)),
+                                       starts))
 
 
 def _chebyshev_centre(A_hat, b_hat, lo, hi):
@@ -494,8 +506,8 @@ def prune_by_box_support(region: ContingencyRegion, counters=None):
     unique_rows = _dedup_rows(*_normalized(region.A, region.b))
     if counters is not None:
         counters["duplicate_rows_collapsed"] = region.n_rows - len(unique_rows)
-    sup = _box_support(region.A[unique_rows], region.box_lower,
-                       region.box_upper)
+    sup = _box_support(region.A, region.box_lower, region.box_upper,
+                       unique_rows)
     keep = unique_rows[sup > region.b[unique_rows] + TOL_RED]
     if len(keep) == 0:
         raise AssumptionViolated("every row is redundant over the box; the "

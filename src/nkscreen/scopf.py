@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import hashlib
 import json
 import time
 
@@ -163,7 +162,7 @@ class _IcnnDispatchLp(DispatchLp):
         ranges = np.concatenate([np.full(len(b_e), np.inf),
                                  np.where(both, hi - lo, np.inf)[hi_ok],
                                  np.full(np.count_nonzero(lo_only), np.inf)])
-        # a private copy: the cache key describes the network at build time
+        # a private copy: the cached content describes the network at build time
         super().__init__(copy.deepcopy(net), rows, rhs0, ranges, n_aux=nz)
         self._engine = self._nominal = None
         self._n_epi = len(b_e)
@@ -211,38 +210,34 @@ class _IcnnDispatchLp(DispatchLp):
                        self._blocking(sol.blocking))
 
 
-# at most one entry: content key -> _IcnnDispatchLp
+# the last pair's content ("content", see ``_content``) and its LP ("lp"),
+# or nothing
 _icnn_lps: dict = {}
 
 
-def _content_key(net: Network, clf: ScaledClassifier):
-    """Digest of everything the classifier SC-OPF is built from.
+def _content(net: Network, clf: ScaledClassifier):
+    """Everything the classifier SC-OPF is built from, to compare by value:
+    the arrays and numbers as one float vector, in bytes (the integer ones
+    convert exactly), and their shapes, None for a missing one.
 
     Keyed on content, not identity: training updates the weights in place.
     """
     p = clf.params
-    h = hashlib.sha256()
-    for item in (*p.W, *p.D, *p.b, p.box_lower, p.box_upper, clf.r, clf.v,
-                 clf.mu, clf.sigma, clf.dim_map, net.n, net.slack, net.lines,
-                 net.susceptance, net.f_lower, net.f_upper, net.pmin,
-                 net.pmax, net.cost, net.demand):
-        if item is None:
-            h.update(b"none;")
-            continue
-        a = np.ascontiguousarray(item)
-        h.update(f"{a.dtype.str}{a.shape};".encode())
-        h.update(a.tobytes())
-    return h.digest()
+    items = (*p.W, *p.D, *p.b, p.box_lower, p.box_upper, clf.r, clf.v,
+             clf.mu, clf.sigma, clf.dim_map, net.n, net.slack, net.lines,
+             net.susceptance, net.f_lower, net.f_upper, net.pmin, net.pmax,
+             net.cost, net.demand)
+    values = np.concatenate([np.asarray(a, dtype=float).ravel()
+                             for a in items if a is not None])
+    return (values.tobytes(),
+            tuple(None if a is None else np.shape(a) for a in items))
 
 
 def _icnn_lp(net, clf) -> _IcnnDispatchLp:
-    key = _content_key(net, clf)
-    lp = _icnn_lps.get(key)
-    if lp is None:
-        lp = _IcnnDispatchLp(net, clf)
-        _icnn_lps.clear()
-        _icnn_lps[key] = lp
-    return lp
+    content = _content(net, clf)
+    if _icnn_lps.get("content") != content:
+        _icnn_lps.update(content=content, lp=_IcnnDispatchLp(net, clf))
+    return _icnn_lps["lp"]
 
 
 def icnn_dispatch_problem(net: Network, demand, clf: ScaledClassifier) -> LpProblem:

@@ -163,6 +163,25 @@ class TestPrepareRegion:
         assert sampling["table_hits"] + sampling["table_misses"] == \
             sampling["draws"]
         assert sampling["refactorizations"] > 0
+        # the process's peak memory after each timed stage, never falling
+        # in the stages' order (the JSON sorts its keys)
+        stages = ["build", "sample", "filter", "drop_dims", "eliminate"]
+        peaks = report["stage_peak_rss_mb"]
+        assert set(peaks) == set(report["stage_seconds"]) == set(stages)
+        values = [peaks[name] for name in stages]
+        assert values[0] > 0 and values == sorted(values)
+
+    def test_stamp_ends_each_artifacts_meta(self, work):
+        """The run's stamp follows every stage's keys.  Stamped into the
+        filtered region's own meta before the later stages copy it, it
+        would land before their keys and change region.npz's bytes."""
+        stamp = ["manifest", "case", "seed", "rel_std", "counts", "threshold"]
+        stages = ["k", "network", "filtered_contingencies", "filter_threshold"]
+        full = load_region(os.path.join(work["prep"], "region_full.npz"))
+        region = load_region(os.path.join(work["prep"], "region.npz"))
+        assert list(full.meta) == stages + stamp
+        assert list(region.meta) == stages + [
+            "n_dropped_dims", "rows_before_reduction"] + stamp
 
     def test_manifest_hash_names_run_dir(self, work):
         manifest = json.load(open(os.path.join(work["prep"], "manifest.json")))

@@ -267,6 +267,46 @@ def test_drop_constant_dims_removes_rows_on_dropped_dims():
     assert out.dim == 1
 
 
+def test_drop_constant_dims_drops_exactly_the_rows_folded_to_zero():
+    A = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                  [0.0, -3.0, 0.0], [0.0, 0.0, -1.0]])
+    b = np.array([4.0, 2.0, 3.0, 5.0, 1.0])
+    region = region_from_rows(A, b)
+    X = np.column_stack([np.linspace(-1, 1, 10), np.full(10, 0.5),
+                         np.linspace(0, 1, 10)])
+    out = drop_constant_dims(region, X)
+    assert out.row_meta["line"].tolist() == [0, 2, 4]
+    assert np.array_equal(out.A, A[[0, 2, 4]][:, [0, 2]])
+    assert out.b.tolist() == [4.0, 2.5, 1.0]
+    assert out.A.flags.c_contiguous
+
+
+def test_drop_constant_dims_one_c_ordered_copy():
+    """The kept columns are gathered once, C-ordered (the dedup key's void
+    view and the saved bytes need that order), and no row folds to zero
+    on case39 at k = 2, so the rows are not gathered again."""
+    import tracemalloc
+
+    from nkscreen.cli import resolve_case
+    from nkscreen.datagen import DemandSampler, sample_injections
+    from nkscreen.grid import load_network
+
+    net = load_network(resolve_case("case39"))
+    X = sample_injections(net, DemandSampler(net.demand, rel_std=0.15, seed=0),
+                          2000)
+    region = filter_contingencies(build_region(net, k=2), X)
+    tracemalloc.start()
+    try:
+        out = drop_constant_dims(region, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.A.flags.c_contiguous
+    assert out.row_meta is region.row_meta
+    assert peak < 1.25 * out.A.nbytes, \
+        f"drop_constant_dims peaked at {peak / out.A.nbytes:.2f} x its output"
+
+
 def test_drop_constant_dims_rejects_violated_slice():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
     b = np.array([2.0, 2.0])
@@ -628,6 +668,27 @@ def test_dedup_rows_negative_zero_and_ties():
     # the tie; rows 3-4 tie outright
     assert _dedup_rows(A, b).tolist() == [1, 3]
     assert dedup_rows_oracle(A, b).tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_dedup_rows_ties_across_many_parallel_copies(seed):
+    """Groups of 3-6 parallel copies whose rhs tie, some below the rest:
+    each keeps the lowest index of its least rhs."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(12, 4))
+    group = np.repeat(np.arange(12), rng.integers(3, 7, size=12))
+    rng.shuffle(group)
+    A = base[group] * rng.choice([1.0, 2.0, 0.5], size=(len(group), 1))
+    # rhs of 1 or 2 unit lengths: the copies' normals and rhs tie exactly
+    A_hat, b_hat = _normalized(A, rng.choice([1.0, 2.0], size=len(group),
+                                             p=[0.4, 0.6])
+                               * np.linalg.norm(A, axis=1))
+    want = sorted(min(np.flatnonzero((group == g)
+                                     & (b_hat == b_hat[group == g].min())))
+                  for g in range(12))
+    got = _dedup_rows(A_hat.copy(), b_hat)
+    assert got.tolist() == want
+    assert np.array_equal(got, dedup_rows_oracle(A_hat, b_hat))
 
 
 def test_box_support_prune_memory_below_one_and_a_half_matrices():

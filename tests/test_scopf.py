@@ -505,6 +505,11 @@ class TestIcnnWarmStart:
         clf.r = 1.0
         back = solve_scopf_icnn(net, d, clf)
         assert back.p.tobytes() == base.p.tobytes()
+        # an in-place edit of the network: line 0 carries 0.2 at that
+        # dispatch, and a limit of 0.1 moves generation to the dearer bus 1
+        net.f_upper[0] = 0.1
+        tight = solve_scopf_icnn(net, d, clf)
+        assert tight and abs(tight.cost - 1.15) <= 1e-6
 
     def test_highs_backend_agrees(self, case39_setup):
         net, demands, params, mu, sigma, keep = case39_setup
