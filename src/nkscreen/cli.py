@@ -330,6 +330,7 @@ def cmd_prepare_region(args):
 def cmd_gen_data(args):
     import numpy as np
 
+    from .artifacts import write_json
     from .datagen import DemandSampler, build_dataset, save_dataset
     from .grid import load_network
 
@@ -365,21 +366,32 @@ def cmd_gen_data(args):
 
     sampler = DemandSampler(nominal=net.demand, rel_std=args.rel_std,
                             seed=args.seed)
+    sampling, stage_seconds = {}, {}
     t0 = time.perf_counter()
-    ds = build_dataset(net, sampler, region_full, counts=counts)
+    ds = build_dataset(net, sampler, region_full, counts=counts,
+                       counters=sampling, stage_seconds=stage_seconds)
     ds.attach_transform(region_std)
     elapsed = time.perf_counter() - t0
 
     ds.meta["manifest"] = manifest.hash
     ds.meta["region_manifest"] = region_std.meta.get("manifest", "")
     save_dataset(ds, os.path.join(run_dir, "dataset.npz"))
+    # counts and times go in the report, so the dataset keeps its bytes
+    write_json(os.path.join(run_dir, "gen_data_report.json"), {
+        "manifest": manifest.hash,
+        "case": net.name,
+        "counts": list(counts),
+        "sampling": sampling,
+        "stage_seconds": {k: round(v, 3) for k, v in stage_seconds.items()},
+    })
 
     for name, sl in (("train", ds.train), ("val", ds.val), ("test", ds.test)):
         y = ds.labels[sl]
         print(f"{name}: {len(y)} samples, {y.mean():.3f} insecure fraction")
     print(f"labeled {len(ds.labels)} injections against {region_full.n_rows} "
           f"rows ({elapsed:.1f}s)")
-    return finish_run(manifest, run_dir, ["dataset.npz"])
+    return finish_run(manifest, run_dir,
+                      ["dataset.npz", "gen_data_report.json"])
 
 
 # ---------------------------------------------------------------------------

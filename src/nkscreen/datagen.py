@@ -12,6 +12,7 @@ instances, in sampling order.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +107,7 @@ def sample_injections(net: Network, sampler: DemandSampler, count,
             res = solver.solve(d)
             if res.status is not LpStatus.OPTIMAL:
                 continue
-            X[got] = res.p - d
+            X[got] = res.injection
             D[got] = d
             got += 1
             if got == count:
@@ -191,17 +192,26 @@ class ScreeningDataset:
 
 def build_dataset(net: Network, sampler: DemandSampler,
                   region: ContingencyRegion,
-                  counts=(10000, 2000, 2000)) -> ScreeningDataset:
+                  counts=(10000, 2000, 2000), counters=None,
+                  stage_seconds=None) -> ScreeningDataset:
     """Sample, dispatch, and label a complete dataset against a region.
 
     The region must be in full original coordinates (labels are defined
-    against the unreduced constraint set).
+    against the unreduced constraint set).  ``counters`` is passed to
+    ``sample_injections``; a dict passed as ``stage_seconds`` receives the
+    wall-clock seconds of the sampling and dispatch ("sample") and of the
+    labelling ("label").
     """
     counts = tuple(int(c) for c in counts)
     if any(c < 1 for c in counts):
         raise ValueError("all split counts must be >= 1")
-    X, D = sample_injections(net, sampler, sum(counts), return_demands=True)
+    t0 = time.perf_counter()
+    X, D = sample_injections(net, sampler, sum(counts), return_demands=True,
+                             counters=counters)
+    t1 = time.perf_counter()
     y = label_injections(region, X)
+    if stage_seconds is not None:
+        stage_seconds.update(sample=t1 - t0, label=time.perf_counter() - t1)
     return ScreeningDataset(
         x=X, labels=y, counts=counts, d=D,
         meta={

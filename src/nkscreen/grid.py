@@ -9,7 +9,9 @@ cancels as long as it is consistent across lines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -229,13 +231,21 @@ def ptdf(net: Network, outages=()) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class DcopfResult:
+    """A DC-OPF answer; ``flows`` are computed on first read, as
+    ``H @ (p - d)`` from the injection stored at the solve."""
+
     status: LpStatus
     p: np.ndarray | None = None
-    flows: np.ndarray | None = None
     cost: float | None = None
+    injection: np.ndarray | None = field(default=None, repr=False)
+    H: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.status is LpStatus.OPTIMAL
+
+    @cached_property
+    def flows(self):
+        return None if self.injection is None else self.H @ self.injection
 
 
 class DispatchLp:
@@ -248,10 +258,12 @@ class DispatchLp:
     [p, aux] with right-hand side ``rhs0`` at d = 0 and widths ``ranges``
     (+inf by default: one-sided), then the power balance 1 @ p = sum(d).
     Every row but the balance constrains p - d, so only the right-hand side
-    depends on the demand: b0 + A[:, :n] @ d, and ``np.sum(d)`` for the
+    depends on the demand: b0 + A[:, :n] @ d, and ``d.sum()`` for the
     balance.  The datasets' dispatches were computed with that sum; the
     product of d with the balance row rounds differently and moves the
-    last bits of 1,796 of 5,957 warm ``case39`` dispatches.
+    last bits of 1,796 of 5,957 warm ``case39`` dispatches.  A demand with
+    a NaN or infinite entry has a sum that is not finite, and ``rhs``
+    raises ValueError for it.
     """
 
     def __init__(self, net: Network, rows=None, rhs0=(), ranges=None,
@@ -275,8 +287,11 @@ class DispatchLp:
         self.c = np.concatenate([-net.cost, np.zeros(n_aux)])
 
     def rhs(self, demand):
+        total = demand.sum()
+        if not math.isfinite(total):
+            raise ValueError("demand has a NaN or infinite entry")
         b = self.b0 + self.A[:, :self.net.n] @ demand
-        b[-1] = np.sum(demand)
+        b[-1] = total
         return b
 
     def problem(self, demand) -> LpProblem:
@@ -320,8 +335,8 @@ class DcopfSolver(DispatchLp):
                 return DcopfResult(sol.status)
             self.bases.add()
             p = sol.x
-        flows = self.H @ (p - demand)
-        return DcopfResult(LpStatus.OPTIMAL, p=p, flows=flows, cost=float(self.net.cost @ p))
+        return DcopfResult(LpStatus.OPTIMAL, p=p, cost=float(self.net.cost @ p),
+                           injection=p - demand, H=self.H)
 
     def counters(self):
         return {"draws": self.n_draws, **self.bases.counters(),

@@ -70,6 +70,9 @@ problem/solution contract:
 Conventions: objective is MAXIMIZED; constraint relations are "<=" or "=";
 duals of "<=" rows are nonnegative at optimality (up to ``TOL_FEAS``),
 duals of "=" rows are free; complementary slackness holds up to ``TOL_COMP``.
+A basis is primal feasible when no basic variable breaks a bound by more
+than ``TOL_FEAS``; the engine's loops, ``solve_each``'s batches and
+``OptimalBases`` all test that one rule.
 A "<=" row may be ranged: with width w it states b - w <= a x <= b as one
 row, whose slack b - a x has the upper bound w.  Its dual is nonnegative
 when the upper side binds and nonpositive when the lower side binds.
@@ -410,13 +413,12 @@ class SimplexEngine:
     # -- pivoting core -------------------------------------------------
 
     def _infeasibility(self):
+        """Masks of the basic variables below their lower and above their
+        upper bound by more than TOL_FEAS, and whether any is."""
         xb = self.x[self.basis]
-        lo = self.L[self.basis] - xb
-        hi = xb - self.U[self.basis]
-        below = lo > TOL_FEAS
-        above = hi > TOL_FEAS
-        total = float(np.sum(lo[below]) + np.sum(hi[above]))
-        return below, above, total
+        below = self.L[self.basis] - xb > TOL_FEAS
+        above = xb - self.U[self.basis] > TOL_FEAS
+        return below, above, bool(below.any() or above.any())
 
     def _price(self, ceff):
         y = ceff[self.basis] @ self.B_inv
@@ -600,8 +602,8 @@ class SimplexEngine:
         try:
             while True:
                 if phase1:
-                    below, above, total = self._infeasibility()
-                    if total <= TOL_FEAS:
+                    below, above, broken = self._infeasibility()
+                    if not broken:
                         return "feasible", pivots
                     ceff = self._phase1_costs(below, above)
                     _, rc = self._price(ceff)
@@ -662,8 +664,7 @@ class SimplexEngine:
                     return LpSolution(LpStatus.INFEASIBLE, iterations=pivots,
                                       blocking=blocking)
             else:
-                _, _, total = self._infeasibility()
-                if total > TOL_FEAS:
+                if self._infeasibility()[2]:
                     rc = None  # phase 1 moves the basis
                     outcome, pivots = self._iterate(phase1=True,
                                                     iter_budget=budget)
@@ -885,9 +886,7 @@ class _Batch:
         # the dual simplex's optimality test, and the members that take it
         self.done = ok & ~primal & ~(viol.max(axis=1) > TOL_FEAS)
         dual = np.flatnonzero(ok & ~primal & ~self.done)
-        # the engine's phase-1 test: its sum of the bound violations beyond
-        # TOL_FEAS exceeds TOL_FEAS exactly when one of them does; phase 1
-        # is left to the engine
+        # primal feasible starts go to phase 2; phase 1 is left to the engine
         phase2 = np.flatnonzero(ok & primal
                                 & ~np.any(viol > TOL_FEAS, axis=1))
         if len(dual):
@@ -1151,6 +1150,8 @@ class _Optimum:
     T_xN: np.ndarray    # T @ x_N
     L_B: np.ndarray     # bounds of the basic variables
     U_B: np.ndarray
+    K: np.ndarray       # the structural basic columns
+    pos_K: np.ndarray   # their positions in the basis
 
 
 class OptimalBases:
@@ -1159,16 +1160,17 @@ class OptimalBases:
 
     With c, A and the bounds fixed, an optimal basis stays dual feasible for
     every right-hand side b, so it is optimal for b whenever its basic values
-    x_B = B^-1 (b - T x_N) pass the engine's own primal check: the bound
-    violations beyond ``TOL_FEAS`` sum to at most ``TOL_FEAS``.  ``lookup``
-    tries the entries in turn and answers from the first that passes, with
-    the bytes a zero-pivot ``resolve_rhs`` from that basis returns (the
-    products are the engine's, from the refactorization that re-solve
-    computes for the basis); this is the optimal-active-set view of Misra,
-    Roald & Ng (arXiv:1802.09639).  On a
-    miss the caller runs the engine, from the most recent entry's basis and
-    inverse (``install``), and ``add``s the basis it ends at when that is
-    optimal; the least recently used entry then drops out.  Nothing is
+    x_B = B^-1 (b - T x_N) are primal feasible by the engine's rule: no
+    bound broken by more than ``TOL_FEAS``, one scan of the largest
+    violation.  ``lookup`` tries the entries in turn and answers from the
+    first that passes, with the bytes a zero-pivot ``resolve_rhs`` from that
+    basis returns (the products are the engine's, from the refactorization
+    that re-solve computes for the basis; only the structural basic values
+    are scattered into the answer); this is the optimal-active-set view of
+    Misra, Roald & Ng (arXiv:1802.09639).  On a miss the caller runs the
+    engine, from the most recent entry's basis and inverse (``install``),
+    and ``add``s the basis it ends at when that is optimal; the least
+    recently used entry then drops out.  Nothing is
     solved at construction.  A ``reload`` of the engine's matrix or
     objective empties the table.
 
@@ -1195,9 +1197,11 @@ class OptimalBases:
         if not eng._inv_exact:
             raise ValueError("the engine's basis inverse is not exact")
         basis, x_N = eng.basis, eng._nonbasic_values()
+        pos_K = np.flatnonzero(basis < eng.n)
         entries = self._current()
         entries.insert(0, _Optimum(eng.snapshot(), eng.B_inv.copy(), x_N,
-                                   eng.T @ x_N, eng.L[basis], eng.U[basis]))
+                                   eng.T @ x_N, eng.L[basis], eng.U[basis],
+                                   basis[pos_K], pos_K))
         del entries[_BASES_KEPT:]
 
     def lookup(self, b):
@@ -1209,19 +1213,13 @@ class OptimalBases:
         entries = self._current()
         for i, e in enumerate(entries):
             x_B = e.B_inv @ (b - e.T_xN)
-            lo = e.L_B - x_B
-            hi = x_B - e.U_B
-            # the engine's check, with its sums skipped when no bound is
-            # broken by more than TOL_FEAS
-            if (max(lo.max(), hi.max()) <= TOL_FEAS
-                    or float(np.sum(lo[lo > TOL_FEAS])
-                             + np.sum(hi[hi > TOL_FEAS])) <= TOL_FEAS):
+            if np.maximum(e.L_B - x_B, x_B - e.U_B).max() <= TOL_FEAS:
                 if i:
                     entries.insert(0, entries.pop(i))
                 self.n_hits += 1
-                x = e.x_N.copy()
-                x[e.snap.basis] = x_B
-                return x[: self.engine.n]
+                x = e.x_N[: self.engine.n].copy()
+                x[e.K] = x_B[e.pos_K]
+                return x
         self.n_misses += 1
         return None
 

@@ -304,6 +304,25 @@ class TestGenData:
         assert np.allclose(ds.sigma, region.sigma)
         assert np.array_equal(ds.dim_map, region.dim_map)
 
+    def test_report_counts_dispatch_work(self, work):
+        gen = os.path.dirname(work["dataset"])
+        report = json.load(open(os.path.join(gen, "gen_data_report.json")))
+        manifest = json.load(open(os.path.join(gen, "manifest.json")))
+        assert report["manifest"] == manifest["hash"]
+        assert set(manifest["outputs"]) == {"dataset.npz",
+                                            "gen_data_report.json"}
+        sampling = report["sampling"]
+        assert sampling["draws"] >= sum(report["counts"])
+        assert sampling["table_hits"] + sampling["table_misses"] == \
+            sampling["draws"]
+        # the same sampler and counts as prepare-region's sampling stage:
+        # the same draws, table answers and engine work
+        prep = json.load(open(os.path.join(work["prep"],
+                                           "region_report.json")))
+        assert sampling == prep["sampling"]
+        assert set(report["stage_seconds"]) == {"sample", "label"}
+        assert all(v >= 0 for v in report["stage_seconds"].values())
+
     def test_seed_mismatch_rejected(self, work):
         code = main(["gen-data", "--case", work["case"],
                      "--region-dir", work["prep"], "--counts", COUNTS,

@@ -158,6 +158,15 @@ class TestInjectionsAndLabels:
         assert counters["table_misses"] > 0 and counters["refactorizations"] > 0
         assert np.array_equal(X, sample_injections(net, s, 60))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_demand_rejected(self, bad):
+        # with rel_std 0 every draw is the nominal demand, bad entry and all
+        net = two_bus()
+        s = DemandSampler(net.demand.copy(), rel_std=0.0, seed=0)
+        s.nominal[-1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sample_injections(net, s, 5)
+
     def test_origin_labeled_feasible(self):
         net = tight_ring()
         region = build_region(net, k=1)

@@ -219,6 +219,43 @@ def test_dcopf_warm_solver_matches_one_shot():
             assert a.cost == pytest.approx(b.cost, abs=1e-7)
 
 
+def test_dcopf_flows_are_those_of_the_solved_demand():
+    """Flows are computed on first read from the injection stored at the
+    solve, with the bytes of H @ (p - d), also after the caller overwrites
+    its demand in place; table hits and engine re-solves alike."""
+    from nkscreen.datagen import DemandSampler, sample_demands
+
+    net = load_network(CASE39)
+    solver = DcopfSolver(net)
+    demands = sample_demands(DemandSampler(net.demand, rel_std=0.15, seed=3),
+                             200)
+    for d in demands:
+        r = solver.solve(d)
+        want = solver.H @ (r.p - d)
+        d[:] = 0.0
+        assert r.flows.tobytes() == want.tobytes()
+        assert r.flows is r.flows
+    work = solver.counters()
+    assert work["table_hits"] > 0 and work["table_misses"] > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("warm", [False, True])
+def test_dcopf_rejects_non_finite_demand(bad, warm):
+    """A demand with a NaN or infinite entry raises ValueError, from a fresh
+    solver and from one whose table holds a basis, and counts no draw."""
+    net = load_network(CASE39)
+    solver = DcopfSolver(net)
+    if warm:
+        assert solver.solve()
+    d = net.demand.copy()
+    d[7] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        solver.solve(d)
+    assert solver.counters()["draws"] == int(warm)
+    assert solver.solve().p.tobytes() == DcopfSolver(net).solve().p.tobytes()
+
+
 @pytest.mark.parametrize("rel_std", [0.15, 0.3])
 def test_dcopf_dispatch_bytes_equal_two_row_formulation(rel_std):
     """One ranged row per line gives the dispatches of the 93-row LP, the

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nkscreen.lp import (
     TOL_COMP,
@@ -918,6 +921,23 @@ def test_miss_beyond_tolerance_goes_to_engine():
     assert table.counters() == {"table_hits": 1, "table_misses": 1}
 
 
+def test_violation_of_exactly_tol_feas_is_a_hit():
+    # max x s.t. x <= b, 0 <= x <= 10 with x basic: x = b exactly, so at
+    # b = -TOL_FEAS the one scan reads a violation of exactly TOL_FEAS,
+    # which the rule allows, as the engine's dual simplex does
+    p = LpProblem(c=[1.0], A=[[1.0]], b=[5.0], lb=[0.0], ub=[10.0])
+    eng = SimplexEngine(p)
+    table = OptimalBases(eng)
+    eng.solve()
+    table.add()
+    edge = np.array([-TOL_FEAS])
+    x = table.lookup(edge)
+    same = eng.resolve_rhs(edge)
+    assert same.iterations == 0 and x.tobytes() == same.x.tobytes()
+    assert x[0] == -TOL_FEAS
+    assert table.lookup(np.nextafter(edge, -np.inf)) is None
+
+
 def test_pivot_after_hit_keeps_cached_inverse():
     # a miss re-solves from the most recent entry, here the last hit's, and
     # adds the basis it ends at; every entry's inverse stays exact
@@ -1324,6 +1344,117 @@ def test_dcopf_solver_matches_warm_engine_mesh10():
             assert got.cost == float(net.cost @ want.x)
     assert statuses == {LpStatus.OPTIMAL}
     assert dcopf.counters()["table_misses"] < 40
+
+
+@functools.lru_cache(maxsize=None)
+def _mesh10_table():
+    """The 10-bus DC-OPF after 100 draws, and for each entry of its table
+    the right-hand sides of the later draws that entry answers alone."""
+    from nkscreen.grid import DcopfSolver
+
+    net = _mesh10()
+    dcopf = DcopfSolver(net)
+    draws = _dcopf_solver_draws(net, 1.00, 0.3)
+    for d in draws[:100]:
+        dcopf.solve(d)
+    answered = []
+    for e in dcopf.bases.entries:
+        one = _one_entry_table(dcopf.engine, e)
+        answered.append([b for b in map(dcopf.rhs, draws[100:])
+                         if one.lookup(b) is not None])
+    assert len(answered) > 1 and all(answered)
+    return dcopf, answered
+
+
+def _one_entry_table(eng, e):
+    """A table whose one entry is e's basis, installed on the engine."""
+    eng.restore(e.snap, e.B_inv)
+    table = OptimalBases(eng)
+    table.add()
+    return table
+
+
+def _move_basic_value(e, b, j, target):
+    """b with one entry changed so that entry e's basic value j, as the
+    table computes it, is exactly target; None when no nearby b gives it.
+    Rows that only j's value depends on are tried first, then the others,
+    each by a Newton step and a walk of single ulps."""
+    own = np.count_nonzero(e.B_inv, axis=0) == 1
+    rows = [r for r in np.argsort(~own, kind="stable")
+            if abs(e.B_inv[j, r]) > 1e-3]
+    for r in rows[:4]:
+        moved = b.copy()
+        for _ in range(3):
+            value = (e.B_inv @ (moved - e.T_xN))[j]
+            moved[r] += (target - value) / e.B_inv[j, r]
+        for _ in range(64):
+            value = (e.B_inv @ (moved - e.T_xN))[j]
+            if value == target:
+                return moved
+            up = (target - value) * e.B_inv[j, r] > 0
+            moved[r] = np.nextafter(moved[r], np.inf if up else -np.inf)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lookup_answers_exactly_when_zero_pivots_suffice(data):
+    """One scan per entry: a right-hand side puts one basic value at its
+    bound, at TOL_FEAS beyond it or one ulp further.  The entry answers
+    exactly when a re-solve from its basis is optimal in zero pivots, with
+    that re-solve's bytes, which are also those of the full-length
+    copy-and-scatter assembly."""
+    dcopf, answered = _mesh10_table()
+    eng = dcopf.engine
+    i = data.draw(st.integers(0, len(answered) - 1), label="entry")
+    e = dcopf.bases.entries[i]
+    b = data.draw(st.sampled_from(answered[i]), label="draw")
+    j = data.draw(st.integers(0, eng.m - 1), label="basic position")
+    side = data.draw(st.sampled_from(["lower", "upper"]))
+    bound, away = ((e.L_B[j], -np.inf) if side == "lower"
+                   else (e.U_B[j], np.inf))
+    assume(np.isfinite(bound))
+    beyond = bound + (TOL_FEAS if side == "upper" else -TOL_FEAS)
+    target = data.draw(st.sampled_from(
+        [bound, beyond, np.nextafter(beyond, away)]), label="target")
+    b = _move_basic_value(e, b, j, target)
+    assume(b is not None)
+    x = _one_entry_table(eng, e).lookup(b)
+    eng.restore(e.snap, e.B_inv)
+    want = eng.resolve_rhs(b)
+    assert (x is not None) == (want.status is LpStatus.OPTIMAL
+                               and want.iterations == 0)
+    if x is not None:
+        assert x.tobytes() == want.x.tobytes()
+        x_B = e.B_inv @ (b - e.T_xN)
+        full = e.x_N.copy()
+        full[e.snap.basis] = x_B
+        assert x.tobytes() == full[:eng.n].tobytes()
+
+
+def test_lookup_boundary_cases_go_both_ways():
+    """The targets of the property above are reached exactly, and put a
+    value at TOL_FEAS beyond its bound on both sides of the test: the
+    table's one scan and the engine's dual simplex decide alike there."""
+    dcopf, answered = _mesh10_table()
+    eng = dcopf.engine
+    seen = set()
+    for i, rhs in enumerate(answered):
+        e = dcopf.bases.entries[i]
+        for j in range(eng.m):
+            for bound, sign in ((e.L_B[j], -1.0), (e.U_B[j], 1.0)):
+                if not np.isfinite(bound):
+                    continue
+                b = _move_basic_value(e, rhs[0], j, bound + sign * TOL_FEAS)
+                if b is None:
+                    continue
+                x = _one_entry_table(eng, e).lookup(b)
+                eng.restore(e.snap, e.B_inv)
+                want = eng.resolve_rhs(b)
+                assert (x is not None) == (want.status is LpStatus.OPTIMAL
+                                           and want.iterations == 0)
+                seen.add(x is not None)
+    assert seen == {True, False}
 
 
 def _one_start(seed=11, q=8):

@@ -90,6 +90,7 @@ def test_call_shapes():
     inspect.signature(certify).bind(x, x, x, x, x, x)
     inspect.signature(SublevelSolver).bind(x)
     inspect.signature(DcopfSolver).bind(x)
+    inspect.signature(DcopfSolver.solve).bind(x, x)  # solver.solve(d)
     inspect.signature(ScalingOracle.rescale).bind(x, x)
     inspect.signature(solve_scopf_full).bind(x, x, x)
     inspect.signature(solve_scopf_icnn).bind(x, x, x)

@@ -115,6 +115,16 @@ class TestFullScopf:
         assert abs(res.cost - 1.6) <= 1e-6
         assert np.allclose(res.p, [0.8, 0.4, 0.0], atol=1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("with_region", [False, True])
+    def test_non_finite_demand_rejected(self, bad, with_region):
+        net = redispatch_net()
+        region = build_region(net, k=1) if with_region else None
+        d = net.demand.copy()
+        d[1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            solve_scopf_full(net, d, region)
+
     def test_cost_dominates_dcopf(self):
         net = redispatch_net()
         region = build_region(net, k=1)
@@ -208,6 +218,18 @@ class TestIcnnScopf:
         clf = ScaledClassifier(params=l1_ball_net3(radius=1.2), r=2.0)
         res = solve_scopf_icnn(net, net.demand, clf)
         assert res.status is LpStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_demand_rejected(self, bad):
+        # also once the cached LP's engine is warm from a solve
+        net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
+        clf = ScaledClassifier(params=l1_ball_net3(radius=1.2))
+        d = net.demand.copy()
+        d[2] = bad
+        for _ in range(2):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                solve_scopf_icnn(net, d, clf)
+            assert solve_scopf_icnn(net, net.demand, clf)
 
     def test_input_box_enforced(self):
         # tiny training box: dispatches must keep the network input inside it
