@@ -150,8 +150,7 @@ def mlp_epoch(params, X, y, config, opt, lr, rng):
     return total / n
 
 
-def train_mlp(X_train, y_train, X_val, y_val, config: TrainingConfig,
-              params=None, callback=None):
+def train_mlp(X_train, y_train, X_val, y_val, config: TrainingConfig):
     """Train the plain network under the same budget and schedule.
 
     Every epoch is a standard full pass (the warm/scaling split does not
@@ -165,10 +164,8 @@ def train_mlp(X_train, y_train, X_val, y_val, config: TrainingConfig,
     y_train = np.asarray(y_train, dtype=float)
     X_val = np.asarray(X_val, dtype=float)
     y_val = np.asarray(y_val, dtype=float)
-    if params is None:
-        params = init_mlp(X_train.shape[1], config.depth, config.width,
-                          seed=config.seed)
-    params.validate()
+    params = init_mlp(X_train.shape[1], config.depth, config.width,
+                      seed=config.seed)
 
     rng = np.random.default_rng(config.seed)
     opt = Adam(params)
@@ -182,8 +179,6 @@ def train_mlp(X_train, y_train, X_val, y_val, config: TrainingConfig,
                                         y_val)
         rec = EpochRecord(epoch, "mlp", lr, loss, float("nan"), -1, fpr, fnr)
         record.epochs.append(rec)
-        if callback is not None:
-            callback(rec)
         if fnr == 0.0 and (best_eligible is None or fpr < best_eligible[0]):
             best_eligible = (fpr, epoch, params.copy())
         key = (fnr + fpr, fpr)

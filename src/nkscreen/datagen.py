@@ -78,22 +78,20 @@ def sample_demands(sampler: DemandSampler, count, stream=0):
 
 
 def sample_injections(net: Network, sampler: DemandSampler, count,
-                      stream=0, max_oversample=10, return_demands=False,
-                      counters=None):
+                      max_oversample=10, return_demands=False, counters=None):
     """Net injections p - d from DC-OPF dispatch of sampled demands.
 
+    The demands come from streams 0, 1, 2, ... of ``sample_demands``.
     Infeasible demand draws are skipped and replaced by further draws; gives
-    up past max_oversample * count total draws.  stream picks the first
-    random stream, so disjoint calls can use disjoint stream ranges.  A dict
-    passed as counters receives the DC-OPF solver's ``counters()``: the
-    draws, the hits and misses of its table of optimal bases, and the
-    simplex engine's four counters (of the misses' re-solves).
+    up past max_oversample * count total draws.  A dict passed as counters
+    receives the DC-OPF solver's ``counters()``: the draws, the hits and
+    misses of its table of optimal bases, and the simplex engine's four
+    counters (of the misses' re-solves).
     """
     solver = DcopfSolver(net)
     X = np.empty((count, net.n))
     D = np.empty((count, net.n))
-    got = 0
-    drawn = 0
+    got = drawn = stream = 0
     while got < count:
         if drawn >= max_oversample * count:
             raise RuntimeError(

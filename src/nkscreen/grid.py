@@ -72,7 +72,8 @@ class Network:
 
 
 def load_network(source) -> Network:
-    """Load a case from a JSON file path, file object, or parsed dict."""
+    """Load a case from a JSON file path, file object, or parsed dict; a
+    line or generator without a required key is a ValueError naming both."""
     if isinstance(source, dict):
         raw = source
     elif hasattr(source, "read"):
@@ -87,6 +88,14 @@ def load_network(source) -> Network:
         slack = int(raw["slack_bus"])
     except KeyError as e:
         raise ValueError(f"case file missing required key: {e}") from None
+    for what, items, keys in (
+            ("line", lines, ("from", "to", "susceptance", "limit_mw")),
+            ("generator", gens, ("bus", "pmax_mw", "cost_per_mw"))):
+        for i, item in enumerate(items):
+            missing = [k for k in keys if k not in item]
+            if missing:
+                raise ValueError(f"{what} {i} is missing required key(s) "
+                                 f"{', '.join(missing)}")
     n = len(buses)
     demand = np.zeros(n)
     for i, bus in enumerate(buses):
@@ -95,7 +104,7 @@ def load_network(source) -> Network:
         demand[i] = float(bus.get("demand_mw", 0.0))
     line_arr = np.array([[int(l["from"]), int(l["to"])] for l in lines])
     susc = np.array([float(l["susceptance"]) for l in lines])
-    f_up = np.array([float(l.get("limit_mw", np.inf)) for l in lines])
+    f_up = np.array([float(l["limit_mw"]) for l in lines])
     f_lo = np.array([float(l.get("limit_lower_mw", -u)) for l, u in zip(lines, f_up)])
     pmin = np.zeros(n)
     pmax = np.zeros(n)

@@ -104,8 +104,8 @@ class IcnnParams(FlatParams):
     def n_inputs(self):
         return self.D[0].shape[1]
 
-    def is_convex(self, tol=0.0):
-        return all(Wi.min() >= -tol for Wi in self.W)
+    def is_convex(self):
+        return all(Wi.min() >= 0.0 for Wi in self.W)
 
     def copy(self):
         return IcnnParams(
@@ -157,8 +157,8 @@ class IcnnGrads:
         return IcnnGrads(vec, *_views(vec, params))
 
 
-def init_params(n_inputs, depth, width, box_lower, box_upper, seed=0,
-                box_gain=BOX_GAIN) -> IcnnParams:
+def init_params(n_inputs, depth, width, box_lower, box_upper,
+                seed=0) -> IcnnParams:
     """Uniform fan-in initialization; W starts nonnegative (absolute value)."""
     rng = np.random.default_rng(seed)
     box_lower = np.asarray(box_lower, dtype=float)
@@ -172,8 +172,8 @@ def init_params(n_inputs, depth, width, box_lower, box_upper, seed=0,
         b.append(rng.uniform(-bound, bound, size=rows))
         if i >= 1:
             W.append(np.abs(rng.uniform(-bound, bound, size=(rows, width))))
-    return IcnnParams(W=W, D=D, b=b, box_lower=box_lower, box_upper=box_upper,
-                      box_gain=box_gain).validate()
+    return IcnnParams(W=W, D=D, b=b, box_lower=box_lower,
+                      box_upper=box_upper).validate()
 
 
 def _as_batch(X, n):

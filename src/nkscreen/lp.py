@@ -714,7 +714,8 @@ class SimplexEngine:
 
     def reload(self, A=None, b=None, c=None) -> LpSolution:
         """Set any of the matrix, right-hand side and objective, then
-        ``solve``; shapes are checked before anything changes (ValueError)."""
+        ``solve``; shapes and finiteness are checked before anything changes
+        (ValueError)."""
         A, b, c = (None if v is None else np.asarray(v, dtype=float)
                    for v in (A, b, c))
         for what, v, shape in (("matrix", A, (self.m, self.n)),
@@ -722,6 +723,8 @@ class SimplexEngine:
                                ("objective", c, (self.n,))):
             if v is not None and v.shape != shape:
                 raise ValueError(f"{what} has shape {v.shape}, expected {shape}")
+            if v is not None and not np.isfinite(v).all():
+                raise ValueError(f"{what} must be finite")
         if A is not None:
             self.T[:, : self.n] = A
             self._inv_exact = False
@@ -735,7 +738,8 @@ class SimplexEngine:
     def solve_each(self, C, snaps):
         """``restore(snap)`` then ``resolve_objective(c)`` for each row c of
         C with its snapshot, in turn, byte for byte: the same solutions, and
-        the engine left as the last of them leaves it.
+        the engine left as the last of them leaves it.  C must be finite
+        (ValueError).
 
         The members are independent, each starting from its own basis, so
         they are solved in batches of up to 88 over a leading member axis.
@@ -755,14 +759,17 @@ class SimplexEngine:
         basis or None) per member, up to the first that is not optimal.
         Counters are those of the solves one by one, except
         ``n_refactors``, which counts the inversions performed: a start
-        that several members share counts once, and the engine's last
-        basis spares none; ``n_batched`` counts the members a batch
-        answered, ``n_rounds`` its lockstep pivot rounds.
+        that several members share counts once, the engine's last basis
+        spares none, and a member whose pivots were all bound flips counts
+        its polish, which the engine's solve skips; ``n_batched`` counts the
+        members a batch answered, ``n_rounds`` its lockstep pivot rounds.
         """
         C = np.asarray(C, dtype=float)
         if C.ndim != 2 or C.shape[1] != self.n or len(C) != len(snaps):
             raise ValueError("need one objective of the engine's width "
                              "per snapshot")
+        if not np.isfinite(C).all():
+            raise ValueError("objective must be finite")
         for s in snaps:
             if s.basis.shape != (self.m,) or s.vstat.shape != (self.nt,):
                 raise ValueError("snapshot of an engine of another shape")
@@ -876,7 +883,6 @@ class _Batch:
         self.basis, self.vstat, self.B, self.X = basis, vstat, B, X
         self.exact = ok  # B[i] inverts member i's kept basis
         self.pivots = np.zeros(q, dtype=int)
-        self.moved = np.zeros(q, dtype=bool)  # a pivot changed the basis
         self.rounds = 0
         self.Y, self.RC = self._price(self.C, self.basis, self.B)
         gain = self._gain(self.RC, self.vstat)
@@ -946,7 +952,6 @@ class _Batch:
                                      eng.U[leave])
         s.basis[lanes, pos] = j
         s.vstat[lanes, j] = _BASIC
-        s.moved[lanes] = True
         piv = d[np.arange(len(lanes)), pos]
         tiny = np.zeros(len(s), dtype=bool)
         small = np.abs(piv) < _PIVOT_TOL
@@ -969,13 +974,12 @@ class _Batch:
         zero = np.zeros(len(ids), dtype=int)
         return _Lanes(ids=ids, basis=self.basis[ids], vstat=self.vstat[ids],
                       X=self.X[ids], B=self.B[ids], C=self.C[ids],
-                      rc=self.RC[ids], piv=zero, stall=zero.copy(),
-                      moved=np.zeros(len(ids), dtype=bool))
+                      rc=self.RC[ids], piv=zero, stall=zero.copy())
 
     def _finish(self, s, mask):
         """Lanes ``mask`` are optimal: their state back into the batch."""
         ids = s.ids[mask]
-        for name in ("basis", "vstat", "X", "B", "moved"):
+        for name in ("basis", "vstat", "X", "B"):
             getattr(self, name)[ids] = getattr(s, name)[mask]
         self.pivots[ids] = s.piv[mask]
         self.done[ids] = True
@@ -1081,19 +1085,19 @@ class _Batch:
             self._next_round(s, tiny)
 
     def _polish(self):
-        """The engine's polish of the members that pivoted: refactorize a
-        basis a pivot changed, recompute x and price."""
+        """The engine's polish of the members that pivoted: refactorize,
+        recompute x and price.  A member whose pivots were all bound flips
+        is inverted again too, to the bytes it had."""
         P = np.flatnonzero(self.done & (self.pivots > 0))
-        moved = P[self.moved[P]]
-        if len(moved):
-            B, ok = self.eng._block_inverses(self.basis[moved])
-            self.B[moved[ok]] = B[ok]
-            self.inverted[moved[ok]] += 1
+        if len(P):
+            B, ok = self.eng._block_inverses(self.basis[P])
+            self.B[P[ok]] = B[ok]
+            self.inverted[P[ok]] += 1
             # the engine solves the others again, and inverts their kept
             # bases itself
-            self.done[moved[~ok]] = False
-            self.exact[moved[~ok]] = False
-            P = P[self.done[P]]
+            self.done[P[~ok]] = False
+            self.exact[P[~ok]] = False
+            P = P[ok]
         if len(P):
             self.X[P] = self._values(self.basis[P], self.vstat[P], self.B[P])
             self.Y[P], self.RC[P] = self._price(self.C[P], self.basis[P],

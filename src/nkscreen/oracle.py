@@ -21,14 +21,13 @@ Built on top of that:
   * certify: the predicted set is a subset of {A x <= b} iff every row's
     support stays below its offset, one support LP per row.  The rows are
     visited nearest-first: each next row is the unvisited one whose unit
-    normal is closest in direction to the row just visited.  On a fresh
-    solver every 64th row of that order is a seed, chained one LP at a
-    time; the others follow in three batched waves, each row from the
+    normal is closest in direction to the row just visited.  Every 64th
+    row of that order is a seed, chained one LP at a time on a fresh
+    solver; the others follow in three batched waves, each row from the
     optimal basis of the solved row whose optimal vertex scores highest
-    along the row's normal.  On the 2,386-row support region of the
-    reference checkpoint that takes 8,402 pivots, where parents nearest in
-    normal direction took 10,357, a chain over every row takes 8,937 and
-    index order 95,810, with the same supports bit for bit.
+    along the row's normal.  The solver decides where each LP starts: a
+    row with a kept basis of its own starts from it, whichever wave it
+    falls in.
   * scale_fast / scale_full: the smallest r such that the shrunken set S / r
     fits inside the region, max_j support_j / b_j, by its closed form or by
     solving the scaling LP.
@@ -114,13 +113,13 @@ class SublevelSolver:
     made it primal infeasible.  A new direction starts from the basis the
     LP before it left, or from a parent direction's kept basis in
     ``sweep``, which runs a list of directions as a batch when every one
-    has a start.  ``kept`` tells which directions have a basis.
+    has a start.
 
-    ``reload`` takes weights of the same architecture and box (ValueError
-    otherwise).  ``counters()`` returns the LPs solved, bases reused, the
-    engine's ``counters()``, the LPs a batch answered (``batched``; the
-    others of a batched sweep went back to the engine one by one) and the
-    batches' lockstep pivot rounds.
+    ``reload`` takes finite weights of the same architecture and box
+    (ValueError otherwise).  ``counters()`` returns the LPs solved, bases
+    reused, the engine's ``counters()``, the LPs a batch answered
+    (``batched``; the others of a batched sweep went back to the engine one
+    by one) and the batches' lockstep pivot rounds.
     """
 
     def __init__(self, params: IcnnParams):
@@ -142,6 +141,8 @@ class SublevelSolver:
         A, b, lb, ub = epigraph_constraints(params)
         if not (np.array_equal(lb, self.lb) and np.array_equal(ub, self.ub)):
             raise ValueError("box changed; build a new solver")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("classifier weights must be finite")
         self.A, self.b = A, b
         self.engine.reload(A=self.A, b=self.b)
 
@@ -156,12 +157,6 @@ class SublevelSolver:
         return {"n_lp": self.n_lp, **eng.counters(),
                 "bases_reused": self.n_reused, "batched": eng.n_batched,
                 "lockstep_rounds": eng.n_rounds}
-
-    def kept(self, directions):
-        """Whether each row of ``directions`` has a kept basis."""
-        return np.array([d.tobytes() in self._bases
-                         for d in np.asarray(directions, dtype=float)],
-                        dtype=bool)
 
     def support(self, direction) -> SupportResult:
         direction = np.asarray(direction, dtype=float)
@@ -342,18 +337,21 @@ def nearest_first(A):
 
 
 # certify chains every SEED_STRIDE-th row of the nearest-first order, then
-# solves the rows at each of WAVE_STRIDES in one batched sweep
+# solves the rows at each of WAVE_STRIDES in one batched sweep; the best
+# vertex of each wave row is found VERTEX_CHUNK rows at a time
 SEED_STRIDE = 64
 WAVE_STRIDES = (16, 4, 1)
+VERTEX_CHUNK = 256
 
 
-def _best_vertex(A, rows, X, cands, chunk=256):
+def _best_vertex(A, rows, X, cands):
     """For each row j of rows, the row p of cands (ascending) whose optimal
     vertex X[p] maximizes a_j.x_p, the lowest index on ties; in chunks, so
     no rows x cands matrix."""
     Xc = X[cands].T
-    return np.concatenate([cands[np.argmax(A[rows[i:i + chunk]] @ Xc, axis=1)]
-                           for i in range(0, len(rows), chunk)])
+    return np.concatenate(
+        [cands[np.argmax(A[rows[i:i + VERTEX_CHUNK]] @ Xc, axis=1)]
+         for i in range(0, len(rows), VERTEX_CHUNK)])
 
 
 def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
@@ -384,14 +382,15 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     ascending row order.  ``scale_fast`` keeps index order (see the module
     docstring).
 
-    A passed solver must hold params (ValueError otherwise).  The rows it
-    has kept a basis for, such as every row of a full rescale just before,
-    go first, in one batched sweep, each from its own basis; under the
-    same weights that re-prices them in zero pivots.  The seeds and waves
-    take the other rows, with those as parents too.  The report counts
-    the LPs, pivots, refactorizations (a shared start once), slack-basis
-    retries, switches to Bland's rule, reused bases, batched LPs and
-    lockstep rounds of this call.  An empty row set is a ValueError.
+    A passed solver must hold params (ValueError otherwise).  A row it has
+    kept a basis for, such as every row of a full rescale just before,
+    starts from that basis in whichever sweep it falls (``sweep`` takes a
+    row's own basis before its parent's), and under the same weights is
+    re-priced in zero pivots; when every seed has one, the seeds run as a
+    batch too.  The report counts the LPs, pivots, refactorizations (a
+    shared start once), slack-basis retries, switches to Bland's rule,
+    reused bases, batched LPs and lockstep rounds of this call.  An empty
+    row set is a ValueError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -409,19 +408,16 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     solved = np.zeros(A.shape[0], dtype=bool)
     order = nearest_first(A)
     pos = np.arange(len(order))
-    kept = solver.kept(A[order])
-    # rows with a kept basis first, as one batch; then the others: the
-    # seeds, chained, and the waves, each row from a solved row's vertex
-    waves = [kept] + [(pos % stride == 0) & ~kept
-                      for stride in (SEED_STRIDE, *WAVE_STRIDES)]
+    # the seeds, chained, then the waves, each row from a solved row's vertex
     swept = np.zeros(len(order), dtype=bool)
-    for k, wave in enumerate(waves):
+    for k, stride in enumerate((SEED_STRIDE, *WAVE_STRIDES)):
+        wave = pos % stride == 0
         rows = order[wave & ~swept]
         swept |= wave
         if not len(rows):
             continue
         parents = None
-        if k > 1 and solved.any():
+        if k and solved.any():
             parents = A[_best_vertex(A, rows, vertex,
                                      np.flatnonzero(solved))]
         results = solver.sweep(A[rows], keep_going=True, parents=parents)
@@ -459,7 +455,6 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
 @dataclass
 class ScaleResult:
     r: float
-    v: np.ndarray
     row: int                    # binding region row
     support: float              # unscaled support along that row
     x: np.ndarray | None        # maximizer of that row's support LP
@@ -488,9 +483,8 @@ def scale_fast(params: IcnnParams, A, b, solver=None) -> ScaleResult:
             best_ratio, best_j, best = ratio, j, res
     if best_ratio <= R_MIN:
         raise DegenerateRatio(f"scaling ratio {best_ratio:.3e} <= {R_MIN}")
-    return ScaleResult(r=best_ratio, v=np.zeros(A.shape[1]),
-                       row=best_j, support=best.value, x=best.x,
-                       output_dual=best.output_dual,
+    return ScaleResult(r=best_ratio, row=best_j, support=best.value,
+                       x=best.x, output_dual=best.output_dual,
                        n_lp=solver.n_lp - before)
 
 
@@ -514,9 +508,8 @@ def scale_full(params: IcnnParams, A, b, solver=None) -> ScaleResult:
     if r <= R_MIN:
         raise DegenerateRatio(f"scaling ratio {r:.3e} <= {R_MIN}")
     worst = int(np.argmin(b - zeta / r))
-    return ScaleResult(r=r, v=np.zeros(A.shape[1]), row=worst,
-                       support=float(zeta[worst]), x=None, output_dual=0.0,
-                       n_lp=solver.n_lp - before + 1)
+    return ScaleResult(r=r, row=worst, support=float(zeta[worst]), x=None,
+                       output_dual=0.0, n_lp=solver.n_lp - before + 1)
 
 
 def r_gradient(params: IcnnParams, scale: ScaleResult, b,
@@ -569,6 +562,6 @@ class ScalingOracle:
 
     def rescale(self, params: IcnnParams) -> ScaleResult:
         """Exact scaling of params against the region."""
-        self.params = params
         self.solver.reload(params)
+        self.params = params
         return scale_fast(params, self.A, self.b, solver=self.solver)

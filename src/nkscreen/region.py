@@ -297,7 +297,7 @@ def filter_contingencies(region: ContingencyRegion, X_full, threshold=0.9,
     return out.validate()
 
 
-def drop_constant_dims(region: ContingencyRegion, X_full, tol=TOL_CONST):
+def drop_constant_dims(region: ContingencyRegion, X_full):
     """Fold dimensions that are constant across the samples into the rhs.
 
     The folded region describes the slice at the recorded constants; its
@@ -312,7 +312,7 @@ def drop_constant_dims(region: ContingencyRegion, X_full, tol=TOL_CONST):
     Xc = region.project(X_full)
     span = Xc.max(axis=0) - Xc.min(axis=0)
     scale = np.maximum(1.0, np.abs(Xc).max(axis=0))
-    const = span <= tol * scale
+    const = span <= TOL_CONST * scale
     if np.all(const):
         raise AssumptionViolated("all dimensions constant; nothing to screen")
     values = Xc.mean(axis=0)
@@ -342,8 +342,9 @@ def drop_constant_dims(region: ContingencyRegion, X_full, tol=TOL_CONST):
     return out.validate(require_interior=False)
 
 
-def bounding_box(X, inflate=1.2, include_origin=True):
-    """Per-dimension box around the samples, widened about its midpoint."""
+def bounding_box(X, inflate=1.2):
+    """Per-dimension box around the samples, widened about its midpoint,
+    then stretched to hold the origin."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lo = X.min(axis=0)
     hi = X.max(axis=0)
@@ -351,10 +352,7 @@ def bounding_box(X, inflate=1.2, include_origin=True):
     half = np.maximum(0.5 * (hi - lo), 1e-12)
     lo = center - inflate * half
     hi = center + inflate * half
-    if include_origin:
-        lo = np.minimum(lo, 0.0)
-        hi = np.maximum(hi, 0.0)
-    return lo, hi
+    return np.minimum(lo, 0.0), np.maximum(hi, 0.0)
 
 
 def with_box(region: ContingencyRegion, X_full, inflate=1.2):

@@ -285,7 +285,7 @@ def scaling_epoch(params, X, y, oracle: ScalingOracle, config, opt, lr,
 
 
 def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
-          params=None, box_lower=None, box_upper=None, callback=None):
+          params=None, box_lower=None, box_upper=None):
     """Full training run; returns (ScaledClassifier, TrainingRecord).
 
     The returned classifier carries the exact full-sweep scaling of the
@@ -345,8 +345,6 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
             if fnr == 0.0 and (best is None or fpr < best[0]):
                 best = (fpr, epoch, candidate, scale.r)
         record.epochs.append(rec)
-        if callback is not None:
-            callback(rec)
 
     if best is None and record.stopped_epoch is not None:
         raise TrainingCollapsed(

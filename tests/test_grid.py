@@ -311,6 +311,17 @@ def test_load_network_validation_errors():
     assert net.validate() is net
 
 
+@pytest.mark.parametrize("entries, index, key", [
+    ("lines", 3, "limit_mw"), ("lines", 0, "susceptance"),
+    ("generators", 2, "cost_per_mw"), ("generators", 0, "pmax_mw")])
+def test_load_network_names_a_missing_key(entries, index, key):
+    raw = json.loads(CASE39.read_text())
+    del raw[entries][index][key]
+    what = {"lines": "line", "generators": "generator"}[entries]
+    with pytest.raises(ValueError, match=f"{what} {index} is missing .*{key}"):
+        load_network(raw)
+
+
 def test_disconnected_network_rejected():
     with pytest.raises(ValueError):
         Network(

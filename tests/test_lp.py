@@ -693,6 +693,43 @@ def test_reload_checks_shapes_before_any_change():
     same_bytes(eng.solve(), first)
 
 
+def _two_by_two():
+    # max x1 + x2  s.t.  x1 + 2 x2 <= 4,  3 x1 + x2 <= 6,  x >= 0
+    return LpProblem(c=np.ones(2), A=np.array([[1.0, 2.0], [3.0, 1.0]]),
+                     b=np.array([4.0, 6.0]), lb=np.zeros(2))
+
+
+NON_FINITE_ENTRIES = {
+    "reload_A": lambda eng, v: eng.reload(A=np.array([[1.0, v], [3.0, 1.0]])),
+    "reload_b": lambda eng, v: eng.reload(b=np.array([4.0, v])),
+    "reload_c": lambda eng, v: eng.reload(c=np.array([v, 1.0])),
+    "resolve_rhs": lambda eng, v: eng.resolve_rhs(np.array([v, 6.0])),
+    "resolve_objective": lambda eng, v: eng.resolve_objective(
+        np.array([1.0, v])),
+    "solve_each": lambda eng, v: eng.solve_each(
+        np.array([[1.0, 1.0], [v, 1.0]]), [eng.snapshot()] * 2),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRIES))
+def test_non_finite_data_is_rejected_before_any_change(entry, value):
+    # LpProblem rejects these at construction; before this check a NaN in
+    # the matrix gave a wrong finite optimum, in b or c an "optimal" NaN
+    eng = SimplexEngine(_two_by_two())
+    first = eng.solve()
+    state = [eng.T.copy(), eng.b.copy(), eng.c.copy(), eng.basis.copy(),
+             eng.B_inv.copy(), eng.data_version, eng.counters()]
+    with pytest.raises(ValueError, match="must be finite"):
+        NON_FINITE_ENTRIES[entry](eng, value)
+    after = [eng.T, eng.b, eng.c, eng.basis, eng.B_inv, eng.data_version,
+             eng.counters()]
+    for was, now in zip(state, after):
+        assert np.array_equal(was, now) if isinstance(was, np.ndarray) \
+            else was == now
+    same_bytes(eng.solve(), first)
+
+
 def test_bland_switch_counted(monkeypatch):
     import nkscreen.lp as lp
 
@@ -1500,8 +1537,42 @@ def test_shared_start_is_inverted_once(monkeypatch):
     # a pivot in one member leaves the others' inverses as they were: the
     # member that takes none keeps the exact inverse of the start
     batch = _Batch(eng, C, [snap] * len(C))
-    assert batch.moved[1:].any() and not batch.moved[0]
+    assert batch.pivots[1:].any() and batch.pivots[0] == 0
     assert batch.B[0].tobytes() == eng._block_inverse(snap.basis).tobytes()
+
+
+def test_bound_flips_alone_give_the_bytes_of_the_solve_one_by_one():
+    # max c.x  s.t.  x1 + x2 + x3 <= 10,  x1 - x3 <= 0.5,  0 <= x <= 1:
+    # the optimum of c = (1, 1, 1) has every x at its upper bound; from it,
+    # flipping the signs of c's first two entries moves x1 and x2 to their
+    # lower bounds by bound flips alone, which keep the basis
+    import copy
+
+    from nkscreen.lp import _Batch
+
+    p = LpProblem(c=np.ones(3), A=np.array([[1.0, 1.0, 1.0],
+                                            [1.0, 0.0, -1.0]]),
+                  b=np.array([10.0, 0.5]), lb=np.zeros(3), ub=np.ones(3))
+    eng = SimplexEngine(p)
+    assert eng.solve()
+    snap = eng.snapshot()
+    C = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
+    ref = copy.deepcopy(eng)
+    want = []
+    for c in C:
+        ref.restore(snap)
+        want.append(ref.resolve_objective(c))
+    assert [w.iterations for w in want] == [0, 1, 2]
+    batch = _Batch(eng, C, [snap] * len(C))
+    assert batch.done.all() and batch.pivots.tolist() == [0, 1, 2]
+    assert all(np.array_equal(basis, snap.basis) for basis in batch.basis)
+    # the shared start is inverted once, and each member that pivoted once
+    # more by its polish, to the bytes it had
+    assert batch.inverted.tolist() == [1, 1, 1]
+    assert batch.B[2].tobytes() == batch.B[0].tobytes()
+    for (sol, _), w in zip(eng.solve_each(C, [snap] * len(C)), want):
+        same_bytes(sol, w)
+        assert sol.iterations == w.iterations
 
 
 def test_distinct_starts_are_inverted_as_they_come(monkeypatch):

@@ -208,7 +208,6 @@ class TestScaling:
         assert res.r == pytest.approx(2.0, abs=1e-9)
         assert res.row == 0  # all rows tie; lowest index wins
         assert res.support == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_array_equal(res.v, np.zeros(2))
 
     def test_fast_can_inflate(self):
         net = l1_ball_net()
@@ -229,7 +228,6 @@ class TestScaling:
         A, b = square_region(t=0.5)
         res = scale_full(net, A, b)
         assert res.r == pytest.approx(2.0, abs=1e-8)
-        np.testing.assert_allclose(res.v, 0.0, atol=1e-8)
 
     def test_contained_set_expands(self):
         net = chebyshev_net(radius=0.1)
@@ -263,7 +261,6 @@ class TestScaling:
             fast = scale_fast(net, A, b)
             full = scale_full(net, A, b)
             assert full.r == pytest.approx(fast.r, abs=1e-8)
-            np.testing.assert_allclose(full.v, 0.0, atol=1e-12)
 
     def test_full_result_certifies(self):
         net = l1_ball_net()
@@ -271,7 +268,7 @@ class TestScaling:
         A = rng.normal(size=(9, 2))
         b = rng.uniform(0.5, 2.0, size=9)
         res = scale_full(net, A, b)
-        report = certify(net, A, b, r=res.r, v=res.v)
+        report = certify(net, A, b, r=res.r)
         assert report.reliable
 
 
@@ -398,19 +395,35 @@ class TestCertify:
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_final_certification_of_training_pivots_nowhere(self):
-        # the path of training.train: an exact rescale, then certification
-        # with the oracle's solver
-        net, A, b = random_instance(3)
+        # the path of training.train: a later exact rescale, then
+        # certification with the oracle's solver.  Every row has a kept
+        # basis, so the seeds and every wave run as batches, each row from
+        # its own basis, re-priced in zero pivots to the rescale's bytes
+        net, A, b = random_instance(5, m=150)
         oracle = ScalingOracle(net, A, b)
+        oracle.rescale(net)
+        drift(net, np.random.default_rng(5))
+        swept, sweep = [], oracle.solver.sweep
+
+        def recorded(D, **kwargs):
+            swept.append(sweep(D, **kwargs))
+            return swept[-1]
+
+        oracle.solver.sweep = recorded
         scale = oracle.rescale(net)
+        del oracle.solver.sweep
+        zeta = np.array([res.value for res in swept[0]])
         # certification visits the rows in another order than the rescale,
         # and each row still starts from its own kept basis
         assert nearest_first(A).tolist() != list(range(len(b)))
         report = certify(net, A, b, r=scale.r, solver=oracle.solver)
         assert report.reliable and report.pivots == 0
-        assert report.bases_reused == len(b)
+        assert report.supports.tobytes() == (zeta / scale.r).tobytes()
+        assert report.lockstep_rounds == 0
+        assert report.batched == report.bases_reused == report.n_lp == len(b)
         assert report.refactorizations <= len(b)
-        assert report.supports.max() == pytest.approx(b[scale.row], abs=1e-12)
+        assert report.supports[scale.row] == pytest.approx(b[scale.row],
+                                                           abs=1e-12)
 
 
 def index_order_sweep(net, A, b):
@@ -1012,6 +1025,18 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="region is empty"):
             ScalingOracle(net, A[:0], b[:0])
 
+    def test_reload_rejects_non_finite_weights(self):
+        # before the check, diverged weights reached the rescale's sweep as
+        # "the solver holds other weights"
+        net, A, b = random_instance(4, m=10)
+        oracle = ScalingOracle(net, A, b)
+        oracle.rescale(net)
+        bad = net.copy()
+        bad.D[1][0, 2] = np.nan
+        with pytest.raises(ValueError, match="weights must be finite"):
+            oracle.rescale(bad)
+        assert oracle.solver.holds(net)
+
     @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_scaling_factor_must_be_finite_and_positive(self, r):
         net, A, b = random_instance(4, m=10)
@@ -1047,7 +1072,10 @@ class TestNonFinite:
         solver = SublevelSolver(net)
         with pytest.raises(NumericalFailure, match="non-finite"):
             solver.support(A[2])
-        assert not solver.kept(A[[2]])[0]
+        # no basis was kept for the failed row: a later support reuses none
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solver.support(A[2])
+        assert solver.n_reused == 0
         # the rescale's chained sweep raises instead of skipping the row
         with pytest.raises(NumericalFailure):
             scale_fast(net, A, b)

@@ -234,9 +234,6 @@ def test_bounding_box_simple():
     assert lo[0] == pytest.approx(0.0)  # extended to include the origin
     assert lo[1] == pytest.approx(-6.4)
     assert hi[1] == pytest.approx(0.0)
-    lo2, hi2 = bounding_box(X, inflate=1.2, include_origin=False)
-    assert lo2[0] == pytest.approx(0.8)
-    assert hi2[1] == pytest.approx(-1.6)
 
 
 def test_drop_constant_dims_folds_rhs():
