@@ -8,4 +8,4 @@ violating injection as safe, and plugs the certified classifier into a
 security-constrained OPF.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

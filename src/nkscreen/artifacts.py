@@ -1,9 +1,12 @@
 """Byte-reproducible artifact files.
 
-np.savez_compressed embeds the current clock in each zip member header, so
-two runs that produce identical arrays still produce different bytes.  The
-writer here pins the zip metadata, which makes artifact hashes usable as
-identity: same inputs plus same seed gives the same file, bit for bit.
+np.savez embeds the current clock in each zip member header, so two runs
+that produce identical arrays still produce different bytes.  The writer
+here pins the zip metadata, which makes artifact hashes usable as identity:
+same inputs plus same seed gives the same file, bit for bit.  Members are
+stored, not deflated: a load is then a read and a CRC check, where
+inflating a deflated region_full.npz took most of a load.  np.load reads
+stored and deflated members alike, so files written deflated still load.
 """
 
 import hashlib
@@ -14,7 +17,6 @@ import numpy as np
 from numpy.lib import format as npformat
 
 ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
-ZIP_SLICE = 1 << 20   # bytes handed to the compressor at a time
 
 
 class _Member:
@@ -24,10 +26,8 @@ class _Member:
     at that write the member's size is known: the header plus the array's
     bytes.  ``ZipFile.writestr`` sets the same size before it writes
     through ``open(info, "w")``; the size decides the member's zip64
-    fields, and deflate's output does not depend on how its input is cut,
-    so streaming gives writestr's bytes.  Each write goes to the compressor
-    in slices of ``ZIP_SLICE`` bytes, so its output stays about that size
-    however badly the data compresses.
+    fields, so streaming gives writestr's bytes.  A stored member passes
+    each write straight to the file.
     """
 
     def __init__(self, zf, info, nbytes):
@@ -38,10 +38,7 @@ class _Member:
         if self._fp is None:
             self._info.file_size = len(data) + self._nbytes
             self._fp = self._zf.open(self._info, "w")
-        data = memoryview(data).cast("B")
-        for start in range(0, len(data), ZIP_SLICE):
-            self._fp.write(data[start:start + ZIP_SLICE])
-        return len(data)
+        return self._fp.write(data)
 
     def close(self):
         if self._fp is not None:
@@ -51,16 +48,16 @@ class _Member:
 def savez_deterministic(path, **arrays):
     """Write an .npz readable by np.load, with fixed zip metadata.
 
-    Members are written in sorted name order with a constant timestamp and
-    mode, so the output depends only on the array contents.  Each array
-    streams into its member in ``write_array``'s chunks of 16 MB, never as
-    a whole copy of its .npy bytes (``_Member``).
+    Members are stored uncompressed, in sorted name order, with a constant
+    timestamp and mode, so the output depends only on the array contents.
+    Each array streams into its member in ``write_array``'s chunks of
+    16 MB, never as a whole copy of its .npy bytes (``_Member``).
     """
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    with zipfile.ZipFile(path, "w") as zf:
         for name in sorted(arrays):
             array = np.asarray(arrays[name])
             info = zipfile.ZipInfo(name + ".npy", date_time=ZIP_EPOCH)
-            info.compress_type = zipfile.ZIP_DEFLATED
+            info.compress_type = zipfile.ZIP_STORED
             info.external_attr = 0o644 << 16
             member = _Member(zf, info, array.nbytes)
             try:

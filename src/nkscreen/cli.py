@@ -235,6 +235,14 @@ def cmd_prepare_region(args):
         stage_seconds[name] = time.perf_counter() - t0
         stage_peak_rss_mb[name] = peak_rss_mb()
 
+    def write_region(region, name):
+        """Save one region file; ``write`` sums the seconds of both."""
+        t0 = time.perf_counter()
+        save_region(region, os.path.join(run_dir, name))
+        stage_seconds["write"] = (stage_seconds.get("write", 0.0)
+                                  + time.perf_counter() - t0)
+        stage_peak_rss_mb["write"] = peak_rss_mb()
+
     t0 = time.perf_counter()
     construction = {}
     region0 = build_region(net, k=args.k, counters=construction)
@@ -263,8 +271,8 @@ def cmd_prepare_region(args):
     print(f"filtered: kept {len(filtered.contingencies)}/"
           f"{len(region0.contingencies)} contingencies, {filtered.n_rows} rows")
     # the stamp goes on a copy of the meta, so the later stages never see it
-    save_region(replace(filtered, meta={**filtered.meta, **stamp}),
-                os.path.join(run_dir, "region_full.npz"))
+    write_region(replace(filtered, meta={**filtered.meta, **stamp}),
+                 "region_full.npz")
 
     t0 = time.perf_counter()
     reduced = drop_constant_dims(filtered, X)
@@ -290,7 +298,7 @@ def cmd_prepare_region(args):
     sigma = Xr.std(axis=0)
     final = standardize(pruned, mu, sigma)
     final.meta.update(stamp)
-    save_region(final, os.path.join(run_dir, "region.npz"))
+    write_region(final, "region.npz")
 
     from .artifacts import write_json
     report = {
@@ -310,8 +318,9 @@ def cmd_prepare_region(args):
         "rows": int(final.n_rows),
         "columns": int(final.dim),
         "stage_seconds": {k: round(v, 3) for k, v in stage_seconds.items()},
-        # the process's peak resident memory after each stage; drop_dims
-        # includes the write of region_full.npz
+        # the process's peak resident memory after each stage, a running
+        # maximum: drop_dims still includes the write of region_full.npz,
+        # and write is read after region.npz
         "stage_peak_rss_mb": {k: round(v, 1)
                               for k, v in stage_peak_rss_mb.items()},
         "sampling": sampling,
@@ -375,7 +384,9 @@ def cmd_gen_data(args):
 
     ds.meta["manifest"] = manifest.hash
     ds.meta["region_manifest"] = region_std.meta.get("manifest", "")
+    t0 = time.perf_counter()
     save_dataset(ds, os.path.join(run_dir, "dataset.npz"))
+    stage_seconds["write"] = time.perf_counter() - t0
     # counts and times go in the report, so the dataset keeps its bytes
     write_json(os.path.join(run_dir, "gen_data_report.json"), {
         "manifest": manifest.hash,
@@ -585,9 +596,17 @@ def cmd_screen(args):
         print(f"run directory: {run_dir} (reused)")
         return 0
 
-    clf = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.dataset)
-    region_full = load_region_file(args.region_full)
+    load_seconds = {}
+
+    def timed_load(name, load, path):
+        t0 = time.perf_counter()
+        out = load(path)
+        load_seconds[name] = time.perf_counter() - t0
+        return out
+
+    clf = timed_load("checkpoint", load_checkpoint, args.checkpoint)
+    ds = timed_load("dataset", load_dataset, args.dataset)
+    region_full = timed_load("region_full", load_region_file, args.region_full)
     if ds.mu is None:
         raise ValidationError("dataset has no standardization transform")
     require_same_transform(ds, clf,
@@ -625,6 +644,7 @@ def cmd_screen(args):
     report = {
         "manifest": manifest.hash,
         "checkpoint_manifest": clf.meta.get("manifest", ""),
+        "load_seconds": load_seconds,
         "n_test": int(len(y)),
         "fpr": fpr,
         "fnr": fnr,

@@ -450,6 +450,15 @@ class ScaledClassifier:
         return (np.maximum(p.box_lower, self.r * p.box_lower + v),
                 np.minimum(p.box_upper, self.r * p.box_upper + v))
 
+    def transform(self):
+        """(dim_map, mu, sigma): u = (x[dim_map] - mu) / sigma maps a full
+        injection x into the classifier's coordinates; the identity for
+        what the classifier does not store."""
+        n = self.params.n_inputs
+        return (np.arange(n) if self.dim_map is None else self.dim_map,
+                np.zeros(n) if self.mu is None else self.mu,
+                np.ones(n) if self.sigma is None else self.sigma)
+
     def decision_values(self, X):
         """Screening values: the sign of forward(params with ``input_box``,
         r x + v), up to rounding of the network; the box term is measured
@@ -464,6 +473,7 @@ class ScaledClassifier:
 
 def save_checkpoint(clf: ScaledClassifier, path):
     p = clf.params
+    dim_map, mu, sigma = clf.transform()
     arrays = {
         "r": np.array(clf.r),
         "v": clf._shift(),
@@ -471,9 +481,9 @@ def save_checkpoint(clf: ScaledClassifier, path):
         "box_upper": p.box_upper,
         "box_gain": np.array(p.box_gain),
         "depth": np.array(p.depth),
-        "mu": np.zeros(p.n_inputs) if clf.mu is None else clf.mu,
-        "sigma": np.ones(p.n_inputs) if clf.sigma is None else clf.sigma,
-        "dim_map": np.arange(p.n_inputs) if clf.dim_map is None else clf.dim_map,
+        "mu": mu,
+        "sigma": sigma,
+        "dim_map": dim_map,
         "meta_json": np.array(json.dumps(clf.meta)),
     }
     for i, w in enumerate(p.W):

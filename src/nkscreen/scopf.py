@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DispatchLp, Network
+from .datagen import label_injections
+from .grid import DcopfSolver, DispatchLp, Network
 from .icnn import ScaledClassifier
 from .lp import (LpProblem, LpStatus, NumericalFailure, OptimalBases,
                  SimplexEngine, solve)
@@ -129,9 +130,7 @@ class _IcnnDispatchLp(DispatchLp):
     def __init__(self, net: Network, clf: ScaledClassifier):
         params = clf.params
         n_in = params.n_inputs
-        dim_map = np.arange(n_in) if clf.dim_map is None else clf.dim_map
-        mu = np.zeros(n_in) if clf.mu is None else clf.mu
-        sigma = np.ones(n_in) if clf.sigma is None else clf.sigma
+        dim_map, mu, sigma = clf.transform()
         shift = np.zeros(n_in) if clf.v is None else clf.v
         if len(dim_map) != n_in:
             raise ValueError("classifier transform does not match its input width")
@@ -304,7 +303,10 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     formulation (for the CSV report), with no time in it, so the CSV
     depends only on the inputs; summary aggregates cost premium,
     infeasibility shares, soundness of the classifier dispatches against
-    the region, and runtimes.  Runtime means cover only instances solved by
+    the region, and runtimes; its ``dcopf_diagnostic`` gives, per instance,
+    the plain DC-OPF dispatch's label against the region and the
+    classifier's decision value there (``_dcopf_diagnostic``), with no
+    time in it.  Runtime means cover only instances solved by
     both formulations, so neither side is charged for the other's
     infeasible cases.  The classifier LP is built (and solved at the nominal
     demand) once, before the loop; that one-off cost is icnn_setup_s, and
@@ -355,6 +357,7 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
 
     excess = [(icnns[i].cost - fulls[i].cost) / max(abs(fulls[i].cost), 1e-12)
               for i in both]
+    diagnostic = _dcopf_diagnostic(net, demands, region, clf)
     rt_full = [fulls[i].runtime for i in both]
     rt_icnn = [icnns[i].runtime for i in both]
     summary = {
@@ -376,6 +379,7 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
         "icnn_lp": {"rows": engine.m,
                     "ranged_rows": int(np.isfinite(lp.ranges).sum()),
                     **{k: v - work[k] for k, v in engine.counters().items()}},
+        "dcopf_diagnostic": diagnostic,
         "runtime_note": "runtime means cover instances feasible under both "
                         "formulations only; an icnn runtime is a warm "
                         "right-hand-side re-solve from the cached nominal "
@@ -383,6 +387,28 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
                         "are icnn_setup_s",
     }
     return records, summary
+
+
+def _dcopf_diagnostic(net: Network, demands, region: ContingencyRegion,
+                      clf: ScaledClassifier):
+    """Per instance, the DC-OPF dispatch's status, its injection's label
+    against the region (1 insecure, as the dataset's labels) and the
+    classifier's decision value there (> 0 flags it insecure), both in one
+    batch as screening computes them; None where the DC-OPF is not optimal.
+    """
+    dcopf = DcopfSolver(net)
+    results = [dcopf.solve(d) for d in demands]
+    solved = [i for i, res in enumerate(results) if res]
+    labels, values = {}, {}
+    if solved:
+        X = np.array([results[i].injection for i in solved])
+        dim_map, mu, sigma = clf.transform()
+        labels = dict(zip(solved, label_injections(region, X).tolist()))
+        values = dict(zip(solved, clf.decision_values(
+            (X[:, dim_map] - mu) / sigma).tolist()))
+    return [{"instance": i, "dcopf_status": res.status.name,
+             "dcopf_label": labels.get(i), "decision_value": values.get(i)}
+            for i, res in enumerate(results)]
 
 
 def save_benchmark(records, summary, csv_path, json_path):

@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import time
 
@@ -112,9 +113,27 @@ def timed_train(dataset, region):
         return run_dir, float(json.load(fh)["seconds"])
 
 
+def remove_stale_caches():
+    """Delete the 16-hex-digit directories directly under .cache/ other than
+    CACHE: artifacts of other source trees, which no run of this one reads."""
+    parent, own = os.path.split(CACHE)
+    for name in os.listdir(parent):
+        path = os.path.join(parent, name)
+        if (name != own and re.fullmatch("[0-9a-f]{16}", name)
+                and os.path.isdir(path) and not os.path.islink(path)):
+            shutil.rmtree(path)
+
+
 @pytest.fixture(scope="session")
 def pipeline():
+    """The 39-bus artifacts of this source tree, built or reused in CACHE.
+
+    It first removes the directories that other source trees built
+    directly under .cache/ (16 hex digits each, ``remove_stale_caches``)
+    and leaves everything else there alone.
+    """
     os.makedirs(CACHE, exist_ok=True)
+    remove_stale_caches()
     prep = ["prepare-region", "--case", CASE, "--k", "2",
             "--counts", REGION_COUNTS, "--seed", SEED]
     support = run_step(prep + ["--elimination", "support"])

@@ -1,9 +1,13 @@
 """Deterministic serialization: equal arrays must give equal bytes."""
 
+import dataclasses
 import hashlib
+import io
+import zipfile
 
 import numpy as np
 import pytest
+from numpy.lib import format as npformat
 
 from nkscreen.artifacts import (canonical_json, file_sha256,
                                 savez_deterministic, write_json)
@@ -68,25 +72,87 @@ def test_canonical_json_sorts_keys(tmp_path):
     assert json.loads(path.read_text()) == {"z": 1, "a": 2}
 
 
-def _savez_in_one_piece(path, **arrays):
+def _savez_in_one_piece(path, arrays, compression=zipfile.ZIP_STORED):
     """The writer before streaming: each member's .npy bytes built whole in
-    memory, then handed to ``writestr``."""
-    import io
-    import zipfile
-
-    from numpy.lib import format as npformat
-
+    memory, then handed to ``writestr``.  With ZIP_DEFLATED it writes the
+    bytes of the deflated writer that artifacts used before."""
     from nkscreen.artifacts import ZIP_EPOCH
 
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    with zipfile.ZipFile(path, "w", compression=compression) as zf:
         for name in sorted(arrays):
             buf = io.BytesIO()
             npformat.write_array(buf, np.asarray(arrays[name]),
                                  allow_pickle=False)
             info = zipfile.ZipInfo(name + ".npy", date_time=ZIP_EPOCH)
-            info.compress_type = zipfile.ZIP_DEFLATED
+            info.compress_type = compression
             info.external_attr = 0o644 << 16
             zf.writestr(info, buf.getvalue())
+
+
+def test_members_are_stored(tmp_path):
+    path = tmp_path / "a.npz"
+    savez_deterministic(path, A=np.arange(6.0).reshape(2, 3),
+                        s=np.array("x"), e=np.array([]))
+    with zipfile.ZipFile(path) as zf:
+        types = [info.compress_type for info in zf.infolist()]
+    assert types == [zipfile.ZIP_STORED] * 3
+
+
+def _leaves(obj):
+    """A loaded artifact as nested plain values, each array as its dtype,
+    shape and bytes, so NaNs compare equal."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _leaves(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.compare}
+    if isinstance(obj, (list, tuple)):
+        return [_leaves(x) for x in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.descr, obj.shape, obj.tobytes()
+    return obj
+
+
+def test_deflated_files_still_load(tmp_path, monkeypatch):
+    """Files written deflated, as every artifact was before members were
+    stored, load through the loaders to the stored file's bytes: a folded
+    region (NaN ``dropped_values``, structured ``row_meta``), a dataset and
+    a checkpoint, each with a 0-d unicode ``meta_json``."""
+    from helpers import region_from_rows
+    from nkscreen import datagen, icnn, region
+
+    reg = region.drop_constant_dims(
+        region_from_rows([[1.0, 2.0, 0.5], [-1.0, 0.5, 1.0]], [3.0, 2.0]),
+        np.array([[0.1, 0.3, -0.1], [0.2, 0.3, -0.3]]))
+    reg.meta["name"] = "\u00e9t\u00e9"
+    assert np.isnan(reg.dropped_values).sum() == 2
+    X = np.random.default_rng(5).normal(size=(4, 3))
+    ds = datagen.ScreeningDataset(
+        x=X, labels=np.array([0, 1, 0, 1], dtype=np.uint8), counts=(2, 1, 1),
+        d=X + 1.0, meta={"network": "\u00e9t\u00e9"}).attach_transform(reg)
+    clf = icnn.ScaledClassifier(
+        params=icnn.init_params(2, 1, 4, -np.ones(2), np.ones(2)), r=0.5,
+        mu=reg.mu, sigma=reg.sigma, dim_map=reg.dim_map,
+        meta={"name": "\u00e9t\u00e9"})
+
+    def deflated_writer(path, **arrays):
+        _savez_in_one_piece(path, arrays, zipfile.ZIP_DEFLATED)
+
+    for module, save, load, obj in (
+            (region, region.save_region, region.load_region, reg),
+            (datagen, datagen.save_dataset, datagen.load_dataset, ds),
+            (icnn, icnn.save_checkpoint, icnn.load_checkpoint, clf)):
+        stored = tmp_path / "stored.npz"
+        deflated = tmp_path / "deflated.npz"
+        save(obj, stored)
+        with monkeypatch.context() as m:
+            m.setattr(module, "savez_deterministic", deflated_writer)
+            save(obj, deflated)
+        with zipfile.ZipFile(deflated) as zf:
+            assert {i.compress_type for i in zf.infolist()} == \
+                {zipfile.ZIP_DEFLATED}
+        with np.load(stored) as a, np.load(deflated) as b:
+            assert a.files == b.files and "meta_json" in a.files
+            assert all(_leaves(a[n]) == _leaves(b[n]) for n in a.files)
+        assert _leaves(load(deflated)) == _leaves(load(stored))
 
 
 def test_streamed_members_match_one_piece_writer(tmp_path):
@@ -108,13 +174,13 @@ def test_streamed_members_match_one_piece_writer(tmp_path):
     }
     streamed, whole = tmp_path / "s.npz", tmp_path / "w.npz"
     savez_deterministic(streamed, **arrays)
-    _savez_in_one_piece(whole, **arrays)
+    _savez_in_one_piece(whole, arrays)
     assert streamed.read_bytes() == whole.read_bytes()
 
 
 def test_streamed_write_holds_no_whole_copy(tmp_path):
-    """One 16 MB chunk of ``write_array`` and a few compressor slices, on
-    data that hardly compresses; the one-piece writer peaks at 3.2 x."""
+    """One 16 MB chunk of ``write_array`` (0.42 x); the one-piece writer
+    peaks at 1.26 x stored and at 3.2 x deflated."""
     import tracemalloc
 
     big = np.random.default_rng(4).normal(size=(5_000_000,))   # 40 MB

@@ -165,7 +165,8 @@ class TestPrepareRegion:
         assert sampling["refactorizations"] > 0
         # the process's peak memory after each timed stage, never falling
         # in the stages' order (the JSON sorts its keys)
-        stages = ["build", "sample", "filter", "drop_dims", "eliminate"]
+        stages = ["build", "sample", "filter", "drop_dims", "eliminate",
+                  "write"]
         peaks = report["stage_peak_rss_mb"]
         assert set(peaks) == set(report["stage_seconds"]) == set(stages)
         values = [peaks[name] for name in stages]
@@ -320,7 +321,7 @@ class TestGenData:
         prep = json.load(open(os.path.join(work["prep"],
                                            "region_report.json")))
         assert sampling == prep["sampling"]
-        assert set(report["stage_seconds"]) == {"sample", "label"}
+        assert set(report["stage_seconds"]) == {"sample", "label", "write"}
         assert all(v >= 0 for v in report["stage_seconds"].values())
 
     def test_seed_mismatch_rejected(self, work):
@@ -554,7 +555,8 @@ class TestScreen:
         report = json.load(open(os.path.join(work["runs"], d,
                                              "screen_report.json")))
         assert set(report) == {
-            "manifest", "checkpoint_manifest", "n_test", "fpr", "fnr",
+            "manifest", "checkpoint_manifest", "load_seconds", "n_test",
+            "fpr", "fnr",
             "confusion", "icnn_seconds", "icnn_single_us_p50",
             "full_sweep_seconds", "speedup_vs_full_sweep",
             "exhaustive_agreement_full"}
@@ -567,6 +569,9 @@ class TestScreen:
         assert report["icnn_seconds"] > 0
         assert report["icnn_single_us_p50"] > 0
         assert report["full_sweep_seconds"] > 0
+        loads = report["load_seconds"]
+        assert set(loads) == {"checkpoint", "dataset", "region_full"}
+        assert all(v > 0 for v in loads.values())
 
 
 class TestTransformChecks:
@@ -675,6 +680,7 @@ class TestScopfBench:
                            "bland_switches"}
         assert all(type(v) is int and v >= 0 for v in lp.values())
         assert 0 < lp["ranged_rows"] < lp["rows"]
+        self.check_dcopf_diagnostic(work, summary["dcopf_diagnostic"])
         with open(os.path.join(run, "scopf_instances.csv"), "rb") as fh:
             csv_bytes = fh.read()
         rows = csv_bytes.decode().strip().splitlines()
@@ -691,6 +697,30 @@ class TestScopfBench:
                      "--limit", "6", "--out", work["runs"]]) == 0
         with open(os.path.join(run, "scopf_instances.csv"), "rb") as fh:
             assert fh.read() == csv_bytes
+        rerun = json.load(open(os.path.join(run, "scopf_summary.json")))
+        assert rerun["dcopf_diagnostic"] == summary["dcopf_diagnostic"]
+
+    @staticmethod
+    def check_dcopf_diagnostic(work, diagnostic):
+        """Each instance's plain DC-OPF dispatch, labelled against
+        region_full and valued by the classifier as screening does."""
+        from nkscreen.grid import DcopfSolver, load_network
+
+        net = load_network(work["case"])
+        ds = load_dataset(work["dataset"])
+        clf = load_checkpoint(work["ckpt"])
+        full = load_region(os.path.join(work["prep"], "region_full.npz"))
+        X = np.array([DcopfSolver(net).solve(d).injection
+                      for d in ds.d[ds.test][:6]])
+        assert [e["instance"] for e in diagnostic] == list(range(6))
+        assert all(e["dcopf_status"] == "OPTIMAL" for e in diagnostic)
+        labels = [e["dcopf_label"] for e in diagnostic]
+        values = np.array([e["decision_value"] for e in diagnostic])
+        assert labels == (~full.membership(X)).astype(int).tolist()
+        assert np.allclose(values, clf.decision_values(ds.standardized(X)),
+                           rtol=0, atol=1e-12)
+        # certified: no DC-OPF point the classifier admits is insecure
+        assert not any(v <= 0 and lab for v, lab in zip(values, labels))
 
     def test_no_instance_feasible_under_both(self, work, tmp_path, capsys,
                                              monkeypatch):
