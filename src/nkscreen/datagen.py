@@ -21,7 +21,7 @@ from .artifacts import savez_deterministic
 
 from .grid import DcopfSolver, Network
 from .lp import LpStatus
-from .region import ContingencyRegion
+from .region import ContingencyRegion, standardize_points
 
 
 @dataclass
@@ -174,11 +174,12 @@ class ScreeningDataset:
         return self._block(2)
 
     def standardized(self, X=None):
-        """Map raw injections into classifier coordinates."""
+        """Map raw injections, the dataset's own by default, into classifier
+        coordinates (``region.standardize_points``)."""
         if self.mu is None:
             raise ValueError("dataset carries no standardization")
-        X = self.x if X is None else np.atleast_2d(np.asarray(X, dtype=float))
-        return (X[:, self.dim_map] - self.mu) / self.sigma
+        return standardize_points(self.x if X is None else X, self.x.shape[1],
+                                  self.dim_map, self.mu, self.sigma)
 
     def attach_transform(self, region: ContingencyRegion):
         """Record the region's reduced standardized coordinate system."""

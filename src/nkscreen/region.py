@@ -56,6 +56,23 @@ def _point_blocks(n):
         start = stop
 
 
+def standardize_points(X, n_full, dim_map, mu, sigma):
+    """u = (x[dim_map] - mu) / sigma for points x in full original
+    coordinates: the one map into region and classifier coordinates.
+
+    X is one point, (n_full,), or rows of points; the result is always rows,
+    so one point gives a (1, len(dim_map)) array.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != n_full:
+        raise ValueError(f"expected points of {n_full} dims, one or a row "
+                         f"each, got shape {X.shape}")
+    U = X[dim_map] if X.ndim == 1 else X[:, dim_map]
+    U -= mu
+    U /= sigma
+    return U if X.ndim == 2 else U[None]
+
+
 class AssumptionViolated(ValueError):
     """The region lost an invariant (b > 0, nonzero rows, nonempty interior)."""
 
@@ -133,11 +150,10 @@ class ContingencyRegion:
         )
 
     def project(self, X_full):
-        """Map points in full original coordinates into region coordinates."""
-        X_full = np.atleast_2d(np.asarray(X_full, dtype=float))
-        if X_full.shape[1] != self.n_full:
-            raise ValueError(f"expected {self.n_full} dims, got {X_full.shape[1]}")
-        return (X_full[:, self.dim_map] - self.mu) / self.sigma
+        """Map points in full original coordinates into region coordinates
+        (``standardize_points``)."""
+        return standardize_points(X_full, self.n_full, self.dim_map,
+                                  self.mu, self.sigma)
 
     def margins(self, X_cur):
         """Largest row violation a @ x - b per point (negative = inside).

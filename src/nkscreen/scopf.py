@@ -39,7 +39,7 @@ from .icnn import ScaledClassifier
 from .lp import (LpProblem, LpStatus, NumericalFailure, OptimalBases,
                  SimplexEngine, solve)
 from .oracle import epigraph_constraints
-from .region import ContingencyRegion
+from .region import ContingencyRegion, standardize_points
 
 
 @dataclass
@@ -402,10 +402,9 @@ def _dcopf_diagnostic(net: Network, demands, region: ContingencyRegion,
     labels, values = {}, {}
     if solved:
         X = np.array([results[i].injection for i in solved])
-        dim_map, mu, sigma = clf.transform()
         labels = dict(zip(solved, label_injections(region, X).tolist()))
-        values = dict(zip(solved, clf.decision_values(
-            (X[:, dim_map] - mu) / sigma).tolist()))
+        values = dict(zip(solved, clf.decision_values(standardize_points(
+            X, region.n_full, *clf.transform())).tolist()))
     return [{"instance": i, "dcopf_status": res.status.name,
              "dcopf_label": labels.get(i), "decision_value": values.get(i)}
             for i, res in enumerate(results)]

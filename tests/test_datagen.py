@@ -266,6 +266,27 @@ class TestDataset:
         # and the standardized rhs keeps the origin interior
         assert np.all(std_region.b > 0)
 
+    def test_standardized_checks_width_and_keeps_rows(self):
+        _, region, ds = self.make()
+        reduced = with_box(drop_constant_dims(region, ds.x), ds.x)
+        Xr = reduced.project(ds.x)
+        std_region = standardize(reduced, Xr[ds.train].mean(axis=0),
+                                 Xr[ds.train].std(axis=0))
+        ds.attach_transform(std_region)
+        Z = ds.standardized()
+        assert np.array_equal(std_region.project(ds.x), Z)
+        x = ds.x[7]
+        one = ds.standardized(x)
+        assert one.shape == (1, len(ds.dim_map))
+        assert one.tobytes() == Z[7].tobytes()
+        n = ds.x.shape[1]
+        for bad in (np.append(x, 123.0), x[:-1],
+                    np.hstack([ds.x[:3], np.ones((3, 1))]), ds.x[None]):
+            with pytest.raises(ValueError, match=f"expected points of {n} dims"):
+                ds.standardized(bad)
+            with pytest.raises(ValueError, match=f"expected points of {n} dims"):
+                std_region.project(bad)
+
     def test_save_load_roundtrip(self, tmp_path):
         net, region, ds = self.make()
         reduced = with_box(drop_constant_dims(region, ds.x), ds.x)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nkscreen.icnn import (
-    IcnnGrads, IcnnParams, ScaledClassifier, backward, box_violation, forward,
-    init_params, load_checkpoint, project_convex, raw_forward, save_checkpoint,
+    IcnnGrads, IcnnParams, ScaledClassifier, _ScreeningNetwork, backward,
+    box_violation, forward, init_params, load_checkpoint, project_convex,
+    raw_forward, save_checkpoint,
 )
 
 from helpers import classify
@@ -378,6 +379,31 @@ def reference_feasible(clf, X):
     return forward(boxed, clf.r * np.atleast_2d(X) + shift) <= 0.0
 
 
+def screened_alone(clf, X):
+    """predict_feasible of each point on its own, the one-row path: even
+    points as (n,) vectors, odd ones as (1, n) rows."""
+    return np.array([clf.predict_feasible(x if i % 2 == 0 else x[None])[0]
+                     for i, x in enumerate(np.atleast_2d(X))])
+
+
+def one_row_reference(clf, x):
+    """The batch pass over x as a (1, n) matrix: the value the one-row
+    path must give to the bit."""
+    net = _ScreeningNetwork.build(clf)
+    X = x[None]
+    w = net.width
+    P = X @ net.D
+    P += net.b
+    z = np.maximum(P[:, :w], 0.0)
+    for i, Wi in enumerate(net.W[:-1], start=1):
+        h = P[:, i * w:(i + 1) * w] + z @ Wi
+        z = np.maximum(h, 0.0, out=h)
+    out = P[:, -1] + z @ net.W[-1]
+    pen = np.maximum(net.lower - X, X - net.upper).max(axis=1)
+    pen *= net.box_gain
+    return np.maximum(out, pen, out=out)
+
+
 def extreme_passing(face, r, v, upper, inner):
     """The extreme float x with r * x + v on the inner side of face, by
     bisection over values from a passing point inner: near x = 0 the
@@ -420,6 +446,7 @@ class TestScreeningNetwork:
         X = (U - v) / r
         got = clf.predict_feasible(X)
         np.testing.assert_array_equal(got, reference_feasible(clf, X))
+        np.testing.assert_array_equal(screened_alone(clf, X), got)
         assert 0.1 < got.mean() < 0.5
 
     @pytest.mark.parametrize("r, v", [(0.05, (0.0, 0.0)), (1.0, (0.3, -0.1)),
@@ -448,6 +475,7 @@ class TestScreeningNetwork:
                 want = reference_feasible(clf, X)
                 np.testing.assert_array_equal(want, [True, True, False])
                 np.testing.assert_array_equal(clf.predict_feasible(X), want)
+                np.testing.assert_array_equal(screened_alone(clf, X), want)
 
     def test_face_one_float_past_the_plain_quotient(self):
         # r = 0.1, v = 0.2 and an x box face at 0.3: the input box face is
@@ -468,6 +496,8 @@ class TestScreeningNetwork:
                                       [True, True, False])
         np.testing.assert_array_equal(clf.predict_feasible(X),
                                       [True, True, False])
+        np.testing.assert_array_equal(screened_alone(clf, X),
+                                      [True, True, False])
 
     def test_nan_and_infinite_coordinates_are_insecure(self):
         clf = ScaledClassifier(params=l1_ball_net(radius=1.0, box=10.0),
@@ -479,7 +509,30 @@ class TestScreeningNetwork:
         X[[3, 4, 5], 1] = [np.nan, np.inf, -np.inf]
         with np.errstate(invalid="ignore"):
             assert not clf.predict_feasible(X).any()
+            assert not screened_alone(clf, X).any()
             assert not reference_feasible(clf, X).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(depth=st.sampled_from([1, 2]), seed=st.integers(0, 2**16),
+           r=st.floats(0.05, 4.0), shift=st.floats(-0.5, 0.5),
+           x=st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                st.floats(allow_nan=False)),
+                      min_size=3, max_size=3))
+    def test_one_row_equals_the_batch_arithmetic(self, depth, seed, r, shift,
+                                                 x):
+        """One point's value, through either shape, is the bytes of the
+        (1, n) batch pass, for points inside, far outside the box (where
+        the products overflow) and at +-inf."""
+        net = init_params(3, depth=depth, width=4, box_lower=-np.ones(3),
+                          box_upper=np.ones(3), seed=seed)
+        clf = ScaledClassifier(params=net, r=r, v=np.full(3, shift))
+        x = np.array(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = one_row_reference(clf, x)
+            for point in (x, x[None]):
+                got = clf.decision_values(point)
+                assert got.shape == (1,)
+                assert got.tobytes() == want.tobytes()
 
     def test_nonpositive_scale_rejected(self):
         # the faces on x rely on r * x + v rising with x
@@ -491,7 +544,21 @@ class TestScreeningNetwork:
         clf = ScaledClassifier(params=l1_ball_net(), r=2.0)
         assert clf.predict_feasible(np.array([0.1, 0.2])).shape == (1,)
         assert clf.decision_values(np.array([0.1, 0.2])).shape == (1,)
+        assert clf.predict_feasible(np.zeros((1, 2))).shape == (1,)
         assert clf.predict_feasible(np.zeros((3, 2))).shape == (3,)
+        assert clf.predict_feasible(np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3,), (23,), (1, 3), (4, 1), (2, 3)])
+    def test_wrong_width_names_the_expected_width(self, shape):
+        clf = ScaledClassifier(params=l1_ball_net(), r=2.0)
+        with pytest.raises(ValueError, match="expected inputs of 2 dims"):
+            clf.decision_values(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(), (1, 1, 2), (3, 1, 2)])
+    def test_other_than_one_or_two_dimensions_rejected(self, shape):
+        clf = ScaledClassifier(params=l1_ball_net(), r=2.0)
+        with pytest.raises(ValueError, match="one or a row each"):
+            clf.predict_feasible(np.zeros(shape))
 
     def test_rebuilt_after_params_r_or_v_is_assigned(self):
         net = l1_ball_net(radius=1.0, box=10.0)

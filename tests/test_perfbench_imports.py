@@ -80,9 +80,15 @@ def test_every_nkscreen_name_resolves():
 
 
 def test_call_shapes():
+    import numpy as np
+    from helpers import mesh5
+
     from nkscreen.baselines import screen_batch
+    from nkscreen.datagen import ScreeningDataset
     from nkscreen.grid import DcopfSolver
+    from nkscreen.icnn import ScaledClassifier, init_params
     from nkscreen.oracle import ScalingOracle, SublevelSolver, certify
+    from nkscreen.region import build_region
     from nkscreen.scopf import solve_scopf_full, solve_scopf_icnn
     from nkscreen.training import train
 
@@ -96,6 +102,20 @@ def test_call_shapes():
     inspect.signature(solve_scopf_icnn).bind(x, x, x)
     inspect.signature(screen_batch).bind(x, x, early_exit=False)
     inspect.signature(train).bind(*[x] * 10)
+
+    # screen_phase screens one injection as predict_feasible(standardized(x))
+    # and reads pred[0]; dispatch_phase reads project(x)[0]
+    ds = ScreeningDataset(np.arange(20.0).reshape(5, 4), np.zeros(5), (3, 1, 1),
+                          mu=np.full(3, 0.5), sigma=np.full(3, 2.0),
+                          dim_map=np.array([0, 2, 3]))
+    clf = ScaledClassifier(params=init_params(3, 1, 4, -np.ones(3), np.ones(3)))
+    u = ds.standardized(ds.x[1])
+    assert u.shape == (1, 3)
+    pred = clf.predict_feasible(u)
+    assert pred.shape == (1,) and pred.dtype == bool
+    assert clf.predict_feasible(ds.standardized(ds.x[:4])).shape == (4,)
+    region = build_region(mesh5(), 1)
+    assert region.project(np.zeros(region.n_full)).shape == (1, region.dim)
 
 
 
