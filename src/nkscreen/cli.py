@@ -827,9 +827,9 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--region-full", required=True,
-                   help="dispatch region; a reduced region is accepted only "
-                        "when every folded dimension is provably "
-                        "non-dispatchable")
+                   help="full-dimension dispatch region (region_full.npz); "
+                        "a region that folds injection dimensions is "
+                        "refused")
     p.add_argument("--limit", type=int, default=0,
                    help="cap the number of test demand instances (0 = all)")
     add_run_flags(p)

@@ -48,28 +48,34 @@ problem/solution contract:
   right-hand side alone changes, each with its refactorization.  A
   right-hand side that one of them keeps primal feasible is answered by one
   product and a bound check, with the bytes a zero-pivot ``resolve_rhs``
-  from that basis returns; DC-OPF dispatch of sampled demands, whose draws
-  end at a handful of bases, runs the engine only on a miss.
+  from that basis returns.  It serves DC-OPF dispatch of sampled demands
+  (``grid.DcopfSolver``), whose draws end at a handful of bases, and runs
+  the engine only on a miss.
 
   The pivot loop is the hot path of training, so it is written for few
   numpy calls per pivot while keeping every floating-point operation of the
   textbook form, in the same order: pricing is ``c_B B^-1`` then
   ``c - y T``; the entering gain is ``rc`` times a sign looked up from the
-  variable's status (``|rc|`` for free variables, 0 for fixed ones) and the
-  entering column is its first maximum; the ratio test divides
-  ``(bound - x_B) +- tol`` by the rate only where a basic variable moves
-  toward a bound it can hit, all into one array whose first minimum blocks;
-  the inverse takes its rank-one update in place.  Masks that depend only on
-  the bounds (fixed and free columns) are computed once.  Counters of
+  variable's status (0 for fixed ones) and the entering column is its
+  first maximum; the ratio test divides ``(bound - x_B) +- tol`` by the
+  rate only where a basic variable moves toward a bound it can hit, all
+  into one array whose first minimum blocks; the inverse takes its
+  rank-one update in place.  The fixed columns are found once.  The
+  entering gain, the nonbasic values and the primal violation each have
+  one definition, shared by the engine's loops, ``solve_each``'s batches
+  and ``OptimalBases``.  Counters of
   pivots, refactorizations, slack-basis retries and switches to Bland's
   rule are updated outside the per-pivot work.
-* scipy's HiGHS: ``solve`` picks it for one-off instances of more than
-  600 rows, where maintaining a dense basis inverse is wasteful, and
-  ``solve(problem, backend="highs")`` asks for it by name.
+* scipy's HiGHS: ``solve`` picks it by row count alone, for one-off
+  instances of more than 600 rows, where maintaining a dense basis inverse
+  is wasteful; there is no switch.  ``solve_highs`` calls it directly, for
+  cross-checks against the engine.
 
 Conventions: objective is MAXIMIZED; constraint relations are "<=" or "=";
 duals of "<=" rows are nonnegative at optimality (up to ``TOL_FEAS``),
 duals of "=" rows are free; complementary slackness holds up to ``TOL_COMP``.
+Every variable has a finite lower or upper bound (``LpProblem`` rejects a
+free one), so a nonbasic variable always sits at a bound.
 A basis is primal feasible when no basic variable breaks a bound by more
 than ``TOL_FEAS``; the engine's loops, ``solve_each``'s batches and
 ``OptimalBases`` all test that one rule.
@@ -109,9 +115,15 @@ def _pivot_budget(m):
 
 
 # nonbasic/basic status codes
-_BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
-# entering gain = rc * sign of the variable's status (free ones: |rc|)
-_GAIN_SIGN = np.array([0.0, 1.0, -1.0, 1.0])
+_BASIC, _AT_LB, _AT_UB = 0, 1, 2
+# entering gain = rc * sign of the variable's status
+_GAIN_SIGN = np.array([0.0, 1.0, -1.0])
+
+
+def _violation(x, lo, hi):
+    """How far each x lies outside [lo, hi]: a basis is primal feasible when
+    no entry exceeds ``TOL_FEAS``."""
+    return np.maximum(lo - x, x - hi)
 
 
 class LpStatus(Enum):
@@ -128,9 +140,11 @@ class NumericalFailure(RuntimeError):
 class LpProblem:
     """max c @ x  s.t.  A x (<=|=) b,  lb <= x <= ub.
 
-    ``rel`` holds one relation string per row ("<=" or "=").  Bounds may be
-    +-inf.  ``ranges`` holds one width per row, +inf by default: a "<="
-    row of finite width w is ranged, b - w <= A x <= b, and its dual is
+    ``rel`` holds one relation string per row ("<=" or "=").  ``lb``
+    defaults to 0 and ``ub`` to +inf; either may be infinite, but not both
+    (ValueError), so every variable has a finite bound for the simplex to
+    hold it at.  ``ranges`` holds one width per row, +inf by default: a
+    "<=" row of finite width w is ranged, b - w <= A x <= b, and its dual is
     >= 0 when the upper side binds and <= 0 when the lower side binds.
     Widths must be >= 0, and +inf on "=" rows.  Rows of all zeros are
     rejected: they are either vacuous or infeasible and always indicate a
@@ -163,10 +177,12 @@ class LpProblem:
             bad = [r for r in self.rel if r not in ("<=", "=")]
             if bad:
                 raise ValueError(f"unknown relation(s) {bad}; use '<=' or '='")
-        self.lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
-        self.ub = np.full(n, +np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
+        self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=float)
+        self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if self.lb.shape != (n,) or self.ub.shape != (n,):
             raise ValueError("bounds must have one entry per variable")
+        if np.any(~np.isfinite(self.lb) & ~np.isfinite(self.ub)):
+            raise ValueError("every variable needs a finite lower or upper bound")
         self.ranges = (np.full(m, np.inf) if self.ranges is None
                        else np.asarray(self.ranges, dtype=float))
         if self.ranges.shape != (m,):
@@ -266,10 +282,7 @@ class SimplexEngine:
         self.U = np.concatenate([problem.ub,
                                  np.where(self.rel_eq, 0.0, problem.ranges)])
         # the bounds never change after construction
-        self._fin_L = np.isfinite(self.L)
-        self._fin_U = np.isfinite(self.U)
         self._fixed = np.flatnonzero(self.L == self.U)
-        self._free = np.flatnonzero(~self._fin_L & ~self._fin_U)
         self._span = self.U - self.L
         self._outer = np.empty((m, m))  # rank-one update buffer
         self._cand = np.empty(m)         # ratio-test buffer
@@ -294,13 +307,22 @@ class SimplexEngine:
     # -- setup helpers -------------------------------------------------
 
     def _reset_nonbasic_status(self, cols):
-        self.vstat[cols] = np.where(self._fin_L[cols], _AT_LB,
-                                    np.where(self._fin_U[cols], _AT_UB, _FREE))
+        self.vstat[cols] = np.where(np.isfinite(self.L[cols]), _AT_LB, _AT_UB)
 
-    def _nonbasic_values(self):
-        v = np.where(self.vstat == _AT_UB, self.U, np.where(self.vstat == _AT_LB, self.L, 0.0))
-        v[self.vstat == _BASIC] = 0.0
-        return v
+    def _nonbasic_values(self, vstat):
+        """Each variable's value for the statuses ``vstat`` (over leading
+        axes): its bound when nonbasic, 0 when basic."""
+        return np.where(vstat == _AT_UB, self.U,
+                        np.where(vstat == _AT_LB, self.L, 0.0))
+
+    def _gain(self, rc, vstat):
+        """The entering gain of each column for reduced costs ``rc`` and
+        statuses ``vstat`` (over leading axes): how fast moving the column
+        off its bound raises the objective; 0 for fixed and basic ones."""
+        gain = rc * _GAIN_SIGN[vstat]
+        if len(self._fixed):
+            gain[..., self._fixed] = 0.0
+        return gain
 
     def _refactor(self):
         if self._inv_exact:
@@ -405,7 +427,7 @@ class SimplexEngine:
         self._inv_exact = True
 
     def _recompute_x(self):
-        xn = self._nonbasic_values()
+        xn = self._nonbasic_values(self.vstat)
         self.x = xn
         rhs = self.b - self.T @ xn
         self.x[self.basis] = self.B_inv @ rhs
@@ -426,12 +448,7 @@ class SimplexEngine:
         return y, rc
 
     def _choose_entering(self, rc, bland):
-        stat = self.vstat
-        gain = rc * _GAIN_SIGN[stat]
-        if len(self._free):
-            gain[self._free] = np.abs(gain[self._free])
-        if len(self._fixed):
-            gain[self._fixed] = 0.0
+        gain = self._gain(rc, self.vstat)
         if bland:
             eligible = np.flatnonzero(gain > _RC_TOL)
             if not len(eligible):
@@ -441,9 +458,7 @@ class SimplexEngine:
             j = int(gain.argmax())  # first max: lowest index tie-break
             if not gain[j] > _RC_TOL:
                 return -1, 0
-        if stat[j] == _AT_UB or (stat[j] == _FREE and rc[j] < 0):
-            return j, -1
-        return j, +1
+        return j, (-1 if self.vstat[j] == _AT_UB else +1)
 
     def _ratio_test(self, j, sigma, phase1):
         """Blocking step length along entering column j with direction sigma.
@@ -523,12 +538,12 @@ class SimplexEngine:
         stall = 0
         bland = False
         since_refactor = 0
-        stat, L, U = self.vstat, self.L, self.U
+        L, U = self.L, self.U
         try:
             while True:
                 basis = self.basis
                 xb = self.x[basis]
-                viol = np.maximum(L[basis] - xb, xb - U[basis])
+                viol = _violation(xb, L[basis], U[basis])
                 if bland:
                     bad = np.flatnonzero(viol > TOL_FEAS)
                     if not len(bad):
@@ -543,11 +558,7 @@ class SimplexEngine:
                 # the pivot row; raising x_j moves x_r by -alpha_j, and
                 # `move` is how fast j can push x_r toward its broken bound
                 alpha = self.B_inv[r] @ self.T
-                move = (-alpha if below else alpha) * _GAIN_SIGN[stat]
-                if len(self._free):
-                    move[self._free] = np.abs(move[self._free])
-                if len(self._fixed):
-                    move[self._fixed] = 0.0
+                move = self._gain(-alpha if below else alpha, self.vstat)
                 eligible = move > _PIVOT_TOL
                 if not eligible.any():
                     return "infeasible", pivots, leave
@@ -811,8 +822,9 @@ class SimplexEngine:
         first when it is primal infeasible (a basis kept from another
         matrix).  ``B_inv``, when given, must be the engine's refactorization
         of the snapshot's basis under the present matrix
-        (``_block_inverse``), as an ``OptimalBases`` entry keeps it; it is
-        copied and the next solve inverts nothing.
+        (``_block_inverse``), as an ``OptimalBases`` entry or the classifier
+        SC-OPF's nominal start keeps it; it is copied and the next solve
+        inverts nothing.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
             raise ValueError("snapshot of an engine of another shape")
@@ -885,10 +897,10 @@ class _Batch:
         self.pivots = np.zeros(q, dtype=int)
         self.rounds = 0
         self.Y, self.RC = self._price(self.C, self.basis, self.B)
-        gain = self._gain(self.RC, self.vstat)
+        gain = eng._gain(self.RC, self.vstat)
         primal = gain[np.arange(q), gain.argmax(axis=1)] > _RC_TOL
         xb = _rowwise(self.X, self.basis)
-        viol = np.maximum(eng.L[self.basis] - xb, xb - eng.U[self.basis])
+        viol = _violation(xb, eng.L[self.basis], eng.U[self.basis])
         # the dual simplex's optimality test, and the members that take it
         self.done = ok & ~primal & ~(viol.max(axis=1) > TOL_FEAS)
         dual = np.flatnonzero(ok & ~primal & ~self.done)
@@ -906,9 +918,7 @@ class _Batch:
     def _values(self, basis, vstat, B):
         """``_recompute_x`` of each member."""
         eng = self.eng
-        X = np.where(vstat == _AT_UB, eng.U,
-                     np.where(vstat == _AT_LB, eng.L, 0.0))
-        X[vstat == _BASIC] = 0.0
+        X = eng._nonbasic_values(vstat)
         rhs = eng.b - (eng.T @ X[:, :, None])[:, :, 0]
         X[np.arange(len(X))[:, None], basis] = (B @ rhs[:, :, None])[:, :, 0]
         return X
@@ -917,16 +927,6 @@ class _Batch:
         """``_price`` of each member: its duals and reduced costs."""
         Y = (_rowwise(C, basis)[:, None, :] @ B)[:, 0]
         return Y, C - (Y[:, None, :] @ self.eng.T)[:, 0]
-
-    def _gain(self, rc, vstat):
-        """The entering gain of ``_choose_entering`` for each member."""
-        eng = self.eng
-        gain = rc * _GAIN_SIGN[vstat]
-        if len(eng._free):
-            gain[:, eng._free] = np.abs(gain[:, eng._free])
-        if len(eng._fixed):
-            gain[:, eng._fixed] = 0.0
-        return gain
 
     def _column(self, B, j):
         """d = B^-1 T[:, j] of each member."""
@@ -1002,7 +1002,7 @@ class _Batch:
         while len(s):
             ar = np.arange(len(s))
             xb = _rowwise(s.X, s.basis)
-            viol = np.maximum(L[s.basis] - xb, xb - U[s.basis])
+            viol = _violation(xb, L[s.basis], U[s.basis])
             r = viol.argmax(axis=1)  # first max: lowest index
             optimal = ~(viol[ar, r] > TOL_FEAS)
             if optimal.any():
@@ -1011,7 +1011,8 @@ class _Batch:
             leave = s.basis[ar, r]
             below = xb[ar, r] < L[leave]
             alpha = (s.B[ar, r][:, None, :] @ T)[:, 0]
-            move = self._gain(np.where(below[:, None], -alpha, alpha), s.vstat)
+            move = self.eng._gain(np.where(below[:, None], -alpha, alpha),
+                                  s.vstat)
             eligible = move > _PIVOT_TOL
             infeasible = ~eligible.any(axis=1)
             if infeasible.any():
@@ -1044,16 +1045,13 @@ class _Batch:
             if not fresh:
                 s.rc = self._price(s.C, s.basis, s.B)[1]
                 fresh = True
-            gain = self._gain(s.rc, s.vstat)
+            gain = eng._gain(s.rc, s.vstat)
             j = gain.argmax(axis=1)  # first max: lowest index
             optimal = ~(gain[ar, j] > _RC_TOL)
             if optimal.any():
                 self._finish(s, optimal)
                 continue
-            stat_j = s.vstat[ar, j]
-            sigma = np.where((stat_j == _AT_UB)
-                             | ((stat_j == _FREE) & (s.rc[ar, j] < 0)),
-                             -1.0, 1.0)
+            sigma = np.where(s.vstat[ar, j] == _AT_UB, -1.0, 1.0)
             # the ratio test of _ratio_test, phase 2
             d = self._column(s.B, j)
             rate = np.where(sigma[:, None] > 0, -d, d)
@@ -1160,7 +1158,8 @@ class _Optimum:
 
 class OptimalBases:
     """Optimal bases of one ``SimplexEngine`` whose right-hand side alone
-    changes, most recent first, at most 8 of them.
+    changes, most recent first, at most 8 of them: the table that
+    ``grid.DcopfSolver`` answers its draws from.
 
     With c, A and the bounds fixed, an optimal basis stays dual feasible for
     every right-hand side b, so it is optimal for b whenever its basic values
@@ -1200,7 +1199,7 @@ class OptimalBases:
         eng = self.engine
         if not eng._inv_exact:
             raise ValueError("the engine's basis inverse is not exact")
-        basis, x_N = eng.basis, eng._nonbasic_values()
+        basis, x_N = eng.basis, eng._nonbasic_values(eng.vstat)
         pos_K = np.flatnonzero(basis < eng.n)
         entries = self._current()
         entries.insert(0, _Optimum(eng.snapshot(), eng.B_inv.copy(), x_N,
@@ -1217,7 +1216,7 @@ class OptimalBases:
         entries = self._current()
         for i, e in enumerate(entries):
             x_B = e.B_inv @ (b - e.T_xN)
-            if np.maximum(e.L_B - x_B, x_B - e.U_B).max() <= TOL_FEAS:
+            if _violation(x_B, e.L_B, e.U_B).max() <= TOL_FEAS:
                 if i:
                     entries.insert(0, entries.pop(i))
                 self.n_hits += 1
@@ -1241,7 +1240,8 @@ class OptimalBases:
         return {"table_hits": self.n_hits, "table_misses": self.n_misses}
 
 
-def _solve_highs(problem: LpProblem) -> LpSolution:
+def solve_highs(problem: LpProblem) -> LpSolution:
+    """One solve by scipy's HiGHS."""
     from scipy.optimize import linprog
 
     ineq = ~np.asarray([r == "=" for r in problem.rel])
@@ -1293,13 +1293,9 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
     )
 
 
-def solve(problem: LpProblem, backend: str = "auto") -> LpSolution:
-    """One-shot solve. backend: "simplex", "highs", or "auto" (HiGHS above
-    600 rows, counted as the engine counts them: a ranged row is one)."""
-    if backend == "auto":
-        backend = "highs" if problem.n_rows > 600 else "simplex"
-    if backend == "simplex":
-        return SimplexEngine(problem).solve()
-    if backend == "highs":
-        return _solve_highs(problem)
-    raise ValueError(f"unknown backend {backend!r}")
+def solve(problem: LpProblem) -> LpSolution:
+    """One-shot solve: HiGHS above 600 rows (counted as the engine counts
+    them: a ranged row is one), a fresh ``SimplexEngine`` otherwise."""
+    if problem.n_rows > 600:
+        return solve_highs(problem)
+    return SimplexEngine(problem).solve()

@@ -432,13 +432,14 @@ def _dedup_rows(A_hat, b_hat):
 def _chebyshev_centre(A_hat, b_hat, lo, hi):
     """Centre of the largest ball inside the unit-normal rows, x in the box.
 
-    Raises AssumptionViolated when the radius is not positive: the rows
-    then leave no interior inside the box.
+    The radius column is bounded below by 0.  Raises AssumptionViolated
+    when the radius is not positive: the rows then leave no interior inside
+    the box.
     """
     m, n = A_hat.shape
     prob = LpProblem(c=np.append(np.zeros(n), 1.0),
                      A=np.hstack([A_hat, np.ones((m, 1))]), b=b_hat,
-                     lb=np.append(lo, -np.inf), ub=np.append(hi, np.inf))
+                     lb=np.append(lo, 0.0), ub=np.append(hi, np.inf))
     sol = solve(prob)
     if sol.status is not LpStatus.OPTIMAL or sol.x[-1] <= 0.0:
         raise AssumptionViolated("the region has no interior inside the box")

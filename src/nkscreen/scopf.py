@@ -36,8 +36,7 @@ import numpy as np
 from .datagen import label_injections
 from .grid import DcopfSolver, DispatchLp, Network
 from .icnn import ScaledClassifier
-from .lp import (LpProblem, LpStatus, NumericalFailure, OptimalBases,
-                 SimplexEngine, solve)
+from .lp import LpProblem, LpStatus, NumericalFailure, SimplexEngine, solve
 from .oracle import epigraph_constraints
 from .region import ContingencyRegion, standardize_points
 
@@ -92,7 +91,19 @@ def solve_scopf_full(net: Network, demand,
     DC-OPF.  The LP is solved once by ``lp.solve``, on HiGHS above 600 rows.
     Reported runtime covers the LP solve only, so both formulations are
     timed on the same footing.
+
+    A region that folds injection dimensions (``dim != n_full``) raises
+    ValueError: the fold holds only for points at the folded values, and
+    dispatch can move those coordinates, so it could admit dispatches the
+    full region forbids.  Dispatch against the full-dimension region
+    (``region_full.npz``) or a subset of its rows.
     """
+    if region is not None and region.dim != region.n_full:
+        folded = np.setdiff1d(np.arange(region.n_full), region.dim_map)
+        raise ValueError(
+            f"region folds injection dimension(s) {folded.tolist()}, which "
+            "dispatch can move; dispatch against the full-dimension region "
+            "(region_full.npz) instead")
     rows = () if region is None else region_inequalities(region)
     problem = DispatchLp(net, *rows).problem(np.asarray(demand, dtype=float))
     formulation = "dcopf" if region is None else "full"
@@ -110,21 +121,21 @@ class _IcnnDispatchLp(DispatchLp):
     side depends on the demand, and a ranged row's width does not, so the
     constraint matrix (with the network's PTDF) is built once.  The simplex
     engine is built on first use and solved once at the network's nominal
-    demand; its optimal basis, with its refactorization, is the one entry
-    of an ``lp.OptimalBases`` table and the start of every later solve:
-    ``install`` puts basis and inverse into the engine, and the
-    ``resolve_rhs`` after it runs the dual simplex from that basis, which
-    stays dual feasible for every demand (c and A do not change).  On
-    ``case39`` that is about 11 pivots, and a refactorization inverts the
-    block of the basis's structural columns, 4-22 wide, not all 122 rows.
-    An infeasible verdict of the dual simplex names the constraint it could
-    not repair (``ScopfResult.blocking``).  The table never takes another
-    entry, so every solve starts from this one basis and the answer for a
-    demand does not depend on which demands came before.  Demands are not
-    looked up in the table first: with the benchmark's checkpoint the
-    nominal basis stays optimal for none of 300 sampled demands, so a
-    lookup would only add a product per solve.  If the nominal solve is not
-    optimal, the table stays empty and solves start from the slack basis.
+    demand; its optimal basis, with its refactorization, is kept as
+    ``_start`` and is the start of every later solve: ``restore`` puts
+    basis and inverse into the engine, and the ``resolve_rhs`` after it
+    runs the dual simplex from that basis, which stays dual feasible for
+    every demand (c and A do not change).  On ``case39`` that is about 11
+    pivots, and a refactorization inverts the block of the basis's
+    structural columns, 4-22 wide, not all 122 rows.  An infeasible verdict
+    of the dual simplex names the constraint it could not repair
+    (``ScopfResult.blocking``).  Every solve starts from this one basis, so
+    the answer for a demand does not depend on which demands came before.
+    Demands are not first tested against the nominal basis, as DC-OPF
+    draws are against their table of bases: with the benchmark's
+    checkpoint that basis stays optimal for none of 300 sampled demands, so
+    the test would only add a product per solve.  If the nominal solve is
+    not optimal, solves start from the slack basis.
     """
 
     def __init__(self, net: Network, clf: ScaledClassifier):
@@ -163,7 +174,7 @@ class _IcnnDispatchLp(DispatchLp):
                                  np.full(np.count_nonzero(lo_only), np.inf)])
         # a private copy: the cached content describes the network at build time
         super().__init__(copy.deepcopy(net), rows, rhs0, ranges, n_aux=nz)
-        self._engine = self._nominal = None
+        self._engine = self._start = None
         self._n_epi = len(b_e)
         self._box_coords = np.concatenate([np.flatnonzero(hi_ok),
                                            np.flatnonzero(lo_only)])
@@ -186,24 +197,26 @@ class _IcnnDispatchLp(DispatchLp):
         return "balance"
 
     def engine(self):
-        """The simplex engine and the table of its nominal optimal basis,
-        built on first use."""
+        """The simplex engine, built and solved at the nominal demand on
+        first use; ``_start`` is then the ``restore`` arguments of every
+        solve: the nominal optimal basis and its refactorization, or the
+        slack basis alone when that solve is not optimal."""
         if self._engine is None:
             engine = SimplexEngine(self.problem(self.net.demand))
-            nominal = OptimalBases(engine)
+            start = (engine.snapshot(),)
             try:
                 if engine.solve():
-                    nominal.add()
+                    start = (engine.snapshot(), engine.B_inv.copy())
             except NumericalFailure:
                 pass
-            self._engine, self._nominal = engine, nominal
-        return self._engine, self._nominal
+            self._engine, self._start = engine, start
+        return self._engine
 
     def solve(self, demand) -> ScopfResult:
-        engine, nominal = self.engine()
+        engine = self.engine()
         b = self.rhs(demand)
         t0 = time.perf_counter()
-        nominal.install()
+        engine.restore(*self._start)
         sol = engine.resolve_rhs(b)
         return _result(sol, "icnn", self.net, time.perf_counter() - t0,
                        self._blocking(sol.blocking))
@@ -273,28 +286,6 @@ def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier) -> ScopfResult
     return _icnn_lp(net, clf).solve(np.asarray(demand, dtype=float))
 
 
-def region_safe_for_dispatch(net: Network, region: ContingencyRegion, demands):
-    """Whether a reduced region constrains dispatch exactly for these demands.
-
-    Folding a constant injection dimension into b is only valid for points
-    that hold the folded value.  A dispatch problem can move any coordinate
-    with generation headroom, so the fold is exact for optimization only
-    when every dropped bus has no generator and none of the demand
-    instances load it: then its injection is structurally zero, matching
-    the folded constant.
-    """
-    if region.dim == region.n_full:
-        return True
-    demands = np.atleast_2d(np.asarray(demands, dtype=float))
-    dropped = np.setdiff1d(np.arange(region.n_full), region.dim_map)
-    vals = region.dropped_values[dropped]
-    if not np.allclose(vals, 0.0, atol=1e-12):
-        return False
-    if np.any(net.pmax[dropped] != 0.0) or np.any(net.pmin[dropped] != 0.0):
-        return False
-    return not np.any(demands[:, dropped] != 0.0)
-
-
 def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
                     clf: ScaledClassifier):
     """Run both formulations over demand instances and compare.
@@ -310,20 +301,15 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     both formulations, so neither side is charged for the other's
     infeasible cases.  The classifier LP is built (and solved at the nominal
     demand) once, before the loop; that one-off cost is icnn_setup_s, and
-    each classifier runtime is a warm re-solve.
+    each classifier runtime is a warm re-solve.  The region must have full
+    dimension: ``solve_scopf_full`` refuses a folded one (ValueError).
     """
     demands = np.atleast_2d(np.asarray(demands, dtype=float))
-    if not region_safe_for_dispatch(net, region, demands):
-        folded = np.setdiff1d(np.arange(region.n_full), region.dim_map)
-        raise ValueError(
-            f"region folds injection dimension(s) {folded.tolist()}, which "
-            "the dispatch problem can move; benchmark against the "
-            "full-dimension region (region_full.npz) instead")
     # the classifier LP's one-off build and nominal solve, timed apart
     _icnn_lps.clear()
     t0 = time.perf_counter()
     lp = _icnn_lp(net, clf)
-    engine, _ = lp.engine()
+    engine = lp.engine()
     icnn_setup = time.perf_counter() - t0
     work = engine.counters()
     records = []

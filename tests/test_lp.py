@@ -16,6 +16,7 @@ from nkscreen.lp import (
     OptimalBases,
     SimplexEngine,
     solve,
+    solve_highs,
 )
 
 from helpers import paired_rows
@@ -116,13 +117,31 @@ def test_single_variable_max():
 
 
 def test_unbounded():
-    p = LpProblem(c=[1.0], A=[[-1.0]], b=[0.0])
+    p = LpProblem(c=[1.0], A=[[-1.0]], b=[0.0], lb=[-1.0])
     assert solve(p).status is LpStatus.UNBOUNDED
 
 
 def test_infeasible():
-    p = LpProblem(c=[0.0], A=[[1.0], [-1.0]], b=[1.0, -2.0])
+    p = LpProblem(c=[0.0], A=[[1.0], [-1.0]], b=[1.0, -2.0], lb=[-1.0])
     assert solve(p).status is LpStatus.INFEASIBLE
+
+
+def test_lower_bound_defaults_to_zero():
+    p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0])
+    assert p.lb.tolist() == [0.0, 0.0] and p.ub.tolist() == [np.inf, np.inf]
+    # max -x - y over x + y <= 1 stops at the default bounds
+    assert solve(dataclasses.replace(p, c=np.array([-1.0, -1.0]))).objective == 0.0
+
+
+@pytest.mark.parametrize("lb, ub", [(-np.inf, np.inf), (np.nan, np.nan),
+                                    (-np.inf, np.nan)])
+def test_column_without_a_finite_bound_rejected(lb, ub):
+    with pytest.raises(ValueError, match="finite lower or upper bound"):
+        LpProblem(c=[1.0, 0.0], A=[[1.0, 1.0]], b=[1.0], lb=[0.0, lb],
+                  ub=[1.0, ub])
+    # one finite side is enough
+    LpProblem(c=[1.0, 0.0], A=[[1.0, 1.0]], b=[1.0], lb=[0.0, -np.inf],
+              ub=[1.0, 2.0])
 
 
 def test_equality_row():
@@ -139,9 +158,10 @@ def test_fixed_variable_respected():
     assert s.x[1] == pytest.approx(3.0)
 
 
-def test_free_variable_interior_optimum():
-    # max -|x| style: min distance encoded via two rows; optimum at x = 0.5 interior
-    p = LpProblem(c=[0.0, -1.0], A=[[1.0, -1.0], [-1.0, -1.0]], b=[0.5, -0.5])
+def test_interior_optimum():
+    # max -|x - 0.5| encoded via two rows; optimum at x = 0.5, inside the box
+    p = LpProblem(c=[0.0, -1.0], A=[[1.0, -1.0], [-1.0, -1.0]], b=[0.5, -0.5],
+                  lb=[-10.0, -10.0], ub=[10.0, 10.0])
     s = solve(p)
     assert s.status is LpStatus.OPTIMAL
     assert s.x[1] == pytest.approx(0.0, abs=1e-9)
@@ -164,7 +184,7 @@ def test_rejects_shape_mismatch():
 def test_matches_vertex_enumeration(seed):
     rng = np.random.default_rng(1000 + seed)
     p = random_bounded_lp(rng)
-    s = solve(p, backend="simplex")
+    s = SimplexEngine(p).solve()
     ref = vertex_enumeration_max(p.c, p.A, p.b, p.lb, p.ub)
     assert s.status is LpStatus.OPTIMAL
     assert ref is not None
@@ -177,7 +197,7 @@ def test_matches_vertex_enumeration(seed):
 def test_matches_vertex_enumeration_higher_dim(n, seed):
     rng = np.random.default_rng(7000 + 13 * n + seed)
     p = random_bounded_lp(rng, n=n, m=4)
-    s = solve(p, backend="simplex")
+    s = SimplexEngine(p).solve()
     ref = vertex_enumeration_max(p.c, p.A, p.b, p.lb, p.ub)
     assert s.objective == pytest.approx(ref, abs=1e-6)
 
@@ -186,8 +206,8 @@ def test_matches_vertex_enumeration_higher_dim(n, seed):
 def test_simplex_agrees_with_highs(seed):
     rng = np.random.default_rng(2000 + seed)
     p = random_bounded_lp(rng, n=int(rng.integers(2, 7)), m=int(rng.integers(2, 9)))
-    a = solve(p, backend="simplex")
-    h = solve(p, backend="highs")
+    a = SimplexEngine(p).solve()
+    h = solve_highs(p)
     assert a.status is h.status is LpStatus.OPTIMAL
     assert a.objective == pytest.approx(h.objective, abs=1e-7 * max(1, abs(h.objective)))
 
@@ -201,8 +221,8 @@ def test_equality_rows_against_highs():
         b = np.concatenate([A[:m_in] @ x0 + rng.uniform(0.1, 1.0, size=m_in), A[m_in:] @ x0])
         rel = ["<="] * m_in + ["="] * m_eq
         p = LpProblem(c=rng.normal(size=n), A=A, b=b, rel=rel, lb=x0 - 2, ub=x0 + 2)
-        a = solve(p, backend="simplex")
-        h = solve(p, backend="highs")
+        a = SimplexEngine(p).solve()
+        h = solve_highs(p)
         assert a.status is h.status is LpStatus.OPTIMAL
         assert a.objective == pytest.approx(h.objective, abs=1e-7)
         check_kkt(p, a)
@@ -211,8 +231,8 @@ def test_equality_rows_against_highs():
 def test_determinism_bitwise():
     rng = np.random.default_rng(42)
     p = random_bounded_lp(rng, n=4, m=5)
-    s1 = solve(p, backend="simplex")
-    s2 = solve(p, backend="simplex")
+    s1 = SimplexEngine(p).solve()
+    s2 = SimplexEngine(p).solve()
     assert s1.iterations == s2.iterations
     assert np.array_equal(s1.x, s2.x)
     assert np.array_equal(s1.duals, s2.duals)
@@ -227,10 +247,9 @@ def test_resolve_objective_matches_cold():
     for k in range(25):
         c_new = rng.normal(size=4)
         warm = eng.resolve_objective(c_new)
-        cold = solve(
-            LpProblem(c=c_new, A=p.A, b=p.b, rel=p.rel, lb=p.lb, ub=p.ub),
-            backend="simplex",
-        )
+        cold = SimplexEngine(
+            LpProblem(c=c_new, A=p.A, b=p.b, rel=p.rel, lb=p.lb, ub=p.ub)
+        ).solve()
         assert warm.status is cold.status is LpStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
         # warm solve should be an optimal point of the same LP
@@ -246,10 +265,9 @@ def test_resolve_rhs_matches_cold():
     for k in range(25):
         b_new = base.A @ x0 + rng.uniform(0.05, 2.0, size=6)
         warm = eng.resolve_rhs(b_new)
-        cold = solve(
-            LpProblem(c=base.c, A=base.A, b=b_new, rel=base.rel, lb=base.lb, ub=base.ub),
-            backend="simplex",
-        )
+        cold = SimplexEngine(
+            LpProblem(c=base.c, A=base.A, b=b_new, rel=base.rel, lb=base.lb, ub=base.ub)
+        ).solve()
         assert warm.status is cold.status
         if warm.status is LpStatus.OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
@@ -273,10 +291,9 @@ def test_reload_matrix_matches_cold():
     for k in range(15):
         A_new = p.A + 0.05 * rng.normal(size=p.A.shape)
         warm = eng.reload(A=A_new)
-        cold = solve(
-            LpProblem(c=p.c, A=A_new, b=p.b, rel=p.rel, lb=p.lb, ub=p.ub),
-            backend="simplex",
-        )
+        cold = SimplexEngine(
+            LpProblem(c=p.c, A=A_new, b=p.b, rel=p.rel, lb=p.lb, ub=p.ub)
+        ).solve()
         assert warm.status is cold.status
         if warm.status is LpStatus.OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
@@ -289,7 +306,7 @@ def test_degenerate_duplicated_rows():
         A = np.vstack([p.A, p.A, p.A[0:1]])
         b = np.concatenate([p.b, p.b, p.b[0:1]])
         pp = LpProblem(c=p.c, A=A, b=b, lb=p.lb, ub=p.ub)
-        s = solve(pp, backend="simplex")
+        s = SimplexEngine(pp).solve()
         ref = vertex_enumeration_max(p.c, p.A, p.b, p.lb, p.ub)
         assert s.objective == pytest.approx(ref, abs=1e-6)
 
@@ -321,9 +338,9 @@ def test_ranged_rows_agree_across_backends(side):
     binding = 0
     for _ in range(30):
         p = ranged_lp(rng, side)
-        a = solve(p, backend="simplex")
-        h = solve(p, backend="highs")
-        ref = solve(paired_rows(p), backend="simplex")
+        a = SimplexEngine(p).solve()
+        h = solve_highs(p)
+        ref = SimplexEngine(paired_rows(p)).solve()
         assert a.status is h.status is ref.status is LpStatus.OPTIMAL
         for s in (a, h):
             assert abs(s.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
@@ -348,8 +365,7 @@ def test_ranged_row_duals_by_hand():
     for c, dual0, obj in (([2.0, 1.0], 1.5, 5.0), ([-2.0, -1.0], -1.0, -1.0)):
         p = LpProblem(c=c, A=A, b=[3.0, 1.0], lb=[0, 0], ub=[5, 5],
                       ranges=[2.0, 4.0])
-        for backend in ("simplex", "highs"):
-            s = solve(p, backend=backend)
+        for s in (SimplexEngine(p).solve(), solve_highs(p)):
             assert s.objective == pytest.approx(obj, abs=1e-9)
             assert s.duals[0] == pytest.approx(dual0, abs=1e-9)
 
@@ -359,8 +375,8 @@ def test_ranged_row_infeasible_on_every_backend():
     p = LpProblem(c=[1.0, 0.0], A=[[1.0, 1.0]], b=[2.0], lb=[0, 0],
                   ub=[0.4, 0.4], ranges=[1.0])
     for q in (p, paired_rows(p)):
-        for backend in ("simplex", "highs"):
-            assert solve(q, backend=backend).status is LpStatus.INFEASIBLE
+        for s in (SimplexEngine(q).solve(), solve_highs(q)):
+            assert s.status is LpStatus.INFEASIBLE
 
 
 def test_ranged_rhs_resolve_moves_both_sides():
@@ -530,14 +546,13 @@ def test_snapshot_without_inverse_refactors_once(monkeypatch):
 def dual_feasible(eng):
     """Whether the engine's basis prices every nonbasic column the way an
     optimum must, computed apart from the engine's own pricing."""
-    from nkscreen.lp import _AT_LB, _AT_UB, _FREE
+    from nkscreen.lp import _AT_LB, _AT_UB
 
     y = np.linalg.solve(eng.T[:, eng.basis].T, eng.c[eng.basis])
     rc = eng.c - y @ eng.T
     stat, fixed = eng.vstat, eng.L == eng.U
     return not np.any(~fixed & (((stat == _AT_LB) & (rc > 1e-9))
-                                | ((stat == _AT_UB) & (rc < -1e-9))
-                                | ((stat == _FREE) & (np.abs(rc) > 1e-9))))
+                                | ((stat == _AT_UB) & (rc < -1e-9))))
 
 
 def loops_run(monkeypatch):
@@ -796,8 +811,8 @@ def test_infeasible_rhs_names_the_blocking_row():
 
 def mixed_lp(rng):
     """A feasible bounded LP with every kind of row and column: one-sided,
-    ranged and "=" rows; boxed, fixed, half-bounded and free columns (the
-    free one pinned down by the "=" row)."""
+    ranged and "=" rows; boxed, fixed and half-bounded columns (column 1's
+    one bound lies 10 away, and the "=" row pins it down)."""
     n, m = 6, 7
     A = rng.normal(size=(m, n))
     A[np.all(np.abs(A) < 0.3, axis=1), 0] += 1.0
@@ -809,7 +824,7 @@ def mixed_lp(rng):
     ranges[[2, 3]] = b[[2, 3]] - A[[2, 3]] @ x0 + rng.uniform(0.1, 1.0, size=2)
     lb, ub = x0 - rng.uniform(0.5, 2.0, size=n), x0 + rng.uniform(0.5, 2.0, size=n)
     lb[0] = ub[0] = x0[0]       # fixed
-    lb[1], ub[1] = -np.inf, np.inf  # free
+    lb[1], ub[1] = x0[1] - 10.0, np.inf  # far from its one bound
     ub[2] = np.inf              # bounded below only
     lb[3] = -np.inf             # bounded above only
     rel = ["<="] * m
@@ -835,7 +850,7 @@ def test_rhs_path_matches_cold_primal(seed, monkeypatch):
         ran.clear()
         warm = eng.resolve_rhs(q.b)
         assert ran == ["_dual_iterate"]
-        ref = solve(q, backend="highs")
+        ref = solve_highs(q)
         assert warm.status is ref.status, k
         statuses.append(warm.status)
         if warm:
@@ -1341,7 +1356,7 @@ def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
     net, demands, X = _dcopf_digest(hashlib.sha256())
     clf = _mesh10_classifier(X)
     scopf._icnn_lps.clear()
-    eng, _ = scopf._icnn_lp(net, clf).engine()
+    eng = scopf._icnn_lp(net, clf).engine()
     shapes = recorded_inversions(monkeypatch, [eng])
     try:
         solved = [scopf.solve_scopf_icnn(net, d, clf) for d in demands]

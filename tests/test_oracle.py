@@ -9,7 +9,8 @@ from nkscreen.icnn import (
     IcnnParams, forward, init_params, project_convex, raw_forward,
 )
 from nkscreen.lp import (
-    _AT_LB, _AT_UB, TOL_FEAS, LpProblem, LpSolution, SimplexEngine, solve,
+    _AT_LB, _AT_UB, TOL_FEAS, LpProblem, LpSolution, SimplexEngine,
+    solve_highs,
 )
 from nkscreen.oracle import (
     DegenerateRatio, EmptyPredictedSet, ScalingOracle, SublevelSolver,
@@ -156,8 +157,7 @@ class TestSublevelMax:
             a = sublevel_max(net, c)
             A, b, lb, ub = epigraph_constraints(net)
             obj = np.concatenate([c, np.zeros(A.shape[1] - 3)])
-            h = solve(LpProblem(c=obj, A=A, b=b, lb=lb, ub=ub),
-                      backend="highs")
+            h = solve_highs(LpProblem(c=obj, A=A, b=b, lb=lb, ub=ub))
             assert a.value == pytest.approx(h.objective, rel=1e-8, abs=1e-8)
 
     def test_empty_set_raises(self):

@@ -449,6 +449,36 @@ def test_eliminate_redundant_centre_when_origin_is_outside():
     assert out.row_meta["line"].tolist() == _brute_force_minimal(region)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_chebyshev_centre_on_the_simplex_matches_highs(seed, monkeypatch):
+    # a region of at most 600 rows takes the simplex path, with the radius
+    # bounded below by 0; HiGHS with a free radius finds the same radius
+    from scipy.optimize import linprog
+
+    import nkscreen.lp as lp
+    from nkscreen.region import _chebyshev_centre
+
+    region = _random_polytope(seed, dim=2 + seed % 3)
+    A_hat, b_hat = _normalized(region.A, region.b)
+    lo, hi = region.box_lower, region.box_upper
+    m, n = A_hat.shape
+    assert m <= 600
+    ref = linprog(np.append(np.zeros(n), -1.0),
+                  A_ub=np.hstack([A_hat, np.ones((m, 1))]), b_ub=b_hat,
+                  bounds=[*zip(lo, hi), (None, None)], method="highs")
+    assert ref.status == 0 and -ref.fun > 0.0
+
+    def no_highs(problem):
+        raise AssertionError("the centre LP went to HiGHS")
+
+    monkeypatch.setattr(lp, "solve_highs", no_highs)
+    centre, iterations = _chebyshev_centre(A_hat, b_hat, lo, hi)
+    assert iterations > 0
+    assert np.all((lo <= centre) & (centre <= hi))
+    radius = (b_hat - A_hat @ centre).min()
+    assert abs(radius - (-ref.fun)) <= 1e-9
+
+
 @pytest.mark.parametrize("b", [[0.5, -0.5, 1.0, 1.0],    # the segment x = 0.5
                                [-0.5, -0.5, 1.0, 1.0]])  # x <= -0.5, x >= 0.5
 def test_eliminate_redundant_rejects_empty_interior(b):

@@ -10,14 +10,13 @@ from nkscreen.cli import resolve_case
 from nkscreen.datagen import DemandSampler, sample_demands
 from nkscreen.grid import DcopfSolver, load_network
 from nkscreen.icnn import IcnnParams, ScaledClassifier, forward, init_params
-from nkscreen.lp import LpProblem, LpStatus, solve
+from nkscreen.lp import LpProblem, LpStatus, SimplexEngine, solve, solve_highs
 from nkscreen.oracle import scale_fast
 from nkscreen.region import build_region, drop_constant_dims, standardize, with_box
 from nkscreen.scopf import (
     benchmark_scopf,
     icnn_dispatch_problem,
     region_inequalities,
-    region_safe_for_dispatch,
     save_benchmark,
     solve_scopf_full,
     solve_scopf_icnn,
@@ -169,8 +168,8 @@ class TestFullScopf:
         # with all demand at one bus the DC-OPF samples never use the second
         # generator, so that injection coordinate is constant and gets
         # folded away; membership of the samples is preserved, but dispatch
-        # against the folded region can move the folded coordinate and
-        # admit insecure dispatches the full region forbids
+        # could move the folded coordinate and admit dispatches the full
+        # region forbids, so both dispatch entry points refuse the region
         net = ring3(limits=(1.1, 1.1, 1.1))
         region = build_region(net, k=1)
         sampler = DemandSampler(net.demand, rel_std=0.1, seed=3)
@@ -181,15 +180,14 @@ class TestFullScopf:
         Xr = reduced.project(X)
         std_region = standardize(reduced, Xr.mean(axis=0), Xr.std(axis=0))
         assert np.array_equal(std_region.membership(X), region.membership(X))
-        hazards = 0
-        for d in demands[:8]:
-            a = solve_scopf_full(net, d, region)
-            b = solve_scopf_full(net, d, std_region)
-            if b and not a:
-                hazards += 1
-                violation = region.margins(region.project(b.p - d)).max()
-                assert violation > 1e-6
-        assert hazards > 0
+        match = r"folds injection dimension\(s\) \[1\].*region_full\.npz"
+        for folded in (reduced, std_region):
+            with pytest.raises(ValueError, match=match):
+                solve_scopf_full(net, demands[0], folded)
+            with pytest.raises(ValueError, match=match):
+                benchmark_scopf(net, demands[:2], folded,
+                                ScaledClassifier(params=l1_ball_net2(1.0)))
+        assert solve_scopf_full(net, demands[0], region).formulation == "full"
 
 
 class TestIcnnScopf:
@@ -323,7 +321,7 @@ def case39_setup():
 
 def cold_icnn(net, demand, clf):
     """Status and cost of a cold simplex solve of the classifier LP."""
-    sol = solve(icnn_dispatch_problem(net, demand, clf), backend="simplex")
+    sol = SimplexEngine(icnn_dispatch_problem(net, demand, clf)).solve()
     cost = float(net.cost @ sol.x[:net.n]) if sol else None
     return sol.status, cost
 
@@ -376,7 +374,7 @@ class TestIcnnWarmStart:
         assert first.cost == again.cost
 
     def test_nominal_basis_inverted_once(self, case39_setup, monkeypatch):
-        # the table's one entry carries the nominal inverse into every
+        # the kept start carries the nominal inverse into every
         # re-solve, so 150 demands never invert the nominal basis's
         # structural block again
         from nkscreen import scopf
@@ -396,9 +394,10 @@ class TestIcnnWarmStart:
         demands = sample_demands(DemandSampler(net.demand, rel_std=0.15,
                                                seed=11), 150)
         results = [solve_scopf_icnn(net, d, clf) for d in demands]
-        engine, nominal = scopf._icnn_lp(net, clf).engine()
-        (entry,) = nominal.entries
-        basis = entry.snap.basis
+        lp = scopf._icnn_lp(net, clf)
+        engine = lp.engine()
+        snap, _ = lp._start
+        basis = snap.basis
         K = np.sort(basis[basis < engine.n])
         R = np.setdiff1d(np.arange(engine.m), basis[basis >= engine.n] - engine.n)
         block = engine.T[np.ix_(R, K)]
@@ -483,8 +482,7 @@ class TestIcnnWarmStart:
         statuses = set()
         for d in demands[:25]:
             got = solve_scopf_icnn(net, d, clf)
-            paired = solve(paired_row_icnn_problem(net, d, clf),
-                           backend="simplex")
+            paired = SimplexEngine(paired_row_icnn_problem(net, d, clf)).solve()
             assert got.status is paired.status
             statuses.add(got.status)
             if got:
@@ -539,7 +537,7 @@ class TestIcnnWarmStart:
                                dim_map=keep)
         for d in demands[:5]:
             warm = solve_scopf_icnn(net, d, clf)
-            highs = solve(icnn_dispatch_problem(net, d, clf), backend="highs")
+            highs = solve_highs(icnn_dispatch_problem(net, d, clf))
             assert warm.status is highs.status
             if warm:
                 cost = float(net.cost @ highs.x[:net.n])
@@ -640,8 +638,10 @@ class TestDispatchSafety:
 
     def test_full_dimension_region_is_always_safe(self):
         net = ring3(limits=(2.0, 2.0, 2.0), demand=(0.0, 0.5, 0.7))
-        region, _, demands = self.build(net)
-        assert region_safe_for_dispatch(net, region, demands)
+        region, reduced, demands = self.build(net)
+        assert reduced.dim == reduced.n_full
+        for r in (region, reduced):
+            assert solve_scopf_full(net, demands[0], r)
 
     def test_folded_generator_dimension_is_unsafe(self):
         # bus 1 has generation headroom, so folding its constant injection
@@ -649,33 +649,25 @@ class TestDispatchSafety:
         net = ring3(limits=(1.1, 1.1, 1.1))
         region, reduced, demands = self.build(net)
         assert reduced.dim < region.dim
-        assert not region_safe_for_dispatch(net, reduced, demands)
+        with pytest.raises(ValueError, match=r"dimension\(s\) \[1\]"):
+            solve_scopf_full(net, demands[0], reduced)
 
     def test_benchmark_rejects_unsafe_region(self):
         net = ring3(limits=(1.1, 1.1, 1.1))
         _, reduced, demands = self.build(net)
         clf = ScaledClassifier(params=l1_ball_net2(radius=1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="folds injection dimension"):
             benchmark_scopf(net, demands[:3], reduced, clf)
 
-    def test_through_bus_fold_is_safe_and_exact(self):
-        # bus 2 has neither generation nor demand: its injection is zero for
-        # every dispatch, so optimizing over the folded region is exact
-        net = diamond4()
-        region, reduced, demands = self.build(net)
-        assert reduced.dim == 3
-        assert region_safe_for_dispatch(net, reduced, demands)
-        for d in demands[:10]:
-            a = solve_scopf_full(net, d, region)
-            b = solve_scopf_full(net, d, reduced)
-            assert bool(a) == bool(b)
-            if a:
-                assert abs(a.cost - b.cost) <= 1e-7
-
     def test_loaded_dropped_bus_is_unsafe(self):
-        # same network, but the demand instances load the through-bus
+        # bus 2 has neither generation nor demand in the samples, so its
+        # injection is folded; demands that load it move that coordinate,
+        # and any folded region is refused, whatever the demands
         net = diamond4()
-        region, reduced, demands = self.build(net)
+        _, reduced, demands = self.build(net)
+        assert list(reduced.dim_map) == [0, 1, 3]
         loaded = demands.copy()
         loaded[:, 2] = 0.1
-        assert not region_safe_for_dispatch(net, reduced, loaded)
+        for d in (demands[0], loaded[0]):
+            with pytest.raises(ValueError, match=r"dimension\(s\) \[2\]"):
+                solve_scopf_full(net, d, reduced)
