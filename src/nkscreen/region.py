@@ -509,7 +509,8 @@ def prune_by_box_support(region: ContingencyRegion, counters=None):
     Two cheap, sound screens: collapse parallel rows to the tightest bound,
     then drop rows whose supremum over the box alone (a closed form: positive
     coefficients meet the upper corner, negative the lower) stays at or below
-    b_j, since such rows can never bind inside the box.  Unlike
+    b_j, since such rows can never be violated inside the box.  There is no
+    tolerance: a row whose supremum passes b_j by any amount is kept.  Unlike
     eliminate_redundant this never asks whether a COMBINATION of other rows
     implies a row, so it keeps every individually violable constraint; the
     reported reduced-matrix shape comes from this screening, while the
@@ -523,7 +524,7 @@ def prune_by_box_support(region: ContingencyRegion, counters=None):
         counters["duplicate_rows_collapsed"] = region.n_rows - len(unique_rows)
     sup = _box_support(region.A, region.box_lower, region.box_upper,
                        unique_rows)
-    keep = unique_rows[sup > region.b[unique_rows] + TOL_RED]
+    keep = unique_rows[sup > region.b[unique_rows]]
     if len(keep) == 0:
         raise AssumptionViolated("every row is redundant over the box; the "
                                  "box cannot reach any constraint")

@@ -16,10 +16,15 @@ box coordinate of the classifier input, is one ranged row
 classifier LP has 122 rows instead of 192, with the same optimum and the
 same pivots.  Only the right-hand side of the classifier LP depends on the
 demand.  Its matrix is built once per (network, classifier) pair, cached
-under a digest of their content, and solved once at the nominal demand.
-Every demand is then a right-hand-side re-solve that starts from that fixed
-nominal basis, never from the previous demand's basis, so the answer for a
-demand is the same whatever was solved before it.
+under a digest of their content, and solved once at the nominal demand, as
+is the plain DC-OPF.  Every demand is screened first: the DC-OPF is
+re-solved, and when the classifier admits that dispatch, it is also the
+classifier LP's optimum, since that LP's feasible set lies inside the
+DC-OPF's.  Only a dispatch the classifier flags (or a DC-OPF that is not
+optimal) goes on to the classifier LP.  Each re-solve is a right-hand-side
+re-solve that starts from its LP's fixed nominal basis, never from the
+previous demand's basis, so the answer for a demand is the same whatever
+was solved before it.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import label_injections
-from .grid import DcopfSolver, DispatchLp, Network
-from .icnn import ScaledClassifier
+from .grid import DispatchLp, Network
+from .icnn import ScaledClassifier, _ScreeningNetwork
 from .lp import LpProblem, LpStatus, NumericalFailure, SimplexEngine, solve
 from .oracle import epigraph_constraints
 from .region import ContingencyRegion, standardize_points
@@ -112,30 +117,64 @@ def solve_scopf_full(net: Network, demand,
     return _result(sol, formulation, net, time.perf_counter() - t0)
 
 
+class _FixedStart:
+    """A simplex engine of one ``DispatchLp`` that starts every solve from
+    one kept basis.
+
+    The engine is built and solved at the network's nominal demand; its
+    optimal basis, with its refactorization, is kept as ``start``, or the
+    slack basis alone when that solve is not optimal.  ``solve(demand)``
+    puts the start back into the engine (``restore``, which inverts
+    nothing when the inverse is kept) and re-solves for the demand's
+    right-hand side.  c and A do not change, so an optimal start stays dual
+    feasible and the re-solve runs the dual simplex from it.  Every solve
+    starts from this one basis, so its answer depends on the demand alone,
+    never on the solves before it.
+    """
+
+    def __init__(self, lp: DispatchLp):
+        self.lp = lp
+        self.engine = SimplexEngine(lp.problem(lp.net.demand))
+        self.start = (self.engine.snapshot(),)
+        try:
+            if self.engine.solve():
+                self.start = (self.engine.snapshot(), self.engine.B_inv.copy())
+        except NumericalFailure:
+            pass
+
+    def solve(self, demand):
+        b = self.lp.rhs(demand)
+        self.engine.restore(*self.start)
+        return self.engine.resolve_rhs(b)
+
+
 class _IcnnDispatchLp(DispatchLp):
-    """The classifier SC-OPF of one (network, classifier) pair.
+    """The classifier SC-OPF of one (network, classifier) pair, screened
+    first at the plain DC-OPF dispatch.
 
     The ``DispatchLp`` whose extra rows are the epigraph rows over the
     auxiliary unit columns z, then one row per bounded box coordinate
     (ranged, width hi - lo, when both bounds are finite).  Only the right-hand
     side depends on the demand, and a ranged row's width does not, so the
-    constraint matrix (with the network's PTDF) is built once.  The simplex
-    engine is built on first use and solved once at the network's nominal
-    demand; its optimal basis, with its refactorization, is kept as
-    ``_start`` and is the start of every later solve: ``restore`` puts
-    basis and inverse into the engine, and the ``resolve_rhs`` after it
-    runs the dual simplex from that basis, which stays dual feasible for
-    every demand (c and A do not change).  On ``case39`` that is about 11
-    pivots, and a refactorization inverts the block of the basis's
+    constraint matrix (with the network's PTDF) is built once, and so is
+    the classifier's screening network (``_ScreeningNetwork``), from the
+    same content.
+
+    ``solve`` takes two steps, each a ``_FixedStart`` re-solve (built on
+    first use, ``starts``).  First the plain DC-OPF, the ``DispatchLp`` with
+    no extra rows; when it is optimal and the classifier admits its
+    injection p - d (decision value <= 0, as screening computes it for one
+    point), that dispatch is the answer.  The classifier LP's feasible set
+    lies inside the DC-OPF's, so a DC-OPF optimum the classifier admits is
+    a classifier-LP optimum: the step is exact.  Otherwise (the classifier
+    flags the injection, the DC-OPF is not optimal, or its re-solve raises
+    ``NumericalFailure``) the classifier LP is re-solved, on ``case39`` in
+    about 11 pivots; a refactorization inverts the block of the basis's
     structural columns, 4-22 wide, not all 122 rows.  An infeasible verdict
-    of the dual simplex names the constraint it could not repair
-    (``ScopfResult.blocking``).  Every solve starts from this one basis, so
-    the answer for a demand does not depend on which demands came before.
-    Demands are not first tested against the nominal basis, as DC-OPF
-    draws are against their table of bases: with the benchmark's
-    checkpoint that basis stays optimal for none of 300 sampled demands, so
-    the test would only add a product per solve.  If the nominal solve is
-    not optimal, solves start from the slack basis.
+    of its dual simplex names the constraint it could not repair
+    (``ScopfResult.blocking``).  Both steps start from fixed bases, so the
+    answer for a demand does not depend on which demands came before.
+    ``n_screened`` counts the demands the first step answered.
     """
 
     def __init__(self, net: Network, clf: ScaledClassifier):
@@ -174,7 +213,10 @@ class _IcnnDispatchLp(DispatchLp):
                                  np.full(np.count_nonzero(lo_only), np.inf)])
         # a private copy: the cached content describes the network at build time
         super().__init__(copy.deepcopy(net), rows, rhs0, ranges, n_aux=nz)
-        self._engine = self._start = None
+        self._starts = None
+        self._screen = _ScreeningNetwork.build(clf)
+        self._transform = (dim_map, mu, sigma)
+        self.n_screened = 0
         self._n_epi = len(b_e)
         self._box_coords = np.concatenate([np.flatnonzero(hi_ok),
                                            np.flatnonzero(lo_only)])
@@ -196,28 +238,36 @@ class _IcnnDispatchLp(DispatchLp):
             return f"box {self._box_coords[epi - self._n_epi]}"
         return "balance"
 
-    def engine(self):
-        """The simplex engine, built and solved at the nominal demand on
-        first use; ``_start`` is then the ``restore`` arguments of every
-        solve: the nominal optimal basis and its refactorization, or the
-        slack basis alone when that solve is not optimal."""
-        if self._engine is None:
-            engine = SimplexEngine(self.problem(self.net.demand))
-            start = (engine.snapshot(),)
-            try:
-                if engine.solve():
-                    start = (engine.snapshot(), engine.B_inv.copy())
-            except NumericalFailure:
-                pass
-            self._engine, self._start = engine, start
-        return self._engine
+    def starts(self):
+        """The ``_FixedStart`` of the plain DC-OPF and of the classifier
+        LP, built and solved at the nominal demand on first use."""
+        if self._starts is None:
+            self._starts = (_FixedStart(DispatchLp(self.net)),
+                            _FixedStart(self))
+        return self._starts
+
+    def dcopf(self, demand):
+        """The first step of ``solve``: the DC-OPF re-solve at the demand
+        and the classifier's decision value at its injection p - d, None
+        when the DC-OPF is not optimal; (None, None) when the re-solve
+        raises ``NumericalFailure``."""
+        try:
+            sol = self.starts()[0].solve(demand)
+        except NumericalFailure:
+            return None, None
+        if not sol:
+            return sol, None
+        u = standardize_points(sol.x - demand, self.net.n, *self._transform)
+        return sol, float(self._screen.one(u[0])[0])
 
     def solve(self, demand) -> ScopfResult:
-        engine = self.engine()
-        b = self.rhs(demand)
+        classifier_lp = self.starts()[1]
         t0 = time.perf_counter()
-        engine.restore(*self._start)
-        sol = engine.resolve_rhs(b)
+        sol, value = self.dcopf(demand)
+        if value is not None and value <= 0.0:
+            self.n_screened += 1
+            return _result(sol, "icnn", self.net, time.perf_counter() - t0)
+        sol = classifier_lp.solve(demand)
         return _result(sol, "icnn", self.net, time.perf_counter() - t0,
                        self._blocking(sol.blocking))
 
@@ -274,14 +324,20 @@ def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier) -> ScopfResult
     satisfies the full region.
 
     The LP of the last (network, classifier) pair is cached, keyed on their
-    content.  Each demand is a right-hand-side re-solve on the simplex
-    engine, by the dual simplex, from the optimal basis of the nominal
-    demand, always that same basis, so the result depends on the demand
-    alone and not on the order of calls; the reported runtime is that
-    re-solve.  An infeasible result names in ``blocking`` the line, epigraph
-    row, box coordinate, balance or generator bound the dual simplex could
-    not repair.  The one-off build and nominal solve are not part of the
-    runtime (``benchmark_scopf`` reports them as ``icnn_setup_s``).
+    content.  Each demand is screened first: the plain DC-OPF is re-solved
+    from its nominal optimal basis, and when the classifier admits that
+    dispatch's injection it is the answer, since the classifier LP's
+    feasible set lies inside the DC-OPF's.  Otherwise the classifier LP is
+    re-solved on the simplex engine, by the dual simplex, from the optimal
+    basis of the nominal demand.  Both start from the same bases every
+    time, so the result depends on the demand alone and not on the order of
+    calls.  The reported runtime is the DC-OPF re-solve plus the screen,
+    plus the classifier re-solve when the screen flags the dispatch, each
+    with its right-hand side.  An infeasible result names in ``blocking``
+    the line, epigraph row, box coordinate, balance or generator bound the
+    dual simplex could not repair.  The one-off build and nominal solves
+    are not part of the runtime (``benchmark_scopf`` reports them as
+    ``icnn_setup_s``).
     """
     return _icnn_lp(net, clf).solve(np.asarray(demand, dtype=float))
 
@@ -294,24 +350,28 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     formulation (for the CSV report), with no time in it, so the CSV
     depends only on the inputs; summary aggregates cost premium,
     infeasibility shares, soundness of the classifier dispatches against
-    the region, and runtimes; its ``dcopf_diagnostic`` gives, per instance,
-    the plain DC-OPF dispatch's label against the region and the
-    classifier's decision value there (``_dcopf_diagnostic``), with no
-    time in it.  Runtime means cover only instances solved by
-    both formulations, so neither side is charged for the other's
-    infeasible cases.  The classifier LP is built (and solved at the nominal
-    demand) once, before the loop; that one-off cost is icnn_setup_s, and
-    each classifier runtime is a warm re-solve.  The region must have full
-    dimension: ``solve_scopf_full`` refuses a folded one (ValueError).
+    the region, and runtimes; ``icnn_screened`` counts the instances the
+    classifier SC-OPF answered with the screened DC-OPF dispatch, and its
+    ``dcopf_diagnostic`` gives, per instance, that DC-OPF dispatch's label
+    against the region and the classifier's decision value there
+    (``_dcopf_diagnostic``), with no time in it.  Runtime means cover only
+    instances solved by both formulations, so neither side is charged for
+    the other's infeasible cases.  The classifier SC-OPF's LPs are built
+    (and solved at the nominal demand) once, before the loop; that one-off
+    cost is icnn_setup_s, and each classifier runtime is a warm DC-OPF
+    re-solve and its screen, plus a warm classifier re-solve when the
+    screen flags the dispatch.  The region must have full dimension:
+    ``solve_scopf_full`` refuses a folded one (ValueError).
     """
     demands = np.atleast_2d(np.asarray(demands, dtype=float))
-    # the classifier LP's one-off build and nominal solve, timed apart
+    # the classifier LP's one-off build and nominal solves, timed apart
     _icnn_lps.clear()
     t0 = time.perf_counter()
     lp = _icnn_lp(net, clf)
-    engine = lp.engine()
+    engine = lp.starts()[1].engine
     icnn_setup = time.perf_counter() - t0
     work = engine.counters()
+    screened = lp.n_screened
     records = []
     fulls, icnns = [], []
     for i, d in enumerate(demands):
@@ -343,7 +403,7 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
 
     excess = [(icnns[i].cost - fulls[i].cost) / max(abs(fulls[i].cost), 1e-12)
               for i in both]
-    diagnostic = _dcopf_diagnostic(net, demands, region, clf)
+    diagnostic = _dcopf_diagnostic(lp, demands, region)
     rt_full = [fulls[i].runtime for i in both]
     rt_icnn = [icnns[i].runtime for i in both]
     summary = {
@@ -361,39 +421,47 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
         "speedup": (float(np.mean(rt_full) / np.mean(rt_icnn))
                     if both and np.mean(rt_icnn) > 0 else None),
         "icnn_setup_s": icnn_setup,
-        # the classifier LP's shape, and the engine's work over the loop
+        "icnn_screened": lp.n_screened - screened,
+        # the classifier LP's shape, and its engine's work over the loop:
+        # the re-solves of the demands the screen did not answer
         "icnn_lp": {"rows": engine.m,
                     "ranged_rows": int(np.isfinite(lp.ranges).sum()),
                     **{k: v - work[k] for k, v in engine.counters().items()}},
         "dcopf_diagnostic": diagnostic,
         "runtime_note": "runtime means cover instances feasible under both "
-                        "formulations only; an icnn runtime is a warm "
-                        "right-hand-side re-solve from the cached nominal "
-                        "basis, and the one-off LP build and nominal solve "
+                        "formulations only; an icnn runtime is the DC-OPF "
+                        "re-solve from its nominal basis plus the "
+                        "classifier screen of its dispatch, plus the "
+                        "classifier LP's re-solve from its nominal basis "
+                        "when the screen flags the dispatch (icnn_screened "
+                        "counts the instances the screen answered, and "
+                        "icnn_lp's counters cover the classifier re-solves "
+                        "only); the one-off LP builds and nominal solves "
                         "are icnn_setup_s",
     }
     return records, summary
 
 
-def _dcopf_diagnostic(net: Network, demands, region: ContingencyRegion,
-                      clf: ScaledClassifier):
-    """Per instance, the DC-OPF dispatch's status, its injection's label
-    against the region (1 insecure, as the dataset's labels) and the
-    classifier's decision value there (> 0 flags it insecure), both in one
-    batch as screening computes them; None where the DC-OPF is not optimal.
+def _dcopf_diagnostic(lp: _IcnnDispatchLp, demands,
+                      region: ContingencyRegion):
+    """Per instance, the status of the DC-OPF step of the classifier
+    SC-OPF (``_IcnnDispatchLp.dcopf``; NUMERICAL_FAILURE where it raised),
+    its injection's label against the region (1 insecure, as the dataset's
+    labels, all in one batch) and the classifier's decision value there as
+    that step's screen computes it (> 0 flags it insecure); None where the
+    DC-OPF is not optimal.
     """
-    dcopf = DcopfSolver(net)
-    results = [dcopf.solve(d) for d in demands]
-    solved = [i for i, res in enumerate(results) if res]
-    labels, values = {}, {}
+    steps = [lp.dcopf(d) for d in demands]
+    solved = [i for i, (sol, _) in enumerate(steps) if sol]
+    labels = {}
     if solved:
-        X = np.array([results[i].injection for i in solved])
+        X = np.array([steps[i][0].x - demands[i] for i in solved])
         labels = dict(zip(solved, label_injections(region, X).tolist()))
-        values = dict(zip(solved, clf.decision_values(standardize_points(
-            X, region.n_full, *clf.transform())).tolist()))
-    return [{"instance": i, "dcopf_status": res.status.name,
-             "dcopf_label": labels.get(i), "decision_value": values.get(i)}
-            for i, res in enumerate(results)]
+    return [{"instance": i,
+             "dcopf_status": ("NUMERICAL_FAILURE" if sol is None
+                              else sol.status.name),
+             "dcopf_label": labels.get(i), "decision_value": value}
+            for i, (sol, value) in enumerate(steps)]
 
 
 def save_benchmark(records, summary, csv_path, json_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from nkscreen.grid import Network, ptdf
+from nkscreen.grid import DispatchLp, Network, ptdf
 from nkscreen.icnn import IcnnParams, forward
 from nkscreen.lp import LpProblem, SimplexEngine
 from nkscreen.oracle import SublevelSolver, SupportResult
@@ -40,6 +40,22 @@ def ring3(limits=(5.0, 5.0, 5.0), pmax=(10.0, 10.0, 0.0), cost=(1.0, 2.0, 0.0),
         demand=np.asarray(demand, dtype=float),
         slack=0,
     ).validate()
+
+
+def fixed_start_dcopf(net: Network, demands):
+    """The plain DC-OPF at each demand, re-solved on one engine from its
+    nominal optimal basis and inverse, restored before every demand: the
+    first step of the classifier SC-OPF, built from ``DispatchLp`` and the
+    engine alone."""
+    lp = DispatchLp(net)
+    eng = SimplexEngine(lp.problem(net.demand))
+    assert eng.solve()
+    start = (eng.snapshot(), eng.B_inv.copy())
+    out = []
+    for d in demands:
+        eng.restore(*start)
+        out.append(eng.resolve_rhs(lp.rhs(np.asarray(d, dtype=float))))
+    return out
 
 
 def square_toy(n_samples=400, t=0.8, lim=2.0, seed=0):

@@ -681,6 +681,9 @@ class TestScopfBench:
         assert all(type(v) is int and v >= 0 for v in lp.values())
         assert 0 < lp["ranged_rows"] < lp["rows"]
         self.check_dcopf_diagnostic(work, summary["dcopf_diagnostic"])
+        assert summary["icnn_screened"] == sum(
+            e["dcopf_status"] == "OPTIMAL" and e["decision_value"] <= 0
+            for e in summary["dcopf_diagnostic"])
         with open(os.path.join(run, "scopf_instances.csv"), "rb") as fh:
             csv_bytes = fh.read()
         rows = csv_bytes.decode().strip().splitlines()
@@ -702,16 +705,19 @@ class TestScopfBench:
 
     @staticmethod
     def check_dcopf_diagnostic(work, diagnostic):
-        """Each instance's plain DC-OPF dispatch, labelled against
-        region_full and valued by the classifier as screening does."""
-        from nkscreen.grid import DcopfSolver, load_network
+        """Each instance's plain DC-OPF dispatch, from the fixed start of
+        the classifier SC-OPF's first step, labelled against region_full
+        and valued by the classifier as screening does."""
+        from helpers import fixed_start_dcopf
+        from nkscreen.grid import load_network
 
         net = load_network(work["case"])
         ds = load_dataset(work["dataset"])
         clf = load_checkpoint(work["ckpt"])
         full = load_region(os.path.join(work["prep"], "region_full.npz"))
-        X = np.array([DcopfSolver(net).solve(d).injection
-                      for d in ds.d[ds.test][:6]])
+        demands = ds.d[ds.test][:6]
+        X = np.array([sol.x - d for sol, d in
+                      zip(fixed_start_dcopf(net, demands), demands)])
         assert [e["instance"] for e in diagnostic] == list(range(6))
         assert all(e["dcopf_status"] == "OPTIMAL" for e in diagnostic)
         labels = [e["dcopf_label"] for e in diagnostic]

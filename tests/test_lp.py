@@ -1355,11 +1355,14 @@ def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
 
     net, demands, X = _dcopf_digest(hashlib.sha256())
     clf = _mesh10_classifier(X)
+    # the classifier LP's own re-solves, for every demand: solve_scopf_icnn
+    # answers most of these demands from the screened DC-OPF dispatch
     scopf._icnn_lps.clear()
-    eng = scopf._icnn_lp(net, clf).engine()
+    classifier_lp = scopf._icnn_lp(net, clf).starts()[1]
+    eng = classifier_lp.engine
     shapes = recorded_inversions(monkeypatch, [eng])
     try:
-        solved = [scopf.solve_scopf_icnn(net, d, clf) for d in demands]
+        solved = [classifier_lp.solve(d) for d in demands]
     finally:
         scopf._icnn_lps.clear()
     assert any(solved) and eng.n_pivots > 0 and len(shapes) > 10

@@ -743,6 +743,19 @@ def test_box_support_prune_memory_below_one_and_a_half_matrices():
         f"prune peaked at {peak / A.nbytes:.2f} x A.nbytes"
 
 
+def test_box_support_prune_keeps_rows_just_past_the_box():
+    # a row whose box support exceeds b_j by less than TOL_RED can be
+    # violated inside the box, so it stays; support exactly b_j cannot
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = np.array([1.0 - 0.5 * TOL_RED, 1.0, 1.0])
+    box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    out = prune_by_box_support(region_from_rows(A, b, box=box))
+    assert out.row_meta["line"].tolist() == [0, 2]
+    x = np.array([[1.0, 0.0]])
+    assert region_from_rows(A, b, box=box).margins(x)[0] > 0
+    assert out.margins(x)[0] > 0
+
+
 def test_box_support_prune_counts_duplicates():
     A = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 3.0, 1.0, 3.0, 2.5])

@@ -9,10 +9,12 @@ import pytest
 from nkscreen.cli import resolve_case
 from nkscreen.datagen import DemandSampler, sample_demands
 from nkscreen.grid import DcopfSolver, load_network
-from nkscreen.icnn import IcnnParams, ScaledClassifier, forward, init_params
+from nkscreen.icnn import (IcnnParams, ScaledClassifier, forward, init_params,
+                           raw_forward)
 from nkscreen.lp import LpProblem, LpStatus, SimplexEngine, solve, solve_highs
 from nkscreen.oracle import scale_fast
-from nkscreen.region import build_region, drop_constant_dims, standardize, with_box
+from nkscreen.region import (build_region, drop_constant_dims, standardize,
+                             standardize_points, with_box)
 from nkscreen.scopf import (
     benchmark_scopf,
     icnn_dispatch_problem,
@@ -22,7 +24,7 @@ from nkscreen.scopf import (
     solve_scopf_icnn,
 )
 
-from helpers import paired_rows, ring3
+from helpers import fixed_start_dcopf, paired_rows, ring3
 
 
 def l1_ball_net3(radius=1.0, box=5.0):
@@ -394,9 +396,9 @@ class TestIcnnWarmStart:
         demands = sample_demands(DemandSampler(net.demand, rel_std=0.15,
                                                seed=11), 150)
         results = [solve_scopf_icnn(net, d, clf) for d in demands]
-        lp = scopf._icnn_lp(net, clf)
-        engine = lp.engine()
-        snap, _ = lp._start
+        classifier_lp = scopf._icnn_lp(net, clf).starts()[1]
+        engine = classifier_lp.engine
+        snap, _ = classifier_lp.start
         basis = snap.basis
         K = np.sort(basis[basis < engine.n])
         R = np.setdiff1d(np.arange(engine.m), basis[basis >= engine.n] - engine.n)
@@ -542,6 +544,174 @@ class TestIcnnWarmStart:
             if warm:
                 cost = float(net.cost @ highs.x[:net.n])
                 assert abs(warm.cost - cost) <= 1e-6 * abs(warm.cost)
+
+
+def classifier_runs(monkeypatch, net, clf):
+    """The cached classifier SC-OPF of (net, clf), with every re-solve of
+    its classifier LP recorded: the list of demands it was called with."""
+    from nkscreen import scopf
+
+    scopf._icnn_lps.clear()
+    run = scopf._icnn_lp(net, clf).starts()[1]
+    calls, solve_lp = [], run.solve
+    monkeypatch.setattr(run, "solve",
+                        lambda d: calls.append(d.copy()) or solve_lp(d))
+    return calls
+
+
+def screen_values(net, demands, clf):
+    """The DC-OPF dispatch of each demand (fixed start) and the decision
+    value of a freshly built classifier at its injection."""
+    fresh = ScaledClassifier(params=clf.params.copy(), r=clf.r, v=clf.v,
+                             mu=clf.mu, sigma=clf.sigma, dim_map=clf.dim_map)
+    sols = fixed_start_dcopf(net, demands)
+    values = [fresh.decision_values(standardize_points(
+        s.x - d, net.n, *fresh.transform()))[0] if s else None
+        for s, d in zip(sols, demands)]
+    return sols, values
+
+
+class TestScreenFirst:
+    """The classifier SC-OPF answers with the DC-OPF dispatch when the
+    classifier admits it, and runs the classifier LP otherwise."""
+
+    def clf(self, case39_setup, r=1.0):
+        net, demands, params, mu, sigma, keep = case39_setup
+        return ScaledClassifier(params=params, r=r, mu=mu, sigma=sigma,
+                                dim_map=keep)
+
+    def test_admitted_dispatch_is_the_answer(self, case39_setup, monkeypatch):
+        from nkscreen import scopf
+
+        net, demands = case39_setup[:2]
+        clf = self.clf(case39_setup)
+        calls = classifier_runs(monkeypatch, net, clf)
+        lp = scopf._icnn_lp(net, clf)
+        engine = lp.starts()[1].engine
+        sols, values = screen_values(net, demands[:20], clf)
+        admitted = [i for i, v in enumerate(values) if v is not None and v <= 0]
+        assert len(admitted) >= 3
+        for i in admitted:
+            work = engine.counters()
+            res = solve_scopf_icnn(net, demands[i], clf)
+            assert engine.counters() == work
+            assert res.p.tobytes() == sols[i].x.tobytes()
+            assert res.cost == float(net.cost @ sols[i].x)
+            assert res.blocking == ""
+            status, cost = cold_icnn(net, demands[i], clf)
+            assert status is LpStatus.OPTIMAL
+            assert abs(res.cost - cost) <= 1e-9 * abs(cost)
+        assert calls == [] and lp.n_screened == len(admitted)
+
+    def test_flagged_dispatch_runs_the_classifier_lp(self, case39_setup,
+                                                       monkeypatch):
+        net, demands = case39_setup[:2]
+        clf = self.clf(case39_setup)
+        calls = classifier_runs(monkeypatch, net, clf)
+        _, values = screen_values(net, demands[:20], clf)
+        flagged = [i for i, v in enumerate(values) if v is not None and v > 0]
+        assert len(flagged) >= 3
+        for i in flagged:
+            res = solve_scopf_icnn(net, demands[i], clf)
+            status, cost = cold_icnn(net, demands[i], clf)
+            assert res.status is status
+            if res:
+                assert abs(res.cost - cost) <= 1e-9 * abs(cost)
+                assert clf.decision_values(standardize_points(
+                    res.p - demands[i], net.n, *clf.transform()))[0] <= 1e-7
+        assert [d.tobytes() for d in calls] == [demands[i].tobytes()
+                                                for i in flagged]
+
+    def test_infeasible_dcopf_runs_the_classifier_lp(self, case39_setup,
+                                                       monkeypatch):
+        net = case39_setup[0]
+        clf = self.clf(case39_setup)
+        calls = classifier_runs(monkeypatch, net, clf)
+        d = 3.0 * net.demand      # more load than all generators together
+        assert d.sum() > net.pmax.sum()
+        assert fixed_start_dcopf(net, [d])[0].status is LpStatus.INFEASIBLE
+        res = solve_scopf_icnn(net, d, clf)
+        assert res.status is LpStatus.INFEASIBLE and res.blocking
+        assert len(calls) == 1
+
+    def test_box_excludes_what_the_raw_network_admits(self, monkeypatch):
+        # radius 2 admits the DC-OPF injection (0.8, -0.2, -0.6), |x| = 1.6,
+        # but the 0.7 box excludes x0 = 0.8: the classifier LP moves 0.1 to
+        # the dearer bus
+        net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
+        params = l1_ball_net3(radius=2.0, box=0.7)
+        clf = ScaledClassifier(params=params)
+        calls = classifier_runs(monkeypatch, net, clf)
+        (dcopf,) = fixed_start_dcopf(net, [net.demand])
+        x = dcopf.x - net.demand
+        assert np.allclose(x, [0.8, -0.2, -0.6])
+        assert raw_forward(params, x[None])[0] <= 0
+        assert clf.decision_values(x)[0] > 0
+        res = solve_scopf_icnn(net, net.demand, clf)
+        assert len(calls) == 1
+        assert res and np.allclose(res.p, [0.7, 0.1, 0.0], atol=1e-9)
+        assert abs(res.cost - cold_icnn(net, net.demand, clf)[1]) <= 1e-9
+
+    def test_in_place_weight_edit_screens_with_the_new_weights(self):
+        # clf._net, built by decision_values at radius 2, still admits the
+        # DC-OPF dispatch after the edit; the answer must be the one of a
+        # classifier built fresh at radius 1.2
+        net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
+        params = l1_ball_net3(radius=2.0)
+        clf = ScaledClassifier(params=params)
+        loose = solve_scopf_icnn(net, net.demand, clf)
+        assert np.allclose(loose.p, [0.8, 0.0, 0.0])
+        assert clf.decision_values(loose.p - net.demand)[0] <= 0
+        params.b[-1][0] = -1.2
+        got = solve_scopf_icnn(net, net.demand, clf)
+        fresh = solve_scopf_icnn(net, net.demand,
+                                 ScaledClassifier(params=params.copy()))
+        assert got.p.tobytes() == fresh.p.tobytes()
+        assert abs(got.cost - 1.0) <= 1e-6
+
+    def test_call_order_does_not_matter_across_both_steps(self, case39_setup):
+        from nkscreen import scopf
+
+        net, demands = case39_setup[:2]
+        clf = self.clf(case39_setup)
+        demands = list(demands[:16]) + [3.0 * net.demand]
+
+        def answers(order):
+            scopf._icnn_lps.clear()
+            lp = scopf._icnn_lp(net, clf)
+            out = {i: solve_scopf_icnn(net, demands[i], clf) for i in order}
+            return out, lp.n_screened
+
+        forward_order, screened = answers(range(len(demands)))
+        assert 0 < screened < len(demands) - 1
+        for order in (range(len(demands) - 1, -1, -1),
+                      np.random.default_rng(5).permutation(len(demands))):
+            again, n = answers(order)
+            assert n == screened
+            for i, res in forward_order.items():
+                other = again[i]
+                assert (res.status, res.cost, res.blocking) == (
+                    other.status, other.cost, other.blocking)
+                assert (res.p is None) == (other.p is None)
+                if res.p is not None:
+                    assert res.p.tobytes() == other.p.tobytes()
+
+    def test_screened_count_matches_the_diagnostic(self, case39_setup):
+        net, demands = case39_setup[:2]
+        clf = self.clf(case39_setup)
+        region = build_region(net, k=1)
+        demands = np.vstack([demands[:10], 3.0 * net.demand])
+        _, summary = benchmark_scopf(net, demands, region, clf)
+        rows = summary["dcopf_diagnostic"]
+        admitted = [e["dcopf_status"] == "OPTIMAL" and e["decision_value"] <= 0
+                    for e in rows]
+        assert 0 < summary["icnn_screened"] < len(demands)
+        assert summary["icnn_screened"] == sum(admitted)
+        assert rows[-1]["dcopf_status"] == "INFEASIBLE"
+        assert rows[-1]["decision_value"] is None
+        # the diagnostic's dispatches are the fixed-start DC-OPF's
+        _, values = screen_values(net, demands, clf)
+        assert [e["decision_value"] for e in rows] == values
 
 
 class TestBenchmark:
