@@ -14,11 +14,12 @@ first rotates from round to round, and so does the workload.
 For each checkout, BENCH_<tag>.json goes to the root of this repository.
 It holds, per workload and metric, the median, the quartiles, the IQR and
 N of the result line's metrics (the last line ``run.py`` prints) and of the
-numbers in the detail line's report (the line before it).  It also holds
-each run's seed, verdict, artifact sha256s, source hash and RefClock
-factors, and a machine line.  With two checkouts the script also prints,
-for each workload and end-to-end metric, both medians, the first
-checkout's IQR and the number of pairs the second wins.
+numbers in the detail line's report (the line before it), over the runs
+that report ``"correct": true``.  It also holds every run's seed, verdict,
+artifact sha256s, source hash and RefClock factors, and a machine line.
+With two checkouts the script also prints, for each workload and
+end-to-end metric, both medians, the first checkout's IQR and the number
+of pairs the second wins, over the pairs whose two runs are correct.
 """
 
 import argparse
@@ -112,10 +113,18 @@ def summary(values):
             "iqr": float(q3 - q1), "n": len(values)}
 
 
+def counted(rec):
+    """A run that finished with a correct result: only such runs enter the
+    medians and the pair wins, as a failed or wrong run's numbers measure
+    other work."""
+    return rec.get("correct") is True
+
+
 def aggregate(runs):
-    """Per metric (and report number) of one workload's good runs, the
-    median, quartiles, IQR and N."""
-    good = [r for r in runs if "error" not in r]
+    """Per metric (and report number) of one workload's counted runs, the
+    median, quartiles, IQR and N; ``runs`` and ``runs_correct`` count every
+    run."""
+    good = [r for r in runs if counted(r)]
     out = {}
     for section in ("metrics", "report"):
         names = sorted({k for r in good for k in r[section]})
@@ -126,14 +135,15 @@ def aggregate(runs):
             for name in names:
                 out[section][name]["unit"] = next(
                     r["units"][name] for r in good if name in r["units"])
-    out["runs_correct"] = sum(bool(r.get("correct")) for r in runs)
+    out["runs_correct"] = sum(map(counted, runs))
     out["runs"] = len(runs)
     return out
 
 
 def compare(bench, runs, sides):
     """Both medians, the first checkout's IQR and the second's pair wins,
-    per workload and end-to-end metric."""
+    per workload and end-to-end metric, over the pairs whose two runs are
+    both counted."""
     (tag_a, _), (tag_b, _) = sides[:2]
     for workload in runs[tag_a]:
         print(f"\n{workload}: {tag_b} against {tag_a}")
@@ -143,7 +153,7 @@ def compare(bench, runs, sides):
             pairs = [(a["metrics"][name], b["metrics"][name])
                      for a, b in zip(runs[tag_a][workload],
                                      runs[tag_b][workload])
-                     if "error" not in a and "error" not in b]
+                     if counted(a) and counted(b)]
             if not pairs:
                 continue
             a, b = np.array(pairs).T

@@ -49,8 +49,8 @@ problem/solution contract:
   right-hand side that one of them keeps primal feasible is answered by one
   product and a bound check, with the bytes a zero-pivot ``resolve_rhs``
   from that basis returns.  It serves DC-OPF dispatch of sampled demands
-  (``grid.DcopfSolver``), whose draws end at a handful of bases, and runs
-  the engine only on a miss.
+  (``grid.DcopfSolver``), whose draws end at a handful of bases, and the
+  classifier SC-OPF's two steps (``scopf``), one fixed entry each.
 
   The pivot loop is the hot path of training, so it is written for few
   numpy calls per pivot while keeping every floating-point operation of the
@@ -822,9 +822,8 @@ class SimplexEngine:
         first when it is primal infeasible (a basis kept from another
         matrix).  ``B_inv``, when given, must be the engine's refactorization
         of the snapshot's basis under the present matrix
-        (``_block_inverse``), as an ``OptimalBases`` entry or the classifier
-        SC-OPF's nominal start keeps it; it is copied and the next solve
-        inverts nothing.
+        (``_block_inverse``), as an ``OptimalBases`` entry keeps it; it is
+        copied and the next solve inverts nothing.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
             raise ValueError("snapshot of an engine of another shape")
@@ -1159,7 +1158,8 @@ class _Optimum:
 class OptimalBases:
     """Optimal bases of one ``SimplexEngine`` whose right-hand side alone
     changes, most recent first, at most 8 of them: the table that
-    ``grid.DcopfSolver`` answers its draws from.
+    ``grid.DcopfSolver`` answers its draws from, and which the classifier
+    SC-OPF's steps (``scopf._FixedStart``) keep at their one nominal entry.
 
     With c, A and the bounds fixed, an optimal basis stays dual feasible for
     every right-hand side b, so it is optimal for b whenever its basic values
@@ -1172,10 +1172,9 @@ class OptimalBases:
     are scattered into the answer); this is the optimal-active-set view of
     Misra, Roald & Ng (arXiv:1802.09639).  On a miss the caller runs the
     engine, from the most recent entry's basis and inverse (``install``),
-    and ``add``s the basis it ends at when that is optimal; the least
-    recently used entry then drops out.  Nothing is
-    solved at construction.  A ``reload`` of the engine's matrix or
-    objective empties the table.
+    and may ``add`` the basis it ends at when that is optimal; the least
+    recently used entry then drops out.  Nothing is solved at construction.
+    A ``reload`` of the engine's matrix or objective empties the table.
 
     ``counters()`` returns the lookups answered (hits) and not (misses).
     """

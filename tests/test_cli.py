@@ -684,6 +684,9 @@ class TestScopfBench:
         assert summary["icnn_screened"] == sum(
             e["dcopf_status"] == "OPTIMAL" and e["decision_value"] <= 0
             for e in summary["dcopf_diagnostic"])
+        tables = summary["icnn_tables"]
+        assert sum(tables["dcopf"].values()) == 6
+        assert sum(tables["classifier"].values()) == 6 - summary["icnn_screened"]
         with open(os.path.join(run, "scopf_instances.csv"), "rb") as fh:
             csv_bytes = fh.read()
         rows = csv_bytes.decode().strip().splitlines()

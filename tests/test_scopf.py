@@ -398,8 +398,7 @@ class TestIcnnWarmStart:
         results = [solve_scopf_icnn(net, d, clf) for d in demands]
         classifier_lp = scopf._icnn_lp(net, clf).starts()[1]
         engine = classifier_lp.engine
-        snap, _ = classifier_lp.start
-        basis = snap.basis
+        basis = classifier_lp.bases.entries[0].snap.basis
         K = np.sort(basis[basis < engine.n])
         R = np.setdiff1d(np.arange(engine.m), basis[basis >= engine.n] - engine.n)
         block = engine.T[np.ix_(R, K)]
@@ -712,6 +711,121 @@ class TestScreenFirst:
         # the diagnostic's dispatches are the fixed-start DC-OPF's
         _, values = screen_values(net, demands, clf)
         assert [e["decision_value"] for e in rows] == values
+        # one lookup per demand in the DC-OPF step's table, one per demand
+        # the screen did not answer in the classifier step's
+        tables = summary["icnn_tables"]
+        assert set(tables) == {"dcopf", "classifier"}
+        assert sum(tables["dcopf"].values()) == len(demands)
+        assert sum(tables["classifier"].values()) == (
+            len(demands) - summary["icnn_screened"])
+        assert tables["dcopf"]["table_hits"] > 0
+
+    def test_dcopf_step_is_the_engine_only_re_solve(self, case39_setup):
+        # the DC-OPF step answers each demand with the bytes of the
+        # engine-only fixed-start re-solve, from its table or its engine,
+        # and neither step's table learns from what it solves
+        from nkscreen import scopf
+
+        net, demands = case39_setup[:2]
+        clf = self.clf(case39_setup)
+        demands = list(demands) + [3.0 * net.demand]
+        scopf._icnn_lps.clear()
+        lp = scopf._icnn_lp(net, clf)
+        steps = lp.starts()
+        nominal = [list(step.bases.entries) for step in steps]
+        assert [len(e) for e in nominal] == [1, 1]
+        want = fixed_start_dcopf(net, demands)
+        got = [steps[0].solve(d) for d in demands]
+        for res, ref in zip(got, want):
+            assert res.status is ref.status
+            assert (res.x is None) == (ref.x is None)
+            if ref.x is not None:
+                assert res.x.tobytes() == ref.x.tobytes()
+        counts = steps[0].bases.counters()
+        assert counts["table_hits"] >= 1 and counts["table_misses"] >= 1
+        assert counts["table_hits"] + counts["table_misses"] == len(demands)
+        for d in demands:
+            solve_scopf_icnn(net, d, clf)
+        assert steps[1].bases.counters()["table_misses"] >= 1
+        for step, (entry,) in zip(steps, nominal):
+            assert len(step.bases.entries) == 1
+            assert step.bases.entries[0] is entry
+
+
+def _edit_array(get):
+    def edit(net, clf):
+        a = get(net, clf)
+        a.flat[0] += 1 if a.dtype.kind == "i" else 0.125
+    return edit
+
+
+# every item the classifier LP's cache key covers, each edited once
+_KEYED_EDITS = {
+    "W0": _edit_array(lambda net, clf: clf.params.W[0]),
+    "D0": _edit_array(lambda net, clf: clf.params.D[0]),
+    "D1": _edit_array(lambda net, clf: clf.params.D[1]),
+    "b0": _edit_array(lambda net, clf: clf.params.b[0]),
+    "b1": _edit_array(lambda net, clf: clf.params.b[1]),
+    "box_lower": _edit_array(lambda net, clf: clf.params.box_lower),
+    "box_upper": _edit_array(lambda net, clf: clf.params.box_upper),
+    "r": lambda net, clf: setattr(clf, "r", clf.r * 1.25),
+    "v": _edit_array(lambda net, clf: clf.v),
+    "mu": _edit_array(lambda net, clf: clf.mu),
+    "sigma": _edit_array(lambda net, clf: clf.sigma),
+    "dim_map": _edit_array(lambda net, clf: clf.dim_map),
+    "slack": lambda net, clf: setattr(net, "slack", net.slack + 1),
+    **{name: _edit_array(lambda net, clf, name=name: getattr(net, name))
+       for name in ("lines", "susceptance", "f_lower", "f_upper", "pmin",
+                    "pmax", "cost", "demand")},
+}
+
+
+class TestClassifierLpCache:
+    """The classifier LP is cached under its inputs' content: any edit
+    rebuilds it, and equal values in another memory layout do not."""
+
+    def pair(self, case39_setup):
+        import copy
+
+        net, _, params, mu, sigma, keep = case39_setup
+        clf = ScaledClassifier(params=params.copy(), r=1.0,
+                               v=np.zeros(len(keep)), mu=mu.copy(),
+                               sigma=sigma.copy(), dim_map=keep.copy())
+        return copy.deepcopy(net), clf
+
+    @pytest.mark.parametrize("item", sorted(_KEYED_EDITS))
+    def test_in_place_edit_rebuilds_the_lp(self, case39_setup, item):
+        from nkscreen import scopf
+
+        net, clf = self.pair(case39_setup)
+        scopf._icnn_lps.clear()
+        lp = scopf._icnn_lp(net, clf)
+        assert scopf._icnn_lp(net, clf) is lp
+        _KEYED_EDITS[item](net, clf)
+        assert scopf._icnn_lp(net, clf) is not lp
+
+    def test_non_contiguous_equal_values_keep_the_lp(self, case39_setup):
+        from nkscreen import scopf
+
+        net, clf = self.pair(case39_setup)
+        demands = case39_setup[1][:8]
+        scopf._icnn_lps.clear()
+        lp = scopf._icnn_lp(net, clf)
+        want = [solve_scopf_icnn(net, d, clf) for d in demands]
+        net.f_upper = np.repeat(net.f_upper, 2)[::2]
+        clf.mu = np.repeat(clf.mu, 3)[::3]
+        clf.params.D[0] = np.asfortranarray(clf.params.D[0])
+        assert not (net.f_upper.flags.c_contiguous
+                    or clf.mu.flags.c_contiguous
+                    or clf.params.D[0].flags.c_contiguous)
+        got = [solve_scopf_icnn(net, d, clf) for d in demands]
+        assert scopf._icnn_lp(net, clf) is lp
+        for a, b in zip(want, got):
+            assert (a.status, a.cost, a.blocking) == (b.status, b.cost,
+                                                      b.blocking)
+            assert (a.p is None) == (b.p is None)
+            if a.p is not None:
+                assert a.p.tobytes() == b.p.tobytes()
 
 
 class TestBenchmark:
