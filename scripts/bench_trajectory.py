@@ -19,7 +19,11 @@ that report ``"correct": true``.  It also holds every run's seed, verdict,
 artifact sha256s, source hash and RefClock factors, and a machine line.
 With two checkouts the script also prints, for each workload and
 end-to-end metric, both medians, the first checkout's IQR and the number
-of pairs the second wins, over the pairs whose two runs are correct.
+of pairs the second wins, over the pairs whose two runs are correct, and a
+verdict on the second checkout (``verdict``): "worse than bound" when its
+median is worse than the first's by more than the metric's ``bound`` in
+BENCHMARK.json, "gain holds" when it wins at least 9 of 10 pairs and its
+median is better by more than the first checkout's IQR.
 """
 
 import argparse
@@ -140,16 +144,30 @@ def aggregate(runs):
     return out
 
 
+def verdict(metric, a, b):
+    """The second checkout's pair wins over paired values a (first
+    checkout) and b of one metric, and its verdict: "worse than bound",
+    "gain holds" or ""."""
+    sign = 1 if metric["better"] == "higher" else -1
+    wins = int(np.sum(sign * (b - a) > 0))
+    sa, sb = summary(a), summary(b)
+    worse = sign * (sa["median"] - sb["median"])
+    if sa["median"] and worse > metric["bound"] * abs(sa["median"]):
+        return wins, "worse than bound"
+    if 10 * wins >= 9 * len(a) and -worse > sa["iqr"]:
+        return wins, "gain holds"
+    return wins, ""
+
+
 def compare(bench, runs, sides):
-    """Both medians, the first checkout's IQR and the second's pair wins,
-    per workload and end-to-end metric, over the pairs whose two runs are
-    both counted."""
+    """Both medians, the first checkout's IQR, the second's pair wins and
+    its ``verdict``, per workload and end-to-end metric, over the pairs
+    whose two runs are both counted."""
     (tag_a, _), (tag_b, _) = sides[:2]
     for workload in runs[tag_a]:
         print(f"\n{workload}: {tag_b} against {tag_a}")
         for metric in bench["end_to_end"]:
-            name, sign = metric["name"], (1 if metric["better"] == "higher"
-                                          else -1)
+            name = metric["name"]
             pairs = [(a["metrics"][name], b["metrics"][name])
                      for a, b in zip(runs[tag_a][workload],
                                      runs[tag_b][workload])
@@ -157,13 +175,13 @@ def compare(bench, runs, sides):
             if not pairs:
                 continue
             a, b = np.array(pairs).T
-            wins = int(np.sum(sign * (b - a) > 0))
+            wins, said = verdict(metric, a, b)
             sa, sb = summary(a), summary(b)
             change = (sb["median"] / sa["median"] - 1 if sa["median"]
                       else float("nan"))
             print(f"  {name:26s} {sa['median']:.6g} (IQR {sa['iqr']:.3g}) -> "
                   f"{sb['median']:.6g} ({change:+.1%}), "
-                  f"wins {wins}/{len(pairs)}")
+                  f"wins {wins}/{len(pairs)}" + (f", {said}" if said else ""))
 
 
 def main(argv=None):

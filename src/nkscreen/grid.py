@@ -3,7 +3,8 @@
 Buses are 0-indexed.  A line l = (f, t) with susceptance s carries the flow
 s * (theta_f - theta_t); positive flow runs from f to t.  All limits and
 injections are in MW; PTDF rows are dimensionless, so the susceptance unit
-cancels as long as it is consistent across lines.
+cancels as long as it is consistent across lines.  One islanding check,
+bitset reachability from bus 0, serves ``is_islanding`` and ``ptdf``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .lp import LpProblem, LpStatus, OptimalBases, SimplexEngine
+
+_ISLAND_BLOCK = 512  # outage sets per block of ``_islanding``
 
 
 class IslandingError(ValueError):
@@ -163,27 +166,37 @@ def _surviving(net: Network, outages):
 def _islanding(net: Network, alive) -> np.ndarray:
     """Per row of the surviving-line mask, True if the bus graph is split.
 
-    Label propagation over the line list: every bus starts labelled with
-    its own index, each surviving line lowers both endpoint labels to the
-    smaller of the two, and pointer jumping (label <- label[label]) shortens
-    the chains.  A label is always a bus of the same component and never
-    above its own bus, so at the fixed point every bus carries the lowest
-    bus of its component, and the graph is connected iff all labels are 0.
+    Bitset reachability from bus 0, one uint64 word per 64 buses: each bus's
+    neighbours over the surviving lines (one ``np.bitwise_or.reduceat`` over
+    the line ends sorted by bus), then sweeps that add the neighbours of every
+    reached bus until the reached set stops growing.  The graph is connected
+    iff every bus is then reached.  Rows go through in blocks of
+    ``_ISLAND_BLOCK``, so one block's masks stay small and in cache.
     """
-    B, n = len(alive), net.n
-    f, t = net.lines[:, 0], net.lines[:, 1]
-    base = np.arange(B)[:, None] * n
-    at_f, at_t = (base + f).ravel(), (base + t).ravel()
-    label = np.tile(np.arange(n), (B, 1))
-    while True:
-        low = np.where(alive, np.minimum(label[:, f], label[:, t]), n).ravel()
-        new = label.copy()
-        np.minimum.at(new.ravel(), at_f, low)
-        np.minimum.at(new.ravel(), at_t, low)
-        new = np.take_along_axis(new, new, axis=1)
-        if np.array_equal(new, label):
-            return np.any(label != 0, axis=1)
-        label = new
+    words = -(-net.n // 64)
+    ends = net.lines.T.ravel()              # every from-end, then every to-end
+    order = np.argsort(ends, kind="stable")
+    other = net.lines[:, ::-1].T.ravel()[order].astype(np.uint64)
+    line = np.tile(np.arange(net.m), 2)[order]
+    bit = np.zeros((len(order), words, 1), dtype=np.uint64)
+    bit[np.arange(len(order)), other >> 6, 0] = np.uint64(1) << (other & 63)
+    starts = np.flatnonzero(np.r_[True, np.diff(ends[order]) != 0])
+    bus = ends[order][starts]
+    word, shift = bus >> 6, (bus & 63).astype(np.uint64)[:, None]
+    every = np.full((words, 1), ~np.uint64(0))
+    every[-1] >>= np.uint64(64 * words - net.n)
+    split = np.empty(len(alive), dtype=bool)
+    for lo in range(0, len(alive), _ISLAND_BLOCK):
+        rows = alive[lo:lo + _ISLAND_BLOCK]
+        adj = np.bitwise_or.reduceat(bit * rows.T[line, None], starts, axis=0)
+        reached, grown = None, np.zeros((words, len(rows)), dtype=np.uint64)
+        grown[0] = 1                                     # bus 0
+        while not np.array_equal(grown, reached):
+            reached = grown
+            hit = (reached[word] >> shift) & np.uint64(1)
+            grown = np.bitwise_or.reduce(adj * hit[:, None], axis=0) | reached
+        split[lo:lo + len(rows)] = np.any(reached != every, axis=0)
+    return split
 
 
 def is_islanding(net: Network, outages):

@@ -10,10 +10,10 @@ duplicate rows and rows the box cannot reach; ``eliminate_redundant`` then
 keeps only the facets, by Clarkson's search from a Chebyshev centre.
 
 Every stage is array code, with no loop per contingency or per row: one
-islanding pass per outage-set size, PTDFs from stacked solves written
-straight into the preallocated rows, a filter that screens rows by their
-support over the samples' box before one product, and a sort-based
-duplicate search.
+bitset islanding pass per outage-set size, PTDFs from stacked solves written
+straight into the preallocated rows, and a filter and a prune that screen
+rows by their box support first, so that only the rows near the box enter
+the filter's product and the prune's sort-based duplicate search.
 
 Between folding and standardizing, the origin need not be interior (b may
 lose positivity); the standardized region has b > 0.  Transformations that
@@ -382,19 +382,16 @@ def _normalized(A, b):
     return A / norms[:, None], b / norms
 
 
-def _box_support(A, lo, hi, rows=None):
+def _box_support(A, lo, hi):
     """Each row's supremum over the box lo <= x <= hi: positive
     coefficients meet the upper corner, negative ones the lower.
 
-    Only the rows of A indexed by ``rows`` when it is given, read one block
-    at a time.  Taken over the row blocks of ``_point_blocks``, so the
-    clipped copies stay small; a row's value has the bytes of one product
-    over all rows.
+    Taken over the row blocks of ``_point_blocks``, so the clipped copies
+    stay small; a row's value has the bytes of one product over all rows.
     """
-    n = len(A) if rows is None else len(rows)
-    sup = np.empty(n)
-    for start, stop in _point_blocks(n):
-        block = A[start:stop] if rows is None else A[rows[start:stop]]
+    sup = np.empty(len(A))
+    for start, stop in _point_blocks(len(A)):
+        block = A[start:stop]
         sup[start:stop] = block.clip(min=0.0) @ hi + block.clip(max=0.0) @ lo
     return sup
 
@@ -514,24 +511,43 @@ def prune_by_box_support(region: ContingencyRegion, counters=None):
     eliminate_redundant this never asks whether a COMBINATION of other rows
     implies a row, so it keeps every individually violable constraint; the
     reported reduced-matrix shape comes from this screening, while the
-    LP-exact variant removes far more.  A dict passed as counters receives
-    the duplicate rows collapsed.
+    LP-exact variant removes far more.
+
+    The box screen comes first: only rows whose support passes b_j - TOL_RED
+    * M * |a_j| (M = sum_k max(|lo_k|, |hi_k|)) are normalized and sorted for
+    duplicates.  That keeps the rows a search over every row keeps: rows that
+    share a dedup key have unit normals within 1e-9 per coordinate, so their
+    normalized supports lie within 1e-9 * M, and a row as tight as a reachable
+    duplicate lies within that of binding, 1,000 times inside the margin; so
+    each group holding a kept row has its tightest row among the near ones.
+    The norms are taken a ``_point_blocks`` block at a time, with the bytes of
+    one norm over all rows.  A dict passed as counters receives the rows the
+    box screen dropped before the search and the duplicates among the rest.
     """
     if region.box_lower is None:
         raise ValueError("attach a box (with_box) before box-support pruning")
-    unique_rows = _dedup_rows(*_normalized(region.A, region.b))
+    A, b, lo, hi = region.A, region.b, region.box_lower, region.box_upper
+    sup = _box_support(A, lo, hi)
+    norms = np.empty(len(A))
+    for start, stop in _point_blocks(len(A)):
+        norms[start:stop] = np.linalg.norm(A[start:stop], axis=1)
+    M = np.maximum(np.abs(lo), np.abs(hi)).sum()
+    near = np.flatnonzero(sup > b - TOL_RED * M * norms)
+    A_hat = A[near]
+    A_hat /= norms[near, None]
+    unique = near[_dedup_rows(A_hat, b[near] / norms[near])]
+    del A_hat  # before the kept rows are gathered
     if counters is not None:
-        counters["duplicate_rows_collapsed"] = region.n_rows - len(unique_rows)
-    sup = _box_support(region.A, region.box_lower, region.box_upper,
-                       unique_rows)
-    keep = unique_rows[sup > region.b[unique_rows]]
+        counters.update(rows_unreachable=region.n_rows - len(near),
+                        duplicate_rows_collapsed=len(near) - len(unique))
+    keep = unique[sup[unique] > b[unique]]
     if len(keep) == 0:
         raise AssumptionViolated("every row is redundant over the box; the "
                                  "box cannot reach any constraint")
     out = replace(
         region,
-        A=region.A[keep],
-        b=region.b[keep],
+        A=A[keep],
+        b=b[keep],
         row_meta=region.row_meta[keep],
         meta={**region.meta, "rows_before_reduction": region.n_rows},
     )

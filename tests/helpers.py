@@ -6,7 +6,8 @@ from nkscreen.grid import DispatchLp, Network, ptdf
 from nkscreen.icnn import IcnnParams, forward
 from nkscreen.lp import LpProblem, SimplexEngine
 from nkscreen.oracle import SublevelSolver, SupportResult
-from nkscreen.region import ROW_META_DTYPE, ContingencyRegion, _outage_sets
+from nkscreen.region import (ROW_META_DTYPE, TOL_RED, ContingencyRegion,
+                             _box_support, _outage_sets)
 
 
 def classify(params: IcnnParams, X):
@@ -139,6 +140,26 @@ def dedup_rows_oracle(A_hat, b_hat):
             seen.add(g)
             kept.append(int(i))
     return np.array(sorted(kept))
+
+
+def prune_full_sort(region):
+    """Reference box-support prune: the duplicate search over every row
+    (``dedup_rows_oracle``), then the box screen on each group's tightest
+    row.  Returns the kept row indices and the counters the prune reports:
+    the rows whose box support stays TOL_RED * M * |a_j| or more below b_j
+    (M = sum_k max(|lo_k|, |hi_k|)), and the duplicates among the others,
+    counted with ``np.unique`` over their rounded normals."""
+    A, b = region.A, region.b
+    lo, hi = region.box_lower, region.box_upper
+    norms = np.linalg.norm(A, axis=1)
+    A_hat, b_hat = A / norms[:, None], b / norms
+    sup = _box_support(A, lo, hi)
+    unique = dedup_rows_oracle(A_hat, b_hat)
+    keep = unique[sup[unique] > b[unique]]
+    near = sup > b - TOL_RED * np.maximum(np.abs(lo), np.abs(hi)).sum() * norms
+    groups = len(np.unique(np.round(A_hat[near], 9) + 0.0, axis=0))
+    return keep, {"rows_unreachable": int((~near).sum()),
+                  "duplicate_rows_collapsed": int(near.sum()) - groups}
 
 
 def mesh5():

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,7 +41,7 @@ def test_aggregate_leaves_incorrect_and_failed_runs_out_of_the_medians(bt):
 
 
 def bench():
-    return {"end_to_end": [{"name": "t_ms", "better": "lower"}]}
+    return {"end_to_end": [{"name": "t_ms", "better": "lower", "bound": 0.25}]}
 
 
 def test_compare_counts_wins_over_correct_pairs_only(bt, capsys):
@@ -84,3 +85,49 @@ def test_main_keeps_every_run_in_per_run(bt, tmp_path, monkeypatch, capsys):
     assert w["runs"] == 3 and w["runs_correct"] == 2
     assert w["metrics"]["t_ms"]["median"] == 1.0
     assert "wins 2/2" in capsys.readouterr().out
+
+
+def metric(better="lower", bound=0.25):
+    return {"name": "t_ms", "better": better, "bound": bound}
+
+
+@pytest.mark.parametrize("better,a,b,want", [
+    # every pair won, the median 2.0 below: more than the IQR 1.0 of a
+    ("lower", [10, 11, 12, 9, 10, 11, 12, 9, 10, 11],
+     [8, 9, 10, 7, 8, 9, 10, 7, 8, 9], (10, "gain holds")),
+    # 9 of 10 pairs are enough
+    ("lower", [10, 11, 12, 9, 10, 11, 12, 9, 10, 11],
+     [8, 9, 10, 7, 8, 9, 10, 7, 8, 12], (9, "gain holds")),
+    # 8 of 10 pairs are not
+    ("lower", [10, 11, 12, 9, 10, 11, 12, 9, 10, 11],
+     [8, 9, 10, 7, 8, 9, 10, 7, 11, 12], (8, "")),
+    # every pair won, but by less than the IQR
+    ("lower", [10, 11, 12, 9, 10, 11, 12, 9, 10, 11],
+     [9.5, 10.5, 11.5, 8.5, 9.5, 10.5, 11.5, 8.5, 9.5, 10.5], (10, "")),
+    # 30% slower against a 25% bound
+    ("lower", [10] * 10, [13] * 10, (0, "worse than bound")),
+    # 20% slower stays within it
+    ("lower", [10] * 10, [12] * 10, (0, "")),
+    # higher is better: a 30% drop is worse, a rise a gain
+    ("higher", [10] * 10, [7] * 10, (0, "worse than bound")),
+    ("higher", [10, 11, 12, 9, 10, 11, 12, 9, 10, 11],
+     [12, 13, 14, 11, 12, 13, 14, 11, 12, 13], (10, "gain holds")),
+])
+def test_verdict(bt, better, a, b, want):
+    assert bt.verdict(metric(better), np.array(a, dtype=float),
+                      np.array(b, dtype=float)) == want
+
+
+def test_compare_prints_the_verdict(bt, capsys):
+    sides = [("a", "/a"), ("b", "/b")]
+    runs = {"a": {"w": [record(i, 10.0 + i % 3) for i in range(10)]},
+            "b": {"w": [record(i, 20.0) for i in range(10)]}}
+    bt.compare(bench(), runs, sides)
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if "t_ms" in x)
+    assert line.endswith("wins 0/10, worse than bound")
+    runs["b"]["w"] = [record(i, 5.0) for i in range(10)]
+    bt.compare(bench(), runs, sides)
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if "t_ms" in x)
+    assert line.endswith("wins 10/10, gain holds")

@@ -120,6 +120,50 @@ def test_batched_islanding_matches_bfs(name, k):
     assert n_split > 0
 
 
+def _random_graph(n, seed):
+    """A random tree over all buses but the isolated one, plus chords and
+    parallel copies of its lines; one bus goes unconnected in every fourth
+    graph.  Not validated: a graph with an isolated bus is not connected."""
+    rng = np.random.default_rng(seed)
+    tree = rng.permutation(n)[1 if seed % 4 == 3 else 0:]
+    lines = [(tree[i], tree[int(rng.integers(i))]) for i in range(1, len(tree))]
+    for _ in range(n // 3):
+        f, t = rng.choice(tree, size=2, replace=False)
+        lines.append((f, t))
+    lines += [lines[i] for i in rng.integers(len(lines), size=max(1, n // 10))]
+    lines = np.array(lines)[rng.permutation(len(lines))]
+    m = len(lines)
+    return Network(name=f"random{n}", n=n, lines=lines,
+                   susceptance=np.ones(m), f_lower=-np.ones(m),
+                   f_upper=np.ones(m), pmin=np.zeros(n), pmax=np.zeros(n),
+                   cost=np.zeros(n), demand=np.zeros(n), slack=0)
+
+
+@pytest.mark.parametrize("n", [3, 39, 64, 65, 150])
+@pytest.mark.parametrize("seed", range(4))
+def test_islanding_matches_bfs_on_random_graphs(n, seed):
+    """One word per 64 buses: 64 buses fill one word, 65 and 150 spill into
+    a second and a third."""
+    net = _random_graph(n, seed)
+    rng = np.random.default_rng(seed)
+    split = 0
+    for k in (1, 2, 3):
+        sets = np.array([rng.choice(net.m, size=k, replace=False)
+                         for _ in range(300)])
+        got = is_islanding(net, sets)
+        want = np.array([is_islanding_bfs(net, c) for c in sets])
+        assert np.array_equal(got, want)
+        split += int(want.sum())
+    assert is_islanding(net, ()) == is_islanding_bfs(net, ())
+    assert 0 < split < 900 or seed % 4 == 3
+
+
+def test_case39_islanding_sets_per_size():
+    net = load_network(CASE39)
+    assert [int(is_islanding(net, sets).sum())
+            for sets in _all_sets(net, 3)] == [11, 473, 9774]
+
+
 def test_islanding_of_every_line_out():
     net = mesh5()
     assert is_islanding(net, np.arange(net.m))

@@ -26,7 +26,8 @@ from nkscreen.region import (
     with_box,
 )
 from helpers import (dedup_rows_oracle, enumerate_contingencies,
-                     is_islanding_bfs, mesh5, region_from_rows, ring3)
+                     is_islanding_bfs, mesh5, prune_full_sort,
+                     region_from_rows, ring3)
 
 
 def test_enumerate_ring_k1():
@@ -554,6 +555,28 @@ def test_region_construction_bytes_unchanged():
     assert _rows_digest(pruned) == CASE39_K2_PRUNED_DIGEST
 
 
+# sha256 of the case39 k=3 region after the same stages as above (517,522
+# rows built), recorded while the duplicate search still sorted every row.
+CASE39_K3_PRUNED_DIGEST = "ec15955cb4e87c15c6df61e69c7177d6645abadd832e567dda7c0022080323c4"
+
+
+def test_region_construction_k3_pruned_bytes_unchanged():
+    from nkscreen.cli import resolve_case
+    from nkscreen.datagen import DemandSampler, sample_injections
+    from nkscreen.grid import load_network
+
+    net = load_network(resolve_case("case39"))
+    region = build_region(net, k=3)
+    assert region.n_rows == 517522
+    X = sample_injections(net, DemandSampler(net.demand, rel_std=0.15, seed=0),
+                          2000)
+    region = filter_contingencies(region, X)
+    region = with_box(drop_constant_dims(region, X), X)
+    pruned = prune_by_box_support(region)
+    assert pruned.n_rows == 13247
+    assert _rows_digest(pruned) == CASE39_K3_PRUNED_DIGEST
+
+
 def test_standardize_identity_roundtrip():
     net = ring3()
     region = build_region(net, k=1)
@@ -762,8 +785,82 @@ def test_box_support_prune_counts_duplicates():
     box = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     counters = {}
     out = prune_by_box_support(region_from_rows(A, b, box=box), counters=counters)
-    assert counters == {"duplicate_rows_collapsed": 2}
+    assert counters == {"rows_unreachable": 0, "duplicate_rows_collapsed": 2}
     assert out.row_meta["line"].tolist() == [0, 2, 4]
+
+
+def test_box_support_prune_counts_unreachable_rows_apart():
+    # rows 2 (row 0's direction) and 3 lie far beyond the box: the box
+    # screen drops them before the duplicate search, so row 2 counts as
+    # unreachable, not as a duplicate; row 1 is a duplicate of row 0
+    A = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = np.array([1.0, 3.0, 60.0, 50.0, 1.0])
+    box = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    counters = {}
+    out = prune_by_box_support(region_from_rows(A, b, box=box), counters=counters)
+    assert counters == {"rows_unreachable": 2, "duplicate_rows_collapsed": 1}
+    assert out.row_meta["line"].tolist() == [0, 4]
+
+
+def _straddling_groups(seed):
+    """Groups of parallel rows around the edge of a random box: each copy
+    of a direction is scaled by a power of two (so b / |a| ties exactly
+    across copies with one offset), some are nudged by under 1e-9 per
+    unit-normal coordinate (one dedup key, other box supports), some carry
+    -0.0 for 0.0, and each rhs sits at the copy's box support plus an
+    offset from far inside to far beyond the box."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    lo, hi = -rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d)
+    M = np.maximum(-lo, hi).sum()
+    offsets = np.array([-1.0, -1e-6, -1e-9, 0.0, 1e-10, 1e-9, 5e-7, 1e-6,
+                        2e-6, 1.0]) * M
+    rows, rhs = [], []
+    for _ in range(60):
+        u = rng.normal(size=d)
+        u[rng.random(d) < 0.3] = 0.0
+        u[rng.integers(d)] = rng.choice([-1.0, 1.0])
+        for _ in range(int(rng.integers(1, 7))):
+            a = u * 2.0 ** int(rng.integers(-2, 3))
+            if rng.random() < 0.3:
+                a = a + (a != 0) * rng.uniform(-3e-10, 3e-10, d)
+            if rng.random() < 0.3:
+                a[a == 0.0] = -0.0
+            sup = np.clip(a, 0.0, None) @ hi + np.clip(a, None, 0.0) @ lo
+            rows.append(a)
+            rhs.append(sup + rng.choice(offsets) * np.linalg.norm(a))
+    order = rng.permutation(len(rows))
+    return region_from_rows(np.array(rows)[order], np.array(rhs)[order],
+                            box=(lo, hi))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_box_support_prune_equals_full_sort_reference(seed):
+    region = _straddling_groups(seed)
+    keep, want = prune_full_sort(region)
+    counters = {}
+    out = prune_by_box_support(region, counters=counters)
+    assert counters == want
+    assert out.A.tobytes() == region.A[keep].tobytes()
+    assert out.b.tobytes() == region.b[keep].tobytes()
+    assert out.row_meta.tobytes() == region.row_meta[keep].tobytes()
+
+
+def test_box_support_prune_tightest_copy_just_out_of_reach():
+    """Row 0 binds exactly at the box corner, so it is out of reach; row 1
+    shares its dedup key, is looser and reachable, but loses the group to
+    row 0, as it would in a search over every row.  Row 2 is a tie of
+    row 3 in b / |a| with a -0.0 entry; the lower index wins."""
+    A = np.array([[1.0, 0.0], [1.0, 4e-10], [0.0, -2.0], [-0.0, -1.0]])
+    b = np.array([1.0, 1.0 + 2e-10, 1.0, 0.5])
+    region = region_from_rows(A, b, box=(np.full(2, -1.0), np.ones(2)))
+    assert region.margins(np.array([[1.0, 1.0]]))[0] > 0   # row 1 is violable
+    keep, want = prune_full_sort(region)
+    counters = {}
+    out = prune_by_box_support(region, counters=counters)
+    assert keep.tolist() == out.row_meta["line"].tolist() == [2]
+    assert counters == want == {"rows_unreachable": 0,
+                                "duplicate_rows_collapsed": 2}
 
 
 def test_box_support_prune_requires_box():
