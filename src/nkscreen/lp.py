@@ -50,7 +50,9 @@ problem/solution contract:
   product and a bound check, with the bytes a zero-pivot ``resolve_rhs``
   from that basis returns.  It serves DC-OPF dispatch of sampled demands
   (``grid.DcopfSolver``), whose draws end at a handful of bases, and the
-  classifier SC-OPF's two steps (``scopf``), one fixed entry each.
+  classifier SC-OPF's DC-OPF step (``scopf``), whose one fixed entry, the
+  nominal basis, also answers from the bases one dual pivot from it
+  (``lookup_near``).
 
   The pivot loop is the hot path of training, so it is written for few
   numpy calls per pivot while keeping every floating-point operation of the
@@ -61,9 +63,9 @@ problem/solution contract:
   rate only where a basic variable moves toward a bound it can hit, all
   into one array whose first minimum blocks; the inverse takes its
   rank-one update in place.  The fixed columns are found once.  The
-  entering gain, the nonbasic values and the primal violation each have
-  one definition, shared by the engine's loops, ``solve_each``'s batches
-  and ``OptimalBases``.  Counters of
+  entering gain, the dual simplex's entering rule, the nonbasic values and
+  the primal violation each have one definition, shared by the engine's
+  loops, ``solve_each``'s batches and ``OptimalBases``.  Counters of
   pivots, refactorizations, slack-basis retries and switches to Bland's
   rule are updated outside the per-pivot work.
 * scipy's HiGHS: ``solve`` picks it by row count alone, for one-off
@@ -87,7 +89,7 @@ when the upper side binds and nonpositive when the lower side binds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -531,6 +533,18 @@ class SimplexEngine:
         self.B_inv -= self._outer
         self.B_inv[pos] = row
 
+    def _dual_entering(self, rc, push, vstat, ratio):
+        """The dual simplex's entering column, and whether any can enter
+        (over leading axes): among the columns that move the leaving
+        variable toward its broken bound, push = -alpha below its lower
+        bound and alpha above its upper one, the first minimum of
+        |rc| / |alpha|.  ``ratio``, shaped like rc, is overwritten."""
+        move = self._gain(push, vstat)
+        eligible = move > _PIVOT_TOL
+        ratio.fill(np.inf)
+        np.divide(np.abs(rc), move, out=ratio, where=eligible)
+        return ratio.argmin(axis=-1), eligible.any(axis=-1)
+
     def _dual_iterate(self, rc, iter_budget):
         """Bounded dual simplex from a dual feasible basis with reduced
         costs rc; returns (outcome, pivots, blocking variable or None)."""
@@ -555,17 +569,12 @@ class SimplexEngine:
                         return "optimal", pivots, None
                 leave = int(basis[r])
                 below = xb[r] < L[leave]
-                # the pivot row; raising x_j moves x_r by -alpha_j, and
-                # `move` is how fast j can push x_r toward its broken bound
-                alpha = self.B_inv[r] @ self.T
-                move = self._gain(-alpha if below else alpha, self.vstat)
-                eligible = move > _PIVOT_TOL
-                if not eligible.any():
+                alpha = self.B_inv[r] @ self.T  # the pivot row
+                j, can = self._dual_entering(rc, -alpha if below else alpha,
+                                             self.vstat, self._ratio)
+                if not can:
                     return "infeasible", pivots, leave
-                ratio = self._ratio
-                ratio.fill(np.inf)
-                np.divide(np.abs(rc), move, out=ratio, where=eligible)
-                j = int(ratio.argmin())  # first min: lowest index
+                j = int(j)
                 d = self.B_inv @ self.T[:, j]
                 step = (xb[r] - (L[leave] if below else U[leave])) / d[r]
                 self._apply_step(j, 1.0, step, r, _AT_LB if below else _AT_UB,
@@ -1010,16 +1019,13 @@ class _Batch:
             leave = s.basis[ar, r]
             below = xb[ar, r] < L[leave]
             alpha = (s.B[ar, r][:, None, :] @ T)[:, 0]
-            move = self.eng._gain(np.where(below[:, None], -alpha, alpha),
-                                  s.vstat)
-            eligible = move > _PIVOT_TOL
-            infeasible = ~eligible.any(axis=1)
+            j, can = self.eng._dual_entering(
+                s.rc, np.where(below[:, None], -alpha, alpha), s.vstat,
+                np.empty_like(s.rc))
+            infeasible = ~can
             if infeasible.any():
                 s.keep(~infeasible)  # the engine reports it
                 continue
-            ratio = np.full(move.shape, np.inf)
-            np.divide(np.abs(s.rc), move, out=ratio, where=eligible)
-            j = ratio.argmin(axis=1)  # first min: lowest index
             d = self._column(s.B, j)
             step = (xb[ar, r] - np.where(below, L[leave], U[leave])) / d[ar, r]
             tiny = self._step(s, j, step, r, np.where(below, _AT_LB, _AT_UB),
@@ -1153,6 +1159,26 @@ class _Optimum:
     U_B: np.ndarray
     K: np.ndarray       # the structural basic columns
     pos_K: np.ndarray   # their positions in the basis
+    # the entries one dual pivot away, by key (``OptimalBases.lookup_near``)
+    neighbours: dict = field(default_factory=dict, compare=False)
+
+    @classmethod
+    def of(cls, eng, snap, B_inv):
+        basis, x_N = snap.basis, eng._nonbasic_values(snap.vstat)
+        pos_K = np.flatnonzero(basis < eng.n)
+        return cls(snap, B_inv, x_N, eng.T @ x_N, eng.L[basis], eng.U[basis],
+                   basis[pos_K], pos_K)
+
+    def basic_values(self, b):
+        """x_B for right-hand side b, and its bound violations."""
+        x_B = self.B_inv @ (b - self.T_xN)
+        return x_B, _violation(x_B, self.L_B, self.U_B)
+
+    def structural(self, x_B, n):
+        """x_N's n structural values with the basic ones scattered in."""
+        x = self.x_N[:n].copy()
+        x[self.K] = x_B[self.pos_K]
+        return x
 
 
 class OptimalBases:
@@ -1174,15 +1200,17 @@ class OptimalBases:
     engine, from the most recent entry's basis and inverse (``install``),
     and may ``add`` the basis it ends at when that is optimal; the least
     recently used entry then drops out.  Nothing is solved at construction.
-    A ``reload`` of the engine's matrix or objective empties the table.
+    A ``reload`` of the engine's matrix or objective empties the table, and
+    with it the entries' neighbours (``lookup_near``).
 
-    ``counters()`` returns the lookups answered (hits) and not (misses).
+    ``counters()`` returns the lookups answered (hits) and not (misses);
+    ``n_near_hits`` and ``n_derived`` count ``lookup_near``'s neighbours.
     """
 
     def __init__(self, engine: SimplexEngine):
         self.engine = engine
         self.entries: list[_Optimum] = []
-        self.n_hits = self.n_misses = 0
+        self.n_hits = self.n_misses = self.n_near_hits = self.n_derived = 0
         self._start = engine.snapshot()
         self._version = engine.data_version
 
@@ -1192,38 +1220,96 @@ class OptimalBases:
             self._version = self.engine.data_version
         return self.entries
 
+    def _rhs(self, b):
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.engine.m,):
+            raise ValueError(f"rhs has shape {b.shape}, expected ({self.engine.m},)")
+        return b
+
     def add(self):
         """Keep the engine's present basis, optimal after its last solve and
         held with its refactorization, as the most recent entry."""
         eng = self.engine
         if not eng._inv_exact:
             raise ValueError("the engine's basis inverse is not exact")
-        basis, x_N = eng.basis, eng._nonbasic_values(eng.vstat)
-        pos_K = np.flatnonzero(basis < eng.n)
         entries = self._current()
-        entries.insert(0, _Optimum(eng.snapshot(), eng.B_inv.copy(), x_N,
-                                   eng.T @ x_N, eng.L[basis], eng.U[basis],
-                                   basis[pos_K], pos_K))
+        entries.insert(0, _Optimum.of(eng, eng.snapshot(), eng.B_inv.copy()))
         del entries[_BASES_KEPT:]
 
     def lookup(self, b):
         """The structural x of the first entry optimal for right-hand side
         b, which becomes the most recent; None when no entry is."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.engine.m,):
-            raise ValueError(f"rhs has shape {b.shape}, expected ({self.engine.m},)")
+        b = self._rhs(b)
         entries = self._current()
         for i, e in enumerate(entries):
-            x_B = e.B_inv @ (b - e.T_xN)
-            if _violation(x_B, e.L_B, e.U_B).max() <= TOL_FEAS:
+            x_B, viol = e.basic_values(b)
+            if viol.max() <= TOL_FEAS:
                 if i:
                     entries.insert(0, entries.pop(i))
                 self.n_hits += 1
-                x = e.x_N[: self.engine.n].copy()
-                x[e.K] = x_B[e.pos_K]
-                return x
+                return e.structural(x_B, self.engine.n)
         self.n_misses += 1
         return None
+
+    def lookup_near(self, b):
+        """``lookup`` in the most recent entry alone (of a table that gains
+        no entry after it), then in its neighbour for b: the basis the dual
+        simplex's first pivot from it reaches.  That pivot depends on b only
+        through the key (r, below) of the first largest violation, so the
+        neighbour is derived from the entry alone on the first b of its key
+        and kept, never learned from an answer.  Its answer has the bytes of
+        the engine's polish after that pivot (the engine tests its values
+        before the polish; the two agree but within rounding at the
+        tolerance).  None when neither answers."""
+        b = self._rhs(b)
+        entries = self._current()
+        if entries:
+            e, n = entries[0], self.engine.n
+            x_B, viol = e.basic_values(b)
+            r = int(viol.argmax())  # first max: the dual simplex's row
+            if viol[r] <= TOL_FEAS:
+                self.n_hits += 1
+                return e.structural(x_B, n)
+            key = (r, bool(x_B[r] < e.L_B[r]))
+            if key not in e.neighbours:
+                e.neighbours[key] = self._neighbour(e, *key)
+                self.n_derived += 1
+            near = e.neighbours[key]
+            if near is not None:
+                x_B, viol = near.basic_values(b)
+                if viol.max() <= TOL_FEAS:
+                    self.n_near_hits += 1
+                    return near.structural(x_B, n)
+        self.n_misses += 1
+        return None
+
+    def _neighbour(self, e, r, below):
+        """The entry the dual simplex's first pivot from entry e reaches
+        when the basic variable at position r leaves for the bound it broke,
+        the lower one when ``below``: the engine's pricing and entering rule
+        from e's basis and inverse, then ``_block_inverse`` of the new basis.
+        None when e would not start the dual simplex, no column can enter or
+        the new basis is singular.  Leaves the engine at e's basis."""
+        eng = self.engine
+        eng.restore(e.snap, e.B_inv)
+        rc = eng._price(eng.c)[1]
+        if eng._choose_entering(rc, False)[0] >= 0:
+            return None
+        alpha = eng.B_inv[r] @ eng.T
+        j, can = eng._dual_entering(rc, -alpha if below else alpha,
+                                    eng.vstat, eng._ratio)
+        if not can:
+            return None
+        basis, vstat = e.snap.basis.copy(), e.snap.vstat.copy()
+        vstat[basis[r]] = _AT_LB if below else _AT_UB
+        basis[r], vstat[j] = j, _BASIC
+        try:
+            B_inv = eng._block_inverse(basis)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(B_inv).all():
+            return None
+        return _Optimum.of(eng, BasisSnapshot(basis, vstat), B_inv)
 
     def install(self):
         """Start the engine's next solve from the most recent entry, its

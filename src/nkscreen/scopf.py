@@ -21,12 +21,14 @@ is the plain DC-OPF.  Every demand is screened first: the DC-OPF is
 re-solved, and when the classifier admits that dispatch, it is also the
 classifier LP's optimum, since that LP's feasible set lies inside the
 DC-OPF's.  Only a dispatch the classifier flags (or a DC-OPF that is not
-optimal) goes on to the classifier LP.  Each step answers from its LP's
-nominal optimal basis (a one-entry ``lp.OptimalBases`` table): by one
-product and one scan when that basis stays optimal for the demand, else by
-a right-hand-side re-solve that starts from it, never from the previous
-demand's basis, so the answer for a demand is the same whatever was solved
-before it.
+optimal) goes on to the classifier LP.  The DC-OPF step answers by one
+product and one scan from its nominal optimal basis (a one-entry
+``lp.OptimalBases`` table) when that basis stays optimal for the demand,
+else from the basis one dual simplex pivot from it, derived from the
+nominal basis alone.  Otherwise, and in the classifier step always, a
+right-hand-side re-solve starts from the nominal basis, never from the
+previous demand's, so the answer for a demand is the same whatever was
+solved before it.
 """
 
 from __future__ import annotations
@@ -121,38 +123,49 @@ def solve_scopf_full(net: Network, demand,
 
 
 class _FixedStart:
-    """A simplex engine of one ``DispatchLp`` that answers every demand
-    from one kept basis: a fixed one-entry ``OptimalBases`` table.
+    """A simplex engine of one ``DispatchLp`` and its nominal optimal basis,
+    kept as the one entry of a fixed ``OptimalBases`` table.
 
     The table is made at the network's nominal demand before the engine
     solves there, so with no entry it starts a solve from the slack basis;
     the nominal optimal basis, with its refactorization, is its one entry
-    when that solve is optimal.  ``solve(demand)`` answers from the entry
-    when it stays primal feasible for the demand's right-hand side (one
-    product and one scan, the bytes a zero-pivot re-solve returns, no
-    engine work); otherwise it puts the entry (or the slack basis) back
-    into the engine (``install``) and re-solves, from the entry by the dual
-    simplex, as c and A do not change.  A miss adds nothing, so every
-    answer depends on the demand alone, never on the solves before it.
+    when that solve is optimal.  ``resolve(demand)`` puts the entry (or the
+    slack basis) back into the engine, inverse included (``install``), and
+    re-solves, by the dual simplex from the entry, as c and A do not
+    change.  ``solve(demand)`` first answers from the entry, or else from
+    its neighbour one dual pivot away (``OptimalBases.lookup_near``), by
+    one product and one scan each with no engine work, and re-solves only
+    when neither is optimal for the demand.  Neither adds an entry, and a
+    neighbour is derived from the entry alone, so every answer depends on
+    the demand alone, never on the solves before it.
     """
 
     def __init__(self, lp: DispatchLp):
         self.lp = lp
         self.engine = SimplexEngine(lp.problem(lp.net.demand))
         self.bases = OptimalBases(self.engine)
+        self.n_resolves = 0
         try:
             if self.engine.solve():
                 self.bases.add()
         except NumericalFailure:
             pass
 
+    def resolve(self, demand):
+        self.n_resolves += 1
+        self.bases.install()
+        return self.engine.resolve_rhs(self.lp.rhs(demand))
+
     def solve(self, demand):
-        b = self.lp.rhs(demand)
-        x = self.bases.lookup(b)
+        x = self.bases.lookup_near(self.lp.rhs(demand))
         if x is not None:
             return LpSolution(LpStatus.OPTIMAL, x=x)
-        self.bases.install()
-        return self.engine.resolve_rhs(b)
+        return self.resolve(demand)
+
+    def counters(self):
+        b = self.bases
+        return {"nominal_hits": b.n_hits, "neighbour_hits": b.n_near_hits,
+                "neighbours_derived": b.n_derived, "resolves": self.n_resolves}
 
 
 class _IcnnDispatchLp(DispatchLp):
@@ -167,20 +180,24 @@ class _IcnnDispatchLp(DispatchLp):
     the classifier's screening network (``_ScreeningNetwork``), from the
     same content.
 
-    ``solve`` takes two steps, each a ``_FixedStart`` solve (built on first
-    use, ``starts``).  On ``case39`` the DC-OPF step's nominal basis
-    answers 59-74% of the benchmark's demands with no engine work.  First
-    the plain DC-OPF, the ``DispatchLp`` with no extra rows; when it is
-    optimal and the classifier admits its injection p - d (decision value
-    <= 0, as screening computes it for one point), that dispatch is the
-    answer.  The classifier LP's feasible set
-    lies inside the DC-OPF's, so a DC-OPF optimum the classifier admits is
-    a classifier-LP optimum: the step is exact.  Otherwise (the classifier
-    flags the injection, the DC-OPF is not optimal, or its re-solve raises
-    ``NumericalFailure``) the classifier LP is re-solved, on ``case39`` in
-    about 11 pivots; a refactorization inverts the block of the basis's
-    structural columns, 4-22 wide, not all 122 rows.  An infeasible verdict
-    of its dual simplex names the constraint it could not repair
+    ``solve`` takes two steps, each on a ``_FixedStart`` (built on first
+    use, ``starts``).  First the plain DC-OPF, the ``DispatchLp`` with no
+    extra rows (``_FixedStart.solve``); when it is optimal and the
+    classifier admits its injection p - d (decision value <= 0, as
+    screening computes it for one point), that dispatch is the answer.  On
+    ``case39``, over perfbench's demands (seeds 1-10), the DC-OPF's nominal
+    basis answers 60% at nominal load and 70% at peak, and its two
+    neighbours (the marginal generator leaving at pmin or at pmax) all but
+    6 of the other 1,045, with no engine work.  The classifier LP's
+    feasible set lies inside the DC-OPF's, so a DC-OPF optimum the
+    classifier admits is a classifier-LP optimum: the step is exact.
+    Otherwise (the classifier flags the injection, the DC-OPF is not
+    optimal, or its re-solve raises ``NumericalFailure``) the classifier LP
+    is re-solved from its nominal basis (``_FixedStart.resolve``, no
+    lookup: that optimum leaves every epigraph row slack), on ``case39`` in
+    11-19 pivots; a refactorization inverts the block of the basis's
+    structural columns, 4-22 wide, not all 122 rows.  An infeasible
+    verdict of its dual simplex names the constraint it could not repair
     (``ScopfResult.blocking``).  Both steps start from fixed bases, so the
     answer for a demand does not depend on which demands came before.
     ``n_screened`` counts the demands the first step answered.
@@ -276,7 +293,7 @@ class _IcnnDispatchLp(DispatchLp):
         if value is not None and value <= 0.0:
             self.n_screened += 1
             return _result(sol, "icnn", self.net, time.perf_counter() - t0)
-        sol = classifier_lp.solve(demand)
+        sol = classifier_lp.resolve(demand)
         return _result(sol, "icnn", self.net, time.perf_counter() - t0,
                        self._blocking(sol.blocking))
 
@@ -289,17 +306,23 @@ _icnn_lps: dict = {}
 def _content(net: Network, clf: ScaledClassifier):
     """Everything the classifier SC-OPF is built from, to compare by value:
     the arrays' bytes, joined, with each array's shape and dtype (None for
-    a missing one), and the numbers.
+    a missing one), and the numbers.  The arrays are joined as they are;
+    only when one is not C-contiguous are they copied contiguous first,
+    which gives the same bytes.
 
     Keyed on content, not identity: training updates the weights in place.
     """
     p = clf.params
-    arrays = [None if a is None else np.ascontiguousarray(a) for a in (
-        *p.W, *p.D, *p.b, p.box_lower, p.box_upper, clf.v, clf.mu, clf.sigma,
-        clf.dim_map, net.lines, net.susceptance, net.f_lower, net.f_upper,
-        net.pmin, net.pmax, net.cost, net.demand)]
-    return (b"".join(a for a in arrays if a is not None),
-            tuple(None if a is None else (a.shape, a.dtype) for a in arrays),
+    arrays = (*p.W, *p.D, *p.b, p.box_lower, p.box_upper, clf.v, clf.mu,
+              clf.sigma, clf.dim_map, net.lines, net.susceptance, net.f_lower,
+              net.f_upper, net.pmin, net.pmax, net.cost, net.demand)
+    try:
+        data = b"".join([a for a in arrays if a is not None])
+    except TypeError:  # an array that is not C-contiguous
+        arrays = [None if a is None else np.ascontiguousarray(a)
+                  for a in arrays]
+        data = b"".join([a for a in arrays if a is not None])
+    return (data, [None if a is None else (a.shape, a.dtype) for a in arrays],
             float(clf.r), int(net.n), int(net.slack))
 
 
@@ -335,14 +358,17 @@ def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier) -> ScopfResult
     content.  Each demand is screened first: the plain DC-OPF is solved at
     it, and when the classifier admits that dispatch's injection it is the
     answer, since the classifier LP's feasible set lies inside the
-    DC-OPF's.  Otherwise the classifier LP is solved.  Each LP is answered
-    from its nominal optimal basis by one product and one bound scan when
-    that basis stays optimal for the demand (no engine work, the bytes of
-    a zero-pivot re-solve), else re-solved on the simplex engine by the
-    dual simplex from that basis.  Both start from the same bases every
-    time, so the result depends on the demand alone and not on the order of
-    calls.  The reported runtime is the DC-OPF step plus the screen, plus
-    the classifier step when the screen flags the dispatch.  An infeasible
+    DC-OPF's.  Otherwise the classifier LP is solved.  The DC-OPF is
+    answered by one product and one bound scan from its nominal optimal
+    basis when that basis stays optimal for the demand, else from the basis
+    one dual pivot from it (no engine work, the bytes of the engine's
+    re-solve), else re-solved on the simplex engine by the dual simplex
+    from the nominal basis; the classifier LP is always re-solved from its
+    nominal basis.  Both start from the same bases every time, and the
+    neighbour bases are derived from the nominal basis alone, so the result
+    depends on the demand alone and not on the order of calls.  The
+    reported runtime is the DC-OPF step plus the screen, plus the
+    classifier step when the screen flags the dispatch.  An infeasible
     result names in ``blocking`` the line, epigraph row, box coordinate,
     balance or generator bound the dual simplex could not repair.  The one-off build and nominal solves
     are not part of the runtime (``benchmark_scopf`` reports them as
@@ -369,8 +395,10 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     (and solved at the nominal demand) once, before the loop; that one-off
     cost is icnn_setup_s, and each classifier runtime is a warm DC-OPF
     step and its screen, plus a warm classifier step when the screen flags
-    the dispatch; ``icnn_tables`` counts each step's answers from its
-    nominal basis (table hits) and its re-solves (misses).  The region
+    the dispatch; ``icnn_tables`` counts the DC-OPF step's answers from
+    its nominal basis, from a neighbour one dual pivot away and from its
+    engine, the neighbours it derived, and the classifier step's
+    re-solves.  The region
     must have full dimension: ``solve_scopf_full`` refuses a folded one
     (ValueError).
     """
@@ -382,7 +410,7 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     engine = lp.starts()[1].engine
     icnn_setup = time.perf_counter() - t0
     work = engine.counters()
-    tables = [step.bases.counters() for step in lp.starts()]
+    tables = [step.counters() for step in lp.starts()]
     screened = lp.n_screened
     records = []
     fulls, icnns = [], []
@@ -400,8 +428,8 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
                 "blocking": res.blocking,
             })
 
-    tables = [{k: v - was[k] for k, v in step.bases.counters().items()}
-              for step, was in zip(lp.starts(), tables)]
+    dcopf, classifier = ({k: v - was[k] for k, v in step.counters().items()}
+                         for step, was in zip(lp.starts(), tables))
     n = len(demands)
     both = [i for i in range(n) if fulls[i] and icnns[i]]
     n_full = sum(1 for r in fulls if r)
@@ -441,8 +469,11 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
         "icnn_lp": {"rows": engine.m,
                     "ranged_rows": int(np.isfinite(lp.ranges).sum()),
                     **{k: v - work[k] for k, v in engine.counters().items()}},
-        # each step's lookups in its one-entry table of the nominal basis
-        "icnn_tables": dict(zip(("dcopf", "classifier"), tables)),
+        # the DC-OPF step's answers from its nominal basis, from a basis one
+        # dual pivot away and from its engine; the classifier step's
+        # re-solves
+        "icnn_tables": {"dcopf": dcopf,
+                        "classifier": {"resolves": classifier["resolves"]}},
         "dcopf_diagnostic": diagnostic,
         "runtime_note": "runtime means cover instances feasible under both "
                         "formulations only; an icnn runtime is the DC-OPF "
@@ -451,11 +482,13 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
                         "classifier LP's re-solve from its nominal basis "
                         "when the screen flags the dispatch (icnn_screened "
                         "counts the instances the screen answered); a "
-                        "re-solve the nominal basis keeps optimal is a "
-                        "table hit (icnn_tables) and runs no engine work, "
-                        "so icnn_lp's engine counters cover the classifier "
-                        "step's table misses only; the one-off LP builds "
-                        "and nominal solves are icnn_setup_s",
+                        "DC-OPF re-solve that the nominal basis, or the "
+                        "basis one dual pivot from it, keeps optimal runs "
+                        "no engine work (icnn_tables.dcopf: nominal_hits, "
+                        "neighbour_hits and resolves sum to the instances), "
+                        "and icnn_lp's engine counters cover the classifier "
+                        "step's re-solves; the one-off LP builds and "
+                        "nominal solves are icnn_setup_s",
     }
     return records, summary
 

@@ -59,6 +59,19 @@ def fixed_start_dcopf(net: Network, demands):
     return out
 
 
+def record_pivots(eng):
+    """A list to which the engine appends its basis and statuses, as bytes,
+    after each pivot from now on."""
+    states, step = [], eng._apply_step
+
+    def recorded(*args):
+        step(*args)
+        states.append((eng.basis.tobytes(), eng.vstat.tobytes()))
+
+    eng._apply_step = recorded
+    return states
+
+
 def square_toy(n_samples=400, t=0.8, lim=2.0, seed=0):
     """2-D toy classification set: label 1 = outside the square |x|_inf <= t."""
     rng = np.random.default_rng(seed)

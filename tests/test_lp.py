@@ -19,7 +19,7 @@ from nkscreen.lp import (
     solve_highs,
 )
 
-from helpers import paired_rows
+from helpers import paired_rows, record_pivots
 
 
 def vertex_enumeration_max(c, A, b, lb, ub):
@@ -1029,6 +1029,85 @@ def test_reload_matrix_drops_cached_inverses():
     assert np.array_equal(eng.basis, np.arange(eng.n, eng.nt))
 
 
+def _recording_start(p):
+    """An engine solved at p, a function that re-solves it at a right-hand
+    side from that optimal basis and inverse, and the list of the basis
+    and statuses after each pivot of the last re-solve."""
+    eng = SimplexEngine(p)
+    assert eng.solve()
+    start = (eng.snapshot(), eng.B_inv.copy())
+    states = record_pivots(eng)
+
+    def resolve(b):
+        states.clear()
+        eng.restore(*start)
+        return eng.resolve_rhs(b)
+
+    return resolve, states
+
+
+def _check_lookup_near(p, rhs):
+    """``lookup_near`` of a one-entry table at p's optimal basis for each
+    right-hand side against the engine's re-solve from that basis: a hit
+    answers with its bytes, and every neighbour derived is the basis and
+    statuses the engine's first pivot reaches.  Returns the table and the
+    engine's pivots per right-hand side."""
+    eng = SimplexEngine(p)
+    assert eng.solve()
+    table = OptimalBases(eng)
+    table.add()
+    resolve, states = _recording_start(p)
+    firsts, pivots = set(), []
+    for b in rhs:
+        x = table.lookup_near(b)
+        sol = resolve(b)
+        pivots.append(sol.iterations)
+        if x is not None:
+            assert sol.iterations <= 1
+            assert x.tobytes() == sol.x.tobytes()
+        if states:
+            firsts.add(states[0])
+    (entry,) = table.entries
+    assert {(e.snap.basis.tobytes(), e.snap.vstat.tobytes())
+            for e in entry.neighbours.values() if e is not None} == firsts
+    return table, pivots
+
+
+def _merit_order(d):
+    """max -cost x s.t. sum x = d, 0 <= x <= 1: five generators by cost,
+    generators 2 and 3 at equal cost."""
+    return LpProblem(c=-np.array([0.5, 1.0, 2.0, 2.0, 3.0]),
+                     A=np.ones((1, 5)), b=[d], rel=["="],
+                     lb=np.zeros(5), ub=np.ones(5))
+
+
+def test_neighbour_is_the_engine_basis_after_one_dual_pivot():
+    # at d = 1.5 generator 0 sits at its upper bound and generator 1 is
+    # marginal.  Past d = 2 it leaves at its upper bound and generator 2
+    # enters, not 3 (equal ratios, lowest index); past d = 3 a second
+    # pivot follows.  Below d = 1 it leaves at its lower bound and
+    # generator 0 enters; below d = 0 that fails.  The two-pivot demand
+    # comes first: its key's neighbour is still the first pivot's basis.
+    demands = [3.5, 2.5, 0.8, 1.7, 6.0, -0.5]
+    table, pivots = _check_lookup_near(_merit_order(1.5),
+                                       [np.array([d]) for d in demands])
+    assert pivots[:4] == [2, 1, 1, 0]
+    assert (table.n_hits, table.n_near_hits, table.n_misses,
+            table.n_derived) == (1, 2, 3, 2)
+    assert table.lookup_near(np.array([2.5])).tolist() == [1, 1, 0.5, 0, 0]
+    assert len(table.entries) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_neighbours_of_random_lps_answer_with_the_engine_bytes(seed):
+    rng = np.random.default_rng(40 + seed)
+    p = random_bounded_lp(rng, n=6, m=8)
+    rhs = [p.b + rng.normal(scale=1.0, size=8) for _ in range(60)]
+    table, pivots = _check_lookup_near(p, rhs)
+    assert table.n_near_hits > 0 and max(pivots) > 1
+    assert table.n_hits + table.n_near_hits + table.n_misses == len(rhs)
+
+
 def test_cache_holds_at_most_eight_inverses():
     rng = np.random.default_rng(29)
     p = random_bounded_lp(rng, n=8, m=10)
@@ -1362,7 +1441,7 @@ def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
     eng = classifier_lp.engine
     shapes = recorded_inversions(monkeypatch, [eng])
     try:
-        solved = [classifier_lp.solve(d) for d in demands]
+        solved = [classifier_lp.resolve(d) for d in demands]
     finally:
         scopf._icnn_lps.clear()
     assert any(solved) and eng.n_pivots > 0 and len(shapes) > 10

@@ -8,7 +8,7 @@ import pytest
 
 from nkscreen.cli import resolve_case
 from nkscreen.datagen import DemandSampler, sample_demands
-from nkscreen.grid import DcopfSolver, load_network
+from nkscreen.grid import DcopfSolver, DispatchLp, load_network
 from nkscreen.icnn import (IcnnParams, ScaledClassifier, forward, init_params,
                            raw_forward)
 from nkscreen.lp import LpProblem, LpStatus, SimplexEngine, solve, solve_highs
@@ -16,6 +16,7 @@ from nkscreen.oracle import scale_fast
 from nkscreen.region import (build_region, drop_constant_dims, standardize,
                              standardize_points, with_box)
 from nkscreen.scopf import (
+    _FixedStart,
     benchmark_scopf,
     icnn_dispatch_problem,
     region_inequalities,
@@ -24,7 +25,7 @@ from nkscreen.scopf import (
     solve_scopf_icnn,
 )
 
-from helpers import fixed_start_dcopf, paired_rows, ring3
+from helpers import fixed_start_dcopf, paired_rows, record_pivots, ring3
 
 
 def l1_ball_net3(radius=1.0, box=5.0):
@@ -552,9 +553,9 @@ def classifier_runs(monkeypatch, net, clf):
 
     scopf._icnn_lps.clear()
     run = scopf._icnn_lp(net, clf).starts()[1]
-    calls, solve_lp = [], run.solve
-    monkeypatch.setattr(run, "solve",
-                        lambda d: calls.append(d.copy()) or solve_lp(d))
+    calls, resolve = [], run.resolve
+    monkeypatch.setattr(run, "resolve",
+                        lambda d: calls.append(d.copy()) or resolve(d))
     return calls
 
 
@@ -679,14 +680,15 @@ class TestScreenFirst:
             scopf._icnn_lps.clear()
             lp = scopf._icnn_lp(net, clf)
             out = {i: solve_scopf_icnn(net, demands[i], clf) for i in order}
-            return out, lp.n_screened
+            return out, (lp.n_screened, lp.starts()[0].counters())
 
-        forward_order, screened = answers(range(len(demands)))
-        assert 0 < screened < len(demands) - 1
+        forward_order, counts = answers(range(len(demands)))
+        assert 0 < counts[0] < len(demands) - 1
+        assert counts[1]["neighbour_hits"] > 0
         for order in (range(len(demands) - 1, -1, -1),
                       np.random.default_rng(5).permutation(len(demands))):
             again, n = answers(order)
-            assert n == screened
+            assert n == counts
             for i, res in forward_order.items():
                 other = again[i]
                 assert (res.status, res.cost, res.blocking) == (
@@ -711,14 +713,17 @@ class TestScreenFirst:
         # the diagnostic's dispatches are the fixed-start DC-OPF's
         _, values = screen_values(net, demands, clf)
         assert [e["decision_value"] for e in rows] == values
-        # one lookup per demand in the DC-OPF step's table, one per demand
-        # the screen did not answer in the classifier step's
+        # one answer per demand in the DC-OPF step, from its nominal basis,
+        # a neighbour or its engine; one re-solve per demand the screen did
+        # not answer in the classifier step
         tables = summary["icnn_tables"]
         assert set(tables) == {"dcopf", "classifier"}
-        assert sum(tables["dcopf"].values()) == len(demands)
-        assert sum(tables["classifier"].values()) == (
-            len(demands) - summary["icnn_screened"])
-        assert tables["dcopf"]["table_hits"] > 0
+        dcopf = tables["dcopf"]
+        assert (dcopf["nominal_hits"] + dcopf["neighbour_hits"]
+                + dcopf["resolves"]) == len(demands)
+        assert tables["classifier"] == {
+            "resolves": len(demands) - summary["icnn_screened"]}
+        assert dcopf["nominal_hits"] > 0
 
     def test_dcopf_step_is_the_engine_only_re_solve(self, case39_setup):
         # the DC-OPF step answers each demand with the bytes of the
@@ -741,15 +746,90 @@ class TestScreenFirst:
             assert (res.x is None) == (ref.x is None)
             if ref.x is not None:
                 assert res.x.tobytes() == ref.x.tobytes()
-        counts = steps[0].bases.counters()
-        assert counts["table_hits"] >= 1 and counts["table_misses"] >= 1
-        assert counts["table_hits"] + counts["table_misses"] == len(demands)
+        counts = steps[0].counters()
+        assert counts["nominal_hits"] >= 1 and counts["resolves"] >= 1
+        assert (counts["nominal_hits"] + counts["neighbour_hits"]
+                + counts["resolves"]) == len(demands)
         for d in demands:
             solve_scopf_icnn(net, d, clf)
-        assert steps[1].bases.counters()["table_misses"] >= 1
+        assert steps[1].counters()["resolves"] >= 1
         for step, (entry,) in zip(steps, nominal):
             assert len(step.bases.entries) == 1
             assert step.bases.entries[0] is entry
+
+
+def first_pivot(net, demand):
+    """The fixed-start DC-OPF re-solve at the demand, as
+    ``fixed_start_dcopf`` runs it, and the engine's basis and statuses
+    after its first pivot (None when it took none)."""
+    lp = DispatchLp(net)
+    eng = SimplexEngine(lp.problem(net.demand))
+    assert eng.solve()
+    states = record_pivots(eng)
+    sol = eng.resolve_rhs(lp.rhs(np.asarray(demand, dtype=float)))
+    return sol, (states[0] if states else None)
+
+
+def neighbour_states(step):
+    """The basis and statuses of each neighbour the step derived."""
+    (entry,) = step.bases.entries
+    return {(e.snap.basis.tobytes(), e.snap.vstat.tobytes())
+            for e in entry.neighbours.values() if e is not None}
+
+
+class TestDcopfNeighbours:
+    """The DC-OPF step answers from its nominal basis, else from the basis
+    one dual pivot away, else from its engine, with the bytes of the
+    engine-only fixed-start re-solve in every case."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1.04])
+    def test_answers_are_the_engine_only_re_solve(self, scale):
+        net = load_network(resolve_case("case39"))
+        demands = sample_demands(DemandSampler(net.demand * scale,
+                                               rel_std=0.15, seed=21), 300)
+        step = _FixedStart(DispatchLp(net))
+        (entry,) = step.bases.entries
+        got = [step.solve(d) for d in demands]
+        firsts = set()
+        for res, d in zip(got, demands):
+            ref, first = first_pivot(net, d)
+            assert res.status is ref.status
+            assert res.x.tobytes() == ref.x.tobytes()
+            if first is not None:
+                firsts.add(first)
+        counts = step.counters()
+        assert counts["neighbour_hits"] > 0
+        assert (counts["nominal_hits"] + counts["neighbour_hits"]
+                + counts["resolves"]) == len(demands)
+        # one neighbour per side the marginal generator leaves by, each the
+        # basis the engine's first pivot reaches
+        assert neighbour_states(step) == firsts
+        assert counts["neighbours_derived"] == len(firsts)
+        assert len(firsts) == 2
+        # the table never gains an entry
+        assert step.bases.entries == [entry] and step.bases.entries[0] is entry
+
+    def test_two_pivots_and_infeasible_fall_back_to_the_engine(self):
+        net = load_network(resolve_case("case39"))
+        far, over = 0.8 * net.demand, 3.0 * net.demand
+        step = _FixedStart(DispatchLp(net))
+        (ref_far, first), (ref_over, _) = (first_pivot(net, d)
+                                           for d in (far, over))
+        assert ref_far.iterations == 2
+        assert ref_over.status is LpStatus.INFEASIBLE
+        got = step.solve(far)
+        assert got.x.tobytes() == ref_far.x.tobytes()
+        # the neighbour comes from the nominal basis, not from the answer
+        assert neighbour_states(step) == {first}
+        assert step.solve(over).status is LpStatus.INFEASIBLE
+        counts = step.counters()
+        assert counts["resolves"] == 2 and counts["neighbour_hits"] == 0
+        # a demand one pivot away on the same side takes that neighbour
+        near = 0.97 * net.demand
+        ref_near, first_near = first_pivot(net, near)
+        assert ref_near.iterations == 1 and first_near == first
+        assert step.solve(near).x.tobytes() == ref_near.x.tobytes()
+        assert step.counters()["neighbour_hits"] == 1
 
 
 def _edit_array(get):
