@@ -83,10 +83,14 @@ def sample_injections(net: Network, sampler: DemandSampler, count,
 
     The demands come from streams 0, 1, 2, ... of ``sample_demands``.
     Infeasible demand draws are skipped and replaced by further draws; gives
-    up past max_oversample * count total draws.  A dict passed as counters
-    receives the DC-OPF solver's ``counters()``: the draws, the hits and
-    misses of its table of optimal bases, and the simplex engine's four
-    counters (of the misses' re-solves).
+    up past max_oversample * count total draws.  Each draw is dispatched by
+    one ``grid.DcopfSolver``, from its tree of optimal bases rooted at the
+    nominal one, so a draw's dispatch depends on its demand alone, not on
+    the draws before it.  A dict passed as counters receives the solver's
+    ``counters()``: the draws, the tree's answers by hop depth from the
+    nominal basis, its nodes derived and its engine re-solves, and the
+    simplex engine's four counters (of the nominal solve and the
+    re-solves).
     """
     solver = DcopfSolver(net)
     X = np.empty((count, net.n))

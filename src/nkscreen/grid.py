@@ -323,20 +323,25 @@ class DispatchLp:
 
 class DcopfSolver(DispatchLp):
     """Minimum-cost dispatch under nominal-topology flow limits: the
-    ``DispatchLp`` with no extra rows, answered from a table of its optimal
-    bases (``lp.OptimalBases``).
+    ``DispatchLp`` with no extra rows, answered from a tree of its optimal
+    bases rooted at the nominal one (``lp.OptimalBases``).
 
-    Only the demand enters the right-hand side, so a draw whose right-hand
-    side one of the kept optimal bases keeps feasible is answered by one
-    product and a bound check, with the bytes a warm re-solve from that
-    basis returns.  A miss re-solves on the simplex engine from the basis of
-    the most recent answer, and keeps the basis it ends at when optimal.
-    A dispatch's bytes depend on its demand and the basis that answers it,
-    not on the column order in which the simplex reached that basis.  The
-    constructor solves nothing.
+    The constructor solves the DC-OPF at the network's nominal demand.  Only
+    the demand enters the right-hand side, so a draw is answered by walking
+    memoized dual simplex pivots from that nominal optimal basis until a
+    basis keeps the draw feasible, by one product and a bound check per
+    basis, with the bytes a warm re-solve from that basis returns.  A miss
+    (the first walk to reach a new node, an infeasible draw, or a walk
+    beyond the tree's caps) re-solves on the simplex engine from the
+    nominal basis, inverse included.  So a dispatch depends on its
+    demand alone, not on the draws before it, nor on the column order in
+    which the simplex reached its basis.  When the nominal DC-OPF is not
+    optimal the tree has no root, and every draw solves on the engine from
+    the slack basis.
 
-    ``counters()`` returns the demands solved (draws), the table's hits and
-    misses and the engine's ``counters()`` over the solver's lifetime.
+    ``counters()`` returns the demands solved (draws), the tree's
+    ``counters()`` and the engine's ``counters()`` over the solver's
+    lifetime, the nominal solve included.
     """
 
     def __init__(self, net: Network):
@@ -351,11 +356,9 @@ class DcopfSolver(DispatchLp):
         self.n_draws += 1
         p = self.bases.lookup(b)
         if p is None:
-            self.bases.install()
-            sol = self.engine.resolve_rhs(b)
+            sol = self.bases.resolve(b)
             if sol.status is not LpStatus.OPTIMAL:
                 return DcopfResult(sol.status)
-            self.bases.add()
             p = sol.x
         return DcopfResult(LpStatus.OPTIMAL, p=p, cost=float(self.net.cost @ p),
                            injection=p - demand, H=self.H)

@@ -44,15 +44,19 @@ problem/solution contract:
   ``linalg.inv`` give each member the bytes of the 2-D calls (``einsum``
   and one GEMM over the stacked rows do not).  A chain of re-solves, each
   from the basis the one before left, stays on ``solve``.
-* ``OptimalBases``: a table of up to 8 optimal bases of one engine whose
-  right-hand side alone changes, each with its refactorization.  A
-  right-hand side that one of them keeps primal feasible is answered by one
-  product and a bound check, with the bytes a zero-pivot ``resolve_rhs``
-  from that basis returns.  It serves DC-OPF dispatch of sampled demands
-  (``grid.DcopfSolver``), whose draws end at a handful of bases, and the
-  classifier SC-OPF's DC-OPF step (``scopf``), whose one fixed entry, the
-  nominal basis, also answers from the bases one dual pivot from it
-  (``lookup_near``).
+* ``OptimalBases``: the optimal bases of one engine whose right-hand side
+  alone changes, as a tree rooted at the basis optimal for the engine's
+  data at construction (the nominal one), each node with its
+  refactorization and its children the bases one dual simplex pivot away,
+  derived once and kept.  ``lookup`` walks from the root by the dual
+  simplex's leaving rule until a basis keeps the right-hand side primal
+  feasible, and answers by one product and a bound check per basis, with
+  the bytes a zero-pivot ``resolve_rhs`` from that basis returns; a miss
+  re-solves from the root (``resolve``).  So an answer depends on its
+  right-hand side alone.  It answers every DC-OPF demand
+  (``grid.DcopfSolver``: dataset sampling and the classifier SC-OPF's
+  DC-OPF step), whose draws end at a handful of bases a few pivots from
+  the nominal one, and starts the classifier LP's re-solves (``scopf``).
 
   The pivot loop is the hot path of training, so it is written for few
   numpy calls per pivot while keeping every floating-point operation of the
@@ -102,7 +106,8 @@ _PIVOT_TOL = 1e-10    # smallest acceptable pivot element
 _RATIO_TOL = 1e-9     # slack allowed when computing blocking ratios
 _REFACTOR_EVERY = 100
 _STALL_LIMIT = 60     # degenerate pivots before switching to Bland's rule
-_BASES_KEPT = 8       # entries of an OptimalBases table
+_TREE_HOPS = 8        # pivots an OptimalBases walk takes at most
+_TREE_NODES = 16      # bases an OptimalBases tree holds, its root included
 
 # members of one stacked batch: (88, m, m) inverses are 1.8 MB at m = 51,
 # no larger than a training rescale's stacks (88 rows); freeing a larger
@@ -831,7 +836,7 @@ class SimplexEngine:
         first when it is primal infeasible (a basis kept from another
         matrix).  ``B_inv``, when given, must be the engine's refactorization
         of the snapshot's basis under the present matrix
-        (``_block_inverse``), as an ``OptimalBases`` entry keeps it; it is
+        (``_block_inverse``), as an ``OptimalBases`` node keeps it; it is
         copied and the next solve inverts nothing.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
@@ -1148,8 +1153,8 @@ class _Batch:
 
 @dataclass(frozen=True)
 class _Optimum:
-    """One ``OptimalBases`` entry: what a zero-pivot re-solve from the basis
-    computes anew for every right-hand side, computed once."""
+    """One node of an ``OptimalBases`` tree: what a zero-pivot re-solve from
+    its basis computes anew for every right-hand side, computed once."""
 
     snap: BasisSnapshot
     B_inv: np.ndarray   # the engine's refactorization of the basis
@@ -1159,8 +1164,8 @@ class _Optimum:
     U_B: np.ndarray
     K: np.ndarray       # the structural basic columns
     pos_K: np.ndarray   # their positions in the basis
-    # the entries one dual pivot away, by key (``OptimalBases.lookup_near``)
-    neighbours: dict = field(default_factory=dict, compare=False)
+    # the node one dual pivot away, by key (r, below), None at a dead end
+    children: dict = field(default_factory=dict, compare=False)
 
     @classmethod
     def of(cls, eng, snap, B_inv):
@@ -1183,108 +1188,94 @@ class _Optimum:
 
 class OptimalBases:
     """Optimal bases of one ``SimplexEngine`` whose right-hand side alone
-    changes, most recent first, at most 8 of them: the table that
-    ``grid.DcopfSolver`` answers its draws from, and which the classifier
-    SC-OPF's steps (``scopf._FixedStart``) keep at their one nominal entry.
+    changes, as a tree of bases one dual simplex pivot apart, rooted at the
+    optimal basis of the engine's data at construction (the nominal one):
+    what ``grid.DcopfSolver`` answers every DC-OPF demand from, and the
+    start of the classifier LP's re-solves (``scopf``).
 
     With c, A and the bounds fixed, an optimal basis stays dual feasible for
     every right-hand side b, so it is optimal for b whenever its basic values
     x_B = B^-1 (b - T x_N) are primal feasible by the engine's rule: no
     bound broken by more than ``TOL_FEAS``, one scan of the largest
-    violation.  ``lookup`` tries the entries in turn and answers from the
-    first that passes, with the bytes a zero-pivot ``resolve_rhs`` from that
-    basis returns (the products are the engine's, from the refactorization
-    that re-solve computes for the basis; only the structural basic values
-    are scattered into the answer); this is the optimal-active-set view of
-    Misra, Roald & Ng (arXiv:1802.09639).  On a miss the caller runs the
-    engine, from the most recent entry's basis and inverse (``install``),
-    and may ``add`` the basis it ends at when that is optimal; the least
-    recently used entry then drops out.  Nothing is solved at construction.
-    A ``reload`` of the engine's matrix or objective empties the table, and
-    with it the entries' neighbours (``lookup_near``).
+    violation.  Otherwise the bounded dual simplex (Koberstein, PhD thesis,
+    Paderborn 2005) pivots: the first largest violation, at basis position
+    r, leaves for the bound it breaks (the lower one when ``below``), and
+    the entering column depends on the basis alone, so the basis that pivot
+    reaches depends on b only through the key (r, below).  ``lookup`` walks
+    from the root, from each node to its child for b's key, until a node
+    keeps b feasible, and answers from that node with the bytes a zero-pivot
+    ``resolve_rhs`` from its basis returns (the products are the engine's,
+    from the refactorization that re-solve computes for the basis; only the
+    structural basic values are scattered into the answer).  This is the
+    optimal-active-set view of Misra, Roald & Ng (arXiv:1802.09639).
 
-    ``counters()`` returns the lookups answered (hits) and not (misses);
-    ``n_near_hits`` and ``n_derived`` count ``lookup_near``'s neighbours.
+    A child is derived from its parent alone, the first time a walk needs
+    it, by the engine's pricing and entering rule, and kept (None at a dead
+    end, where no column can repair the violation); that walk misses.  A
+    walk also misses at a dead end, past 8 hops, or when its next node
+    would be the 17th.  On a miss the caller runs ``resolve``: the engine's
+    re-solve from the root, inverse included, whose dual simplex takes the
+    walk's pivots (but for rounding of its updated values at the
+    tolerance), so an answer depends on its right-hand side, not on the
+    lookups before it.  A ``reload`` of the engine's matrix or objective
+    drops the tree, root included; with no root (its solve was not
+    optimal, or raised ``NumericalFailure``) every lookup misses and
+    ``resolve`` starts from the basis the engine had before that solve.
+
+    ``counters()`` returns the lookups answered at each hop depth (0: the
+    root), the nodes derived and the engine re-solves.
     """
 
     def __init__(self, engine: SimplexEngine):
         self.engine = engine
-        self.entries: list[_Optimum] = []
-        self.n_hits = self.n_misses = self.n_near_hits = self.n_derived = 0
         self._start = engine.snapshot()
+        self.n_answers = [0] * (_TREE_HOPS + 1)
+        self.n_derived = self.n_resolves = 0
+        self.root = None
+        try:
+            if engine.solve():
+                self.root = _Optimum.of(engine, engine.snapshot(),
+                                        engine.B_inv.copy())
+        except NumericalFailure:
+            pass
+        self.n_nodes = int(self.root is not None)  # in the present tree
         self._version = engine.data_version
 
     def _current(self):
         if self._version != self.engine.data_version:
-            self.entries.clear()
+            self.root, self.n_nodes = None, 0
             self._version = self.engine.data_version
-        return self.entries
+        return self.root
 
-    def _rhs(self, b):
+    def lookup(self, b):
+        """The structural x of the first node of b's walk from the root
+        that is optimal for right-hand side b; None on a miss."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.engine.m,):
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.engine.m},)")
-        return b
-
-    def add(self):
-        """Keep the engine's present basis, optimal after its last solve and
-        held with its refactorization, as the most recent entry."""
-        eng = self.engine
-        if not eng._inv_exact:
-            raise ValueError("the engine's basis inverse is not exact")
-        entries = self._current()
-        entries.insert(0, _Optimum.of(eng, eng.snapshot(), eng.B_inv.copy()))
-        del entries[_BASES_KEPT:]
-
-    def lookup(self, b):
-        """The structural x of the first entry optimal for right-hand side
-        b, which becomes the most recent; None when no entry is."""
-        b = self._rhs(b)
-        entries = self._current()
-        for i, e in enumerate(entries):
-            x_B, viol = e.basic_values(b)
-            if viol.max() <= TOL_FEAS:
-                if i:
-                    entries.insert(0, entries.pop(i))
-                self.n_hits += 1
-                return e.structural(x_B, self.engine.n)
-        self.n_misses += 1
-        return None
-
-    def lookup_near(self, b):
-        """``lookup`` in the most recent entry alone (of a table that gains
-        no entry after it), then in its neighbour for b: the basis the dual
-        simplex's first pivot from it reaches.  That pivot depends on b only
-        through the key (r, below) of the first largest violation, so the
-        neighbour is derived from the entry alone on the first b of its key
-        and kept, never learned from an answer.  Its answer has the bytes of
-        the engine's polish after that pivot (the engine tests its values
-        before the polish; the two agree but within rounding at the
-        tolerance).  None when neither answers."""
-        b = self._rhs(b)
-        entries = self._current()
-        if entries:
-            e, n = entries[0], self.engine.n
-            x_B, viol = e.basic_values(b)
+        node, hops = self._current(), 0
+        while node is not None:
+            x_B, viol = node.basic_values(b)
             r = int(viol.argmax())  # first max: the dual simplex's row
             if viol[r] <= TOL_FEAS:
-                self.n_hits += 1
-                return e.structural(x_B, n)
-            key = (r, bool(x_B[r] < e.L_B[r]))
-            if key not in e.neighbours:
-                e.neighbours[key] = self._neighbour(e, *key)
-                self.n_derived += 1
-            near = e.neighbours[key]
-            if near is not None:
-                x_B, viol = near.basic_values(b)
-                if viol.max() <= TOL_FEAS:
-                    self.n_near_hits += 1
-                    return near.structural(x_B, n)
-        self.n_misses += 1
+                self.n_answers[hops] += 1
+                return node.structural(x_B, self.engine.n)
+            if hops == _TREE_HOPS:
+                break
+            key = (r, bool(x_B[r] < node.L_B[r]))
+            if key not in node.children:
+                # kept for the walks after this one; this one misses
+                if self.n_nodes < _TREE_NODES:
+                    child = node.children[key] = self._child(node, *key)
+                    self.n_nodes += child is not None
+                    self.n_derived += child is not None
+                break
+            node = node.children[key]
+            hops += 1
         return None
 
-    def _neighbour(self, e, r, below):
-        """The entry the dual simplex's first pivot from entry e reaches
+    def _child(self, e, r, below):
+        """The node the dual simplex's first pivot from node e reaches
         when the basic variable at position r leaves for the bound it broke,
         the lower one when ``below``: the engine's pricing and entering rule
         from e's basis and inverse, then ``_block_inverse`` of the new basis.
@@ -1312,17 +1303,26 @@ class OptimalBases:
         return _Optimum.of(eng, BasisSnapshot(basis, vstat), B_inv)
 
     def install(self):
-        """Start the engine's next solve from the most recent entry, its
-        inverse included; with no entry, from the basis the engine had when
-        the table was made."""
-        entries = self._current()
-        if entries:
-            self.engine.restore(entries[0].snap, entries[0].B_inv)
+        """Start the engine's next solve from the root, its inverse
+        included; with no root, from the basis the engine had before the
+        root's solve."""
+        root = self._current()
+        if root is not None:
+            self.engine.restore(root.snap, root.B_inv)
         else:
             self.engine.restore(self._start)
 
+    def resolve(self, b):
+        """``install`` and ``resolve_rhs(b)`` on the engine: a miss's
+        answer."""
+        self.n_resolves += 1
+        self.install()
+        return self.engine.resolve_rhs(b)
+
     def counters(self):
-        return {"table_hits": self.n_hits, "table_misses": self.n_misses}
+        return {"answers_by_hops": list(self.n_answers),
+                "nodes_derived": self.n_derived,
+                "resolves": self.n_resolves}
 
 
 def solve_highs(problem: LpProblem) -> LpSolution:

@@ -21,11 +21,11 @@ is the plain DC-OPF.  Every demand is screened first: the DC-OPF is
 re-solved, and when the classifier admits that dispatch, it is also the
 classifier LP's optimum, since that LP's feasible set lies inside the
 DC-OPF's.  Only a dispatch the classifier flags (or a DC-OPF that is not
-optimal) goes on to the classifier LP.  The DC-OPF step answers by one
-product and one scan from its nominal optimal basis (a one-entry
-``lp.OptimalBases`` table) when that basis stays optimal for the demand,
-else from the basis one dual simplex pivot from it, derived from the
-nominal basis alone.  Otherwise, and in the classifier step always, a
+optimal) goes on to the classifier LP.  The DC-OPF step is a
+``grid.DcopfSolver``, as dataset sampling uses: it answers by one product
+and one scan per basis, walking memoized dual simplex pivots from its
+nominal optimal basis (``lp.OptimalBases``) until a basis stays optimal for
+the demand.  Otherwise, and in the classifier step always, a
 right-hand-side re-solve starts from the nominal basis, never from the
 previous demand's, so the answer for a demand is the same whatever was
 solved before it.
@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import label_injections
-from .grid import DispatchLp, Network
+from .grid import DcopfSolver, DispatchLp, Network
 from .icnn import ScaledClassifier, _ScreeningNetwork
-from .lp import (LpProblem, LpSolution, LpStatus, NumericalFailure,
+from .lp import (LpProblem, LpStatus, NumericalFailure,
                  OptimalBases, SimplexEngine, solve)
 from .oracle import epigraph_constraints
 from .region import ContingencyRegion, standardize_points
@@ -122,52 +122,6 @@ def solve_scopf_full(net: Network, demand,
     return _result(sol, formulation, net, time.perf_counter() - t0)
 
 
-class _FixedStart:
-    """A simplex engine of one ``DispatchLp`` and its nominal optimal basis,
-    kept as the one entry of a fixed ``OptimalBases`` table.
-
-    The table is made at the network's nominal demand before the engine
-    solves there, so with no entry it starts a solve from the slack basis;
-    the nominal optimal basis, with its refactorization, is its one entry
-    when that solve is optimal.  ``resolve(demand)`` puts the entry (or the
-    slack basis) back into the engine, inverse included (``install``), and
-    re-solves, by the dual simplex from the entry, as c and A do not
-    change.  ``solve(demand)`` first answers from the entry, or else from
-    its neighbour one dual pivot away (``OptimalBases.lookup_near``), by
-    one product and one scan each with no engine work, and re-solves only
-    when neither is optimal for the demand.  Neither adds an entry, and a
-    neighbour is derived from the entry alone, so every answer depends on
-    the demand alone, never on the solves before it.
-    """
-
-    def __init__(self, lp: DispatchLp):
-        self.lp = lp
-        self.engine = SimplexEngine(lp.problem(lp.net.demand))
-        self.bases = OptimalBases(self.engine)
-        self.n_resolves = 0
-        try:
-            if self.engine.solve():
-                self.bases.add()
-        except NumericalFailure:
-            pass
-
-    def resolve(self, demand):
-        self.n_resolves += 1
-        self.bases.install()
-        return self.engine.resolve_rhs(self.lp.rhs(demand))
-
-    def solve(self, demand):
-        x = self.bases.lookup_near(self.lp.rhs(demand))
-        if x is not None:
-            return LpSolution(LpStatus.OPTIMAL, x=x)
-        return self.resolve(demand)
-
-    def counters(self):
-        b = self.bases
-        return {"nominal_hits": b.n_hits, "neighbour_hits": b.n_near_hits,
-                "neighbours_derived": b.n_derived, "resolves": self.n_resolves}
-
-
 class _IcnnDispatchLp(DispatchLp):
     """The classifier SC-OPF of one (network, classifier) pair, screened
     first at the plain DC-OPF dispatch.
@@ -180,20 +134,22 @@ class _IcnnDispatchLp(DispatchLp):
     the classifier's screening network (``_ScreeningNetwork``), from the
     same content.
 
-    ``solve`` takes two steps, each on a ``_FixedStart`` (built on first
-    use, ``starts``).  First the plain DC-OPF, the ``DispatchLp`` with no
-    extra rows (``_FixedStart.solve``); when it is optimal and the
-    classifier admits its injection p - d (decision value <= 0, as
-    screening computes it for one point), that dispatch is the answer.  On
-    ``case39``, over perfbench's demands (seeds 1-10), the DC-OPF's nominal
-    basis answers 60% at nominal load and 70% at peak, and its two
-    neighbours (the marginal generator leaving at pmin or at pmax) all but
-    6 of the other 1,045, with no engine work.  The classifier LP's
-    feasible set lies inside the DC-OPF's, so a DC-OPF optimum the
-    classifier admits is a classifier-LP optimum: the step is exact.
+    ``solve`` takes two steps, each built and solved at the nominal demand
+    on first use (``starts``).  First the plain DC-OPF, a
+    ``grid.DcopfSolver``; when it is optimal and the classifier admits its
+    injection p - d (decision value <= 0, as screening computes it for one
+    point), that dispatch is the answer.  On ``case39``, over perfbench's
+    first 150 demands of seeds 1-10, the DC-OPF's nominal basis answers
+    60% at nominal load and 70% at peak, and the bases one or two dual
+    pivots from it (the marginal generator leaving at pmin or at pmax
+    first) all but 24 and 20 of the other 602 and 443, with no engine
+    work; the engine answers those, the first walk to reach each node of a
+    fresh tree.  The classifier LP's feasible set lies inside the
+    DC-OPF's, so a DC-OPF optimum the classifier admits is a classifier-LP
+    optimum: the step is exact.
     Otherwise (the classifier flags the injection, the DC-OPF is not
     optimal, or its re-solve raises ``NumericalFailure``) the classifier LP
-    is re-solved from its nominal basis (``_FixedStart.resolve``, no
+    is re-solved from its nominal basis (``lp.OptimalBases.resolve``, no
     lookup: that optimum leaves every epigraph row slack), on ``case39`` in
     11-19 pivots; a refactorization inverts the block of the basis's
     structural columns, 4-22 wide, not all 122 rows.  An infeasible
@@ -265,35 +221,38 @@ class _IcnnDispatchLp(DispatchLp):
         return "balance"
 
     def starts(self):
-        """The ``_FixedStart`` of the plain DC-OPF and of the classifier
-        LP, built and solved at the nominal demand on first use."""
+        """The plain DC-OPF's ``grid.DcopfSolver`` and the classifier LP's
+        ``lp.OptimalBases``, each built and solved at the nominal demand on
+        first use."""
         if self._starts is None:
-            self._starts = (_FixedStart(DispatchLp(self.net)),
-                            _FixedStart(self))
+            self._starts = (DcopfSolver(self.net), OptimalBases(
+                SimplexEngine(self.problem(self.net.demand))))
         return self._starts
 
     def dcopf(self, demand):
-        """The first step of ``solve``: the DC-OPF re-solve at the demand
-        and the classifier's decision value at its injection p - d, None
-        when the DC-OPF is not optimal; (None, None) when the re-solve
-        raises ``NumericalFailure``."""
+        """The first step of ``solve``: the DC-OPF dispatch at the demand
+        (a ``grid.DcopfResult``) and the classifier's decision value at its
+        injection p - d, None when the DC-OPF is not optimal; (None, None)
+        when its re-solve raises ``NumericalFailure``."""
         try:
-            sol = self.starts()[0].solve(demand)
+            res = self.starts()[0].solve(demand)
         except NumericalFailure:
             return None, None
-        if not sol:
-            return sol, None
-        u = standardize_points(sol.x - demand, self.net.n, *self._transform)
-        return sol, float(self._screen.one(u[0])[0])
+        if not res:
+            return res, None
+        u = standardize_points(res.injection, self.net.n, *self._transform)
+        return res, float(self._screen.one(u[0])[0])
 
     def solve(self, demand) -> ScopfResult:
         classifier_lp = self.starts()[1]
         t0 = time.perf_counter()
-        sol, value = self.dcopf(demand)
+        res, value = self.dcopf(demand)
         if value is not None and value <= 0.0:
             self.n_screened += 1
-            return _result(sol, "icnn", self.net, time.perf_counter() - t0)
-        sol = classifier_lp.resolve(demand)
+            return ScopfResult(LpStatus.OPTIMAL, "icnn", p=res.p,
+                               cost=res.cost,
+                               runtime=time.perf_counter() - t0)
+        sol = classifier_lp.resolve(self.rhs(demand))
         return _result(sol, "icnn", self.net, time.perf_counter() - t0,
                        self._blocking(sol.blocking))
 
@@ -359,13 +318,13 @@ def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier) -> ScopfResult
     it, and when the classifier admits that dispatch's injection it is the
     answer, since the classifier LP's feasible set lies inside the
     DC-OPF's.  Otherwise the classifier LP is solved.  The DC-OPF is
-    answered by one product and one bound scan from its nominal optimal
-    basis when that basis stays optimal for the demand, else from the basis
-    one dual pivot from it (no engine work, the bytes of the engine's
-    re-solve), else re-solved on the simplex engine by the dual simplex
-    from the nominal basis; the classifier LP is always re-solved from its
-    nominal basis.  Both start from the same bases every time, and the
-    neighbour bases are derived from the nominal basis alone, so the result
+    answered by ``grid.DcopfSolver``: one product and one bound scan per
+    basis of a walk of memoized dual simplex pivots from its nominal
+    optimal basis (no engine work, the bytes of the engine's re-solve),
+    else re-solved on the simplex engine by the dual simplex from the
+    nominal basis; the classifier LP is always re-solved from its nominal
+    basis.  Both start from the same bases every time, and the walked
+    bases are derived from the nominal basis alone, so the result
     depends on the demand alone and not on the order of calls.  The
     reported runtime is the DC-OPF step plus the screen, plus the
     classifier step when the screen flags the dispatch.  An infeasible
@@ -395,12 +354,11 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     (and solved at the nominal demand) once, before the loop; that one-off
     cost is icnn_setup_s, and each classifier runtime is a warm DC-OPF
     step and its screen, plus a warm classifier step when the screen flags
-    the dispatch; ``icnn_tables`` counts the DC-OPF step's answers from
-    its nominal basis, from a neighbour one dual pivot away and from its
-    engine, the neighbours it derived, and the classifier step's
-    re-solves.  The region
-    must have full dimension: ``solve_scopf_full`` refuses a folded one
-    (ValueError).
+    the dispatch; ``icnn_tables`` counts the DC-OPF step's answers at each
+    hop depth of its tree of bases (0: the nominal basis), the nodes it
+    derived and its engine re-solves, and the classifier step's re-solves.
+    The region must have full dimension: ``solve_scopf_full`` refuses a
+    folded one (ValueError).
     """
     demands = np.atleast_2d(np.asarray(demands, dtype=float))
     # the classifier LP's one-off build and nominal solves, timed apart
@@ -410,7 +368,6 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     engine = lp.starts()[1].engine
     icnn_setup = time.perf_counter() - t0
     work = engine.counters()
-    tables = [step.counters() for step in lp.starts()]
     screened = lp.n_screened
     records = []
     fulls, icnns = [], []
@@ -428,8 +385,10 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
                 "blocking": res.blocking,
             })
 
-    dcopf, classifier = ({k: v - was[k] for k, v in step.counters().items()}
-                         for step, was in zip(lp.starts(), tables))
+    # the steps were built above, so their counters are the loop's
+    dcopf, classifier = lp.starts()
+    tables = {"dcopf": dcopf.bases.counters(),
+              "classifier": {"resolves": classifier.n_resolves}}
     n = len(demands)
     both = [i for i in range(n) if fulls[i] and icnns[i]]
     n_full = sum(1 for r in fulls if r)
@@ -469,11 +428,10 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
         "icnn_lp": {"rows": engine.m,
                     "ranged_rows": int(np.isfinite(lp.ranges).sum()),
                     **{k: v - work[k] for k, v in engine.counters().items()}},
-        # the DC-OPF step's answers from its nominal basis, from a basis one
-        # dual pivot away and from its engine; the classifier step's
-        # re-solves
-        "icnn_tables": {"dcopf": dcopf,
-                        "classifier": {"resolves": classifier["resolves"]}},
+        # the DC-OPF step's answers by hop depth from its nominal basis,
+        # the nodes it derived and its engine re-solves; the classifier
+        # step's re-solves
+        "icnn_tables": tables,
         "dcopf_diagnostic": diagnostic,
         "runtime_note": "runtime means cover instances feasible under both "
                         "formulations only; an icnn runtime is the DC-OPF "
@@ -482,11 +440,11 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
                         "classifier LP's re-solve from its nominal basis "
                         "when the screen flags the dispatch (icnn_screened "
                         "counts the instances the screen answered); a "
-                        "DC-OPF re-solve that the nominal basis, or the "
-                        "basis one dual pivot from it, keeps optimal runs "
-                        "no engine work (icnn_tables.dcopf: nominal_hits, "
-                        "neighbour_hits and resolves sum to the instances), "
-                        "and icnn_lp's engine counters cover the classifier "
+                        "DC-OPF re-solve that ends at the nominal basis or "
+                        "at a basis memoized dual simplex pivots from it "
+                        "runs no engine work (icnn_tables.dcopf: "
+                        "answers_by_hops, by pivots from the nominal basis, "
+                        "and resolves sum to the instances), and icnn_lp's engine counters cover the classifier "
                         "step's re-solves; the one-off LP builds and "
                         "nominal solves are icnn_setup_s",
     }
@@ -506,7 +464,7 @@ def _dcopf_diagnostic(lp: _IcnnDispatchLp, demands,
     solved = [i for i, (sol, _) in enumerate(steps) if sol]
     labels = {}
     if solved:
-        X = np.array([steps[i][0].x - demands[i] for i in solved])
+        X = np.array([steps[i][0].injection for i in solved])
         labels = dict(zip(solved, label_injections(region, X).tolist()))
     return [{"instance": i,
              "dcopf_status": ("NUMERICAL_FAILURE" if sol is None

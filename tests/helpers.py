@@ -59,6 +59,14 @@ def fixed_start_dcopf(net: Network, demands):
     return out
 
 
+def tree_nodes(tree):
+    """Every node of an ``lp.OptimalBases`` tree, root first, breadth first."""
+    nodes = [] if tree.root is None else [tree.root]
+    for node in nodes:
+        nodes += [c for c in node.children.values() if c is not None]
+    return nodes
+
+
 def record_pivots(eng):
     """A list to which the engine appends its basis and statuses, as bytes,
     after each pivot from now on."""

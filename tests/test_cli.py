@@ -156,11 +156,11 @@ class TestPrepareRegion:
         # the DC-OPF work of the sampling stage
         counts = [int(c) for c in COUNTS.split(",")]
         sampling = report["sampling"]
-        assert set(sampling) == {"draws", "table_hits", "table_misses",
-                                 "pivots", "refactorizations",
+        assert set(sampling) == {"draws", "answers_by_hops", "nodes_derived",
+                                 "resolves", "pivots", "refactorizations",
                                  "slack_retries", "bland_switches"}
         assert sampling["draws"] >= sum(counts)
-        assert sampling["table_hits"] + sampling["table_misses"] == \
+        assert sum(sampling["answers_by_hops"]) + sampling["resolves"] == \
             sampling["draws"]
         assert sampling["refactorizations"] > 0
         # the process's peak memory after each timed stage, never falling
@@ -315,10 +315,10 @@ class TestGenData:
                                             "gen_data_report.json"}
         sampling = report["sampling"]
         assert sampling["draws"] >= sum(report["counts"])
-        assert sampling["table_hits"] + sampling["table_misses"] == \
+        assert sum(sampling["answers_by_hops"]) + sampling["resolves"] == \
             sampling["draws"]
         # the same sampler and counts as prepare-region's sampling stage:
-        # the same draws, table answers and engine work
+        # the same draws, tree answers and engine work
         prep = json.load(open(os.path.join(work["prep"],
                                            "region_report.json")))
         assert sampling == prep["sampling"]
@@ -687,8 +687,8 @@ class TestScopfBench:
             for e in summary["dcopf_diagnostic"])
         tables = summary["icnn_tables"]
         dcopf = tables["dcopf"]
-        assert (dcopf["nominal_hits"] + dcopf["neighbour_hits"]
-                + dcopf["resolves"]) == 6
+        assert set(dcopf) == {"answers_by_hops", "nodes_derived", "resolves"}
+        assert sum(dcopf["answers_by_hops"]) + dcopf["resolves"] == 6
         assert tables["classifier"] == {"resolves": 6 - summary["icnn_screened"]}
         with open(os.path.join(run, "scopf_instances.csv"), "rb") as fh:
             csv_bytes = fh.read()

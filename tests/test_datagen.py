@@ -153,9 +153,11 @@ class TestInjectionsAndLabels:
         # every draw is counted, the skipped ones too; counting changes
         # no output
         assert counters["draws"] > 60
-        assert counters["table_hits"] + counters["table_misses"] == \
+        assert sum(counters["answers_by_hops"]) + counters["resolves"] == \
             counters["draws"]
-        assert counters["table_misses"] > 0 and counters["refactorizations"] > 0
+        # the infeasible draws are re-solved on the engine
+        assert counters["resolves"] >= counters["draws"] - 60
+        assert counters["refactorizations"] > 0
         assert np.array_equal(X, sample_injections(net, s, 60))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

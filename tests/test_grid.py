@@ -266,28 +266,66 @@ def test_dcopf_warm_solver_matches_one_shot():
 def test_dcopf_flows_are_those_of_the_solved_demand():
     """Flows are computed on first read from the injection stored at the
     solve, with the bytes of H @ (p - d), also after the caller overwrites
-    its demand in place; table hits and engine re-solves alike."""
+    its demand in place; answers from the tree of bases and engine
+    re-solves alike (the latter from a solver whose nominal demand is
+    infeasible, so that its tree has no root)."""
+    from dataclasses import replace
+
     from nkscreen.datagen import DemandSampler, sample_demands
 
     net = load_network(CASE39)
-    solver = DcopfSolver(net)
-    demands = sample_demands(DemandSampler(net.demand, rel_std=0.15, seed=3),
-                             200)
+    tree, rootless = (DcopfSolver(net),
+                      DcopfSolver(replace(net, demand=3.0 * net.demand)))
+    for solver in (tree, rootless):
+        demands = sample_demands(DemandSampler(net.demand, rel_std=0.15,
+                                               seed=3), 200)
+        for d in demands:
+            r = solver.solve(d)
+            want = solver.H @ (r.p - d)
+            d[:] = 0.0
+            assert r.flows.tobytes() == want.tobytes()
+            assert r.flows is r.flows
+    assert sum(tree.counters()["answers_by_hops"]) > 0
+    assert rootless.bases.root is None
+    assert rootless.counters()["resolves"] == 200
+
+
+@pytest.mark.parametrize("scale, rel_std", [(0.9, 0.15), (1.0, 0.15),
+                                            (1.04, 0.15), (1.1, 0.15),
+                                            (1.0, 0.3)])
+def test_dcopf_answers_do_not_depend_on_draw_order(scale, rel_std):
+    """Seeded case39 draws, in order and shuffled, each on a fresh solver,
+    give the same status and dispatch bytes, and so does the engine's
+    re-solve of each from the nominal basis and its inverse."""
+    from nkscreen.datagen import DemandSampler, sample_demands
+
+    net = load_network(CASE39)
+    demands = sample_demands(DemandSampler(net.demand * scale,
+                                           rel_std=rel_std, seed=5), 400)
+    ref = DcopfSolver(net)
+    want = []
     for d in demands:
-        r = solver.solve(d)
-        want = solver.H @ (r.p - d)
-        d[:] = 0.0
-        assert r.flows.tobytes() == want.tobytes()
-        assert r.flows is r.flows
-    work = solver.counters()
-    assert work["table_hits"] > 0 and work["table_misses"] > 0
+        ref.bases.install()
+        sol = ref.engine.resolve_rhs(ref.rhs(d))
+        want.append((sol.status, sol.x.tobytes() if sol else None))
+    rng = np.random.default_rng(int(100 * scale + 10 * rel_std))
+    for order in (np.arange(len(demands)), rng.permutation(len(demands)),
+                  rng.permutation(len(demands))):
+        solver = DcopfSolver(net)
+        got = [None] * len(demands)
+        for i in order:
+            r = solver.solve(demands[i])
+            got[i] = (r.status, r.p.tobytes() if r else None)
+        assert got == want
+        hops = solver.counters()["answers_by_hops"]
+        assert sum(hops[1:]) > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("warm", [False, True])
 def test_dcopf_rejects_non_finite_demand(bad, warm):
     """A demand with a NaN or infinite entry raises ValueError, from a fresh
-    solver and from one whose table holds a basis, and counts no draw."""
+    solver and from one that has answered a draw, and counts no draw."""
     net = load_network(CASE39)
     solver = DcopfSolver(net)
     if warm:

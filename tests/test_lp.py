@@ -19,7 +19,7 @@ from nkscreen.lp import (
     solve_highs,
 )
 
-from helpers import paired_rows, record_pivots
+from helpers import paired_rows, record_pivots, tree_nodes
 
 
 def vertex_enumeration_max(c, A, b, lb, ub):
@@ -890,87 +890,85 @@ def test_restore_rejects_foreign_snapshot():
         eng.restore(other.snapshot())
 
 
-# -- table of optimal bases ---------------------------------------------------
+# -- tree of optimal bases ----------------------------------------------------
 
-def assert_table_exact(table):
-    """Every entry holds, byte for byte, the refactorization a right-hand-side
+def assert_tree_exact(tree):
+    """Every node holds, byte for byte, the refactorization a right-hand-side
     re-solve computes afresh for its basis under the engine's present matrix,
     and T x_N of its nonbasic values."""
-    eng = table.engine
-    for e in table.entries:
+    eng = tree.engine
+    for e in tree_nodes(tree):
         fresh = eng._block_inverse(e.snap.basis)
         assert e.B_inv.tobytes() == fresh.tobytes()
         assert e.T_xN.tobytes() == (eng.T @ e.x_N).tobytes()
 
 
-def _leave_optimal_basis(seed):
-    """An engine whose optimal basis is the one entry of a table, then left
-    by pivoting re-solves; returns the table, its problem, the first
-    solution, a snapshot of that basis and a right-hand side whose optimal
-    basis is another one."""
+def _tree_and_far_rhs(seed):
+    """A tree rooted at a random LP's optimal basis; returns the tree, its
+    problem, the root's solution, a snapshot of the root's basis and a
+    right-hand side whose re-solve from the root pivots."""
     rng = np.random.default_rng(seed)
     p = random_bounded_lp(rng, n=4, m=6)
     eng = SimplexEngine(p)
-    table = OptimalBases(eng)
-    first = eng.solve()
-    assert first.iterations > 0
-    table.add()
+    tree = OptimalBases(eng)
+    assert tree.root is not None and eng.n_pivots > 0
     snap = eng.snapshot()
+    first = tree.resolve(p.b)
+    assert first.iterations == 0
     x0 = (p.lb + p.ub) / 2
     for _ in range(50):
         b_away = p.A @ x0 + rng.uniform(0.05, 2.0, size=6)
-        if eng.resolve_rhs(b_away).iterations > 0:
+        if tree.resolve(b_away).iterations > 0:
             break
     assert not np.array_equal(eng.basis, snap.basis)
-    return table, p, first, snap, b_away
+    return tree, p, first, snap, b_away
 
 
 def test_cache_hit_equals_fresh_inverse(monkeypatch):
-    # a hit returns the bytes of an engine re-solve from the entry's basis,
-    # and inverts nothing
-    table, p, first, snap, b_away = _leave_optimal_basis(26)
-    eng = table.engine
-    eng.restore(snap)
-    again = eng.resolve_rhs(p.b)
-    assert again.iterations == 0
+    # an answer from the root returns the bytes of an engine re-solve from
+    # the root's basis, and inverts nothing
+    tree, p, first, snap, b_away = _tree_and_far_rhs(26)
+    eng = tree.engine
     calls = counting_inv(monkeypatch)
-    assert table.lookup(p.b).tobytes() == again.x.tobytes()
-    assert calls == [] and table.counters() == {"table_hits": 1,
-                                                "table_misses": 0}
+    assert tree.lookup(p.b).tobytes() == first.x.tobytes()
+    assert calls == [] and tree.counters()["answers_by_hops"][0] == 1
     rng = np.random.default_rng(26)
     hits = 0
     for _ in range(20):
         b = p.b + rng.uniform(-0.05, 0.05, size=p.n_rows)
-        x = table.lookup(b)
-        eng.restore(snap)
+        at_root = tree.n_answers[0]
+        x = tree.lookup(b)
+        tree.install()
         want = eng.resolve_rhs(b)
-        assert (x is not None) == (want.iterations == 0)
-        if x is not None:
+        assert (tree.n_answers[0] > at_root) == (want.iterations == 0)
+        if want.iterations == 0:
             hits += 1
             assert x.tobytes() == want.x.tobytes()
     assert hits > 10
-    assert_table_exact(table)
+    assert_tree_exact(tree)
 
 
 def test_miss_beyond_tolerance_goes_to_engine():
-    # max x s.t. x <= b, 0 <= x <= 10: the basis with x basic is optimal
-    # while b <= 10, and the engine accepts it up to TOL_FEAS beyond
-    p = LpProblem(c=[1.0], A=[[1.0]], b=[5.0], lb=[0.0], ub=[10.0])
+    # max x s.t. x = b, 0 <= x <= 10: the root, x basic, is optimal while
+    # b <= 10, and the engine accepts it up to TOL_FEAS beyond; further on
+    # no column can repair x, so the walk ends there and the engine
+    # re-solves from the root
+    p = LpProblem(c=[1.0], A=[[1.0]], b=[5.0], rel=["="], lb=[0.0],
+                  ub=[10.0])
     eng = SimplexEngine(p)
-    table = OptimalBases(eng)
-    eng.solve()
-    table.add()
+    tree = OptimalBases(eng)
     inside = np.array([10.0 + TOL_FEAS / 2])
-    x = table.lookup(inside)
-    assert x is not None
-    same = eng.resolve_rhs(inside)
+    x = tree.lookup(inside)
+    same = tree.resolve(inside)
     assert same.iterations == 0 and x.tobytes() == same.x.tobytes()
     beyond = np.array([10.0 + 2 * TOL_FEAS])
-    assert table.lookup(beyond) is None
-    table.install()
-    sol = eng.resolve_rhs(beyond)
-    assert sol.iterations > 0 and sol.x[0] == 10.0
-    assert table.counters() == {"table_hits": 1, "table_misses": 1}
+    assert tree.lookup(beyond) is None
+    assert tree.resolve(beyond).status is LpStatus.INFEASIBLE
+    assert tree.counters() == {"answers_by_hops": [1] + [0] * 8,
+                               "nodes_derived": 0, "resolves": 2}
+    # the dead end is kept, and derives nothing again
+    (key, child), = tree.root.children.items()
+    assert key == (0, False) and child is None
 
 
 def test_violation_of_exactly_tol_feas_is_a_hit():
@@ -979,57 +977,82 @@ def test_violation_of_exactly_tol_feas_is_a_hit():
     # which the rule allows, as the engine's dual simplex does
     p = LpProblem(c=[1.0], A=[[1.0]], b=[5.0], lb=[0.0], ub=[10.0])
     eng = SimplexEngine(p)
-    table = OptimalBases(eng)
-    eng.solve()
-    table.add()
+    tree = OptimalBases(eng)
     edge = np.array([-TOL_FEAS])
-    x = table.lookup(edge)
-    same = eng.resolve_rhs(edge)
+    x = tree.lookup(edge)
+    same = tree.resolve(edge)
     assert same.iterations == 0 and x.tobytes() == same.x.tobytes()
     assert x[0] == -TOL_FEAS
-    assert table.lookup(np.nextafter(edge, -np.inf)) is None
+    assert tree.lookup(np.nextafter(edge, -np.inf)) is None
+    assert tree.n_answers[0] == 1
 
 
 def test_pivot_after_hit_keeps_cached_inverse():
-    # a miss re-solves from the most recent entry, here the last hit's, and
-    # adds the basis it ends at; every entry's inverse stays exact
-    table, p, first, snap, b_away = _leave_optimal_basis(27)
-    eng = table.engine
+    # a right-hand side the root does not keep feasible misses while its
+    # walk derives the nodes the dual simplex pivots through, one per
+    # miss, then is answered from the last with the bytes of the engine's
+    # re-solve from the root; the engine pivoting from the root leaves
+    # every node's inverse exact
+    tree, p, first, snap, b_away = _tree_and_far_rhs(27)
+    eng = tree.engine
+    pivots = tree.resolve(b_away).iterations
+    misses = 0
+    while tree.lookup(b_away) is None:
+        misses += 1
+        assert tree.n_derived == misses
+    assert misses == pivots
     for _ in range(3):
-        assert table.lookup(p.b).tobytes() == first.x.tobytes()
-        if table.lookup(b_away) is None:
-            table.install()
-            assert np.array_equal(eng.basis, snap.basis)
-            sol = eng.resolve_rhs(b_away)
-            assert sol.iterations > 0
-            table.add()
-        assert_table_exact(table)
-    assert len(table.entries) == 2
-    assert table.counters() == {"table_hits": 5, "table_misses": 1}
+        assert tree.lookup(p.b).tobytes() == first.x.tobytes()
+        x = tree.lookup(b_away)
+        sol = tree.resolve(b_away)
+        assert sol.iterations == pivots and x.tobytes() == sol.x.tobytes()
+        assert_tree_exact(tree)
+        tree.install()
+        assert np.array_equal(eng.basis, snap.basis)
+    hops = tree.counters()["answers_by_hops"]
+    assert hops[0] == 3 and hops[pivots] == 4 and tree.n_derived == pivots
 
 
 def test_reload_matrix_drops_cached_inverses():
     # a new matrix or objective can make a kept basis suboptimal, so it
-    # empties the table; a right-hand side does not
+    # drops the tree, root included; a right-hand side does not
     rng = np.random.default_rng(28)
-    table, p, first, snap, b_away = _leave_optimal_basis(28)
-    eng = table.engine
-    table.add()
-    assert len(table.entries) == 2
+    tree, p, first, snap, b_away = _tree_and_far_rhs(28)
+    eng = tree.engine
+    assert any(tree.lookup(b_away) is not None for _ in range(4))
+    nodes = tree_nodes(tree)
+    assert len(nodes) > 1
     eng.resolve_rhs(p.b)
-    assert len(table.entries) == 2
-    for change in ({"A": p.A + 0.05 * rng.normal(size=p.A.shape)},
-                   {"c": -p.c}):
-        table.add()
-        eng.reload(**change)
-        assert table.lookup(p.b) is None and table.entries == []
-    # with no entry, a miss re-solves from the basis the table started at:
-    # the slack basis here
-    table.install()
+    assert tree_nodes(tree) == nodes
+    eng.reload(A=p.A + 0.05 * rng.normal(size=p.A.shape))
+    assert tree.lookup(p.b) is None and tree.root is None
+    eng.reload(c=-p.c)
+    assert tree.lookup(p.b) is None and tree.root is None
+    # with no root, a miss re-solves from the basis the engine had before
+    # the root's solve: the slack basis here
+    tree.install()
     assert np.array_equal(eng.basis, np.arange(eng.n, eng.nt))
 
 
-def _recording_start(p):
+def test_no_root_solves_every_rhs_from_the_start_basis():
+    # an infeasible right-hand side at construction gives no root: every
+    # lookup misses and each re-solve starts from the slack basis
+    p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[5.0], rel=["="],
+                  lb=[0.0, 0.0], ub=[1.0, 1.0])
+    tree = OptimalBases(SimplexEngine(p))
+    assert tree.root is None
+    for b in ([1.5], [0.5], [7.0]):
+        assert tree.lookup(np.array(b)) is None
+        sol = tree.resolve(np.array(b))
+        cold = SimplexEngine(dataclasses.replace(p, b=np.array(b))).solve()
+        assert sol.status is cold.status
+        if sol:
+            assert sol.x.tobytes() == cold.x.tobytes()
+    assert tree.counters() == {"answers_by_hops": [0] * 9,
+                               "nodes_derived": 0, "resolves": 3}
+
+
+def _root_resolve(p):
     """An engine solved at p, a function that re-solves it at a right-hand
     side from that optimal basis and inverse, and the list of the basis
     and statuses after each pivot of the last re-solve."""
@@ -1046,56 +1069,64 @@ def _recording_start(p):
     return resolve, states
 
 
-def _check_lookup_near(p, rhs):
-    """``lookup_near`` of a one-entry table at p's optimal basis for each
-    right-hand side against the engine's re-solve from that basis: a hit
-    answers with its bytes, and every neighbour derived is the basis and
-    statuses the engine's first pivot reaches.  Returns the table and the
-    engine's pivots per right-hand side."""
-    eng = SimplexEngine(p)
-    assert eng.solve()
-    table = OptimalBases(eng)
-    table.add()
-    resolve, states = _recording_start(p)
-    firsts, pivots = set(), []
-    for b in rhs:
-        x = table.lookup_near(b)
+def _check_walks(p, rhs):
+    """``lookup`` of a tree rooted at p's optimal basis for each
+    right-hand side, twice over, against the engine's re-solve from that
+    basis: an answer after h hops has the bytes of the engine's re-solve,
+    which took h pivots, and every node of the tree is a basis and
+    statuses the engine's pivots reach.  Returns the tree and the engine's
+    pivots per right-hand side."""
+    tree = OptimalBases(SimplexEngine(p))
+    resolve, states = _root_resolve(p)
+    reached, pivots = set(), []
+    for b in [*rhs, *rhs]:
+        before = list(tree.n_answers)
+        x = tree.lookup(b)
         sol = resolve(b)
         pivots.append(sol.iterations)
         if x is not None:
-            assert sol.iterations <= 1
+            hops = [a - w for a, w in zip(tree.n_answers, before)]
+            assert hops[sol.iterations] == 1
             assert x.tobytes() == sol.x.tobytes()
-        if states:
-            firsts.add(states[0])
-    (entry,) = table.entries
+        reached.update(states)
+    nodes = tree_nodes(tree)[1:]
+    assert len(nodes) == tree.n_derived
+    # two walks may reach one basis by different pivots: a node per walk
     assert {(e.snap.basis.tobytes(), e.snap.vstat.tobytes())
-            for e in entry.neighbours.values() if e is not None} == firsts
-    return table, pivots
+            for e in nodes} <= reached
+    return tree, pivots[:len(rhs)]
 
 
-def _merit_order(d):
-    """max -cost x s.t. sum x = d, 0 <= x <= 1: five generators by cost,
-    generators 2 and 3 at equal cost."""
-    return LpProblem(c=-np.array([0.5, 1.0, 2.0, 2.0, 3.0]),
-                     A=np.ones((1, 5)), b=[d], rel=["="],
-                     lb=np.zeros(5), ub=np.ones(5))
+def _merit_order(d, costs=(0.5, 1.0, 2.0, 2.0, 3.0)):
+    """max -cost x s.t. sum x = d, 0 <= x <= 1: one generator per cost, by
+    default five, generators 2 and 3 at equal cost."""
+    k = len(costs)
+    return LpProblem(c=-np.array(costs), A=np.ones((1, k)), b=[d], rel=["="],
+                     lb=np.zeros(k), ub=np.ones(k))
 
 
 def test_neighbour_is_the_engine_basis_after_one_dual_pivot():
     # at d = 1.5 generator 0 sits at its upper bound and generator 1 is
     # marginal.  Past d = 2 it leaves at its upper bound and generator 2
-    # enters, not 3 (equal ratios, lowest index); past d = 3 a second
-    # pivot follows.  Below d = 1 it leaves at its lower bound and
-    # generator 0 enters; below d = 0 that fails.  The two-pivot demand
-    # comes first: its key's neighbour is still the first pivot's basis.
+    # enters, not 3 (equal ratios, lowest index); past d = 3 generator 3
+    # follows, a second pivot, and past d = 4 generator 4.  Below d = 1
+    # generator 1 leaves at its lower bound and generator 0 enters; below
+    # d = 0 that fails.  Each walk that derives a node misses; the second
+    # pass answers every demand but the two infeasible ones.
     demands = [3.5, 2.5, 0.8, 1.7, 6.0, -0.5]
-    table, pivots = _check_lookup_near(_merit_order(1.5),
-                                       [np.array([d]) for d in demands])
+    tree, pivots = _check_walks(_merit_order(1.5),
+                                [np.array([d]) for d in demands])
     assert pivots[:4] == [2, 1, 1, 0]
-    assert (table.n_hits, table.n_near_hits, table.n_misses,
-            table.n_derived) == (1, 2, 3, 2)
-    assert table.lookup_near(np.array([2.5])).tolist() == [1, 1, 0.5, 0, 0]
-    assert len(table.entries) == 1
+    assert tree.counters() == {"answers_by_hops": [2, 3, 1] + [0] * 6,
+                               "nodes_derived": 4, "resolves": 0}
+    assert tree.lookup(np.array([2.5])).tolist() == [1, 1, 0.5, 0, 0]
+    # d = 6 reaches generator 4's node, which nothing can repair: a dead
+    # end, kept, and below d = 0 generator 0's node is one
+    assert tree.lookup(np.array([6.0])) is None
+    up = tree.root.children[(0, False)]
+    fourth = up.children[(0, False)].children[(0, False)]
+    assert fourth.children == {(0, False): None}
+    assert tree.root.children[(0, True)].children == {(0, True): None}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1103,28 +1134,46 @@ def test_neighbours_of_random_lps_answer_with_the_engine_bytes(seed):
     rng = np.random.default_rng(40 + seed)
     p = random_bounded_lp(rng, n=6, m=8)
     rhs = [p.b + rng.normal(scale=1.0, size=8) for _ in range(60)]
-    table, pivots = _check_lookup_near(p, rhs)
-    assert table.n_near_hits > 0 and max(pivots) > 1
-    assert table.n_hits + table.n_near_hits + table.n_misses == len(rhs)
+    tree, pivots = _check_walks(p, rhs)
+    hops = tree.counters()["answers_by_hops"]
+    assert sum(hops[1:]) > 0 and max(pivots) > 1
+    assert sum(hops) <= 2 * len(rhs)
 
 
-def test_cache_holds_at_most_eight_inverses():
-    rng = np.random.default_rng(29)
-    p = random_bounded_lp(rng, n=8, m=10)
-    eng = SimplexEngine(p)
-    table = OptimalBases(eng)
-    x0 = (p.lb + p.ub) / 2
-    largest = 0
-    for _ in range(60):
-        b = p.A @ x0 + rng.uniform(-1.0, 3.0, size=10)
-        if table.lookup(b) is None:
-            table.install()
-            if eng.resolve_rhs(b):
-                table.add()
-        largest = max(largest, len(table.entries))
-        assert len(table.entries) <= 8
-    assert largest == 8 and table.n_misses > 8
-    assert_table_exact(table)
+def test_walks_past_the_caps_fall_back_to_the_engine():
+    # 40 generators in merit order, generator 20 marginal at the root:
+    # demand 20.5 + k takes k pivots up the merit order, 20.5 - k k pivots
+    # down.  Walking k = 1, 2, ... up and down derives one node per walk,
+    # which that walk misses and the next takes, until the node cap.  A
+    # walk longer than the hop cap, or one that would derive a node beyond
+    # the node cap, misses, and the engine's re-solve from the root gives
+    # the merit-order dispatch; the tree never outgrows its cap.
+    from nkscreen.lp import _TREE_HOPS, _TREE_NODES
+
+    tree = OptimalBases(SimplexEngine(_merit_order(20.5,
+                                                   np.arange(1.0, 41.0))))
+    eng = tree.engine
+    capped = 0
+    for k in range(1, _TREE_HOPS + 4):
+        for d in (np.array([20.5 + k]), np.array([20.5 - k])):
+            tree.install()
+            want = eng.resolve_rhs(d)
+            assert want.iterations == k
+            assert tree.lookup(d) is None
+            x = tree.lookup(d)
+            if x is None:
+                capped += k <= _TREE_HOPS
+                got = tree.resolve(d)
+                assert got.x.tobytes() == want.x.tobytes()
+                assert np.allclose(got.x, np.clip(d - np.arange(40), 0, 1),
+                                   rtol=0, atol=1e-12)
+            else:
+                assert k <= _TREE_HOPS and x.tobytes() == want.x.tobytes()
+            assert len(tree_nodes(tree)) == tree.n_nodes <= _TREE_NODES
+    counts = tree.counters()
+    assert tree.n_nodes == _TREE_NODES and capped > 0
+    assert counts["answers_by_hops"][_TREE_HOPS] == 1
+    assert counts["resolves"] == capped + 6
 
 
 def test_dcopf_draws_invert_few_bases(monkeypatch):
@@ -1135,16 +1184,19 @@ def test_dcopf_draws_invert_few_bases(monkeypatch):
     net = load_network(resolve_case("case39"))
     calls = counting_inv(monkeypatch)
     dcopf = DcopfSolver(net)
-    assert calls == [] and dcopf.counters()["pivots"] == 0  # nothing solved
+    # the nominal solve, polished once
+    assert len(calls) == dcopf.counters()["refactorizations"] == 1
     for d in sample_demands(DemandSampler(net.demand, rel_std=0.15, seed=0),
                             600):
         dcopf.solve(d)
     work = dcopf.counters()
-    assert work["draws"] == 600 == work["table_hits"] + work["table_misses"]
-    # a handful of optimal bases covers the demand distribution
-    assert work["table_misses"] <= 10
-    assert work["refactorizations"] == len(calls) <= 10
-    assert len(dcopf.bases.entries) <= 8
+    assert work["draws"] == 600 == sum(work["answers_by_hops"]) + \
+        work["resolves"]
+    # a handful of bases a few pivots from the nominal one covers the
+    # demand distribution
+    assert work["resolves"] <= 10 and work["answers_by_hops"][4:] == [0] * 5
+    assert len(calls) == work["refactorizations"] + work["nodes_derived"]
+    assert len(calls) <= 10
 
 
 # -- byte-identity guard ------------------------------------------------------
@@ -1205,18 +1257,20 @@ def _mesh10():
 
 def _dcopf_digest(h):
     """DC-OPF right-hand-side re-solves on case39 and on a meshed 10-bus
-    network; returns the latter with its demands and feasible injections."""
+    network, a chain of warm re-solves from the slack basis; returns the
+    latter with its demands and feasible injections."""
     from nkscreen.cli import resolve_case
     from nkscreen.datagen import DemandSampler, sample_demands
-    from nkscreen.grid import DcopfSolver, load_network
+    from nkscreen.grid import DispatchLp, load_network
 
     for net in (load_network(resolve_case("case39")), _mesh10()):
-        dcopf = DcopfSolver(net)
+        lp = DispatchLp(net)
+        eng = SimplexEngine(lp.problem(net.demand))
         demands = sample_demands(DemandSampler(net.demand, rel_std=0.15,
                                                seed=9), 40)
         X = []
         for d in demands:
-            sol = dcopf.engine.resolve_rhs(dcopf.rhs(d))
+            sol = eng.resolve_rhs(lp.rhs(d))
             _hash_solution(h, sol)
             if sol:
                 X.append(sol.x - d)
@@ -1437,11 +1491,12 @@ def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
     # the classifier LP's own re-solves, for every demand: solve_scopf_icnn
     # answers most of these demands from the screened DC-OPF dispatch
     scopf._icnn_lps.clear()
-    classifier_lp = scopf._icnn_lp(net, clf).starts()[1]
+    lp = scopf._icnn_lp(net, clf)
+    classifier_lp = lp.starts()[1]
     eng = classifier_lp.engine
     shapes = recorded_inversions(monkeypatch, [eng])
     try:
-        solved = [classifier_lp.resolve(d) for d in demands]
+        solved = [classifier_lp.resolve(lp.rhs(d)) for d in demands]
     finally:
         scopf._icnn_lps.clear()
     assert any(solved) and eng.n_pivots > 0 and len(shapes) > 10
@@ -1459,9 +1514,9 @@ def test_dcopf_solver_bytes_unchanged():
 
 
 def test_dcopf_solver_matches_warm_engine_mesh10():
-    """On the 10-bus network the table's answers are the warm engine's, byte
+    """On the 10-bus network the tree's answers are the warm engine's, byte
     for byte: the engine reaches some optimal bases with their columns in
-    another order than the kept entry, and the refactorization takes the
+    another order than the tree's node, and the refactorization takes the
     structural columns in ascending order, so the order does not show."""
     from nkscreen.grid import DcopfSolver
 
@@ -1477,13 +1532,14 @@ def test_dcopf_solver_matches_warm_engine_mesh10():
             assert got.p.tobytes() == want.x.tobytes()
             assert got.cost == float(net.cost @ want.x)
     assert statuses == {LpStatus.OPTIMAL}
-    assert dcopf.counters()["table_misses"] < 40
+    assert dcopf.counters()["resolves"] < 40
 
 
 @functools.lru_cache(maxsize=None)
-def _mesh10_table():
-    """The 10-bus DC-OPF after 100 draws, and for each entry of its table
-    the right-hand sides of the later draws that entry answers alone."""
+def _mesh10_tree():
+    """The 10-bus DC-OPF after 100 draws, the nodes of its tree that answer
+    some later draw as the root of a tree of their own, and for each such
+    node those draws' right-hand sides."""
     from nkscreen.grid import DcopfSolver
 
     net = _mesh10()
@@ -1491,26 +1547,44 @@ def _mesh10_table():
     draws = _dcopf_solver_draws(net, 1.00, 0.3)
     for d in draws[:100]:
         dcopf.solve(d)
-    answered = []
-    for e in dcopf.bases.entries:
-        one = _one_entry_table(dcopf.engine, e)
-        answered.append([b for b in map(dcopf.rhs, draws[100:])
-                         if one.lookup(b) is not None])
-    assert len(answered) > 1 and all(answered)
-    return dcopf, answered
+    nodes, answered = [], []
+    for e in tree_nodes(dcopf.bases):
+        rhs = [b for b in map(dcopf.rhs, draws[100:])
+               if _root_answer(dcopf.engine, e, b) is not None]
+        if rhs:
+            nodes.append(e)
+            answered.append(rhs)
+    assert len(answered) > 1
+    return dcopf, nodes, answered
 
 
-def _one_entry_table(eng, e):
-    """A table whose one entry is e's basis, installed on the engine."""
+def _rooted_at(eng, e):
+    """A tree built on the engine whose root is node e's basis: the engine
+    restored to it and re-solved, in zero pivots, at a right-hand side
+    that puts every basic value inside its bounds."""
+    L, U = e.L_B, e.U_B
+    inside = np.where(np.isfinite(L) & np.isfinite(U), (L + U) / 2,
+                      np.where(np.isfinite(L), L + 1.0, U - 1.0))
     eng.restore(e.snap, e.B_inv)
-    table = OptimalBases(eng)
-    table.add()
-    return table
+    assert eng.resolve_rhs(eng.T[:, e.snap.basis] @ inside
+                           + e.T_xN).iterations == 0
+    tree = OptimalBases(eng)
+    assert tree.root.snap.basis.tobytes() == e.snap.basis.tobytes()
+    assert tree.root.B_inv.tobytes() == e.B_inv.tobytes()
+    return tree
+
+
+def _root_answer(eng, e, b):
+    """The answer to b of a tree rooted at node e's basis when its root
+    gives it; None otherwise."""
+    tree = _rooted_at(eng, e)
+    x = tree.lookup(b)
+    return x if tree.n_answers[0] else None
 
 
 def _move_basic_value(e, b, j, target):
-    """b with one entry changed so that entry e's basic value j, as the
-    table computes it, is exactly target; None when no nearby b gives it.
+    """b with one entry changed so that node e's basic value j, as the
+    node computes it, is exactly target; None when no nearby b gives it.
     Rows that only j's value depends on are tried first, then the others,
     each by a Newton step and a walk of single ulps."""
     own = np.count_nonzero(e.B_inv, axis=0) == 1
@@ -1533,15 +1607,15 @@ def _move_basic_value(e, b, j, target):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_lookup_answers_exactly_when_zero_pivots_suffice(data):
-    """One scan per entry: a right-hand side puts one basic value at its
-    bound, at TOL_FEAS beyond it or one ulp further.  The entry answers
-    exactly when a re-solve from its basis is optimal in zero pivots, with
-    that re-solve's bytes, which are also those of the full-length
-    copy-and-scatter assembly."""
-    dcopf, answered = _mesh10_table()
+    """One scan per node: a right-hand side puts one basic value at its
+    bound, at TOL_FEAS beyond it or one ulp further.  A tree rooted at the
+    node answers from its root exactly when a re-solve from its basis is
+    optimal in zero pivots, with that re-solve's bytes, which are also
+    those of the full-length copy-and-scatter assembly."""
+    dcopf, nodes, answered = _mesh10_tree()
     eng = dcopf.engine
-    i = data.draw(st.integers(0, len(answered) - 1), label="entry")
-    e = dcopf.bases.entries[i]
+    i = data.draw(st.integers(0, len(answered) - 1), label="node")
+    e = nodes[i]
     b = data.draw(st.sampled_from(answered[i]), label="draw")
     j = data.draw(st.integers(0, eng.m - 1), label="basic position")
     side = data.draw(st.sampled_from(["lower", "upper"]))
@@ -1553,7 +1627,7 @@ def test_lookup_answers_exactly_when_zero_pivots_suffice(data):
         [bound, beyond, np.nextafter(beyond, away)]), label="target")
     b = _move_basic_value(e, b, j, target)
     assume(b is not None)
-    x = _one_entry_table(eng, e).lookup(b)
+    x = _root_answer(eng, e, b)
     eng.restore(e.snap, e.B_inv)
     want = eng.resolve_rhs(b)
     assert (x is not None) == (want.status is LpStatus.OPTIMAL
@@ -1569,12 +1643,11 @@ def test_lookup_answers_exactly_when_zero_pivots_suffice(data):
 def test_lookup_boundary_cases_go_both_ways():
     """The targets of the property above are reached exactly, and put a
     value at TOL_FEAS beyond its bound on both sides of the test: the
-    table's one scan and the engine's dual simplex decide alike there."""
-    dcopf, answered = _mesh10_table()
+    root's one scan and the engine's dual simplex decide alike there."""
+    dcopf, nodes, answered = _mesh10_tree()
     eng = dcopf.engine
     seen = set()
-    for i, rhs in enumerate(answered):
-        e = dcopf.bases.entries[i]
+    for e, rhs in zip(nodes, answered):
         for j in range(eng.m):
             for bound, sign in ((e.L_B[j], -1.0), (e.U_B[j], 1.0)):
                 if not np.isfinite(bound):
@@ -1582,7 +1655,7 @@ def test_lookup_boundary_cases_go_both_ways():
                 b = _move_basic_value(e, rhs[0], j, bound + sign * TOL_FEAS)
                 if b is None:
                     continue
-                x = _one_entry_table(eng, e).lookup(b)
+                x = _root_answer(eng, e, b)
                 eng.restore(e.snap, e.B_inv)
                 want = eng.resolve_rhs(b)
                 assert (x is not None) == (want.status is LpStatus.OPTIMAL

@@ -143,7 +143,8 @@ def test_simplex_spans_feed_every_lp_layer(bench):
     taken over the outermost simplex spans below their roots; an empty set
     gives a NaN mean and a result line that is not JSON.  A tiny pipeline
     on mesh5 must leave every one of those sets non-empty, each span with
-    its pivot count.  Like train_phase, the certification runs on a fresh
+    its pivot count; its DC-OPF draws include one that leaves the nominal
+    basis, which only the engine answers the first time.  Like train_phase, the certification runs on a fresh
     solver: on the rescale's solver every row has a kept basis, so its
     sweep runs as a batch and passes through no ``resolve_objective``."""
     import copy
@@ -180,7 +181,11 @@ def test_simplex_spans_feed_every_lp_layer(bench):
                     SublevelSolver(params))
         with tracer.span("dispatch.draws"):
             dcopf = DcopfSolver(net)
-            for d in demands:
+            # the nominal basis answers these four demands without the
+            # engine; at twice the nominal demand the cheap generator
+            # reaches pmax, so that draw derives a node and re-solves, as
+            # the first draws leaving the nominal basis do in every run
+            for d in [*demands, 2.0 * net.demand]:
                 dcopf.solve(d)
         scopf._icnn_lps.clear()
         clf = ScaledClassifier(params=params, r=scale.r)

@@ -16,7 +16,6 @@ from nkscreen.oracle import scale_fast
 from nkscreen.region import (build_region, drop_constant_dims, standardize,
                              standardize_points, with_box)
 from nkscreen.scopf import (
-    _FixedStart,
     benchmark_scopf,
     icnn_dispatch_problem,
     region_inequalities,
@@ -25,7 +24,8 @@ from nkscreen.scopf import (
     solve_scopf_icnn,
 )
 
-from helpers import fixed_start_dcopf, paired_rows, record_pivots, ring3
+from helpers import (fixed_start_dcopf, paired_rows, record_pivots, ring3,
+                     tree_nodes)
 
 
 def l1_ball_net3(radius=1.0, box=5.0):
@@ -83,12 +83,11 @@ class TestFullScopf:
         monkeypatch.setattr(scopf_mod, "solve",
                             lambda p: built.append(p) or solve(p))
         d = 1.02 * net.demand
-        dcopf.solve(d)
         solve_scopf_full(net, d, None)
         (p,) = built
         eng = dcopf.engine
         assert np.array_equal(eng.T[:, :eng.n], p.A)
-        assert np.array_equal(eng.b, p.b)
+        assert np.array_equal(dcopf.rhs(d), p.b)
         assert np.array_equal(eng.U[eng.n:],
                               np.where(p.rel == "=", 0.0, p.ranges))
 
@@ -399,7 +398,7 @@ class TestIcnnWarmStart:
         results = [solve_scopf_icnn(net, d, clf) for d in demands]
         classifier_lp = scopf._icnn_lp(net, clf).starts()[1]
         engine = classifier_lp.engine
-        basis = classifier_lp.bases.entries[0].snap.basis
+        basis = classifier_lp.root.snap.basis
         K = np.sort(basis[basis < engine.n])
         R = np.setdiff1d(np.arange(engine.m), basis[basis >= engine.n] - engine.n)
         block = engine.T[np.ix_(R, K)]
@@ -548,14 +547,15 @@ class TestIcnnWarmStart:
 
 def classifier_runs(monkeypatch, net, clf):
     """The cached classifier SC-OPF of (net, clf), with every re-solve of
-    its classifier LP recorded: the list of demands it was called with."""
+    its classifier LP recorded: the list of right-hand sides it was called
+    with."""
     from nkscreen import scopf
 
     scopf._icnn_lps.clear()
     run = scopf._icnn_lp(net, clf).starts()[1]
     calls, resolve = [], run.resolve
     monkeypatch.setattr(run, "resolve",
-                        lambda d: calls.append(d.copy()) or resolve(d))
+                        lambda b: calls.append(b.copy()) or resolve(b))
     return calls
 
 
@@ -605,6 +605,8 @@ class TestScreenFirst:
 
     def test_flagged_dispatch_runs_the_classifier_lp(self, case39_setup,
                                                        monkeypatch):
+        from nkscreen import scopf
+
         net, demands = case39_setup[:2]
         clf = self.clf(case39_setup)
         calls = classifier_runs(monkeypatch, net, clf)
@@ -619,7 +621,8 @@ class TestScreenFirst:
                 assert abs(res.cost - cost) <= 1e-9 * abs(cost)
                 assert clf.decision_values(standardize_points(
                     res.p - demands[i], net.n, *clf.transform()))[0] <= 1e-7
-        assert [d.tobytes() for d in calls] == [demands[i].tobytes()
+        lp = scopf._icnn_lp(net, clf)
+        assert [b.tobytes() for b in calls] == [lp.rhs(demands[i]).tobytes()
                                                 for i in flagged]
 
     def test_infeasible_dcopf_runs_the_classifier_lp(self, case39_setup,
@@ -684,7 +687,7 @@ class TestScreenFirst:
 
         forward_order, counts = answers(range(len(demands)))
         assert 0 < counts[0] < len(demands) - 1
-        assert counts[1]["neighbour_hits"] > 0
+        assert sum(counts[1]["answers_by_hops"][1:]) > 0
         for order in (range(len(demands) - 1, -1, -1),
                       np.random.default_rng(5).permutation(len(demands))):
             again, n = answers(order)
@@ -713,22 +716,24 @@ class TestScreenFirst:
         # the diagnostic's dispatches are the fixed-start DC-OPF's
         _, values = screen_values(net, demands, clf)
         assert [e["decision_value"] for e in rows] == values
-        # one answer per demand in the DC-OPF step, from its nominal basis,
-        # a neighbour or its engine; one re-solve per demand the screen did
-        # not answer in the classifier step
+        # one answer per demand in the DC-OPF step, from its tree of bases
+        # or its engine; one re-solve per demand the screen did not answer
+        # in the classifier step
         tables = summary["icnn_tables"]
         assert set(tables) == {"dcopf", "classifier"}
         dcopf = tables["dcopf"]
-        assert (dcopf["nominal_hits"] + dcopf["neighbour_hits"]
-                + dcopf["resolves"]) == len(demands)
+        assert set(dcopf) == {"answers_by_hops", "nodes_derived", "resolves"}
+        assert sum(dcopf["answers_by_hops"]) + dcopf["resolves"] == \
+            len(demands)
         assert tables["classifier"] == {
             "resolves": len(demands) - summary["icnn_screened"]}
-        assert dcopf["nominal_hits"] > 0
+        assert dcopf["answers_by_hops"][0] > 0
 
     def test_dcopf_step_is_the_engine_only_re_solve(self, case39_setup):
         # the DC-OPF step answers each demand with the bytes of the
-        # engine-only fixed-start re-solve, from its table or its engine,
-        # and neither step's table learns from what it solves
+        # engine-only fixed-start re-solve, from its tree or its engine;
+        # neither step's root changes, and the classifier step's grows no
+        # tree
         from nkscreen import scopf
 
         net, demands = case39_setup[:2]
@@ -736,100 +741,100 @@ class TestScreenFirst:
         demands = list(demands) + [3.0 * net.demand]
         scopf._icnn_lps.clear()
         lp = scopf._icnn_lp(net, clf)
-        steps = lp.starts()
-        nominal = [list(step.bases.entries) for step in steps]
-        assert [len(e) for e in nominal] == [1, 1]
+        dcopf, classifier = lp.starts()
+        roots = (dcopf.bases.root, classifier.root)
+        assert None not in roots
         want = fixed_start_dcopf(net, demands)
-        got = [steps[0].solve(d) for d in demands]
+        got = [dcopf.solve(d) for d in demands]
         for res, ref in zip(got, want):
             assert res.status is ref.status
-            assert (res.x is None) == (ref.x is None)
+            assert (res.p is None) == (ref.x is None)
             if ref.x is not None:
-                assert res.x.tobytes() == ref.x.tobytes()
-        counts = steps[0].counters()
-        assert counts["nominal_hits"] >= 1 and counts["resolves"] >= 1
-        assert (counts["nominal_hits"] + counts["neighbour_hits"]
-                + counts["resolves"]) == len(demands)
+                assert res.p.tobytes() == ref.x.tobytes()
+        counts = dcopf.bases.counters()
+        assert counts["answers_by_hops"][0] >= 1 and counts["resolves"] >= 1
+        assert sum(counts["answers_by_hops"]) + counts["resolves"] == \
+            len(demands)
         for d in demands:
             solve_scopf_icnn(net, d, clf)
-        assert steps[1].counters()["resolves"] >= 1
-        for step, (entry,) in zip(steps, nominal):
-            assert len(step.bases.entries) == 1
-            assert step.bases.entries[0] is entry
+        assert classifier.counters()["resolves"] >= 1
+        assert dcopf.bases.root is roots[0] and classifier.root is roots[1]
+        assert classifier.root.children == {}
 
 
-def first_pivot(net, demand):
+def pivot_states(net, demand):
     """The fixed-start DC-OPF re-solve at the demand, as
     ``fixed_start_dcopf`` runs it, and the engine's basis and statuses
-    after its first pivot (None when it took none)."""
+    after each of its pivots."""
     lp = DispatchLp(net)
     eng = SimplexEngine(lp.problem(net.demand))
     assert eng.solve()
     states = record_pivots(eng)
     sol = eng.resolve_rhs(lp.rhs(np.asarray(demand, dtype=float)))
-    return sol, (states[0] if states else None)
+    return sol, states
 
 
-def neighbour_states(step):
-    """The basis and statuses of each neighbour the step derived."""
-    (entry,) = step.bases.entries
-    return {(e.snap.basis.tobytes(), e.snap.vstat.tobytes())
-            for e in entry.neighbours.values() if e is not None}
+def node_states(nodes):
+    return [(e.snap.basis.tobytes(), e.snap.vstat.tobytes()) for e in nodes]
 
 
 class TestDcopfNeighbours:
-    """The DC-OPF step answers from its nominal basis, else from the basis
-    one dual pivot away, else from its engine, with the bytes of the
-    engine-only fixed-start re-solve in every case."""
+    """The DC-OPF step answers from its tree of bases, memoized dual
+    simplex pivots from its nominal basis, else from its engine, with the
+    bytes of the engine-only fixed-start re-solve in every case."""
 
     @pytest.mark.parametrize("scale", [1.0, 1.04])
     def test_answers_are_the_engine_only_re_solve(self, scale):
         net = load_network(resolve_case("case39"))
         demands = sample_demands(DemandSampler(net.demand * scale,
                                                rel_std=0.15, seed=21), 300)
-        step = _FixedStart(DispatchLp(net))
-        (entry,) = step.bases.entries
+        step = DcopfSolver(net)
+        root = step.bases.root
         got = [step.solve(d) for d in demands]
-        firsts = set()
+        firsts, reached = set(), set()
         for res, d in zip(got, demands):
-            ref, first = first_pivot(net, d)
+            ref, states = pivot_states(net, d)
             assert res.status is ref.status
-            assert res.x.tobytes() == ref.x.tobytes()
-            if first is not None:
-                firsts.add(first)
-        counts = step.counters()
-        assert counts["neighbour_hits"] > 0
-        assert (counts["nominal_hits"] + counts["neighbour_hits"]
-                + counts["resolves"]) == len(demands)
-        # one neighbour per side the marginal generator leaves by, each the
-        # basis the engine's first pivot reaches
-        assert neighbour_states(step) == firsts
-        assert counts["neighbours_derived"] == len(firsts)
-        assert len(firsts) == 2
-        # the table never gains an entry
-        assert step.bases.entries == [entry] and step.bases.entries[0] is entry
+            assert res.p.tobytes() == ref.x.tobytes()
+            firsts.update(states[:1])
+            reached.update(states)
+        counts = step.bases.counters()
+        assert sum(counts["answers_by_hops"][1:]) > 0
+        assert sum(counts["answers_by_hops"]) + counts["resolves"] == \
+            len(demands)
+        # each node is a basis the engine's pivots reach; the root's
+        # children, one per side the marginal generator leaves by, are the
+        # bases its first pivot reaches
+        nodes = tree_nodes(step.bases)
+        assert counts["nodes_derived"] == len(nodes) - 1
+        assert set(node_states(nodes[1:])) <= reached
+        children = [c for c in root.children.values() if c is not None]
+        assert set(node_states(children)) == firsts and len(firsts) == 2
+        assert step.bases.root is root
 
-    def test_two_pivots_and_infeasible_fall_back_to_the_engine(self):
+    def test_two_pivot_walks_and_infeasible_fall_back_to_the_engine(self):
         net = load_network(resolve_case("case39"))
         far, over = 0.8 * net.demand, 3.0 * net.demand
-        step = _FixedStart(DispatchLp(net))
-        (ref_far, first), (ref_over, _) = (first_pivot(net, d)
-                                           for d in (far, over))
+        step = DcopfSolver(net)
+        (ref_far, states), (ref_over, _) = (pivot_states(net, d)
+                                            for d in (far, over))
         assert ref_far.iterations == 2
         assert ref_over.status is LpStatus.INFEASIBLE
-        got = step.solve(far)
-        assert got.x.tobytes() == ref_far.x.tobytes()
-        # the neighbour comes from the nominal basis, not from the answer
-        assert neighbour_states(step) == {first}
+        # the first two walks derive the bases of the engine's two pivots,
+        # one each, and the engine answers them; the third walk answers
+        for _ in range(3):
+            assert step.solve(far).p.tobytes() == ref_far.x.tobytes()
+        assert node_states(tree_nodes(step.bases)[1:]) == states
         assert step.solve(over).status is LpStatus.INFEASIBLE
-        counts = step.counters()
-        assert counts["resolves"] == 2 and counts["neighbour_hits"] == 0
-        # a demand one pivot away on the same side takes that neighbour
+        counts = step.bases.counters()
+        assert counts["answers_by_hops"][:3] == [0, 0, 1]
+        assert counts["resolves"] == 3
+        # a demand one pivot away on the same side stops at the first node
         near = 0.97 * net.demand
-        ref_near, first_near = first_pivot(net, near)
-        assert ref_near.iterations == 1 and first_near == first
-        assert step.solve(near).x.tobytes() == ref_near.x.tobytes()
-        assert step.counters()["neighbour_hits"] == 1
+        ref_near, states_near = pivot_states(net, near)
+        assert states_near == states[:1]
+        assert step.solve(near).p.tobytes() == ref_near.x.tobytes()
+        assert step.bases.counters()["answers_by_hops"][1] == 1
 
 
 def _edit_array(get):
