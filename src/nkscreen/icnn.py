@@ -134,10 +134,17 @@ class IcnnParams(FlatParams):
             raise ValueError("output W shape mismatch")
         if self.box_lower.shape != (n,) or self.box_upper.shape != (n,):
             raise ValueError("box shape mismatch")
+        if not (np.isfinite(self.box_lower).all()
+                and np.isfinite(self.box_upper).all()):
+            raise ValueError("box must be finite")
         if np.any(self.box_lower >= self.box_upper):
             raise ValueError("box must have positive volume")
-        if self.box_gain <= 0:
-            raise ValueError("box_gain must be positive")
+        # screening answers membership by comparison, which equals the sign
+        # of forward only when box_gain * V > 0 for every V > 0: below 1 the
+        # product can underflow to 0 and admit a point past a box face
+        if not 1.0 <= self.box_gain < np.inf:
+            raise ValueError("box_gain must be finite and at least 1, so "
+                             "that box_gain * violation cannot round to 0")
         return self
 
 
@@ -356,7 +363,15 @@ def _lower_face(lo, r, v):
 @dataclass(frozen=True)
 class _ScreeningNetwork:
     """The classifier in x coordinates: r and v folded into the weights,
-    every input term in one matrix, the box moved onto x."""
+    every input term in one matrix, the box moved onto x.
+
+    ``__call__`` and ``one`` give the screening value max(raw, box_gain * V),
+    V the largest excess of a coordinate over its box face.  ``feasible``
+    and ``feasible_one`` give its verdict, value <= 0, as membership: raw <=
+    0 and lower <= x <= upper by comparison, the same on every float for a
+    finite box and box_gain >= 1 (``ScaledClassifier``).  ``raw`` and
+    ``raw_one`` are the network that both share.
+    """
 
     D: np.ndarray          # (n, depth * width + 1): all r * D_i, transposed
     b: np.ndarray          # (depth * width + 1,): all b_i + D_i v
@@ -388,27 +403,32 @@ class _ScreeningNetwork:
             box_gain=p.box_gain,
         )
 
-    def __call__(self, X):
+    def raw(self, X):
+        """raw(x) for each row of X, (B, n).
+
+        The columns of P = X D + b past the first layer (the later layers'
+        pre-activations and the output column) are copied out, then one
+        contiguous pass applies the ReLU to all of P in place, and the first
+        layer is read as a strided view of it: the same BLAS kernels on the
+        same values as a ReLU of the first layer alone, so the same bits.
+        """
         w = self.width
         P = X @ self.D
         P += self.b
-        z = np.maximum(P[:, :w], 0.0)
-        for i, Wi in enumerate(self.W[:-1], start=1):
-            h = P[:, i * w:(i + 1) * w] + z @ Wi
+        rest = P[:, w:].copy()
+        z = np.maximum(P, 0.0, out=P)[:, :w]
+        for i, Wi in enumerate(self.W[:-1]):
+            h = rest[:, i * w:(i + 1) * w] + z @ Wi
             z = np.maximum(h, 0.0, out=h)
-        out = P[:, -1] + z @ self.W[-1]
-        pen = np.maximum(self.lower - X, X - self.upper).max(axis=1)
-        pen *= self.box_gain
-        return np.maximum(out, pen, out=out)
+        return rest[:, -1] + z @ self.W[-1]
 
-    def one(self, x):
-        """``__call__`` on one point x, (n,), in 1-D arrays; a (1,) array.
+    def raw_one(self, x):
+        """``raw`` on one point x, (n,), in 1-D arrays; a (1,) array.
 
-        The products go to the same BLAS kernels as one row of ``__call__``
-        does (gemv for each layer, dot for the output row), so the value is
-        the same to the bit.  ``ndarray.dot`` costs less per call than ``@``
-        on 1-D operands.  The box term is taken with ``np.maximum``, so a NaN
-        stays a NaN and the point stays insecure.
+        The products go to the same BLAS kernels as one row of ``raw`` does
+        (gemv for each layer, dot for the output row), so the value is the
+        same to the bit.  ``ndarray.dot`` costs less per call than ``@`` on
+        1-D operands.
         """
         w = self.width
         p = x.dot(self.D)
@@ -417,9 +437,38 @@ class _ScreeningNetwork:
         for i, Wi in enumerate(self.W[:-1], start=1):
             h = p[i * w:(i + 1) * w] + z.dot(Wi)
             z = np.maximum(h, 0.0, out=h)
-        out = p[-1:] + z.dot(self.W[-1])
+        return p[-1:] + z.dot(self.W[-1])
+
+    def __call__(self, X):
+        out = self.raw(X)
+        pen = np.maximum(self.lower - X, X - self.upper).max(axis=1)
+        pen *= self.box_gain
+        return np.maximum(out, pen, out=out)
+
+    def one(self, x):
+        """``__call__`` on one point x, (n,): ``raw_one`` and the box term,
+        taken with ``np.maximum``, so a NaN stays a NaN and the point stays
+        insecure."""
+        out = self.raw_one(x)
         pen = np.maximum(self.lower - x, x - self.upper).max()
         return np.maximum(out, pen * self.box_gain, out=out)
+
+    def feasible(self, X):
+        """raw <= 0 and inside the box, per row of X.  The per-row reduction
+        of the box test runs only when some coordinate of the batch fails."""
+        ok = self.raw(X) <= 0.0
+        inside = X >= self.lower
+        inside &= X <= self.upper
+        if np.count_nonzero(inside) < inside.size:
+            ok &= inside.all(axis=1)
+        return ok
+
+    def feasible_one(self, x):
+        """``feasible`` on one point x, (n,), as a (1,) array; a point
+        outside the box skips the network."""
+        if np.count_nonzero((x >= self.lower) & (x <= self.upper)) < len(x):
+            return np.zeros(1, dtype=bool)
+        return self.raw_one(x) <= 0.0
 
 
 @dataclass
@@ -444,9 +493,17 @@ class ScaledClassifier:
     every float.  The network copies the weights: after an in-place edit of
     them, assign ``clf.params = clf.params``.
 
+    ``decision_values`` is the screening value max(raw, box_gain * V).
+    ``predict_feasible`` is its verdict, value <= 0, asked as membership:
+    raw <= 0, and every coordinate of x between its box faces by comparison,
+    with no box term computed.  The two agree on every float because the
+    box is finite and box_gain >= 1 (``IcnnParams.validate``), so that
+    box_gain * V is positive whenever V is; NaN and +-inf are insecure.
+
     One row takes its own path, chosen by the row count:
-    ``_ScreeningNetwork.one`` evaluates it in 1-D arrays with fewer numpy
-    calls, to the same bits as the batch pass gives a one-row matrix.
+    ``_ScreeningNetwork.one`` and ``feasible_one`` evaluate it in 1-D arrays
+    with fewer numpy calls, to the same bits as the batch pass gives a
+    one-row matrix; ``feasible_one`` skips the network outside the box.
     """
 
     params: IcnnParams
@@ -483,10 +540,8 @@ class ScaledClassifier:
                 np.zeros(n) if self.mu is None else self.mu,
                 np.ones(n) if self.sigma is None else self.sigma)
 
-    def decision_values(self, X):
-        """Screening values, one per row of X (a 1-D X is one row): the
-        sign of forward(params with ``input_box``, r x + v), up to rounding
-        of the network; the box term is measured in x."""
+    def _screening(self, X):
+        """The screening network and X as a float array, checked."""
         net = self._net
         if net is None:
             net = _ScreeningNetwork.build(self)
@@ -496,12 +551,24 @@ class ScaledClassifier:
         if X.ndim not in (1, 2) or X.shape[-1] != n:
             raise ValueError(f"expected inputs of {n} dims, one or a row "
                              f"each, got shape {X.shape}")
+        return net, X
+
+    def decision_values(self, X):
+        """Screening values, one per row of X (a 1-D X is one row): the
+        sign of forward(params with ``input_box``, r x + v), up to rounding
+        of the network; the box term is measured in x."""
+        net, X = self._screening(X)
         if X.ndim == 1 or len(X) == 1:
-            return net.one(X.reshape(n))
+            return net.one(X.reshape(-1))
         return net(X)
 
     def predict_feasible(self, X):
-        return self.decision_values(X) <= 0.0
+        """``decision_values(X) <= 0`` on every float, asked as membership:
+        raw <= 0 and the x-box by comparison (``_ScreeningNetwork``)."""
+        net, X = self._screening(X)
+        if X.ndim == 1 or len(X) == 1:
+            return net.feasible_one(X.reshape(-1))
+        return net.feasible(X)
 
 
 def save_checkpoint(clf: ScaledClassifier, path):

@@ -28,9 +28,9 @@ Built on top of that:
     along the row's normal.  The solver decides where each LP starts: a
     row with a kept basis of its own starts from it, whichever wave it
     falls in.
-  * scale_fast / scale_full: the smallest r such that the shrunken set S / r
-    fits inside the region, max_j support_j / b_j, by its closed form or by
-    solving the scaling LP.
+  * scale_fast: the smallest r such that the shrunken set S / r fits
+    inside the region, max_j support_j / b_j, by its closed form.  The
+    tests check it against the scaling LP that has that optimum.
   * r_gradient: envelope derivative of the fast scaling factor with respect
     to the network parameters, used by the scaled training loss.
   * ScalingOracle: repeated exact rescaling of one region during training,
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .icnn import IcnnGrads, IcnnParams, backward
-from .lp import TOL_FEAS, LpProblem, LpStatus, NumericalFailure, SimplexEngine, solve
+from .lp import TOL_FEAS, LpProblem, LpStatus, NumericalFailure, SimplexEngine
 
 R_MIN = 1e-6
 
@@ -486,30 +486,6 @@ def scale_fast(params: IcnnParams, A, b, solver=None) -> ScaleResult:
     return ScaleResult(r=best_ratio, row=best_j, support=best.value,
                        x=best.x, output_dual=best.output_dual,
                        n_lp=solver.n_lp - before)
-
-
-def scale_full(params: IcnnParams, A, b, solver=None) -> ScaleResult:
-    """LP-optimal scaling: min r s.t. support_j <= b_j r, r >= R_MIN.
-
-    The optimum is scale_fast's max_j support_j / b_j; solving the LP in
-    place of the closed form keeps the two routes independent checks of
-    each other.  A passed solver must hold params (ValueError otherwise).
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    solver = _solver_for(params, solver)
-    before = solver.n_lp
-    zeta = np.array([res.value for res in solver.sweep(A)])
-    sol = solve(LpProblem(c=np.array([-1.0]), A=-b[:, None], b=-zeta,
-                          lb=np.array([R_MIN])))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise NumericalFailure(f"scaling LP ended {sol.status}")
-    r = float(sol.x[0])
-    if r <= R_MIN:
-        raise DegenerateRatio(f"scaling ratio {r:.3e} <= {R_MIN}")
-    worst = int(np.argmin(b - zeta / r))
-    return ScaleResult(r=r, row=worst, support=float(zeta[worst]), x=None,
-                       output_dual=0.0, n_lp=solver.n_lp - before + 1)
 
 
 def r_gradient(params: IcnnParams, scale: ScaleResult, b,

@@ -4,8 +4,10 @@ import numpy as np
 
 from nkscreen.grid import DispatchLp, Network, ptdf
 from nkscreen.icnn import IcnnParams, forward
-from nkscreen.lp import LpProblem, SimplexEngine
-from nkscreen.oracle import SublevelSolver, SupportResult
+from nkscreen.lp import (LpProblem, LpStatus, NumericalFailure, SimplexEngine,
+                         solve)
+from nkscreen.oracle import (R_MIN, DegenerateRatio, ScaleResult,
+                             SublevelSolver, SupportResult, _solver_for)
 from nkscreen.region import (ROW_META_DTYPE, TOL_RED, ContingencyRegion,
                              _box_support, _outage_sets)
 
@@ -23,6 +25,30 @@ def enumerate_contingencies(net: Network, k: int):
 def sublevel_max(params: IcnnParams, direction) -> SupportResult:
     """One-shot support of the predicted set along a direction."""
     return SublevelSolver(params).support(direction)
+
+
+def scale_full(params: IcnnParams, A, b, solver=None) -> ScaleResult:
+    """LP-optimal scaling: min r s.t. support_j <= b_j r, r >= R_MIN.
+
+    The optimum is scale_fast's max_j support_j / b_j; solving the LP in
+    place of the closed form keeps the two routes independent checks of
+    each other.  A passed solver must hold params (ValueError otherwise).
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    solver = _solver_for(params, solver)
+    before = solver.n_lp
+    zeta = np.array([res.value for res in solver.sweep(A)])
+    sol = solve(LpProblem(c=np.array([-1.0]), A=-b[:, None], b=-zeta,
+                          lb=np.array([R_MIN])))
+    if sol.status is not LpStatus.OPTIMAL:
+        raise NumericalFailure(f"scaling LP ended {sol.status}")
+    r = float(sol.x[0])
+    if r <= R_MIN:
+        raise DegenerateRatio(f"scaling ratio {r:.3e} <= {R_MIN}")
+    worst = int(np.argmin(b - zeta / r))
+    return ScaleResult(r=r, row=worst, support=float(zeta[worst]), x=None,
+                       output_dual=0.0, n_lp=solver.n_lp - before + 1)
 
 
 def ring3(limits=(5.0, 5.0, 5.0), pmax=(10.0, 10.0, 0.0), cost=(1.0, 2.0, 0.0),

@@ -37,13 +37,13 @@ from nkscreen.icnn import (IcnnParams, box_violation, forward, init_params,
                            load_checkpoint, raw_forward)
 from nkscreen.lp import TOL_FEAS
 from nkscreen.oracle import (DegenerateRatio, SublevelSolver, certify,
-                             r_gradient, scale_fast, scale_full)
+                             r_gradient, scale_fast)
 from nkscreen.region import load_region
 from nkscreen.scopf import solve_scopf_icnn
 from nkscreen.training import (TrainingConfig, classification_rates,
                                scaled_batch_gradient, weighted_bce)
 
-from helpers import sublevel_max
+from helpers import scale_full, sublevel_max
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 PKG = os.path.join(ROOT, "src", "nkscreen")

@@ -23,6 +23,17 @@ def l1_ball_net(radius=1.0, box=10.0):
     ).validate()
 
 
+def face_at_zero_net():
+    """|x1| + |x2| - 10 in the box [-1, 0]^2 at gain 1: inside the box the
+    network admits every point, so the box alone decides."""
+    net = l1_ball_net()
+    net.b[-1] = np.array([-10.0])
+    net.box_lower = np.array([-1.0, -1.0])
+    net.box_upper = np.array([0.0, 0.0])
+    net.box_gain = 1.0
+    return net.validate()
+
+
 class TestForward:
     def test_hand_built_values(self):
         net = l1_ball_net()
@@ -93,6 +104,42 @@ class TestValidate:
         net.b[0] = np.zeros(3)
         with pytest.raises(ValueError):
             net.validate()
+
+    @pytest.mark.parametrize("face", [np.inf, np.nan])
+    def test_rejects_a_box_face_that_is_not_finite(self, face):
+        net = l1_ball_net()
+        net.box_upper = np.array([face, 10.0])
+        with pytest.raises(ValueError, match="finite"):
+            net.validate()
+
+    @pytest.mark.parametrize("gain", [0.5, 0.0, -1.0, np.inf, np.nan])
+    def test_rejects_a_box_gain_below_one_or_not_finite(self, gain):
+        net = l1_ball_net()
+        net.box_gain = gain
+        with pytest.raises(ValueError, match="cannot round to 0"):
+            net.validate()
+
+    def test_gain_below_one_would_admit_a_point_past_a_face(self):
+        # the x box face at 0.0 and a point one subnormal past it: below
+        # gain 1 the box term rounds to 0, and the value admits the point
+        tiny = np.nextafter(0.0, 1.0)
+        assert 0.5 * tiny == 0.0
+        net = face_at_zero_net()
+        net.box_gain = 0.5
+        clf = ScaledClassifier(params=net)
+        past = np.array([tiny, -0.5])
+        assert clf.decision_values(past)[0] <= 0.0
+        assert not clf.predict_feasible(past)[0]
+
+    def test_one_subnormal_past_a_face_at_zero_is_insecure_at_gain_one(self):
+        clf = ScaledClassifier(params=face_at_zero_net())
+        face = np.array([0.0, -0.5])
+        past = np.array([np.nextafter(0.0, 1.0), -0.5])
+        assert clf.predict_feasible(face)[0]
+        assert clf.decision_values(face)[0] <= 0.0
+        for X in (past, past[None], np.vstack([past, face])):
+            assert not clf.predict_feasible(X)[0]
+            assert clf.decision_values(X)[0] > 0.0
 
 
 class TestConvexity:
@@ -386,11 +433,11 @@ def screened_alone(clf, X):
                      for i, x in enumerate(np.atleast_2d(X))])
 
 
-def one_row_reference(clf, x):
-    """The batch pass over x as a (1, n) matrix: the value the one-row
-    path must give to the bit."""
+def reference_values(clf, X):
+    """The batch pass over X, (B, n), as it ran before the ReLU took all of
+    P in one pass: the first layer's ReLU a contiguous copy, the box term
+    max(raw, box_gain * V).  Screening values must keep these bytes."""
     net = _ScreeningNetwork.build(clf)
-    X = x[None]
     w = net.width
     P = X @ net.D
     P += net.b
@@ -528,11 +575,82 @@ class TestScreeningNetwork:
         clf = ScaledClassifier(params=net, r=r, v=np.full(3, shift))
         x = np.array(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = one_row_reference(clf, x)
+            want = reference_values(clf, x[None])
             for point in (x, x[None]):
                 got = clf.decision_values(point)
                 assert got.shape == (1,)
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("rows", [2, 7, 256, 2000])
+    def test_batch_values_keep_the_bytes_of_a_contiguous_first_relu(
+            self, depth, rows):
+        """The batch pass applies the ReLU to all of P and reads the first
+        layer as a strided view; its values keep the bytes of the pass that
+        copied the first layer out, for points inside, outside, at +-inf
+        and NaN."""
+        rng = np.random.default_rng(rows + depth)
+        net = init_params(24, depth=depth, width=50, box_lower=-np.ones(24),
+                          box_upper=np.ones(24), seed=depth)
+        clf = ScaledClassifier(params=net, r=0.148,
+                               v=rng.uniform(-0.1, 0.1, size=24))
+        X = rng.normal(scale=4.0, size=(rows, 24))
+        X[::5, rows % 24] = np.resize([np.inf, -np.inf, np.nan, 1e300],
+                                      len(X[::5]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_values(clf, X)
+            got = clf.decision_values(X)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(depth=st.sampled_from([1, 2]), seed=st.integers(0, 2**16),
+           r=st.floats(0.05, 4.0),
+           v=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+           level=st.floats(-1.0, 1.0), data=st.data())
+    def test_verdict_is_the_sign_of_the_value(self, depth, seed, r, v, level,
+                                              data):
+        """predict_feasible is decision_values <= 0, by membership, for
+        points inside, far outside, at the extreme passing float of a face
+        and one float past it, at +-inf and NaN, as (n,), (1, n) and (B, n)
+        inputs."""
+        net = init_params(3, depth=depth, width=4, box_lower=-np.ones(3),
+                          box_upper=np.ones(3), seed=seed)
+        v = np.array(v)
+        clf = ScaledClassifier(params=net, r=r, v=v)
+        lo, hi = clf.input_box()
+        x_lo, x_hi = (lo - v) / r, (hi - v) / r
+        inner = (x_lo + x_hi) / 2
+        # an output bias that puts the raw boundary near the box's middle
+        net.b[-1] = net.b[-1] - raw_forward(net, r * inner + v) + level
+        clf.params = net
+
+        def coordinate(j):
+            kind = data.draw(st.sampled_from(
+                ["inside", "far", "face", "past", "inf", "nan"]))
+            upper = data.draw(st.booleans())
+            if kind == "inside":
+                return x_lo[j] + data.draw(st.floats(0.0, 1.0)) * (
+                    x_hi[j] - x_lo[j])
+            if kind == "far":
+                return data.draw(st.floats(1e3, 1e308)) * (1 if upper else -1)
+            if kind == "inf":
+                return np.inf if upper else -np.inf
+            if kind == "nan":
+                return np.nan
+            face = hi[j] if upper else lo[j]
+            x = extreme_passing(face, r, v[j], upper, inner[j])
+            return x if kind == "face" else \
+                np.nextafter(x, np.inf if upper else -np.inf)
+
+        rows = data.draw(st.integers(1, 6))
+        X = np.array([[coordinate(j) for j in range(3)] for _ in range(rows)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(clf.predict_feasible(X),
+                                          clf.decision_values(X) <= 0.0)
+            for x in X:
+                for point in (x, x[None]):
+                    assert clf.predict_feasible(point).tolist() == \
+                        (clf.decision_values(point) <= 0.0).tolist()
 
     def test_nonpositive_scale_rejected(self):
         # the faces on x rely on r * x + v rising with x

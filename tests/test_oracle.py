@@ -15,10 +15,9 @@ from nkscreen.lp import (
 from nkscreen.oracle import (
     DegenerateRatio, EmptyPredictedSet, ScalingOracle, SublevelSolver,
     certify, epigraph_constraints, nearest_first, r_gradient, scale_fast,
-    scale_full,
 )
 from nkscreen.lp import NumericalFailure
-from helpers import sublevel_max
+from helpers import scale_full, sublevel_max
 from test_lp import vertex_enumeration_max
 
 
