@@ -366,10 +366,8 @@ class _ScreeningNetwork:
     every input term in one matrix, the box moved onto x.
 
     ``__call__`` and ``one`` give the screening value max(raw, box_gain * V),
-    V the largest excess of a coordinate over its box face.  ``feasible``
-    and ``feasible_one`` give its verdict, value <= 0, as membership: raw <=
-    0 and lower <= x <= upper by comparison, the same on every float for a
-    finite box and box_gain >= 1 (``ScaledClassifier``).  ``raw`` and
+    V the largest excess of a coordinate over its box face; ``feasible`` and
+    ``feasible_one`` give raw <= 0 and lower <= x <= upper.  ``raw`` and
     ``raw_one`` are the network that both share.
     """
 
@@ -454,8 +452,9 @@ class _ScreeningNetwork:
         return np.maximum(out, pen * self.box_gain, out=out)
 
     def feasible(self, X):
-        """raw <= 0 and inside the box, per row of X.  The per-row reduction
-        of the box test runs only when some coordinate of the batch fails."""
+        """raw <= 0 and inside the box, per row of X.  The per-row box
+        reduction, about ten times a count of the mask, runs only when the
+        count finds a coordinate outside, as it does in few batches."""
         ok = self.raw(X) <= 0.0
         inside = X >= self.lower
         inside &= X <= self.upper
@@ -465,7 +464,8 @@ class _ScreeningNetwork:
 
     def feasible_one(self, x):
         """``feasible`` on one point x, (n,), as a (1,) array; a point
-        outside the box skips the network."""
+        outside the box skips the network.  ``count_nonzero`` costs less
+        than ``.all()`` on a short mask."""
         if np.count_nonzero((x >= self.lower) & (x <= self.upper)) < len(x):
             return np.zeros(1, dtype=bool)
         return self.raw_one(x) <= 0.0
@@ -493,12 +493,11 @@ class ScaledClassifier:
     every float.  The network copies the weights: after an in-place edit of
     them, assign ``clf.params = clf.params``.
 
-    ``decision_values`` is the screening value max(raw, box_gain * V).
-    ``predict_feasible`` is its verdict, value <= 0, asked as membership:
-    raw <= 0, and every coordinate of x between its box faces by comparison,
-    with no box term computed.  The two agree on every float because the
-    box is finite and box_gain >= 1 (``IcnnParams.validate``), so that
-    box_gain * V is positive whenever V is; NaN and +-inf are insecure.
+    ``decision_values`` is the screening value max(raw, box_gain * V);
+    ``predict_feasible`` asks its verdict as membership, raw <= 0 and every
+    coordinate of x between its box faces by comparison, which equals
+    value <= 0 on every float for the finite box and box_gain >= 1 that
+    ``IcnnParams.validate`` requires.
 
     One row takes its own path, chosen by the row count:
     ``_ScreeningNetwork.one`` and ``feasible_one`` evaluate it in 1-D arrays
@@ -563,8 +562,8 @@ class ScaledClassifier:
         return net(X)
 
     def predict_feasible(self, X):
-        """``decision_values(X) <= 0`` on every float, asked as membership:
-        raw <= 0 and the x-box by comparison (``_ScreeningNetwork``)."""
+        """Verdicts, one per row of X (a 1-D X is one row): True where the
+        point is secure, ``decision_values(X) <= 0``."""
         net, X = self._screening(X)
         if X.ndim == 1 or len(X) == 1:
             return net.feasible_one(X.reshape(-1))
