@@ -1,8 +1,10 @@
-"""Benchmark trajectory: run perfbench N times per workload and write
-BENCH_<tag>.json for each checkout measured.
+"""Benchmark trajectory: run perfbench N times per workload on each
+checkout and write BENCH_<tag>.json for the last one.
 
     python3 scripts/bench_trajectory.py pr31=. --runs 10 --seed 9000
     python3 scripts/bench_trajectory.py pr30=../parent pr31=. --runs 10 --seed 9000
+
+The second command writes BENCH_pr31.json alone, with pr30's runs inside.
 
 Each TAG=DIR names a checkout.  Its ``perfbench/run.py`` runs from that
 checkout's root, on every workload of its ``BENCHMARK.json`` and for that
@@ -11,12 +13,17 @@ once on every checkout, all with seed SEED + i, so that the runs of one
 round form a pair (or a tuple) on equal inputs.  The checkout that goes
 first rotates from round to round, and so does the workload.
 
-For each checkout, BENCH_<tag>.json goes to the root of this repository.
-It holds, per workload and metric, the median, the quartiles, the IQR and
-N of the result line's metrics (the last line ``run.py`` prints) and of the
-numbers in the detail line's report (the line before it), over the runs
-that report ``"correct": true``.  It also holds every run's seed, verdict,
-artifact sha256s, source hash and RefClock factors, and a machine line.
+BENCH_<tag>.json of the last checkout goes to the root of this
+repository, and no other file: an earlier tag's file, written when that
+checkout was the last one measured, is never rewritten.  For each
+checkout it holds, per workload and metric, the median, the quartiles, the
+IQR and N of the result line's metrics (the last line ``run.py`` prints)
+and of the numbers in the detail line's report (the line before it), over
+the runs that report ``"correct": true``, and every run's seed, verdict,
+artifact sha256s, source hash and RefClock factors: the last checkout's at
+the top level, every other checkout's under ``others``, by tag.  A machine
+line goes with them.
+
 With two checkouts the script also prints, for each workload and
 end-to-end metric, both medians, the first checkout's IQR and the number
 of pairs the second wins, over the pairs whose two runs are correct, and a
@@ -206,14 +213,14 @@ def main(argv=None):
                     "correct" if rec["correct"] else "INCORRECT")
                 print(f"round {i} {workload} seed {seed} {tag}: {verdict}",
                       file=sys.stderr, flush=True)
-    for tag, path in sides:
+
+    def measured(tag):
         good = [r for rs in runs[tag].values() for r in rs if "error" not in r]
-        out = {
+        return {
             "tag": tag,
             "command": "perfbench/run.py --workload W --seed S --seconds "
                        f"{benches[tag]['run_seconds']} --trace 0",
             "seeds": [args.seed, args.seed + args.runs - 1],
-            "machine": machine(),
             "src_hash": sorted({r["src_hash"] for r in good}),
             "artifact_sha256": (good[0]["artifact_sha256"] if good else None),
             "artifact_sha256_stable": all(
@@ -224,9 +231,13 @@ def main(argv=None):
             "workloads": {w: {**aggregate(rs), "per_run": rs}
                           for w, rs in runs[tag].items()},
         }
-        with open(os.path.join(ROOT, f"BENCH_{tag}.json"), "w") as fh:
-            json.dump(out, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+
+    last = sides[-1][0]
+    out = {**measured(last), "machine": machine(),
+           "others": {tag: measured(tag) for tag, _ in sides[:-1]}}
+    with open(os.path.join(ROOT, f"BENCH_{last}.json"), "w") as fh:
+        json.dump(out, fh, indent=1, sort_keys=True)
+        fh.write("\n")
     if len(sides) >= 2:
         compare(benches[sides[0][0]], runs, sides)
     return 0

@@ -681,10 +681,11 @@ def cmd_scopf_bench(args):
         "case": os.path.basename(case_path),
         "limit": args.limit,
     }
-    manifest, run_dir = start_run(
-        "scopf-bench", args.out, config, 0,
-        {"case": case_path, "checkpoint": args.checkpoint,
-         "dataset": args.dataset, "region_full": args.region_full})
+    inputs = {"case": case_path, "checkpoint": args.checkpoint,
+              "dataset": args.dataset, "region_full": args.region_full}
+    if args.region:
+        inputs["region"] = args.region
+    manifest, run_dir = start_run("scopf-bench", args.out, config, 0, inputs)
     if args.reuse and reuse_hit(manifest, run_dir):
         print(f"run directory: {run_dir} (reused)")
         return 0
@@ -693,6 +694,7 @@ def cmd_scopf_bench(args):
     clf = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
     region_full = load_region_file(args.region_full)
+    facets = load_region_file(args.region) if args.region else None
     if ds.d is None:
         raise ValidationError("dataset stores no demand draws; regenerate it "
                               "with gen-data")
@@ -701,7 +703,7 @@ def cmd_scopf_bench(args):
     if args.limit > 0:
         demands = demands[:args.limit]
 
-    records, summary = benchmark_scopf(net, demands, region_full, clf)
+    records, summary = benchmark_scopf(net, demands, region_full, clf, facets)
     summary["manifest"] = manifest.hash
     save_benchmark(records, summary,
                    os.path.join(run_dir, "scopf_instances.csv"),
@@ -723,6 +725,13 @@ def cmd_scopf_bench(args):
           f"icnn {fmt('mean_runtime_icnn', 1e3, '.1f')}ms "
           f"(speedup {fmt('speedup', 1, '.2f')}x; icnn setup "
           f"{summary['icnn_setup_s'] * 1e3:.1f}ms once)")
+    for name, f in summary["formulations"].items():
+        ratio = ("n/a" if f["cost_ratio_mean"] is None
+                 else f"{f['cost_ratio_mean']:.5f}")
+        print(f"{name}: p50 {f['runtime_ms_p50']:.3f}ms, p90 "
+              f"{f['runtime_ms_p90']:.3f}ms, {f['feasible']} feasible, "
+              f"cost ratio {ratio}, step 1 answered "
+              f"{f['step1_share']:.1%}")
     return finish_run(manifest, run_dir,
                       ["scopf_instances.csv", "scopf_summary.json"])
 
@@ -830,6 +839,10 @@ def build_parser():
                    help="full-dimension dispatch region (region_full.npz); "
                         "a region that folds injection dimensions is "
                         "refused")
+    p.add_argument("--region", default="",
+                   help="reduced region (region.npz, the facets with "
+                        "--elimination exact): also dispatch against its "
+                        "rows, box and folded values, side by side")
     p.add_argument("--limit", type=int, default=0,
                    help="cap the number of test demand instances (0 = all)")
     add_run_flags(p)

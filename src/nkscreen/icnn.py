@@ -490,8 +490,10 @@ class ScaledClassifier:
     weights, so the network's value differs from the definition's by
     rounding only.  The box moves onto x, with faces at the extreme floats
     where r * x + v still passes, so its verdict equals the definition's on
-    every float.  The network copies the weights: after an in-place edit of
-    them, assign ``clf.params = clf.params``.
+    every float.  The classifier SC-OPF's dispatcher
+    (``scopf.classifier_dispatcher``) is kept here too, and dropped when
+    params, r, v, mu, sigma or dim_map is assigned.  Both copy the weights:
+    after an in-place edit of them, assign ``clf.params = clf.params``.
 
     ``decision_values`` is the screening value max(raw, box_gain * V);
     ``predict_feasible`` asks its verdict as membership, raw <= 0 and every
@@ -514,11 +516,16 @@ class ScaledClassifier:
     meta: dict = field(default_factory=dict)
     _net: _ScreeningNetwork | None = field(default=None, init=False,
                                            repr=False, compare=False)
+    # (network, scopf.Dispatcher) of ``scopf.classifier_dispatcher``
+    _dispatch: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         if name in ("params", "r", "v"):
             super().__setattr__("_net", None)
+        if name in ("params", "r", "v", "mu", "sigma", "dim_map"):
+            super().__setattr__("_dispatch", None)
 
     def _shift(self):
         return np.zeros(self.params.n_inputs) if self.v is None else self.v
@@ -539,12 +546,17 @@ class ScaledClassifier:
                 np.zeros(n) if self.mu is None else self.mu,
                 np.ones(n) if self.sigma is None else self.sigma)
 
+    def _network(self):
+        """The screening network, built at first use."""
+        if self._net is None:
+            super().__setattr__("_net", _ScreeningNetwork.build(self))
+        return self._net
+
     def _screening(self, X):
         """The screening network and X as a float array, checked."""
         net = self._net
         if net is None:
-            net = _ScreeningNetwork.build(self)
-            super().__setattr__("_net", net)
+            net = self._network()
         X = np.asarray(X, dtype=float)
         n = len(net.lower)
         if X.ndim not in (1, 2) or X.shape[-1] != n:

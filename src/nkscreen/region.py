@@ -255,8 +255,11 @@ def contingency_violation_fractions(region: ContingencyRegion, X_full, counters=
     below b - TOL_RED cannot be violated by any sample (every sample lies
     in that box, and TOL_RED is far above the rounding of a row product),
     so only the other rows enter the product, taken in blocks of samples as
-    in ``margins``.  A dict passed as counters receives the rows evaluated
-    and the rows the screen skipped.
+    in ``margins``.  Each block's violations are few, so they are counted
+    from the nonzero entries of its violation mask, one per violated
+    (sample, contingency) pair; a block with none is skipped.  A dict
+    passed as counters receives the rows evaluated and the rows the screen
+    skipped.
     """
     Xc = region.project(X_full)
     A, b = region.A, region.b
@@ -265,19 +268,17 @@ def contingency_violation_fractions(region: ContingencyRegion, X_full, counters=
     if counters is not None:
         counters.update(filter_rows_evaluated=len(rows),
                         filter_rows_skipped=region.n_rows - len(rows))
-    fracs = np.zeros(len(region.contingencies))
+    n_c = len(region.contingencies)
+    hits = np.zeros(n_c, dtype=np.intp)
     if len(rows):
-        cid = region.row_meta["contingency"][rows]
-        order = np.argsort(cid, kind="stable")
-        rows, cid = rows[order], cid[order]
-        starts = np.flatnonzero(np.r_[True, cid[1:] != cid[:-1]])
+        cid = region.row_meta["contingency"][rows].astype(np.intp)
         A_rows, b_rows = A[rows].T, b[rows]
-        hits = np.zeros(len(starts), dtype=np.intp)
         for start, stop in _point_blocks(len(Xc)):
-            viol = Xc[start:stop] @ A_rows > b_rows
-            hits += np.logical_or.reduceat(viol, starts, axis=1).sum(axis=0)
-        fracs[cid[starts]] = hits / len(Xc)
-    return fracs
+            point, col = np.nonzero(Xc[start:stop] @ A_rows > b_rows)
+            if len(point):
+                pairs = np.unique(point * n_c + cid[col])
+                hits += np.bincount(pairs % n_c, minlength=n_c)
+    return hits / len(Xc)
 
 
 def filter_contingencies(region: ContingencyRegion, X_full, threshold=0.9,

@@ -87,6 +87,45 @@ def test_main_keeps_every_run_in_per_run(bt, tmp_path, monkeypatch, capsys):
     assert "wins 2/2" in capsys.readouterr().out
 
 
+def test_an_earlier_tags_file_is_never_rewritten(bt, tmp_path, monkeypatch,
+                                                  capsys):
+    """Only the last checkout's BENCH file is written; the other
+    checkouts' runs go inside it, under their tags."""
+    sides = []
+    for tag in ("old", "new"):
+        path = tmp_path / tag
+        (path / "perfbench").mkdir(parents=True)
+        (path / "perfbench" / "run.py").write_text("")
+        (path / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "workloads": [{"name": "w"}], **bench()}))
+        sides.append(f"{tag}={path}")
+    earlier = tmp_path / "BENCH_old.json"
+    earlier.write_text('{"tag": "old", "kept": true}\n')
+    before = earlier.stat().st_mtime_ns
+
+    def fake_run(path, workload, seed, seconds):
+        return record(seed, 2.0 if path.endswith("old") else 1.0)
+
+    monkeypatch.setattr(bt, "run_once", fake_run)
+    monkeypatch.setattr(bt, "ROOT", str(tmp_path))
+    assert bt.main(sides + ["--runs", "2", "--seed", "3"]) == 0
+    assert earlier.read_text() == '{"tag": "old", "kept": true}\n'
+    assert earlier.stat().st_mtime_ns == before
+    assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == [
+        "BENCH_new.json", "BENCH_old.json"]
+    new = json.loads((tmp_path / "BENCH_new.json").read_text())
+    assert new["tag"] == "new" and set(new["others"]) == {"old"}
+    old = new["others"]["old"]["workloads"]["w"]
+    assert [r["seed"] for r in old["per_run"]] == [3, 4]
+    assert old["metrics"]["t_ms"]["median"] == 2.0
+    assert new["workloads"]["w"]["metrics"]["t_ms"]["median"] == 1.0
+    # one checkout alone writes its own file, with no others
+    assert bt.main([sides[1], "--runs", "1", "--seed", "3"]) == 0
+    assert json.loads((tmp_path / "BENCH_new.json").read_text())[
+        "others"] == {}
+    assert earlier.read_text() == '{"tag": "old", "kept": true}\n'
+
+
 def metric(better="lower", bound=0.25):
     return {"name": "t_ms", "better": better, "bound": bound}
 

@@ -709,6 +709,36 @@ class TestScopfBench:
         rerun = json.load(open(os.path.join(run, "scopf_summary.json")))
         assert rerun["dcopf_diagnostic"] == summary["dcopf_diagnostic"]
 
+    def test_region_adds_the_facet_formulation(self, work, tmp_path):
+        """--region dispatches against the reduced region too; the full and
+        classifier rows of the CSV are those of a run without it."""
+        def run(extra, out):
+            assert main(["scopf-bench", "--case", work["case"],
+                         "--checkpoint", work["ckpt"],
+                         "--dataset", work["dataset"],
+                         "--region-full",
+                         os.path.join(work["prep"], "region_full.npz"),
+                         "--limit", "6", "--out", str(out)] + extra) == 0
+            (d,) = os.listdir(out)
+            with open(out / d / "scopf_instances.csv") as fh:
+                rows = fh.read().strip().splitlines()
+            return rows, json.load(open(out / d / "scopf_summary.json"))
+
+        plain, summary = run([], tmp_path / "plain")
+        both, with_facets = run(
+            ["--region", os.path.join(work["prep"], "region.npz")],
+            tmp_path / "facets")
+        assert set(summary["formulations"]) == {"icnn"}
+        assert len(both) == 1 + 18
+        assert [r for r in both if ",facets," not in r] == plain
+        facets = with_facets["formulations"]["facets"]
+        assert facets["conservativeness_violations"] == 0
+        assert facets["max_region_violation"] <= 1e-6
+        assert 0.0 <= facets["step1_share"] <= 1.0
+        assert facets["runtime_ms_p50"] <= facets["runtime_ms_p90"]
+        assert with_facets["formulations"]["icnn"]["feasible"] == \
+            summary["feasible_icnn"]
+
     @staticmethod
     def check_dcopf_diagnostic(work, diagnostic):
         """Each instance's plain DC-OPF dispatch, from the fixed start of
@@ -741,7 +771,7 @@ class TestScopfBench:
         from nkscreen import scopf
         from nkscreen.lp import LpStatus
 
-        monkeypatch.setattr(scopf, "solve_scopf_icnn", lambda net, d, clf:
+        monkeypatch.setattr(scopf.Dispatcher, "solve", lambda self, d:
                             scopf.ScopfResult(LpStatus.INFEASIBLE, "icnn"))
         out = tmp_path / "runs"
         code = main(["scopf-bench", "--case", work["case"],

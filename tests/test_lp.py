@@ -1490,15 +1490,11 @@ def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
     clf = _mesh10_classifier(X)
     # the classifier LP's own re-solves, for every demand: solve_scopf_icnn
     # answers most of these demands from the screened DC-OPF dispatch
-    scopf._icnn_lps.clear()
-    lp = scopf._icnn_lp(net, clf)
-    classifier_lp = lp.starts()[1]
+    lp = scopf.Dispatcher(net, clf)
+    classifier_lp = lp.bases
     eng = classifier_lp.engine
     shapes = recorded_inversions(monkeypatch, [eng])
-    try:
-        solved = [classifier_lp.resolve(lp.rhs(d)) for d in demands]
-    finally:
-        scopf._icnn_lps.clear()
+    solved = [classifier_lp.resolve(lp.constraints.rhs(d)) for d in demands]
     assert any(solved) and eng.n_pivots > 0 and len(shapes) > 10
     assert all(shape == (k, k) and k < eng.m for shape, k in shapes)
     assert max(k for _, k in shapes) <= eng.m // 2

@@ -187,14 +187,12 @@ def test_simplex_spans_feed_every_lp_layer(bench):
             # the first draws leaving the nominal basis do in every run
             for d in [*demands, 2.0 * net.demand]:
                 dcopf.solve(d)
-        scopf._icnn_lps.clear()
         clf = ScaledClassifier(params=params, r=scale.r)
         for d in demands[:2]:
             with tracer.span("scopf.solve_scopf_icnn"):
                 scopf.solve_scopf_icnn(net, d, clf)
     finally:
         tracer.unwrap_all()
-        scopf._icnn_lps.clear()
 
     lp_spans = [s for s in tracer.spans if s[0].startswith("lp.")]
     assert lp_spans and all("pivots" in s[4] for s in lp_spans)

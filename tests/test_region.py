@@ -195,6 +195,31 @@ def test_violation_fractions_match_brute_force_on_box_corners(seed):
     assert np.array_equal(contingency_violation_fractions(shuffled, X), got)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_violation_fractions_match_brute_force_on_random_regions(seed):
+    # random rows in random contingency order, several rows of one
+    # contingency broken by one sample (counted once), and a first block of
+    # 256 samples at the origin that breaks no row (skipped)
+    rng = np.random.default_rng(100 + seed)
+    n, n_cont, n_rows = 5, 12, 150
+    A = rng.normal(size=(n_rows, n))
+    b = rng.uniform(0.5, 3.0, size=n_rows)
+    meta = np.zeros(n_rows, dtype=ROW_META_DTYPE)
+    meta["contingency"] = rng.integers(0, n_cont, size=n_rows)
+    meta["line"] = np.arange(n_rows)
+    region = replace(region_from_rows(A, b), row_meta=meta,
+                     contingencies=[(c,) for c in range(n_cont)])
+    X = np.vstack([np.zeros((256, n)), rng.normal(scale=1.5, size=(700, n))])
+    got = contingency_violation_fractions(region, X)
+    want = _brute_force_fractions(region, X)
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(want) > 0
+    cid = meta["contingency"]
+    broken = [(X @ A[cid == c].T > b[cid == c]).sum(axis=1).max()
+              for c in range(n_cont)]
+    assert max(broken) > 1
+
+
 def test_violation_fractions_memory_bounded_by_blocks():
     import tracemalloc
 

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from nkscreen.cli import resolve_case
-from nkscreen.datagen import DemandSampler, sample_demands
+from nkscreen.datagen import DemandSampler, sample_demands, sample_injections
 from nkscreen.grid import DcopfSolver, DispatchLp, load_network
 from nkscreen.icnn import (IcnnParams, ScaledClassifier, forward, init_params,
                            raw_forward)
 from nkscreen.lp import LpProblem, LpStatus, SimplexEngine, solve, solve_highs
 from nkscreen.oracle import scale_fast
-from nkscreen.region import (build_region, drop_constant_dims, standardize,
-                             standardize_points, with_box)
+from nkscreen.region import (build_region, drop_constant_dims,
+                             eliminate_redundant, filter_contingencies,
+                             standardize, standardize_points, with_box)
 from nkscreen.scopf import (
+    Dispatcher,
     benchmark_scopf,
     icnn_dispatch_problem,
     region_inequalities,
@@ -392,11 +394,10 @@ class TestIcnnWarmStart:
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", recorded)
-        scopf._icnn_lps.clear()
         demands = sample_demands(DemandSampler(net.demand, rel_std=0.15,
                                                seed=11), 150)
         results = [solve_scopf_icnn(net, d, clf) for d in demands]
-        classifier_lp = scopf._icnn_lp(net, clf).starts()[1]
+        classifier_lp = scopf.classifier_dispatcher(net, clf).bases
         engine = classifier_lp.engine
         basis = classifier_lp.root.snap.basis
         K = np.sort(basis[basis < engine.n])
@@ -421,10 +422,10 @@ class TestIcnnWarmStart:
             re.fullmatch(r"line \d+|epigraph \d+|box \d+|balance|bound [pz]_\d+",
                          name) for name in named)
         assert all(r.blocking == "" for r in results if r)
-        lp = scopf._icnn_lp(net, clf)
+        lp = scopf.classifier_dispatcher(net, clf).constraints
         n_cols, epi = lp.A.shape[1], lp.A.shape[1] + net.m
         n_epi = len(params.b[0]) + 1
-        assert [lp._blocking(j) for j in (
+        assert [lp.blocking(j) for j in (
             None, 0, net.n, n_cols, n_cols + net.m - 1, epi, epi + n_epi - 1,
             epi + n_epi, n_cols + len(lp.A) - 1)] == [
             "", "bound p_0", "bound z_0", "line 0", f"line {net.m - 1}",
@@ -505,14 +506,19 @@ class TestIcnnWarmStart:
         assert np.count_nonzero(np.isfinite(p.ranges)) == len(net.lines) + boxed
 
     def test_content_change_invalidates_cache(self):
+        # each edit is assigned, which drops the classifier's held
+        # dispatcher; the edited network is a copy, another object
+        from dataclasses import replace
+
         net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
         params = l1_ball_net3(radius=1.2)
         clf = ScaledClassifier(params=params)
         d = net.demand
         base = solve_scopf_icnn(net, d, clf)
         assert abs(base.cost - 1.0) <= 1e-6
-        # loosen the set in place: radius 1.2 -> 1.3 lets p0 reach 0.65
+        # loosen the set: radius 1.2 -> 1.3 lets p0 reach 0.65
         params.b[-1][0] = -1.3
+        clf.params = params
         looser = solve_scopf_icnn(net, d, clf)
         assert looser and abs(looser.cost - 0.95) <= 1e-6
         # a larger scale shrinks the set again: p0 <= 1.3 / 1.05 - 0.6
@@ -523,12 +529,14 @@ class TestIcnnWarmStart:
         assert clf.decision_values(scaled.p - d)[0] <= 1e-7
         # back to the first content: the first answer, bit for bit
         params.b[-1][0] = -1.2
+        clf.params = params
         clf.r = 1.0
         back = solve_scopf_icnn(net, d, clf)
         assert back.p.tobytes() == base.p.tobytes()
-        # an in-place edit of the network: line 0 carries 0.2 at that
-        # dispatch, and a limit of 0.1 moves generation to the dearer bus 1
-        net.f_upper[0] = 0.1
+        # an edited network: line 0 carries 0.2 at that dispatch, and a
+        # limit of 0.1 moves generation to the dearer bus 1
+        net = replace(net, f_upper=np.where(np.arange(net.m) == 0, 0.1,
+                                            net.f_upper))
         tight = solve_scopf_icnn(net, d, clf)
         assert tight and abs(tight.cost - 1.15) <= 1e-6
 
@@ -546,13 +554,12 @@ class TestIcnnWarmStart:
 
 
 def classifier_runs(monkeypatch, net, clf):
-    """The cached classifier SC-OPF of (net, clf), with every re-solve of
-    its classifier LP recorded: the list of right-hand sides it was called
+    """The classifier's held dispatcher for net, with every re-solve of its
+    classifier LP recorded: the list of right-hand sides it was called
     with."""
     from nkscreen import scopf
 
-    scopf._icnn_lps.clear()
-    run = scopf._icnn_lp(net, clf).starts()[1]
+    run = scopf.classifier_dispatcher(net, clf).bases
     calls, resolve = [], run.resolve
     monkeypatch.setattr(run, "resolve",
                         lambda b: calls.append(b.copy()) or resolve(b))
@@ -586,8 +593,8 @@ class TestScreenFirst:
         net, demands = case39_setup[:2]
         clf = self.clf(case39_setup)
         calls = classifier_runs(monkeypatch, net, clf)
-        lp = scopf._icnn_lp(net, clf)
-        engine = lp.starts()[1].engine
+        lp = scopf.classifier_dispatcher(net, clf)
+        engine = lp.bases.engine
         sols, values = screen_values(net, demands[:20], clf)
         admitted = [i for i, v in enumerate(values) if v is not None and v <= 0]
         assert len(admitted) >= 3
@@ -621,7 +628,7 @@ class TestScreenFirst:
                 assert abs(res.cost - cost) <= 1e-9 * abs(cost)
                 assert clf.decision_values(standardize_points(
                     res.p - demands[i], net.n, *clf.transform()))[0] <= 1e-7
-        lp = scopf._icnn_lp(net, clf)
+        lp = scopf.classifier_dispatcher(net, clf).constraints
         assert [b.tobytes() for b in calls] == [lp.rhs(demands[i]).tobytes()
                                                 for i in flagged]
 
@@ -656,9 +663,9 @@ class TestScreenFirst:
         assert abs(res.cost - cold_icnn(net, net.demand, clf)[1]) <= 1e-9
 
     def test_in_place_weight_edit_screens_with_the_new_weights(self):
-        # clf._net, built by decision_values at radius 2, still admits the
-        # DC-OPF dispatch after the edit; the answer must be the one of a
-        # classifier built fresh at radius 1.2
+        # the held dispatcher and clf._net, built at radius 2, admit the
+        # DC-OPF dispatch; after the edit is assigned, the answer must be
+        # the one of a classifier built fresh at radius 1.2
         net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
         params = l1_ball_net3(radius=2.0)
         clf = ScaledClassifier(params=params)
@@ -666,6 +673,7 @@ class TestScreenFirst:
         assert np.allclose(loose.p, [0.8, 0.0, 0.0])
         assert clf.decision_values(loose.p - net.demand)[0] <= 0
         params.b[-1][0] = -1.2
+        clf.params = params
         got = solve_scopf_icnn(net, net.demand, clf)
         fresh = solve_scopf_icnn(net, net.demand,
                                  ScaledClassifier(params=params.copy()))
@@ -680,10 +688,10 @@ class TestScreenFirst:
         demands = list(demands[:16]) + [3.0 * net.demand]
 
         def answers(order):
-            scopf._icnn_lps.clear()
-            lp = scopf._icnn_lp(net, clf)
+            clf.params = clf.params    # a fresh dispatcher
+            lp = scopf.classifier_dispatcher(net, clf)
             out = {i: solve_scopf_icnn(net, demands[i], clf) for i in order}
-            return out, (lp.n_screened, lp.starts()[0].counters())
+            return out, (lp.n_screened, lp.dcopf.counters())
 
         forward_order, counts = answers(range(len(demands)))
         assert 0 < counts[0] < len(demands) - 1
@@ -739,9 +747,8 @@ class TestScreenFirst:
         net, demands = case39_setup[:2]
         clf = self.clf(case39_setup)
         demands = list(demands) + [3.0 * net.demand]
-        scopf._icnn_lps.clear()
-        lp = scopf._icnn_lp(net, clf)
-        dcopf, classifier = lp.starts()
+        lp = scopf.classifier_dispatcher(net, clf)
+        dcopf, classifier = lp.dcopf, lp.bases
         roots = (dcopf.bases.root, classifier.root)
         assert None not in roots
         want = fixed_start_dcopf(net, demands)
@@ -837,80 +844,299 @@ class TestDcopfNeighbours:
         assert step.bases.counters()["answers_by_hops"][1] == 1
 
 
-def _edit_array(get):
+# the classifier fields whose assignment drops the held dispatcher
+_ASSIGNED = ("params", "r", "v", "mu", "sigma", "dim_map")
+
+
+def _pair(case39_setup):
+    import copy
+
+    net, _, params, mu, sigma, keep = case39_setup
+    clf = ScaledClassifier(params=params.copy(), r=1.0,
+                           v=np.zeros(len(keep)), mu=mu.copy(),
+                           sigma=sigma.copy(), dim_map=keep.copy())
+    return copy.deepcopy(net), clf
+
+
+def _copy_of(clf):
+    return ScaledClassifier(params=clf.params.copy(), r=clf.r,
+                            v=clf.v.copy(), mu=clf.mu.copy(),
+                            sigma=clf.sigma.copy(), dim_map=clf.dim_map.copy())
+
+
+class TestHeldDispatcher:
+    """The classifier's dispatcher is held on the classifier for one
+    network object: assigning a field rebuilds it, another network object
+    rebuilds it, and the same objects reuse it."""
+
+    @pytest.mark.parametrize("name", _ASSIGNED)
+    def test_assignment_rebuilds_the_dispatcher(self, case39_setup, name):
+        from nkscreen import scopf
+
+        net, clf = _pair(case39_setup)
+        held = scopf.classifier_dispatcher(net, clf)
+        assert scopf.classifier_dispatcher(net, clf) is held
+        setattr(clf, name, getattr(clf, name))
+        assert clf._dispatch is None
+        again = scopf.classifier_dispatcher(net, clf)
+        assert again is not held
+        assert scopf.classifier_dispatcher(net, clf) is again
+
+    def test_another_network_object_rebuilds_it(self, case39_setup):
+        import copy
+
+        from nkscreen import scopf
+
+        net, clf = _pair(case39_setup)
+        held = scopf.classifier_dispatcher(net, clf)
+        other = copy.deepcopy(net)
+        assert scopf.classifier_dispatcher(other, clf) is not held
+        assert scopf.classifier_dispatcher(net, clf) is not held
+
+    def test_same_objects_reuse_it(self, case39_setup):
+        from nkscreen import scopf
+
+        net, clf = _pair(case39_setup)
+        held = scopf.classifier_dispatcher(net, clf)
+        for d in case39_setup[1][:4]:
+            solve_scopf_icnn(net, d, clf)
+            icnn_dispatch_problem(net, d, clf)
+            clf.decision_values(np.zeros(len(clf.mu)))
+        assert scopf.classifier_dispatcher(net, clf) is held
+        # other fields, and in-place edits, keep it
+        clf.meta = {"note": 1}
+        clf.params.b[-1][0] += 1.0
+        assert scopf.classifier_dispatcher(net, clf) is held
+
+
+def _edit_array(field, get):
+    """Edit one entry of an array of the classifier, in place, and assign
+    the classifier field that holds it."""
     def edit(net, clf):
-        a = get(net, clf)
+        a = get(clf)
         a.flat[0] += 1 if a.dtype.kind == "i" else 0.125
+        setattr(clf, field, getattr(clf, field))
+        return net
     return edit
 
 
-# every item the classifier LP's cache key covers, each edited once
+def _edit_network(name):
+    """Edit one entry of a network array in a copy of the network."""
+    from dataclasses import replace
+
+    def edit(net, clf):
+        if name == "slack":
+            return replace(net, slack=net.slack + 1)
+        a = getattr(net, name).copy()
+        # pmin at a generator with room above it
+        at = np.argmax(net.pmax - net.pmin) if name == "pmin" else 0
+        a.flat[at] += 1 if a.dtype.kind == "i" else 0.125
+        return replace(net, **{name: a})
+    return edit
+
+
+# every item the classifier LP is built from, each edited once
 _KEYED_EDITS = {
-    "W0": _edit_array(lambda net, clf: clf.params.W[0]),
-    "D0": _edit_array(lambda net, clf: clf.params.D[0]),
-    "D1": _edit_array(lambda net, clf: clf.params.D[1]),
-    "b0": _edit_array(lambda net, clf: clf.params.b[0]),
-    "b1": _edit_array(lambda net, clf: clf.params.b[1]),
-    "box_lower": _edit_array(lambda net, clf: clf.params.box_lower),
-    "box_upper": _edit_array(lambda net, clf: clf.params.box_upper),
-    "r": lambda net, clf: setattr(clf, "r", clf.r * 1.25),
-    "v": _edit_array(lambda net, clf: clf.v),
-    "mu": _edit_array(lambda net, clf: clf.mu),
-    "sigma": _edit_array(lambda net, clf: clf.sigma),
-    "dim_map": _edit_array(lambda net, clf: clf.dim_map),
-    "slack": lambda net, clf: setattr(net, "slack", net.slack + 1),
-    **{name: _edit_array(lambda net, clf, name=name: getattr(net, name))
+    "W0": _edit_array("params", lambda clf: clf.params.W[0]),
+    "D0": _edit_array("params", lambda clf: clf.params.D[0]),
+    "D1": _edit_array("params", lambda clf: clf.params.D[1]),
+    "b0": _edit_array("params", lambda clf: clf.params.b[0]),
+    "b1": _edit_array("params", lambda clf: clf.params.b[1]),
+    "box_lower": _edit_array("params", lambda clf: clf.params.box_lower),
+    "box_upper": _edit_array("params", lambda clf: clf.params.box_upper),
+    "r": lambda net, clf: setattr(clf, "r", clf.r * 1.25) or net,
+    "v": _edit_array("v", lambda clf: clf.v),
+    "mu": _edit_array("mu", lambda clf: clf.mu),
+    "sigma": _edit_array("sigma", lambda clf: clf.sigma),
+    "dim_map": _edit_array("dim_map", lambda clf: clf.dim_map),
+    **{name: _edit_network(name)
        for name in ("lines", "susceptance", "f_lower", "f_upper", "pmin",
-                    "pmax", "cost", "demand")},
+                    "pmax", "cost", "demand", "slack")},
 }
+_LP_ARRAYS = ("A", "b0", "ranges", "lb", "ub", "c")
 
 
 class TestClassifierLpCache:
-    """The classifier LP is cached under its inputs' content: any edit
-    rebuilds it, and equal values in another memory layout do not."""
-
-    def pair(self, case39_setup):
-        import copy
-
-        net, _, params, mu, sigma, keep = case39_setup
-        clf = ScaledClassifier(params=params.copy(), r=1.0,
-                               v=np.zeros(len(keep)), mu=mu.copy(),
-                               sigma=sigma.copy(), dim_map=keep.copy())
-        return copy.deepcopy(net), clf
+    """An edit of any item the classifier LP is built from reaches it once
+    the edit is assigned (a classifier field) or passed as another network
+    object; equal values in another memory layout give the same LP."""
 
     @pytest.mark.parametrize("item", sorted(_KEYED_EDITS))
     def test_in_place_edit_rebuilds_the_lp(self, case39_setup, item):
+        import copy
+
         from nkscreen import scopf
 
-        net, clf = self.pair(case39_setup)
-        scopf._icnn_lps.clear()
-        lp = scopf._icnn_lp(net, clf)
-        assert scopf._icnn_lp(net, clf) is lp
-        _KEYED_EDITS[item](net, clf)
-        assert scopf._icnn_lp(net, clf) is not lp
+        net, clf = _pair(case39_setup)
+        lp = scopf.classifier_dispatcher(net, clf)
+        net = _KEYED_EDITS[item](net, clf)
+        rebuilt = scopf.classifier_dispatcher(net, clf)
+        assert rebuilt is not lp
+        # the rebuilt dispatcher is the one built from copies of the edited
+        # objects, and it describes the edit
+        fresh = scopf.Dispatcher(copy.deepcopy(net), _copy_of(clf))
+        for a in _LP_ARRAYS:
+            assert np.array_equal(getattr(rebuilt.constraints, a),
+                                  getattr(fresh.constraints, a))
+        if hasattr(net, item):
+            assert np.array_equal(getattr(rebuilt.constraints.net, item),
+                                  getattr(net, item))
+            assert not np.array_equal(getattr(lp.constraints.net, item),
+                                      getattr(net, item))
+        else:
+            assert any(not np.array_equal(getattr(rebuilt.constraints, a),
+                                          getattr(lp.constraints, a))
+                       for a in _LP_ARRAYS)
 
     def test_non_contiguous_equal_values_keep_the_lp(self, case39_setup):
+        from dataclasses import replace
+
         from nkscreen import scopf
 
-        net, clf = self.pair(case39_setup)
+        net, clf = _pair(case39_setup)
         demands = case39_setup[1][:8]
-        scopf._icnn_lps.clear()
-        lp = scopf._icnn_lp(net, clf)
+        lp = scopf.classifier_dispatcher(net, clf).constraints
         want = [solve_scopf_icnn(net, d, clf) for d in demands]
-        net.f_upper = np.repeat(net.f_upper, 2)[::2]
+        net = replace(net, f_upper=np.repeat(net.f_upper, 2)[::2])
         clf.mu = np.repeat(clf.mu, 3)[::3]
         clf.params.D[0] = np.asfortranarray(clf.params.D[0])
+        clf.params = clf.params
         assert not (net.f_upper.flags.c_contiguous
                     or clf.mu.flags.c_contiguous
                     or clf.params.D[0].flags.c_contiguous)
         got = [solve_scopf_icnn(net, d, clf) for d in demands]
-        assert scopf._icnn_lp(net, clf) is lp
+        again = scopf.classifier_dispatcher(net, clf).constraints
+        for a in _LP_ARRAYS:
+            assert getattr(again, a).tobytes() == getattr(lp, a).tobytes()
         for a, b in zip(want, got):
             assert (a.status, a.cost, a.blocking) == (b.status, b.cost,
                                                       b.blocking)
             assert (a.p is None) == (b.p is None)
             if a.p is not None:
                 assert a.p.tobytes() == b.p.tobytes()
+
+
+def folded_ring3():
+    """ring3 with a region that folds bus 1's injection at 0.3.
+
+    The full k = 1 region, folded at three hand-picked injections that all
+    hold x_1 = 0.3, with their box.  The DC-OPF leaves the dearer bus 1
+    idle, so x_1 = -d_1 there, never 0.3: every answer comes from the facet
+    LP, which must hold p_1 - d_1 at 0.3.
+    """
+    net = ring3(limits=(2.0, 2.0, 2.0), demand=(0.0, 0.2, 0.6))
+    full = build_region(net, k=1)
+    X = np.array([[0.5, 0.3, -0.8], [-0.2, 0.3, -0.1], [0.0, 0.3, -0.3]])
+    folded = with_box(drop_constant_dims(full, X), X)
+    assert list(folded.dim_map) == [0, 2]
+    return net, full, folded
+
+
+class TestFacetDispatcher:
+    """The facet set: the reduced region's rows, its box and its folded
+    columns pinned, through the same two steps as the classifier."""
+
+    def test_folded_column_stays_at_its_value(self):
+        net, full, folded = folded_ring3()
+        dispatcher = Dispatcher(net, folded)
+        res = dispatcher.solve(net.demand)
+        assert res.formulation == "facets"
+        # p_1 = d_1 + 0.3; the cheap bus covers the rest of the 0.8
+        assert res and np.allclose(res.p, [0.3, 0.5, 0.0], atol=1e-9)
+        demands = sample_demands(DemandSampler(net.demand, rel_std=0.2,
+                                               seed=4), 40)
+        feasible = 0
+        for d in demands:
+            res = dispatcher.solve(d)
+            ref = solve_highs(dispatcher.constraints.problem(d))
+            assert res.status is ref.status
+            if res:
+                feasible += 1
+                assert abs(res.p[1] - d[1] - 0.3) <= 1e-9
+                assert full.margins(res.p - d)[0] <= 1e-9
+        assert feasible > 30 and dispatcher.n_screened == 0
+
+    def test_rows_and_their_names(self):
+        net, _, folded = folded_ring3()
+        lp = Dispatcher(net, folded).constraints
+        n_facets = folded.n_rows
+        assert lp.A.shape == (net.m + n_facets + 2 + 1 + 1, net.n)
+        pin = lp.A[net.m + n_facets + 2]
+        assert np.array_equal(pin, [0.0, 1.0, 0.0])
+        assert lp.b0[net.m + n_facets + 2] == 0.3
+        assert lp.ranges[net.m + n_facets + 2] == 0.0
+        assert np.all(np.isfinite(lp.ranges[net.m + n_facets:-1]))
+        n_cols = net.n
+        first = n_cols + net.m
+        assert [lp.blocking(j) for j in (
+            None, 1, n_cols, first, first + n_facets - 1, first + n_facets,
+            first + n_facets + 1, first + n_facets + 2,
+            first + n_facets + 3)] == [
+            "", "bound p_1", "line 0", "facet 0", f"facet {n_facets - 1}",
+            "box 0", "box 1", "fold 1", "balance"]
+
+    def test_region_must_fit_the_network_and_have_a_box(self):
+        net, full, folded = folded_ring3()
+        with pytest.raises(ValueError, match="box"):
+            Dispatcher(net, full)
+        with pytest.raises(ValueError, match="injection dimensions"):
+            Dispatcher(load_network(resolve_case("case39")), folded)
+        with pytest.raises(TypeError):
+            Dispatcher(net, full.A)
+
+
+@pytest.fixture(scope="module")
+def case39_facets():
+    """case39's k = 2 region as ``prepare-region --elimination exact``
+    builds it, from 2,000 seeded DC-OPF injections: the filtered full
+    region and the facets of its reduced, boxed, standardized form."""
+    net = load_network(resolve_case("case39"))
+    X = sample_injections(net, DemandSampler(net.demand, rel_std=0.15,
+                                             seed=0), 2000)
+    full = filter_contingencies(build_region(net, k=2), X, threshold=0.9)
+    facets = eliminate_redundant(with_box(drop_constant_dims(full, X), X))
+    Xr = facets.project(X)
+    return net, full, standardize(facets, Xr.mean(axis=0), Xr.std(axis=0))
+
+
+class TestFacetDispatcherCase39:
+    def test_folds_and_rows(self, case39_facets):
+        net, _, facets = case39_facets
+        lp = Dispatcher(net, facets).constraints
+        folded = np.setdiff1d(np.arange(net.n), facets.dim_map)
+        assert len(folded) > 0
+        assert len(lp.A) == (net.m + facets.n_rows + facets.dim
+                             + len(folded) + 1)
+        pins = lp.A[-1 - len(folded):-1]
+        assert np.array_equal(pins, np.eye(net.n)[folded])
+        assert np.all(lp.ranges[-1 - len(folded):-1] == 0.0)
+        assert np.array_equal(lp.b0[-1 - len(folded):-1],
+                              facets.dropped_values[folded])
+
+    @pytest.mark.parametrize("scale", [1.0, 1.04])
+    def test_answers_equal_highs_and_lie_inside_region_full(
+            self, case39_facets, scale):
+        net, full, facets = case39_facets
+        dispatcher = Dispatcher(net, facets)
+        demands = sample_demands(DemandSampler(net.demand * scale,
+                                               rel_std=0.15, seed=23), 300)
+        folded = np.setdiff1d(np.arange(net.n), facets.dim_map)
+        solved = []
+        for d in demands:
+            res = dispatcher.solve(d)
+            ref = solve_highs(dispatcher.constraints.problem(d))
+            assert res.status is ref.status
+            if res:
+                cost = float(net.cost @ ref.x[:net.n])
+                assert abs(res.cost - cost) <= 1e-9 * abs(cost)
+                solved.append(res.p - d)
+        X = np.array(solved)
+        assert len(X) > 250
+        assert full.margins(full.project(X)).max() <= 1e-6
+        assert np.abs(X[:, folded] - facets.dropped_values[folded]).max() \
+            <= 1e-6
+        # both steps answered some demands
+        assert 0 < dispatcher.n_screened < len(demands)
 
 
 class TestBenchmark:
