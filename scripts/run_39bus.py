@@ -128,6 +128,7 @@ def run():
                         ["scopf-bench", "--case", args.case,
                          "--checkpoint", ckpt, "--dataset", dataset,
                          "--region-full", region_full,
+                         "--region", region,
                          "--limit", str(args.scopf_limit)], args.out)
                     entry["scopf"] = json.load(open(os.path.join(
                         bench_dir, "scopf_summary.json")))

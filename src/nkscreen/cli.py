@@ -709,29 +709,23 @@ def cmd_scopf_bench(args):
                    os.path.join(run_dir, "scopf_instances.csv"),
                    os.path.join(run_dir, "scopf_summary.json"))
 
-    print(f"solved {summary['instances']} instances: "
-          f"{summary['feasible_full']} feasible (full), "
-          f"{summary['feasible_icnn']} feasible (icnn)")
-
-    def fmt(key, scale, spec):
+    def fmt(v, spec):
         # the comparisons are None when no instance is feasible under both
-        v = summary[key]
-        return "n/a" if v is None else format(v * scale, spec)
+        return "n/a" if v is None else format(v, spec)
 
-    print(f"mean excess cost {fmt('mean_excess_cost', 100, '.3f')}%, "
-          f"extra infeasible {fmt('extra_infeasible_fraction', 100, '.2f')}%, "
-          f"conservativeness violations {summary['conservativeness_violations']}")
-    print(f"runtime: full {fmt('mean_runtime_full', 1e3, '.1f')}ms, "
-          f"icnn {fmt('mean_runtime_icnn', 1e3, '.1f')}ms "
-          f"(speedup {fmt('speedup', 1, '.2f')}x; icnn setup "
-          f"{summary['icnn_setup_s'] * 1e3:.1f}ms once)")
+    n, full = summary["instances"], summary["full"]
+    print(f"solved {n} instances; full: {full['feasible']} feasible, "
+          f"mean {full['runtime_ms_mean']:.1f}ms")
     for name, f in summary["formulations"].items():
-        ratio = ("n/a" if f["cost_ratio_mean"] is None
-                 else f"{f['cost_ratio_mean']:.5f}")
-        print(f"{name}: p50 {f['runtime_ms_p50']:.3f}ms, p90 "
-              f"{f['runtime_ms_p90']:.3f}ms, {f['feasible']} feasible, "
-              f"cost ratio {ratio}, step 1 answered "
-              f"{f['step1_share']:.1%}")
+        print(f"{name}: {f['feasible']} feasible (share "
+              f"{fmt(f['feasible_share'], '.2%')}), cost ratio mean "
+              f"{fmt(f['cost_ratio_mean'], '.5f')} max "
+              f"{fmt(f['cost_ratio_max'], '.5f')}, conservativeness "
+              f"violations {f['conservativeness_violations']}; p50 "
+              f"{f['runtime_ms_p50']:.3f}ms, p90 {f['runtime_ms_p90']:.3f}ms, "
+              f"mean {fmt(f['runtime_ms_mean'], '.3f')}ms (speedup "
+              f"{fmt(f['speedup'], '.1f')}x; setup {f['setup_s'] * 1e3:.1f}ms "
+              f"once); step 1 answered {f['step1_answers']}/{n}")
     return finish_run(manifest, run_dir,
                       ["scopf_instances.csv", "scopf_summary.json"])
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -253,21 +252,15 @@ def ptdf(net: Network, outages=()) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class DcopfResult:
-    """A DC-OPF answer; ``flows`` are computed on first read, as
-    ``H @ (p - d)`` from the injection stored at the solve."""
+    """A DC-OPF answer, with the injection p - d of the solved demand."""
 
     status: LpStatus
     p: np.ndarray | None = None
     cost: float | None = None
     injection: np.ndarray | None = field(default=None, repr=False)
-    H: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.status is LpStatus.OPTIMAL
-
-    @cached_property
-    def flows(self):
-        return None if self.injection is None else self.H @ self.injection
 
 
 class DispatchLp:
@@ -361,7 +354,7 @@ class DcopfSolver(DispatchLp):
                 return DcopfResult(sol.status)
             p = sol.x
         return DcopfResult(LpStatus.OPTIMAL, p=p, cost=float(self.net.cost @ p),
-                           injection=p - demand, H=self.H)
+                           injection=p - demand)
 
     def counters(self):
         return {"draws": self.n_draws, **self.bases.counters(),

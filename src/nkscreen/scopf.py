@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import copy
 import csv
-import json
 import time
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json
 from .datagen import label_injections
 from .grid import DcopfSolver, DispatchLp, Network
 from .icnn import ScaledClassifier
@@ -256,7 +256,7 @@ class _FacetRows(_SecurityRows):
         xk = x[kept]
         return float(max((G @ x - h).max(), (lo - xk).max(),
                          (xk - hi).max(), np.abs(x[folded] - values).max(
-                             initial=0.0)))
+                             initial=-np.inf)))
 
 
 class Dispatcher:
@@ -273,18 +273,19 @@ class Dispatcher:
     ``solve(demand)`` takes up to three steps.  The DC-OPF step answers by
     one product and one bound scan per basis of a walk of memoized dual
     simplex pivots from its nominal optimal basis, or else by the engine's
-    re-solve from it.  When that dispatch is optimal and the set's check
-    admits its injection p - d (``check``), it is the answer: the set's LP
-    lies inside the DC-OPF's, so a DC-OPF optimum inside the set is its
-    optimum, and the step is exact.  Otherwise (the check fails, the
+    re-solve from it (``dcopf_step``).  When that dispatch is optimal and
+    the set's check admits its injection p - d (``value`` at most 0), it
+    is the answer: the set's LP lies inside the DC-OPF's, so a DC-OPF
+    optimum inside the set is its optimum, and the step is exact.  Otherwise (the check fails, the
     DC-OPF is not optimal, or its re-solve raises ``NumericalFailure``)
     the set's LP is re-solved from its nominal basis
     (``lp.OptimalBases.resolve``); an infeasible verdict of its dual
     simplex names the constraint it could not repair
     (``ScopfResult.blocking``).  Both steps start from fixed bases, so the
     answer for a demand does not depend on which demands came before.
-    ``n_screened`` counts the demands the first step answered, and the
-    result's runtime covers the steps taken.
+    Every solve that the first step does not answer re-solves the set's LP
+    once, so ``bases.n_resolves`` counts those, and the result's runtime
+    covers the steps taken.
     """
 
     def __init__(self, net: Network, constraints):
@@ -300,28 +301,22 @@ class Dispatcher:
         self.dcopf = DcopfSolver(net)
         self.bases = OptimalBases(SimplexEngine(
             self.constraints.problem(net.demand)))
-        self.n_screened = 0
 
-    def check(self, demand):
-        """The first step of ``solve``: the DC-OPF dispatch at the demand
-        (a ``grid.DcopfResult``) and the set's ``value`` at its injection,
-        None when the DC-OPF is not optimal; (None, None) when its
-        re-solve raises ``NumericalFailure``."""
+    def dcopf_step(self, demand):
+        """The DC-OPF dispatch at the demand that ``solve`` checks first (a
+        ``grid.DcopfResult``); None when its re-solve raises
+        ``NumericalFailure``."""
         try:
-            res = self.dcopf.solve(demand)
+            return self.dcopf.solve(demand)
         except NumericalFailure:
-            return None, None
-        if not res:
-            return res, None
-        return res, self.constraints.value(res.injection)
+            return None
 
     def solve(self, demand) -> ScopfResult:
         demand = np.asarray(demand, dtype=float)
         rows = self.constraints
         t0 = time.perf_counter()
-        res, value = self.check(demand)
-        if value is not None and value <= 0.0:
-            self.n_screened += 1
+        res = self.dcopf_step(demand)
+        if res and rows.value(res.injection) <= 0.0:
             return ScopfResult(LpStatus.OPTIMAL, rows.formulation, p=res.p,
                                cost=res.cost,
                                runtime=time.perf_counter() - t0)
@@ -380,7 +375,7 @@ def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier) -> ScopfResult
     balance or generator bound the dual simplex could not repair.  The
     one-off build and nominal solves happen at the first call for a
     network object and are not part of the runtime (``benchmark_scopf``
-    reports them as ``icnn_setup_s``).
+    reports them as the formulation's ``setup_s``).
     """
     return classifier_dispatcher(net, clf).solve(demand)
 
@@ -396,24 +391,12 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
     solves, and each formulation then solves every instance in turn.
     Returns (records, summary).  records holds one row per instance and
     formulation (for the CSV report: full, icnn, then facets), with no time
-    in it, so the CSV depends only on the inputs; summary aggregates cost
-    premium, infeasibility shares, soundness of the classifier dispatches
-    against the region, and runtimes; ``icnn_screened`` counts the
-    instances the classifier SC-OPF answered with the screened DC-OPF
-    dispatch, and its ``dcopf_diagnostic`` gives, per instance, that
-    DC-OPF dispatch's label against the region and the classifier's
-    decision value there (``_dcopf_diagnostic``), with no time in it.
-    Runtime means cover only instances solved by both formulations, so
-    neither side is charged for the other's infeasible cases.  A
-    dispatcher's one-off build and nominal solves are its setup
-    (icnn_setup_s for the classifier); each dispatcher runtime is a warm
-    DC-OPF step and its check, plus a warm step on the set's LP when the
-    check fails; ``icnn_tables`` counts the classifier dispatcher's DC-OPF
-    step's answers at each hop depth of its tree of bases (0: the nominal
-    basis), the nodes it derived and its engine re-solves, and the
-    classifier step's re-solves.  ``formulations`` reports each dispatcher
-    side by side (``_formulation_summary``).  The region must have full
-    dimension: ``solve_scopf_full`` refuses a folded one (ValueError).
+    in it, so the CSV depends only on the inputs.  summary holds the
+    instances, the full formulation's feasible count and mean runtime over
+    every instance (``full``), one ``_formulation_summary`` per dispatcher
+    (``formulations``: ``icnn``, then ``facets``) and the
+    ``_dcopf_diagnostic``.  The region must have full dimension:
+    ``solve_scopf_full`` refuses a folded one (ValueError).
     """
     demands = np.atleast_2d(np.asarray(demands, dtype=float))
     sets = {"icnn": clf} if facets is None else {"icnn": clf, "facets": facets}
@@ -422,9 +405,8 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
         t0 = time.perf_counter()
         dispatchers[name] = Dispatcher(net, constraints)
         setup[name] = time.perf_counter() - t0
-    classifier = dispatchers["icnn"]
-    engine = classifier.bases.engine
-    work = engine.counters()
+    work = {name: dispatcher.bases.engine.counters()
+            for name, dispatcher in dispatchers.items()}
     # one formulation over every demand at a time: timed right after a
     # monolithic solve, which evicts the caches, the classifier's p50 read
     # 0.14 ms on case39 against 0.03 ms in turn
@@ -438,131 +420,103 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
                 "blocking": res.blocking}
                for i, row in enumerate(zip(fulls, *answers.values()))
                for res in row]
-
-    tables = {"dcopf": classifier.dcopf.bases.counters(),
-              "classifier": {"resolves": classifier.bases.n_resolves}}
-    icnns = answers["icnn"]
-    n = len(demands)
-    both = [i for i in range(n) if fulls[i] and icnns[i]]
-    n_full = sum(1 for r in fulls if r)
-    n_icnn = sum(1 for r in icnns if r)
-    nonconservative = sum(1 for i in range(n) if icnns[i] and not fulls[i])
-
-    excess = [(icnns[i].cost - fulls[i].cost) / max(abs(fulls[i].cost), 1e-12)
-              for i in both]
-    diagnostic = _dcopf_diagnostic(classifier, demands, region)
-    rt_full = [fulls[i].runtime for i in both]
-    rt_icnn = [icnns[i].runtime for i in both]
     formulations = {
-        name: _formulation_summary(dispatchers[name], answers[name], fulls,
-                                   demands, region, setup[name])
-        for name in dispatchers}
+        name: _formulation_summary(dispatcher, answers[name], fulls, demands,
+                                   region, setup[name], work[name])
+        for name, dispatcher in dispatchers.items()}
     summary = {
-        "instances": n,
-        "feasible_full": n_full,
-        "feasible_icnn": n_icnn,
-        "extra_infeasible_fraction":
-            (n_full - len(both)) / n_full if n_full else None,
-        "conservativeness_violations": nonconservative,
-        "max_region_violation": formulations["icnn"]["max_region_violation"],
-        "mean_excess_cost": float(np.mean(excess)) if both else None,
-        "max_excess_cost": float(np.max(excess)) if both else None,
-        "mean_runtime_full": float(np.mean(rt_full)) if both else None,
-        "mean_runtime_icnn": float(np.mean(rt_icnn)) if both else None,
-        "speedup": (float(np.mean(rt_full) / np.mean(rt_icnn))
-                    if both and np.mean(rt_icnn) > 0 else None),
-        "icnn_setup_s": setup["icnn"],
-        "icnn_screened": classifier.n_screened,
-        # the classifier LP's shape, and its engine's work over the loop:
-        # the re-solves of the demands the screen did not answer
-        "icnn_lp": {"rows": engine.m,
-                    "ranged_rows":
-                        int(np.isfinite(classifier.constraints.ranges).sum()),
-                    **{k: v - work[k] for k, v in engine.counters().items()}},
-        # the DC-OPF step's answers by hop depth from its nominal basis,
-        # the nodes it derived and its engine re-solves; the classifier
-        # step's re-solves
-        "icnn_tables": tables,
+        "instances": len(demands),
+        "full": {"feasible": sum(1 for r in fulls if r),
+                 "runtime_ms_mean":
+                     float(np.mean([r.runtime for r in fulls])) * 1e3},
         "formulations": formulations,
-        "dcopf_diagnostic": diagnostic,
-        "runtime_note": "runtime means cover instances feasible under both "
-                        "formulations only; an icnn runtime is the DC-OPF "
-                        "re-solve from its nominal basis plus the "
-                        "classifier screen of its dispatch, plus the "
-                        "classifier LP's re-solve from its nominal basis "
-                        "when the screen flags the dispatch (icnn_screened "
-                        "counts the instances the screen answered); a "
-                        "DC-OPF re-solve that ends at the nominal basis or "
-                        "at a basis memoized dual simplex pivots from it "
-                        "runs no engine work (icnn_tables.dcopf: "
-                        "answers_by_hops, by pivots from the nominal basis, "
-                        "and resolves sum to the instances), and icnn_lp's "
-                        "engine counters cover the classifier step's "
-                        "re-solves; the one-off LP builds and nominal "
-                        "solves are icnn_setup_s; formulations gives each "
-                        "dispatcher's runtime percentiles over every "
-                        "instance, and its feasible share and cost ratio "
-                        "against the full formulation",
+        # after the summaries: it walks the first dispatcher's DC-OPF tree
+        "dcopf_diagnostic": _dcopf_diagnostic(dispatchers, demands, region),
     }
     return records, summary
 
 
 def _formulation_summary(dispatcher: Dispatcher, results, fulls, demands,
-                         region: ContingencyRegion, setup_s):
-    """One dispatcher over the instances, against the full formulation's
-    answers fulls: its setup, the p50 and p90 of its runtimes over every
-    instance, its feasible answers, the share of the full formulation's
-    feasible instances it solves too, the mean and largest ratio of its
-    cost to the full optimum on those, the share of instances its first
-    step answered, its feasible answers where the full formulation has
-    none, and its dispatches' largest violation of region (0 when none
-    passes a row; every feasible dispatch, in one batch as the labels
-    are)."""
+                         region: ContingencyRegion, setup_s, work):
+    """One dispatcher's answers results over the instances, against the
+    full formulation's answers fulls.
+
+    Its setup; its runtime p50 and p90 over every instance, and its mean
+    runtime and ``speedup`` (the full formulation's mean over its own)
+    over the instances feasible under both, so neither side is charged for
+    the other's infeasible ones; its feasible answers, the share of the
+    full formulation's feasible instances it solves too, and its cost over
+    the full optimum on those; the instances its first step answered; its
+    feasible answers where the full formulation has none, and its
+    dispatches' largest violation of region (0 when none passes a row).
+    ``lp``: its LP's rows and ranged rows, and its engine's work over the
+    instances (work holds the counters before them).  ``dcopf``: its
+    DC-OPF step's answers by hops from the nominal basis, nodes derived
+    and engine re-solves, which sum to the instances with the answers;
+    ``resolves``: its set LP's re-solves, which sum to the instances with
+    ``step1_answers``.
+    """
     n = len(results)
     solved = [i for i in range(n) if results[i]]
     both = [i for i in solved if fulls[i]]
     n_full = sum(1 for r in fulls if r)
     ratios = [results[i].cost / fulls[i].cost for i in both]
     ms = np.array([r.runtime for r in results]) * 1e3
+    mean = float(np.mean(ms[both])) if both else None
+    speedup = (float(np.mean([fulls[i].runtime for i in both]) * 1e3 / mean)
+               if mean else None)
     worst = 0.0
     if solved:
         X = np.array([results[i].p for i in solved]) - demands[solved]
         worst = max(0.0, float(region.margins(region.project(X)).max()))
+    engine = dispatcher.bases.engine
+    resolves = dispatcher.bases.n_resolves
     return {
         "setup_s": setup_s,
         "runtime_ms_p50": float(np.percentile(ms, 50)),
         "runtime_ms_p90": float(np.percentile(ms, 90)),
+        "runtime_ms_mean": mean,
+        "speedup": speedup,
         "feasible": len(solved),
         "feasible_share": len(both) / n_full if n_full else None,
         "cost_ratio_mean": float(np.mean(ratios)) if both else None,
         "cost_ratio_max": float(np.max(ratios)) if both else None,
-        "step1_share": dispatcher.n_screened / n,
+        "step1_answers": n - resolves,
         "conservativeness_violations": len(solved) - len(both),
         "max_region_violation": worst,
-        "rows": dispatcher.bases.engine.m,
+        "lp": {"rows": engine.m,
+               "ranged_rows":
+                   int(np.isfinite(dispatcher.constraints.ranges).sum()),
+               **{k: v - work[k] for k, v in engine.counters().items()}},
+        "dcopf": dispatcher.dcopf.bases.counters(),
+        "resolves": resolves,
     }
 
 
-def _dcopf_diagnostic(dispatcher: Dispatcher, demands,
-                      region: ContingencyRegion):
-    """Per instance, the status of the classifier dispatcher's DC-OPF step
-    (``Dispatcher.check``; NUMERICAL_FAILURE where it raised), its
+def _dcopf_diagnostic(dispatchers, demands, region: ContingencyRegion):
+    """Per instance, the status of the DC-OPF step that every dispatcher
+    takes first (``Dispatcher.dcopf_step``, of the first dispatcher: the
+    same tree on the same network; NUMERICAL_FAILURE where it raised), its
     injection's label against the region (1 insecure, as the dataset's
-    labels, all in one batch) and the classifier's decision value there as
-    that step's screen computes it (> 0 flags it insecure); None where the
-    DC-OPF is not optimal.
+    labels, all in one batch) and each set's ``value`` there, by
+    formulation (> 0 puts it outside the set); None where the DC-OPF is
+    not optimal.
     """
-    steps = [dispatcher.check(d) for d in demands]
-    solved = [i for i, (sol, _) in enumerate(steps) if sol]
+    step = next(iter(dispatchers.values())).dcopf_step
+    sols = [step(d) for d in demands]
+    solved = [i for i, sol in enumerate(sols) if sol]
     labels = {}
     if solved:
-        X = np.array([steps[i][0].injection for i in solved])
+        X = np.array([sols[i].injection for i in solved])
         labels = dict(zip(solved, label_injections(region, X).tolist()))
     return [{"instance": i,
              "dcopf_status": ("NUMERICAL_FAILURE" if sol is None
                               else sol.status.name),
-             "dcopf_label": labels.get(i), "decision_value": value}
-            for i, (sol, value) in enumerate(steps)]
+             "dcopf_label": labels.get(i),
+             "values": {name: (dispatcher.constraints.value(sol.injection)
+                               if sol else None)
+                        for name, dispatcher in dispatchers.items()}}
+            for i, sol in enumerate(sols)]
 
 
 def save_benchmark(records, summary, csv_path, json_path):
@@ -574,6 +528,4 @@ def save_benchmark(records, summary, csv_path, json_path):
                             "blocking"])
         writer.writeheader()
         writer.writerows(records)
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(json_path, summary)

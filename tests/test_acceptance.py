@@ -516,15 +516,16 @@ def test_criterion_11_mlp_baseline_misses_insecure(pipeline):
 
 def test_criterion_12_scopf_quality_and_speed(pipeline):
     s = pipeline["scopf_summary"]
+    icnn = s["formulations"]["icnn"]
     assert pipeline["clf"].params.depth == 1
-    assert s["mean_excess_cost"] <= 0.005, \
-        f"mean excess cost {s['mean_excess_cost']:.4%}"
-    assert s["extra_infeasible_fraction"] <= 0.03, \
-        f"extra infeasible {s['extra_infeasible_fraction']:.2%}"
-    assert s["speedup"] >= 2.0, f"speedup {s['speedup']:.2f}x"
-    print(f"{s['instances']} instances: excess cost "
-          f"{s['mean_excess_cost']:.4%}, extra infeasible "
-          f"{s['extra_infeasible_fraction']:.2%}, speedup {s['speedup']:.1f}x")
+    assert icnn["cost_ratio_mean"] <= 1.005, \
+        f"mean cost ratio {icnn['cost_ratio_mean']:.6f}"
+    assert icnn["feasible_share"] >= 0.97, \
+        f"feasible share {icnn['feasible_share']:.2%}"
+    assert icnn["speedup"] >= 2.0, f"speedup {icnn['speedup']:.2f}x"
+    print(f"{s['instances']} instances: cost ratio "
+          f"{icnn['cost_ratio_mean']:.6f}, feasible share "
+          f"{icnn['feasible_share']:.2%}, speedup {icnn['speedup']:.1f}x")
 
 
 # ---------------------------------------------------------------------------

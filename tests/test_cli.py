@@ -672,24 +672,19 @@ class TestScopfBench:
         run = os.path.join(work["runs"], d)
         summary = json.load(open(os.path.join(run, "scopf_summary.json")))
         assert summary["instances"] == 6
-        assert summary["conservativeness_violations"] == 0
-        assert summary["max_region_violation"] <= 1e-6
-        assert "manifest" in summary
-        lp = summary["icnn_lp"]
+        assert set(summary) == {"instances", "full", "formulations",
+                                "dcopf_diagnostic", "manifest"}
+        (icnn,) = summary["formulations"].values()
+        assert icnn["conservativeness_violations"] == 0
+        assert icnn["max_region_violation"] <= 1e-6
+        lp = icnn["lp"]
         assert set(lp) == {"rows", "ranged_rows", "pivots",
                            "refactorizations", "slack_retries",
                            "bland_switches"}
         assert all(type(v) is int and v >= 0 for v in lp.values())
         assert 0 < lp["ranged_rows"] < lp["rows"]
         self.check_dcopf_diagnostic(work, summary["dcopf_diagnostic"])
-        assert summary["icnn_screened"] == sum(
-            e["dcopf_status"] == "OPTIMAL" and e["decision_value"] <= 0
-            for e in summary["dcopf_diagnostic"])
-        tables = summary["icnn_tables"]
-        dcopf = tables["dcopf"]
-        assert set(dcopf) == {"answers_by_hops", "nodes_derived", "resolves"}
-        assert sum(dcopf["answers_by_hops"]) + dcopf["resolves"] == 6
-        assert tables["classifier"] == {"resolves": 6 - summary["icnn_screened"]}
+        self.check_counts(summary)
         with open(os.path.join(run, "scopf_instances.csv"), "rb") as fh:
             csv_bytes = fh.read()
         rows = csv_bytes.decode().strip().splitlines()
@@ -731,13 +726,52 @@ class TestScopfBench:
         assert set(summary["formulations"]) == {"icnn"}
         assert len(both) == 1 + 18
         assert [r for r in both if ",facets," not in r] == plain
-        facets = with_facets["formulations"]["facets"]
+        icnn, facets = (with_facets["formulations"][k]
+                        for k in ("icnn", "facets"))
+        assert set(facets) == set(icnn)
         assert facets["conservativeness_violations"] == 0
         assert facets["max_region_violation"] <= 1e-6
-        assert 0.0 <= facets["step1_share"] <= 1.0
         assert facets["runtime_ms_p50"] <= facets["runtime_ms_p90"]
-        assert with_facets["formulations"]["icnn"]["feasible"] == \
-            summary["feasible_icnn"]
+        assert icnn["feasible"] == summary["formulations"]["icnn"]["feasible"]
+        self.check_counts(with_facets)
+        # the facet values are the facet check at the DC-OPF dispatch
+        from helpers import fixed_start_dcopf
+        from nkscreen.grid import load_network
+        from nkscreen.scopf import region_inequalities
+
+        net = load_network(work["case"])
+        ds = load_dataset(work["dataset"])
+        region = load_region(os.path.join(work["prep"], "region.npz"))
+        demands = ds.d[ds.test][:6]
+        X = np.array([sol.x - d for sol, d in
+                      zip(fixed_start_dcopf(net, demands), demands)])
+        G, h = region_inequalities(region)
+        kept = region.dim_map
+        folded = np.setdiff1d(np.arange(net.n), kept)
+        lo = region.mu + region.sigma * region.box_lower
+        hi = region.mu + region.sigma * region.box_upper
+        want = np.max(np.hstack([
+            X @ G.T - h, lo - X[:, kept], X[:, kept] - hi,
+            np.abs(X[:, folded] - region.dropped_values[folded])]), axis=1)
+        got = [e["values"]["facets"] for e in with_facets["dcopf_diagnostic"]]
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert [e["values"]["icnn"] for e in with_facets["dcopf_diagnostic"]] \
+            == [e["values"]["icnn"] for e in summary["dcopf_diagnostic"]]
+
+    @staticmethod
+    def check_counts(summary):
+        """Each solve answers at step 1 or re-solves the set's LP; each
+        DC-OPF step answers from its tree or re-solves on its engine."""
+        n = summary["instances"]
+        for name, f in summary["formulations"].items():
+            assert f["step1_answers"] + f["resolves"] == n
+            assert f["step1_answers"] == sum(
+                e["dcopf_status"] == "OPTIMAL" and e["values"][name] <= 0
+                for e in summary["dcopf_diagnostic"])
+            dcopf = f["dcopf"]
+            assert set(dcopf) == {"answers_by_hops", "nodes_derived",
+                                  "resolves"}
+            assert sum(dcopf["answers_by_hops"]) + dcopf["resolves"] == n
 
     @staticmethod
     def check_dcopf_diagnostic(work, diagnostic):
@@ -757,7 +791,7 @@ class TestScopfBench:
         assert [e["instance"] for e in diagnostic] == list(range(6))
         assert all(e["dcopf_status"] == "OPTIMAL" for e in diagnostic)
         labels = [e["dcopf_label"] for e in diagnostic]
-        values = np.array([e["decision_value"] for e in diagnostic])
+        values = np.array([e["values"]["icnn"] for e in diagnostic])
         assert labels == (~full.membership(X)).astype(int).tolist()
         assert np.allclose(values, clf.decision_values(ds.standardized(X)),
                            rtol=0, atol=1e-12)
@@ -782,12 +816,13 @@ class TestScopfBench:
                      "--limit", "2", "--out", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
-        assert "mean excess cost n/a%" in printed
+        assert "cost ratio mean n/a max n/a" in printed
         assert "(speedup n/a" in printed
         (run,) = os.listdir(out)
         summary = json.load(open(out / run / "scopf_summary.json"))
-        assert summary["feasible_icnn"] == 0
-        assert summary["speedup"] is None
+        icnn = summary["formulations"]["icnn"]
+        assert icnn["feasible"] == 0
+        assert icnn["speedup"] is None and icnn["runtime_ms_mean"] is None
         assert os.path.isfile(out / run / "manifest.json")
 
     def test_folded_region_exits_two(self, work, tmp_path, capsys):

@@ -203,12 +203,13 @@ def test_incidence_matrix_batched():
 
 
 def test_dcopf_two_bus():
-    r = DcopfSolver(two_bus()).solve()
+    solver = DcopfSolver(two_bus())
+    r = solver.solve()
     assert r.status is LpStatus.OPTIMAL
     assert r.p[0] == pytest.approx(100.0)
     assert r.p[1] == pytest.approx(0.0)
     assert r.cost == pytest.approx(1000.0)
-    assert r.flows[0] == pytest.approx(100.0)
+    assert (solver.H @ r.injection)[0] == pytest.approx(100.0)
 
 
 def test_dcopf_zero_demand():
@@ -245,8 +246,9 @@ def test_dcopf_respects_constraints_on_random_instances():
         assert np.sum(r.p - d) == pytest.approx(0.0, abs=1e-7)
         assert np.all(r.p >= net.pmin - 1e-7)
         assert np.all(r.p <= net.pmax + 1e-7)
-        assert np.all(r.flows <= net.f_upper + 1e-6)
-        assert np.all(r.flows >= net.f_lower - 1e-6)
+        flows = solver.H @ r.injection
+        assert np.all(flows <= net.f_upper + 1e-6)
+        assert np.all(flows >= net.f_lower - 1e-6)
     assert n_ok > 50
 
 
@@ -264,11 +266,11 @@ def test_dcopf_warm_solver_matches_one_shot():
 
 
 def test_dcopf_flows_are_those_of_the_solved_demand():
-    """Flows are computed on first read from the injection stored at the
-    solve, with the bytes of H @ (p - d), also after the caller overwrites
-    its demand in place; answers from the tree of bases and engine
-    re-solves alike (the latter from a solver whose nominal demand is
-    infeasible, so that its tree has no root)."""
+    """Flows from the injection stored at the solve have the bytes of
+    H @ (p - d), also after the caller overwrites its demand in place;
+    answers from the tree of bases and engine re-solves alike (the latter
+    from a solver whose nominal demand is infeasible, so that its tree has
+    no root)."""
     from dataclasses import replace
 
     from nkscreen.datagen import DemandSampler, sample_demands
@@ -283,8 +285,7 @@ def test_dcopf_flows_are_those_of_the_solved_demand():
             r = solver.solve(d)
             want = solver.H @ (r.p - d)
             d[:] = 0.0
-            assert r.flows.tobytes() == want.tobytes()
-            assert r.flows is r.flows
+            assert (solver.H @ r.injection).tobytes() == want.tobytes()
     assert sum(tree.counters()["answers_by_hops"]) > 0
     assert rootless.bases.root is None
     assert rootless.counters()["resolves"] == 200

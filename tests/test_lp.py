@@ -1303,7 +1303,7 @@ def _dcopf_solver_digest(h):
             h.update(f"{res.status.value};".encode())
             if res:
                 h.update(res.p.tobytes())
-                h.update(res.flows.tobytes())
+                h.update((dcopf.H @ res.injection).tobytes())
                 h.update(repr(res.cost).encode())
     return statuses
 

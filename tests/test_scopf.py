@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from nkscreen.artifacts import canonical_json
 from nkscreen.cli import resolve_case
 from nkscreen.datagen import DemandSampler, sample_demands, sample_injections
 from nkscreen.grid import DcopfSolver, DispatchLp, load_network
@@ -608,7 +609,7 @@ class TestScreenFirst:
             status, cost = cold_icnn(net, demands[i], clf)
             assert status is LpStatus.OPTIMAL
             assert abs(res.cost - cost) <= 1e-9 * abs(cost)
-        assert calls == [] and lp.n_screened == len(admitted)
+        assert calls == [] and lp.bases.n_resolves == 0
 
     def test_flagged_dispatch_runs_the_classifier_lp(self, case39_setup,
                                                        monkeypatch):
@@ -691,10 +692,11 @@ class TestScreenFirst:
             clf.params = clf.params    # a fresh dispatcher
             lp = scopf.classifier_dispatcher(net, clf)
             out = {i: solve_scopf_icnn(net, demands[i], clf) for i in order}
-            return out, (lp.n_screened, lp.dcopf.counters())
+            return out, (lp.bases.n_resolves, lp.dcopf.counters())
 
         forward_order, counts = answers(range(len(demands)))
-        assert 0 < counts[0] < len(demands) - 1
+        # both steps answered some demands, the infeasible one the second
+        assert 1 < counts[0] < len(demands)
         assert sum(counts[1]["answers_by_hops"][1:]) > 0
         for order in (range(len(demands) - 1, -1, -1),
                       np.random.default_rng(5).permutation(len(demands))):
@@ -715,26 +717,24 @@ class TestScreenFirst:
         demands = np.vstack([demands[:10], 3.0 * net.demand])
         _, summary = benchmark_scopf(net, demands, region, clf)
         rows = summary["dcopf_diagnostic"]
-        admitted = [e["dcopf_status"] == "OPTIMAL" and e["decision_value"] <= 0
-                    for e in rows]
-        assert 0 < summary["icnn_screened"] < len(demands)
-        assert summary["icnn_screened"] == sum(admitted)
+        values = [e["values"]["icnn"] for e in rows]
+        admitted = [e["dcopf_status"] == "OPTIMAL" and v <= 0
+                    for e, v in zip(rows, values)]
+        icnn = summary["formulations"]["icnn"]
+        assert 0 < icnn["step1_answers"] < len(demands)
+        assert icnn["step1_answers"] == sum(admitted)
         assert rows[-1]["dcopf_status"] == "INFEASIBLE"
-        assert rows[-1]["decision_value"] is None
+        assert values[-1] is None
         # the diagnostic's dispatches are the fixed-start DC-OPF's
-        _, values = screen_values(net, demands, clf)
-        assert [e["decision_value"] for e in rows] == values
+        assert values == screen_values(net, demands, clf)[1]
         # one answer per demand in the DC-OPF step, from its tree of bases
         # or its engine; one re-solve per demand the screen did not answer
         # in the classifier step
-        tables = summary["icnn_tables"]
-        assert set(tables) == {"dcopf", "classifier"}
-        dcopf = tables["dcopf"]
+        dcopf = icnn["dcopf"]
         assert set(dcopf) == {"answers_by_hops", "nodes_derived", "resolves"}
         assert sum(dcopf["answers_by_hops"]) + dcopf["resolves"] == \
             len(demands)
-        assert tables["classifier"] == {
-            "resolves": len(demands) - summary["icnn_screened"]}
+        assert icnn["resolves"] == len(demands) - icnn["step1_answers"]
         assert dcopf["answers_by_hops"][0] > 0
 
     def test_dcopf_step_is_the_engine_only_re_solve(self, case39_setup):
@@ -1054,7 +1054,9 @@ class TestFacetDispatcher:
                 feasible += 1
                 assert abs(res.p[1] - d[1] - 0.3) <= 1e-9
                 assert full.margins(res.p - d)[0] <= 1e-9
-        assert feasible > 30 and dispatcher.n_screened == 0
+        # the check never admits a DC-OPF dispatch that moves the fold
+        assert feasible > 30
+        assert dispatcher.bases.n_resolves == 1 + len(demands)
 
     def test_rows_and_their_names(self):
         net, _, folded = folded_ring3()
@@ -1136,7 +1138,7 @@ class TestFacetDispatcherCase39:
         assert np.abs(X[:, folded] - facets.dropped_values[folded]).max() \
             <= 1e-6
         # both steps answered some demands
-        assert 0 < dispatcher.n_screened < len(demands)
+        assert 0 < dispatcher.bases.n_resolves < len(demands)
 
 
 class TestBenchmark:
@@ -1161,11 +1163,14 @@ class TestBenchmark:
         records, summary = benchmark_scopf(net, demands, region, clf)
         assert len(records) == 20
         assert summary["instances"] == 10
-        assert summary["conservativeness_violations"] == 0
-        assert summary["max_region_violation"] <= 1e-6
-        assert summary["feasible_icnn"] >= 8
-        assert summary["mean_excess_cost"] >= 0.0
-        assert summary["speedup"] is not None and summary["speedup"] > 0
+        assert set(summary) == {"instances", "full", "formulations",
+                                "dcopf_diagnostic"}
+        icnn = summary["formulations"]["icnn"]
+        assert icnn["conservativeness_violations"] == 0
+        assert icnn["max_region_violation"] <= 1e-6
+        assert icnn["feasible"] >= 8
+        assert icnn["cost_ratio_mean"] >= 1.0
+        assert icnn["speedup"] is not None and icnn["speedup"] > 0
 
     def test_per_instance_cost_ordering(self):
         net, region, clf = self.certified_setup()
@@ -1195,8 +1200,9 @@ class TestBenchmark:
         assert {row["formulation"] for row in rows} == {"full", "icnn"}
         back = json.loads(json_path.read_text())
         assert back["instances"] == 4
-        assert "runtime_note" in back
-        assert back["icnn_setup_s"] > 0.0
+        assert back["formulations"]["icnn"]["setup_s"] > 0.0
+        # the sorted-key writer of every other report
+        assert json_path.read_text() == canonical_json(summary)
 
 
 def diamond4(demand=(0.0, 0.5, 0.0, 1.0), limits=1.4):
