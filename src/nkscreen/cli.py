@@ -491,9 +491,8 @@ def cmd_train(args):
               file=sys.stderr)
         return 4
 
-    clf.mu = region.mu
-    clf.sigma = region.sigma
-    clf.dim_map = region.dim_map
+    clf = replace(clf, mu=region.mu, sigma=region.sigma,
+                  dim_map=region.dim_map)
 
     pred_infeasible = ~clf.predict_feasible(Z[ds.test])
     fpr, fnr = classification_rates(pred_infeasible, y[ds.test])
@@ -530,7 +529,7 @@ def cmd_certify(args):
     from .oracle import certify
 
     manifest, run_dir = start_run(
-        "certify", args.out, {"tol": args.tol}, 0,
+        "certify", args.out, {}, 0,
         {"checkpoint": args.checkpoint, "region": args.region})
     if args.reuse and reuse_hit(manifest, run_dir):
         with open(os.path.join(run_dir, "certify_report.json")) as fh:
@@ -550,8 +549,7 @@ def cmd_certify(args):
                            "trained in")
 
     t0 = time.perf_counter()
-    report = certify(clf.params, region.A, region.b, r=clf.r, v=clf.v,
-                     tol=args.tol)
+    report = certify(clf.params, region.A, region.b, r=clf.r, v=clf.v)
     elapsed = time.perf_counter() - t0
 
     named = name_rows(report, region)
@@ -559,7 +557,6 @@ def cmd_certify(args):
         "manifest": manifest.hash,
         "checkpoint_manifest": clf.meta.get("manifest", ""),
         "r": clf.r,
-        "tol": args.tol,
         "seconds": round(elapsed, 3),
         **report.to_dict(),
         "named_rows": named,
@@ -808,7 +805,6 @@ def build_parser():
                        help="re-verify a checkpoint against a region")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--region", required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
     add_run_flags(p)
     p.set_defaults(func=cmd_certify)
 

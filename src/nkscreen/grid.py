@@ -9,6 +9,7 @@ bitset reachability from bus 0, serves ``is_islanding`` and ``ptdf``.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -319,7 +320,8 @@ class DcopfSolver(DispatchLp):
     ``DispatchLp`` with no extra rows, answered from a tree of its optimal
     bases rooted at the nominal one (``lp.OptimalBases``).
 
-    The constructor solves the DC-OPF at the network's nominal demand.  Only
+    The constructor copies the network, so the solver describes the network
+    it was built from, and solves the DC-OPF at its nominal demand.  Only
     the demand enters the right-hand side, so a draw is answered by walking
     memoized dual simplex pivots from that nominal optimal basis until a
     basis keeps the draw feasible, by one product and a bound check per
@@ -338,8 +340,8 @@ class DcopfSolver(DispatchLp):
     """
 
     def __init__(self, net: Network):
-        super().__init__(net)
-        self.engine = SimplexEngine(self.problem(net.demand))
+        super().__init__(copy.deepcopy(net))
+        self.engine = SimplexEngine(self.problem(self.net.demand))
         self.bases = OptimalBases(self.engine)
         self.n_draws = 0
 

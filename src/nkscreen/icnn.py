@@ -381,7 +381,7 @@ class _ScreeningNetwork:
 
     @staticmethod
     def build(clf):
-        p, r, v = clf.params, clf.r, clf._shift()
+        p, r, v = clf.params, clf.r, clf.v
         if not r > 0:
             raise ValueError("screening needs a positive scale r")
         D = np.vstack(p.D)
@@ -471,7 +471,7 @@ class _ScreeningNetwork:
         return self.raw_one(x) <= 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScaledClassifier:
     """A trained classifier with its certification scaling baked in.
 
@@ -485,15 +485,18 @@ class ScaledClassifier:
     ``input_box`` folds that into the one box penalty: the box on u = r x + v
     becomes the network's box intersected with r * box + v.
 
-    Screening runs a network built from params, r and v at the first call
-    after any of them is assigned.  r and v are folded into the input
-    weights, so the network's value differs from the definition's by
-    rounding only.  The box moves onto x, with faces at the extreme floats
-    where r * x + v still passes, so its verdict equals the definition's on
-    every float.  The classifier SC-OPF's dispatcher
-    (``scopf.classifier_dispatcher``) is kept here too, and dropped when
-    params, r, v, mu, sigma or dim_map is assigned.  Both copy the weights:
-    after an in-place edit of them, assign ``clf.params = clf.params``.
+    The classifier is a value: ``dataclasses.replace`` gives one with other
+    fields.  An absent v, mu or sigma is the identity, and dim_map all the
+    inputs; u = (x[dim_map] - mu) / sigma maps a full injection x into the
+    classifier's coordinates.
+
+    Screening runs a network built from params, r and v at its first call.
+    r and v are folded into the input weights, so the network's value
+    differs from the definition's by rounding only.  The box moves onto x,
+    with faces at the extreme floats where r * x + v still passes, so its
+    verdict equals the definition's on every float.  The classifier
+    SC-OPF's dispatcher (``scopf.classifier_dispatcher``) is kept here too.
+    Both copy the weights, so an in-place edit of them reaches neither.
 
     ``decision_values`` is the screening value max(raw, box_gain * V);
     ``predict_feasible`` asks its verdict as membership, raw <= 0 and every
@@ -520,36 +523,24 @@ class ScaledClassifier:
     _dispatch: tuple | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name in ("params", "r", "v"):
-            super().__setattr__("_net", None)
-        if name in ("params", "r", "v", "mu", "sigma", "dim_map"):
-            super().__setattr__("_dispatch", None)
-
-    def _shift(self):
-        return np.zeros(self.params.n_inputs) if self.v is None else self.v
+    def __post_init__(self):
+        n = self.params.n_inputs
+        for name, identity in (("v", np.zeros), ("mu", np.zeros),
+                               ("sigma", np.ones), ("dim_map", np.arange)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, identity(n))
 
     def input_box(self):
         """(lower, upper) on the network input u = r x + v: u lies inside
         iff u is in the network's box and x is in the box."""
-        p, v = self.params, self._shift()
-        return (np.maximum(p.box_lower, self.r * p.box_lower + v),
-                np.minimum(p.box_upper, self.r * p.box_upper + v))
-
-    def transform(self):
-        """(dim_map, mu, sigma): u = (x[dim_map] - mu) / sigma maps a full
-        injection x into the classifier's coordinates; the identity for
-        what the classifier does not store."""
-        n = self.params.n_inputs
-        return (np.arange(n) if self.dim_map is None else self.dim_map,
-                np.zeros(n) if self.mu is None else self.mu,
-                np.ones(n) if self.sigma is None else self.sigma)
+        p = self.params
+        return (np.maximum(p.box_lower, self.r * p.box_lower + self.v),
+                np.minimum(p.box_upper, self.r * p.box_upper + self.v))
 
     def _network(self):
         """The screening network, built at first use."""
         if self._net is None:
-            super().__setattr__("_net", _ScreeningNetwork.build(self))
+            object.__setattr__(self, "_net", _ScreeningNetwork.build(self))
         return self._net
 
     def _screening(self, X):
@@ -584,17 +575,16 @@ class ScaledClassifier:
 
 def save_checkpoint(clf: ScaledClassifier, path):
     p = clf.params
-    dim_map, mu, sigma = clf.transform()
     arrays = {
         "r": np.array(clf.r),
-        "v": clf._shift(),
+        "v": clf.v,
         "box_lower": p.box_lower,
         "box_upper": p.box_upper,
         "box_gain": np.array(p.box_gain),
         "depth": np.array(p.depth),
-        "mu": mu,
-        "sigma": sigma,
-        "dim_map": dim_map,
+        "mu": clf.mu,
+        "sigma": clf.sigma,
+        "dim_map": clf.dim_map,
         "meta_json": np.array(json.dumps(clf.meta)),
     }
     for i, w in enumerate(p.W):
@@ -617,7 +607,7 @@ def load_checkpoint(path) -> ScaledClassifier:
             box_upper=z["box_upper"],
             box_gain=float(z["box_gain"]),
         ).validate()
-        clf = ScaledClassifier(
+        return ScaledClassifier(
             params=params,
             r=float(z["r"]),
             v=z["v"],
@@ -626,4 +616,3 @@ def load_checkpoint(path) -> ScaledClassifier:
             dim_map=z["dim_map"],
             meta=json.loads(str(z["meta_json"])),
         )
-    return clf

@@ -354,12 +354,12 @@ def _best_vertex(A, rows, X, cands):
          for i in range(0, len(rows), VERTEX_CHUNK)])
 
 
-def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
-            tol=TOL_FEAS) -> CertificationReport:
+def certify(params: IcnnParams, A, b, r=1.0, v=None,
+            solver=None) -> CertificationReport:
     """Check (S - v)/r is a subset of {A x <= b}, S the predicted set.
 
     One support LP per row; the subset relation holds iff
-    (support_j - a_j.v)/r <= b_j + tol for every row j.  The verdict is
+    (support_j - a_j.v)/r <= b_j + TOL_FEAS for every row j.  The verdict is
     "reliable" only when every row's scaled support is known to pass; a
     numerical failure on a row, or a support that is not a number, makes it
     "unknown", and any row over its offset "violated".  r must be finite
@@ -431,10 +431,10 @@ def certify(params: IcnnParams, A, b, r=1.0, v=None, solver=None,
     scaled = (zeta - shift) / r
     margins = b - scaled
     bad = [(int(j), float(scaled[j]), float(b[j]))
-           for j in np.nonzero(scaled > b + tol)[0]]
+           for j in np.nonzero(scaled > b + TOL_FEAS)[0]]
     if bad:
         verdict = "violated"
-    elif np.all(scaled <= b + tol):  # False at a NaN
+    elif np.all(scaled <= b + TOL_FEAS):  # False at a NaN
         verdict = "reliable"
     else:
         verdict = "unknown"

@@ -32,14 +32,14 @@ for the demand.  Otherwise, and in the set's step always, a right-hand-side
 re-solve starts from the nominal basis, never from the previous demand's,
 so the answer for a demand is the same whatever was solved before it.
 
-``solve_scopf_icnn`` keeps the classifier's dispatcher on the classifier
-object (``classifier_dispatcher``), for the network object it was built
-for, until one of the classifier's fields is assigned.
+The dispatchers of one network may share one ``grid.DcopfSolver`` and so
+derive its tree once.  ``solve_scopf_icnn`` keeps the classifier's
+dispatcher on the classifier (``classifier_dispatcher``), for the network
+object it was built for.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import time
 
@@ -168,9 +168,7 @@ class _ClassifierRows(_SecurityRows):
     def __init__(self, net: Network, clf: ScaledClassifier):
         params = clf.params
         n_in = params.n_inputs
-        dim_map, mu, sigma = clf.transform()
-        shift = np.zeros(n_in) if clf.v is None else clf.v
-        if len(dim_map) != n_in:
+        if len(clf.dim_map) != n_in:
             raise ValueError("classifier transform does not match its input width")
 
         A_e, b_e, _, _ = epigraph_constraints(params)
@@ -180,31 +178,29 @@ class _ClassifierRows(_SecurityRows):
         # network input u = r * ((p - d)[dim_map] - mu) / sigma + shift
         # = S (p - d) + s0
         S = np.zeros((n_in, net.n))
-        S[np.arange(n_in), dim_map] = clf.r / sigma
-        s0 = shift - clf.r * mu / sigma
+        S[np.arange(n_in), clf.dim_map] = clf.r / clf.sigma
+        s0 = clf.v - clf.r * clf.mu / clf.sigma
 
         # the certified set is the sublevel set intersected with the box,
-        # which bounds both u and the standardized p - d (``input_box``);
-        # a coordinate bounded on both sides is one ranged row, and an
-        # empty box keeps its two one-sided rows
+        # which bounds both u and the standardized p - d (``input_box``,
+        # finite by ``IcnnParams.validate``); each coordinate is one ranged
+        # row, and a coordinate whose box is empty keeps two one-sided rows
         lo, hi = clf.input_box()
-        hi_ok = np.isfinite(hi)
-        both = hi_ok & np.isfinite(lo) & (lo <= hi)
-        lo_only = np.isfinite(lo) & ~both
-        box = np.vstack([S[hi_ok], -S[lo_only]])
+        empty = lo > hi
+        box = np.vstack([S, -S[empty]])
         rows = np.vstack([np.hstack([A_u @ S, A_z]),
                           np.hstack([box, np.zeros((len(box), nz))])])
-        rhs0 = np.concatenate([b_e - A_u @ s0, hi[hi_ok] - s0[hi_ok],
-                               s0[lo_only] - lo[lo_only]])
+        rhs0 = np.concatenate([b_e - A_u @ s0, hi - s0,
+                               s0[empty] - lo[empty]])
         ranges = np.concatenate([np.full(len(b_e), np.inf),
-                                 np.where(both, hi - lo, np.inf)[hi_ok],
-                                 np.full(np.count_nonzero(lo_only), np.inf)])
+                                 np.where(empty, np.inf, hi - lo),
+                                 np.full(np.count_nonzero(empty), np.inf)])
         super().__init__(net, rows, rhs0, ranges, n_aux=nz)
         self._screen = clf._network()
-        self._transform = (dim_map, mu, sigma)
+        self._transform = (clf.dim_map, clf.mu, clf.sigma)
         self._labels = ([f"epigraph {j}" for j in range(len(b_e))]
-                        + [f"box {k}" for k in np.flatnonzero(hi_ok)]
-                        + [f"box {k}" for k in np.flatnonzero(lo_only)])
+                        + [f"box {k}" for k in range(n_in)]
+                        + [f"box {k}" for k in np.flatnonzero(empty)])
 
     def value(self, x):
         """The classifier's decision value at injection x, as screening
@@ -260,15 +256,17 @@ class _FacetRows(_SecurityRows):
 
 
 class Dispatcher:
-    """The SC-OPF against one constraint set, built once from a network
-    and that set; its caller holds it.
+    """The SC-OPF against one constraint set, built once from a DC-OPF
+    solver and that set; its caller holds it.
 
     The set is a ``ScaledClassifier`` (the classifier's epigraph and box
     rows) or a reduced ``ContingencyRegion`` (its facets, its box and its
-    folded columns pinned).  The constructor copies the network, builds the
-    plain DC-OPF (a ``grid.DcopfSolver``, ``dcopf``) and the set's LP
-    (``constraints``), and solves both at the network's nominal demand
-    (``bases``, an ``lp.OptimalBases`` of the set's LP).
+    folded columns pinned).  The constructor builds the set's LP
+    (``constraints``) on the solver's network (``dcopf.net``) and solves it
+    at the nominal demand (``bases``, an ``lp.OptimalBases`` of the set's
+    LP).  The DC-OPF step walks the solver it is given (``dcopf``); the
+    dispatchers of one network may share one, since its answer for a
+    demand does not depend on the demands before it.
 
     ``solve(demand)`` takes up to three steps.  The DC-OPF step answers by
     one product and one bound scan per basis of a walk of memoized dual
@@ -288,9 +286,8 @@ class Dispatcher:
     covers the steps taken.
     """
 
-    def __init__(self, net: Network, constraints):
-        # a private copy: a dispatcher describes the network it was built from
-        net = copy.deepcopy(net)
+    def __init__(self, dcopf: DcopfSolver, constraints):
+        net = dcopf.net
         if isinstance(constraints, ScaledClassifier):
             self.constraints = _ClassifierRows(net, constraints)
         elif isinstance(constraints, ContingencyRegion):
@@ -298,7 +295,7 @@ class Dispatcher:
         else:
             raise TypeError("a constraint set is a ScaledClassifier or a "
                             f"ContingencyRegion, not {type(constraints)}")
-        self.dcopf = DcopfSolver(net)
+        self.dcopf = dcopf
         self.bases = OptimalBases(SimplexEngine(
             self.constraints.problem(net.demand)))
 
@@ -326,20 +323,15 @@ class Dispatcher:
 
 
 def classifier_dispatcher(net: Network, clf: ScaledClassifier) -> Dispatcher:
-    """The classifier's ``Dispatcher`` for the network object net, kept on
-    the classifier.
-
-    It is built at the first call for that network object and kept until
-    another network object is passed or one of the classifier's params, r,
-    v, mu, sigma or dim_map is assigned (``ScaledClassifier``'s rule for
-    its screening network).  An in-place edit of the weights or of the
-    network is not seen: assign ``clf.params = clf.params`` after one, and
-    pass a copy of an edited network (``dataclasses.replace``).
+    """The classifier's ``Dispatcher`` for the network object net, on a
+    ``DcopfSolver`` of its own, kept on the classifier until another
+    network object is passed.  An in-place edit of the weights or of the
+    network is not seen: pass edited copies (``dataclasses.replace``).
     """
     held = clf._dispatch
     if held is None or held[0] is not net:
-        held = (net, Dispatcher(net, clf))
-        clf._dispatch = held
+        held = (net, Dispatcher(DcopfSolver(net), clf))
+        object.__setattr__(clf, "_dispatch", held)
     return held[1]
 
 
@@ -375,7 +367,7 @@ def solve_scopf_icnn(net: Network, demand, clf: ScaledClassifier) -> ScopfResult
     balance or generator bound the dual simplex could not repair.  The
     one-off build and nominal solves happen at the first call for a
     network object and are not part of the runtime (``benchmark_scopf``
-    reports them as the formulation's ``setup_s``).
+    reports them as the ``setup_s`` of ``dcopf`` and of the formulation).
     """
     return classifier_dispatcher(net, clf).solve(demand)
 
@@ -387,24 +379,30 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
 
     The full formulation (``solve_scopf_full`` on region), the classifier's
     ``Dispatcher`` and, when the reduced region facets is given, the facet
-    set's ``Dispatcher``; each dispatcher is built once, before the
-    solves, and each formulation then solves every instance in turn.
-    Returns (records, summary).  records holds one row per instance and
-    formulation (for the CSV report: full, icnn, then facets), with no time
-    in it, so the CSV depends only on the inputs.  summary holds the
-    instances, the full formulation's feasible count and mean runtime over
-    every instance (``full``), one ``_formulation_summary`` per dispatcher
-    (``formulations``: ``icnn``, then ``facets``) and the
-    ``_dcopf_diagnostic``.  The region must have full dimension:
-    ``solve_scopf_full`` refuses a folded one (ValueError).
+    set's ``Dispatcher``, both on one ``DcopfSolver`` and built before the
+    solves.  The ``_dcopf_diagnostic`` runs first and derives the solver's
+    tree, so every formulation is timed on the same tree, solving every
+    instance in turn.  Returns (records, summary).  records holds one row
+    per instance and formulation (for the CSV report: full, icnn, then
+    facets), with no time in it, so the CSV depends only on the inputs.
+    summary holds the instances, the full formulation's feasible count and
+    mean runtime (``full``), the solver's build time and tree counters
+    after the diagnostic (``dcopf``), one ``_formulation_summary`` per
+    dispatcher (``formulations``) and the diagnostic.  The region must have
+    full dimension: ``solve_scopf_full`` refuses a folded one (ValueError).
     """
     demands = np.atleast_2d(np.asarray(demands, dtype=float))
     sets = {"icnn": clf} if facets is None else {"icnn": clf, "facets": facets}
+    t0 = time.perf_counter()
+    dcopf = DcopfSolver(net)
+    tree = {"setup_s": time.perf_counter() - t0}
     dispatchers, setup = {}, {}
     for name, constraints in sets.items():
         t0 = time.perf_counter()
-        dispatchers[name] = Dispatcher(net, constraints)
+        dispatchers[name] = Dispatcher(dcopf, constraints)
         setup[name] = time.perf_counter() - t0
+    diagnostic = _dcopf_diagnostic(dispatchers, demands, region)
+    tree.update(dcopf.bases.counters())
     work = {name: dispatcher.bases.engine.counters()
             for name, dispatcher in dispatchers.items()}
     # one formulation over every demand at a time: timed right after a
@@ -429,9 +427,9 @@ def benchmark_scopf(net: Network, demands, region: ContingencyRegion,
         "full": {"feasible": sum(1 for r in fulls if r),
                  "runtime_ms_mean":
                      float(np.mean([r.runtime for r in fulls])) * 1e3},
+        "dcopf": tree,
         "formulations": formulations,
-        # after the summaries: it walks the first dispatcher's DC-OPF tree
-        "dcopf_diagnostic": _dcopf_diagnostic(dispatchers, demands, region),
+        "dcopf_diagnostic": diagnostic,
     }
     return records, summary
 
@@ -441,20 +439,18 @@ def _formulation_summary(dispatcher: Dispatcher, results, fulls, demands,
     """One dispatcher's answers results over the instances, against the
     full formulation's answers fulls.
 
-    Its setup; its runtime p50 and p90 over every instance, and its mean
-    runtime and ``speedup`` (the full formulation's mean over its own)
-    over the instances feasible under both, so neither side is charged for
-    the other's infeasible ones; its feasible answers, the share of the
+    Its setup (its set's LP, built and solved at the nominal demand); its
+    runtime p50 and p90 over every instance, and its mean runtime and
+    ``speedup`` (the full formulation's mean over its own) over the
+    instances feasible under both, so neither side is charged for the
+    other's infeasible ones; its feasible answers, the share of the
     full formulation's feasible instances it solves too, and its cost over
     the full optimum on those; the instances its first step answered; its
     feasible answers where the full formulation has none, and its
     dispatches' largest violation of region (0 when none passes a row).
     ``lp``: its LP's rows and ranged rows, and its engine's work over the
-    instances (work holds the counters before them).  ``dcopf``: its
-    DC-OPF step's answers by hops from the nominal basis, nodes derived
-    and engine re-solves, which sum to the instances with the answers;
-    ``resolves``: its set LP's re-solves, which sum to the instances with
-    ``step1_answers``.
+    instances (work holds the counters before them).  ``resolves``: its
+    set LP's re-solves, which sum to the instances with ``step1_answers``.
     """
     n = len(results)
     solved = [i for i in range(n) if results[i]]
@@ -488,19 +484,17 @@ def _formulation_summary(dispatcher: Dispatcher, results, fulls, demands,
                "ranged_rows":
                    int(np.isfinite(dispatcher.constraints.ranges).sum()),
                **{k: v - work[k] for k, v in engine.counters().items()}},
-        "dcopf": dispatcher.dcopf.bases.counters(),
         "resolves": resolves,
     }
 
 
 def _dcopf_diagnostic(dispatchers, demands, region: ContingencyRegion):
     """Per instance, the status of the DC-OPF step that every dispatcher
-    takes first (``Dispatcher.dcopf_step``, of the first dispatcher: the
-    same tree on the same network; NUMERICAL_FAILURE where it raised), its
-    injection's label against the region (1 insecure, as the dataset's
-    labels, all in one batch) and each set's ``value`` there, by
-    formulation (> 0 puts it outside the set); None where the DC-OPF is
-    not optimal.
+    takes first (``Dispatcher.dcopf_step`` on the solver they share;
+    NUMERICAL_FAILURE where it raised), its injection's label against the
+    region (1 insecure, as the dataset's labels, all in one batch) and each
+    set's ``value`` there, by formulation (> 0 puts it outside the set);
+    None where the DC-OPF is not optimal.
     """
     step = next(iter(dispatchers.values())).dcopf_step
     sols = [step(d) for d in demands]

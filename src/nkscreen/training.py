@@ -352,8 +352,8 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
             "and no scaling epoch before it had zero validation misses")
     if best is None:
         # no scaling epoch reached zero validation misses (possible only if
-        # validation labels disagree with the region); fall back to the least
-        # bad epoch by (fnr, fpr)
+        # validation labels disagree with the region); the error names the
+        # least bad epoch by (fnr, fpr)
         scored = [(r.val_fnr, r.val_fpr, r.epoch) for r in record.epochs
                   if r.phase == "scale"]
         scored.sort()
@@ -374,7 +374,6 @@ def train(A, b, X_train, y_train, X_val, y_val, config: TrainingConfig,
             f"final certification failed: {report.verdict}")
     clf = ScaledClassifier(
         params=best_params, r=final_scale.r,
-        v=np.zeros(A.shape[1]),
         meta={
             "best_epoch": best_epoch,
             "val_fpr": fpr,

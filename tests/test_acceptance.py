@@ -34,7 +34,7 @@ from nkscreen.cli import main, resolve_case
 from nkscreen.datagen import load_dataset
 from nkscreen.grid import load_network
 from nkscreen.icnn import (IcnnParams, box_violation, forward, init_params,
-                           load_checkpoint, raw_forward)
+                           load_checkpoint, raw_forward, save_checkpoint)
 from nkscreen.lp import TOL_FEAS
 from nkscreen.oracle import (DegenerateRatio, SublevelSolver, certify,
                              r_gradient, scale_fast)
@@ -158,6 +158,7 @@ def pipeline():
         "region_report": json.load(open(os.path.join(support,
                                                      "region_report.json"))),
         "ds": load_dataset(dataset),
+        "ckpt": ckpt,
         "clf": load_checkpoint(ckpt),
         "train_seconds": train_seconds,
         "screen_report": json.load(open(os.path.join(screen,
@@ -595,3 +596,12 @@ def test_screening_labels_equal_the_definition(pipeline):
                        box_gain=p.box_gain)
     np.testing.assert_array_equal(clf.predict_feasible(Z),
                                   forward(boxed, clf.r * Z + clf.v) <= 0.0)
+
+
+def test_resaved_checkpoint_keeps_its_bytes(pipeline, tmp_path):
+    # loading fills nothing in and saving adds nothing: the reference
+    # checkpoint, loaded and saved again, has the bytes train wrote
+    again = tmp_path / "checkpoint.npz"
+    save_checkpoint(load_checkpoint(pipeline["ckpt"]), again)
+    with open(pipeline["ckpt"], "rb") as fh:
+        assert again.read_bytes() == fh.read()

@@ -408,8 +408,8 @@ class TestTrain:
         from nkscreen import training
 
         def useless(*args, **kwargs):
-            clf = load_checkpoint(work["ckpt"])
-            clf.meta = {"val_fpr": 1.0}
+            clf = dataclasses.replace(load_checkpoint(work["ckpt"]),
+                                      meta={"val_fpr": 1.0})
             return clf, training.TrainingRecord(best_epoch=0)
 
         monkeypatch.setattr(training, "train", useless)
@@ -471,7 +471,8 @@ class TestCertify:
 
     def test_tampered_checkpoint_exits_three(self, work, tmp_path, capsys):
         clf = load_checkpoint(work["ckpt"])
-        clf.r = clf.r * 0.2  # grows the predicted set past the region
+        # grows the predicted set past the region
+        clf = dataclasses.replace(clf, r=clf.r * 0.2)
         bad = tmp_path / "tampered.npz"
         save_checkpoint(clf, bad)
         region_path = os.path.join(work["prep"], "region.npz")
@@ -504,10 +505,9 @@ class TestCertify:
         # screening refuses such a checkpoint; certification must not pass
         # it as reliable
         clf = load_checkpoint(work["ckpt"])
-        if field == "r":
-            clf.r = float("nan")
-        else:
-            clf.v = np.full(clf.params.n_inputs, np.nan)
+        nan = (float("nan") if field == "r"
+               else np.full(clf.params.n_inputs, np.nan))
+        clf = dataclasses.replace(clf, **{field: nan})
         bad = tmp_path / "nan.npz"
         save_checkpoint(clf, bad)
         code = main(["certify", "--checkpoint", str(bad),
@@ -581,8 +581,7 @@ class TestTransformChecks:
 
     def shifted(self, load, save, path, out):
         artifact = load(path)
-        artifact.mu = artifact.mu + 1.0
-        save(artifact, out)
+        save(dataclasses.replace(artifact, mu=artifact.mu + 1.0), out)
         return str(out)
 
     def narrowed(self, path, out):
@@ -672,7 +671,7 @@ class TestScopfBench:
         run = os.path.join(work["runs"], d)
         summary = json.load(open(os.path.join(run, "scopf_summary.json")))
         assert summary["instances"] == 6
-        assert set(summary) == {"instances", "full", "formulations",
+        assert set(summary) == {"instances", "full", "dcopf", "formulations",
                                 "dcopf_diagnostic", "manifest"}
         (icnn,) = summary["formulations"].values()
         assert icnn["conservativeness_violations"] == 0
@@ -704,9 +703,18 @@ class TestScopfBench:
         rerun = json.load(open(os.path.join(run, "scopf_summary.json")))
         assert rerun["dcopf_diagnostic"] == summary["dcopf_diagnostic"]
 
-    def test_region_adds_the_facet_formulation(self, work, tmp_path):
-        """--region dispatches against the reduced region too; the full and
-        classifier rows of the CSV are those of a run without it."""
+    def test_region_adds_the_facet_formulation(self, work, tmp_path,
+                                               monkeypatch):
+        """--region dispatches against the reduced region too, on the same
+        DC-OPF solver; the full and classifier rows of the CSV are those of
+        a run without it."""
+        from nkscreen.grid import DcopfSolver
+
+        built, init = [], DcopfSolver.__init__
+        monkeypatch.setattr(DcopfSolver, "__init__",
+                            lambda self, net: built.append(net)
+                            or init(self, net))
+
         def run(extra, out):
             assert main(["scopf-bench", "--case", work["case"],
                          "--checkpoint", work["ckpt"],
@@ -720,9 +728,11 @@ class TestScopfBench:
             return rows, json.load(open(out / d / "scopf_summary.json"))
 
         plain, summary = run([], tmp_path / "plain")
+        del built[:]
         both, with_facets = run(
             ["--region", os.path.join(work["prep"], "region.npz")],
             tmp_path / "facets")
+        assert len(built) == 1
         assert set(summary["formulations"]) == {"icnn"}
         assert len(both) == 1 + 18
         assert [r for r in both if ",facets," not in r] == plain
@@ -760,18 +770,21 @@ class TestScopfBench:
 
     @staticmethod
     def check_counts(summary):
-        """Each solve answers at step 1 or re-solves the set's LP; each
-        DC-OPF step answers from its tree or re-solves on its engine."""
+        """Each solve answers at step 1 or re-solves the set's LP; the
+        DC-OPF tree, reported once, answers each instance of the
+        diagnostic pass from its nodes or re-solves on its engine."""
         n = summary["instances"]
         for name, f in summary["formulations"].items():
             assert f["step1_answers"] + f["resolves"] == n
             assert f["step1_answers"] == sum(
                 e["dcopf_status"] == "OPTIMAL" and e["values"][name] <= 0
                 for e in summary["dcopf_diagnostic"])
-            dcopf = f["dcopf"]
-            assert set(dcopf) == {"answers_by_hops", "nodes_derived",
-                                  "resolves"}
-            assert sum(dcopf["answers_by_hops"]) + dcopf["resolves"] == n
+            assert "dcopf" not in f
+        dcopf = summary["dcopf"]
+        assert set(dcopf) == {"setup_s", "answers_by_hops", "nodes_derived",
+                              "resolves"}
+        assert dcopf["setup_s"] > 0.0
+        assert sum(dcopf["answers_by_hops"]) + dcopf["resolves"] == n
 
     @staticmethod
     def check_dcopf_diagnostic(work, diagnostic):

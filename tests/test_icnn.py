@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,6 +356,23 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.decision_values(X),
                                       clf.decision_values(X))
 
+    def test_absent_transform_saves_as_the_identity(self, tmp_path):
+        # v, mu, sigma and dim_map left out are filled in as the identity,
+        # with the bytes of a classifier given the identity explicitly
+        net = init_params(3, depth=1, width=4, box_lower=-np.ones(3),
+                          box_upper=np.ones(3), seed=4)
+        bare = ScaledClassifier(params=net, r=1.5)
+        explicit = ScaledClassifier(params=net, r=1.5, v=np.zeros(3),
+                                    mu=np.zeros(3), sigma=np.ones(3),
+                                    dim_map=np.arange(3))
+        paths = tmp_path / "bare.npz", tmp_path / "explicit.npz"
+        save_checkpoint(bare, paths[0])
+        save_checkpoint(explicit, paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # a re-save of the loaded file keeps its bytes too
+        save_checkpoint(load_checkpoint(paths[0]), paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_scaled_decision_shrinks_set(self):
         net = l1_ball_net()
         clf = ScaledClassifier(params=net, r=2.0, v=np.zeros(2))
@@ -395,12 +414,11 @@ class TestScreeningBox:
                                r=0.05)
         x = np.array([[15.0, 0.0]])
         assert not clf.predict_feasible(x)[0]
-        clf.r = 0.08  # u = 1.2: outside S as well
-        assert not clf.predict_feasible(x)[0]
-        clf.r = 0.05
+        # u = 1.2: outside S as well
+        assert not replace(clf, r=0.08).predict_feasible(x)[0]
         # the x box now maps to u1 in [-1.5, -0.5]; x1 = 12 gives u1 = -0.4,
         # inside S and inside the box of v = 0, but x1 is outside the box
-        clf.v = np.array([-1.0, 0.0])
+        clf = replace(clf, v=np.array([-1.0, 0.0]))
         assert not clf.predict_feasible(np.array([[12.0, 0.0]]))[0]
         assert clf.predict_feasible(np.array([[4.0, 0.0]]))[0]
 
@@ -410,9 +428,8 @@ class TestScreeningBox:
         X = np.random.default_rng(8).uniform(-1, 1, size=(50, 3))
         for r, v in ((0.3, np.full(3, 0.1)), (1.0, None), (2.5, np.zeros(3))):
             clf = ScaledClassifier(params=net, r=r, v=v)
-            shift = 0.0 if v is None else v
             np.testing.assert_array_equal(clf.predict_feasible(X),
-                                          forward(net, r * X + shift) <= 0.0)
+                                          forward(net, r * X + clf.v) <= 0.0)
 
 
 def reference_feasible(clf, X):
@@ -422,8 +439,7 @@ def reference_feasible(clf, X):
     lo, hi = clf.input_box()
     boxed = IcnnParams(W=p.W, D=p.D, b=p.b, box_lower=lo, box_upper=hi,
                        box_gain=p.box_gain)
-    shift = 0.0 if clf.v is None else clf.v
-    return forward(boxed, clf.r * np.atleast_2d(X) + shift) <= 0.0
+    return forward(boxed, clf.r * np.atleast_2d(X) + clf.v) <= 0.0
 
 
 def screened_alone(clf, X):
@@ -488,7 +504,7 @@ class TestScreeningNetwork:
         rng = np.random.default_rng(10 * depth)
         net.b[-1] -= np.median(raw_forward(net, rng.uniform(lo, hi,
                                                             size=(501, 4))))
-        clf.params = net
+        clf = replace(clf, params=net)
         U = rng.uniform(lo - pad, hi + pad, size=(5000, 4))
         X = (U - v) / r
         got = clf.predict_feasible(X)
@@ -622,7 +638,7 @@ class TestScreeningNetwork:
         inner = (x_lo + x_hi) / 2
         # an output bias that puts the raw boundary near the box's middle
         net.b[-1] = net.b[-1] - raw_forward(net, r * inner + v) + level
-        clf.params = net
+        clf = replace(clf, params=net)
 
         def coordinate(j):
             kind = data.draw(st.sampled_from(
@@ -679,21 +695,29 @@ class TestScreeningNetwork:
             clf.predict_feasible(np.zeros(shape))
 
     def test_rebuilt_after_params_r_or_v_is_assigned(self):
+        # a field is assigned through ``replace``, which gives a classifier
+        # with no network; assigning it in place raises
         net = l1_ball_net(radius=1.0, box=10.0)
         clf = ScaledClassifier(params=net, r=1.0, v=np.zeros(2))
         x = np.array([[0.8, 0.0]])
         assert clf.predict_feasible(x)[0]
-        clf.r = 2.0                               # u = 1.6
+        built = clf._net
+        for f in fields(clf):
+            with pytest.raises(FrozenInstanceError):
+                setattr(clf, f.name, getattr(clf, f.name))
+        assert clf._net is built
+        clf = replace(clf, r=2.0)                 # u = 1.6
+        assert clf._net is None and clf._dispatch is None
         assert not clf.predict_feasible(x)[0]
-        clf.v = np.array([-1.0, 0.0])             # u = 0.6
+        clf = replace(clf, v=np.array([-1.0, 0.0]))   # u = 0.6
         assert clf.predict_feasible(x)[0]
-        clf.params = l1_ball_net(radius=0.5, box=10.0)
+        clf = replace(clf, params=l1_ball_net(radius=0.5, box=10.0))
         assert not clf.predict_feasible(x)[0]
-        # the network copies the weights: an in-place edit counts only
-        # once params is assigned again
+        # the network copies the weights: an in-place edit counts only in
+        # a classifier built after it
         clf.params.b[-1][0] = -1.0
         assert not clf.predict_feasible(x)[0]
-        clf.params = clf.params
+        clf = replace(clf)
         assert clf.predict_feasible(x)[0]
         np.testing.assert_array_equal(clf.predict_feasible(x),
                                       reference_feasible(clf, x))

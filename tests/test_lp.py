@@ -1485,12 +1485,13 @@ def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
     import hashlib
 
     from nkscreen import scopf
+    from nkscreen.grid import DcopfSolver
 
     net, demands, X = _dcopf_digest(hashlib.sha256())
     clf = _mesh10_classifier(X)
     # the classifier LP's own re-solves, for every demand: solve_scopf_icnn
     # answers most of these demands from the screened DC-OPF dispatch
-    lp = scopf.Dispatcher(net, clf)
+    lp = scopf.Dispatcher(DcopfSolver(net), clf)
     classifier_lp = lp.bases
     eng = classifier_lp.engine
     shapes = recorded_inversions(monkeypatch, [eng])

@@ -1,7 +1,9 @@
 """Security-constrained dispatch tests, both formulations."""
 
+import copy
 import csv
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -347,7 +349,7 @@ def paired_row_icnn_problem(net, demand, clf):
     nz = A_e.shape[1] - n_in
     S = np.zeros((n_in, net.n))
     S[np.arange(n_in), clf.dim_map] = clf.r / clf.sigma
-    s0 = (0.0 if clf.v is None else clf.v) - clf.r * clf.mu / clf.sigma
+    s0 = clf.v - clf.r * clf.mu / clf.sigma
     _, H = ptdf(net)
     lo, hi = clf.input_box()
     rows = np.vstack([H, -H, A_e[:, :n_in] @ S, S, -S])
@@ -507,10 +509,8 @@ class TestIcnnWarmStart:
         assert np.count_nonzero(np.isfinite(p.ranges)) == len(net.lines) + boxed
 
     def test_content_change_invalidates_cache(self):
-        # each edit is assigned, which drops the classifier's held
+        # each edit gives another classifier (``replace``), which holds no
         # dispatcher; the edited network is a copy, another object
-        from dataclasses import replace
-
         net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
         params = l1_ball_net3(radius=1.2)
         clf = ScaledClassifier(params=params)
@@ -519,19 +519,18 @@ class TestIcnnWarmStart:
         assert abs(base.cost - 1.0) <= 1e-6
         # loosen the set: radius 1.2 -> 1.3 lets p0 reach 0.65
         params.b[-1][0] = -1.3
-        clf.params = params
+        clf = replace(clf, params=params)
         looser = solve_scopf_icnn(net, d, clf)
         assert looser and abs(looser.cost - 0.95) <= 1e-6
         # a larger scale shrinks the set again: p0 <= 1.3 / 1.05 - 0.6
-        clf.r = 1.05
+        clf = replace(clf, r=1.05)
         scaled = solve_scopf_icnn(net, d, clf)
         assert scaled and scaled.cost > looser.cost + 1e-3
         assert clf.decision_values(looser.p - d)[0] > 1e-3
         assert clf.decision_values(scaled.p - d)[0] <= 1e-7
         # back to the first content: the first answer, bit for bit
         params.b[-1][0] = -1.2
-        clf.params = params
-        clf.r = 1.0
+        clf = replace(clf, params=params, r=1.0)
         back = solve_scopf_icnn(net, d, clf)
         assert back.p.tobytes() == base.p.tobytes()
         # an edited network: line 0 carries 0.2 at that dispatch, and a
@@ -570,11 +569,11 @@ def classifier_runs(monkeypatch, net, clf):
 def screen_values(net, demands, clf):
     """The DC-OPF dispatch of each demand (fixed start) and the decision
     value of a freshly built classifier at its injection."""
-    fresh = ScaledClassifier(params=clf.params.copy(), r=clf.r, v=clf.v,
-                             mu=clf.mu, sigma=clf.sigma, dim_map=clf.dim_map)
+    fresh = replace(clf, params=clf.params.copy())
     sols = fixed_start_dcopf(net, demands)
     values = [fresh.decision_values(standardize_points(
-        s.x - d, net.n, *fresh.transform()))[0] if s else None
+        s.x - d, net.n, fresh.dim_map, fresh.mu, fresh.sigma))[0] if s
+        else None
         for s, d in zip(sols, demands)]
     return sols, values
 
@@ -628,7 +627,8 @@ class TestScreenFirst:
             if res:
                 assert abs(res.cost - cost) <= 1e-9 * abs(cost)
                 assert clf.decision_values(standardize_points(
-                    res.p - demands[i], net.n, *clf.transform()))[0] <= 1e-7
+                    res.p - demands[i], net.n, clf.dim_map, clf.mu,
+                    clf.sigma))[0] <= 1e-7
         lp = scopf.classifier_dispatcher(net, clf).constraints
         assert [b.tobytes() for b in calls] == [lp.rhs(demands[i]).tobytes()
                                                 for i in flagged]
@@ -665,8 +665,8 @@ class TestScreenFirst:
 
     def test_in_place_weight_edit_screens_with_the_new_weights(self):
         # the held dispatcher and clf._net, built at radius 2, admit the
-        # DC-OPF dispatch; after the edit is assigned, the answer must be
-        # the one of a classifier built fresh at radius 1.2
+        # DC-OPF dispatch; the classifier that ``replace`` gives after the
+        # edit must answer as one built fresh at radius 1.2
         net = ring3(limits=(5.0, 5.0, 5.0), demand=(0.0, 0.2, 0.6))
         params = l1_ball_net3(radius=2.0)
         clf = ScaledClassifier(params=params)
@@ -674,12 +674,14 @@ class TestScreenFirst:
         assert np.allclose(loose.p, [0.8, 0.0, 0.0])
         assert clf.decision_values(loose.p - net.demand)[0] <= 0
         params.b[-1][0] = -1.2
-        clf.params = params
-        got = solve_scopf_icnn(net, net.demand, clf)
+        got = solve_scopf_icnn(net, net.demand, replace(clf, params=params))
         fresh = solve_scopf_icnn(net, net.demand,
                                  ScaledClassifier(params=params.copy()))
         assert got.p.tobytes() == fresh.p.tobytes()
         assert abs(got.cost - 1.0) <= 1e-6
+        # the first classifier keeps what it built at radius 2
+        assert solve_scopf_icnn(net, net.demand, clf).p.tobytes() == \
+            loose.p.tobytes()
 
     def test_call_order_does_not_matter_across_both_steps(self, case39_setup):
         from nkscreen import scopf
@@ -689,9 +691,9 @@ class TestScreenFirst:
         demands = list(demands[:16]) + [3.0 * net.demand]
 
         def answers(order):
-            clf.params = clf.params    # a fresh dispatcher
-            lp = scopf.classifier_dispatcher(net, clf)
-            out = {i: solve_scopf_icnn(net, demands[i], clf) for i in order}
+            fresh = replace(clf)    # a fresh dispatcher
+            lp = scopf.classifier_dispatcher(net, fresh)
+            out = {i: solve_scopf_icnn(net, demands[i], fresh) for i in order}
             return out, (lp.bases.n_resolves, lp.dcopf.counters())
 
         forward_order, counts = answers(range(len(demands)))
@@ -727,11 +729,12 @@ class TestScreenFirst:
         assert values[-1] is None
         # the diagnostic's dispatches are the fixed-start DC-OPF's
         assert values == screen_values(net, demands, clf)[1]
-        # one answer per demand in the DC-OPF step, from its tree of bases
-        # or its engine; one re-solve per demand the screen did not answer
-        # in the classifier step
-        dcopf = icnn["dcopf"]
-        assert set(dcopf) == {"answers_by_hops", "nodes_derived", "resolves"}
+        # one answer per demand in the DC-OPF step's diagnostic pass, from
+        # its tree of bases or its engine; one re-solve per demand the
+        # screen did not answer in the classifier step
+        dcopf = summary["dcopf"]
+        assert set(dcopf) == {"setup_s", "answers_by_hops", "nodes_derived",
+                              "resolves"}
         assert sum(dcopf["answers_by_hops"]) + dcopf["resolves"] == \
             len(demands)
         assert icnn["resolves"] == len(demands) - icnn["step1_answers"]
@@ -844,13 +847,11 @@ class TestDcopfNeighbours:
         assert step.bases.counters()["answers_by_hops"][1] == 1
 
 
-# the classifier fields whose assignment drops the held dispatcher
+# the classifier fields that its held dispatcher is built from
 _ASSIGNED = ("params", "r", "v", "mu", "sigma", "dim_map")
 
 
 def _pair(case39_setup):
-    import copy
-
     net, _, params, mu, sigma, keep = case39_setup
     clf = ScaledClassifier(params=params.copy(), r=1.0,
                            v=np.zeros(len(keep)), mu=mu.copy(),
@@ -866,8 +867,9 @@ def _copy_of(clf):
 
 class TestHeldDispatcher:
     """The classifier's dispatcher is held on the classifier for one
-    network object: assigning a field rebuilds it, another network object
-    rebuilds it, and the same objects reuse it."""
+    network object: a field is assigned through ``replace``, which gives a
+    classifier that builds its own, assigning one in place raises, another
+    network object rebuilds it, and the same objects reuse it."""
 
     @pytest.mark.parametrize("name", _ASSIGNED)
     def test_assignment_rebuilds_the_dispatcher(self, case39_setup, name):
@@ -876,15 +878,16 @@ class TestHeldDispatcher:
         net, clf = _pair(case39_setup)
         held = scopf.classifier_dispatcher(net, clf)
         assert scopf.classifier_dispatcher(net, clf) is held
-        setattr(clf, name, getattr(clf, name))
-        assert clf._dispatch is None
-        again = scopf.classifier_dispatcher(net, clf)
+        with pytest.raises(FrozenInstanceError):
+            setattr(clf, name, getattr(clf, name))
+        other = replace(clf, **{name: getattr(clf, name)})
+        assert other._dispatch is None
+        again = scopf.classifier_dispatcher(net, other)
         assert again is not held
-        assert scopf.classifier_dispatcher(net, clf) is again
+        assert scopf.classifier_dispatcher(net, other) is again
+        assert scopf.classifier_dispatcher(net, clf) is held
 
     def test_another_network_object_rebuilds_it(self, case39_setup):
-        import copy
-
         from nkscreen import scopf
 
         net, clf = _pair(case39_setup)
@@ -903,35 +906,34 @@ class TestHeldDispatcher:
             icnn_dispatch_problem(net, d, clf)
             clf.decision_values(np.zeros(len(clf.mu)))
         assert scopf.classifier_dispatcher(net, clf) is held
-        # other fields, and in-place edits, keep it
-        clf.meta = {"note": 1}
+        # in-place edits, of the metadata or of the weights, keep it
+        clf.meta["note"] = 1
         clf.params.b[-1][0] += 1.0
         assert scopf.classifier_dispatcher(net, clf) is held
 
 
 def _edit_array(field, get):
-    """Edit one entry of an array of the classifier, in place, and assign
-    the classifier field that holds it."""
+    """Edit one entry of an array of the classifier, in a copy of the
+    classifier field that holds it, and pass that copy through
+    ``replace``."""
     def edit(net, clf):
+        clf = replace(clf, **{field: getattr(clf, field).copy()})
         a = get(clf)
         a.flat[0] += 1 if a.dtype.kind == "i" else 0.125
-        setattr(clf, field, getattr(clf, field))
-        return net
+        return net, clf
     return edit
 
 
 def _edit_network(name):
     """Edit one entry of a network array in a copy of the network."""
-    from dataclasses import replace
-
     def edit(net, clf):
         if name == "slack":
-            return replace(net, slack=net.slack + 1)
+            return replace(net, slack=net.slack + 1), clf
         a = getattr(net, name).copy()
         # pmin at a generator with room above it
         at = np.argmax(net.pmax - net.pmin) if name == "pmin" else 0
         a.flat[at] += 1 if a.dtype.kind == "i" else 0.125
-        return replace(net, **{name: a})
+        return replace(net, **{name: a}), clf
     return edit
 
 
@@ -944,7 +946,7 @@ _KEYED_EDITS = {
     "b1": _edit_array("params", lambda clf: clf.params.b[1]),
     "box_lower": _edit_array("params", lambda clf: clf.params.box_lower),
     "box_upper": _edit_array("params", lambda clf: clf.params.box_upper),
-    "r": lambda net, clf: setattr(clf, "r", clf.r * 1.25) or net,
+    "r": lambda net, clf: (net, replace(clf, r=clf.r * 1.25)),
     "v": _edit_array("v", lambda clf: clf.v),
     "mu": _edit_array("mu", lambda clf: clf.mu),
     "sigma": _edit_array("sigma", lambda clf: clf.sigma),
@@ -958,23 +960,22 @@ _LP_ARRAYS = ("A", "b0", "ranges", "lb", "ub", "c")
 
 class TestClassifierLpCache:
     """An edit of any item the classifier LP is built from reaches it once
-    the edit is assigned (a classifier field) or passed as another network
-    object; equal values in another memory layout give the same LP."""
+    the edit is passed as another classifier (``replace``) or another
+    network object; equal values in another memory layout give the same
+    LP."""
 
     @pytest.mark.parametrize("item", sorted(_KEYED_EDITS))
     def test_in_place_edit_rebuilds_the_lp(self, case39_setup, item):
-        import copy
-
         from nkscreen import scopf
 
         net, clf = _pair(case39_setup)
         lp = scopf.classifier_dispatcher(net, clf)
-        net = _KEYED_EDITS[item](net, clf)
+        net, clf = _KEYED_EDITS[item](net, clf)
         rebuilt = scopf.classifier_dispatcher(net, clf)
         assert rebuilt is not lp
         # the rebuilt dispatcher is the one built from copies of the edited
         # objects, and it describes the edit
-        fresh = scopf.Dispatcher(copy.deepcopy(net), _copy_of(clf))
+        fresh = scopf.Dispatcher(DcopfSolver(net), _copy_of(clf))
         for a in _LP_ARRAYS:
             assert np.array_equal(getattr(rebuilt.constraints, a),
                                   getattr(fresh.constraints, a))
@@ -989,8 +990,6 @@ class TestClassifierLpCache:
                        for a in _LP_ARRAYS)
 
     def test_non_contiguous_equal_values_keep_the_lp(self, case39_setup):
-        from dataclasses import replace
-
         from nkscreen import scopf
 
         net, clf = _pair(case39_setup)
@@ -998,9 +997,9 @@ class TestClassifierLpCache:
         lp = scopf.classifier_dispatcher(net, clf).constraints
         want = [solve_scopf_icnn(net, d, clf) for d in demands]
         net = replace(net, f_upper=np.repeat(net.f_upper, 2)[::2])
-        clf.mu = np.repeat(clf.mu, 3)[::3]
-        clf.params.D[0] = np.asfortranarray(clf.params.D[0])
-        clf.params = clf.params
+        params = clf.params.copy()
+        params.D[0] = np.asfortranarray(params.D[0])
+        clf = replace(clf, params=params, mu=np.repeat(clf.mu, 3)[::3])
         assert not (net.f_upper.flags.c_contiguous
                     or clf.mu.flags.c_contiguous
                     or clf.params.D[0].flags.c_contiguous)
@@ -1038,7 +1037,7 @@ class TestFacetDispatcher:
 
     def test_folded_column_stays_at_its_value(self):
         net, full, folded = folded_ring3()
-        dispatcher = Dispatcher(net, folded)
+        dispatcher = Dispatcher(DcopfSolver(net), folded)
         res = dispatcher.solve(net.demand)
         assert res.formulation == "facets"
         # p_1 = d_1 + 0.3; the cheap bus covers the rest of the 0.8
@@ -1060,7 +1059,7 @@ class TestFacetDispatcher:
 
     def test_rows_and_their_names(self):
         net, _, folded = folded_ring3()
-        lp = Dispatcher(net, folded).constraints
+        lp = Dispatcher(DcopfSolver(net), folded).constraints
         n_facets = folded.n_rows
         assert lp.A.shape == (net.m + n_facets + 2 + 1 + 1, net.n)
         pin = lp.A[net.m + n_facets + 2]
@@ -1080,11 +1079,12 @@ class TestFacetDispatcher:
     def test_region_must_fit_the_network_and_have_a_box(self):
         net, full, folded = folded_ring3()
         with pytest.raises(ValueError, match="box"):
-            Dispatcher(net, full)
+            Dispatcher(DcopfSolver(net), full)
         with pytest.raises(ValueError, match="injection dimensions"):
-            Dispatcher(load_network(resolve_case("case39")), folded)
+            Dispatcher(DcopfSolver(load_network(resolve_case("case39"))),
+                       folded)
         with pytest.raises(TypeError):
-            Dispatcher(net, full.A)
+            Dispatcher(DcopfSolver(net), full.A)
 
 
 @pytest.fixture(scope="module")
@@ -1104,7 +1104,7 @@ def case39_facets():
 class TestFacetDispatcherCase39:
     def test_folds_and_rows(self, case39_facets):
         net, _, facets = case39_facets
-        lp = Dispatcher(net, facets).constraints
+        lp = Dispatcher(DcopfSolver(net), facets).constraints
         folded = np.setdiff1d(np.arange(net.n), facets.dim_map)
         assert len(folded) > 0
         assert len(lp.A) == (net.m + facets.n_rows + facets.dim
@@ -1119,7 +1119,7 @@ class TestFacetDispatcherCase39:
     def test_answers_equal_highs_and_lie_inside_region_full(
             self, case39_facets, scale):
         net, full, facets = case39_facets
-        dispatcher = Dispatcher(net, facets)
+        dispatcher = Dispatcher(DcopfSolver(net), facets)
         demands = sample_demands(DemandSampler(net.demand * scale,
                                                rel_std=0.15, seed=23), 300)
         folded = np.setdiff1d(np.arange(net.n), facets.dim_map)
@@ -1163,7 +1163,7 @@ class TestBenchmark:
         records, summary = benchmark_scopf(net, demands, region, clf)
         assert len(records) == 20
         assert summary["instances"] == 10
-        assert set(summary) == {"instances", "full", "formulations",
+        assert set(summary) == {"instances", "full", "dcopf", "formulations",
                                 "dcopf_diagnostic"}
         icnn = summary["formulations"]["icnn"]
         assert icnn["conservativeness_violations"] == 0
