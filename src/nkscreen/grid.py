@@ -138,22 +138,6 @@ def load_network(source) -> Network:
     return net.validate()
 
 
-def incidence_matrix(net: Network, line_idx=None) -> np.ndarray:
-    """Bus-by-line incidence C: C[f,l] = +1, C[t,l] = -1 for line l = (f,t).
-
-    ``line_idx`` may carry leading batch axes, e.g. (B, nl) for B line
-    subsets; C then has shape (B, n, nl).
-    """
-    if line_idx is None:
-        line_idx = np.arange(net.m)
-    line_idx = np.asarray(line_idx, dtype=np.intp)
-    C = np.zeros(line_idx.shape[:-1] + (net.n, line_idx.shape[-1]))
-    *batch, col = np.indices(line_idx.shape, sparse=True)
-    C[(*batch, net.lines[line_idx, 0], col)] = 1.0
-    C[(*batch, net.lines[line_idx, 1], col)] = -1.0
-    return C
-
-
 def _surviving(net: Network, outages):
     """(B, m) mask of the lines each outage set leaves, for one set of line
     indices (B = 1) or a (B, k) array of sets; and whether one set was given."""
@@ -217,11 +201,22 @@ def ptdf(net: Network, outages=()) -> tuple[np.ndarray, np.ndarray]:
     H[i] maps bus injections to the flow on line surviving_line_indices[i].
     H annihilates constants (H @ 1 = 0), so only the balanced component of
     an injection matters.  For a (B, k) array of B sets, each removing the
-    same number of lines, returns the stacks (B, nl) and (B, nl, n), from
-    stacked solves and products.  A single set is computed as a stack of
-    one, so both go through the same arithmetic; each slice of a stack has
-    the bytes the set gets alone.  Raises IslandingError if a surviving
-    graph is disconnected.
+    same number of lines, returns the stacks (B, nl) and (B, nl, n).  A
+    single set is computed as a stack of one, so both go through the same
+    arithmetic; each slice of a stack has the bytes the set gets alone.
+    Raises IslandingError if a surviving graph is disconnected.
+
+    Each stack is assembled, not multiplied out: every surviving line adds
+    its susceptance s to the two diagonal entries of its ends and -s to the
+    two entries between them, in ascending line order, straight into the
+    (n - 1) x (n - 1) Laplacian L_red over the non-slack buses; the line's
+    row of G holds s and -s at its non-slack ends.  Then
+    H = G @ solve(L_red, I), the slack's angle held at 0.  Every term is
+    exact, so L_red depends only on that order of its sums.  It is the
+    order OpenBLAS takes in the dense incidence products (C diag(s) C^T,
+    then diag(s) C^T times the zero-embedded inverse) at case39's sizes,
+    so there H has those products' bytes; at other sizes a BLAS kernel may
+    sum in another order, and the products may differ in the last bits.
     """
     alive, single = _surviving(net, outages)
     split = _islanding(net, alive)
@@ -231,21 +226,27 @@ def ptdf(net: Network, outages=()) -> tuple[np.ndarray, np.ndarray]:
     nl = alive.sum(axis=1)
     if np.any(nl != nl[0]):
         raise ValueError("a stack of outage sets must remove equally many lines")
-    B = len(alive)
+    B, n, slack = len(alive), net.n, net.slack
     keep = np.nonzero(alive)[1].reshape(B, nl[0])
-    C = incidence_matrix(net, keep)
     Bd = net.susceptance[keep]
-    Ct = C.transpose(0, 2, 1)
-    L = (C * Bd[:, None, :]) @ Ct
-    n = net.n
-    idx = np.arange(n) != net.slack
-    L_red = L[:, idx][:, :, idx]
-    # solve for sensitivities of angles at non-slack buses
-    rhs = np.zeros((B, n, n))
-    eye = np.broadcast_to(np.eye(n)[idx], (B, n - 1, n))
-    rhs[:, idx, :] = np.linalg.solve(L_red, eye)
-    # rhs is the zero-embedded generalized inverse of L
-    H = (Bd[:, :, None] * Ct) @ rhs
+    ends = net.lines[keep]                           # (B, nl, 2)
+    on = ends != slack                               # ends with an angle
+    red = ends - (ends > slack)                      # index among non-slack buses
+    f, t = red[..., 0], red[..., 1]
+    both = on.all(axis=-1)
+    entry = np.stack([f * (n - 1) + f, t * (n - 1) + t,
+                      f * (n - 1) + t, t * (n - 1) + f], axis=-1)
+    entry += (np.arange(B) * (n - 1) ** 2)[:, None, None]
+    term = np.stack([on[..., 0], on[..., 1], both, both], axis=-1)
+    L_red = np.zeros((B, n - 1, n - 1))
+    np.add.at(L_red.reshape(-1), entry[term],
+              np.stack([Bd, Bd, -Bd, -Bd], axis=-1)[term])
+    G = np.zeros((B, nl[0], n - 1))                  # s * C^T, slack column left out
+    for end, sign in ((0, 1.0), (1, -1.0)):
+        b, line = np.nonzero(on[..., end])
+        G[b, line, red[b, line, end]] = sign * Bd[b, line]
+    eye = np.eye(n)[np.arange(n) != slack]
+    H = G @ np.linalg.solve(L_red, eye)
     # project onto balanced injections so H @ 1 = 0 exactly (pseudo-inverse PTDF)
     H -= np.mean(H, axis=2, keepdims=True)
     return (keep[0], H[0]) if single else (keep, H)

@@ -10,10 +10,13 @@ duplicate rows and rows the box cannot reach; ``eliminate_redundant`` then
 keeps only the facets, by Clarkson's search from a Chebyshev centre.
 
 Every stage is array code, with no loop per contingency or per row: one
-bitset islanding pass per outage-set size, PTDFs from stacked solves written
-straight into the preallocated rows, and a filter and a prune that screen
-rows by their box support first, so that only the rows near the box enter
-the filter's product and the prune's sort-based duplicate search.
+bitset islanding pass per outage-set size, PTDF stacks assembled by
+scatter-add and one stacked solve, written straight into the preallocated
+rows, and a filter and a prune that screen rows by their box support first,
+so that only the rows near the box enter the filter's product and the
+prune's sort-based duplicate search.  The filter then compares only the
+columns whose maximum over a block of samples passes b.  A stage scans the
+matrix for zero rows only where it makes rows (``validate``).
 
 Between folding and standardizing, the origin need not be interior (b may
 lose positivity); the standardized region has b > 0.  Transformations that
@@ -108,14 +111,32 @@ class ContingencyRegion:
         return self.A.shape[1]
 
     def validate(self, require_interior=True):
+        """Check every invariant: ``_check_fields``'s, and that no row of A
+        is zero.  Returns the region; raises AssumptionViolated.
+
+        The zero-row scan reads the whole matrix, so it runs only where rows
+        are made: ``build_region``, ``standardize`` (every column scaled)
+        and ``load_region``.  ``drop_constant_dims`` drops the rows that
+        fold to zero by its own mask, and the filter, ``with_box``, the
+        prune and the elimination keep or subset rows; those stages check
+        the rest alone, with ``_check_fields``.
+        """
+        self._check_fields(require_interior)
+        if not np.all(np.any(self.A, axis=1)):
+            raise AssumptionViolated("zero row in region matrix")
+        return self
+
+    def _check_fields(self, require_interior=True):
+        """The invariants that need no pass over A: at least one row,
+        consistent shapes of b, row_meta, dim_map, mu and sigma, sigma > 0,
+        a finite nonempty box when one is set, and b > 0 when
+        ``require_interior``."""
         if self.A.ndim != 2 or self.A.shape[0] == 0:
             raise AssumptionViolated("region must have at least one row")
         if self.b.shape != (self.n_rows,):
             raise AssumptionViolated("b shape mismatch")
         if require_interior and np.any(self.b <= 0):
             raise AssumptionViolated("region requires b > 0 (origin interior)")
-        if not np.all(np.any(self.A, axis=1)):
-            raise AssumptionViolated("zero row in region matrix")
         if self.row_meta.shape != (self.n_rows,):
             raise AssumptionViolated("row_meta shape mismatch")
         if len(self.dim_map) != self.dim:
@@ -204,10 +225,10 @@ def build_region(net: Network, k: int = 2, counters=None) -> ContingencyRegion:
     """Stack post-contingency flow-limit rows for all surviving lines.
 
     Each contingency contributes, per surviving line, the row H and then
-    -H.  The PTDFs come from ``ptdf`` in stacks of ``_PTDF_CHUNK`` sets of
-    one size, written straight into the preallocated rows.  A dict passed
-    as counters receives the outage sets enumerated, islanding and kept,
-    and the rows built.
+    -H.  The PTDFs come from ``ptdf``, assembled in stacks of
+    ``_PTDF_CHUNK`` sets of one size, written straight into the
+    preallocated rows.  A dict passed as counters receives the outage sets
+    enumerated, islanding and kept, and the rows built.
     """
     groups = _outage_sets(net, k, counters)
     n_rows = sum(2 * len(g) * (net.m - g.shape[1]) for g in groups)
@@ -248,6 +269,19 @@ def build_region(net: Network, k: int = 2, counters=None) -> ContingencyRegion:
     return region.validate()
 
 
+def _samples(region: ContingencyRegion, X_full, stage):
+    """The samples in region coordinates, for a stage that takes samples;
+    ValueError naming the stage when there are none, or when one has a NaN
+    or infinite coordinate (a NaN breaks no row and spans no dimension, so
+    it would pass the filter and hide a constant dimension)."""
+    Xc = region.project(X_full)
+    if len(Xc) == 0:
+        raise ValueError(f"{stage} needs at least one sample")
+    if not np.isfinite(Xc).all():
+        raise ValueError(f"{stage}: a sample has a NaN or infinite coordinate")
+    return Xc
+
+
 def contingency_violation_fractions(region: ContingencyRegion, X_full, counters=None):
     """Per-contingency fraction of samples violating any of its rows.
 
@@ -255,29 +289,38 @@ def contingency_violation_fractions(region: ContingencyRegion, X_full, counters=
     below b - TOL_RED cannot be violated by any sample (every sample lies
     in that box, and TOL_RED is far above the rounding of a row product),
     so only the other rows enter the product, taken in blocks of samples as
-    in ``margins``.  Each block's violations are few, so they are counted
-    from the nonzero entries of its violation mask, one per violated
-    (sample, contingency) pair; a block with none is skipped.  A dict
-    passed as counters receives the rows evaluated and the rows the screen
-    skipped.
+    in ``margins``.  Violations are rare, so each block's row values are
+    reduced to their column maxima first, and only the columns whose
+    maximum passes b are compared and scanned for the violating samples,
+    256 columns at a time; they are counted one per violated (sample,
+    contingency) pair.  A dict passed as counters receives the rows
+    evaluated, the rows the screen skipped and the violated pairs.
     """
-    Xc = region.project(X_full)
+    Xc = _samples(region, X_full, "contingency_violation_fractions")
     A, b = region.A, region.b
     rows = np.nonzero(_box_support(A, Xc.min(axis=0), Xc.max(axis=0))
                       > b - TOL_RED)[0]
-    if counters is not None:
-        counters.update(filter_rows_evaluated=len(rows),
-                        filter_rows_skipped=region.n_rows - len(rows))
     n_c = len(region.contingencies)
     hits = np.zeros(n_c, dtype=np.intp)
     if len(rows):
         cid = region.row_meta["contingency"][rows].astype(np.intp)
         A_rows, b_rows = A[rows].T, b[rows]
         for start, stop in _point_blocks(len(Xc)):
-            point, col = np.nonzero(Xc[start:stop] @ A_rows > b_rows)
-            if len(point):
-                pairs = np.unique(point * n_c + cid[col])
+            vals = Xc[start:stop] @ A_rows
+            hot = np.flatnonzero(np.fmax.reduce(vals, axis=0) > b_rows)
+            pairs = []
+            for lo, hi in _point_blocks(len(hot)):   # bounds vals[:, cols]
+                cols = hot[lo:hi]
+                point, col = np.nonzero(vals[:, cols] > b_rows[cols])
+                pairs.append(point * n_c + cid[cols[col]])
+            del vals  # before the next block is made
+            if pairs:
+                pairs = np.unique(np.concatenate(pairs))
                 hits += np.bincount(pairs % n_c, minlength=n_c)
+    if counters is not None:
+        counters.update(filter_rows_evaluated=len(rows),
+                        filter_rows_skipped=region.n_rows - len(rows),
+                        filter_violated_pairs=int(hits.sum()))
     return hits / len(Xc)
 
 
@@ -311,7 +354,7 @@ def filter_contingencies(region: ContingencyRegion, X_full, threshold=0.9,
                                          for c in np.nonzero(~kept)[0]],
               "filter_threshold": threshold},
     )
-    return out.validate()
+    return out._check_fields()
 
 
 def drop_constant_dims(region: ContingencyRegion, X_full):
@@ -322,11 +365,12 @@ def drop_constant_dims(region: ContingencyRegion, X_full):
     origin is not necessarily interior), which later stages tolerate.
     The kept columns are gathered once, into a C-ordered matrix (the
     dedup key and the saved bytes need that order), and its rows are
-    gathered again only when some row folded to zero.
+    gathered again only when some row folded to zero.  The samples must be
+    nonempty and finite (``_samples``).
     """
     if np.any(region.mu != 0.0) or np.any(region.sigma != 1.0):
         raise ValueError("drop dimensions before standardizing")
-    Xc = region.project(X_full)
+    Xc = _samples(region, X_full, "drop_constant_dims")
     span = Xc.max(axis=0) - Xc.min(axis=0)
     scale = np.maximum(1.0, np.abs(Xc).max(axis=0))
     const = span <= TOL_CONST * scale
@@ -356,7 +400,7 @@ def drop_constant_dims(region: ContingencyRegion, X_full):
         sigma=region.sigma[keep],
         meta={**region.meta, "n_dropped_dims": int(const.sum())},
     )
-    return out.validate(require_interior=False)
+    return out._check_fields(require_interior=False)
 
 
 def bounding_box(X, inflate=1.2):
@@ -373,9 +417,11 @@ def bounding_box(X, inflate=1.2):
 
 
 def with_box(region: ContingencyRegion, X_full, inflate=1.2):
-    """Attach the sampling bounding box (in region coordinates)."""
-    lo, hi = bounding_box(region.project(X_full), inflate=inflate)
-    return replace(region, box_lower=lo, box_upper=hi).validate(require_interior=False)
+    """Attach the sampling bounding box (in region coordinates); the
+    samples must be nonempty and finite (``_samples``)."""
+    lo, hi = bounding_box(_samples(region, X_full, "with_box"), inflate=inflate)
+    return replace(region, box_lower=lo,
+                   box_upper=hi)._check_fields(require_interior=False)
 
 
 def _normalized(A, b):
@@ -498,7 +544,7 @@ def eliminate_redundant(region: ContingencyRegion, counters=None):
             "rows_after_box_screen": pre.n_rows, "lps": lps,
             "lp_iterations": int(iterations), "facets": len(idx)}},
     )
-    return out.validate(require_interior=False)
+    return out._check_fields(require_interior=False)
 
 
 def prune_by_box_support(region: ContingencyRegion, counters=None):
@@ -552,7 +598,7 @@ def prune_by_box_support(region: ContingencyRegion, counters=None):
         row_meta=region.row_meta[keep],
         meta={**region.meta, "rows_before_reduction": region.n_rows},
     )
-    return out.validate(require_interior=False)
+    return out._check_fields(require_interior=False)
 
 
 def standardize(region: ContingencyRegion, mu, sigma):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from nkscreen.grid import DispatchLp, Network, ptdf
+from nkscreen.grid import DispatchLp, Network, _surviving, ptdf
 from nkscreen.icnn import IcnnParams, forward
 from nkscreen.lp import (LpProblem, LpStatus, NumericalFailure, SimplexEngine,
                          solve)
@@ -151,6 +151,68 @@ def region_from_rows(A, b, box=None):
         box_upper=None if box is None else np.asarray(box[1], dtype=float),
     )
     return r.validate(require_interior=False)
+
+
+def incidence_matrix(net: Network, line_idx=None) -> np.ndarray:
+    """Bus-by-line incidence C: C[f,l] = +1, C[t,l] = -1 for line l = (f,t).
+
+    ``line_idx`` may carry leading batch axes, e.g. (B, nl) for B line
+    subsets; C then has shape (B, n, nl).
+    """
+    if line_idx is None:
+        line_idx = np.arange(net.m)
+    line_idx = np.asarray(line_idx, dtype=np.intp)
+    C = np.zeros(line_idx.shape[:-1] + (net.n, line_idx.shape[-1]))
+    *batch, col = np.indices(line_idx.shape, sparse=True)
+    C[(*batch, net.lines[line_idx, 0], col)] = 1.0
+    C[(*batch, net.lines[line_idx, 1], col)] = -1.0
+    return C
+
+
+def ptdf_by_products(net: Network, outages=(), ascending=False):
+    """Reference PTDF stack from dense products of the incidence matrix:
+    L = (C diag(s)) C^T, its non-slack block inverted into a zero-embedded
+    generalized inverse, H = (diag(s) C^T) @ that, then centred.  Returns
+    (keep, H) for one set or a (B, k) stack, like ``ptdf``, with no
+    islanding check.
+
+    The products take their sums in the order the BLAS kernel picks for
+    their sizes and memory layouts.  With ``ascending`` L is summed instead
+    by a loop over the surviving lines in ascending order, and H is the
+    product of the C-ordered line rows over the non-slack buses and the
+    inverse: the arithmetic that defines ``ptdf``'s assembly.  OpenBLAS
+    takes the same sums either way at case39's sizes, but not at every
+    size."""
+    alive, single = _surviving(net, outages)
+    B = len(alive)
+    keep = np.nonzero(alive)[1].reshape(B, -1)
+    C = incidence_matrix(net, keep)
+    Bd = net.susceptance[keep]
+    Ct = C.transpose(0, 2, 1)
+    if ascending:
+        L = np.zeros((B, net.n, net.n))
+        for b, lines in enumerate(keep):
+            for line, s in zip(lines, Bd[b]):
+                f, t = net.lines[line]
+                L[b, f, f] += s
+                L[b, t, t] += s
+                L[b, f, t] -= s
+                L[b, t, f] -= s
+    else:
+        L = (C * Bd[:, None, :]) @ Ct
+    n = net.n
+    idx = np.arange(n) != net.slack
+    L_red = L[:, idx][:, :, idx]
+    eye = np.broadcast_to(np.eye(n)[idx], (B, n - 1, n))
+    if ascending:
+        G = np.ascontiguousarray((Bd[:, :, None] * Ct)[:, :, idx])
+        H = G @ np.linalg.solve(L_red, eye)
+    else:
+        rhs = np.zeros((B, n, n))
+        rhs[:, idx, :] = np.linalg.solve(L_red, eye)
+        H = (Bd[:, :, None] * Ct) @ rhs
+    H -= np.mean(H, axis=2, keepdims=True)
+    return (keep[0], H[0]) if single else (keep, H)
 
 
 def is_islanding_bfs(net, outages):

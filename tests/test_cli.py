@@ -258,13 +258,17 @@ class TestExactElimination:
         assert set(c) == {"outage_sets_enumerated", "outage_sets_islanding",
                           "outage_sets_kept", "rows_built",
                           "filter_rows_evaluated", "filter_rows_skipped",
-                          "rows_unreachable", "duplicate_rows_collapsed"}
+                          "filter_violated_pairs", "rows_unreachable",
+                          "duplicate_rows_collapsed"}
         assert c["outage_sets_enumerated"] == 3  # ring3 at k = 1
         assert c["outage_sets_kept"] == report["contingencies_enumerated"]
         assert c["outage_sets_islanding"] + c["outage_sets_kept"] == 3
         assert c["rows_built"] == report["rows_enumerated"]
         assert (c["filter_rows_evaluated"] + c["filter_rows_skipped"]
                 == report["rows_enumerated"])
+        n_train = int(COUNTS.split(",")[0])
+        assert (0 <= c["filter_violated_pairs"]
+                <= n_train * report["contingencies_enumerated"])
         assert (report["rows_before_elimination"] - c["rows_unreachable"]
                 - c["duplicate_rows_collapsed"]
                 >= report["elimination"]["rows_after_box_screen"])

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +10,14 @@ from nkscreen.grid import (
     DcopfSolver,
     IslandingError,
     Network,
-    incidence_matrix,
     is_islanding,
     load_network,
     ptdf,
 )
 from nkscreen.lp import LpStatus
 
-from helpers import PairedRowsDcopf, is_islanding_bfs, mesh5, ring3, two_bus
+from helpers import (PairedRowsDcopf, incidence_matrix, is_islanding_bfs,
+                     mesh5, ptdf_by_products, ring3, two_bus)
 
 CASE39 = Path(__file__).resolve().parent.parent / "src" / "nkscreen" / "cases" / "case39.json"
 
@@ -182,6 +183,52 @@ def test_single_ptdf_equals_its_slice_of_the_stack(name):
             k1, H1 = ptdf(net, tuple(c))
             assert np.array_equal(k1, kc)
             assert H1.tobytes() == Hc.tobytes()
+
+
+def _assert_ptdf_equals_products(net, sets, ascending=False):
+    keep, H = ptdf(net, sets)
+    keep_ref, H_ref = ptdf_by_products(net, sets, ascending)
+    assert np.array_equal(keep, keep_ref)
+    assert H.tobytes() == H_ref.tobytes()
+    return H
+
+
+def test_assembled_ptdf_equals_products_on_case39():
+    # every stack of case39 at k = 2 (35 + 562 sets), and the base topology
+    net = load_network(CASE39)
+    n_sets = 0
+    for sets in _all_sets(net, 2):
+        sets = sets[~is_islanding(net, sets)]
+        n_sets += len(sets)
+        _assert_ptdf_equals_products(net, sets)
+    assert n_sets == 597
+    _assert_ptdf_equals_products(net, ())
+    assert DcopfSolver(net).H.tobytes() == ptdf_by_products(net)[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 17, 40])
+@pytest.mark.parametrize("seed", range(3))
+def test_assembled_ptdf_equals_products_on_random_meshes(n, seed):
+    # parallel lines and buses of degree >= 4 make sums of several rounded
+    # terms, whose order decides the bytes: the assembly sums in ascending
+    # line order.  The dense products sum in the BLAS kernel's order, which
+    # at some sizes is another (OpenBLAS's at 17 buses), so against them
+    # the stack is only close
+    rng = np.random.default_rng(seed)
+    net = _random_graph(n, seed)      # connected: seed % 4 != 3
+    net = replace(net, susceptance=rng.uniform(0.3, 30.0, size=net.m),
+                  slack=int(rng.integers(n))).validate()
+    degree = np.bincount(net.lines.ravel(), minlength=n)
+    assert degree.max() >= 4
+    assert len(np.unique(np.sort(net.lines, axis=1), axis=0)) < net.m
+    stacks = [()] + [np.array([rng.choice(net.m, size=k, replace=False)
+                               for _ in range(80)]) for k in (1, 2, 3)]
+    for sets in stacks:
+        if len(sets):
+            sets = sets[~is_islanding(net, sets)]
+        H = _assert_ptdf_equals_products(net, sets, ascending=True)
+        assert np.allclose(H, ptdf_by_products(net, sets)[1], rtol=0.0,
+                           atol=1e-12)
 
 
 def test_ptdf_stack_checks_every_member():

@@ -220,6 +220,61 @@ def test_violation_fractions_match_brute_force_on_random_regions(seed):
     assert max(broken) > 1
 
 
+def test_violation_fractions_scan_only_violated_columns():
+    # 700 samples in blocks of 256, 256 and 188: the first breaks every row
+    # the filter evaluates, the second none, the third a few rows, one of
+    # them by one ulp (and one sample sits on it); rows of one contingency
+    # broken together count one pair per sample
+    n, n_cont = 4, 6
+    A = np.vstack([np.eye(n), -np.eye(n), np.ones((1, n)), -np.ones((1, n))])
+    b = np.full(len(A), 1.0)
+    meta = np.zeros(len(A), dtype=ROW_META_DTYPE)
+    meta["contingency"] = [0, 1, 2, 3, 0, 1, 2, 3, 4, 4]
+    meta["line"] = np.arange(len(A))
+    region = replace(region_from_rows(A, b), row_meta=meta,
+                     contingencies=[(c,) for c in range(n_cont)])
+    rng = np.random.default_rng(5)
+    every = np.vstack([3.0 * np.eye(n), -3.0 * np.eye(n)] * 32)   # 256
+    none = rng.uniform(-0.2, 0.2, size=(256, n))
+    few = rng.uniform(-0.2, 0.2, size=(188, n))
+    few[::20, 1] = 1.5                       # rows 1 and 8
+    few[5, 0], few[6, 0] = np.nextafter(1.0, 2.0), 1.0   # row 0, and on it
+    X = np.vstack([every, none, few])
+    counters = {}
+    got = contingency_violation_fractions(region, X, counters=counters)
+    assert counters["filter_rows_evaluated"] == len(A)
+    assert np.array_equal(got, _brute_force_fractions(region, X))
+    broken = np.stack([(X @ A[meta["contingency"] == c].T
+                        > 1.0).any(axis=1) for c in range(n_cont)])
+    assert counters["filter_violated_pairs"] == int(broken.sum())
+    assert broken[:, :256].any(axis=1)[:5].all()     # every block-1 column
+    assert not broken[:, 256:512].any()
+    assert broken[0, 512:].sum() == 1
+    assert got[5] == 0.0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "empty"])
+def test_sample_stages_reject_empty_or_non_finite_samples(bad):
+    # on mesh5 at k = 2 the finite samples break every contingency; one NaN
+    # coordinate would read as no violation and as no spread
+    net = mesh5()
+    region = build_region(net, k=2)
+    rng = np.random.default_rng(0)
+    X = rng.normal(scale=20.0, size=(200, net.n))
+    assert np.all(contingency_violation_fractions(region, X) > 0.9)
+    if bad == "empty":
+        X = X[:0]
+    else:
+        X[17, 3] = np.nan if bad == "nan" else np.inf
+    for stage, call in (
+            ("contingency_violation_fractions",
+             lambda: filter_contingencies(region, X)),
+            ("drop_constant_dims", lambda: drop_constant_dims(region, X)),
+            ("with_box", lambda: with_box(region, X))):
+        with pytest.raises(ValueError, match=stage):
+            call()
+
+
 def test_violation_fractions_memory_bounded_by_blocks():
     import tracemalloc
 
@@ -302,6 +357,7 @@ def test_drop_constant_dims_drops_exactly_the_rows_folded_to_zero():
     assert np.array_equal(out.A, A[[0, 2, 4]][:, [0, 2]])
     assert out.b.tolist() == [4.0, 2.5, 1.0]
     assert out.A.flags.c_contiguous
+    assert out.validate(require_interior=False) is out   # no zero row left
 
 
 def test_drop_constant_dims_one_c_ordered_copy():
@@ -653,6 +709,14 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.box_lower, region.box_lower)
     assert np.array_equal(back.row_meta, region.row_meta)
     assert back.meta["k"] == 1
+
+
+def test_load_region_rejects_a_zero_row(tmp_path):
+    region = region_from_rows(np.eye(2), np.array([1.0, 1.0]))
+    path = tmp_path / "region.npz"
+    save_region(replace(region, A=np.array([[1.0, 0.0], [0.0, 0.0]])), path)
+    with pytest.raises(AssumptionViolated, match="zero row"):
+        load_region(path)
 
 
 def test_validate_rejects_bad_regions():
