@@ -22,7 +22,7 @@ and of the numbers in the detail line's report (the line before it), over
 the runs that report ``"correct": true``, and every run's seed, verdict,
 artifact sha256s, source hash and RefClock factors: the last checkout's at
 the top level, every other checkout's under ``others``, by tag.  A machine
-line goes with them.
+line goes with them, naming the OpenBLAS core.
 
 With two checkouts the script also prints, for each workload and
 end-to-end metric, both medians, the first checkout's IQR and the number
@@ -43,6 +43,8 @@ import sys
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from nkscreen.artifacts import blas_kernel  # noqa: E402
 RUN_TIMEOUT = 900   # seconds; the first run of a source tree builds its artifacts
 
 
@@ -77,6 +79,9 @@ def machine():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        # the kernel OpenBLAS picks for this CPU, which the workload
+        # process, on the same CPU and environment, picks as well
+        "blas_core": blas_kernel()["core"],
         # perfbench/run.py pins OMP, OPENBLAS and MKL_NUM_THREADS to 1 for
         # the workload process
         "blas_threads": 1,

@@ -9,8 +9,11 @@ inflating a deflated region_full.npz took most of a load.  np.load reads
 stored and deflated members alike, so files written deflated still load.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -82,3 +85,26 @@ def canonical_json(obj):
 def write_json(path, obj):
     with open(path, "w") as fh:
         fh.write(canonical_json(obj))
+
+
+def blas_kernel():
+    """The core that numpy's bundled OpenBLAS runs (picked for the CPU, or
+    set by ``OPENBLAS_CORETYPE``) and its thread count, "unknown" without
+    one: the core fixes the summation order of products and solves, so
+    artifact bytes hold for one core only."""
+    found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                   "numpy.libs", "libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(found[0])
+        core = lib.scipy_openblas_get_corename64_
+        threads = lib.scipy_openblas_get_num_threads64_
+        core.argtypes = threads.argtypes = []
+        core.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
+        return {"core": core().decode(), "threads": threads()}
+    except (IndexError, OSError, AttributeError):
+        return {"core": "unknown", "threads": "unknown"}
+
+
+def write_report(path, report):
+    """A run's report JSON, with the BLAS kernel it ran on."""
+    write_json(path, {**report, "blas": blas_kernel()})

@@ -51,9 +51,11 @@ class RunManifest:
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def write(self, run_dir):
-        from .artifacts import write_json
+        from .artifacts import blas_kernel, write_json
+        # the kernel is recorded beside the hash, not in it: a checkpoint's
+        # meta carries the hash, so it must not depend on the CPU
         write_json(os.path.join(run_dir, "manifest.json"),
-                   {**asdict(self), "hash": self.hash})
+                   {**asdict(self), "hash": self.hash, "blas": blas_kernel()})
 
 
 def resolve_case(name):
@@ -113,9 +115,11 @@ def reuse_hit(manifest, run_dir):
     """True when the directory already holds a completed run of this manifest.
 
     A run counts as complete once finish_run wrote manifest.json, so a
-    matching hash plus all listed outputs on disk means the artifacts can be
-    taken as-is.
+    matching hash, the OpenBLAS core this process runs (the artifact bytes
+    hold for one core) and all listed outputs on disk mean the artifacts
+    can be taken as-is.
     """
+    from .artifacts import blas_kernel
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.isfile(path):
         return False
@@ -124,7 +128,8 @@ def reuse_hit(manifest, run_dir):
             stored = json.load(fh)
     except json.JSONDecodeError:
         return False
-    if stored.get("hash") != manifest.hash:
+    if (stored.get("hash") != manifest.hash
+            or stored.get("blas", {}).get("core") != blas_kernel()["core"]):
         return False
     outputs = stored.get("outputs", [])
     return bool(outputs) and all(
@@ -300,7 +305,7 @@ def cmd_prepare_region(args):
     final.meta.update(stamp)
     write_region(final, "region.npz")
 
-    from .artifacts import write_json
+    from .artifacts import write_report
     report = {
         "manifest": manifest.hash,
         "case": net.name,
@@ -325,7 +330,7 @@ def cmd_prepare_region(args):
                               for k, v in stage_peak_rss_mb.items()},
         "sampling": sampling,
     }
-    write_json(os.path.join(run_dir, "region_report.json"), report)
+    write_report(os.path.join(run_dir, "region_report.json"), report)
 
     print(f"reduced constraint matrix: {final.n_rows} rows x {final.dim} columns")
     return finish_run(manifest, run_dir,
@@ -339,7 +344,7 @@ def cmd_prepare_region(args):
 def cmd_gen_data(args):
     import numpy as np
 
-    from .artifacts import write_json
+    from .artifacts import write_report
     from .datagen import DemandSampler, build_dataset, save_dataset
     from .grid import load_network
 
@@ -388,7 +393,7 @@ def cmd_gen_data(args):
     save_dataset(ds, os.path.join(run_dir, "dataset.npz"))
     stage_seconds["write"] = time.perf_counter() - t0
     # counts and times go in the report, so the dataset keeps its bytes
-    write_json(os.path.join(run_dir, "gen_data_report.json"), {
+    write_report(os.path.join(run_dir, "gen_data_report.json"), {
         "manifest": manifest.hash,
         "case": net.name,
         "counts": list(counts),
@@ -410,7 +415,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    from .artifacts import write_json
+    from .artifacts import write_report
     from .datagen import load_dataset
     from .icnn import save_checkpoint
     from .oracle import certify
@@ -509,7 +514,7 @@ def cmd_train(args):
     save_checkpoint(clf, os.path.join(run_dir, "checkpoint.npz"))
     record.to_csv(os.path.join(run_dir, "training_log.csv"))
     # wall time lives here only, so checkpoint and log stay reproducible
-    write_json(os.path.join(run_dir, "train_report.json"), {
+    write_report(os.path.join(run_dir, "train_report.json"), {
         "manifest": manifest.hash,
         "seconds": round(elapsed, 3),
         "val_fpr": clf.meta["val_fpr"],
@@ -524,7 +529,7 @@ def cmd_train(args):
 
 
 def cmd_certify(args):
-    from .artifacts import write_json
+    from .artifacts import write_report
     from .icnn import load_checkpoint
     from .oracle import certify
 
@@ -561,7 +566,7 @@ def cmd_certify(args):
         **report.to_dict(),
         "named_rows": named,
     }
-    write_json(os.path.join(run_dir, "certify_report.json"), out)
+    write_report(os.path.join(run_dir, "certify_report.json"), out)
     print(f"certification: {report.verdict} over {region.n_rows} rows, "
           f"worst margin {report.margins.min():.3e} at "
           f"{row_text(named['worst'])} ({report.n_lp} LPs, {report.pivots} "
@@ -579,7 +584,7 @@ def cmd_certify(args):
 def cmd_screen(args):
     import numpy as np
 
-    from .artifacts import write_json
+    from .artifacts import write_report
     from .baselines import screen_batch
     from .datagen import load_dataset
     from .icnn import load_checkpoint
@@ -652,7 +657,7 @@ def cmd_screen(args):
         "speedup_vs_full_sweep": full_sweep_seconds / icnn_seconds,
         "exhaustive_agreement_full": float((full == ds.labels[ds.test]).mean()),
     }
-    write_json(os.path.join(run_dir, "screen_report.json"), report)
+    write_report(os.path.join(run_dir, "screen_report.json"), report)
 
     print(f"screened {len(y)} samples: fnr {fnr:.4f}, fpr {fpr:.4f}")
     print(f"icnn {icnn_seconds * 1e3:.1f}ms vs full sweep "
@@ -667,7 +672,6 @@ def cmd_screen(args):
 
 
 def cmd_scopf_bench(args):
-    from .artifacts import write_json
     from .datagen import load_dataset
     from .grid import load_network
     from .icnn import load_checkpoint

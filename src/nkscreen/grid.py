@@ -273,7 +273,8 @@ class DispatchLp:
     [0, inf).  Rows are one ranged row per line, f_lower <= H (p - d) <=
     f_upper (width f_upper - f_lower), then the caller's ``rows`` over
     [p, aux] with right-hand side ``rhs0`` at d = 0 and widths ``ranges``
-    (+inf by default: one-sided), then the power balance 1 @ p = sum(d).
+    (+inf by default: one-sided), then the power balance 1 @ p = sum(d),
+    a row of width 0.
     Every row but the balance constrains p - d, so only the right-hand side
     depends on the demand: b0 + A[:, :n] @ d, and ``d.sum()`` for the
     balance.  The datasets' dispatches were computed with that sum; the
@@ -297,8 +298,7 @@ class DispatchLp:
         self.b0 = np.concatenate([net.f_upper, rhs0, [0.0]])
         if ranges is None:
             ranges = np.full(len(rows), np.inf)
-        self.ranges = np.concatenate([net.f_upper - net.f_lower, ranges, [np.inf]])
-        self.rel = ["<="] * (len(self.A) - 1) + ["="]
+        self.ranges = np.concatenate([net.f_upper - net.f_lower, ranges, [0.0]])
         self.lb = np.concatenate([net.pmin, np.zeros(n_aux)])
         self.ub = np.concatenate([net.pmax, np.full(n_aux, np.inf)])
         self.c = np.concatenate([-net.cost, np.zeros(n_aux)])
@@ -312,8 +312,8 @@ class DispatchLp:
         return b
 
     def problem(self, demand) -> LpProblem:
-        return LpProblem(c=self.c, A=self.A, b=self.rhs(demand), rel=self.rel,
-                         lb=self.lb, ub=self.ub, ranges=self.ranges)
+        return LpProblem(c=self.c, A=self.A, b=self.rhs(demand), lb=self.lb,
+                         ub=self.ub, ranges=self.ranges)
 
 
 class DcopfSolver(DispatchLp):

@@ -23,12 +23,14 @@ problem/solution contract:
   Warm re-solves are the hot path: sublevel-set sweeps re-solve the same
   polytope for thousands of objective rows, and dispatch sampling the same
   OPF for thousands of demand vectors.
-  A refactorization inverts only the k x k block of the structural basic
-  columns on the rows whose slack is nonbasic and fills in the rest of B^-1
-  exactly (k = 4-22, median 11-13, against 122 rows at the optimal bases
-  of the ``case39`` classifier SC-OPF).  The block takes the structural columns in ascending
-  order, so each basic column's row of B^-1, and so x, depends on the set
-  of basic columns, not on the order in which the simplex reached them.
+  Every refactorization, of one basis or a stack, is ``_block_inverses``:
+  it inverts only the k x k block of the structural basic columns on the
+  rows whose slack is nonbasic and fills in the rest of B^-1 exactly
+  (k = 4-22, median 11-13, against 122 rows at the optimal bases of the
+  ``case39`` classifier SC-OPF), and ``_values`` computes x from it.  The
+  block takes the structural columns in ascending order, so each basic
+  column's row of B^-1, and so x, depends on the set of basic columns, not
+  on the order in which the simplex reached them.
   A basis whose ``B_inv`` is exact (refactorized, the slack-basis start, or
   restored with its inverse) is not inverted again; a pivot, ``restore`` of
   another basis or ``reload`` of the matrix makes it inexact.
@@ -77,17 +79,17 @@ problem/solution contract:
   is wasteful; there is no switch.  ``solve_highs`` calls it directly, for
   cross-checks against the engine.
 
-Conventions: objective is MAXIMIZED; constraint relations are "<=" or "=";
-duals of "<=" rows are nonnegative at optimality (up to ``TOL_FEAS``),
-duals of "=" rows are free; complementary slackness holds up to ``TOL_COMP``.
+Conventions: objective is MAXIMIZED.  Every row states b - w <= a x <= b
+with a width w in [0, +inf] (``LpProblem.ranges``), as one row whose slack
+b - a x lies in [0, w]: +inf makes it one-sided, a finite positive w
+ranged, and w = 0 an equality.  A row's dual is nonnegative when its upper
+side binds and nonpositive when its lower side binds, so an equality's is
+free; complementary slackness holds up to ``TOL_COMP``.
 Every variable has a finite lower or upper bound (``LpProblem`` rejects a
 free one), so a nonbasic variable always sits at a bound.
 A basis is primal feasible when no basic variable breaks a bound by more
 than ``TOL_FEAS``; the engine's loops, ``solve_each``'s batches and
 ``OptimalBases`` all test that one rule.
-A "<=" row may be ranged: with width w it states b - w <= a x <= b as one
-row, whose slack b - a x has the upper bound w.  Its dual is nonnegative
-when the upper side binds and nonpositive when the lower side binds.
 """
 
 from __future__ import annotations
@@ -145,23 +147,20 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class LpProblem:
-    """max c @ x  s.t.  A x (<=|=) b,  lb <= x <= ub.
+    """max c @ x  s.t.  b - ranges <= A x <= b,  lb <= x <= ub.
 
-    ``rel`` holds one relation string per row ("<=" or "=").  ``lb``
-    defaults to 0 and ``ub`` to +inf; either may be infinite, but not both
+    ``ranges`` holds one width per row, +inf by default (a one-sided row,
+    A x <= b); a finite width makes the row ranged, and width 0 an
+    equality.  Widths must be >= 0 (ValueError, NaN too).  ``lb`` defaults
+    to 0 and ``ub`` to +inf; either may be infinite, but not both
     (ValueError), so every variable has a finite bound for the simplex to
-    hold it at.  ``ranges`` holds one width per row, +inf by default: a
-    "<=" row of finite width w is ranged, b - w <= A x <= b, and its dual is
-    >= 0 when the upper side binds and <= 0 when the lower side binds.
-    Widths must be >= 0, and +inf on "=" rows.  Rows of all zeros are
-    rejected: they are either vacuous or infeasible and always indicate a
-    modelling bug upstream.
+    hold it at.  Rows of all zeros are rejected: they are either vacuous or
+    infeasible and always indicate a modelling bug upstream.
     """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    rel: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
     ranges: np.ndarray | None = None
@@ -175,15 +174,6 @@ class LpProblem:
             raise ValueError(f"objective has shape {self.c.shape}, expected ({n},)")
         if self.b.shape != (m,):
             raise ValueError(f"rhs has shape {self.b.shape}, expected ({m},)")
-        if self.rel is None:
-            self.rel = np.full(m, "<=", dtype=object)
-        else:
-            self.rel = np.asarray(self.rel, dtype=object)
-            if self.rel.shape != (m,):
-                raise ValueError("rel must have one entry per row")
-            bad = [r for r in self.rel if r not in ("<=", "=")]
-            if bad:
-                raise ValueError(f"unknown relation(s) {bad}; use '<=' or '='")
         self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=float)
         self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if self.lb.shape != (n,) or self.ub.shape != (n,):
@@ -196,8 +186,6 @@ class LpProblem:
             raise ValueError("ranges must have one entry per row")
         if not np.all(self.ranges >= 0.0):  # NaN fails too
             raise ValueError("range widths must be nonnegative")
-        if np.any(np.isfinite(self.ranges[self.rel == "="])):
-            raise ValueError("'=' rows cannot be ranged")
         if np.any(self.lb > self.ub + TOL_FEAS):
             raise ValueError("lb > ub for some variable")
         if not (np.all(np.isfinite(self.b)) and np.all(np.isfinite(self.c))):
@@ -252,8 +240,8 @@ class SimplexEngine:
     tie-breaking is by lowest index, so identical inputs produce identical
     outputs, iteration counts included.
 
-    A ranged row's width is the upper bound of its slack, fixed at
-    construction, so ``resolve_rhs`` moves both sides of the row together.
+    A row's width is the upper bound of its slack, fixed at construction,
+    so ``resolve_rhs`` moves both sides of the row together.
     ``data_version`` counts the ``reload`` calls that replaced the matrix
     or the objective: a basis optimal before such a call may not be after.
 
@@ -277,17 +265,14 @@ class SimplexEngine:
         m, n = problem.n_rows, problem.n_vars
         self.m, self.n = m, n
         self.nt = n + m  # structural + one slack per row
-        self.rel_eq = np.asarray([r == "=" for r in problem.rel])
         # full column table [A | I]
         self.T = np.empty((m, self.nt))
         self.T[:, :n] = problem.A
         self.T[:, n:] = np.eye(m)
         self.b = problem.b.astype(float).copy()
         self.L = np.concatenate([problem.lb, np.zeros(m)])
-        # a row's slack b - a x lies in [0, width]: +inf for a one-sided
-        # row, finite for a ranged one, 0 for an equality
-        self.U = np.concatenate([problem.ub,
-                                 np.where(self.rel_eq, 0.0, problem.ranges)])
+        # a row's slack b - a x lies in [0, width]
+        self.U = np.concatenate([problem.ub, problem.ranges])
         # the bounds never change after construction
         self._fixed = np.flatnonzero(self.L == self.U)
         self._span = self.U - self.L
@@ -300,12 +285,7 @@ class SimplexEngine:
         self.n_batched = self.n_rounds = 0
         self.c = np.zeros(self.nt)
         self.c[:n] = problem.c
-        self.basis = np.arange(n, n + m)  # all-slack start
-        self.vstat = np.empty(self.nt, dtype=np.int8)
-        self._reset_nonbasic_status(np.arange(self.nt))
-        self.vstat[self.basis] = _BASIC
-        self.B_inv = np.eye(m)
-        self._inv_exact = True  # B_inv is the basis' refactorization, bitwise
+        self._slack_basis()
         self.x = np.zeros(self.nt)
         # set when a solve completes or a basis is restored, cleared by a
         # slack restart
@@ -313,14 +293,30 @@ class SimplexEngine:
 
     # -- setup helpers -------------------------------------------------
 
-    def _reset_nonbasic_status(self, cols):
-        self.vstat[cols] = np.where(np.isfinite(self.L[cols]), _AT_LB, _AT_UB)
+    def _slack_basis(self):
+        """The all-slack basis, each structural column at its finite lower
+        bound, else at its upper one."""
+        self.basis = np.arange(self.n, self.nt)
+        self.vstat = np.where(np.isfinite(self.L), _AT_LB, _AT_UB).astype(np.int8)
+        self.vstat[self.basis] = _BASIC
+        self.B_inv = np.eye(self.m)
+        self._inv_exact = True  # B_inv is the basis' refactorization, bitwise
 
     def _nonbasic_values(self, vstat):
         """Each variable's value for the statuses ``vstat`` (over leading
         axes): its bound when nonbasic, 0 when basic."""
         return np.where(vstat == _AT_UB, self.U,
                         np.where(vstat == _AT_LB, self.L, 0.0))
+
+    def _values(self, basis, vstat, B_inv):
+        """Every variable's value for ``basis``, statuses ``vstat`` and
+        inverse ``B_inv`` (over leading axes): the nonbasic ones at their
+        bounds, the basic ones x_B = B^-1 (b - T x_N)."""
+        x = self._nonbasic_values(vstat)
+        rhs = self.b - (self.T @ x[..., None])[..., 0]
+        at = basis + np.arange(0, x.size, self.nt).reshape(x.shape[:-1] + (1,))
+        x.reshape(-1)[at] = (B_inv @ rhs[..., None])[..., 0]
+        return x
 
     def _gain(self, rc, vstat):
         """The entering gain of each column for reduced costs ``rc`` and
@@ -335,109 +331,80 @@ class SimplexEngine:
         if self._inv_exact:
             return True
         self.n_refactors += 1
-        try:
-            self.B_inv = self._block_inverse(self.basis)
-        except np.linalg.LinAlgError:
-            return False
-        # guard against a numerically singular basis that inv() let through
-        self._inv_exact = bool(np.all(np.isfinite(self.B_inv)))
+        B_inv, ok = self._block_inverses(self.basis[None])
+        if ok[0]:
+            self.B_inv = B_inv[0]
+        self._inv_exact = bool(ok[0])
         return self._inv_exact
 
-    def _block_inverse(self, basis):
-        """B^-1 from the k x k block A_RK of the k structural basic columns K
-        on the rows R whose slack is nonbasic.  A basic slack's row of B^-1
-        is its unit row, less A_SK A_RK^-1 on the columns R; a structural
-        column's row is its row of A_RK^-1, zero elsewhere.  K is taken in
-        ascending column order, so each column's row of B^-1 depends on the
-        set of basic columns, not on their positions in the basis."""
-        m, n = self.m, self.n
-        struct = basis < n
-        pos_k, pos_s = np.flatnonzero(struct), np.flatnonzero(~struct)
-        pos_k = pos_k[np.argsort(basis[pos_k], kind="stable")]
-        K, S = basis[pos_k], basis[pos_s] - n
-        slack_nonbasic = np.ones(m, dtype=bool)
-        slack_nonbasic[S] = False
-        R = np.flatnonzero(slack_nonbasic)
-        if len(R) != len(K):  # a slack column taken twice
-            raise np.linalg.LinAlgError("singular basis")
-        inv_RK = np.linalg.inv(self.T[R[:, None], K])
-        B_inv = np.zeros((m, m))
-        B_inv[pos_k[:, None], R] = inv_RK
-        B_inv[pos_s, S] = 1.0
-        B_inv[pos_s[:, None], R] = -(self.T[S[:, None], K] @ inv_RK)
-        return B_inv
-
     def _block_inverses(self, basis):
-        """``_block_inverse`` of each row of ``basis`` (q, m), stacked, and
-        a mask of the rows it inverted to finite values.  The bases with k
-        structural columns are inverted as one (g, k, k) stack, whose
-        stacked products give the bytes of the 2-D ones; a stack with a
-        singular block leaves all its rows unmasked, and so does a basis
-        that holds a column twice."""
+        """B^-1 of each row of ``basis`` (q, m), stacked, and a mask of the
+        rows it inverted to finite values: every refactorization, of one
+        basis or of a batch.
+
+        B^-1 comes from the k x k block A_RK of the k structural basic
+        columns K on the rows R whose slack is nonbasic.  A basic slack's
+        row of B^-1 is its unit row, less A_SK A_RK^-1 on the columns R; a
+        structural column's row is its row of A_RK^-1, zero elsewhere.  K is
+        taken in ascending column order, so each column's row of B^-1
+        depends on the set of basic columns, not on their positions in the
+        basis.  The bases with k structural columns are inverted as one
+        (g, k, k) stack, whose stacked products give the bytes of the 2-D
+        ones; a stack with a singular block leaves all its rows unmasked,
+        and so does a basis that holds a column twice."""
         q, m, n, nt = len(basis), self.m, self.n, self.nt
-        rows = np.arange(q)[:, None]
         basic = np.zeros((q, nt), dtype=bool)
-        basic[rows, basis] = True
-        ks = np.count_nonzero(basic[:, :n], axis=1)
-        valid = np.count_nonzero(basic, axis=1) == m
-        # members by k; per member, K and R ascending and the basic slacks'
-        # S, as flat runs
-        perm = np.argsort(np.where(valid, ks, m + 1), kind="stable")
-        perm = perm[valid[perm]]
-        ks = ks[perm]
-        position = np.empty((q, nt), dtype=np.intp)  # column -> basis slot
-        position[rows, basis] = np.arange(m)
-        mem_k, K = np.nonzero(basic[perm, :n])
+        basic[np.arange(q)[:, None], basis] = True
+        ks = basic[:, :n].sum(axis=1)
+        ks[basic.sum(axis=1) != m] = m + 1  # a column held twice
+        # the members in runs of equal k; per member, the slots of its
+        # structural columns in column order, then those of its slacks in
+        # basis order, as A_SK's rows are (a product's row may round
+        # differently in another place of the matrix), and R ascending
+        perm = np.argsort(ks, kind="stable")
+        member = perm[:, None]
+        slot = np.argsort(np.where(basis < n, basis, nt)[perm], axis=1,
+                          kind="stable")
+        col = basis[member, slot]
         R = np.nonzero(~basic[perm, n:])[1]
-        # the basic slacks in basis order, as A_SK's rows are: a product's
-        # row may round differently in another place of the matrix
-        mem_s, pos_s = np.nonzero(basis[perm] >= n)
-        S = basis[perm[mem_s], pos_s] - n
-        # flat offsets of the B^-1 rows of the structural and slack columns
-        row_k = perm[mem_k] * (m * m) + position[perm[mem_k], K] * m
-        row_s = perm[mem_s] * (m * m) + pos_s * m
+        start = (member * m + slot) * m  # flat offset of each slot's row
         B_inv = np.zeros((q, m, m))
         flat = B_inv.reshape(-1)
-        flat[row_s + S] = 1.0
         ok = np.zeros(q, dtype=bool)
-        cut = np.flatnonzero(np.diff(ks)) + 1
-        end_k = np.concatenate([[0], np.cumsum(ks)])
-        end_s = np.concatenate([[0], np.cumsum(m - ks)])
-        T, R_off, S_off = self.T, R * nt, S * nt
-        for a, b in zip(np.concatenate([[0], cut]),
-                        np.concatenate([cut, [len(perm)]])):
-            g, k = b - a, int(ks[a])
-            k0, k1, s0, s1 = end_k[a], end_k[b], end_s[a], end_s[b]
-            K_g = K[k0:k1].reshape(g, 1, k)
-            R_g = R[k0:k1].reshape(g, 1, k)
+        T = self.T
+        counts = np.bincount(ks, minlength=m + 2)[:m + 1]
+        a = r0 = 0
+        for k in np.flatnonzero(counts):
+            g = counts[k]
+            run, R_g = slice(a, a + g), R[r0:r0 + g * k]
+            a, r0 = a + g, r0 + g * k
+            K, S = col[run, None, :k], col[run, k:, None] - n
             try:
-                inv_RK = np.linalg.inv(
-                    T.take(R_off[k0:k1].reshape(g, k, 1) + K_g))
+                inv_RK = np.linalg.inv(T.take(R_g.reshape(g, k, 1) * nt + K))
             except np.linalg.LinAlgError:
                 continue
-            A_SK_inv = T.take(S_off[s0:s1].reshape(g, m - k, 1) + K_g) @ inv_RK
-            flat[row_k[k0:k1].reshape(g, k, 1) + R_g] = inv_RK
-            flat[row_s[s0:s1].reshape(g, m - k, 1) + R_g] = -A_SK_inv
-            ok[perm[a:b]] = True
+            A_SK_inv = T.take(S * nt + K) @ inv_RK
+            at, R_g = start[run, :, None], R_g.reshape(g, 1, k)
+            flat[at[:, :k] + R_g] = inv_RK
+            flat[at[:, k:] + S] = 1.0
+            flat[at[:, k:] + R_g] = -A_SK_inv
+            ok[perm[run]] = True
         ok &= np.isfinite(B_inv).all(axis=(1, 2))
-        B_inv[~ok] = 0.0
+        if not ok.all():
+            B_inv[~ok] = 0.0
         return B_inv, ok
+
+    def _refresh(self, when):
+        """Refactorize the basis, NumericalFailure when it is singular, and
+        recompute x from the new inverse."""
+        if not self._refactor():
+            raise NumericalFailure(f"singular basis {when}")
+        self.x = self._values(self.basis, self.vstat, self.B_inv)
 
     def _fall_back_to_slack_basis(self):
         self.n_slack_retries += 1
         self._retry = False
-        self.basis = np.arange(self.n, self.nt)
-        self.vstat[:] = _BASIC  # overwritten next line for nonbasis
-        self._reset_nonbasic_status(np.arange(self.n))
-        self.vstat[self.basis] = _BASIC
-        self.B_inv = np.eye(self.m)
-        self._inv_exact = True
-
-    def _recompute_x(self):
-        xn = self._nonbasic_values(self.vstat)
-        self.x = xn
-        rhs = self.b - self.T @ xn
-        self.x[self.basis] = self.B_inv @ rhs
+        self._slack_basis()
 
     # -- pivoting core -------------------------------------------------
 
@@ -502,17 +469,12 @@ class SimplexEngine:
         np.divide(num, rate, out=cand, where=moving)
         np.maximum(cand, 0.0, out=cand)
         p = int(cand.argmin())
-        t_best = float(cand[p])
-        pos_best = p
-        kind_best = _AT_LB if at_lb[p] else _AT_UB
+        t, span = float(cand[p]), self._span[j]
         # entering variable's own opposite bound (bound flip); an infinite
         # span never blocks
-        span = self._span[j]
-        if span < t_best:
-            t_best = float(span)
-            pos_best = -1
-            kind_best = _AT_UB if sigma > 0 else _AT_LB
-        return t_best, pos_best, kind_best, d, xb
+        if span < t:
+            return float(span), -1, _AT_UB if sigma > 0 else _AT_LB, d, xb
+        return t, p, _AT_LB if at_lb[p] else _AT_UB, d, xb
 
     def _apply_step(self, j, sigma, t, pos, kind, d, xb):
         step = sigma * t
@@ -597,9 +559,7 @@ class SimplexEngine:
                 if stall > _STALL_LIMIT:
                     bland = True
                 if since_refactor >= _REFACTOR_EVERY:
-                    if not self._refactor():
-                        raise NumericalFailure("singular basis on refactor")
-                    self._recompute_x()
+                    self._refresh("on refactor")
                     rc = self._price(self.c)[1]
                     since_refactor = 0
                 if pivots > iter_budget:
@@ -610,10 +570,8 @@ class SimplexEngine:
 
     def _phase1_costs(self, below, above):
         ceff = np.zeros(self.nt)
-        bi = self.basis[below]
-        ai = self.basis[above]
-        ceff[bi] = 1.0   # wants to increase toward lb
-        ceff[ai] = -1.0  # wants to decrease toward ub
+        ceff[self.basis[below]] = 1.0   # wants to increase toward lb
+        ceff[self.basis[above]] = -1.0  # wants to decrease toward ub
         return ceff
 
     def _iterate(self, phase1, iter_budget, rc=None):
@@ -652,9 +610,7 @@ class SimplexEngine:
                 if stall > _STALL_LIMIT:
                     bland = True
                 if since_refactor >= _REFACTOR_EVERY:
-                    if not self._refactor():
-                        raise NumericalFailure("singular basis on refactor")
-                    self._recompute_x()
+                    self._refresh("on refactor")
                     since_refactor = 0
                 if pivots > iter_budget:
                     raise NumericalFailure(f"iteration limit {iter_budget} exceeded")
@@ -677,7 +633,7 @@ class SimplexEngine:
         """
         if not self._refactor():
             self._fall_back_to_slack_basis()
-        self._recompute_x()
+        self.x = self._values(self.basis, self.vstat, self.B_inv)
         budget = _pivot_budget(self.m)
         pivots = 0
         try:
@@ -697,9 +653,7 @@ class SimplexEngine:
                         self._retry = True
                         return LpSolution(LpStatus.INFEASIBLE,
                                           iterations=pivots)
-                    if not self._refactor():
-                        raise NumericalFailure("singular basis after phase 1")
-                    self._recompute_x()
+                    self._refresh("after phase 1")
                 outcome, p2 = self._iterate(phase1=False, iter_budget=budget,
                                             rc=rc)
                 pivots += p2
@@ -715,9 +669,7 @@ class SimplexEngine:
         if pivots:
             # polish the arithmetic before reporting; with no pivot the
             # start's exact inverse, x and pricing are what it would give
-            if not self._refactor():
-                raise NumericalFailure("singular basis at optimum")
-            self._recompute_x()
+            self._refresh("at optimum")
             y, rc = self._price(self.c)
         x = self.x[: self.n].copy()
         return LpSolution(
@@ -768,8 +720,8 @@ class SimplexEngine:
 
         The members are independent, each starting from its own basis, so
         they are solved in batches of up to 88 over a leading member axis.
-        A batch refactorizes every basis with the ``_block_inverse``
-        arithmetic and computes x_B, once for the members that share one
+        A batch refactorizes every basis by ``_block_inverses`` and
+        computes x_B, once for the members that share one
         snapshot object, then the duals and the reduced costs, answers
         the members that are optimal there at zero pivots, and pivots the
         others in lockstep under the dual simplex or primal phase 2 rules.
@@ -836,7 +788,7 @@ class SimplexEngine:
         first when it is primal infeasible (a basis kept from another
         matrix).  ``B_inv``, when given, must be the engine's refactorization
         of the snapshot's basis under the present matrix
-        (``_block_inverse``), as an ``OptimalBases`` node keeps it; it is
+        (``_block_inverses``), as an ``OptimalBases`` node keeps it; it is
         copied and the next solve inverts nothing.
         """
         if snap.basis.shape != (self.m,) or snap.vstat.shape != (self.nt,):
@@ -896,7 +848,7 @@ class _Batch:
         basis = np.stack([snaps[i].basis for i in lead])
         vstat = np.stack([snaps[i].vstat for i in lead])
         B, ok = eng._block_inverses(basis)
-        X = self._values(basis, vstat, B)
+        X = eng._values(basis, vstat, B)
         # inversions performed for each member, a shared start counted at
         # its first member
         self.inverted = np.zeros(q, dtype=int)
@@ -927,14 +879,6 @@ class _Batch:
         self._polish()
 
     # -- the engine's arithmetic, stacked ------------------------------
-
-    def _values(self, basis, vstat, B):
-        """``_recompute_x`` of each member."""
-        eng = self.eng
-        X = eng._nonbasic_values(vstat)
-        rhs = eng.b - (eng.T @ X[:, :, None])[:, :, 0]
-        X[np.arange(len(X))[:, None], basis] = (B @ rhs[:, :, None])[:, :, 0]
-        return X
 
     def _price(self, C, basis, B):
         """``_price`` of each member: its duals and reduced costs."""
@@ -1107,7 +1051,8 @@ class _Batch:
             self.exact[P[~ok]] = False
             P = P[ok]
         if len(P):
-            self.X[P] = self._values(self.basis[P], self.vstat[P], self.B[P])
+            self.X[P] = self.eng._values(self.basis[P], self.vstat[P],
+                                         self.B[P])
             self.Y[P], self.RC[P] = self._price(self.C[P], self.basis[P],
                                                 self.B[P])
 
@@ -1278,7 +1223,7 @@ class OptimalBases:
         """The node the dual simplex's first pivot from node e reaches
         when the basic variable at position r leaves for the bound it broke,
         the lower one when ``below``: the engine's pricing and entering rule
-        from e's basis and inverse, then ``_block_inverse`` of the new basis.
+        from e's basis and inverse, then ``_block_inverses`` of the new basis.
         None when e would not start the dual simplex, no column can enter or
         the new basis is singular.  Leaves the engine at e's basis."""
         eng = self.engine
@@ -1294,13 +1239,10 @@ class OptimalBases:
         basis, vstat = e.snap.basis.copy(), e.snap.vstat.copy()
         vstat[basis[r]] = _AT_LB if below else _AT_UB
         basis[r], vstat[j] = j, _BASIC
-        try:
-            B_inv = eng._block_inverse(basis)
-        except np.linalg.LinAlgError:
+        B_inv, ok = eng._block_inverses(basis[None])
+        if not ok[0]:
             return None
-        if not np.isfinite(B_inv).all():
-            return None
-        return _Optimum.of(eng, BasisSnapshot(basis, vstat), B_inv)
+        return _Optimum.of(eng, BasisSnapshot(basis, vstat), B_inv[0])
 
     def install(self):
         """Start the engine's next solve from the root, its inverse
@@ -1329,51 +1271,37 @@ def solve_highs(problem: LpProblem) -> LpSolution:
     """One solve by scipy's HiGHS."""
     from scipy.optimize import linprog
 
-    ineq = ~np.asarray([r == "=" for r in problem.rel])
-    eq = ~ineq
-    # the lower side of each ranged row, -a x <= w - b, as a row of its own
-    ranged = np.flatnonzero(np.isfinite(problem.ranges))
+    # width-0 rows are equalities; the lower side of each ranged row,
+    # -a x <= w - b, is a row of its own
+    eq = problem.ranges == 0.0
+    ineq = ~eq
+    ranged = np.flatnonzero(ineq & np.isfinite(problem.ranges))
     A_ub = np.vstack([problem.A[ineq], -problem.A[ranged]])
     b_ub = np.concatenate([problem.b[ineq],
                            problem.ranges[ranged] - problem.b[ranged]])
-    bounds = list(zip(problem.lb, problem.ub))
-    bounds = [(None if not np.isfinite(lo) else lo, None if not np.isfinite(hi) else hi)
-              for lo, hi in bounds]
-    res = linprog(
-        -problem.c,
-        A_ub=A_ub if len(A_ub) else None,
-        b_ub=b_ub if len(A_ub) else None,
-        A_eq=problem.A[eq] if np.any(eq) else None,
-        b_eq=problem.b[eq] if np.any(eq) else None,
-        bounds=bounds,
-        method="highs",
-    )
+    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+              for lo, hi in zip(problem.lb, problem.ub)]
+    res = linprog(-problem.c, A_ub=A_ub, b_ub=b_ub, A_eq=problem.A[eq],
+                  b_eq=problem.b[eq], bounds=bounds, method="highs")
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE)
     if res.status == 3:
         return LpSolution(LpStatus.UNBOUNDED)
     if res.status != 0:
         raise NumericalFailure(f"highs terminated with status {res.status}: {res.message}")
-    duals = np.zeros(problem.n_rows)
-    if len(A_ub):
-        y = -res.ineqlin.marginals
-        duals[ineq] = y[:np.count_nonzero(ineq)]
-        # a ranged row's dual: that of its upper side minus its lower side's
-        duals[ranged] -= y[np.count_nonzero(ineq):]
-    if np.any(eq):
-        duals[eq] = -res.eqlin.marginals
     # scipy reports marginals for the minimized problem; negate back to maximize
-    reduced = None
-    if res.lower is not None and res.upper is not None:
-        rc = -(res.lower.marginals + res.upper.marginals)
-        if rc.shape == (problem.n_vars,):
-            reduced = rc
+    duals = np.zeros(problem.n_rows)
+    y = -res.ineqlin.marginals
+    duals[ineq] = y[:np.count_nonzero(ineq)]
+    # a ranged row's dual: that of its upper side minus its lower side's
+    duals[ranged] -= y[np.count_nonzero(ineq):]
+    duals[eq] = -res.eqlin.marginals
     return LpSolution(
         LpStatus.OPTIMAL,
         x=res.x.copy(),
         objective=float(problem.c @ res.x),
         duals=duals,
-        reduced_costs=reduced,
+        reduced_costs=-(res.lower.marginals + res.upper.marginals),
         iterations=int(res.nit),
     )
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import write_report
 from .datagen import label_injections
 from .grid import DcopfSolver, DispatchLp, Network
 from .icnn import ScaledClassifier
@@ -212,8 +212,8 @@ class _ClassifierRows(_SecurityRows):
 class _FacetRows(_SecurityRows):
     """The facet set of a reduced region (``region.npz``): its rows mapped
     to p - d by ``region_inequalities``, one ranged row per box coordinate
-    (in injection units, width sigma * (hi - lo)), and one zero-width
-    ranged row per folded column, which pins that injection coordinate at
+    (in injection units, width sigma * (hi - lo)), and one row of width 0
+    per folded column, an equality that pins that injection coordinate at
     its folded value; on ``case39`` at k = 2, 46 line, 88 facet, 24 box and
     15 pin rows and the balance, 174 rows.  Its check is the same rows at
     the injection, by comparison.
@@ -448,9 +448,11 @@ def _formulation_summary(dispatcher: Dispatcher, results, fulls, demands,
     the full optimum on those; the instances its first step answered; its
     feasible answers where the full formulation has none, and its
     dispatches' largest violation of region (0 when none passes a row).
-    ``lp``: its LP's rows and ranged rows, and its engine's work over the
-    instances (work holds the counters before them).  ``resolves``: its
-    set LP's re-solves, which sum to the instances with ``step1_answers``.
+    ``lp``: its LP's rows, its ranged rows (of positive finite width; the
+    balance and the facet set's pins, of width 0, are equalities) and its
+    engine's work over the instances (work holds the counters before
+    them).  ``resolves``: its set LP's re-solves, which sum to the
+    instances with ``step1_answers``.
     """
     n = len(results)
     solved = [i for i in range(n) if results[i]]
@@ -467,6 +469,7 @@ def _formulation_summary(dispatcher: Dispatcher, results, fulls, demands,
         worst = max(0.0, float(region.margins(region.project(X)).max()))
     engine = dispatcher.bases.engine
     resolves = dispatcher.bases.n_resolves
+    widths = dispatcher.constraints.ranges
     return {
         "setup_s": setup_s,
         "runtime_ms_p50": float(np.percentile(ms, 50)),
@@ -481,8 +484,8 @@ def _formulation_summary(dispatcher: Dispatcher, results, fulls, demands,
         "conservativeness_violations": len(solved) - len(both),
         "max_region_violation": worst,
         "lp": {"rows": engine.m,
-               "ranged_rows":
-                   int(np.isfinite(dispatcher.constraints.ranges).sum()),
+               "ranged_rows": int(np.count_nonzero((widths > 0)
+                                                   & (widths < np.inf))),
                **{k: v - work[k] for k, v in engine.counters().items()}},
         "resolves": resolves,
     }
@@ -515,11 +518,11 @@ def _dcopf_diagnostic(dispatchers, demands, region: ContingencyRegion):
 
 def save_benchmark(records, summary, csv_path, json_path):
     """Write the per-instance CSV and the summary JSON (the only one of
-    the two with times in it)."""
+    the two with times in it, and the BLAS kernel)."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["instance", "formulation", "status", "cost",
                             "blocking"])
         writer.writeheader()
         writer.writerows(records)
-    write_json(json_path, summary)
+    write_report(json_path, summary)

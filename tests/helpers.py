@@ -291,13 +291,15 @@ def mesh5():
 
 
 def paired_rows(p: LpProblem):
-    """The same LP with each ranged row stated as two one-sided rows: the
-    upper sides in place, then the lower sides, -a x <= w - b."""
-    ranged = np.isfinite(p.ranges)
+    """The same LP with each ranged row (of positive finite width) stated as
+    two one-sided rows: the upper sides in place, then the lower sides,
+    -a x <= w - b; equalities (width 0) stay as they are."""
+    ranged = np.isfinite(p.ranges) & (p.ranges > 0)
     return LpProblem(c=p.c, A=np.vstack([p.A, -p.A[ranged]]),
                      b=np.concatenate([p.b, p.ranges[ranged] - p.b[ranged]]),
-                     rel=np.concatenate([p.rel, np.full(ranged.sum(), "<=")]),
-                     lb=p.lb, ub=p.ub)
+                     lb=p.lb, ub=p.ub,
+                     ranges=np.concatenate([np.where(ranged, np.inf, p.ranges),
+                                            np.full(ranged.sum(), np.inf)]))
 
 
 class PairedRowsDcopf:
@@ -311,10 +313,10 @@ class PairedRowsDcopf:
         self.net = net
         _, self.H = ptdf(net)
         A = np.vstack([self.H, -self.H, np.ones((1, net.n))])
-        rel = ["<="] * (2 * net.m) + ["="]
+        widths = np.r_[np.full(2 * net.m, np.inf), 0.0]
         self.engine = SimplexEngine(LpProblem(
-            c=-net.cost, A=A, b=self.rhs(net.demand), rel=rel, lb=net.pmin,
-            ub=net.pmax))
+            c=-net.cost, A=A, b=self.rhs(net.demand), lb=net.pmin,
+            ub=net.pmax, ranges=widths))
 
     def rhs(self, demand):
         Hd = self.H @ demand

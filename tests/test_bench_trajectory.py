@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+from nkscreen.artifacts import blas_kernel
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -85,6 +87,8 @@ def test_main_keeps_every_run_in_per_run(bt, tmp_path, monkeypatch, capsys):
     assert w["runs"] == 3 and w["runs_correct"] == 2
     assert w["metrics"]["t_ms"]["median"] == 1.0
     assert "wins 2/2" in capsys.readouterr().out
+    # the machine line names the OpenBLAS core the runs' products used
+    assert new["machine"]["blas_core"] == blas_kernel()["core"]
 
 
 def test_an_earlier_tags_file_is_never_rewritten(bt, tmp_path, monkeypatch,

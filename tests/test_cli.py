@@ -6,14 +6,17 @@ input, 3 certification failure, 4 a model that screens nothing).
 """
 
 import dataclasses
+import glob
 import json
 import os
 
 import numpy as np
 import pytest
 
-from nkscreen.artifacts import file_sha256
-from nkscreen.cli import RunManifest, main, parse_counts, resolve_case
+from nkscreen import artifacts
+from nkscreen.artifacts import blas_kernel, file_sha256
+from nkscreen.cli import (RunManifest, finish_run, main, parse_counts,
+                          resolve_case, reuse_hit)
 from nkscreen.datagen import load_dataset
 from nkscreen.icnn import load_checkpoint, save_checkpoint
 from nkscreen.region import load_region
@@ -564,7 +567,7 @@ class TestScreen:
             "fpr", "fnr",
             "confusion", "icnn_seconds", "icnn_single_us_p50",
             "full_sweep_seconds", "speedup_vs_full_sweep",
-            "exhaustive_agreement_full"}
+            "exhaustive_agreement_full", "blas"}
         assert report["fnr"] == 0.0
         assert report["n_test"] == 200
         assert report["exhaustive_agreement_full"] == 1.0
@@ -676,7 +679,7 @@ class TestScopfBench:
         summary = json.load(open(os.path.join(run, "scopf_summary.json")))
         assert summary["instances"] == 6
         assert set(summary) == {"instances", "full", "dcopf", "formulations",
-                                "dcopf_diagnostic", "manifest"}
+                                "dcopf_diagnostic", "manifest", "blas"}
         (icnn,) = summary["formulations"].values()
         assert icnn["conservativeness_violations"] == 0
         assert icnn["max_region_violation"] <= 1e-6
@@ -896,3 +899,51 @@ class TestReuse:
         assert main(args) == 0
         assert main(args + ["--reuse"]) == 0
         assert "(reused)" in capsys.readouterr().out
+
+
+class TestBlasKernel:
+    """Every report and manifest names the OpenBLAS core and its thread
+    count, beside the manifest hash and not in it."""
+
+    def test_reports_and_manifests_name_the_kernel(self, work):
+        found = set()
+        for dirpath, _, names in os.walk(work["runs"]):
+            for name in names:
+                if name.endswith(("_report.json", "_summary.json",
+                                  "manifest.json")):
+                    record = json.load(open(os.path.join(dirpath, name)))
+                    assert record["blas"] == blas_kernel()
+                    found.add(name)
+        assert {"manifest.json", "region_report.json", "gen_data_report.json",
+                "train_report.json"} <= found
+        # read from the OpenBLAS that numpy's wheel bundles, when it does
+        bundled = glob.glob(os.path.join(os.path.dirname(np.__file__),
+                                         os.pardir, "numpy.libs",
+                                         "libscipy_openblas64_*"))
+        assert (blas_kernel()["core"] != "unknown") == bool(bundled)
+
+    def test_kernel_stays_out_of_the_manifest_hash(self, tmp_path,
+                                                   monkeypatch):
+        m = RunManifest("train", {"lr": 0.01}, 0, {"dataset": "aa"})
+        m.write(tmp_path)
+        here = json.load(open(tmp_path / "manifest.json"))
+        other = {"core": "Nehalem", "threads": 0}  # no run's kernel
+        monkeypatch.setattr(artifacts, "blas_kernel", lambda: other)
+        m.write(tmp_path)
+        there = json.load(open(tmp_path / "manifest.json"))
+        assert here["blas"] != there["blas"] == other
+        # the hash this manifest had before the kernel was recorded
+        assert here["hash"] == there["hash"] == m.hash == "f14f56588658"
+
+    def test_reuse_requires_the_same_kernel(self, tmp_path, monkeypatch):
+        m = RunManifest("train", {"lr": 0.01}, 0, {"dataset": "aa"})
+        (tmp_path / "checkpoint.npz").write_bytes(b"")
+        finish_run(m, tmp_path, ["checkpoint.npz"])
+        assert reuse_hit(m, tmp_path)
+        here = blas_kernel()
+        monkeypatch.setattr(artifacts, "blas_kernel",
+                            lambda: {**here, "threads": 0})
+        assert reuse_hit(m, tmp_path)  # the thread count does not matter
+        monkeypatch.setattr(artifacts, "blas_kernel",
+                            lambda: {"core": "Nehalem", "threads": 0})
+        assert not reuse_hit(m, tmp_path)

@@ -14,7 +14,7 @@ from nkscreen.grid import (
     load_network,
     ptdf,
 )
-from nkscreen.lp import LpStatus
+from nkscreen.lp import LpStatus, SimplexEngine, solve_highs
 
 from helpers import (PairedRowsDcopf, incidence_matrix, is_islanding_bfs,
                      mesh5, ptdf_by_products, ring3, two_bus)
@@ -297,6 +297,31 @@ def test_dcopf_respects_constraints_on_random_instances():
         assert np.all(flows <= net.f_upper + 1e-6)
         assert np.all(flows >= net.f_lower - 1e-6)
     assert n_ok > 50
+
+
+def test_dcopf_balance_dual_is_the_highs_equality_marginal(monkeypatch):
+    """The power balance is a row of width 0: HiGHS takes it as its one
+    equality row, and the engine's dual of it is HiGHS's marginal of that
+    row, the system price, over case39 draws."""
+    import scipy.optimize
+
+    net = load_network(CASE39)
+    lp = DcopfSolver(net)
+    linprog, seen = scipy.optimize.linprog, []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["A_eq"])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
+    rng = np.random.default_rng(3)
+    for scale in rng.uniform(0.8, 1.05, size=8):
+        p = lp.problem(net.demand * scale)
+        a, h = SimplexEngine(p).solve(), solve_highs(p)
+        assert a.status is h.status is LpStatus.OPTIMAL
+        assert np.array_equal(seen[-1], np.ones((1, net.n)))
+        assert a.duals[-1] == pytest.approx(h.duals[-1], rel=1e-9, abs=1e-9)
+        assert a.objective == pytest.approx(h.objective, rel=1e-9)
 
 
 def test_dcopf_warm_solver_matches_one_shot():

@@ -77,8 +77,8 @@ def check_kkt(p: LpProblem, s: LpSolution):
     assert s.status is LpStatus.OPTIMAL
     x, y, rc = s.x, s.duals, s.reduced_costs
     resid = p.A @ x - p.b
-    for i, r in enumerate(p.rel):
-        if r == "=":
+    for i, w in enumerate(p.ranges):
+        if w == 0.0:
             assert abs(resid[i]) <= 1e-6
             continue
         assert resid[i] <= TOL_FEAS * max(1.0, abs(p.b[i]))
@@ -146,7 +146,8 @@ def test_column_without_a_finite_bound_rejected(lb, ub):
 
 def test_equality_row():
     # max x + y s.t. x + y = 1, x,y in [0, 1]
-    p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0], rel=["="], lb=[0, 0], ub=[1, 1])
+    p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0], lb=[0, 0], ub=[1, 1],
+                  ranges=[0.0])
     s = solve(p)
     assert s.objective == pytest.approx(1.0)
 
@@ -177,7 +178,7 @@ def test_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         LpProblem(c=[1.0], A=[[1.0, 2.0]], b=[1.0])
     with pytest.raises(ValueError):
-        LpProblem(c=[1.0, 2.0], A=[[1.0, 2.0]], b=[1.0], rel=["<=", "<="])
+        LpProblem(c=[1.0, 2.0], A=[[1.0, 2.0]], b=[1.0], ranges=[1.0, 1.0])
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -219,13 +220,48 @@ def test_equality_rows_against_highs():
         A = rng.normal(size=(m_in + m_eq, n))
         x0 = rng.uniform(-1, 1, size=n)
         b = np.concatenate([A[:m_in] @ x0 + rng.uniform(0.1, 1.0, size=m_in), A[m_in:] @ x0])
-        rel = ["<="] * m_in + ["="] * m_eq
-        p = LpProblem(c=rng.normal(size=n), A=A, b=b, rel=rel, lb=x0 - 2, ub=x0 + 2)
+        widths = np.r_[np.full(m_in, np.inf), np.zeros(m_eq)]
+        p = LpProblem(c=rng.normal(size=n), A=A, b=b, lb=x0 - 2, ub=x0 + 2,
+                      ranges=widths)
         a = SimplexEngine(p).solve()
         h = solve_highs(p)
         assert a.status is h.status is LpStatus.OPTIMAL
         assert a.objective == pytest.approx(h.objective, abs=1e-7)
         check_kkt(p, a)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_zero_width_rows_against_highs(seed):
+    """Random feasible LPs whose rows are one-sided, ranged or of width 0,
+    in random places: the engine and HiGHS (which takes the width-0 rows
+    as A_eq) reach the same optimum, the engine's answer meets KKT with
+    each width-0 row as an equality, and stating each width-0 row as two
+    one-sided rows gives the engine the same optimum."""
+    rng = np.random.default_rng(9100 + seed)
+    n, m = int(rng.integers(2, 7)), int(rng.integers(2, 8))
+    A = rng.normal(size=(m, n))
+    A[np.all(np.abs(A) < 0.3, axis=1), 0] += 1.0
+    x0 = rng.uniform(-1, 1, size=n)
+    kind = rng.integers(0, 3, size=m)  # one-sided, ranged, width 0
+    b = A @ x0 + np.where(kind == 2, 0.0, rng.uniform(0.1, 1.0, size=m))
+    ranges = np.select([kind == 0, kind == 1],
+                       [np.inf, b - A @ x0 + rng.uniform(0.1, 1.0, size=m)],
+                       0.0)
+    p = LpProblem(c=rng.normal(size=n), A=A, b=b,
+                  lb=x0 - rng.uniform(0.5, 2.0, size=n),
+                  ub=x0 + rng.uniform(0.5, 2.0, size=n), ranges=ranges)
+    a, h = SimplexEngine(p).solve(), solve_highs(p)
+    assert a.status is h.status is LpStatus.OPTIMAL
+    assert a.objective == pytest.approx(h.objective,
+                                        abs=1e-7 * max(1, abs(h.objective)))
+    check_kkt(p, a)
+    eq = kind == 2
+    pair = SimplexEngine(LpProblem(
+        c=p.c, A=np.vstack([A, -A[eq]]), b=np.concatenate([b, -b[eq]]),
+        lb=p.lb, ub=p.ub,
+        ranges=np.concatenate([np.where(eq, np.inf, ranges),
+                               np.full(eq.sum(), np.inf)]))).solve()
+    assert pair.objective == pytest.approx(a.objective, abs=1e-7)
 
 
 def test_determinism_bitwise():
@@ -248,7 +284,7 @@ def test_resolve_objective_matches_cold():
         c_new = rng.normal(size=4)
         warm = eng.resolve_objective(c_new)
         cold = SimplexEngine(
-            LpProblem(c=c_new, A=p.A, b=p.b, rel=p.rel, lb=p.lb, ub=p.ub)
+            LpProblem(c=c_new, A=p.A, b=p.b, lb=p.lb, ub=p.ub)
         ).solve()
         assert warm.status is cold.status is LpStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
@@ -266,7 +302,7 @@ def test_resolve_rhs_matches_cold():
         b_new = base.A @ x0 + rng.uniform(0.05, 2.0, size=6)
         warm = eng.resolve_rhs(b_new)
         cold = SimplexEngine(
-            LpProblem(c=base.c, A=base.A, b=b_new, rel=base.rel, lb=base.lb, ub=base.ub)
+            LpProblem(c=base.c, A=base.A, b=b_new, lb=base.lb, ub=base.ub)
         ).solve()
         assert warm.status is cold.status
         if warm.status is LpStatus.OPTIMAL:
@@ -292,7 +328,7 @@ def test_reload_matrix_matches_cold():
         A_new = p.A + 0.05 * rng.normal(size=p.A.shape)
         warm = eng.reload(A=A_new)
         cold = SimplexEngine(
-            LpProblem(c=p.c, A=A_new, b=p.b, rel=p.rel, lb=p.lb, ub=p.ub)
+            LpProblem(c=p.c, A=A_new, b=p.b, lb=p.lb, ub=p.ub)
         ).solve()
         assert warm.status is cold.status
         if warm.status is LpStatus.OPTIMAL:
@@ -399,12 +435,6 @@ def test_rejects_bad_range_width(width):
     with pytest.raises(ValueError, match="nonnegative"):
         LpProblem(c=[1.0], A=[[1.0], [2.0]], b=[1.0, 3.0],
                   ranges=[np.inf, width])
-
-
-def test_rejects_ranged_equality_row():
-    with pytest.raises(ValueError, match="ranged"):
-        LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0], [1.0, -1.0]], b=[1.0, 0.0],
-                  rel=["<=", "="], ranges=[1.0, 2.0])
 
 
 def counting_inv(monkeypatch):
@@ -537,7 +567,7 @@ def test_snapshot_without_inverse_refactors_once(monkeypatch):
     assert eng.n_refactors == before + 1 and len(calls) == 1
     # with the inverse kept beside it, restoring inverts nothing
     eng.resolve_objective(-p.c)
-    eng.restore(snap, eng._block_inverse(snap.basis))
+    eng.restore(snap, eng._block_inverses(snap.basis[None])[0][0])
     calls.clear()
     same_bytes(eng.resolve_objective(p.c), first)
     assert calls == []
@@ -811,8 +841,8 @@ def test_infeasible_rhs_names_the_blocking_row():
 
 def mixed_lp(rng):
     """A feasible bounded LP with every kind of row and column: one-sided,
-    ranged and "=" rows; boxed, fixed and half-bounded columns (column 1's
-    one bound lies 10 away, and the "=" row pins it down)."""
+    ranged and width-0 rows; boxed, fixed and half-bounded columns (column
+    1's one bound lies 10 away, and the width-0 row pins it down)."""
     n, m = 6, 7
     A = rng.normal(size=(m, n))
     A[np.all(np.abs(A) < 0.3, axis=1), 0] += 1.0
@@ -822,14 +852,13 @@ def mixed_lp(rng):
     b[5] = A[5] @ x0
     ranges = np.full(m, np.inf)
     ranges[[2, 3]] = b[[2, 3]] - A[[2, 3]] @ x0 + rng.uniform(0.1, 1.0, size=2)
+    ranges[5] = 0.0
     lb, ub = x0 - rng.uniform(0.5, 2.0, size=n), x0 + rng.uniform(0.5, 2.0, size=n)
     lb[0] = ub[0] = x0[0]       # fixed
     lb[1], ub[1] = x0[1] - 10.0, np.inf  # far from its one bound
     ub[2] = np.inf              # bounded below only
     lb[3] = -np.inf             # bounded above only
-    rel = ["<="] * m
-    rel[5] = "="
-    return LpProblem(c=rng.normal(size=n), A=A, b=b, rel=rel, lb=lb, ub=ub,
+    return LpProblem(c=rng.normal(size=n), A=A, b=b, lb=lb, ub=ub,
                      ranges=ranges)
 
 
@@ -898,7 +927,7 @@ def assert_tree_exact(tree):
     and T x_N of its nonbasic values."""
     eng = tree.engine
     for e in tree_nodes(tree):
-        fresh = eng._block_inverse(e.snap.basis)
+        fresh = eng._block_inverses(e.snap.basis[None])[0][0]
         assert e.B_inv.tobytes() == fresh.tobytes()
         assert e.T_xN.tobytes() == (eng.T @ e.x_N).tobytes()
 
@@ -953,8 +982,8 @@ def test_miss_beyond_tolerance_goes_to_engine():
     # b <= 10, and the engine accepts it up to TOL_FEAS beyond; further on
     # no column can repair x, so the walk ends there and the engine
     # re-solves from the root
-    p = LpProblem(c=[1.0], A=[[1.0]], b=[5.0], rel=["="], lb=[0.0],
-                  ub=[10.0])
+    p = LpProblem(c=[1.0], A=[[1.0]], b=[5.0], lb=[0.0], ub=[10.0],
+                  ranges=[0.0])
     eng = SimplexEngine(p)
     tree = OptimalBases(eng)
     inside = np.array([10.0 + TOL_FEAS / 2])
@@ -1037,8 +1066,8 @@ def test_reload_matrix_drops_cached_inverses():
 def test_no_root_solves_every_rhs_from_the_start_basis():
     # an infeasible right-hand side at construction gives no root: every
     # lookup misses and each re-solve starts from the slack basis
-    p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[5.0], rel=["="],
-                  lb=[0.0, 0.0], ub=[1.0, 1.0])
+    p = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[5.0], lb=[0.0, 0.0],
+                  ub=[1.0, 1.0], ranges=[0.0])
     tree = OptimalBases(SimplexEngine(p))
     assert tree.root is None
     for b in ([1.5], [0.5], [7.0]):
@@ -1101,8 +1130,8 @@ def _merit_order(d, costs=(0.5, 1.0, 2.0, 2.0, 3.0)):
     """max -cost x s.t. sum x = d, 0 <= x <= 1: one generator per cost, by
     default five, generators 2 and 3 at equal cost."""
     k = len(costs)
-    return LpProblem(c=-np.array(costs), A=np.ones((1, k)), b=[d], rel=["="],
-                     lb=np.zeros(k), ub=np.ones(k))
+    return LpProblem(c=-np.array(costs), A=np.ones((1, k)), b=[d],
+                     lb=np.zeros(k), ub=np.ones(k), ranges=[0.0])
 
 
 def test_neighbour_is_the_engine_basis_after_one_dual_pivot():
@@ -1408,7 +1437,7 @@ def test_no_row_sized_inversion_while_a_slack_is_basic(monkeypatch):
         for row in rng.normal(size=(20, 6)):
             solver.support(row)
     assert len(seen) > 20
-    assert all(shape == (k, k) for shape, k in seen)
+    assert all(shape == (1, k, k) for shape, k in seen)
 
 
 def test_batched_sweep_inverts_only_structural_blocks(monkeypatch):
@@ -1445,11 +1474,7 @@ def test_batched_sweep_inverts_only_structural_blocks(monkeypatch):
     assert solver.counters()["batched"] > 0 and eng.n_pivots > 0
     shapes = [shape for shape, _ in seen]
     assert shapes[:len(ks)] == [(g, k, k) for k, g in sorted(ks.items())]
-    for shape, k in seen:
-        if len(shape) == 3:
-            assert shape[1] == shape[2] < eng.m
-        else:
-            assert shape == (k, k)
+    assert all(shape[1] == shape[2] < eng.m for shape in shapes)
 
 
 def test_zero_pivot_solve_reports_its_start(monkeypatch):
@@ -1462,7 +1487,7 @@ def test_zero_pivot_solve_reports_its_start(monkeypatch):
     first = eng.solve()
     assert first.status is LpStatus.OPTIMAL and first.iterations > 0
     calls = Counter()
-    for name in ("_price", "_recompute_x", "_refactor"):
+    for name in ("_price", "_values", "_refactor"):
         original = getattr(SimplexEngine, name)
 
         def counted(self, *args, _f=original, _name=name):
@@ -1472,7 +1497,7 @@ def test_zero_pivot_solve_reports_its_start(monkeypatch):
         monkeypatch.setattr(SimplexEngine, name, counted)
     again = eng.solve()
     assert again.iterations == 0
-    assert calls == {"_price": 1, "_recompute_x": 1, "_refactor": 1}
+    assert calls == {"_price": 1, "_values": 1, "_refactor": 1}
     for field in ("x", "duals", "reduced_costs"):
         assert getattr(again, field).tobytes() == \
             getattr(first, field).tobytes()
@@ -1497,7 +1522,7 @@ def test_classifier_resolves_invert_only_the_structural_block(monkeypatch):
     shapes = recorded_inversions(monkeypatch, [eng])
     solved = [classifier_lp.resolve(lp.constraints.rhs(d)) for d in demands]
     assert any(solved) and eng.n_pivots > 0 and len(shapes) > 10
-    assert all(shape == (k, k) and k < eng.m for shape, k in shapes)
+    assert all(shape == (1, k, k) and k < eng.m for shape, k in shapes)
     assert max(k for _, k in shapes) <= eng.m // 2
 
 
@@ -1705,7 +1730,8 @@ def test_shared_start_is_inverted_once(monkeypatch):
     # member that takes none keeps the exact inverse of the start
     batch = _Batch(eng, C, [snap] * len(C))
     assert batch.pivots[1:].any() and batch.pivots[0] == 0
-    assert batch.B[0].tobytes() == eng._block_inverse(snap.basis).tobytes()
+    assert batch.B[0].tobytes() == \
+        eng._block_inverses(snap.basis[None])[0][0].tobytes()
 
 
 def test_bound_flips_alone_give_the_bytes_of_the_solve_one_by_one():

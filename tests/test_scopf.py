@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from nkscreen.artifacts import canonical_json
+from nkscreen.artifacts import blas_kernel, canonical_json
 from nkscreen.cli import resolve_case
 from nkscreen.datagen import DemandSampler, sample_demands, sample_injections
 from nkscreen.grid import DcopfSolver, DispatchLp, load_network
@@ -93,8 +93,7 @@ class TestFullScopf:
         eng = dcopf.engine
         assert np.array_equal(eng.T[:, :eng.n], p.A)
         assert np.array_equal(dcopf.rhs(d), p.b)
-        assert np.array_equal(eng.U[eng.n:],
-                              np.where(p.rel == "=", 0.0, p.ranges))
+        assert np.array_equal(eng.U[eng.n:], p.ranges)
 
     def test_slack_region_keeps_dcopf_cost(self):
         net = redispatch_net()
@@ -285,9 +284,9 @@ class TestIcnnScopf:
                 rhs.append(1.0 - const)
         rows.append(np.ones(3))
         rhs.append(d.sum())
-        rel = ["<="] * 4 + ["="]
         ref = solve(LpProblem(c=-net.cost, A=np.array(rows), b=np.array(rhs),
-                              rel=rel, lb=net.pmin, ub=net.pmax))
+                              lb=net.pmin, ub=net.pmax,
+                              ranges=np.r_[np.full(4, np.inf), 0.0]))
         assert got
         assert ref.status is LpStatus.OPTIMAL
         assert abs(got.cost - float(net.cost @ ref.x)) <= 1e-8
@@ -361,7 +360,7 @@ def paired_row_icnn_problem(net, demand, clf):
     A[-1, :net.n] = 1.0
     b = np.append(rhs + rows @ demand, demand.sum())
     return LpProblem(c=np.concatenate([-net.cost, np.zeros(nz)]), A=A, b=b,
-                     rel=["<="] * len(rows) + ["="],
+                     ranges=np.r_[np.full(len(rows), np.inf), 0.0],
                      lb=np.concatenate([net.pmin, np.zeros(nz)]),
                      ub=np.concatenate([net.pmax, np.full(nz, np.inf)]))
 
@@ -406,7 +405,7 @@ class TestIcnnWarmStart:
         K = np.sort(basis[basis < engine.n])
         R = np.setdiff1d(np.arange(engine.m), basis[basis >= engine.n] - engine.n)
         block = engine.T[np.ix_(R, K)]
-        assert sum(np.array_equal(a, block) for a in inverted) == 1
+        assert sum(np.array_equal(a, block[None]) for a in inverted) == 1
         assert sum(map(bool, results)) > 50
 
     def test_infeasible_dispatch_names_what_blocks_it(self, case39_setup):
@@ -480,9 +479,9 @@ class TestIcnnWarmStart:
         split = paired_rows(icnn_dispatch_problem(net, demands[0], clf))
         ref = paired_row_icnn_problem(net, demands[0], clf)
         assert split.n_rows == ref.n_rows
-        for a, b, rel in zip(ref.A, ref.b, ref.rel):
+        for a, b, w in zip(ref.A, ref.b, ref.ranges):
             same = (np.all(np.isclose(split.A, a, rtol=0, atol=1e-12), axis=1)
-                    & np.isclose(split.b, b, rtol=1e-12) & (split.rel == rel))
+                    & np.isclose(split.b, b, rtol=1e-12) & (split.ranges == w))
             assert same.any()
         statuses = set()
         for d in demands[:25]:
@@ -506,7 +505,9 @@ class TestIcnnWarmStart:
         epigraph = params.depth * params.width + 1
         assert p.n_rows == len(net.lines) + epigraph + boxed + 1
         assert p.n_rows < paired_row_icnn_problem(net, demands[0], clf).n_rows
-        assert np.count_nonzero(np.isfinite(p.ranges)) == len(net.lines) + boxed
+        ranged = np.isfinite(p.ranges) & (p.ranges > 0)
+        assert np.count_nonzero(ranged) == len(net.lines) + boxed
+        assert np.flatnonzero(p.ranges == 0).tolist() == [p.n_rows - 1]
 
     def test_content_change_invalidates_cache(self):
         # each edit gives another classifier (``replace``), which holds no
@@ -1201,8 +1202,9 @@ class TestBenchmark:
         back = json.loads(json_path.read_text())
         assert back["instances"] == 4
         assert back["formulations"]["icnn"]["setup_s"] > 0.0
-        # the sorted-key writer of every other report
-        assert json_path.read_text() == canonical_json(summary)
+        # the sorted-key writer of every other report, with the BLAS kernel
+        assert json_path.read_text() == canonical_json(
+            {**summary, "blas": blas_kernel()})
 
 
 def diamond4(demand=(0.0, 0.5, 0.0, 1.0), limits=1.4):
