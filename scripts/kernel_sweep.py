@@ -14,7 +14,7 @@ under SCRATCH (its working tree, without ``.git`` and caches), so each
 starts from a cold ``.cache/`` and retrains the acceptance artifacts,
 with one BLAS thread.  Only the child's environment
 is set.  It prints each run's counts and the tests whose outcome differs
-from the run with the CPU's own kernel, and writes them to
+from the run with the CPU's own kernel, and writes both to
 SCRATCH/kernel_sweep.json.
 """
 
@@ -79,11 +79,12 @@ def main(argv=None):
     runs = {}
     for core in (None, *CORES):
         kernel, tests = run_tier1(args.scratch, core)
-        runs[core or "default"] = {"kernel": kernel, "tests": tests}
+        counts = {o: sum(v == o for v in tests.values())
+                  for o in ("passed", "failure", "error", "skipped")}
+        runs[core or "default"] = {"kernel": kernel, "tests": tests,
+                                   "counts": counts}
         print(f"{core or 'default'} ({kernel}): "
-              + ", ".join(f"{sum(v == o for v in tests.values())} {o}"
-                          for o in ("passed", "failure", "error", "skipped")),
-              flush=True)
+              + ", ".join(f"{n} {o}" for o, n in counts.items()), flush=True)
     base = runs["default"]["tests"]
     report = {}
     for label, run in runs.items():
@@ -91,7 +92,8 @@ def main(argv=None):
         differ = {t: [base.get(t, "absent"), tests.get(t, "absent")]
                   for t in sorted(set(base) | set(tests))
                   if base.get(t) != tests.get(t)}
-        report[label] = {"kernel": run["kernel"], "differ": differ}
+        report[label] = {"kernel": run["kernel"], "counts": run["counts"],
+                         "differ": differ}
         if label != "default":
             print(f"\n{label}: {len(differ)} test(s) differ from the default")
             for t, (was, now) in differ.items():

@@ -136,13 +136,6 @@ def reuse_hit(manifest, run_dir):
         os.path.isfile(os.path.join(run_dir, name)) for name in outputs)
 
 
-def load_region_file(path):
-    from .region import load_region
-    if not os.path.isfile(path):
-        raise ValidationError(f"region file not found: {path}")
-    return load_region(path)
-
-
 def require_same_transform(a, b, message):
     """Raise ValidationError(message) unless two artifacts standardize
     alike: the same mu, sigma and dim_map."""
@@ -347,6 +340,7 @@ def cmd_gen_data(args):
     from .artifacts import write_report
     from .datagen import DemandSampler, build_dataset, save_dataset
     from .grid import load_network
+    from .region import load_region
 
     case_path = resolve_case(args.case)
     counts = parse_counts(args.counts)
@@ -365,8 +359,8 @@ def cmd_gen_data(args):
         return 0
 
     net = load_network(case_path)
-    region_full = load_region_file(full_path)
-    region_std = load_region_file(std_path)
+    region_full = load_region(full_path)
+    region_std = load_region(std_path)
     for region, name in ((region_full, "region_full"), (region_std, "region")):
         if region.n_full != net.n:
             raise ValidationError(f"{name} was built for a {region.n_full}-bus "
@@ -419,6 +413,7 @@ def cmd_train(args):
     from .datagen import load_dataset
     from .icnn import save_checkpoint
     from .oracle import certify
+    from .region import load_region
     from .training import (TrainingCollapsed, TrainingConfig,
                            classification_rates, train)
 
@@ -442,7 +437,7 @@ def cmd_train(args):
         return 0
 
     ds = load_dataset(args.dataset)
-    region = load_region_file(args.region)
+    region = load_region(args.region)
     if ds.mu is None:
         raise ValidationError("dataset has no standardization transform; "
                               "regenerate it with gen-data")
@@ -532,6 +527,7 @@ def cmd_certify(args):
     from .artifacts import write_report
     from .icnn import load_checkpoint
     from .oracle import certify
+    from .region import load_region
 
     manifest, run_dir = start_run(
         "certify", args.out, {}, 0,
@@ -543,7 +539,7 @@ def cmd_certify(args):
         return 0 if stored.get("verdict") == "reliable" else 3
 
     clf = load_checkpoint(args.checkpoint)
-    region = load_region_file(args.region)
+    region = load_region(args.region)
     if clf.params.n_inputs != region.dim:
         raise ValidationError(
             f"checkpoint takes {clf.params.n_inputs} inputs but the region "
@@ -588,6 +584,7 @@ def cmd_screen(args):
     from .baselines import screen_batch
     from .datagen import load_dataset
     from .icnn import load_checkpoint
+    from .region import load_region
     from .training import classification_rates
 
     manifest, run_dir = start_run(
@@ -608,7 +605,7 @@ def cmd_screen(args):
 
     clf = timed_load("checkpoint", load_checkpoint, args.checkpoint)
     ds = timed_load("dataset", load_dataset, args.dataset)
-    region_full = timed_load("region_full", load_region_file, args.region_full)
+    region_full = timed_load("region_full", load_region, args.region_full)
     if ds.mu is None:
         raise ValidationError("dataset has no standardization transform")
     require_same_transform(ds, clf,
@@ -675,6 +672,7 @@ def cmd_scopf_bench(args):
     from .datagen import load_dataset
     from .grid import load_network
     from .icnn import load_checkpoint
+    from .region import load_region
     from .scopf import benchmark_scopf, save_benchmark
 
     case_path = resolve_case(args.case)
@@ -694,8 +692,8 @@ def cmd_scopf_bench(args):
     net = load_network(case_path)
     clf = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
-    region_full = load_region_file(args.region_full)
-    facets = load_region_file(args.region) if args.region else None
+    region_full = load_region(args.region_full)
+    facets = load_region(args.region) if args.region else None
     if ds.d is None:
         raise ValidationError("dataset stores no demand draws; regenerate it "
                               "with gen-data")

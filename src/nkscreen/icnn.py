@@ -54,8 +54,10 @@ def _views(vec, params):
     return lists
 
 
-class FlatParams:
-    """Weight lists W, D and b that are views of one float64 vector.
+@dataclass
+class IcnnParams:
+    """Weight lists W, D and b that are views of one float64 vector, and
+    the box of the penalty.
 
     ``flat`` is that vector, laid out as ``_views`` lays it out.  It is
     packed at its first use, and packed anew (a copy) once an entry of the
@@ -63,6 +65,12 @@ class FlatParams:
     change the weights.  Copies, deep copies and pickles do not share it.
     """
 
+    W: list          # W[i]: (w, w) for i < depth-1, (1, w) for the output
+    D: list          # D[i]: (w, n) for i < depth, (1, n) for the output
+    b: list          # b[i]: (w,) for i < depth, (1,) for the output
+    box_lower: np.ndarray
+    box_upper: np.ndarray
+    box_gain: float = BOX_GAIN
     _packed = None      # (the vector, the list entries that view it)
 
     @property
@@ -81,16 +89,6 @@ class FlatParams:
         state = self.__dict__.copy()
         state.pop("_packed", None)
         return state
-
-
-@dataclass
-class IcnnParams(FlatParams):
-    W: list          # W[i]: (w, w) for i < depth-1, (1, w) for the output
-    D: list          # D[i]: (w, n) for i < depth, (1, n) for the output
-    b: list          # b[i]: (w,) for i < depth, (1,) for the output
-    box_lower: np.ndarray
-    box_upper: np.ndarray
-    box_gain: float = BOX_GAIN
 
     @property
     def depth(self):
@@ -222,13 +220,11 @@ def _pass(params: IcnnParams, X, box=True):
     return ForwardPass(X, pre, acts, raw, V, params.box_gain * V.max(axis=1))
 
 
-def raw_forward(params: IcnnParams, X, want_cache=False):
-    """Network value before the box penalty; optionally with activations."""
+def raw_forward(params: IcnnParams, X):
+    """Network value before the box penalty."""
     X, single = _as_batch(X, params.n_inputs)
-    fp = _pass(params, X, box=False)
-    if want_cache:
-        return fp.raw, (X, fp.pre, fp.acts)
-    return fp.raw[0] if single else fp.raw
+    raw = _pass(params, X, box=False).raw
+    return raw[0] if single else raw
 
 
 def box_violation(params: IcnnParams, X):

@@ -29,12 +29,12 @@ import numpy as np
 import pytest
 
 from nkscreen.artifacts import write_json
-from nkscreen.baselines import mlp_forward, train_mlp
+from nkscreen.baselines import train_unconstrained
 from nkscreen.cli import main, resolve_case
 from nkscreen.datagen import load_dataset
 from nkscreen.grid import load_network
-from nkscreen.icnn import (IcnnParams, box_violation, forward, init_params,
-                           load_checkpoint, raw_forward, save_checkpoint)
+from nkscreen.icnn import (IcnnParams, forward, init_params, load_checkpoint,
+                           raw_forward, save_checkpoint)
 from nkscreen.lp import TOL_FEAS
 from nkscreen.oracle import (DegenerateRatio, SublevelSolver, certify,
                              r_gradient, scale_fast)
@@ -246,9 +246,8 @@ def perturbed(params, bi, idx, h):
 
 
 def activation_pattern(params, X):
-    raw, (_, pre, _) = raw_forward(params, X, want_cache=True)
-    pen = params.box_gain * box_violation(params, X)
-    return [p > 0 for p in pre], np.atleast_1d(pen) > np.atleast_1d(raw)
+    _, fp = forward(params, X, want_cache=True)
+    return [p > 0 for p in fp.pre], fp.pen > fp.raw
 
 
 def patterns_equal(a, b):
@@ -492,7 +491,10 @@ def test_criterion_10_screening_speedup(pipeline):
 
 
 def test_criterion_11_mlp_baseline_misses_insecure(pipeline):
-    ds = pipeline["ds"]
+    """The classifier's network trained without its projection and its
+    certified rescale, a ReLU network with input skips, in the region's
+    box, misses insecure points."""
+    ds, region = pipeline["ds"], pipeline["region_std"]
     Z = ds.standardized()
     y = ds.labels
     fnrs = {}
@@ -503,10 +505,11 @@ def test_criterion_11_mlp_baseline_misses_insecure(pipeline):
                                  scaling_epochs=150, batch_size=128,
                                  positive_class_weight=w, learning_rate=1e-2,
                                  decay_epochs=(225,), seed=0)
-            params, _ = train_mlp(Z[ds.train], y[ds.train],
-                                  Z[ds.val], y[ds.val], cfg)
+            params, _ = train_unconstrained(
+                Z[ds.train], y[ds.train], Z[ds.val], y[ds.val], cfg,
+                region.box_lower, region.box_upper)
             _, fnr = classification_rates(
-                mlp_forward(params, Z[ds.test]) > 0.0, y[ds.test])
+                forward(params, Z[ds.test]) > 0.0, y[ds.test])
             fnrs[(depth, w)] = fnr
     elapsed = time.perf_counter() - t0
     positive = sum(f > 0 for f in fnrs.values())

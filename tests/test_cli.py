@@ -142,6 +142,29 @@ class TestExitCodes:
         assert "prepare-region" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["certify", "train", "scopf-bench"])
+def test_missing_input_file_exits_two(work, tmp_path, capsys, command):
+    """A missing input is rejected before any run directory is made, by
+    the manifest's input hashing, with the path in the message."""
+    missing = str(tmp_path / "nope.npz")
+    region = os.path.join(work["prep"], "region.npz")
+    argv = {
+        "certify": ["certify", "--checkpoint", work["ckpt"],
+                    "--region", missing],
+        "train": ["train", "--dataset", missing, "--region", region]
+                 + TRAIN_FLAGS,
+        "scopf-bench": ["scopf-bench", "--case", work["case"],
+                        "--checkpoint", work["ckpt"],
+                        "--dataset", work["dataset"], "--region-full",
+                        os.path.join(work["prep"], "region_full.npz"),
+                        "--region", missing],
+    }[command]
+    out = tmp_path / "runs"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"input file not found: {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPrepareRegion:
     def test_run_dir_contains_artifacts(self, work):
         for name in ("region.npz", "region_full.npz", "region_report.json",

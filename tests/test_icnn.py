@@ -210,11 +210,9 @@ class TestBackward:
         X = rng.normal(size=(B, n))
         upstream = rng.normal(size=B)
         # keep clear of relu kinks and the raw-vs-box tie so FD is valid
-        _, (_, pre, _) = raw_forward(net, X, want_cache=True)
-        assert all(np.abs(p).min() > 1e-4 for p in pre)
-        raw = raw_forward(net, X)
-        pen = net.box_gain * box_violation(net, X)
-        assert np.abs(raw - pen).min() > 1e-3
+        _, fp = forward(net, X, want_cache=True)
+        assert all(np.abs(p).min() > 1e-4 for p in fp.pre)
+        assert np.abs(fp.raw - fp.pen).min() > 1e-3
         return net, X, upstream
 
     def test_param_grads_match_finite_differences(self):

@@ -43,6 +43,16 @@ class TestLoss:
         np.testing.assert_allclose(out, LN2)
 
 
+def test_rates_convention():
+    pred = np.array([False, True, True, False])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    fpr, fnr = classification_rates(pred, y)
+    assert fpr == 0.5   # the third is predicted insecure but labeled 0
+    assert fnr == 0.5   # the fourth is predicted secure but labeled 1
+    # an empty class counts as zero
+    assert classification_rates(pred, np.zeros(4)) == (0.5, 0.0)
+
+
 class TestConfig:
     def test_schedule(self):
         cfg = TrainingConfig()
